@@ -47,6 +47,9 @@ class Classification:
     tol: float
 
 
+_TOL = 1e-6
+
+
 def _channel_domain(config: ModelConfig) -> Domain1D:
     if config.x_domain.kind == "interval":
         return Domain1D("interval", config.x_domain.c, config.x_domain.bc)
@@ -61,14 +64,18 @@ def channel_threshold(config: ModelConfig, ch: ChannelSpec,
     return threshold(spec, policy)
 
 
-def classify(config: ModelConfig, tol: float = 1e-6,
+def classify(config: ModelConfig, tol: float = _TOL,
              policy: ResolutionPolicy = ResolutionPolicy()) -> Classification:
     """t_V = min_j inf sigma(L_j); sign against tol gives the verdict."""
     if not config.channels:
         raise ConfigurationError("classification needs at least one channel")
     if tol <= 0:
         raise ConfigurationError("classification tolerance must be positive")
-    per = tuple(channel_threshold(config, ch, policy) for ch in config.channels)
+    return _classification(
+        tuple(channel_threshold(config, ch, policy) for ch in config.channels), tol)
+
+
+def _classification(per: tuple[float, ...], tol: float = _TOL) -> Classification:
     t_v = min(per)
     if t_v > tol:
         verdict = "subcritical"
@@ -105,9 +112,15 @@ def strip_bounds(config: ModelConfig, n_max: int, n_min: int = 1,
         raise ConfigurationError("strip bounds are defined for a single channel")
     if n_min < 1 or n_max < n_min:
         raise ConfigurationError("need 1 <= n_min <= n_max")
+    e_l = (channel_threshold(config, config.channels[0], policy)
+           if config.channels else config.omega**2)
+    return _strips(config, e_l, n_min, n_max)
+
+
+def _strips(config: ModelConfig, e_l: float, n_min: int, n_max: int) -> list[StripBound]:
+    """strip_bounds for a configuration of at most one channel whose
+    comparison threshold e_l is already known."""
     ch = config.channels[0] if config.channels else None
-    e_l = (channel_threshold(config, ch, policy) if ch is not None
-           else config.omega**2)
     out = []
     for n in range(n_min, n_max + 1):
         lo, hi = math.log(n), math.log(n + 1)
@@ -132,25 +145,29 @@ def global_lower_bound(config: ModelConfig, n_start: int = 64,
     net strip bounds are increasing at the end of the range (so the tail
     cannot dip lower); the range is extended a few times before giving up.
     """
-    if config.channels:
-        if len(config.channels) > 1:
-            cls = classify(config, policy=policy)
-            if cls.verdict == "supercritical":
-                return "unbounded below"
-            raise ConfigurationError(
-                "strip bounds (and hence the global bound) cover one channel")
-        cls = classify(config, policy=policy)
+    cls = classify(config, policy=policy) if config.channels else None
+    return _lower_bound(config, cls, n_start, max_extensions)
+
+
+def _lower_bound(config: ModelConfig, cls: Classification | None,
+                 n_start: int = 64, max_extensions: int = 6):
+    """global_lower_bound from the classification of the configuration's
+    channels (None when it has none), so no threshold is computed twice."""
+    if cls is None:
+        central, e_l = 0.0, config.omega**2
+    else:
         if cls.verdict == "supercritical":
             return "unbounded below"
-        central = -max(ch.lam * ch.profile.sup_value for ch in config.channels) \
-            * math.log(2.0) ** 2
-    else:
-        central = 0.0
+        if len(config.channels) > 1:
+            raise ConfigurationError(
+                "strip bounds (and hence the global bound) cover one channel")
+        ch = config.channels[0]
+        central = -ch.lam * ch.profile.sup_value * math.log(2.0) ** 2
+        e_l = cls.per_channel[0]
 
     n_max = n_start
     for _ in range(max_extensions):
-        strips = strip_bounds(config, n_max, policy=policy)
-        nets = [s.net_bound for s in strips]
+        nets = [s.net_bound for s in _strips(config, e_l, 1, n_max)]
         tail = nets[-8:]
         if all(b >= a for a, b in zip(tail, tail[1:])):
             return min([central] + nets)
@@ -161,13 +178,13 @@ def global_lower_bound(config: ModelConfig, n_start: int = 64,
 
 
 def classification_json_dict(config: ModelConfig, cls: Classification) -> dict:
-    bound = global_lower_bound(config) if len(config.channels) <= 1 or \
-        cls.verdict == "supercritical" else None
     out = {
         "t_V": cls.t_v,
         "verdict": cls.verdict,
         "per_channel": list(cls.per_channel),
     }
-    if bound is not None:
-        out["global_lower_bound"] = bound
+    if len(config.channels) <= 1 or cls.verdict == "supercritical":
+        # routed, like global_lower_bound, by the verdict at the default tol
+        out["global_lower_bound"] = _lower_bound(config,
+                                                 _classification(cls.per_channel))
     return out

@@ -11,7 +11,6 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
-import os
 import sys
 from dataclasses import dataclass, field
 from typing import Optional
@@ -92,20 +91,6 @@ def _single_channel(config: ModelConfig):
     return config.channels[0]
 
 
-def _set_threads(n: Optional[int]) -> None:
-    count = n if n is not None else os.environ.get("SMILANSKY_LAB_THREADS")
-    if count is None:
-        return
-    count = str(int(count))
-    for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
-        os.environ[var] = count
-    try:
-        from threadpoolctl import threadpool_limits
-        threadpool_limits(limits=int(count))
-    except ImportError:
-        pass
-
-
 def run(request: RunRequest) -> int:
     """Dispatch a request; returns the process exit code."""
     try:
@@ -133,7 +118,7 @@ def run(request: RunRequest) -> int:
         elif request.command == "eig2d":
             y_half = p.get("y_half", 8.0)
             policy = grid2d.ScanPolicy()
-            grid = grid2d._build_scan_grid(config, policy, y_half, y_half)
+            grid = grid2d.scan_grid(config, policy, y_half, y_half)
             ham = grid2d.assemble_h2d(config, grid)
             pairs = grid2d.lowest_eigenvalues(ham, p.get("k", 1),
                                               tol=p.get("tol", 1e-7), seed=_SEED)
@@ -192,8 +177,6 @@ def main(argv: Optional[list[str]] = None) -> int:
     parser = argparse.ArgumentParser(
         prog="smilansky-lab",
         description="Spectral analysis of the regularized Smilansky model")
-    parser.add_argument("--threads", type=int, default=None,
-                        help="cap worker threads (or SMILANSKY_LAB_THREADS)")
     sub = parser.add_subparsers(dest="command", required=True)
 
     def common(sp):
@@ -231,7 +214,6 @@ def main(argv: Optional[list[str]] = None) -> int:
     common(sp)
 
     args = parser.parse_args(argv)
-    _set_threads(args.threads)
 
     params = {}
     for key in ("tol", "target", "y_half", "k", "mu"):

@@ -1,9 +1,10 @@
 """Symmetric eigensolvers used throughout the package.
 
-Tridiagonal matrices get Sturm-sequence bisection (certified bracketing of
-each eigenvalue) plus inverse iteration for eigenvectors.  Sparse operators
-get Lanczos with full reorthogonalization and a deterministic start vector.
-Periodic tridiagonals are routed through the Lanczos path.
+Tridiagonal matrices go to LAPACK: Sturm-count bisection (stebz) brackets
+each eigenvalue, inverse iteration (stein) gives eigenvectors.  Lanczos with
+full reorthogonalization and a deterministic start vector serves the periodic
+wrap, which has no tridiagonal LAPACK solver, and is an independent oracle
+for the tests.
 """
 
 from __future__ import annotations
@@ -12,16 +13,14 @@ from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
-from scipy.linalg import solve_banded
+from scipy.linalg import eigh_tridiagonal
 
-from .errors import ComputationError, ConvergenceError
+from .errors import ComputationError
 
 __all__ = [
     "TridiagonalSym",
     "LanczosOptions",
-    "sturm_count",
     "sturm_smallest",
-    "inverse_iteration",
     "lanczos_smallest",
 ]
 
@@ -57,100 +56,16 @@ class TridiagonalSym:
             out[-1] += self.corner * v[0]
         return out
 
-    def gershgorin(self) -> tuple[float, float]:
-        r = np.zeros(self.n)
-        r[:-1] += np.abs(self.e)
-        r[1:] += np.abs(self.e)
-        if self.corner is not None:
-            r[0] += abs(self.corner)
-            r[-1] += abs(self.corner)
-        return float(np.min(self.d - r)), float(np.max(self.d + r))
-
-
-def _sturm_kernel(d, e, x):
-    count = 0
-    q = d[0] - x
-    if q < 0.0:
-        count += 1
-    tiny = 2.2250738585072014e-308
-    for i in range(1, len(d)):
-        if q == 0.0:
-            q = tiny
-        q = d[i] - x - e[i - 1] * e[i - 1] / q
-        if q < 0.0:
-            count += 1
-    return count
-
-
-try:  # sequential scalar recurrence; JIT makes large grids cheap
-    from numba import njit
-
-    _sturm_kernel = njit(cache=True)(_sturm_kernel)
-except ImportError:  # pragma: no cover
-    pass
-
-
-def sturm_count(T: TridiagonalSym, x: float) -> int:
-    """Number of eigenvalues of T strictly below x (non-periodic only)."""
-    if T.corner is not None:
-        raise ComputationError("Sturm counts are not defined for the periodic wrap")
-    return int(_sturm_kernel(T.d, T.e, float(x)))
-
 
 def sturm_smallest(T: TridiagonalSym, m: int = 1, tol: float = 1e-12) -> np.ndarray:
-    """The m smallest eigenvalues, each bracketed to width <= tol by bisection."""
-    lo0, hi0 = T.gershgorin()
-    out = np.empty(m)
-    for j in range(1, m + 1):
-        lo, hi = lo0, hi0
-        while hi - lo > tol:
-            mid = 0.5 * (lo + hi)
-            if mid == lo or mid == hi:
-                break
-            if sturm_count(T, mid) >= j:
-                hi = mid
-            else:
-                lo = mid
-        out[j - 1] = 0.5 * (lo + hi)
-    return out
-
-
-def _tridiag_solve(T: TridiagonalSym, shift: float, rhs: np.ndarray) -> np.ndarray:
-    ab = np.zeros((3, T.n))
-    ab[0, 1:] = T.e
-    ab[1] = T.d - shift
-    ab[2, :-1] = T.e
-    return solve_banded((1, 1), ab, rhs)
-
-
-def inverse_iteration(T: TridiagonalSym, theta: float, tol: float = 1e-10,
-                      max_iter: int = 50, seed: int = 0) -> np.ndarray:
-    """Unit eigenvector for the eigenvalue nearest theta.
-
-    A singular shifted solve is retried with the shift nudged by +-10*tol,
-    at most 5 times.
-    """
-    rng = np.random.default_rng(seed)
-    v = rng.standard_normal(T.n)
-    v /= np.linalg.norm(v)
-    shift = theta
-    for attempt in range(5):
-        try:
-            for _ in range(max_iter):
-                with np.errstate(all="raise"):
-                    w = _tridiag_solve(T, shift, v)
-                nw = np.linalg.norm(w)
-                if not np.isfinite(nw) or nw == 0.0:
-                    raise FloatingPointError("singular solve")
-                v = w / nw
-                rayleigh = float(v @ T.matvec(v))
-                res = np.linalg.norm(T.matvec(v) - rayleigh * v)
-                if res <= tol * max(1.0, abs(rayleigh)):
-                    return v
-            return v
-        except (FloatingPointError, np.linalg.LinAlgError):
-            shift = theta + (10.0 * tol) * (attempt + 1) * (-1.0) ** attempt
-    raise ConvergenceError(f"inverse iteration failed near theta={theta}")
+    """The m smallest eigenvalues, each bracketed to width <= tol by LAPACK's
+    Sturm-count bisection (stebz); non-periodic only."""
+    if T.corner is not None:
+        raise ComputationError("Sturm counts are not defined for the periodic wrap")
+    if not 1 <= m <= T.n:
+        raise ComputationError(f"cannot take {m} eigenvalues of an order-{T.n} matrix")
+    return eigh_tridiagonal(T.d, T.e, eigvals_only=True, select="i",
+                            select_range=(0, m - 1), tol=tol)
 
 
 @dataclass(frozen=True)

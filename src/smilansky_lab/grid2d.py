@@ -12,15 +12,13 @@ with c near the 1D channel energy |E0|.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Optional
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from .errors import ComputationError, ConfigurationError, ConvergenceError, RefinementError
-from .eigs import LanczosOptions, lanczos_smallest
 from .model import ModelConfig, eval_potential_2d
 
 __all__ = [
@@ -32,6 +30,7 @@ __all__ = [
     "graded_x_nodes",
     "assemble_h2d",
     "lowest_eigenvalues",
+    "scan_grid",
     "transition_scan",
     "scan_csv",
 ]
@@ -80,22 +79,12 @@ class Grid2D:
         return len(self.x_nodes)
 
     @property
-    def h_x(self) -> float:
-        """Smallest x spacing."""
-        return float(np.min(np.diff(self.x_nodes)))
-
-    @property
     def h_y(self) -> float:
         return 2.0 * self.y_half / (self.n_y + 1)
 
     @property
     def y_nodes(self) -> np.ndarray:
         return np.linspace(-self.y_half, self.y_half, self.n_y + 2)[1:-1]
-
-    @property
-    def uniform_x(self) -> bool:
-        d = np.diff(self.x_nodes)
-        return bool(np.max(d) - np.min(d) <= 1e-12 * np.max(d))
 
 
 def graded_x_nodes(x_lo: float, x_hi: float, centers: tuple[float, ...],
@@ -222,28 +211,17 @@ def assemble_h2d(config: ModelConfig, grid: Grid2D) -> SparseHamiltonian:
 
 
 def lowest_eigenvalues(ham: SparseHamiltonian, k: int = 1, tol: float = 1e-7,
-                       seed: int = 1234, method: str = "auto",
+                       seed: int = 1234,
                        maxiter: int = 40000) -> list[tuple[float, float]]:
-    """k smallest eigenvalues with independently recomputed residual norms.
-
-    Small problems use the self-contained Lanczos solver; large ones use
-    restarted Lanczos (ARPACK) with a deterministic start vector, since a
-    full-reorthogonalization basis would not fit in memory there.
-    """
+    """k smallest eigenvalues with independently recomputed residual norms,
+    by restarted Lanczos (ARPACK) from a deterministic start vector."""
     if not 1 <= k <= 20:
         raise ConfigurationError("eigenvalue count must be between 1 and 20")
     a = ham.matrix
     n = a.shape[0]
-    if method not in ("auto", "direct", "arpack"):
-        raise ConfigurationError(f"unknown eigensolver method {method!r}")
-    if method == "auto":
-        method = "direct" if n <= 5000 else "arpack"
-    if method == "direct":
-        opts = LanczosOptions(max_iter=min(400, n), tol=tol, seed=seed)
-        vals, vecs, res, ok = lanczos_smallest(lambda v: a @ v, n, k, opts)
-        if not ok:
-            raise ConvergenceError("Lanczos did not converge on the 2D operator")
-        return [(float(v), float(r)) for v, r in zip(vals, res)]
+    if k >= n - 1:
+        raise ConfigurationError(
+            f"{k} eigenvalues need more than {k + 1} unknowns; the grid has {n}")
     v0 = np.random.default_rng(seed).standard_normal(n)
     try:
         vals, vecs = spla.eigsh(a, k=k, which="SA", tol=tol, v0=v0,
@@ -295,8 +273,9 @@ class TransitionScan:
     verdict: str
 
 
-def _build_scan_grid(config: ModelConfig, policy: ScanPolicy, y_half: float,
-                     y_max: float) -> Grid2D:
+def scan_grid(config: ModelConfig, policy: ScanPolicy, y_half: float,
+              y_max: float) -> Grid2D:
+    """The grid for truncation y_half on a ladder that ends at y_max."""
     if config.x_domain.kind == "interval":
         x_lo, x_hi = -config.x_domain.c, config.x_domain.c
     else:
@@ -331,7 +310,7 @@ def transition_scan(config: ModelConfig, y_ladder: list[float],
     y_max = float(y_ladder[-1])
     vals = []
     for y in y_ladder:
-        grid = _build_scan_grid(config, policy, float(y), y_max)
+        grid = scan_grid(config, policy, float(y), y_max)
         ham = assemble_h2d(config, grid)
         (lam0, res), = lowest_eigenvalues(ham, 1, tol=policy.eig_tol)
         if lam0 < ham.potential_min - 1e-9 * max(1.0, abs(ham.potential_min)):

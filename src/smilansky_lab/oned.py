@@ -14,8 +14,9 @@ from typing import Optional
 
 import numpy as np
 from scipy.interpolate import BPoly
+from scipy.linalg import eigh_tridiagonal
 
-from .eigs import TridiagonalSym, inverse_iteration, lanczos_smallest, LanczosOptions, sturm_smallest
+from .eigs import TridiagonalSym, lanczos_smallest, LanczosOptions, sturm_smallest
 from .errors import ComputationError, ConfigurationError, RefinementError
 from .model import PotentialProfile, eval_profile
 
@@ -30,7 +31,6 @@ __all__ = [
     "threshold",
     "critical_coupling",
     "tune_lambda_to_threshold",
-    "h_derivatives",
 ]
 
 LAMBDA_CAP = 2.0**16
@@ -168,13 +168,15 @@ def _resolve_truncation(spec: ComparisonSpec, policy: ResolutionPolicy) -> tuple
     a, w2 = spec.profile.a, spec.omega**2
     X = max(spec.domain.half_width, a + 16.0 / np.sqrt(w2 + 1.0))
     cur_spec = replace(spec, domain=Domain1D("truncated_line", X))
-    n = policy.n_for(-X, X)
+    # odd n puts a node at x = 0 and makes X a whole number of steps, so the
+    # doubled grid below contains every node of this one
+    n = policy.n_for(-X, X) | 1
     e = _min_eig(cur_spec, Grid1D(-X, X, n))
     for _ in range(policy.max_doublings):
         binding = w2 + (np.pi / (2.0 * X)) ** 2 - e
         if binding <= 1e-8:
             return cur_spec, True
-        # doubling n -> 2n+1 keeps the spacing bit-identical, so the
+        # doubling n -> 2n+1 keeps the spacing and the nodes, so the
         # comparison isolates the truncation error
         X_next, n_next = 2.0 * X, 2 * n + 1
         nxt = replace(spec, domain=Domain1D("truncated_line", X_next))
@@ -280,9 +282,8 @@ def ground_state(spec: ComparisonSpec, grid: Grid1D,
     if bc != "dirichlet":
         raise ConfigurationError("ground_state supports Dirichlet-type grids only")
     T = assemble_comparison(spec, grid)
-    scale = max(1.0, float(np.max(np.abs(T.d))))
-    e_bracket = float(sturm_smallest(T, 1, tol=1e-13 * scale)[0])
-    v = inverse_iteration(T, e_bracket, tol=1e-12)
+    _, vecs = eigh_tridiagonal(T.d, T.e, select="i", select_range=(0, 0))
+    v = vecs[:, 0]
     e0 = float(v @ T.matvec(v))
 
     x = grid.interior_nodes()
@@ -322,11 +323,6 @@ def _fd4_derivative(u: np.ndarray, h: float) -> np.ndarray:
         d[i] = (25 * u[i] - 48 * u[i - 1] + 36 * u[i - 2]
                 - 16 * u[i - 3] + 3 * u[i - 4]) / (12 * h)
     return d
-
-
-def h_derivatives(gs: GroundState, t) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(h, h', h'') at arbitrary points, with the analytic tail beyond the grid."""
-    return gs.h(t), gs.h1(t), gs.h2(t)
 
 
 def _bisect_coupling(omega: float, profile: PotentialProfile, target: float,

@@ -152,6 +152,9 @@ def build_cutoff(k: float, prescale: float = 1.0) -> CutoffFunction:
     if prescale <= 0:
         raise ConfigurationError("prescale must be positive")
     k = float(k)
+    if k - 1.0 == k:
+        raise ComputationError(
+            f"k={k!r} is too large for float64: the descent starts at k - 1 == k")
     z1, z2, z3 = np.sqrt(k), np.sqrt(k) + 1.0, k - 1.0
     L = np.log(k)
 
@@ -211,6 +214,8 @@ def build_cutoff(k: float, prescale: float = 1.0) -> CutoffFunction:
 
 
 _CUTOFF_CACHE: dict[float, CutoffFunction] = {}
+# largest p with 2^p - 1 != 2^p in float64; build_cutoff rejects larger k
+_MAX_K_POW = np.finfo(float).nmant + 1
 
 
 def cutoff_cached(k: float) -> CutoffFunction:
@@ -384,27 +389,27 @@ def suppressed_term_bounds(cut: CutoffFunction, n_k: int, mom: dict,
 
 
 def choose_parameters(eps: float, gs: GroundState, mu: float = 0.0,
-                      min_n: int = 1, max_k_pow: int = 200,
-                      max_n_doublings: int = 60) -> tuple[float, int]:
+                      min_n: int = 1, max_n_doublings: int = 60) -> tuple[float, int]:
     """Deterministic (k, n_k) selection.
 
-    k is the smallest power of two >= 16 on the ladder with weighted
-    derivative mass J(k) < eps; n_k doubles from 4k (and past `min_n`, which
-    enforces disjoint supports along a ladder) until the correction-term norm
-    bound is below 1/16 and the suppressed residual bounds sum below eps.
+    k is the smallest power of two from 16 to 2^53 (the largest with
+    k - 1 != k in float64) with weighted derivative mass J(k) < eps; n_k
+    doubles from 4k (and past `min_n`, which enforces disjoint supports along
+    a ladder) until the correction-term norm bound is below 1/16 and the
+    suppressed residual bounds sum below eps.
     """
     if not (0.0 < eps < 1.0):
         raise ConfigurationError("eps must lie in (0, 1)")
     if gs.e0 >= 0:
         raise ConfigurationError("parameter selection needs a negative threshold")
     cut = None
-    for p in range(4, max_k_pow + 1):
+    for p in range(4, _MAX_K_POW + 1):
         cand = cutoff_cached(2.0**p)
         if cand.j_weighted < eps:
             cut = cand
             break
     if cut is None:
-        raise ComputationError(f"no ladder k up to 2^{max_k_pow} with J(k) < {eps}")
+        raise ComputationError(f"no ladder k up to 2^{_MAX_K_POW} with J(k) < {eps}")
 
     mom = _h_moments(gs)
     n = int(4 * cut.k)

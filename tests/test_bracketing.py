@@ -1,11 +1,13 @@
 import math
+from pathlib import Path
 
 import pytest
 
 from smilansky_lab import bracketing as br
+from smilansky_lab.cli import RunRequest, run
 from smilansky_lab.errors import ConfigurationError
-from smilansky_lab.model import ChannelSpec, ModelConfig, PotentialProfile
-from smilansky_lab.oned import tune_lambda_to_threshold
+from smilansky_lab.model import ChannelSpec, ModelConfig, PotentialProfile, load_config
+from smilansky_lab.oned import threshold, tune_lambda_to_threshold
 
 
 @pytest.fixture(scope="module")
@@ -105,3 +107,19 @@ class TestGlobalBound:
         bound = br.global_lower_bound(cfg)
         assert isinstance(bound, float)
         assert bound <= -lam * math.log(2.0) ** 2 + 1e-12
+
+
+@pytest.mark.parametrize("command, config", [("classify", "two_channel.json"),
+                                             ("classify", "single_channel.json"),
+                                             ("bound", "single_channel.json")])
+def test_one_threshold_per_channel(monkeypatch, tmp_path, command, config):
+    path = str(Path(__file__).parents[1] / "configs" / config)
+    calls = []
+
+    def counting(spec, policy):
+        calls.append(spec)
+        return threshold(spec, policy)
+
+    monkeypatch.setattr(br, "threshold", counting)
+    assert run(RunRequest(command, path, output=str(tmp_path / "out.json"))) == 0
+    assert len(calls) == len(load_config(path).channels)

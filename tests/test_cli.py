@@ -79,6 +79,16 @@ class TestCommands:
         assert payload["verdict"] == "supercritical"
         assert payload["global_lower_bound"] == "unbounded below"
 
+    def test_classify_loose_tol_keeps_default_bound_routing(self, super_cfg, tmp_path):
+        # t_V = -1 is "critical" within tol = 2, but the bound is routed by
+        # the default-tolerance verdict, as `bound` itself does
+        out = tmp_path / "c.json"
+        assert run(RunRequest("classify", super_cfg, params={"tol": 2.0},
+                              output=str(out))) == 0
+        payload = json.loads(out.read_text())
+        assert payload["verdict"] == "critical"
+        assert payload["global_lower_bound"] == "unbounded below"
+
     def test_weyl_csv(self, super_cfg, tmp_path):
         out = tmp_path / "w.csv"
         assert run(RunRequest("weyl", super_cfg,
@@ -111,6 +121,12 @@ class TestExitCodes:
         p = tmp_path / "empty.json"
         p.write_text(json.dumps({"omega": 1.0}))
         assert run(RunRequest("critical", str(p))) == 2
+
+    def test_weyl_eps_beyond_the_ladder_is_1(self, super_cfg, capsys):
+        # eps = 0.015 needs k = 2^54, past the last float64-resolvable k
+        assert main(["weyl", "--config", super_cfg,
+                     "--eps", "0.1,0.05,0.015"]) == 1
+        assert "computation failed:" in capsys.readouterr().err
 
     def test_main_entry(self, single_cfg, capsys):
         assert main(["critical", "--config", single_cfg]) == 0

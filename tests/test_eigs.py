@@ -4,8 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from smilansky_lab.eigs import (LanczosOptions, TridiagonalSym,
-                                inverse_iteration, lanczos_smallest,
-                                sturm_count, sturm_smallest)
+                                lanczos_smallest, sturm_smallest)
 from smilansky_lab.errors import ComputationError
 
 
@@ -34,15 +33,6 @@ class TestSturm:
         assert np.max(np.abs((a + 3.25) - b)) < 1e-11
 
     @settings(max_examples=25, deadline=None)
-    @given(st.integers(3, 12), st.integers(0, 10**6))
-    def test_count_monotone_in_shift(self, n, seed):
-        rng = np.random.default_rng(seed)
-        T = TridiagonalSym(rng.standard_normal(n), rng.standard_normal(n - 1))
-        xs = np.sort(rng.standard_normal(5) * 3)
-        counts = [sturm_count(T, x) for x in xs]
-        assert counts == sorted(counts)
-
-    @settings(max_examples=25, deadline=None)
     @given(st.integers(4, 12), st.integers(0, 10**6))
     def test_interlacing_under_deletion(self, n, seed):
         rng = np.random.default_rng(seed)
@@ -54,28 +44,12 @@ class TestSturm:
             assert full[j] <= sub[j] + 1e-9
             assert sub[j] <= full[j + 1] + 1e-9
 
-
-class TestInverseIteration:
-    def test_identity(self):
-        T = TridiagonalSym(np.ones(6), np.zeros(5))
-        v = inverse_iteration(T, 1.0)
-        assert abs(np.linalg.norm(v) - 1.0) < 1e-12
-
-    def test_laplacian_ground_vector(self):
-        n = 40
-        T = dirichlet_laplacian(n)
-        theta = 2.0 - 2.0 * np.cos(np.pi / (n + 1))
-        v = inverse_iteration(T, theta)
-        want = np.sin(np.arange(1, n + 1) * np.pi / (n + 1))
-        want /= np.linalg.norm(want)
-        assert min(np.linalg.norm(v - want), np.linalg.norm(v + want)) < 1e-8
-
-    def test_degenerate_pair(self):
-        # double eigenvalue 1; any unit vector in the eigenspace is fine
-        T = TridiagonalSym(np.array([1.0, 1.0, 5.0]), np.zeros(2))
-        v = inverse_iteration(T, 1.0)
-        r = T.matvec(v) - (v @ T.matvec(v)) * v
-        assert np.linalg.norm(r) <= 1e-10
+    def test_rejects_periodic_wrap_and_bad_count(self):
+        T = dirichlet_laplacian(6)
+        with pytest.raises(ComputationError):
+            sturm_smallest(TridiagonalSym(T.d, T.e, corner=-1.0))
+        with pytest.raises(ComputationError):
+            sturm_smallest(T, 7)
 
 
 class TestLanczos:

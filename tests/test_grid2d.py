@@ -70,6 +70,13 @@ class TestAssembly:
         with pytest.raises(ConfigurationError):
             grid2d.assemble_h2d(cfg, g)
 
+    def test_eigenvalue_count_needs_unknowns(self):
+        ham = grid2d.assemble_h2d(ModelConfig(omega=1.0),
+                                  grid2d.Grid2D.uniform(-2.0, 2.0, 3, 2.0, 3))
+        assert len(grid2d.lowest_eigenvalues(ham, 7)) == 7
+        with pytest.raises(ConfigurationError):
+            grid2d.lowest_eigenvalues(ham, 8)
+
     def test_memory_cap(self):
         with pytest.raises(ConfigurationError):
             grid2d.Grid2D.uniform(-4.0, 4.0, 4000, 3.0, 4000)

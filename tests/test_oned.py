@@ -5,8 +5,9 @@ from scipy.linalg import eigh_tridiagonal
 from smilansky_lab.errors import ConfigurationError
 from smilansky_lab.model import PotentialProfile, eval_profile
 from smilansky_lab.oned import (ComparisonSpec, Domain1D, Grid1D,
-                                ResolutionPolicy, assemble_comparison,
-                                critical_coupling, ground_state, threshold,
+                                ResolutionPolicy, _resolve_truncation,
+                                assemble_comparison, critical_coupling,
+                                ground_state, threshold,
                                 tune_lambda_to_threshold)
 from smilansky_lab.quadrature import gauss_panels
 
@@ -41,6 +42,15 @@ class TestThreshold:
                                 np.full(n - 1, -1.0 / h**2),
                                 select="i", select_range=(0, 0))[0]
         assert abs(e - vals[0]) < 5e-6
+
+    def test_truncation_doubles_only_while_the_eigenvalue_moves(self, cos2_profile):
+        # the start X = 1 + 16/sqrt(2) is already converged to 1e-9, so one
+        # doubling (whose nodes contain the start grid's) confirms it
+        spec = ComparisonSpec(1.0, 4.0, cos2_profile,
+                              Domain1D("truncated_line", 12.0))
+        resolved, unbound = _resolve_truncation(spec, ResolutionPolicy())
+        assert not unbound
+        assert resolved.domain.half_width == 2.0 * (1.0 + 16.0 / np.sqrt(2.0))
 
     def test_interval_neumann_zero_potential(self, cos2_profile):
         spec = ComparisonSpec(2.0, 0.0, cos2_profile,

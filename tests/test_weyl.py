@@ -3,7 +3,7 @@ import pytest
 from scipy.integrate import quad
 
 from smilansky_lab import weyl
-from smilansky_lab.errors import ComputationError, ConfigurationError
+from smilansky_lab.errors import ComputationError, ConfigurationError, SmilanskyError
 from smilansky_lab.model import ChannelSpec, ModelConfig, XDomain
 from smilansky_lab.oned import ComparisonSpec, Domain1D, Grid1D, ground_state
 
@@ -59,6 +59,11 @@ class TestCutoff:
     def test_small_k_rejected(self):
         with pytest.raises(ConfigurationError):
             weyl.build_cutoff(8.0)
+
+    def test_k_beyond_float64_resolution_rejected(self):
+        # 2^54 - 1 == 2^54 in float64, so the descent (k - 1, k] is empty
+        with pytest.raises(SmilanskyError):
+            weyl.build_cutoff(2.0**54)
 
 
 class TestPlateau:
