@@ -136,7 +136,8 @@ def run(request: RunRequest) -> int:
                 _emit(request, _csv_with_header(request, grid2d.scan_csv(scan)))
             else:
                 _emit(request, _json_payload(request, {
-                    "rows": [{"Y": r.y_half, "lambda0": r.lambda0} for r in scan.rows],
+                    "rows": [{"Y": r.y_half, "lambda0": r.lambda0, "residual": r.residual}
+                             for r in scan.rows],
                     "c_fit": scan.c_fit, "r_squared": scan.r_squared,
                     "verdict": scan.verdict,
                 }))

@@ -17,6 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
+from scipy.linalg import cho_solve_banded, cholesky_banded
 
 from .errors import ComputationError, ConfigurationError, ConvergenceError, RefinementError
 from .model import ModelConfig, eval_potential_2d
@@ -117,7 +118,11 @@ def graded_x_nodes(x_lo: float, x_hi: float, centers: tuple[float, ...],
 
 @dataclass(frozen=True)
 class SparseHamiltonian:
-    """Assembled 5-point operator; symmetric by construction."""
+    """Assembled 5-point operator; symmetric by construction.
+
+    Unknown (ix, iy) sits at index iy * n_x + ix (x runs fastest), so the
+    matrix is banded with half-bandwidth n_x.
+    """
 
     matrix: sp.csr_matrix
     grid: Grid2D
@@ -127,9 +132,6 @@ class SparseHamiltonian:
     @property
     def n(self) -> int:
         return self.matrix.shape[0]
-
-    def matvec(self, v: np.ndarray) -> np.ndarray:
-        return self.matrix @ v
 
     def export_coo(self) -> str:
         """Coordinate text format: one 'row col value' line per entry."""
@@ -189,7 +191,7 @@ def _check_resolution(config: ModelConfig, grid: Grid2D) -> None:
 
 
 def assemble_h2d(config: ModelConfig, grid: Grid2D) -> SparseHamiltonian:
-    """Kronecker-sum assembly: kron(Bx, I) + kron(I, By) + diag(potential)."""
+    """Kronecker-sum assembly, x fastest: kron(I, Bx) + kron(By, I) + diag(potential)."""
     if config.x_domain.kind == "interval":
         if not np.isclose(grid.x_hi, config.x_domain.c) or \
            not np.isclose(grid.x_lo, -config.x_domain.c):
@@ -201,9 +203,9 @@ def assemble_h2d(config: ModelConfig, grid: Grid2D) -> SparseHamiltonian:
 
     bx = _second_diff_1d(grid.x_nodes, grid.x_lo, grid.x_hi, bc_x)
     by = _second_diff_1d(grid.y_nodes, -grid.y_half, grid.y_half, "dirichlet")
-    pot = eval_potential_2d(config, grid.x_nodes[:, None], grid.y_nodes[None, :])
-    ham = (sp.kron(bx, sp.identity(grid.n_y), format="csr")
-           + sp.kron(sp.identity(grid.n_x), by, format="csr")
+    pot = eval_potential_2d(config, grid.x_nodes[None, :], grid.y_nodes[:, None])
+    ham = (sp.kron(sp.identity(grid.n_y), bx, format="csr")
+           + sp.kron(by, sp.identity(grid.n_x), format="csr")
            + sp.diags(pot.ravel(), format="csr"))
     return SparseHamiltonian(matrix=ham.tocsr(), grid=grid,
                              bc={"x": bc_x, "y": "dirichlet"},
@@ -211,10 +213,16 @@ def assemble_h2d(config: ModelConfig, grid: Grid2D) -> SparseHamiltonian:
 
 
 def lowest_eigenvalues(ham: SparseHamiltonian, k: int = 1, tol: float = 1e-7,
-                       seed: int = 1234,
-                       maxiter: int = 40000) -> list[tuple[float, float]]:
-    """k smallest eigenvalues with independently recomputed residual norms,
-    by restarted Lanczos (ARPACK) from a deterministic start vector."""
+                       seed: int = 1234) -> list[tuple[float, float]]:
+    """k smallest eigenvalues with independently recomputed residual norms.
+
+    Shift-invert Lanczos (ARPACK) on (H - sigma)^-1 from a deterministic
+    start vector, with sigma = potential_min - 1 so that H - sigma >= I; the
+    inverse is applied through a banded Cholesky factor (LAPACK pbtrf/pbtrs).
+    ARPACK bounds the residual of (H - sigma)^-1 relative to its Ritz value
+    mu; with its tolerance divided by a bound on ||H - sigma||, a converged
+    pair has ||H x - lambda x|| <= tol, up to rounding of order eps ||H||.
+    """
     if not 1 <= k <= 20:
         raise ConfigurationError("eigenvalue count must be between 1 and 20")
     a = ham.matrix
@@ -222,13 +230,32 @@ def lowest_eigenvalues(ham: SparseHamiltonian, k: int = 1, tol: float = 1e-7,
     if k >= n - 1:
         raise ConfigurationError(
             f"{k} eigenvalues need more than {k + 1} unknowns; the grid has {n}")
+    sigma = ham.potential_min - 1.0
+    dia = a.todia()
+    b = int(dia.offsets.max())
+    band = np.zeros((b + 1, n), order="F")
+    for d, diag in zip(dia.offsets, dia.data):
+        if d >= 0:
+            band[b - d] = diag
+    band[b] -= sigma
+    try:
+        upper = cholesky_banded(band, overwrite_ab=True)
+    except np.linalg.LinAlgError as exc:
+        raise ComputationError(
+            f"H - sigma is not positive definite at sigma = {sigma:.6g}; "
+            f"potential_min = {ham.potential_min:.6g} is above the minimum of "
+            f"the potential ({exc})") from exc
+    inverse = spla.LinearOperator(
+        (n, n), dtype=float,
+        matvec=lambda v: cho_solve_banded((upper, False), v, check_finite=False))
+    # ||H - sigma||_2 <= ||H||_inf + |sigma| for symmetric H
+    scale = spla.norm(a, np.inf) + abs(sigma)
     v0 = np.random.default_rng(seed).standard_normal(n)
     try:
-        vals, vecs = spla.eigsh(a, k=k, which="SA", tol=tol, v0=v0,
-                                ncv=min(n - 1, max(4 * k + 20, 100)),
-                                maxiter=maxiter)
+        mus, vecs = spla.eigsh(inverse, k=k, which="LA", tol=tol / scale, v0=v0)
     except spla.ArpackNoConvergence as exc:
-        raise ConvergenceError(f"restarted Lanczos stalled: {exc}") from exc
+        raise ConvergenceError(f"shift-invert Lanczos stalled: {exc}") from exc
+    vals = sigma + 1.0 / mus
     order = np.argsort(vals)
     out = []
     for i in order:
@@ -263,6 +290,7 @@ class ScanRow:
     lambda0: float
     c_fit: float
     verdict: str
+    residual: float
 
 
 @dataclass(frozen=True)
@@ -299,20 +327,28 @@ def transition_scan(config: ModelConfig, y_ladder: list[float],
     """Lowest eigenvalue along an increasing Y ladder, the -cY^2 fit on the
     last half, and the verdict.
 
-    The x-grid and the y spacing are shared across the ladder, and the y-node
-    sets nest, so Dirichlet domain monotonicity of lambda0 is exact and is
-    checked.  Verdicts: subcritical when lambda0 stabilizes between Y_max/2
-    and Y_max, supercritical when the fitted c is positive with R^2 at least
-    the policy threshold, inconclusive otherwise (never a guess).
+    Each lambda0 carries its residual ||H x - lambda0 x||, which must be at
+    most 1e-6 max(1, |lambda0|); by Weyl's bound an eigenvalue of the
+    truncated operator lies that close.  The x-grid and the y spacing are
+    shared across the ladder, and the y-node sets nest, so Dirichlet domain
+    monotonicity of lambda0 is exact and is checked.  Verdicts: subcritical
+    when lambda0 stabilizes between Y_max/2 and Y_max, supercritical when
+    the fitted c is positive with R^2 at least the policy threshold,
+    inconclusive otherwise (never a guess).
     """
     if len(y_ladder) < 3 or any(b <= a for a, b in zip(y_ladder, y_ladder[1:])):
         raise ConfigurationError("Y ladder must be increasing with >= 3 entries")
     y_max = float(y_ladder[-1])
     vals = []
+    residuals = []
     for y in y_ladder:
         grid = scan_grid(config, policy, float(y), y_max)
         ham = assemble_h2d(config, grid)
         (lam0, res), = lowest_eigenvalues(ham, 1, tol=policy.eig_tol)
+        if not res <= 1e-6 * max(1.0, abs(lam0)):
+            raise ComputationError(
+                f"residual {res:.3g} of lambda0 = {lam0:.12g} at Y={y} exceeds "
+                "1e-6 max(1, |lambda0|)")
         if lam0 < ham.potential_min - 1e-9 * max(1.0, abs(ham.potential_min)):
             raise ComputationError("eigenvalue below the Rayleigh potential bound")
         if vals and lam0 > vals[-1] + 1e-6 * max(1.0, abs(lam0)):
@@ -320,6 +356,7 @@ def transition_scan(config: ModelConfig, y_ladder: list[float],
                 f"lambda0 increased from Y={y_ladder[len(vals)-1]} to Y={y}; "
                 "domain monotonicity violated beyond solver tolerance")
         vals.append(lam0)
+        residuals.append(res)
 
     ys = np.asarray(y_ladder, dtype=float)
     window = slice(len(ys) // 2, None)
@@ -342,8 +379,8 @@ def transition_scan(config: ModelConfig, y_ladder: list[float],
     if verdict == "inconclusive" and c_fit > 0 and r2 >= policy.r2_min:
         verdict = "supercritical"
 
-    rows = tuple(ScanRow(float(y), float(v), c_fit, verdict)
-                 for y, v in zip(ys, vals))
+    rows = tuple(ScanRow(float(y), float(v), c_fit, verdict, r)
+                 for y, v, r in zip(ys, vals, residuals))
     return TransitionScan(rows=rows, c_fit=c_fit, r_squared=r2, verdict=verdict)
 
 

@@ -101,6 +101,15 @@ class TestCommands:
         assert data[0].startswith("epsilon,")
         assert len(data) == 2
 
+    def test_scan_json_rows_carry_gated_residual(self, super_cfg, tmp_path):
+        out = tmp_path / "s.json"
+        assert run(RunRequest("scan", super_cfg, params={"ladder": [2.0, 3.0, 4.0]},
+                              output=str(out))) == 0
+        rows = json.loads(out.read_text())["rows"]
+        assert [r["Y"] for r in rows] == [2.0, 3.0, 4.0]
+        assert all(0.0 <= r["residual"] <= 1e-6 * max(1.0, abs(r["lambda0"]))
+                   for r in rows)
+
     def test_deterministic_output(self, super_cfg, tmp_path):
         a, b = tmp_path / "a.json", tmp_path / "b.json"
         for out in (a, b):

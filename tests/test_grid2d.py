@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -77,6 +79,38 @@ class TestAssembly:
         with pytest.raises(ConfigurationError):
             grid2d.lowest_eigenvalues(ham, 8)
 
+    def test_half_bandwidth_is_n_x(self, oscillator, small_grid):
+        # x runs fastest; a graded scan grid keeps the same band
+        cfg = ModelConfig(omega=1.0, channels=(
+            ChannelSpec(2.0, 0.0, PotentialProfile("cos2", 1.0, 1.0)),))
+        graded = grid2d.scan_grid(cfg, grid2d.ScanPolicy(), 3.0, 6.0)
+        for ham, g in ((oscillator, small_grid),
+                       (grid2d.assemble_h2d(cfg, graded), graded)):
+            coo = ham.matrix.tocoo()
+            assert g.n_x != g.n_y
+            assert np.max(coo.col - coo.row) == g.n_x
+
+    @pytest.mark.parametrize("bc", ["dirichlet", "neumann", "periodic"])
+    def test_matches_dense_on_interval(self, bc):
+        cfg = ModelConfig(omega=1.0, x_domain=XDomain("interval", 2.0, bc),
+                          channels=(ChannelSpec(
+                              3.0, 0.5, PotentialProfile("cos2", 1.0, 1.0)),))
+        g = grid2d.Grid2D.uniform(-2.0, 2.0, 24, 2.5, 30,
+                                  staggered_x=bc != "dirichlet")
+        ham = grid2d.assemble_h2d(cfg, g)
+        got = grid2d.lowest_eigenvalues(ham, 4)
+        want = np.linalg.eigvalsh(ham.matrix.toarray())[:4]
+        assert np.max(np.abs(np.array([v for v, _ in got]) - want)) < 1e-10
+        assert all(r <= 1e-7 for _, r in got)
+
+    def test_potential_min_above_minimum_is_computation_error(self, oscillator):
+        # sigma = potential_min - 1 then sits above the lowest eigenvalue,
+        # so H - sigma has no Cholesky factor
+        wrong = dataclasses.replace(
+            oscillator, potential_min=float(oscillator.matrix.diagonal().max()) + 1.0)
+        with pytest.raises(ComputationError, match="not positive definite"):
+            grid2d.lowest_eigenvalues(wrong, 1)
+
     def test_memory_cap(self):
         with pytest.raises(ConfigurationError):
             grid2d.Grid2D.uniform(-4.0, 4.0, 4000, 3.0, 4000)
@@ -153,6 +187,16 @@ class TestScan:
         assert abs(scan.rows[-1].lambda0 - (1.0 + (np.pi / 8.0) ** 2)) < 0.02
         vals = [r.lambda0 for r in scan.rows]
         assert all(b <= a + 1e-9 for a, b in zip(vals, vals[1:]))
+
+    def test_residual_gate(self, monkeypatch):
+        pol = grid2d.ScanPolicy(points_per_unit_y=12, x_half_width=4.0)
+        scan = grid2d.transition_scan(ModelConfig(omega=1.0), [2.0, 3.0, 4.0], pol)
+        assert all(0.0 <= r.residual <= 1e-6 * max(1.0, abs(r.lambda0))
+                   for r in scan.rows)
+        monkeypatch.setattr(grid2d, "lowest_eigenvalues",
+                            lambda ham, k, tol: [(1.0, 2e-6)])
+        with pytest.raises(ComputationError, match="Y=2.0"):
+            grid2d.transition_scan(ModelConfig(omega=1.0), [2.0, 3.0, 4.0], pol)
 
     def test_csv_header(self):
         pol = grid2d.ScanPolicy(points_per_unit_y=12, x_half_width=4.0)
