@@ -2,8 +2,9 @@
 
 Every command loads a JSON model configuration, dispatches to one library
 operation, and writes CSV or JSON with a reproducibility header (config
-hash, tolerances, seed).  Exit codes: 0 success, 1 computation failure,
-2 configuration error.
+hash, tolerances, seed).  Exit codes: 0 success, 1 computation failure
+(including a `weyl` certificate whose checks fail, after its rows are
+written), 2 configuration error.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 from . import bracketing, grid2d, weyl
-from .errors import ConfigurationError, SmilanskyError
+from .errors import ComputationError, ConfigurationError, SmilanskyError
 from .model import ModelConfig, load_config
 from .oned import (ComparisonSpec, Domain1D, Grid1D, critical_coupling,
                    ground_state, threshold, tune_lambda_to_threshold)
@@ -147,10 +148,16 @@ def run(request: RunRequest) -> int:
             spec = ComparisonSpec(config.omega, ch.lam, ch.profile, dom)
             gs = ground_state(spec, Grid1D(-12.0, 12.0, 4001))
             rows = weyl.weyl_certificate(config, gs, p.get("mu", 0.0), p["eps"])
+            summary = weyl.certificate_summary(rows)
             if request.fmt == "csv":
-                _emit(request, _csv_with_header(request, weyl.certificate_csv(rows)))
+                verdict = f"# all_pass={json.dumps(summary['all_pass'])}\n"
+                _emit(request, _csv_with_header(request, verdict + weyl.certificate_csv(rows)))
             else:
-                _emit(request, _json_payload(request, weyl.certificate_summary(rows)))
+                _emit(request, _json_payload(request, summary))
+            failed = [name for name, ok in summary["checks"].items() if not ok]
+            if failed:
+                raise ComputationError(
+                    f"certificate checks failed: {', '.join(failed)}")
         elif request.command == "classify":
             cls = bracketing.classify(config, tol=p.get("tol", 1e-6))
             _emit(request, _json_payload(

@@ -13,12 +13,12 @@ from dataclasses import dataclass, field, replace
 from typing import Optional
 
 import numpy as np
-from scipy.interpolate import BPoly
 from scipy.linalg import eigh_tridiagonal
 
 from .eigs import TridiagonalSym, lanczos_smallest, LanczosOptions, sturm_smallest
 from .errors import ComputationError, ConfigurationError, RefinementError
 from .model import PotentialProfile, eval_profile
+from .quadrature import quintic_hermite
 
 __all__ = [
     "Grid1D",
@@ -217,15 +217,17 @@ def threshold(spec: ComparisonSpec, policy: ResolutionPolicy = ResolutionPolicy(
     return r2
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class GroundState:
     """Minimal eigenpair of the discretized comparison operator.
 
     `samples` live on `nodes` (interior points, Dirichlet ends), normalized so
-    that sum(h_i^2) * h_x = 1 and positive at the potential minimum.  The C^1
-    quintic interpolant matches the sampled values, fourth-order finite
-    difference first derivatives, and ODE-exact second derivatives at the
-    nodes; beyond the last node the analytic exponential tail takes over.
+    that sum(h_i^2) * h_x = 1 and positive at the potential minimum.  The C^2
+    quintic Hermite interpolant matches the sampled values, fourth-order
+    finite difference first derivatives, and ODE-exact second derivatives at
+    the nodes; beyond the last node the analytic exponential tail takes over.
+    Equality and hashing are by identity, so derived quantities can be
+    cached per ground state.
     """
 
     e0: float
@@ -236,8 +238,8 @@ class GroundState:
     omega: float
     profile: PotentialProfile
     no_bound_state: bool
-    _interp: BPoly = field(repr=False, compare=False, default=None)
-    _interp_d: BPoly = field(repr=False, compare=False, default=None)
+    # (nodes, values, first, second derivatives) of the Hermite interpolant
+    _hermite: tuple = field(repr=False)
 
     @property
     def kappa(self) -> float:
@@ -249,7 +251,7 @@ class GroundState:
         lo, hi = self.nodes[0], self.nodes[-1]
         out = np.empty_like(t)
         inside = (t >= lo) & (t <= hi)
-        out[inside] = self._interp(t[inside])
+        out[inside] = quintic_hermite(*self._hermite, t[inside])
         right = t > hi
         out[right] = self.samples[-1] * np.exp(-self.kappa * (t[right] - hi))
         left = t < lo
@@ -261,7 +263,7 @@ class GroundState:
         lo, hi = self.nodes[0], self.nodes[-1]
         out = np.empty_like(t)
         inside = (t >= lo) & (t <= hi)
-        out[inside] = self._interp_d(t[inside])
+        out[inside] = quintic_hermite(*self._hermite, t[inside], 1)
         right = t > hi
         out[right] = -self.kappa * self.samples[-1] * np.exp(-self.kappa * (t[right] - hi))
         left = t < lo
@@ -294,21 +296,17 @@ def ground_state(spec: ComparisonSpec, grid: Grid1D,
     if v[anchor] < 0:
         v = -v
 
-    # augment with the Dirichlet boundary zeros, then build the interpolant
+    # augment with the Dirichlet boundary zeros: the interpolant's node data
     xa = np.concatenate(([grid.lo], x, [grid.hi]))
     ha = np.concatenate(([0.0], v, [0.0]))
     d1 = _fd4_derivative(ha, h)
     va, _ = eval_profile(spec.profile, xa)
     d2 = (spec.omega**2 - spec.lam * va - e0) * ha
-    interp = BPoly.from_derivatives(xa, np.column_stack([ha, d1, d2]))
-
-    gs = GroundState(
+    return GroundState(
         e0=e0, samples=v, nodes=x, grid=grid, lam=spec.lam, omega=spec.omega,
         profile=spec.profile, no_bound_state=bool(e0 >= spec.omega**2 - flag_tol),
+        _hermite=(xa, ha, d1, d2),
     )
-    object.__setattr__(gs, "_interp", interp)
-    object.__setattr__(gs, "_interp_d", interp.derivative())
-    return gs
 
 
 def _fd4_derivative(u: np.ndarray, h: float) -> np.ndarray:

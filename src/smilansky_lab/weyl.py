@@ -9,24 +9,26 @@ functions
 with h the 1D channel ground state at threshold -E and chi a C^2 logarithmic
 cutoff supported on [1, k].  This module builds the cutoff, selects (k, n_k)
 for a requested accuracy, and evaluates the norm and residual ||(H - mu) psi||
-by 2D quadrature, factoring the unimodular phase out so only theta' and
-theta'' ever enter.  The huge y^2-proportional terms cancel algebraically
-through the eigenvalue ODE h'' = (omega^2 - lambda V - E0) h and are removed
-before evaluation; everything that remains is O(1) or n_k-suppressed.
+by quadrature in (t, z) = (xy, y/n_k), factoring the unimodular phase out so
+only theta' and theta'' ever enter.  The huge y^2-proportional terms cancel
+algebraically through the eigenvalue ODE h'' = (omega^2 - lambda V - E0) h
+and are removed before evaluation.  Everything that remains is O(1) or
+n_k-suppressed, and is a rank-6 sum of products of functions of z and of t,
+so the residual costs O(n_z + n_t).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import weakref
+from dataclasses import dataclass, field, replace
 from typing import Optional
 
 import numpy as np
-from scipy.interpolate import BPoly
 
 from .errors import ComputationError, ConfigurationError
 from .model import eval_profile
 from .oned import GroundState
-from .quadrature import adaptive_integrate, gauss_panels, log_panels
+from .quadrature import adaptive_integrate, gauss_panels, log_panels, quintic_hermite
 
 __all__ = [
     "CutoffFunction",
@@ -50,6 +52,26 @@ __all__ = [
 # --- logarithmic cutoff -----------------------------------------------------
 
 
+def _rise(z, L: float, s: float, deriv: int):
+    """Pre-normalization cubic-log rise s * 8 (ln z / L)^3 on [1, sqrt(k)]."""
+    u = np.log(z)
+    if deriv == 0:
+        return s * 8.0 * u**3 / L**3
+    if deriv == 1:
+        return s * 24.0 * u**2 / (z * L**3)
+    return s * 24.0 * u * (2.0 - u) / (z**2 * L**3)
+
+
+def _descent(z, L: float, s: float, deriv: int):
+    """Pre-normalization logarithmic descent s * 2 (L - ln z) / L on
+    [sqrt(k) + 1, k - 1]."""
+    if deriv == 0:
+        return s * 2.0 * (L - np.log(z)) / L
+    if deriv == 1:
+        return s * -2.0 / (z * L)
+    return s * 2.0 / (z**2 * L)
+
+
 @dataclass(frozen=True)
 class CutoffFunction:
     """C^2 cutoff on [1, k]: cubic-log rise, logarithmic descent, and quintic
@@ -69,12 +91,9 @@ class CutoffFunction:
     m_dchi2: float          # int chi'^2 dz
     m_ddchi2: float         # int chi''^2 dz
     m_z5: float             # int chi^2 / z^5 dz
-    _g: BPoly = field(repr=False, compare=False, default=None)
-    _q: BPoly = field(repr=False, compare=False, default=None)
-    _g1: BPoly = field(repr=False, compare=False, default=None)
-    _q1: BPoly = field(repr=False, compare=False, default=None)
-    _g2: BPoly = field(repr=False, compare=False, default=None)
-    _q2: BPoly = field(repr=False, compare=False, default=None)
+    # Hermite node data (nodes, values, first, second derivatives) on
+    # (sqrt(k), sqrt(k)+1, k-1, k); only the two bridges are ever evaluated
+    _bridges: tuple = field(repr=False, compare=False)
 
     @property
     def breaks(self) -> tuple[float, float, float]:
@@ -87,32 +106,11 @@ class CutoffFunction:
         L = np.log(self.k)
         out = np.zeros_like(z)
         m1 = (z >= 1.0) & (z <= z1)
-        mg = (z > z1) & (z < z2)
         m2 = (z >= z2) & (z <= z3)
-        mq = (z > z3) & (z <= self.k)
-        u = np.log(z[m1])
-        s = self.prescale
-        if deriv == 0:
-            out[m1] = s * 8.0 * u**3 / L**3
-            out[m2] = s * 2.0 * (L - np.log(z[m2])) / L
-            if np.any(mg):
-                out[mg] = self._g(z[mg])
-            if np.any(mq):
-                out[mq] = self._q(z[mq])
-        elif deriv == 1:
-            out[m1] = s * 24.0 * u**2 / (z[m1] * L**3)
-            out[m2] = s * -2.0 / (z[m2] * L)
-            if np.any(mg):
-                out[mg] = self._g1(z[mg])
-            if np.any(mq):
-                out[mq] = self._q1(z[mq])
-        else:
-            out[m1] = s * 24.0 * u * (2.0 - u) / (z[m1] ** 2 * L**3)
-            out[m2] = s * 2.0 / (z[m2] ** 2 * L)
-            if np.any(mg):
-                out[mg] = self._g2(z[mg])
-            if np.any(mq):
-                out[mq] = self._q2(z[mq])
+        mb = ((z > z1) & (z < z2)) | ((z > z3) & (z <= self.k))
+        out[m1] = _rise(z[m1], L, self.prescale, deriv)
+        out[m2] = _descent(z[m2], L, self.prescale, deriv)
+        out[mb] = quintic_hermite(*self._bridges, z[mb], deriv)
         return out
 
     def raw(self, z) -> np.ndarray:
@@ -157,38 +155,14 @@ def build_cutoff(k: float, prescale: float = 1.0) -> CutoffFunction:
             f"k={k!r} is too large for float64: the descent starts at k - 1 == k")
     z1, z2, z3 = np.sqrt(k), np.sqrt(k) + 1.0, k - 1.0
     L = np.log(k)
-
-    def p1(z, d):
-        u = np.log(z)
-        if d == 0:
-            return prescale * 8.0 * u**3 / L**3
-        if d == 1:
-            return prescale * 24.0 * u**2 / (z * L**3)
-        return prescale * 24.0 * u * (2.0 - u) / (z**2 * L**3)
-
-    def p2(z, d):
-        if d == 0:
-            return prescale * 2.0 * (L - np.log(z)) / L
-        if d == 1:
-            return prescale * -2.0 / (z * L)
-        return prescale * 2.0 / (z**2 * L)
-
-    g = BPoly.from_derivatives(
-        [z1, z2],
-        [[p1(z1, 0), p1(z1, 1), p1(z1, 2)], [p2(z2, 0), p2(z2, 1), p2(z2, 2)]],
-    )
-    q = BPoly.from_derivatives(
-        [z3, k],
-        [[p2(z3, 0), p2(z3, 1), p2(z3, 2)], [0.0, 0.0, 0.0]],
-    )
-
+    bridges = (np.array([z1, z2, z3, k]),) + tuple(
+        np.array([_rise(z1, L, prescale, d), _descent(z2, L, prescale, d),
+                  _descent(z3, L, prescale, d), 0.0])
+        for d in range(3))
     cut = CutoffFunction(k=k, c=1.0, prescale=prescale, premass=0.0,
                          mass_over_z=0.0, j_weighted=0.0,
-                         m_chi2=0.0, m_dchi2=0.0, m_ddchi2=0.0, m_z5=0.0)
-    for name, poly in (("_g", g), ("_q", q), ("_g1", g.derivative()),
-                       ("_q1", q.derivative()), ("_g2", g.derivative(2)),
-                       ("_q2", q.derivative(2))):
-        object.__setattr__(cut, name, poly)
+                         m_chi2=0.0, m_dchi2=0.0, m_ddchi2=0.0, m_z5=0.0,
+                         _bridges=bridges)
 
     edges = _cutoff_edges(k)
     try:
@@ -205,12 +179,8 @@ def build_cutoff(k: float, prescale: float = 1.0) -> CutoffFunction:
     except RuntimeError as exc:
         raise ComputationError(f"cutoff quadrature failed for k={k}: {exc}") from exc
 
-    out = CutoffFunction(k=k, c=c, prescale=prescale, premass=premass,
-                         mass_over_z=mass, j_weighted=jw,
-                         m_chi2=m2, m_dchi2=md, m_ddchi2=mdd, m_z5=mz5)
-    for name in ("_g", "_q", "_g1", "_q1", "_g2", "_q2"):
-        object.__setattr__(out, name, getattr(cut, name))
-    return out
+    return replace(cut, c=c, premass=premass, mass_over_z=mass, j_weighted=jw,
+                   m_chi2=m2, m_dchi2=md, m_ddchi2=mdd, m_z5=mz5)
 
 
 _CUTOFF_CACHE: dict[float, CutoffFunction] = {}
@@ -342,23 +312,52 @@ def _t_rule(gs: GroundState, spacing: float = 0.2, order: int = 10):
     return gauss_panels(np.linspace(-xe, xe, n_panels + 1), order)
 
 
-def _h_moments(gs: GroundState) -> dict:
-    t, w = _t_rule(gs)
-    h, h1, h2 = gs.h(t), gs.h1(t), gs.h2(t)
-    e = -gs.e0
-    s = np.sqrt(e)
-    f = -0.5 * s * t**2 * h           # |f|; the i factor drops in moments
-    f1 = -0.5 * s * (2.0 * t * h + t**2 * h1)
-    f2 = -0.5 * s * (2.0 * h + 4.0 * t * h1 + t**2 * h2)
-    return {
-        "h2": float(w @ h**2),
-        "t2h1": float(w @ (t**2 * h1**2)),
-        "t4hpp": float(w @ (t**4 * h2**2)),
-        "f2": float(w @ f**2),
-        "t2f1": float(w @ (t**2 * f1**2)),
-        "t4fpp": float(w @ (t**4 * f2**2)),
-        "mix": float(w @ (np.abs(h) + 2.0 * np.abs(t * h1)) ** 2),
-    }
+def _residual_basis(gs: GroundState, t: np.ndarray) -> np.ndarray:
+    """The real t-factors B_0..B_5 of the rank-6 residual amplitude:
+    h, t h', t^2 h'', t^4 h'', t^3 h', t^2 h (h'' = p h by the ODE)."""
+    h, h1, hpp = gs.h(t), gs.h1(t), gs.h2(t)
+    return np.array([h, t * h1, t**2 * hpp, t**4 * hpp, t**3 * h1, t**2 * h])
+
+
+@dataclass(frozen=True)
+class _GroundMoments:
+    """What every quasi-mode on one ground state needs from the t-rule."""
+
+    t_max: float        # max |t| over the rule's nodes
+    gram: np.ndarray    # G = B diag(w) B^T over the basis B of _residual_basis
+    mom: dict           # weighted moments behind the suppressed-term bounds
+
+
+# Per ground state (hashed by identity, immutable): an entry lives exactly as
+# long as its ground state and is a pure function of it.
+_MOMENTS: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
+
+
+def _ground_moments(gs: GroundState) -> _GroundMoments:
+    """Build the t-rule and its Gram matrix once per ground state.
+
+    With f = -(i sqrt(E)/2) t^2 h, |f|^2 = (E/4) B_5^2,
+    t^2 |f'|^2 = (E/4) (B_4 + 2 B_5)^2 and t^4 |f''|^2 = (E/4) (B_3 + 4 B_4
+    + 2 B_5)^2, so every moment but `mix` is a quadratic form in G.
+    """
+    if gs not in _MOMENTS:
+        t, w = _t_rule(gs)
+        basis = _residual_basis(gs, t)
+        gram = (basis * w) @ basis.T
+        quarter_e = -gs.e0 / 4.0
+        v_f1 = np.array([0.0, 0.0, 0.0, 0.0, 1.0, 2.0])
+        v_fpp = np.array([0.0, 0.0, 0.0, 1.0, 4.0, 2.0])
+        mom = {
+            "h2": float(gram[0, 0]),
+            "t2h1": float(gram[1, 1]),
+            "t4hpp": float(gram[2, 2]),
+            "f2": float(quarter_e * gram[5, 5]),
+            "t2f1": float(quarter_e * (v_f1 @ gram @ v_f1)),
+            "t4fpp": float(quarter_e * (v_fpp @ gram @ v_fpp)),
+            "mix": float(w @ (np.abs(basis[0]) + 2.0 * np.abs(basis[1])) ** 2),
+        }
+        _MOMENTS[gs] = _GroundMoments(float(np.max(np.abs(t))), gram, mom)
+    return _MOMENTS[gs]
 
 
 # --- parameter selection ----------------------------------------------------
@@ -395,8 +394,9 @@ def choose_parameters(eps: float, gs: GroundState, mu: float = 0.0,
     k is the smallest power of two from 16 to 2^53 (the largest with
     k - 1 != k in float64) with weighted derivative mass J(k) < eps; n_k
     doubles from 4k (and past `min_n`, which enforces disjoint supports along
-    a ladder) until the correction-term norm bound is below 1/16 and the
-    suppressed residual bounds sum below eps.
+    a ladder and the interval plateau of `residual_norm`) until the
+    correction-term norm bound is below 1/16 and the suppressed residual
+    bounds sum below eps.
     """
     if not (0.0 < eps < 1.0):
         raise ConfigurationError("eps must lie in (0, 1)")
@@ -411,7 +411,7 @@ def choose_parameters(eps: float, gs: GroundState, mu: float = 0.0,
     if cut is None:
         raise ComputationError(f"no ladder k up to 2^{_MAX_K_POW} with J(k) < {eps}")
 
-    mom = _h_moments(gs)
+    mom = _ground_moments(gs).mom
     n = int(4 * cut.k)
     while n <= min_n:
         n *= 2
@@ -444,7 +444,7 @@ def quasimode_norm(qm: QuasiMode) -> QuasiModeNorm:
     The leading and correction parts are orthogonal pointwise (h is real, f
     imaginary), so the squared norm splits exactly.
     """
-    mom = _h_moments(qm.gs)
+    mom = _ground_moments(qm.gs).mom
     main = qm.cutoff.mass_over_z * mom["h2"]
     corr = float(qm.n_k) ** -4.0 * qm.cutoff.m_z5 * mom["f2"]
     return QuasiModeNorm(main, corr, float(np.sqrt(main + corr)))
@@ -500,14 +500,21 @@ def _residual_z_rule(cut: CutoffFunction):
     return gauss_panels(edges, 10)
 
 
-def residual_norm(qm: QuasiMode, config=None, gauge: complex = 1.0) -> float:
-    """||(H - mu) psi|| by tensor quadrature in (t, z) = (xy, y/n_k).
+def residual_norm(qm: QuasiMode, config=None) -> float:
+    """||(H - mu) psi|| by quadrature in (t, z) = (xy, y/n_k).
 
-    The common phase e^{i theta(y)} is factored out; the y^2-proportional
-    block cancels exactly through the eigenvalue ODE and is omitted from the
-    assembled amplitude.  `config`, when given, must agree with the
-    quasi-mode variant (line vs interval x-domain).  `gauge` multiplies the
-    amplitude by a constant unimodular factor; the norm is invariant.
+    The common phase e^{i theta(y)} is factored out, and the y^2-proportional
+    block cancels exactly through the eigenvalue ODE.  With y = n_k z,
+    a = chi'/n_k and b = chi''/n_k^2, the identities t f' - 2 f =
+    -(i sqrt(E)/2) t^3 h' and f = -(i sqrt(E)/2) t^2 h leave the amplitude
+    the rank-6 sum r(z, t) = sum_j A_j(z) B_j(t) over the real basis B of
+    `_residual_basis`, so ||r||^2 = sum_z (w_z / z) A(z)^H G A(z) with the
+    Gram matrix G of B on the t-rule: O(n_z + n_t) work, not O(n_z n_t).
+
+    `config`, when given, must agree with the quasi-mode variant (line vs
+    interval x-domain).  An interval quasi-mode must keep its plateau
+    phi(t/y) = 1, phi' = phi'' = 0 on the whole t-rule, i.e. max|t| <=
+    n_k c/2; its residual is then the line residual.
     """
     if config is not None:
         want = "interval" if config.x_domain.kind == "interval" else "line"
@@ -515,63 +522,35 @@ def residual_norm(qm: QuasiMode, config=None, gauge: complex = 1.0) -> float:
             raise ConfigurationError(
                 f"quasi-mode variant {qm.mode!r} does not match the "
                 f"{config.x_domain.kind!r} x-domain")
-    if abs(abs(gauge) - 1.0) > 1e-12:
-        raise ConfigurationError("gauge factor must be unimodular")
-    gs = qm.gs
+    gm = _ground_moments(qm.gs)
+    if qm.mode == "interval" and gm.t_max > 0.5 * qm.phi.half_width * qm.n_k:
+        raise ConfigurationError(
+            f"interval quasi-mode needs n_k >= 2 max|t| / c = "
+            f"{2.0 * gm.t_max / qm.phi.half_width:.6g} to keep its plateau on "
+            f"the t-rule; got n_k = {qm.n_k}")
     e = qm.e_mag
     s = np.sqrt(e)
     n = float(qm.n_k)
     phase = qm.phase
 
-    t, tw = _t_rule(gs)
-    h, h1, h2 = gs.h(t), gs.h1(t), gs.h2(t)
-    v, _ = eval_profile(gs.profile, t)
-    p = gs.omega**2 - gs.lam * v + e          # h'' = p h
-    fh = -0.5j * s * t**2 * h
-    f1 = -0.5j * s * (2.0 * t * h + t**2 * h1)
-    th1 = t * h1
-    t2ph = t**2 * p * h
-    t4ph = t**4 * p * h
-    t3h1 = t**3 * h1
-    t2h = t**2 * h
-
-    znodes, zw = _residual_z_rule(qm.cutoff)
-    chi = qm.cutoff.value(znodes)
-    chi1 = qm.cutoff.d1(znodes)
-    chi2 = qm.cutoff.d2(znodes)
-
-    total = 0.0
-    block = 64
-    for i0 in range(0, len(znodes), block):
-        z = znodes[i0:i0 + block][:, None]
-        wz = zw[i0:i0 + block]
-        cz = chi[i0:i0 + block][:, None]
-        cz1 = chi1[i0:i0 + block][:, None]
-        cz2 = chi2[i0:i0 + block][:, None]
-        y = n * z
-        rho = phase.rho(y)
-        rm1 = phase.rho_minus_1(y)
-        theta1 = phase.dtheta(y)
-
-        t2_term = 1.0j * s * (h[None, :] * (rm1 / rho) - 2.0 * th1[None, :] * rm1)
-        t3_term = -t2ph[None, :] / y**2
-        t4_term = 0.5j * s * t4ph[None, :] / y**4
-        t5_term = (-e * rho * t3h1[None, :] / y**2
-                   - (e / (2.0 * rho)) * t2h[None, :] / y**2)
-        g = h[None, :] + fh[None, :] / y**2
-        g_y = th1[None, :] / y + t * f1[None, :] / y**3 - 2.0 * fh[None, :] / y**3
-        u1 = -2.0 * g_y - 2.0j * theta1 * g
-        u2 = -g
-        r = cz * (t2_term + t3_term + t4_term + t5_term) + cz1 * u1 / n + cz2 * u2 / n**2
-        if qm.mode == "interval":
-            x = t[None, :] / y
-            r = r * qm.phi.value(x) + cz * (
-                -2.0 * (y * h1[None, :] + f1[None, :] / y) * qm.phi.d1(x)
-                - g * qm.phi.d2(x)
-            )
-        r = gauge * r
-        total += float(np.sum((wz / znodes[i0:i0 + block]) * ((np.abs(r) ** 2) @ tw)))
-    return float(np.sqrt(total))
+    z, wz = _residual_z_rule(qm.cutoff)
+    y = n * z
+    chi = qm.cutoff.value(z)
+    a = qm.cutoff.d1(z) / n
+    b = qm.cutoff.d2(z) / n**2
+    rho = phase.rho(y)
+    rm1 = phase.rho_minus_1(y)
+    theta1 = phase.dtheta(y)
+    amp = np.array([
+        1.0j * s * chi * rm1 / rho - 2.0j * a * theta1 - b,
+        -2.0j * s * chi * rm1 - 2.0 * a / y,
+        -chi / y**2,
+        0.5j * s * chi / y**4,
+        -e * chi * rho / y**2 + 1.0j * s * a / y**3,
+        (-e * chi / (2.0 * rho) - s * a * theta1 + 0.5j * s * b) / y**2,
+    ])
+    per_z = np.sum(amp.conj() * (gm.gram @ amp), axis=0).real
+    return float(np.sqrt(np.sum((wz / z) * per_z)))
 
 
 # --- certificate ------------------------------------------------------------
@@ -608,6 +587,9 @@ def weyl_certificate(config, gs: GroundState, mu: float,
 
     rows = []
     min_n = 1
+    if mode == "interval":
+        # keeps phi(t/y) = 1 on the whole t-rule, as residual_norm requires
+        min_n = int(np.ceil(2.0 * _ground_moments(gs).t_max / phi.half_width))
     for eps in eps_ladder:
         k, n_k = choose_parameters(eps, gs, mu, min_n=min_n)
         qm = QuasiMode(mu=mu, cutoff=cutoff_cached(k), n_k=n_k, gs=gs,

@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from smilansky_lab import weyl
 from smilansky_lab.cli import RunRequest, main, run
 from smilansky_lab.errors import ConfigurationError
 
@@ -97,9 +98,29 @@ class TestCommands:
         lines = out.read_text().strip().split("\n")
         headers = [ln for ln in lines if ln.startswith("#")]
         assert headers and any("config_sha256" in h for h in headers)
+        assert "# all_pass=true" in headers
         data = [ln for ln in lines if not ln.startswith("#")]
         assert data[0].startswith("epsilon,")
         assert len(data) == 2
+
+    def test_weyl_failed_certificate_is_1(self, super_cfg, tmp_path, capsys, monkeypatch):
+        real = weyl.certificate_summary
+
+        def failing(rows):
+            out = real(rows)
+            out["checks"]["norm_ge_half"] = False
+            out["all_pass"] = False
+            return out
+
+        monkeypatch.setattr(weyl, "certificate_summary", failing)
+        out = tmp_path / "w.csv"
+        assert run(RunRequest("weyl", super_cfg, params={"eps": [0.1]},
+                              output=str(out), fmt="csv")) == 1
+        err = capsys.readouterr().err
+        assert "computation failed:" in err and "norm_ge_half" in err
+        lines = out.read_text().strip().split("\n")
+        assert "# all_pass=false" in lines
+        assert len([ln for ln in lines if not ln.startswith("#")]) == 2
 
     def test_scan_json_rows_carry_gated_residual(self, super_cfg, tmp_path):
         out = tmp_path / "s.json"

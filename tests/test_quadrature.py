@@ -4,7 +4,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from smilansky_lab.quadrature import (adaptive_integrate, gauss_panels,
-                                      log_panels, panel_integrate)
+                                      log_panels, panel_integrate,
+                                      quintic_hermite)
 
 
 def test_polynomial_exactness():
@@ -46,3 +47,27 @@ def test_additivity_over_subintervals(a, width):
     split = np.array([a, a + 0.37 * width, a + width])
     parts = panel_integrate(np.cos, split, order=12)
     assert abs(whole - parts) < 1e-12
+
+
+def test_quintic_hermite_matches_bpoly():
+    from scipy.interpolate import BPoly
+
+    rng = np.random.default_rng(7)
+    uniform = np.linspace(-12.0, 12.0, 4003)    # the ground-state grid
+    nonuniform = np.sort(rng.uniform(-3.0, 5.0, 200))
+    g = np.exp(-uniform**2 / 8)
+    # (nodes, node data, derivatives checked).  For smooth data at spacing
+    # 0.006 the second derivative of either form carries ~eps |y| / dx^2 =
+    # 1e-10 of rounding, so that case checks the value and first derivative.
+    cases = [
+        (uniform, (g, -uniform / 4 * g, (uniform**2 / 16 - 0.25) * g), (0, 1)),
+        (uniform, tuple(rng.normal(size=(3, uniform.size))), (0, 1, 2)),
+        (nonuniform, tuple(rng.normal(size=(3, nonuniform.size))), (0, 1, 2)),
+    ]
+    for x, data, derivs in cases:
+        poly = BPoly.from_derivatives(x, np.column_stack(data))
+        t = np.concatenate([x, rng.uniform(x[0], x[-1], 5000)])
+        for deriv in derivs:
+            want = poly.derivative(deriv)(t) if deriv else poly(t)
+            got = quintic_hermite(x, *data, t, deriv)
+            assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))

@@ -1,16 +1,70 @@
+import json
+from pathlib import Path
+
 import numpy as np
 import pytest
 from scipy.integrate import quad
 
 from smilansky_lab import weyl
 from smilansky_lab.errors import ComputationError, ConfigurationError, SmilanskyError
-from smilansky_lab.model import ChannelSpec, ModelConfig, XDomain
+from smilansky_lab.model import ChannelSpec, ModelConfig, XDomain, eval_profile
 from smilansky_lab.oned import ComparisonSpec, Domain1D, Grid1D, ground_state
 
 K_LADDER = [2.0**p for p in (4, 8, 12, 16)]
 
 # (eps, k, n_k) pinned from the first successful selection run
 PARAMS_REGRESSION = {0.1: (2.0**23, 2**25), 0.05: (2.0**32, 2**34)}
+
+# c and the seven moments of build_cutoff(2^p), p = 4..52, pinned from the
+# adaptive quadrature over the scipy BPoly bridges
+CUTOFF_MOMENTS = json.loads(
+    (Path(__file__).parent / "data" / "cutoff_moments.json").read_text())
+
+# ground-state moments of gs_minus1, pinned from one quadrature sum per
+# moment over the f, f' and f'' samples
+H_MOMENTS = {"h2": 1.0000000000407478, "t2h1": 0.5846853674261745,
+             "t4hpp": 1.953626279863016, "f2": 0.13075413199618657,
+             "t2f1": 0.19826740019517203, "t4fpp": 1.1871561585412351,
+             "mix": 5.3387414917823985}
+
+
+def brute_force_residual(qm: weyl.QuasiMode) -> float:
+    """||(H - mu) psi|| from the full complex integrand on the n_z x n_t
+    tensor grid of residual_norm's own rules, with the interval plateau
+    factors phi, phi', phi'' written out (reference for the rank-6 sum)."""
+    gs = qm.gs
+    e = qm.e_mag
+    s = np.sqrt(e)
+    n = float(qm.n_k)
+    phase = qm.phase
+    t, tw = weyl._t_rule(gs)
+    h, h1 = gs.h(t), gs.h1(t)
+    v, _ = eval_profile(gs.profile, t)
+    p = gs.omega**2 - gs.lam * v + e          # h'' = p h
+    fh = -0.5j * s * t**2 * h
+    f1 = -0.5j * s * (2.0 * t * h + t**2 * h1)
+    znodes, zw = weyl._residual_z_rule(qm.cutoff)
+    total = 0.0
+    for i0 in range(0, len(znodes), 64):
+        z = znodes[i0:i0 + 64][:, None]
+        wz = zw[i0:i0 + 64]
+        cz, cz1, cz2 = (f(z) for f in (qm.cutoff.value, qm.cutoff.d1, qm.cutoff.d2))
+        y = n * z
+        rho, rm1, theta1 = phase.rho(y), phase.rho_minus_1(y), phase.dtheta(y)
+        t2_term = 1.0j * s * (h * (rm1 / rho) - 2.0 * t * h1 * rm1)
+        t3_term = -t**2 * p * h / y**2
+        t4_term = 0.5j * s * t**4 * p * h / y**4
+        t5_term = -e * rho * t**3 * h1 / y**2 - (e / (2.0 * rho)) * t**2 * h / y**2
+        g = h + fh / y**2
+        g_y = t * h1 / y + t * f1 / y**3 - 2.0 * fh / y**3
+        r = (cz * (t2_term + t3_term + t4_term + t5_term)
+             + cz1 * (-2.0 * g_y - 2.0j * theta1 * g) / n - cz2 * g / n**2)
+        if qm.mode == "interval":
+            x = t / y
+            r = r * qm.phi.value(x) + cz * (
+                -2.0 * (y * h1 + f1 / y) * qm.phi.d1(x) - g * qm.phi.d2(x))
+        total += float(np.sum((wz / z[:, 0]) * (np.abs(r) ** 2 @ tw)))
+    return float(np.sqrt(total))
 
 
 class TestCutoff:
@@ -60,6 +114,13 @@ class TestCutoff:
         with pytest.raises(ConfigurationError):
             weyl.build_cutoff(8.0)
 
+    def test_moments_match_pinned_values(self):
+        for p, pinned in CUTOFF_MOMENTS.items():
+            cut = weyl.cutoff_cached(2.0 ** int(p))
+            for name, want in pinned.items():
+                got = getattr(cut, name)
+                assert abs(got - want) <= 1e-12 * abs(want), (p, name, got, want)
+
     def test_k_beyond_float64_resolution_rejected(self):
         # 2^54 - 1 == 2^54 in float64, so the descent (k - 1, k] is empty
         with pytest.raises(SmilanskyError):
@@ -99,6 +160,11 @@ class TestParameterSelection:
         for eps, (k, n_k) in PARAMS_REGRESSION.items():
             got = weyl.choose_parameters(eps, gs_minus1)
             assert got == (k, n_k)
+
+    def test_moments_match_pinned_values(self, gs_minus1):
+        mom = weyl._ground_moments(gs_minus1).mom
+        for name, want in H_MOMENTS.items():
+            assert abs(mom[name] - want) <= 1e-12 * want, (name, mom[name], want)
 
     def test_k_monotone_in_eps(self, gs_minus1):
         k1, _ = weyl.choose_parameters(0.1, gs_minus1)
@@ -166,14 +232,31 @@ class TestQuasiMode:
                             gs=gs_minus1)
         assert qm.support == (64.0, 1024.0)
 
-    def test_residual_bound_and_gauge(self, gs_minus1):
+    def test_residual_bound(self, gs_minus1):
         k, n_k = weyl.choose_parameters(0.1, gs_minus1)
         qm = weyl.QuasiMode(mu=0.0, cutoff=weyl.cutoff_cached(k), n_k=n_k,
                             gs=gs_minus1)
         r = weyl.residual_norm(qm)
         assert r**2 <= 0.9 * (1.0 + 1e-6)
-        r_gauged = weyl.residual_norm(qm, gauge=np.exp(1.3j))
-        assert abs(r - r_gauged) <= 1e-12
+
+    @pytest.mark.parametrize("mode", ["line", "interval"])
+    @pytest.mark.parametrize("mu", [0.0, 0.8, -0.5])
+    @pytest.mark.parametrize("pair", ["16,64", "eps=0.1"])
+    def test_residual_matches_brute_force(self, gs_minus1, mode, mu, pair):
+        k, n_k = (16.0, 64) if pair == "16,64" else PARAMS_REGRESSION[0.1]
+        # a plateau of half-width 2 is 1 on the t-rule (max|t| ~ 33) at n_k = 64
+        phi = weyl.build_plateau_cutoff(2.0) if mode == "interval" else None
+        qm = weyl.QuasiMode(mu=mu, cutoff=weyl.cutoff_cached(k), n_k=n_k,
+                            gs=gs_minus1, mode=mode, phi=phi)
+        want = brute_force_residual(qm)
+        assert abs(weyl.residual_norm(qm) - want) <= 1e-12 * want
+
+    def test_interval_plateau_precondition(self, gs_minus1):
+        # max|t| of the t-rule is about 33 > n_k c / 2 = 16
+        qm = weyl.QuasiMode(mu=0.0, cutoff=weyl.cutoff_cached(16.0), n_k=32,
+                            gs=gs_minus1, mode="interval")
+        with pytest.raises(ConfigurationError, match="plateau"):
+            weyl.residual_norm(qm)
 
     def test_residual_tracks_4ej(self, gs_minus1):
         # the surviving term is 2 theta' chi'/n_k; its square integrates to
