@@ -16,9 +16,9 @@ from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
 import numpy as np
-from scipy.interpolate import PchipInterpolator
 
 from .errors import ConfigurationError
+from .quadrature import cubic_hermite, cubic_hermite_max_slope, pchip_slopes
 
 __all__ = [
     "PotentialProfile",
@@ -41,16 +41,17 @@ class PotentialProfile:
     Families:
         cos2    -- amplitude * cos^2(pi t / (2a))
         quartic -- amplitude * (1 - (t/a)^2)^2
-        table   -- monotone C^1 piecewise-cubic interpolation of (t, V) samples,
-                   clamped to zero outside the tabulated range
+        table   -- amplitude * the monotone C^1 piecewise-cubic (PCHIP)
+                   interpolant of (t, V) samples with abscissae in [-a, a],
+                   zero outside the tabulated range
     """
 
     family: str = "cos2"
     a: float = 1.0
     amplitude: float = 1.0
     table: Optional[tuple[tuple[float, float], ...]] = None
-    _interp: PchipInterpolator = field(init=False, repr=False, compare=False, default=None)
-    _interp_d: PchipInterpolator = field(init=False, repr=False, compare=False, default=None)
+    # PCHIP nodes, amplitude-scaled values and node slopes of a table profile
+    _hermite: tuple = field(init=False, repr=False, compare=False, default=None)
 
     def __post_init__(self):
         if self.family not in _FAMILIES:
@@ -68,26 +69,29 @@ class PotentialProfile:
                 raise ConfigurationError("tabulated profile values must be nonnegative")
             if vs[0] != 0.0 or vs[-1] != 0.0:
                 raise ConfigurationError("tabulated profile must vanish at its endpoints")
-            interp = PchipInterpolator(ts, self.amplitude * vs, extrapolate=False)
-            object.__setattr__(self, "_interp", interp)
-            object.__setattr__(self, "_interp_d", interp.derivative())
+            if ts[0] < -self.a or ts[-1] > self.a:
+                raise ConfigurationError(
+                    f"tabulated abscissae [{ts[0]}, {ts[-1]}] must lie in "
+                    f"[-{self.a}, {self.a}]")
+            ys = self.amplitude * vs
+            object.__setattr__(self, "_hermite", (ts, ys, pchip_slopes(ts, ys)))
 
     @property
     def derivative_bound(self) -> float:
-        """Upper bound on sup |V'|."""
+        """sup |V'|, exact for every family (a table profile's V' is
+        quadratic on each interval)."""
         if self.family == "cos2":
             return self.amplitude * np.pi / (2.0 * self.a)
         if self.family == "quartic":
             return self.amplitude * 8.0 / (3.0 * np.sqrt(3.0) * self.a)
-        ts = np.array([p[0] for p in self.table])
-        fine = np.linspace(ts[0], ts[-1], 4096)
-        return float(np.max(np.abs(self._interp_d(fine)))) * 1.05
+        return cubic_hermite_max_slope(*self._hermite)
 
     @property
     def sup_value(self) -> float:
+        """sup V, exact: PCHIP does not overshoot its node values."""
         if self.family in ("cos2", "quartic"):
             return self.amplitude
-        return float(np.max(self._interp(np.linspace(self.table[0][0], self.table[-1][0], 4096))))
+        return float(np.max(self._hermite[1]))
 
 
 def eval_profile(profile: PotentialProfile, t) -> tuple[np.ndarray, np.ndarray]:
@@ -96,10 +100,9 @@ def eval_profile(profile: PotentialProfile, t) -> tuple[np.ndarray, np.ndarray]:
     v = np.zeros_like(t)
     dv = np.zeros_like(t)
     if profile.family == "table":
-        ts = np.array([p[0] for p in profile.table])
+        ts = profile._hermite[0]
         inside = (t > ts[0]) & (t < ts[-1])
-        v[inside] = profile._interp(t[inside])
-        dv[inside] = profile._interp_d(t[inside])
+        v[inside], dv[inside] = cubic_hermite(*profile._hermite, t[inside])
         np.clip(v, 0.0, None, out=v)
         return v, dv
     a, amp = profile.a, profile.amplitude

@@ -19,6 +19,7 @@ so the residual costs O(n_z + n_t).
 
 from __future__ import annotations
 
+import math
 import weakref
 from dataclasses import dataclass, field, replace
 from typing import Optional
@@ -186,6 +187,23 @@ def build_cutoff(k: float, prescale: float = 1.0) -> CutoffFunction:
 _CUTOFF_CACHE: dict[float, CutoffFunction] = {}
 # largest p with 2^p - 1 != 2^p in float64; build_cutoff rejects larger k
 _MAX_K_POW = np.finfo(float).nmant + 1
+# lim J(k) ln^2 k: the rise and the descent alone give J = 28/(5 ln k) and
+# weighted mass 5 ln k / 21 before normalization, so J ln^2 k = 588/25; with
+# the bridges J(2^p) ln^2(2^p) exceeds it for every p = 4 .. _MAX_K_POW
+# (28.14 at p = 4, falling to 23.52000002 at p = 53)
+_J_LN2K_LIMIT = 588.0 / 25.0
+
+
+def _first_ladder_pow(eps: float) -> int:
+    """Smallest p that J(2^p) < eps allows, from J(2^p) > 588/25 / (p ln 2)^2.
+
+    Raises ComputationError when that p exceeds _MAX_K_POW."""
+    p = math.floor(math.sqrt(_J_LN2K_LIMIT / eps) / math.log(2.0)) + 1
+    if p > _MAX_K_POW:
+        raise ComputationError(
+            f"J(k) < {eps} needs k >= 2^{p} > 2^{_MAX_K_POW}, the largest "
+            f"ladder k with k - 1 != k in float64")
+    return p
 
 
 def cutoff_cached(k: float) -> CutoffFunction:
@@ -392,8 +410,12 @@ def choose_parameters(eps: float, gs: GroundState, mu: float = 0.0,
     """Deterministic (k, n_k) selection.
 
     k is the smallest power of two from 16 to 2^53 (the largest with
-    k - 1 != k in float64) with weighted derivative mass J(k) < eps; n_k
-    doubles from 4k (and past `min_n`, which enforces disjoint supports along
+    k - 1 != k in float64) with weighted derivative mass J(k) < eps.  Since
+    J(k) ln^2 k > 588/25 on that range, no k up to 2^p0 with
+    p0 = floor(sqrt(588/(25 eps)) / ln 2) qualifies, so the search starts at
+    max(16, 2^(p0 + 1)) and usually builds one cutoff; an eps that needs
+    k > 2^53 (eps <= 588/25 / (53 ln 2)^2 = 0.01743) fails before any is
+    built.  n_k doubles from 4k (and past `min_n`, which enforces disjoint supports along
     a ladder and the interval plateau of `residual_norm`) until the
     correction-term norm bound is below 1/16 and the suppressed residual
     bounds sum below eps.
@@ -403,7 +425,9 @@ def choose_parameters(eps: float, gs: GroundState, mu: float = 0.0,
     if gs.e0 >= 0:
         raise ConfigurationError("parameter selection needs a negative threshold")
     cut = None
-    for p in range(4, _MAX_K_POW + 1):
+    # J(2^p) exceeds 588/25 / (p ln 2)^2 by over 7e-10 relatively, far more
+    # than the rounding of the bound, so no candidate is skipped
+    for p in range(max(4, _first_ladder_pow(eps)), _MAX_K_POW + 1):
         cand = cutoff_cached(2.0**p)
         if cand.j_weighted < eps:
             cut = cand
@@ -581,6 +605,8 @@ def weyl_certificate(config, gs: GroundState, mu: float,
         raise ConfigurationError("eps ladder entries must lie in (0, 1)")
     if sorted(eps_ladder, reverse=True) != list(eps_ladder):
         raise ConfigurationError("eps ladder must be decreasing")
+    if eps_ladder:
+        _first_ladder_pow(eps_ladder[-1])  # fail before building any cutoff
     mode = "interval" if config.x_domain.kind == "interval" else "line"
     phi = build_plateau_cutoff(config.x_domain.c) if mode == "interval" else None
     sup_phi = 1.0 if phi is None else phi.sup

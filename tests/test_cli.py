@@ -1,7 +1,12 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import smilansky_lab
 from smilansky_lab import weyl
 from smilansky_lab.cli import RunRequest, main, run
 from smilansky_lab.errors import ConfigurationError
@@ -152,11 +157,29 @@ class TestExitCodes:
         p.write_text(json.dumps({"omega": 1.0}))
         assert run(RunRequest("critical", str(p))) == 2
 
-    def test_weyl_eps_beyond_the_ladder_is_1(self, super_cfg, capsys):
-        # eps = 0.015 needs k = 2^54, past the last float64-resolvable k
+    def test_weyl_eps_beyond_the_ladder_is_1(self, super_cfg, capsys, monkeypatch):
+        # eps = 0.015 needs k >= 2^58, since 588/25 / (57 ln 2)^2 = 0.01507,
+        # past the last float64-resolvable k = 2^53; it fails before any
+        # cutoff of the ladder is built
+        def no_cutoff(k):
+            raise AssertionError(f"cutoff built for k={k}")
+
+        monkeypatch.setattr(weyl, "cutoff_cached", no_cutoff)
         assert main(["weyl", "--config", super_cfg,
                      "--eps", "0.1,0.05,0.015"]) == 1
-        assert "computation failed:" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "computation failed:" in err and "k >= 2^58 > 2^53" in err
+
+    def test_import_leaves_out_scipy_interpolate(self):
+        # a fresh process: the package imports only numpy, scipy.linalg and
+        # scipy.sparse, which keeps the start-up of every command short
+        src = str(Path(smilansky_lab.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=src)
+        code = ("import sys, smilansky_lab.cli; "
+                "assert 'scipy.interpolate' not in sys.modules, 'scipy.interpolate'")
+        proc = subprocess.run([sys.executable, "-c", code], env=env,
+                              capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
 
     def test_main_entry(self, single_cfg, capsys):
         assert main(["critical", "--config", single_cfg]) == 0

@@ -46,6 +46,54 @@ class TestProfiles:
         v, _ = eval_profile(p, np.array([0.0, 5.0]))
         assert abs(v[0] - 1.0) < 1e-12 and v[1] == 0.0
 
+    def test_table_profile_matches_scipy_pchip(self):
+        from scipy.interpolate import PchipInterpolator
+
+        pts = ((-0.9, 0.0), (-0.4, 0.7), (-0.1, 1.0), (0.3, 1.0), (0.8, 0.2), (1.0, 0.0))
+        p = PotentialProfile("table", 1.0, 2.5, table=pts)
+        ref = PchipInterpolator([q[0] for q in pts], [2.5 * q[1] for q in pts])
+        t = np.linspace(-0.9, 1.0, 1001)[1:-1]
+        v, dv = eval_profile(p, t)
+        assert np.max(np.abs(v - ref(t))) <= 1e-14 * 2.5
+        assert np.max(np.abs(dv - ref.derivative()(t))) <= 1e-14 * np.max(np.abs(dv))
+        v, dv = eval_profile(p, np.array([-1.0, -0.9, 1.0, 1.5]))
+        assert np.all(v == 0.0) and np.all(dv == 0.0)
+
+    def test_table_sup_value_exact(self):
+        p = PotentialProfile("table", 1.0, 1.0, table=((-1, 0), (0, 1), (1, 0)))
+        assert p.sup_value == 1.0
+        p = PotentialProfile("table", 1.0, 2.5,
+                             table=((-1, 0), (-0.2, 0.4), (0.5, 0.9), (1, 0)))
+        assert p.sup_value == 2.5 * 0.9
+        v, _ = eval_profile(p, np.linspace(-1.0, 1.0, 20001))
+        assert np.max(v) <= p.sup_value
+
+    def test_table_derivative_bound_exact(self):
+        rng = np.random.default_rng(2)
+        tables = [((-1, 0), (0, 1), (1, 0))]
+        for _ in range(20):
+            ts = np.sort(rng.uniform(-1.0, 1.0, int(rng.integers(3, 12))))
+            vs = rng.uniform(0.0, 1.0, ts.size)
+            vs[0] = vs[-1] = 0.0
+            tables.append(tuple(zip(ts, vs)))
+        for table in tables:
+            p = PotentialProfile("table", 1.0, 1.7, table=table)
+            t = np.linspace(-1.0, 1.0, 200001)
+            _, dv = eval_profile(p, t)
+            bound = p.derivative_bound
+            assert np.max(np.abs(dv)) <= bound * (1 + 1e-14)  # rounding only
+            assert np.max(np.abs(dv)) >= bound * (1 - 1e-4)  # attained
+
+    def test_table_abscissae_outside_support_rejected(self):
+        table = ((-1, 0), (0, 1), (1, 0))
+        with pytest.raises(ConfigurationError):
+            PotentialProfile("table", 0.5, 1.0, table=table)
+        with pytest.raises(ConfigurationError):
+            config_from_dict({"omega": 1.0, "channels": [
+                {"lambda": 1.0, "profile": {"family": "table", "a": 0.5,
+                                            "table": [list(q) for q in table]}}]})
+        PotentialProfile("table", 1.0, 1.0, table=table)   # on the support: fine
+
     def test_invalid_profiles_rejected(self):
         with pytest.raises(ConfigurationError):
             PotentialProfile("bump", 1.0, 1.0)

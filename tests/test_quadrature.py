@@ -3,9 +3,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from smilansky_lab.quadrature import (adaptive_integrate, gauss_panels,
+from smilansky_lab.quadrature import (adaptive_integrate, cubic_hermite,
+                                      cubic_hermite_max_slope, gauss_panels,
                                       log_panels, panel_integrate,
-                                      quintic_hermite)
+                                      pchip_slopes, quintic_hermite)
 
 
 def test_polynomial_exactness():
@@ -71,3 +72,57 @@ def test_quintic_hermite_matches_bpoly():
             want = poly.derivative(deriv)(t) if deriv else poly(t)
             got = quintic_hermite(x, *data, t, deriv)
             assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+
+
+def _pchip_tables():
+    """(x, y) node tables: random ones of 3 to 40 nodes, the 3-node bump, and
+    tables with flat and sign-changing segments."""
+    rng = np.random.default_rng(11)
+    tables = []
+    for _ in range(200):
+        n = int(rng.integers(3, 41))
+        x = np.cumsum(rng.uniform(0.05, 1.0, n)) - 2.0
+        tables.append((x, rng.uniform(0.0, 3.0, n)))
+    tables.append((np.array([-1.0, 0.0, 1.0]), np.array([0.0, 1.0, 0.0])))
+    tables.append((np.array([-1.0, -0.3, 0.2, 0.6, 1.0]),
+                   np.array([0.0, 1.0, 1.0, 0.4, 0.0])))
+    tables.append((np.linspace(-2.0, 2.0, 9),
+                   np.array([-1.0, 2.0, 2.0, 2.0, -0.5, 0.7, -3.0, -3.0, 1.0])))
+    tables.append((np.array([0.0, 0.1, 1.5, 1.6, 4.0, 4.2]),
+                   np.array([0.0, 5.0, 5.0, -2.0, 0.3, 0.3])))
+    return tables
+
+
+def test_pchip_matches_scipy():
+    from scipy.interpolate import PchipInterpolator
+
+    rng = np.random.default_rng(5)
+    for x, y in _pchip_tables():
+        ref = PchipInterpolator(x, y)
+        t = np.concatenate([x, rng.uniform(x[0], x[-1], 400)])
+        v, dv = cubic_hermite(x, y, pchip_slopes(x, y), t)
+        want_v, want_dv = ref(t), ref.derivative()(t)
+        assert np.max(np.abs(v - want_v)) <= 1e-14 * np.max(np.abs(want_v))
+        assert np.max(np.abs(dv - want_dv)) <= 1e-14 * np.max(np.abs(want_dv))
+
+
+def test_pchip_does_not_overshoot():
+    # each interval stays between its end values, so sup = max node value
+    for x, y in _pchip_tables():
+        t = np.linspace(x[0], x[-1], 20001)
+        v, _ = cubic_hermite(x, y, pchip_slopes(x, y), t)
+        i = np.clip(np.searchsorted(x, t, side="right") - 1, 0, len(x) - 2)
+        lo, hi = np.minimum(y[i], y[i + 1]), np.maximum(y[i], y[i + 1])
+        slack = 1e-14 * np.max(np.abs(y))
+        assert np.all(v >= lo - slack) and np.all(v <= hi + slack)
+
+
+def test_cubic_hermite_max_slope_is_exact():
+    rng = np.random.default_rng(3)
+    for x, y in _pchip_tables():
+        dy = pchip_slopes(x, y) + rng.normal(size=x.size)   # not just PCHIP data
+        bound = cubic_hermite_max_slope(x, y, dy)
+        t = np.linspace(x[0], x[-1], 200001)
+        sampled = np.max(np.abs(cubic_hermite(x, y, dy, t)[1]))
+        assert sampled <= bound * (1 + 1e-13)
+        assert sampled >= bound * (1 - 1e-4)    # attained, not loose

@@ -121,6 +121,12 @@ class TestCutoff:
                 got = getattr(cut, name)
                 assert abs(got - want) <= 1e-12 * abs(want), (p, name, got, want)
 
+    def test_j_ln2k_exceeds_its_limit(self):
+        # J(2^p) ln^2(2^p) > 588/25 is what lets choose_parameters skip every
+        # p below floor(sqrt(588/(25 eps)) / ln 2)
+        for p, pinned in CUTOFF_MOMENTS.items():
+            assert pinned["j_weighted"] * (int(p) * np.log(2.0)) ** 2 > 588.0 / 25.0, p
+
     def test_k_beyond_float64_resolution_rejected(self):
         # 2^54 - 1 == 2^54 in float64, so the descent (k - 1, k] is empty
         with pytest.raises(SmilanskyError):
@@ -160,6 +166,27 @@ class TestParameterSelection:
         for eps, (k, n_k) in PARAMS_REGRESSION.items():
             got = weyl.choose_parameters(eps, gs_minus1)
             assert got == (k, n_k)
+
+    def test_search_start_matches_exhaustive_scan(self, gs_minus1, monkeypatch):
+        eps_values = list(np.geomspace(0.0175, 0.99, 22)[1:-1])
+        # eps on the bound 588/25 / (p ln 2)^2 and one ulp to either side
+        for p in (8, 23, 40, 52):
+            edge = 588.0 / 25.0 / (p * np.log(2.0)) ** 2
+            eps_values += [np.nextafter(edge, 0.0), edge, np.nextafter(edge, 1.0)]
+        direct = [weyl.choose_parameters(eps, gs_minus1) for eps in eps_values]
+        # scanning every p from 4, as with no lower bound on k
+        monkeypatch.setattr(weyl, "_first_ladder_pow", lambda eps: 4)
+        exhaustive = [weyl.choose_parameters(eps, gs_minus1) for eps in eps_values]
+        assert direct == exhaustive
+
+    def test_eps_past_the_ladder_fails_before_any_cutoff(self, gs_minus1, monkeypatch):
+        def no_cutoff(k):
+            raise AssertionError(f"cutoff built for k={k}")
+
+        monkeypatch.setattr(weyl, "cutoff_cached", no_cutoff)
+        # 588/25 / (57 ln 2)^2 = 0.01507 > 0.015, so k = 2^58 is the first candidate
+        with pytest.raises(ComputationError, match=r"k >= 2\^58 > 2\^53"):
+            weyl.choose_parameters(0.015, gs_minus1)
 
     def test_moments_match_pinned_values(self, gs_minus1):
         mom = weyl._ground_moments(gs_minus1).mom
