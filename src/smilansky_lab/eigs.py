@@ -1,28 +1,36 @@
 """Symmetric eigensolvers used throughout the package.
 
 Tridiagonal matrices go to LAPACK: Sturm-count bisection (stebz) brackets
-each eigenvalue, inverse iteration (stein) gives eigenvectors.  Lanczos with
-full reorthogonalization and a deterministic start vector serves the periodic
-wrap, which has no tridiagonal LAPACK solver, and is an independent oracle
-for the tests.
+each eigenvalue, inverse iteration (stein) gives eigenvectors.  Banded
+matrices (the 2D Hamiltonian, the folded periodic wrap) go to shift-invert
+Lanczos (ARPACK) on a banded Cholesky factor (LAPACK pbtrf/pbtrs), whose
+existence certifies that the shift lies below the spectrum.
 """
 
 from __future__ import annotations
 
+import logging
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Optional
 
 import numpy as np
-from scipy.linalg import eigh_tridiagonal
+import scipy.sparse.linalg as spla
+from scipy.linalg import cho_solve_banded, cholesky_banded, eigh_tridiagonal
 
-from .errors import ComputationError
+from .errors import ComputationError, ConvergenceError
 
 __all__ = [
     "TridiagonalSym",
-    "LanczosOptions",
     "sturm_smallest",
-    "lanczos_smallest",
+    "upper_band",
+    "shift_invert_lowest",
 ]
+
+_log = logging.getLogger(__name__)
+
+# a shift tried below a guess of the lowest eigenvalue sits this far below it,
+# relative to max(1, |guess|)
+_NEAR_MARGIN = 0.05
 
 
 @dataclass(frozen=True)
@@ -68,92 +76,83 @@ def sturm_smallest(T: TridiagonalSym, m: int = 1, tol: float = 1e-12) -> np.ndar
                             select_range=(0, m - 1), tol=tol)
 
 
-@dataclass(frozen=True)
-class LanczosOptions:
-    max_iter: int = 400
-    tol: float = 1e-8
-    seed: int = 1234
-
-    def __post_init__(self):
-        if self.tol <= 0:
-            raise ComputationError("Lanczos tolerance must be positive")
-
-
-def _check_symmetry(apply: Callable, n: int, rng: np.random.Generator) -> None:
-    for _ in range(3):
-        u = rng.standard_normal(n)
-        v = rng.standard_normal(n)
-        au, av = apply(u), apply(v)
-        scale = max(np.linalg.norm(au) * np.linalg.norm(v),
-                    np.linalg.norm(av) * np.linalg.norm(u), 1.0)
-        if abs(u @ av - v @ au) > 1e-10 * scale:
-            raise ComputationError("operator failed the probabilistic symmetry check")
+def upper_band(a, shift: float = 0.0, out: Optional[np.ndarray] = None) -> np.ndarray:
+    """Upper band of the symmetric sparse matrix a - shift I in LAPACK layout:
+    row b - d holds superdiagonal d, Fortran order so it factors in place.
+    `out`, a band of the same shape, is overwritten instead of allocating."""
+    dia = a.todia()
+    b = int(dia.offsets.max())
+    band = np.empty((b + 1, a.shape[0]), order="F") if out is None else out
+    band[:] = 0.0
+    for d, diag in zip(dia.offsets, dia.data):
+        if d >= 0:
+            band[b - d] = diag
+    band[b] -= shift
+    return band
 
 
-def lanczos_smallest(apply: Callable[[np.ndarray], np.ndarray], n: int, k: int = 1,
-                     opts: LanczosOptions = LanczosOptions()):
-    """k smallest Ritz pairs of a symmetric operator given by its matvec.
+def shift_invert_lowest(a, k: int, floor: float, guess: Optional[float] = None,
+                        tol: float = 1e-7, seed: int = 1234):
+    """k lowest eigenpairs of the symmetric sparse matrix `a`.
 
-    Returns (values, vectors, residuals, converged): values ascending,
-    vectors as columns, residuals the independently recomputed ||A v - t v||.
-    When the iteration budget runs out the best available pairs are returned
-    with converged=False.
+    Shift-invert Lanczos (ARPACK) on (a - sigma)^-1 from a deterministic
+    start vector, applied through a banded Cholesky factor.  By Sylvester's
+    law of inertia the factor exists exactly when no eigenvalue lies at or
+    below sigma, so it certifies that sigma + 1/mu for the largest Ritz
+    values mu are the lowest eigenvalues.  With a `guess`, sigma first sits
+    just below it, where the wanted mu are well separated; if that does not
+    factor, sigma falls back to `floor`, which the caller certifies lies
+    below the spectrum.  Every shift is factored in place in one band array.
+
+    ARPACK bounds the residual of (a - sigma)^-1 relative to mu; with its
+    tolerance divided by a bound on ||a - sigma||, a converged pair has
+    ||a x - lambda x|| <= tol, up to rounding of order eps ||a||.
+
+    Returns (values, vectors, residuals): values ascending, vectors as
+    columns, residuals the independently recomputed ||a x - lambda x||.
     """
-    rng = np.random.default_rng(opts.seed)
-    _check_symmetry(apply, n, rng)
+    n = a.shape[0]
+    shifts = [floor]
+    if guess is not None:
+        near = guess - _NEAR_MARGIN * max(1.0, abs(guess))
+        if near > floor:
+            shifts.insert(0, near)
+    tried = []
+    band = None
+    for sigma in shifts:
+        band = upper_band(a, sigma, out=band)
+        try:
+            upper = cholesky_banded(band, overwrite_ab=True, check_finite=False)
+        except np.linalg.LinAlgError:
+            tried.append((sigma, False))
+            continue
+        tried.append((sigma, True))
+        break
+    else:
+        raise ComputationError(f"a - sigma is not positive definite at the floor "
+                               f"shift {floor:.6g}: the floor is not below the spectrum")
 
-    m_max = min(opts.max_iter, n)
-    Q = np.empty((n, m_max))
-    alphas = np.empty(m_max)
-    betas = np.empty(m_max)
+    solves = 0
 
-    q = rng.standard_normal(n)
-    q /= np.linalg.norm(q)
-    Q[:, 0] = q
-    scale = 1.0
-    theta = None
-    m = 0
-    for m in range(1, m_max + 1):
-        w = apply(Q[:, m - 1])
-        alphas[m - 1] = Q[:, m - 1] @ w
-        # full reorthogonalization, two passes for 1e-10 level orthogonality
-        w -= Q[:, :m] @ (Q[:, :m].T @ w)
-        w -= Q[:, :m] @ (Q[:, :m].T @ w)
-        beta = np.linalg.norm(w)
-        betas[m - 1] = beta
-        scale = max(scale, abs(alphas[m - 1]) + beta)
-        if m >= max(2 * k, 8) and (m % 10 == 0 or beta <= 1e-14 * scale or m == m_max):
-            theta, S = np.linalg.eigh(_small_tridiag(alphas[:m], betas[: m - 1]))
-            kk = min(k, m)
-            bounds = np.abs(beta * S[-1, :kk])
-            if np.all(bounds <= opts.tol * scale) or beta <= 1e-14 * scale:
-                break
-        if m < m_max:
-            if beta <= 1e-14 * scale:
-                # invariant subspace hit; restart with a fresh orthogonal direction
-                w = rng.standard_normal(n)
-                w -= Q[:, :m] @ (Q[:, :m].T @ w)
-                beta = np.linalg.norm(w)
-                betas[m - 1] = 0.0
-            Q[:, m] = w / beta
+    def solve(v):
+        nonlocal solves
+        solves += 1
+        return cho_solve_banded((upper, False), v, check_finite=False)
 
-    theta, S = np.linalg.eigh(_small_tridiag(alphas[:m], betas[: m - 1]))
-    kk = min(k, m)
-    values = theta[:kk]
-    vectors = Q[:, :m] @ S[:, :kk]
-    vectors /= np.linalg.norm(vectors, axis=0)
-    residuals = np.array([
-        np.linalg.norm(apply(vectors[:, i]) - values[i] * vectors[:, i])
-        for i in range(kk)
-    ])
-    converged = bool(np.all(residuals <= opts.tol * scale))
-    if not converged and m == m_max and m < n:
-        return values, vectors, residuals, False
-    return values, vectors, residuals, converged
-
-
-def _small_tridiag(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    t = np.diag(a)
-    if len(b):
-        t += np.diag(b, 1) + np.diag(b, -1)
-    return t
+    inverse = spla.LinearOperator((n, n), dtype=float, matvec=solve)
+    # ||a - sigma||_2 <= ||a||_inf + |sigma| for symmetric a
+    scale = spla.norm(a, np.inf) + abs(sigma)
+    v0 = np.random.default_rng(seed).standard_normal(n)
+    try:
+        mus, vecs = spla.eigsh(inverse, k=k, which="LA", tol=tol / scale, v0=v0)
+    except spla.ArpackNoConvergence as exc:
+        raise ConvergenceError(f"shift-invert Lanczos stalled: {exc}") from exc
+    finally:
+        _log.debug("shift-invert on order %d: shifts %s, %d banded solves", n,
+                   ", ".join(f"{s:.9g} ({'factored' if ok else 'not definite'})"
+                             for s, ok in tried), solves)
+    vals = sigma + 1.0 / mus
+    order = np.argsort(vals)
+    vals, vecs = vals[order], vecs[:, order]
+    residuals = np.linalg.norm(a @ vecs - vecs * vals, axis=0)
+    return vals, vecs, residuals

@@ -16,10 +16,9 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
-import scipy.sparse.linalg as spla
-from scipy.linalg import cho_solve_banded, cholesky_banded
 
-from .errors import ComputationError, ConfigurationError, ConvergenceError, RefinementError
+from .eigs import shift_invert_lowest
+from .errors import ComputationError, ConfigurationError, RefinementError
 from .model import ModelConfig, eval_potential_2d
 
 __all__ = [
@@ -213,55 +212,26 @@ def assemble_h2d(config: ModelConfig, grid: Grid2D) -> SparseHamiltonian:
 
 
 def lowest_eigenvalues(ham: SparseHamiltonian, k: int = 1, tol: float = 1e-7,
-                       seed: int = 1234) -> list[tuple[float, float]]:
-    """k smallest eigenvalues with independently recomputed residual norms.
+                       seed: int = 1234, guess: float | None = None
+                       ) -> list[tuple[float, float]]:
+    """k smallest eigenvalues with independently recomputed residual norms,
+    each ||H x - lambda x|| <= tol up to rounding of order eps ||H||.
 
-    Shift-invert Lanczos (ARPACK) on (H - sigma)^-1 from a deterministic
-    start vector, with sigma = potential_min - 1 so that H - sigma >= I; the
-    inverse is applied through a banded Cholesky factor (LAPACK pbtrf/pbtrs).
-    ARPACK bounds the residual of (H - sigma)^-1 relative to its Ritz value
-    mu; with its tolerance divided by a bound on ||H - sigma||, a converged
-    pair has ||H x - lambda x|| <= tol, up to rounding of order eps ||H||.
+    Banded shift-invert Lanczos (`eigs.shift_invert_lowest`).  A `guess`
+    near lambda0, such as lambda0 of the previous rung of a scan, puts the
+    shift just below it, certified by its own Cholesky factor; without one,
+    or when that factor does not exist, the shift is potential_min - 1, so
+    that H - sigma >= I.
     """
     if not 1 <= k <= 20:
         raise ConfigurationError("eigenvalue count must be between 1 and 20")
-    a = ham.matrix
-    n = a.shape[0]
+    n = ham.n
     if k >= n - 1:
         raise ConfigurationError(
             f"{k} eigenvalues need more than {k + 1} unknowns; the grid has {n}")
-    sigma = ham.potential_min - 1.0
-    dia = a.todia()
-    b = int(dia.offsets.max())
-    band = np.zeros((b + 1, n), order="F")
-    for d, diag in zip(dia.offsets, dia.data):
-        if d >= 0:
-            band[b - d] = diag
-    band[b] -= sigma
-    try:
-        upper = cholesky_banded(band, overwrite_ab=True)
-    except np.linalg.LinAlgError as exc:
-        raise ComputationError(
-            f"H - sigma is not positive definite at sigma = {sigma:.6g}; "
-            f"potential_min = {ham.potential_min:.6g} is above the minimum of "
-            f"the potential ({exc})") from exc
-    inverse = spla.LinearOperator(
-        (n, n), dtype=float,
-        matvec=lambda v: cho_solve_banded((upper, False), v, check_finite=False))
-    # ||H - sigma||_2 <= ||H||_inf + |sigma| for symmetric H
-    scale = spla.norm(a, np.inf) + abs(sigma)
-    v0 = np.random.default_rng(seed).standard_normal(n)
-    try:
-        mus, vecs = spla.eigsh(inverse, k=k, which="LA", tol=tol / scale, v0=v0)
-    except spla.ArpackNoConvergence as exc:
-        raise ConvergenceError(f"shift-invert Lanczos stalled: {exc}") from exc
-    vals = sigma + 1.0 / mus
-    order = np.argsort(vals)
-    out = []
-    for i in order:
-        r = float(np.linalg.norm(a @ vecs[:, i] - vals[i] * vecs[:, i]))
-        out.append((float(vals[i]), r))
-    return out
+    vals, _, res = shift_invert_lowest(ham.matrix, k, ham.potential_min - 1.0,
+                                       guess=guess, tol=tol, seed=seed)
+    return [(float(v), float(r)) for v, r in zip(vals, res)]
 
 
 # --- transition scan --------------------------------------------------------
@@ -331,7 +301,9 @@ def transition_scan(config: ModelConfig, y_ladder: list[float],
     most 1e-6 max(1, |lambda0|); by Weyl's bound an eigenvalue of the
     truncated operator lies that close.  The x-grid and the y spacing are
     shared across the ladder, and the y-node sets nest, so Dirichlet domain
-    monotonicity of lambda0 is exact and is checked.  Verdicts: subcritical
+    monotonicity of lambda0 is exact and is checked; it also makes each
+    previous lambda0 the eigensolver's guess, so a stabilizing ladder solves
+    every later rung with a near shift.  Verdicts: subcritical
     when lambda0 stabilizes between Y_max/2 and Y_max, supercritical when
     the fitted c is positive with R^2 at least the policy threshold,
     inconclusive otherwise (never a guess).
@@ -344,7 +316,8 @@ def transition_scan(config: ModelConfig, y_ladder: list[float],
     for y in y_ladder:
         grid = scan_grid(config, policy, float(y), y_max)
         ham = assemble_h2d(config, grid)
-        (lam0, res), = lowest_eigenvalues(ham, 1, tol=policy.eig_tol)
+        (lam0, res), = lowest_eigenvalues(ham, 1, tol=policy.eig_tol,
+                                          guess=vals[-1] if vals else None)
         if not res <= 1e-6 * max(1.0, abs(lam0)):
             raise ComputationError(
                 f"residual {res:.3g} of lambda0 = {lam0:.12g} at Y={y} exceeds "

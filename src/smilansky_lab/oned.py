@@ -13,9 +13,10 @@ from dataclasses import dataclass, field, replace
 from typing import Optional
 
 import numpy as np
-from scipy.linalg import eigh_tridiagonal
+import scipy.sparse as sp
+from scipy.linalg import eig_banded, eigh_tridiagonal
 
-from .eigs import TridiagonalSym, lanczos_smallest, LanczosOptions, sturm_smallest
+from .eigs import TridiagonalSym, shift_invert_lowest, sturm_smallest, upper_band
 from .errors import ComputationError, ConfigurationError, RefinementError
 from .model import PotentialProfile, eval_profile
 from .quadrature import quintic_hermite
@@ -146,12 +147,37 @@ def assemble_comparison(spec: ComparisonSpec, grid: Grid1D) -> TridiagonalSym:
 def _min_eig(spec: ComparisonSpec, grid: Grid1D) -> float:
     T = assemble_comparison(spec, grid)
     if T.corner is not None:
-        vals, _, _, ok = lanczos_smallest(T.matvec, T.n, 1, LanczosOptions(tol=1e-10))
-        if not ok:
-            raise ComputationError("periodic minimal eigenvalue did not converge")
-        return float(vals[0])
+        return _periodic_min_eig(T)
     scale = max(1.0, float(np.max(np.abs(T.d))))
     return float(sturm_smallest(T, 1, tol=max(1e-15 * scale, 1e-13))[0])
+
+
+def _periodic_min_eig(T: TridiagonalSym) -> float:
+    """Minimal eigenvalue of the periodic wrap.
+
+    Ordering the unknowns 0, n-1, 1, n-2, ... folds the cyclic tridiagonal
+    matrix into a pentadiagonal band.  LAPACK's banded solver (eig_banded)
+    gives a guess that banded shift-invert refines to rounding level; the
+    Gershgorin bound minus one is the certified floor shift.
+    """
+    n = T.n
+    k = np.arange(n)
+    # unknown k sits at position i[k] of the fold; off[k] couples k and k + 1
+    i = np.where(2 * k < n, 2 * k, 2 * (n - 1 - k) + 1)
+    j = np.roll(i, -1)
+    off = np.append(T.e, T.corner)
+    a = sp.csr_matrix((np.concatenate([T.d, off, off]),
+                       (np.concatenate([i, i, j]), np.concatenate([i, j, i]))),
+                      shape=(n, n))
+    guess = float(eig_banded(upper_band(a), eigvals_only=True, select="i",
+                             select_range=(0, 0))[0])
+    floor = float(np.min(T.d - np.abs(off) - np.abs(np.roll(off, 1)))) - 1.0
+    tol = 1e-12 * float(abs(a).sum(axis=1).max())
+    (val,), _, (res,) = shift_invert_lowest(a, 1, floor, guess=guess, tol=tol)
+    if not res <= tol:
+        raise ComputationError(
+            f"periodic minimal eigenvalue {val!r} has residual {res:.3g} > {tol:.3g}")
+    return float(val)
 
 
 def _resolve_truncation(spec: ComparisonSpec, policy: ResolutionPolicy) -> tuple[ComparisonSpec, bool]:

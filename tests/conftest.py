@@ -3,8 +3,8 @@ import pytest
 
 from smilansky_lab.model import ChannelSpec, ModelConfig, PotentialProfile
 from smilansky_lab.oned import (ComparisonSpec, Domain1D, Grid1D,
-                                critical_coupling, ground_state,
-                                tune_lambda_to_threshold)
+                                assemble_comparison, critical_coupling,
+                                ground_state, tune_lambda_to_threshold)
 
 
 @pytest.fixture(scope="session")
@@ -39,3 +39,14 @@ def supercritical_config(cos2_profile, lam_e0_minus1):
 @pytest.fixture(scope="session")
 def rng():
     return np.random.default_rng(20260824)
+
+
+@pytest.fixture(scope="session")
+def dense_periodic_min():
+    """Lowest eigenvalue of the periodic comparison matrix by dense eigvalsh."""
+    def lowest(spec: ComparisonSpec, grid: Grid1D) -> float:
+        T = assemble_comparison(spec, grid)
+        a = np.diag(T.d) + np.diag(T.e, 1) + np.diag(T.e, -1)
+        a[0, -1] = a[-1, 0] = T.corner
+        return float(np.linalg.eigvalsh(a)[0])
+    return lowest

@@ -10,6 +10,8 @@ import smilansky_lab
 from smilansky_lab import weyl
 from smilansky_lab.cli import RunRequest, main, run
 from smilansky_lab.errors import ConfigurationError
+from smilansky_lab.model import PotentialProfile
+from smilansky_lab.oned import ComparisonSpec, Domain1D, Grid1D, ResolutionPolicy
 
 SINGLE = {
     "omega": 1.0,
@@ -94,6 +96,23 @@ class TestCommands:
         payload = json.loads(out.read_text())
         assert payload["verdict"] == "critical"
         assert payload["global_lower_bound"] == "unbounded below"
+
+    def test_periodic_interval_eig1d_and_classify(self, tmp_path, dense_periodic_min):
+        cfg = tmp_path / "periodic.json"
+        cfg.write_text(json.dumps({**SUPER, "channels": [{
+            "lambda": 4.0, "center": 0.0,
+            "profile": {"family": "cos2", "a": 1.0, "amplitude": 1.0}}],
+            "x_domain": {"type": "interval", "c": 1.0, "bc": "periodic"}}))
+        e1, c = tmp_path / "e.json", tmp_path / "c.json"
+        assert run(RunRequest("eig1d", str(cfg), output=str(e1))) == 0
+        assert run(RunRequest("classify", str(cfg), output=str(c))) == 0
+        got = json.loads(e1.read_text())["channels"][0]["threshold"]
+        assert json.loads(c.read_text())["t_V"] == got
+        # dense Richardson reference on the default grids n = 240, 480, 960
+        spec = ComparisonSpec(1.0, 4.0, PotentialProfile("cos2", 1.0, 1.0),
+                              Domain1D("interval", 1.0, "periodic"))
+        e = [dense_periodic_min(spec, Grid1D(-1.0, 1.0, n)) for n in (240, 480, 960)]
+        assert abs(got - (4.0 * e[2] - e[1]) / 3.0) <= ResolutionPolicy().rich_tol
 
     def test_weyl_csv(self, super_cfg, tmp_path):
         out = tmp_path / "w.csv"

@@ -1,10 +1,14 @@
+import logging
+
 import numpy as np
 import pytest
+import scipy.sparse as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.linalg import eig_banded
 
-from smilansky_lab.eigs import (LanczosOptions, TridiagonalSym,
-                                lanczos_smallest, sturm_smallest)
+from smilansky_lab.eigs import (TridiagonalSym, shift_invert_lowest,
+                                sturm_smallest, upper_band)
 from smilansky_lab.errors import ComputationError
 
 
@@ -53,39 +57,81 @@ class TestSturm:
 
 
 class TestLanczos:
+    # shift_invert_lowest is Lanczos (ARPACK) on (a - sigma)^-1
     def test_diagonal_sparse(self):
         d = np.linspace(-3.0, 9.0, 60)
-        vals, vecs, res, ok = lanczos_smallest(lambda v: d * v, 60, 3)
-        assert ok
+        vals, _, res = shift_invert_lowest(sp.diags(d).tocsr(), 3, floor=-4.0)
+        assert np.all(res <= 1e-7)
         assert np.max(np.abs(vals - np.sort(d)[:3])) < 1e-8
-
-    def test_rank_deficient_psd(self):
-        rng = np.random.default_rng(7)
-        b = rng.standard_normal((30, 20))
-        a = b @ b.T  # rank 20, PSD: smallest eigenvalue 0
-        vals, _, _, ok = lanczos_smallest(lambda v: a @ v, 30, 1)
-        assert ok and abs(vals[0]) < 1e-7
-
-    def test_symmetry_check_rejects(self):
-        a = np.triu(np.ones((10, 10)))
-        with pytest.raises(ComputationError):
-            lanczos_smallest(lambda v: a @ v, 10, 1)
-
-    def test_determinism(self):
-        d = np.linspace(0.0, 5.0, 50)
-        r1 = lanczos_smallest(lambda v: d * v, 50, 2)
-        r2 = lanczos_smallest(lambda v: d * v, 50, 2)
-        assert np.array_equal(r1[0], r2[0])
-        assert np.array_equal(r1[1], r2[1])
 
     def test_residual_certificate(self):
         rng = np.random.default_rng(3)
         q, _ = np.linalg.qr(rng.standard_normal((40, 40)))
         a = q @ np.diag(np.arange(40.0)) @ q.T
-        a = 0.5 * (a + a.T)
-        vals, vecs, res, ok = lanczos_smallest(lambda v: a @ v, 40, 2)
-        assert ok
+        a = sp.csr_matrix(0.5 * (a + a.T))
+        vals, vecs, res = shift_invert_lowest(a, 2, floor=-1.0)
+        assert np.all(res <= 1e-7)
         for i in range(2):
             again = np.linalg.norm(a @ vecs[:, i] - vals[i] * vecs[:, i])
             assert abs(again - res[i]) < 1e-12
         assert np.max(np.abs(vecs.T @ vecs - np.eye(2))) < 1e-10
+
+
+class TestShiftInvert:
+    @pytest.fixture(scope="class")
+    def matrix(self):
+        # 5-point Laplacian on a 12 x 12 grid plus a random diagonal:
+        # symmetric, half-bandwidth 12, indefinite
+        rng = np.random.default_rng(5)
+        lap = sp.diags([-1.0, 2.0, -1.0], [-1, 0, 1], shape=(12, 12))
+        return (sp.kronsum(lap, lap)
+                + sp.diags(rng.uniform(-1.0, 1.0, 144))).tocsr()
+
+    def test_upper_band_layout(self, matrix):
+        band = upper_band(matrix, 0.5)
+        assert band.shape == (13, 144) and band.flags.f_contiguous
+        want = np.linalg.eigvalsh(matrix.toarray()) - 0.5
+        assert np.max(np.abs(eig_banded(band, eigvals_only=True) - want)) < 1e-12
+
+    def test_matches_dense(self, matrix):
+        vals, vecs, res = shift_invert_lowest(matrix, 3, floor=-2.0, tol=1e-10)
+        want = np.linalg.eigvalsh(matrix.toarray())[:3]
+        assert np.max(np.abs(vals - want)) < 1e-10
+        again = np.linalg.norm(matrix @ vecs - vecs * vals, axis=0)
+        assert np.max(np.abs(again - res)) < 1e-12 and np.all(res <= 1e-10)
+        assert np.max(np.abs(vecs.T @ vecs - np.eye(3))) < 1e-10
+
+    def test_singular_psd(self):
+        # the Neumann Laplacian (plus its kernel, the constant vector) is
+        # positive semidefinite with lowest eigenvalue exactly 0
+        lap = sp.diags([-1.0, 2.0, -1.0], [-1, 0, 1], shape=(30, 30), format="lil")
+        lap[0, 0] = lap[-1, -1] = 1.0
+        (val,), vec, _ = shift_invert_lowest(lap.tocsr(), 1, floor=-1.0, tol=1e-12)
+        assert abs(val) < 1e-12
+        assert np.max(np.abs(vec[:, 0] - vec[0, 0])) < 1e-10
+
+    def test_determinism(self, matrix):
+        r1 = shift_invert_lowest(matrix, 2, floor=-2.0, guess=0.0)
+        r2 = shift_invert_lowest(matrix, 2, floor=-2.0, guess=0.0)
+        assert all(np.array_equal(a, b) for a, b in zip(r1, r2))
+
+    def test_guess_above_lowest_falls_back_to_floor(self, matrix, caplog):
+        (base,), _, _ = shift_invert_lowest(matrix, 1, floor=-2.0)
+        with caplog.at_level(logging.DEBUG, logger="smilansky_lab.eigs"):
+            (got,), _, _ = shift_invert_lowest(matrix, 1, floor=-2.0,
+                                               guess=base + 1.0)
+        assert abs(got - base) <= 1e-10 * max(1.0, abs(base))
+        assert "(not definite), -2 (factored)" in caplog.text
+
+    def test_near_shift_below_the_guess_is_used(self, matrix, caplog):
+        lam0 = np.linalg.eigvalsh(matrix.toarray())[0]
+        with caplog.at_level(logging.DEBUG, logger="smilansky_lab.eigs"):
+            (got,), _, _ = shift_invert_lowest(matrix, 1, floor=-2.0, guess=lam0)
+        assert abs(got - lam0) < 1e-10
+        assert caplog.text.count("factored") == 1 and "not definite" not in caplog.text
+
+    def test_floor_not_below_spectrum_raises(self, matrix):
+        lam0 = np.linalg.eigvalsh(matrix.toarray())[0]
+        for guess in (None, lam0 + 1.0):
+            with pytest.raises(ComputationError, match="not positive definite"):
+                shift_invert_lowest(matrix, 1, floor=lam0 + 1e-3, guess=guess)

@@ -1,12 +1,14 @@
 import dataclasses
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from smilansky_lab import grid2d
+from smilansky_lab import eigs, grid2d
 from smilansky_lab.eigs import TridiagonalSym, sturm_smallest
 from smilansky_lab.errors import ComputationError, ConfigurationError, RefinementError
-from smilansky_lab.model import ChannelSpec, ModelConfig, PotentialProfile, XDomain
+from smilansky_lab.model import (ChannelSpec, ModelConfig, PotentialProfile, XDomain,
+                                 load_config)
 
 
 @pytest.fixture(scope="module")
@@ -194,9 +196,34 @@ class TestScan:
         assert all(0.0 <= r.residual <= 1e-6 * max(1.0, abs(r.lambda0))
                    for r in scan.rows)
         monkeypatch.setattr(grid2d, "lowest_eigenvalues",
-                            lambda ham, k, tol: [(1.0, 2e-6)])
+                            lambda ham, k, tol, guess=None: [(1.0, 2e-6)])
         with pytest.raises(ComputationError, match="Y=2.0"):
             grid2d.transition_scan(ModelConfig(omega=1.0), [2.0, 3.0, 4.0], pol)
+
+    def test_ladder_rungs_take_one_factorization_and_few_solves(self, monkeypatch):
+        # Dirichlet nesting makes each previous lambda0 a certified guess on
+        # a stabilizing ladder: one Cholesky factor, one ARPACK restart cycle
+        rungs = []
+
+        def counted(fn, slot):
+            def wrapped(*args, **kwargs):
+                rungs[-1][slot] += 1
+                return fn(*args, **kwargs)
+            return wrapped
+
+        def per_rung(fn):
+            def wrapped(*args, **kwargs):
+                rungs.append([0, 0])
+                return fn(*args, **kwargs)
+            return wrapped
+
+        monkeypatch.setattr(eigs, "cholesky_banded", counted(eigs.cholesky_banded, 0))
+        monkeypatch.setattr(eigs, "cho_solve_banded", counted(eigs.cho_solve_banded, 1))
+        monkeypatch.setattr(grid2d, "lowest_eigenvalues", per_rung(grid2d.lowest_eigenvalues))
+        cfg = load_config(str(Path(__file__).parents[1] / "configs" / "single_channel.json"))
+        scan = grid2d.transition_scan(cfg, [4.0, 8.0, 16.0])
+        assert scan.verdict == "subcritical" and len(rungs) == 3
+        assert all(factors == 1 and solves <= 25 for factors, solves in rungs[1:])
 
     def test_csv_header(self):
         pol = grid2d.ScanPolicy(points_per_unit_y=12, x_half_width=4.0)

@@ -5,7 +5,7 @@ from scipy.linalg import eigh_tridiagonal
 from smilansky_lab.errors import ConfigurationError
 from smilansky_lab.model import PotentialProfile, eval_profile
 from smilansky_lab.oned import (ComparisonSpec, Domain1D, Grid1D,
-                                ResolutionPolicy, _resolve_truncation,
+                                ResolutionPolicy, _min_eig, _resolve_truncation,
                                 assemble_comparison, critical_coupling,
                                 ground_state, threshold,
                                 tune_lambda_to_threshold)
@@ -61,6 +61,22 @@ class TestThreshold:
         spec = ComparisonSpec(1.0, 0.0, cos2_profile,
                               Domain1D("interval", 2.0, "dirichlet"))
         assert abs(threshold(spec) - (1.0 + (np.pi / 4.0) ** 2)) < 1e-7
+
+    @pytest.mark.parametrize("n", [17, 64, 301])
+    def test_periodic_min_eig_matches_dense(self, cos2_profile, dense_periodic_min, n):
+        # the fold 0, n-1, 1, n-2, ... must keep odd and even orders exact
+        spec = ComparisonSpec(1.0, 4.0, cos2_profile,
+                              Domain1D("interval", 1.0, "periodic"))
+        grid = Grid1D(-1.0, 1.0, n)
+        assert abs(_min_eig(spec, grid) - dense_periodic_min(spec, grid)) < 1e-9
+
+    def test_interval_periodic_threshold_matches_dense(self, cos2_profile,
+                                                       dense_periodic_min):
+        spec = ComparisonSpec(1.0, 4.0, cos2_profile,
+                              Domain1D("interval", 1.0, "periodic"))
+        policy = ResolutionPolicy(points_per_unit=16.0, rich_tol=1e-3)
+        e = [dense_periodic_min(spec, Grid1D(-1.0, 1.0, m)) for m in (64, 128, 256)]
+        assert abs(threshold(spec, policy) - (4.0 * e[2] - e[1]) / 3.0) < 1e-9
 
 
 class TestCriticalCoupling:
