@@ -14,7 +14,6 @@ from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
-import scipy.sparse.linalg as spla
 from scipy.linalg import cho_solve_banded, cholesky_banded, eigh_tridiagonal
 
 from .errors import ComputationError, ConvergenceError
@@ -111,6 +110,9 @@ def shift_invert_lowest(a, k: int, floor: float, guess: Optional[float] = None,
     Returns (values, vectors, residuals): values ascending, vectors as
     columns, residuals the independently recomputed ||a x - lambda x||.
     """
+    # imported here, so that commands without a banded solve never load it
+    import scipy.sparse.linalg as spla
+
     n = a.shape[0]
     shifts = [floor]
     if guess is not None:

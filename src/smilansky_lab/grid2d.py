@@ -7,19 +7,27 @@ the x-mesh must resolve the a/Y scale near each channel center; an optional
 graded mesh (fine near the centers, coarse elsewhere) keeps that affordable.
 The transition itself is read off the Y-dependence of the lowest eigenvalue:
 subcritical configurations stabilize, supercritical ones plunge like -cY^2
-with c near the 1D channel energy |E0|.
+with c near the 1D channel energy |E0|.  With even channel profiles the
+operator commutes with y -> -y, and a scan solves only its block on vectors
+even in y, which holds the ground state.
 """
 
 from __future__ import annotations
 
+import logging
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
-import scipy.sparse as sp
 
 from .eigs import shift_invert_lowest
 from .errors import ComputationError, ConfigurationError, RefinementError
 from .model import ModelConfig, eval_potential_2d
+
+# scipy.sparse is imported inside the functions that build matrices, so the
+# commands that build none never load it
+if TYPE_CHECKING:
+    import scipy.sparse as sp
 
 __all__ = [
     "Grid2D",
@@ -36,6 +44,8 @@ __all__ = [
 ]
 
 _MEMORY_CAP = 4_000_000
+
+_log = logging.getLogger(__name__)
 
 
 @dataclass(frozen=True)
@@ -120,13 +130,16 @@ class SparseHamiltonian:
     """Assembled 5-point operator; symmetric by construction.
 
     Unknown (ix, iy) sits at index iy * n_x + ix (x runs fastest), so the
-    matrix is banded with half-bandwidth n_x.
+    matrix is banded with half-bandwidth n_x.  `sector` is "full", or "even"
+    for the block of H on vectors even in y (see `assemble_h2d`), whose
+    eigenvalues are those of the even eigenvectors of H only.
     """
 
     matrix: sp.csr_matrix
     grid: Grid2D
     bc: dict
     potential_min: float
+    sector: str = "full"
 
     @property
     def n(self) -> int:
@@ -147,6 +160,8 @@ def _second_diff_1d(nodes: np.ndarray, lo: float, hi: float, bc: str) -> sp.csr_
     finite-volume form symmetrized by the half-cell weights,
     off-diagonal -1/(h_{i+1/2} sqrt(w_i w_{i+1})); Dirichlet only.
     """
+    import scipy.sparse as sp
+
     n = len(nodes)
     d = np.diff(nodes)
     uniform = np.max(d) - np.min(d) <= 1e-12 * np.max(d)
@@ -189,8 +204,29 @@ def _check_resolution(config: ModelConfig, grid: Grid2D) -> None:
                 f"4 cells)")
 
 
-def assemble_h2d(config: ModelConfig, grid: Grid2D) -> SparseHamiltonian:
-    """Kronecker-sum assembly, x fastest: kron(I, Bx) + kron(By, I) + diag(potential)."""
+def assemble_h2d(config: ModelConfig, grid: Grid2D,
+                 sector: str = "full") -> SparseHamiltonian:
+    """Kronecker-sum assembly, x fastest: kron(I, Bx) + kron(By, I) + diag(potential).
+
+    sector="full" takes every node of `grid`.  sector="even" needs even
+    channel profiles (`PotentialProfile.is_even`), so that H commutes with
+    y -> -y, and assembles the block of H on vectors even in y: the nodes
+    y >= 0 of `grid.y_nodes` (the same values, so the potential is that of
+    the upper half), ordered from the wall y = Y inward, in the orthonormal
+    basis e_0, (e_j + e_-j)/sqrt(2).  Its By is the Dirichlet stencil except
+    in the row nearest y = 0: (-sqrt(2), 2)/h^2 when that node is y = 0
+    (n_y odd), diagonal 1/h^2 when the nodes straddle y = 0 (n_y even).  The
+    block has about half the unknowns of the full matrix and the same
+    half-bandwidth n_x.  The wall comes first, as in the full matrix, so a
+    shift that is not below the spectrum of a plunging ground state fails
+    early in the banded Cholesky factorization.
+    """
+    import scipy.sparse as sp
+
+    if sector not in ("full", "even"):
+        raise ConfigurationError(f"unknown y sector {sector!r}")
+    if sector == "even" and not all(ch.profile.is_even for ch in config.channels):
+        raise ConfigurationError("the even-in-y sector needs even channel profiles")
     if config.x_domain.kind == "interval":
         if not np.isclose(grid.x_hi, config.x_domain.c) or \
            not np.isclose(grid.x_lo, -config.x_domain.c):
@@ -201,21 +237,35 @@ def assemble_h2d(config: ModelConfig, grid: Grid2D) -> SparseHamiltonian:
     _check_resolution(config, grid)
 
     bx = _second_diff_1d(grid.x_nodes, grid.x_lo, grid.x_hi, bc_x)
-    by = _second_diff_1d(grid.y_nodes, -grid.y_half, grid.y_half, "dirichlet")
-    pot = eval_potential_2d(config, grid.x_nodes[None, :], grid.y_nodes[:, None])
-    ham = (sp.kron(sp.identity(grid.n_y), bx, format="csr")
+    if sector == "full":
+        y = grid.y_nodes
+        by = _second_diff_1d(y, -grid.y_half, grid.y_half, "dirichlet")
+    else:
+        y = grid.y_nodes[grid.n_y // 2:][::-1]
+        h2 = grid.h_y ** 2
+        diag = np.full(len(y), 2.0 / h2)
+        off = np.full(len(y) - 1, -1.0 / h2)
+        if grid.n_y % 2:
+            off[-1] *= np.sqrt(2.0)
+        else:
+            diag[-1] = 1.0 / h2
+        by = sp.diags([off, diag, off], [-1, 0, 1], format="csr")
+    pot = eval_potential_2d(config, grid.x_nodes[None, :], y[:, None])
+    ham = (sp.kron(sp.identity(len(y)), bx, format="csr")
            + sp.kron(by, sp.identity(grid.n_x), format="csr")
            + sp.diags(pot.ravel(), format="csr"))
     return SparseHamiltonian(matrix=ham.tocsr(), grid=grid,
                              bc={"x": bc_x, "y": "dirichlet"},
-                             potential_min=float(np.min(pot)))
+                             potential_min=float(np.min(pot)), sector=sector)
 
 
 def lowest_eigenvalues(ham: SparseHamiltonian, k: int = 1, tol: float = 1e-7,
                        seed: int = 1234, guess: float | None = None
                        ) -> list[tuple[float, float]]:
-    """k smallest eigenvalues with independently recomputed residual norms,
-    each ||H x - lambda x|| <= tol up to rounding of order eps ||H||.
+    """k smallest eigenvalues of `ham.matrix` (of its y-sector: on the even
+    block, those of the eigenvectors even in y) with independently
+    recomputed residual norms, each ||H x - lambda x|| <= tol up to rounding
+    of order eps ||H||.
 
     Banded shift-invert Lanczos (`eigs.shift_invert_lowest`).  A `guess`
     near lambda0, such as lambda0 of the previous rung of a scan, puts the
@@ -278,16 +328,17 @@ def scan_grid(config: ModelConfig, policy: ScanPolicy, y_half: float,
         x_lo, x_hi = -config.x_domain.c, config.x_domain.c
     else:
         x_lo, x_hi = -policy.x_half_width, policy.x_half_width
-    centers = tuple(ch.center for ch in config.channels)
-    if config.channels and config.x_domain.bc == "dirichlet" or not config.channels:
+    if config.x_domain.kind == "interval" and config.x_domain.bc != "dirichlet":
+        # Neumann and periodic stencils need uniform cell-centered nodes
+        n_x = int(np.ceil((x_hi - x_lo) * 4.0 * y_max))
+        h = (x_hi - x_lo) / n_x
+        x = x_lo + h * (np.arange(n_x) + 0.5)
+    else:
+        centers = tuple(ch.center for ch in config.channels)
         a_min = min((ch.profile.a for ch in config.channels), default=1.0)
         # graded toward the centers, floor tied to the top of the ladder so
         # the same x-grid serves every Y (exact Dirichlet domain nesting)
         x = graded_x_nodes(x_lo, x_hi, centers, a_min / (4.0 * y_max), policy.h_max)
-    else:
-        n_x = int(np.ceil((x_hi - x_lo) * 4.0 * y_max))
-        h = (x_hi - x_lo) / n_x
-        x = x_lo + h * (np.arange(n_x) + 0.5)
     n_y = int(round(2.0 * y_half * policy.points_per_unit_y)) - 1
     return Grid2D(x_lo, x_hi, x, y_half, n_y, memory_cap=policy.memory_cap)
 
@@ -307,17 +358,32 @@ def transition_scan(config: ModelConfig, y_ladder: list[float],
     when lambda0 stabilizes between Y_max/2 and Y_max, supercritical when
     the fitted c is positive with R^2 at least the policy threshold,
     inconclusive otherwise (never a guess).
+
+    When every channel profile is even, each rung is solved on the even-in-y
+    block of H (`assemble_h2d(..., "even")`), with about half the unknowns.
+    H has nonpositive off-diagonals on a connected grid, so by
+    Perron-Frobenius its lowest eigenvalue is simple with a positive
+    eigenvector; as H commutes with y -> -y, that eigenvector is even, and
+    lambda0 is exactly the lowest eigenvalue of the block.  The unfolding
+    map is an isometry that intertwines the block with H, so the residual of
+    the block's pair is ||H x - lambda0 x|| of the unfolded vector, and the
+    residual gate, the Rayleigh bound and the monotonicity check keep their
+    meaning; the Cholesky factor certifies its shift below the even
+    spectrum, which holds lambda0.  Otherwise every rung is solved on H.
     """
     if len(y_ladder) < 3 or any(b <= a for a, b in zip(y_ladder, y_ladder[1:])):
         raise ConfigurationError("Y ladder must be increasing with >= 3 entries")
     y_max = float(y_ladder[-1])
+    sector = "even" if all(ch.profile.is_even for ch in config.channels) else "full"
     vals = []
     residuals = []
     for y in y_ladder:
         grid = scan_grid(config, policy, float(y), y_max)
-        ham = assemble_h2d(config, grid)
+        ham = assemble_h2d(config, grid, sector)
         (lam0, res), = lowest_eigenvalues(ham, 1, tol=policy.eig_tol,
                                           guess=vals[-1] if vals else None)
+        _log.debug("scan rung Y=%g: %s sector of order %d, lambda0 %.12g, "
+                   "residual %.3g", y, sector, ham.n, lam0, res)
         if not res <= 1e-6 * max(1.0, abs(lam0)):
             raise ComputationError(
                 f"residual {res:.3g} of lambda0 = {lam0:.12g} at Y={y} exceeds "

@@ -93,6 +93,15 @@ class PotentialProfile:
             return self.amplitude
         return float(np.max(self._hermite[1]))
 
+    @property
+    def is_even(self) -> bool:
+        """V(-t) = V(t): always for cos2 and quartic, and for a table whose
+        samples mirror exactly about t = 0 (PCHIP of mirrored data is even)."""
+        if self.family != "table":
+            return True
+        ts, vs = np.array(self.table).T
+        return bool(np.array_equal(ts, -ts[::-1]) and np.array_equal(vs, vs[::-1]))
+
 
 def eval_profile(profile: PotentialProfile, t) -> tuple[np.ndarray, np.ndarray]:
     """Return (V(t), V'(t)); both vanish identically for |t| >= a."""
@@ -151,6 +160,10 @@ class XDomain:
                 raise ConfigurationError("interval half-width must be positive")
             if self.bc not in ("dirichlet", "neumann", "periodic"):
                 raise ConfigurationError(f"unknown boundary condition {self.bc!r}")
+        elif self.bc != "dirichlet":
+            raise ConfigurationError(
+                f"boundary condition {self.bc!r} needs an interval x-domain; "
+                "the line is truncated with Dirichlet ends")
 
 
 @dataclass(frozen=True)

@@ -13,7 +13,6 @@ from dataclasses import dataclass, field, replace
 from typing import Optional
 
 import numpy as np
-import scipy.sparse as sp
 from scipy.linalg import eig_banded, eigh_tridiagonal
 
 from .eigs import TridiagonalSym, shift_invert_lowest, sturm_smallest, upper_band
@@ -160,6 +159,8 @@ def _periodic_min_eig(T: TridiagonalSym) -> float:
     gives a guess that banded shift-invert refines to rounding level; the
     Gershgorin bound minus one is the certified floor shift.
     """
+    import scipy.sparse as sp
+
     n = T.n
     k = np.arange(n)
     # unknown k sits at position i[k] of the fold; off[k] couples k and k + 1

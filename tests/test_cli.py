@@ -200,6 +200,25 @@ class TestExitCodes:
                               capture_output=True, text=True)
         assert proc.returncode == 0, proc.stderr
 
+    def test_import_leaves_out_scipy_sparse(self):
+        # a fresh process: only eig2d, scan and the periodic 1D fold build
+        # sparse matrices, and they import scipy.sparse when they do
+        src = str(Path(smilansky_lab.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=src)
+        code = ("import sys, smilansky_lab.cli; "
+                "loaded = {'scipy.sparse', 'scipy.sparse.linalg'} & set(sys.modules); "
+                "assert not loaded, loaded; "
+                "assert smilansky_lab.grid2d.assemble_h2d")
+        proc = subprocess.run([sys.executable, "-c", code], env=env,
+                              capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+
+    def test_bc_on_line_domain_is_2(self, tmp_path, capsys):
+        p = tmp_path / "line_neumann.json"
+        p.write_text(json.dumps({**SINGLE, "x_domain": {"type": "line", "bc": "neumann"}}))
+        assert main(["scan", "--config", str(p), "--ladder", "4,8,16"]) == 2
+        assert "needs an interval x-domain" in capsys.readouterr().err
+
     def test_main_entry(self, single_cfg, capsys):
         assert main(["critical", "--config", single_cfg]) == 0
         out = capsys.readouterr().out

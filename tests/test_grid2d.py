@@ -1,8 +1,11 @@
 import dataclasses
+import json
+import logging
 from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from smilansky_lab import eigs, grid2d
 from smilansky_lab.eigs import TridiagonalSym, sturm_smallest
@@ -232,3 +235,112 @@ class TestScan:
         lines = grid2d.scan_csv(scan).strip().split("\n")
         assert lines[0] == "Y,lambda0,c_fit,verdict"
         assert len(lines) == 4
+
+
+COS2 = PotentialProfile("cos2", 1.0, 1.0)
+MIRRORED_TABLE = PotentialProfile("table", 1.0, 1.0, table=(
+    (-1.0, 0.0), (-0.5, 0.6), (0.0, 1.0), (0.5, 0.6), (1.0, 0.0)))
+SKEWED_TABLE = PotentialProfile("table", 1.0, 1.0, table=(
+    (-1.0, 0.0), (-0.5, 0.9), (0.0, 1.0), (0.5, 0.3), (1.0, 0.0)))
+
+
+def _even_cases():
+    """(id, config, grid) over x boundaries, x-grids, channels and both
+    parities of n_y."""
+    cases = []
+    for bc in ("dirichlet", "neumann", "periodic"):
+        cfg = ModelConfig(omega=1.0, x_domain=XDomain("interval", 2.0, bc),
+                          channels=(ChannelSpec(3.0, 0.5, COS2),))
+        for n_y in (31, 30):
+            cases.append((f"{bc}-ny{n_y}", cfg, grid2d.Grid2D.uniform(
+                -2.0, 2.0, 24, 2.5, n_y, staggered_x=bc != "dirichlet")))
+    pol = grid2d.ScanPolicy(points_per_unit_y=8, x_half_width=5.0)
+    line = {
+        "graded": ModelConfig(omega=1.0, channels=(ChannelSpec(4.0, 0.0, COS2),)),
+        "two-channels": ModelConfig(omega=1.0, channels=(
+            ChannelSpec(4.0, 0.0, COS2),
+            ChannelSpec(2.0, 2.5, PotentialProfile("quartic", 1.0, 1.0)))),
+        "y-cutoff": ModelConfig(omega=1.0, channels=(ChannelSpec(4.0, 0.0, COS2),),
+                                y_cutoff=0.7),
+        "mirrored-table": ModelConfig(omega=1.0,
+                                      channels=(ChannelSpec(4.0, 0.0, MIRRORED_TABLE),)),
+    }
+    for name, cfg in line.items():
+        g = grid2d.scan_grid(cfg, pol, 3.0, 3.0)
+        assert g.n_y == 47
+        cases.append((f"{name}-ny47", cfg, g))
+        cases.append((f"{name}-ny46", cfg, dataclasses.replace(g, n_y=46)))
+    return cases
+
+
+EVEN_CASES = _even_cases()
+
+
+def _unfold(grid, n_even):
+    """The isometry from the even block onto even vectors of the full grid:
+    folded y-row j (counted from the wall y = Y) spreads over the full rows
+    j and n_y - 1 - j, weight 1/sqrt(2) each, or 1 on the row y = 0."""
+    j = np.arange(n_even // grid.n_x)
+    w = np.where(j == grid.n_y - 1 - j, 1.0, np.sqrt(0.5))
+    uy = np.zeros((grid.n_y, len(j)))
+    uy[j, j] = w
+    uy[grid.n_y - 1 - j, j] = w
+    return sp.kron(sp.csr_matrix(uy), sp.identity(grid.n_x), format="csr")
+
+
+class TestEvenSector:
+    @pytest.mark.parametrize("cfg, grid", [c[1:] for c in EVEN_CASES],
+                             ids=[c[0] for c in EVEN_CASES])
+    def test_even_block_matches_full_operator(self, cfg, grid):
+        full = grid2d.assemble_h2d(cfg, grid)
+        even = grid2d.assemble_h2d(cfg, grid, "even")
+        assert even.sector == "even" and even.n == grid.n_x * ((grid.n_y + 1) // 2)
+        # the Perron-Frobenius premise: nonpositive off-diagonals
+        for ham in (full, even):
+            assert (ham.matrix - sp.diags(ham.matrix.diagonal())).max() <= 0.0
+        coo = even.matrix.tocoo()
+        assert np.max(coo.col - coo.row) == grid.n_x
+        # the unfolding map is an isometry that intertwines the block with H
+        u = _unfold(grid, even.n)
+        scale = abs(full.matrix).max()
+        assert abs(u.T @ u - sp.identity(even.n)).max() <= 1e-15
+        assert abs(full.matrix @ u - u @ even.matrix).max() <= 1e-12 * scale
+        assert abs(even.potential_min - full.potential_min) <= 1e-12 * scale
+        # so residuals agree, for any vector ...
+        x = np.random.default_rng(3).standard_normal(even.n)
+        lam = x @ (even.matrix @ x) / (x @ x)
+        r_even = np.linalg.norm(even.matrix @ x - lam * x)
+        r_full = np.linalg.norm(full.matrix @ (u @ x) - lam * (u @ x))
+        assert abs(r_even - r_full) <= 1e-12 * r_full
+        # ... and the even ground state is the ground state
+        (lam_full, _), = grid2d.lowest_eigenvalues(full, 1, tol=1e-10)
+        (lam_even, res), = grid2d.lowest_eigenvalues(even, 1, tol=1e-10)
+        assert abs(lam_even - lam_full) <= 1e-12 * max(1.0, abs(lam_full))
+        assert res <= 1e-10
+
+    def test_asymmetric_table_scans_on_the_full_operator(self, caplog):
+        cfg = ModelConfig(omega=1.0, channels=(ChannelSpec(3.0, 0.0, SKEWED_TABLE),))
+        pol = grid2d.ScanPolicy(points_per_unit_y=8, x_half_width=4.0)
+        ladder = [2.0, 3.0, 4.0]
+        with caplog.at_level(logging.DEBUG, logger="smilansky_lab.grid2d"):
+            scan = grid2d.transition_scan(cfg, ladder, pol)
+        grids = [grid2d.scan_grid(cfg, pol, y, 4.0) for y in ladder]
+        assert [r.getMessage().split(": ")[1].split(",")[0] for r in caplog.records] == [
+            f"full sector of order {g.n_x * g.n_y}" for g in grids]
+        want = [grid2d.lowest_eigenvalues(grid2d.assemble_h2d(cfg, g), 1)[0][0]
+                for g in grids]
+        assert np.allclose([r.lambda0 for r in scan.rows], want, rtol=1e-12, atol=0.0)
+        with pytest.raises(ConfigurationError, match="even"):
+            grid2d.assemble_h2d(cfg, grids[0], "even")
+
+    @pytest.mark.parametrize("name", ["single_channel", "supercritical"])
+    def test_shipped_scans_keep_the_full_operator_lambda0(self, name, caplog):
+        root = Path(__file__).parents[1]
+        want = json.loads((root / "tests" / "data" / "scan_ladder_4_8_16.json")
+                          .read_text())[name]
+        cfg = load_config(str(root / "configs" / f"{name}.json"))
+        with caplog.at_level(logging.DEBUG, logger="smilansky_lab.grid2d"):
+            scan = grid2d.transition_scan(cfg, [4.0, 8.0, 16.0])
+        assert np.allclose([r.lambda0 for r in scan.rows], want, rtol=1e-12, atol=0.0)
+        assert [r.getMessage().split(": ")[1].split(",")[0] for r in caplog.records] == [
+            f"even sector of order {n}" for n in (6624, 13248, 26496)]

@@ -94,6 +94,21 @@ class TestProfiles:
                                             "table": [list(q) for q in table]}}]})
         PotentialProfile("table", 1.0, 1.0, table=table)   # on the support: fine
 
+    def test_is_even(self):
+        # cos2 and quartic are even; a table only when its samples mirror
+        # exactly about t = 0, and then its PCHIP interpolant is even too
+        assert PotentialProfile("cos2").is_even and PotentialProfile("quartic").is_even
+        mirrored = ((-1.0, 0.0), (-0.4, 0.7), (0.0, 1.0), (0.4, 0.7), (1.0, 0.0))
+        p = PotentialProfile("table", 1.0, 1.0, table=mirrored)
+        t = np.linspace(0.0, 1.0, 101)
+        assert p.is_even
+        assert np.allclose(eval_profile(p, t)[0], eval_profile(p, -t)[0],
+                           rtol=0.0, atol=1e-15)
+        skewed = ((-1.0, 0.0), (-0.4, 0.7), (0.0, 1.0), (0.4, 0.6), (1.0, 0.0))
+        assert not PotentialProfile("table", 1.0, 1.0, table=skewed).is_even
+        shifted = ((-1.0, 0.0), (-0.5, 0.7), (0.0, 1.0), (0.4, 0.7), (1.0, 0.0))
+        assert not PotentialProfile("table", 1.0, 1.0, table=shifted).is_even
+
     def test_invalid_profiles_rejected(self):
         with pytest.raises(ConfigurationError):
             PotentialProfile("bump", 1.0, 1.0)
@@ -139,6 +154,16 @@ class TestConfig:
         with pytest.raises(ConfigurationError):
             ModelConfig(omega=1.0, channels=(ChannelSpec(1.0, 2.0, prof),),
                         x_domain=XDomain("interval", 2.5, "dirichlet"))
+
+    def test_line_domain_takes_no_bc(self):
+        # the line is truncated with Dirichlet ends; a Neumann or periodic
+        # bc only makes sense on an interval
+        assert XDomain("line", bc="dirichlet").bc == "dirichlet"
+        for bc in ("neumann", "periodic", "robin"):
+            with pytest.raises(ConfigurationError, match="interval"):
+                XDomain("line", bc=bc)
+            with pytest.raises(ConfigurationError, match="interval"):
+                config_from_dict({"omega": 1.0, "x_domain": {"type": "line", "bc": bc}})
 
     def test_y_cutoff_gate(self):
         prof = PotentialProfile("cos2", 1.0, 1.0)
