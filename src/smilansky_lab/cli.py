@@ -20,7 +20,7 @@ from . import bracketing, grid2d, weyl
 from .errors import ComputationError, ConfigurationError, SmilanskyError
 from .model import ModelConfig, load_config
 from .oned import (ComparisonSpec, Domain1D, Grid1D, critical_coupling,
-                   ground_state, threshold, tune_lambda_to_threshold)
+                   ground_state, tune_lambda_to_threshold)
 
 __all__ = ["RunRequest", "run", "main"]
 
@@ -92,29 +92,35 @@ def _single_channel(config: ModelConfig):
     return config.channels[0]
 
 
+def _line_channel(config: ModelConfig, command: str):
+    """The first channel, for the commands that solve on the line only."""
+    if config.x_domain.kind == "interval":
+        raise ConfigurationError(
+            f"{command} computes couplings on the line, but the x-domain is the "
+            f"interval (-{config.x_domain.c}, {config.x_domain.c}) with "
+            f"{config.x_domain.bc} ends")
+    return _single_channel(config)
+
+
 def run(request: RunRequest) -> int:
     """Dispatch a request; returns the process exit code."""
     try:
         config = load_config(request.config_path)
         p = request.params
         if request.command == "critical":
-            ch = _single_channel(config)
+            ch = _line_channel(config, "critical")
             lc = critical_coupling(config.omega, ch.profile, tol=p.get("tol", 1e-6))
             _emit(request, _json_payload(request, {"lambda_crit": lc}))
         elif request.command == "tune":
-            ch = _single_channel(config)
+            ch = _line_channel(config, "tune")
             lam = tune_lambda_to_threshold(config.omega, ch.profile,
                                            p["target"], tol=p.get("tol", 1e-6))
             _emit(request, _json_payload(request, {"lambda": lam,
                                                    "target": p["target"]}))
         elif request.command == "eig1d":
-            rows = []
-            for ch in config.channels:
-                dom = (Domain1D("interval", config.x_domain.c, config.x_domain.bc)
-                       if config.x_domain.kind == "interval"
-                       else Domain1D("truncated_line", 12.0))
-                e = threshold(ComparisonSpec(config.omega, ch.lam, ch.profile, dom))
-                rows.append({"lambda": ch.lam, "center": ch.center, "threshold": e})
+            rows = [{"lambda": ch.lam, "center": ch.center,
+                     "threshold": bracketing.channel_threshold(config, ch)}
+                    for ch in config.channels]
             _emit(request, _json_payload(request, {"channels": rows}))
         elif request.command == "eig2d":
             y_half = p.get("y_half", 8.0)
@@ -193,13 +199,15 @@ def main(argv: Optional[list[str]] = None) -> int:
         sp.add_argument("--format", dest="fmt", choices=("csv", "json"),
                         default=None)
 
+    coupling_tol = ("the 1D threshold at the returned coupling must lie within "
+                    "tol of the target (default 1e-6)")
     sp = sub.add_parser("critical", help="critical coupling of the first channel")
     common(sp)
-    sp.add_argument("--tol", type=float, default=1e-6)
+    sp.add_argument("--tol", type=float, default=1e-6, help=coupling_tol)
     sp = sub.add_parser("tune", help="tune lambda to a target 1D threshold")
     common(sp)
     sp.add_argument("--target", type=float, required=True)
-    sp.add_argument("--tol", type=float, default=1e-6)
+    sp.add_argument("--tol", type=float, default=1e-6, help=coupling_tol)
     sp = sub.add_parser("eig1d", help="per-channel comparison thresholds")
     common(sp)
     sp = sub.add_parser("eig2d", help="lowest 2D eigenvalues at one truncation")

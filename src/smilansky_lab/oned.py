@@ -1,21 +1,44 @@
 """The 1D comparison operator -d2/dx2 + omega^2 - lambda V(x).
 
 The sign of its spectral threshold decides the spectral character of the 2D
-model, so everything here is built around computing that threshold reliably:
-central-difference assembly, Sturm-bisection ground energies, Richardson
-extrapolation over paired resolutions, adaptive domain truncation, and
-bisection in the coupling.
+model, so everything here is built around computing that threshold reliably.
+
+On the line, every channel profile vanishes outside its support [-a, a], so
+the exterior of the support is eliminated exactly (a discrete transparent
+boundary condition).  On the uniform chain of spacing h = a/m, a solution
+below the continuum edge omega^2 decays outside the support like r^j, with
+r + 1/r = 2 + (omega^2 - E) h^2 and r < 1.  So E is an eigenvalue exactly
+when it is an eigenvalue of A(E): the central-difference matrix on the
+2m - 1 support nodes with each end diagonal lowered by r/h^2.  The number of
+eigenvalues of A(E) below E is nondecreasing in E, and the threshold is the
+point where it leaves 0.  At E = omega^2 that count is 0 exactly when lambda V
+vanishes on every support node; then there is no bound state, and the
+threshold is omega^2 itself.  A coupling that places the
+threshold at a target E is where the same count, at that fixed E, leaves 0
+as lambda grows.  Both are bisections of the pure-Python Sturm count of
+`eigs`, Richardson-extrapolated over m, 2m and 4m and gated at `rich_tol`.
+
+Interval x-domains (-c, c) keep the whole-interval assembly with Dirichlet,
+Neumann or periodic ends, solved by LAPACK (stebz, and the folded periodic
+wrap); scipy.linalg is imported only there.  `ground_state`, the eigenpair
+behind the Weyl quasi-modes, is solved on a fixed Dirichlet grid by the
+same Sturm count and inverse iteration.
+
+Each threshold and coupling logs one `smilansky_lab.oned` debug record: the
+resolution, the three values, their Richardson gap and the bisection steps.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
-from typing import Optional
+import logging
+import math
+import sys
+from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg import eig_banded, eigh_tridiagonal
 
-from .eigs import TridiagonalSym, shift_invert_lowest, sturm_smallest, upper_band
+from .eigs import (TridiagonalSym, bisect_count, lowest_pair, shift_invert_lowest,
+                   sturm_count, sturm_smallest, upper_band)
 from .errors import ComputationError, ConfigurationError, RefinementError
 from .model import PotentialProfile, eval_profile
 from .quadrature import quintic_hermite
@@ -33,7 +56,9 @@ __all__ = [
     "tune_lambda_to_threshold",
 ]
 
-LAMBDA_CAP = 2.0**16
+_log = logging.getLogger(__name__)
+
+_EPS = sys.float_info.epsilon
 
 
 @dataclass(frozen=True)
@@ -66,7 +91,9 @@ class Grid1D:
 
 @dataclass(frozen=True)
 class Domain1D:
-    """Either a truncation [-X, X] of the line or a genuine interval (-c, c)."""
+    """Either the line or a genuine interval (-c, c).  Thresholds on the line
+    need no truncation; its half-width X is the extent of the fixed grid that
+    `ground_state` and `assemble_comparison` use."""
 
     kind: str = "truncated_line"
     half_width: float = 0.0
@@ -91,25 +118,22 @@ class ComparisonSpec:
     def __post_init__(self):
         if self.omega <= 0 or self.lam < 0:
             raise ConfigurationError("need omega > 0 and lambda >= 0")
-        if (self.domain.kind == "truncated_line"
-                and self.domain.half_width < 4 * self.profile.a + 4 / self.omega):
-            raise ConfigurationError(
-                f"truncation X={self.domain.half_width} too close to the channel "
-                f"support (need X >= 4a + 4/omega)"
-            )
 
 
 @dataclass(frozen=True)
 class ResolutionPolicy:
-    """Discretization policy: grid density, extrapolation and truncation checks."""
+    """Discretization policy: grid density and the Richardson gate."""
 
     points_per_unit: float = 120.0
     rich_tol: float = 1e-6
-    trunc_tol: float = 1e-9
-    max_doublings: int = 5
 
     def n_for(self, lo: float, hi: float) -> int:
+        """Interior nodes of a whole-interval grid on (lo, hi)."""
         return max(64, int(np.ceil(self.points_per_unit * (hi - lo))))
+
+    def m_for(self, a: float) -> int:
+        """Steps of the support half-width a on the line (h = a/m)."""
+        return math.ceil(self.points_per_unit * a)
 
 
 def assemble_comparison(spec: ComparisonSpec, grid: Grid1D) -> TridiagonalSym:
@@ -160,6 +184,7 @@ def _periodic_min_eig(T: TridiagonalSym) -> float:
     Gershgorin bound minus one is the certified floor shift.
     """
     import scipy.sparse as sp
+    from scipy.linalg import eig_banded
 
     n = T.n
     k = np.arange(n)
@@ -181,67 +206,119 @@ def _periodic_min_eig(T: TridiagonalSym) -> float:
     return float(val)
 
 
-def _resolve_truncation(spec: ComparisonSpec, policy: ResolutionPolicy) -> tuple[ComparisonSpec, bool]:
-    """Pick the truncation adaptively: start from the decay-length estimate and
-    double until the minimal eigenvalue stops moving.
+def _richardson(what: str, values: list[float], steps, policy: ResolutionPolicy) -> float:
+    """Extrapolate values at resolutions (k, 2k, 4k) of an O(h^2) scheme.
 
-    Returns (spec with resolved half-width, unbound flag).  The flag is set
-    when the discrete minimum is the Dirichlet box artifact, i.e. no state
-    below the continuum edge omega^2 is detectable.
+    The (k, 2k) and (2k, 4k) extrapolants must agree to rich_tol; the second
+    is returned, so three equal values give that value exactly.
     """
-    if spec.domain.kind == "interval":
-        return spec, False
+    r1 = values[1] + (values[1] - values[0]) / 3.0
+    r2 = values[2] + (values[2] - values[1]) / 3.0
+    gap = abs(r1 - r2)
+    _log.debug("%s: values %r, Richardson gap %.3g, bisection steps %s",
+               what, values, gap, steps)
+    if gap > policy.rich_tol:
+        raise RefinementError(
+            f"Richardson extrapolants disagree: {r1!r} vs {r2!r} for the {what}; "
+            f"raw values {values!r}")
+    return r2
 
-    a, w2 = spec.profile.a, spec.omega**2
-    X = max(spec.domain.half_width, a + 16.0 / np.sqrt(w2 + 1.0))
-    cur_spec = replace(spec, domain=Domain1D("truncated_line", X))
-    # odd n puts a node at x = 0 and makes X a whole number of steps, so the
-    # doubled grid below contains every node of this one
-    n = policy.n_for(-X, X) | 1
-    e = _min_eig(cur_spec, Grid1D(-X, X, n))
-    for _ in range(policy.max_doublings):
-        binding = w2 + (np.pi / (2.0 * X)) ** 2 - e
-        if binding <= 1e-8:
-            return cur_spec, True
-        # doubling n -> 2n+1 keeps the spacing and the nodes, so the
-        # comparison isolates the truncation error
-        X_next, n_next = 2.0 * X, 2 * n + 1
-        nxt = replace(spec, domain=Domain1D("truncated_line", X_next))
-        e_next = _min_eig(nxt, Grid1D(-X_next, X_next, n_next))
-        if abs(e_next - e) < policy.trunc_tol:
-            return nxt, False
-        X, cur_spec, e, n = X_next, nxt, e_next, n_next
-    if w2 + (np.pi / (2.0 * X)) ** 2 - e <= 1e-6:
-        return cur_spec, True
-    raise RefinementError(
-        f"truncation did not stabilize below {policy.trunc_tol} up to X={X} "
-        f"(last minimal eigenvalue {e!r})"
-    )
+
+def _support_chain(omega: float, profile: PotentialProfile, m: int):
+    """Spacing h = a/m, V on the 2m - 1 support nodes, the diagonal
+    2/h^2 + omega^2 without the ends' transparent terms, and the squared
+    off-diagonal 1/h^4."""
+    h = profile.a / m
+    v, _ = eval_profile(profile, h * np.arange(1 - m, m))
+    d = [2.0 / h**2 + omega**2] * (2 * m - 1)
+    return h, v.tolist(), d, [h**-4] * (2 * m - 2)
+
+
+def _transparent_end(kappa2: float, h: float) -> float:
+    """r/h^2, with r < 1 the decaying root of r + 1/r = 2 + kappa^2 h^2."""
+    s = kappa2 * h * h
+    return 1.0 / (1.0 + 0.5 * s + math.sqrt(s * (1.0 + 0.25 * s))) / (h * h)
+
+
+def _chain_threshold(omega: float, lam: float, profile: PotentialProfile,
+                    m: int) -> tuple[float, int]:
+    """Discrete threshold on the chain of spacing a/m, and its bisection steps."""
+    h, v, d0, e2 = _support_chain(omega, profile, m)
+    w2 = omega**2
+    # A(omega^2) - omega^2 is the Neumann chain minus lambda V, on which the
+    # constant vector has Rayleigh quotient -lambda mean(V): a bound state
+    # exists exactly when lambda V is nonzero on a support node
+    if lam == 0.0 or max(v) <= 0.0:
+        return w2, 0
+    base = [di - lam * vi for di, vi in zip(d0, v)]
+
+    def count(e: float) -> int:
+        d = base.copy()
+        end = _transparent_end(w2 - e, h)
+        d[0] -= end
+        d[-1] -= end
+        return sturm_count(d, e2, e)
+
+    # Rayleigh: the chain operator is >= omega^2 - lambda sup V, so no
+    # eigenvalue of A(E) lies below E there; the bisection stops at the
+    # rounding level eps ||A|| of the count
+    lo = w2 - lam * profile.sup_value - 1.0
+    tol = _EPS * (4.0 / h**2 + w2 + lam * profile.sup_value)
+    lo, hi, steps = bisect_count(count, lo, w2, tol)
+    return 0.5 * (lo + hi), steps
+
+
+def _chain_coupling(omega: float, profile: PotentialProfile, target: float,
+                   m: int) -> tuple[float, int]:
+    """Coupling whose discrete threshold on the chain of spacing a/m is the
+    target, and the doubling and bisection steps that found it."""
+    h, v, d0, e2 = _support_chain(omega, profile, m)
+    if max(v) <= 0.0:
+        raise ComputationError(
+            f"the profile vanishes on every support node at h = {h:.3g}: "
+            "no coupling binds a state")
+    end = _transparent_end(omega**2 - target, h)
+    d0[0] -= end
+    d0[-1] -= end
+
+    def count(lam: float) -> int:
+        return sturm_count([di - lam * vi for di, vi in zip(d0, v)], e2, target)
+
+    # count(0) == 0 since target < omega^2; the doubling ends, because the
+    # unit vector at a node with V_j > 0 has a negative Rayleigh quotient
+    # once lambda V_j > d_j - target
+    lo, hi, doublings = 0.0, 1.0, 0
+    while not count(hi):
+        lo, hi, doublings = hi, 2.0 * hi, doublings + 1
+    # rounding level: a change of lambda by eps ||A|| / max V is within it
+    vmax = max(v)
+    tol = _EPS * (4.0 / h**2 + omega**2 + hi * vmax) / vmax
+    lo, hi, steps = bisect_count(count, lo, hi, tol)
+    return 0.5 * (lo + hi), doublings + steps
 
 
 def threshold(spec: ComparisonSpec, policy: ResolutionPolicy = ResolutionPolicy()) -> float:
-    """Richardson-extrapolated minimal eigenvalue of L.
+    """Richardson-extrapolated threshold inf sigma(L).
 
-    Uses the O(h^2) order of the scheme over resolutions (n, 2n) and cross
-    checks against the (2n, 4n) extrapolant; disagreement beyond rich_tol is a
-    refinement error.  On the truncated line, a minimal eigenvalue that is
-    indistinguishable from the Dirichlet box artifact means no state below
-    the continuum edge, and the threshold is omega^2 itself.
+    On the line: the discrete threshold with transparent ends at h = a/m,
+    a/2m and a/4m (m from `policy.m_for`).  On an interval: the minimal
+    eigenvalue of the whole-interval assembly at n, 2n and 4n nodes.
     """
-    spec, unbound = _resolve_truncation(spec, policy)
-    if unbound:
-        return spec.omega**2
-    X = spec.domain.half_width
-    n = policy.n_for(-X, X)
-    e = [_min_eig(spec, Grid1D(-X, X, m)) for m in (n, 2 * n, 4 * n)]
-    r1 = (4.0 * e[1] - e[0]) / 3.0
-    r2 = (4.0 * e[2] - e[1]) / 3.0
-    if abs(r1 - r2) > policy.rich_tol:
-        raise RefinementError(
-            f"Richardson extrapolants disagree: {r1!r} vs {r2!r} at n={n}..{4*n}, "
-            f"X={X}; raw eigenvalues {e!r}"
-        )
-    return r2
+    if spec.domain.kind == "interval":
+        c = spec.domain.half_width
+        n = policy.n_for(-c, c)
+        values = [_min_eig(spec, Grid1D(-c, c, k)) for k in (n, 2 * n, 4 * n)]
+        return _richardson(f"threshold at lambda={spec.lam!r} on (-{c}, {c}) "
+                           f"with {spec.domain.bc} ends, n={n}", values, "-", policy)
+    return _threshold_on_line(spec.omega, spec.lam, spec.profile, policy)
+
+
+def _threshold_on_line(omega: float, lam: float, profile: PotentialProfile,
+                       policy: ResolutionPolicy) -> float:
+    m = policy.m_for(profile.a)
+    runs = [_chain_threshold(omega, lam, profile, k) for k in (m, 2 * m, 4 * m)]
+    return _richardson(f"threshold at lambda={lam!r} on the line, m={m}",
+                       [e for e, _ in runs], [s for _, s in runs], policy)
 
 
 @dataclass(frozen=True, eq=False)
@@ -310,10 +387,7 @@ def ground_state(spec: ComparisonSpec, grid: Grid1D,
     bc = "dirichlet" if spec.domain.kind == "truncated_line" else spec.domain.bc
     if bc != "dirichlet":
         raise ConfigurationError("ground_state supports Dirichlet-type grids only")
-    T = assemble_comparison(spec, grid)
-    _, vecs = eigh_tridiagonal(T.d, T.e, select="i", select_range=(0, 0))
-    v = vecs[:, 0]
-    e0 = float(v @ T.matvec(v))
+    e0, v = lowest_pair(assemble_comparison(spec, grid))
 
     x = grid.interior_nodes()
     h = grid.h
@@ -350,54 +424,38 @@ def _fd4_derivative(u: np.ndarray, h: float) -> np.ndarray:
     return d
 
 
-def _bisect_coupling(omega: float, profile: PotentialProfile, target: float,
-                     tol: float, policy: ResolutionPolicy,
-                     domain: Optional[Domain1D]) -> float:
+def _coupling(omega: float, profile: PotentialProfile, target: float,
+              tol: float, policy: ResolutionPolicy) -> float:
+    """Richardson-extrapolated coupling with threshold `target` on the line,
+    certified by one threshold at that coupling within tol of the target."""
     if tol <= 0:
         raise ConfigurationError("tolerance must be positive")
     if target >= omega**2:
         if target > omega**2:
             raise ConfigurationError("target threshold must be below omega^2")
         return 0.0
-    dom = domain or Domain1D("truncated_line", 4 * profile.a + 4 / omega + 1.0)
-
-    def ethresh(lam: float) -> float:
-        return threshold(ComparisonSpec(omega, lam, profile, dom), policy)
-
-    lam_lo, e_lo = 0.0, omega**2
-    lam_hi = 1.0
-    while True:
-        e_hi = ethresh(lam_hi)
-        if e_hi < target:
-            break
-        lam_lo, e_lo = lam_hi, e_hi
-        lam_hi *= 2.0
-        if lam_hi > LAMBDA_CAP:
-            raise ComputationError(
-                f"no threshold crossing of {target} found for lambda <= {LAMBDA_CAP}"
-            )
-    for _ in range(200):
-        mid = 0.5 * (lam_lo + lam_hi)
-        e_mid = ethresh(mid)
-        if abs(e_mid - target) <= tol:
-            return mid
-        if e_mid > target:
-            lam_lo = mid
-        else:
-            lam_hi = mid
-    raise ComputationError("coupling bisection stalled before reaching tolerance")
+    m = policy.m_for(profile.a)
+    runs = [_chain_coupling(omega, profile, target, k) for k in (m, 2 * m, 4 * m)]
+    lam = _richardson(f"coupling at target {target!r} on the line, m={m}",
+                      [lam for lam, _ in runs], [s for _, s in runs], policy)
+    e = _threshold_on_line(omega, lam, profile, policy)
+    if not abs(e - target) <= tol:
+        raise RefinementError(
+            f"the threshold {e!r} at the coupling {lam!r} misses the target "
+            f"{target!r} by more than tol = {tol:g}")
+    return lam
 
 
 def critical_coupling(omega: float, profile: PotentialProfile, tol: float = 1e-6,
-                      policy: ResolutionPolicy = ResolutionPolicy(),
-                      domain: Optional[Domain1D] = None) -> float:
-    """The coupling at which the threshold of L changes sign."""
-    return _bisect_coupling(omega, profile, 0.0, tol, policy, domain)
+                      policy: ResolutionPolicy = ResolutionPolicy()) -> float:
+    """The coupling at which the threshold of L on the line changes sign;
+    the threshold there is checked to lie within tol of 0."""
+    return _coupling(omega, profile, 0.0, tol, policy)
 
 
 def tune_lambda_to_threshold(omega: float, profile: PotentialProfile, target: float,
                              tol: float = 1e-6,
-                             policy: ResolutionPolicy = ResolutionPolicy(),
-                             domain: Optional[Domain1D] = None) -> float:
-    """Coupling that places the threshold at the requested energy (e.g. -1)."""
-    return _bisect_coupling(omega, profile, target, tol, policy, domain)
+                             policy: ResolutionPolicy = ResolutionPolicy()) -> float:
+    """Coupling that places the threshold of L on the line at the requested
+    energy (e.g. -1); the threshold there is checked to lie within tol."""
+    return _coupling(omega, profile, target, tol, policy)

@@ -31,6 +31,14 @@ def gs_minus1(cos2_profile, lam_e0_minus1):
 
 
 @pytest.fixture(scope="session")
+def gs_shipped(cos2_profile):
+    """Ground state at the coupling of configs/supercritical.json."""
+    spec = ComparisonSpec(1.0, 4.585884094238281, cos2_profile,
+                          Domain1D("truncated_line", 12.0))
+    return ground_state(spec, Grid1D(-12.0, 12.0, 4001))
+
+
+@pytest.fixture(scope="session")
 def supercritical_config(cos2_profile, lam_e0_minus1):
     return ModelConfig(omega=1.0,
                        channels=(ChannelSpec(lam_e0_minus1, 0.0, cos2_profile),))

@@ -213,6 +213,50 @@ class TestExitCodes:
                               capture_output=True, text=True)
         assert proc.returncode == 0, proc.stderr
 
+    def test_one_d_commands_leave_out_scipy_linalg(self, single_cfg, super_cfg, tmp_path):
+        # a fresh process: on the line, thresholds, couplings and the weyl
+        # ground state are Sturm counts in pure Python
+        src = str(Path(smilansky_lab.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=src)
+        runs = [["critical", "--config", single_cfg],
+                ["tune", "--config", single_cfg, "--target", "-1"],
+                ["eig1d", "--config", super_cfg],
+                ["classify", "--config", single_cfg],
+                ["bound", "--config", single_cfg],
+                ["weyl", "--config", super_cfg, "--eps", "0.1"]]
+        out = str(tmp_path / "out")
+        code = ("import sys\n"
+                "from smilansky_lab.cli import main\n"
+                f"for args in {runs!r}:\n"
+                f"    assert main(args + ['--output', {out!r}]) == 0, args\n"
+                "assert 'scipy.linalg' not in sys.modules, 'scipy.linalg'\n")
+        proc = subprocess.run([sys.executable, "-c", code], env=env,
+                              capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+
+    @pytest.mark.parametrize("command", ["critical", "tune"])
+    def test_coupling_on_interval_domain_is_2(self, tmp_path, capsys, command):
+        p = tmp_path / "interval.json"
+        p.write_text(json.dumps({**SINGLE, "x_domain": {"type": "interval", "c": 1.0,
+                                                        "bc": "dirichlet"}}))
+        extra = ["--target", "-1"] if command == "tune" else []
+        assert main([command, "--config", str(p), *extra]) == 2
+        err = capsys.readouterr().err
+        assert "configuration error:" in err
+        assert "the x-domain is the interval (-1.0, 1.0) with dirichlet ends" in err
+
+    def test_weak_coupling_classify_and_bound_are_0(self, tmp_path, capsys):
+        p = tmp_path / "weak.json"
+        p.write_text(json.dumps({**SINGLE, "channels": [{
+            "lambda": 0.05, "center": 0.0,
+            "profile": {"family": "cos2", "a": 1.0, "amplitude": 1.0}}]}))
+        assert main(["classify", "--config", str(p)]) == 0
+        cls = json.loads(capsys.readouterr().out)
+        assert cls["verdict"] == "subcritical"
+        assert abs(cls["t_V"] - (1.0 - 0.025**2)) <= 0.05**3
+        assert main(["bound", "--config", str(p)]) == 0
+        assert isinstance(json.loads(capsys.readouterr().out)["global_lower_bound"], float)
+
     def test_bc_on_line_domain_is_2(self, tmp_path, capsys):
         p = tmp_path / "line_neumann.json"
         p.write_text(json.dumps({**SINGLE, "x_domain": {"type": "line", "bc": "neumann"}}))
@@ -223,3 +267,11 @@ class TestExitCodes:
         assert main(["critical", "--config", single_cfg]) == 0
         out = capsys.readouterr().out
         assert "lambda_crit" in out
+
+    def test_critical_loose_tol(self, single_cfg, capsys):
+        # --tol bounds the threshold at the returned coupling; a loose one
+        # changes nothing else
+        assert main(["critical", "--config", single_cfg, "--tol", "1e-2"]) == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["meta"]["params"] == {"tol": 0.01}
+        assert abs(payload["lambda_crit"] - 2.8663043554) < 1e-9

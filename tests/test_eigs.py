@@ -7,7 +7,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.linalg import eig_banded
 
-from smilansky_lab.eigs import (TridiagonalSym, shift_invert_lowest,
+from smilansky_lab.eigs import (TridiagonalSym, bisect_count, lowest_pair,
+                                shift_invert_lowest, sturm_count,
                                 sturm_smallest, upper_band)
 from smilansky_lab.errors import ComputationError
 
@@ -54,6 +55,51 @@ class TestSturm:
             sturm_smallest(TridiagonalSym(T.d, T.e, corner=-1.0))
         with pytest.raises(ComputationError):
             sturm_smallest(T, 7)
+
+
+class TestSturmCount:
+    @settings(max_examples=25, deadline=None)
+    @given(st.integers(1, 12), st.integers(0, 10**6))
+    def test_counts_eigenvalues_below(self, n, seed):
+        rng = np.random.default_rng(seed)
+        d = rng.standard_normal(n)
+        e = rng.standard_normal(n - 1)
+        vals = np.linalg.eigvalsh(np.diag(d) + np.diag(e, 1) + np.diag(e, -1))
+        # points between and around the eigenvalues, away from them
+        for x in np.concatenate(([vals[0] - 1.0], 0.5 * (vals[1:] + vals[:-1]),
+                                 [vals[-1] + 1.0])):
+            if np.min(np.abs(vals - x)) > 1e-9:
+                want = int(np.sum(vals < x))
+                assert sturm_count(d.tolist(), (e**2).tolist(), float(x)) == want
+
+    def test_zero_pivot_counts_as_negative(self):
+        # [[0, 1], [1, 0]] has eigenvalues -1 and 1; the first pivot at x = 0
+        # is exactly zero
+        assert sturm_count([0.0, 0.0], [1.0], 0.0) == 1
+
+    def test_bisect_count_brackets_the_first_eigenvalue(self):
+        T = dirichlet_laplacian(20)
+        e2 = (T.e**2).tolist()
+        lo, hi, steps = bisect_count(lambda x: sturm_count(T.d.tolist(), e2, x),
+                                     -1.0, 1.0, 1e-13)
+        want = 2.0 - 2.0 * np.cos(np.pi / 21.0)
+        assert lo <= want <= hi and hi - lo <= 1e-13 and steps >= 40
+
+    def test_lowest_pair_matches_lapack(self):
+        from scipy.linalg import eigh_tridiagonal
+        rng = np.random.default_rng(11)
+        n = 500
+        T = TridiagonalSym(2.0 + rng.uniform(-1.0, 1.0, n), np.full(n - 1, -1.0))
+        e0, v = lowest_pair(T)
+        (want,), vecs = eigh_tridiagonal(T.d, T.e, select="i", select_range=(0, 0))
+        assert abs(e0 - want) < 1e-13
+        assert abs(np.linalg.norm(v) - 1.0) < 1e-14
+        assert np.max(np.abs(v * np.sign(v @ vecs[:, 0]) - vecs[:, 0])) < 1e-12
+
+    def test_lowest_pair_rejects_periodic_wrap(self):
+        T = dirichlet_laplacian(6)
+        with pytest.raises(ComputationError):
+            lowest_pair(TridiagonalSym(T.d, T.e, corner=-1.0))
 
 
 class TestLanczos:

@@ -1,20 +1,48 @@
+import logging
+
 import numpy as np
 import pytest
-from scipy.linalg import eigh_tridiagonal
+from scipy.linalg import eigh, eigh_tridiagonal
 
-from smilansky_lab.errors import ConfigurationError
+from smilansky_lab import oned
+from smilansky_lab.errors import (ComputationError, ConfigurationError,
+                                  RefinementError)
 from smilansky_lab.model import PotentialProfile, eval_profile
 from smilansky_lab.oned import (ComparisonSpec, Domain1D, Grid1D,
-                                ResolutionPolicy, _min_eig, _resolve_truncation,
+                                ResolutionPolicy, _min_eig,
                                 assemble_comparison, critical_coupling,
                                 ground_state, threshold,
                                 tune_lambda_to_threshold)
 from smilansky_lab.quadrature import gauss_panels
 
-# regression values pinned from converged runs (cross-checked below against
-# an independent dense solver)
-LAM_CRIT_COS2 = 2.866302490234375
-LAM_E0_MINUS1 = 4.585884094238281
+# the couplings with threshold 0 and -1 (cos2, a = 1, omega = 1), from the
+# dense generalized eigenproblem of TestLineThreshold.test_couplings_match_dense
+LAM_CRIT_COS2 = 2.8663043554
+LAM_E0_MINUS1 = 4.5858855444
+
+# cos^2(pi t / 2) sampled at 9 points, as a `table` profile
+TABLE9 = PotentialProfile("table", 1.0, 1.0, table=tuple(
+    (float(t), float(round(np.cos(np.pi * t / 2.0) ** 2, 6)))
+    for t in np.linspace(-1.0, 1.0, 9)))
+PROFILES = {"cos2": PotentialProfile("cos2", 1.0, 1.0),
+            "quartic": PotentialProfile("quartic", 1.0, 1.0),
+            "table": TABLE9}
+# thresholds at omega = 1 from the solver this one replaced: the line
+# truncated at X, doubled until the minimal eigenvalue moved by < 1e-9, with
+# LAPACK Sturm bisection and Richardson over n, 2n, 4n nodes on [-X, X]
+TRUNCATED_LINE_THRESHOLDS = {
+    "cos2": (0.9975985545852412, 0.9479239100821849, 0.42955149303238405,
+             -1.0000000000299074, -51.0865638398979),
+    "quartic": (0.9972801652118685, 0.9418577209186948, 0.3806914415936559,
+                -1.1282633493363736, -52.097371692577234),
+    "table": (0.9975910620055973, 0.9478340931992411, 0.42998943346021345,
+              -0.9955298345549832, -50.85943715663878),
+}
+PINNED_LAMBDAS = (0.1, 0.5, 2.0, 4.5858855443, 64.0)
+
+
+def line(lam, profile):
+    return ComparisonSpec(1.0, lam, profile, Domain1D("truncated_line", 12.0))
 
 
 class TestThreshold:
@@ -43,15 +71,6 @@ class TestThreshold:
                                 select="i", select_range=(0, 0))[0]
         assert abs(e - vals[0]) < 5e-6
 
-    def test_truncation_doubles_only_while_the_eigenvalue_moves(self, cos2_profile):
-        # the start X = 1 + 16/sqrt(2) is already converged to 1e-9, so one
-        # doubling (whose nodes contain the start grid's) confirms it
-        spec = ComparisonSpec(1.0, 4.0, cos2_profile,
-                              Domain1D("truncated_line", 12.0))
-        resolved, unbound = _resolve_truncation(spec, ResolutionPolicy())
-        assert not unbound
-        assert resolved.domain.half_width == 2.0 * (1.0 + 16.0 / np.sqrt(2.0))
-
     def test_interval_neumann_zero_potential(self, cos2_profile):
         spec = ComparisonSpec(2.0, 0.0, cos2_profile,
                               Domain1D("interval", 3.0, "neumann"))
@@ -77,6 +96,87 @@ class TestThreshold:
         policy = ResolutionPolicy(points_per_unit=16.0, rich_tol=1e-3)
         e = [dense_periodic_min(spec, Grid1D(-1.0, 1.0, m)) for m in (64, 128, 256)]
         assert abs(threshold(spec, policy) - (4.0 * e[2] - e[1]) / 3.0) < 1e-9
+
+
+class TestLineThreshold:
+    @pytest.mark.parametrize("name", sorted(PROFILES))
+    def test_agrees_with_truncated_line_solver(self, name):
+        got = [threshold(line(lam, PROFILES[name])) for lam in PINNED_LAMBDAS]
+        assert np.max(np.abs(np.subtract(got, TRUNCATED_LINE_THRESHOLDS[name]))) <= 1e-8
+
+    def test_five_knot_table_on_knot_aligned_nodes(self):
+        # PCHIP is only C^1 at its knots; with h = a/m the knots are nodes and
+        # the O(h^2) expansion holds (on [-X, X] grids the Richardson gate failed)
+        skewed = PotentialProfile("table", 1.0, 1.0, table=(
+            (-1.0, 0.0), (-0.5, 0.9), (0.0, 1.0), (0.5, 0.3), (1.0, 0.0)))
+        lam, X = 4.5858855443, 12.0
+        ref = []
+        for h in (1.0 / 480.0, 1.0 / 960.0):
+            n = int(round(2.0 * X / h)) - 1
+            v, _ = eval_profile(skewed, -X + h * np.arange(1, n + 1))
+            ref.append(eigh_tridiagonal(2.0 / h**2 + 1.0 - lam * v,
+                                        np.full(n - 1, -1.0 / h**2), eigvals_only=True,
+                                        select="i", select_range=(0, 0))[0])
+        assert abs(threshold(line(lam, skewed)) - (4.0 * ref[1] - ref[0]) / 3.0) <= 1e-8
+
+    @pytest.mark.parametrize("lam", [0.01, 0.05])
+    def test_weak_coupling_law(self, cos2_profile, lam):
+        # 1 - (lambda/2 int V)^2 to leading order; int cos^2(pi t/2) = 1
+        assert abs(threshold(line(lam, cos2_profile)) - (1.0 - (lam / 2.0) ** 2)) <= lam**3
+
+    @staticmethod
+    def _dense_coupling(profile, target, m):
+        """1 / largest mu of V x = mu (A - target) x on the 2m - 1 support
+        nodes, A with the transparent ends written out independently."""
+        h = profile.a / m
+        v, _ = eval_profile(profile, h * np.arange(1 - m, m))
+        s = (1.0 - target) * h * h
+        r = (2.0 + s - np.sqrt((2.0 + s) ** 2 - 4.0)) / 2.0
+        a = (np.diag(np.full(2 * m - 1, 2.0 / h**2 + 1.0 - target))
+             - np.diag(np.full(2 * m - 2, 1.0 / h**2), 1)
+             - np.diag(np.full(2 * m - 2, 1.0 / h**2), -1))
+        a[0, 0] -= r / h**2
+        a[-1, -1] -= r / h**2
+        top = 2 * m - 2
+        return 1.0 / eigh(np.diag(v), a, eigvals_only=True,
+                          subset_by_index=[top, top])[0]
+
+    @pytest.mark.parametrize("target, pinned", [(0.0, LAM_CRIT_COS2),
+                                                (-1.0, LAM_E0_MINUS1)])
+    def test_couplings_match_dense(self, cos2_profile, lam_crit, lam_e0_minus1,
+                                   target, pinned):
+        lams = [self._dense_coupling(cos2_profile, target, m) for m in (120, 240, 480)]
+        want = lams[2] + (lams[2] - lams[1]) / 3.0
+        got = lam_crit if target == 0.0 else lam_e0_minus1
+        assert abs(got - want) <= 1e-9
+        assert abs(pinned - want) <= 1e-9
+
+    def test_profile_vanishing_on_every_node(self):
+        # a bump strictly between the nodes 0 and h = 1/480 of every level
+        narrow = PotentialProfile("table", 1.0, 1.0,
+                                  table=((0.001, 0.0), (0.0015, 0.5), (0.002, 0.0)))
+        assert threshold(line(1.0, narrow)) == 1.0
+        with pytest.raises(ComputationError, match="vanishes on every support node"):
+            critical_coupling(1.0, narrow)
+
+    def test_coupling_certificate_uses_tol(self, cos2_profile, monkeypatch):
+        real = oned._threshold_on_line
+        monkeypatch.setattr(oned, "_threshold_on_line",
+                            lambda *args: real(*args) + 2e-3)
+        assert abs(critical_coupling(1.0, cos2_profile, tol=1e-2) - LAM_CRIT_COS2) < 1e-8
+        with pytest.raises(RefinementError, match="misses the target"):
+            critical_coupling(1.0, cos2_profile, tol=1e-3)
+
+    def test_one_debug_record_per_threshold_and_coupling(self, cos2_profile, caplog):
+        with caplog.at_level(logging.DEBUG, logger="smilansky_lab.oned"):
+            threshold(line(2.0, cos2_profile))
+            tune_lambda_to_threshold(1.0, cos2_profile, -1.0)
+        msgs = [r.getMessage() for r in caplog.records]
+        # the coupling, then the threshold that certifies it
+        assert len(msgs) == 3
+        assert msgs[0].startswith("threshold at lambda=2.0 on the line, m=120")
+        assert msgs[1].startswith("coupling at target -1.0 on the line, m=120")
+        assert all("Richardson gap" in m and "bisection steps [" in m for m in msgs)
 
 
 class TestCriticalCoupling:
@@ -158,8 +258,3 @@ class TestAssembly:
                               Domain1D("truncated_line", 12.0))
         with pytest.raises(ConfigurationError):
             assemble_comparison(spec, Grid1D(-8.0, 8.0, 100))
-
-    def test_truncation_too_small_rejected(self, cos2_profile):
-        with pytest.raises(ConfigurationError):
-            ComparisonSpec(1.0, 1.0, cos2_profile,
-                           Domain1D("truncated_line", 2.0))
