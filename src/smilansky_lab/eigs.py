@@ -1,24 +1,29 @@
-"""Symmetric eigensolvers used throughout the package.
+"""Symmetric eigensolvers used throughout the package, on numpy alone.
 
-Tridiagonal matrices of the 1D commands need no LAPACK: `sturm_count` is the
-written-out LDL^T recurrence that counts the eigenvalues below a point,
-`bisect_count` bisects any nondecreasing count (in an energy or in a
-coupling), and `lowest_pair` adds an eigenvector by inverse iteration with a
-written-out tridiagonal solve.  `sturm_smallest` is LAPACK's Sturm-count
-bisection (stebz), kept for the whole-interval thresholds.  Banded matrices
-(the 2D Hamiltonian, the folded periodic wrap) go to shift-invert Lanczos
-(ARPACK) on a banded Cholesky factor (LAPACK pbtrf/pbtrs), whose existence
-certifies that the shift lies below the spectrum.  scipy.linalg is imported
-only inside the functions that call LAPACK, so the 1D commands never load it.
+Tridiagonal matrices of the 1D commands: `sturm_count` is the written-out
+LDL^T recurrence that counts the eigenvalues below a point, and
+`cyclic_sturm_count` the same count for the periodic wrap, with the fill of
+the wrap entry carried toward the last node.  `bisect_count` bisects any
+nondecreasing count (in an energy or in a coupling), `bracket_lowest`
+brackets the lowest eigenvalue of any `TridiagonalSym` with it, and
+`lowest_pair` adds an eigenvector by inverse iteration with a written-out
+tridiagonal solve.
+
+Block-tridiagonal matrices I (x) Bx + diag(d) + C (x) I (`BlockTridiagonal`,
+the 2D Hamiltonian) go to `shift_invert_lanczos`: Lanczos with full
+reorthogonalization on (H - sigma)^-1, applied through a block LDL^T factor
+whose existence certifies that sigma lies below the spectrum.  Nothing here
+imports scipy.
 """
 
 from __future__ import annotations
 
 import logging
+import numbers
 import sys
 from dataclasses import dataclass
 from itertools import chain
-from typing import Callable, Optional, Sequence
+from typing import Callable, Iterable, Optional, Sequence, Union
 
 import numpy as np
 
@@ -26,12 +31,13 @@ from .errors import ComputationError, ConvergenceError
 
 __all__ = [
     "TridiagonalSym",
+    "BlockTridiagonal",
     "sturm_count",
+    "cyclic_sturm_count",
     "bisect_count",
+    "bracket_lowest",
     "lowest_pair",
-    "sturm_smallest",
-    "upper_band",
-    "shift_invert_lowest",
+    "shift_invert_lanczos",
 ]
 
 _log = logging.getLogger(__name__)
@@ -39,6 +45,8 @@ _log = logging.getLogger(__name__)
 # a shift tried below a guess of the lowest eigenvalue sits this far below it,
 # relative to max(1, |guess|)
 _NEAR_MARGIN = 0.05
+# Lanczos steps after which shift_invert_lanczos gives up
+_MAX_LANCZOS = 300
 
 
 @dataclass(frozen=True)
@@ -58,6 +66,8 @@ class TridiagonalSym:
             raise ComputationError("off-diagonal must have length n-1")
         if not (np.all(np.isfinite(d)) and np.all(np.isfinite(e))):
             raise ComputationError("non-finite matrix entries")
+        if self.corner is not None and len(d) < 3:
+            raise ComputationError("the periodic wrap needs at least 3 nodes")
 
     @property
     def n(self) -> int:
@@ -71,6 +81,24 @@ class TridiagonalSym:
             out[0] += self.corner * v[-1]
             out[-1] += self.corner * v[0]
         return out
+
+    def toarray(self) -> np.ndarray:
+        out = np.diag(self.d) + np.diag(self.e, 1) + np.diag(self.e, -1)
+        if self.corner is not None:
+            out[0, -1] = out[-1, 0] = self.corner
+        return out
+
+    def radius(self) -> np.ndarray:
+        """Gershgorin radii: the absolute off-diagonal row sums."""
+        ae = np.abs(self.e)
+        r = np.concatenate(([0.0], ae)) + np.concatenate((ae, [0.0]))
+        if self.corner is not None:
+            r[[0, -1]] += abs(self.corner)
+        return r
+
+    def norm_inf(self) -> float:
+        """The largest absolute row sum, a bound on the 2-norm."""
+        return float(np.max(np.abs(self.d) + self.radius()))
 
 
 def sturm_count(d: Sequence[float], e2: Sequence[float], x: float) -> int:
@@ -94,6 +122,39 @@ def sturm_count(d: Sequence[float], e2: Sequence[float], x: float) -> int:
     return count
 
 
+def cyclic_sturm_count(d: Sequence[float], e: Sequence[float], corner: float,
+                       x: float) -> int:
+    """`sturm_count` of the periodic wrap: off-diagonal e (signed, lists are
+    fastest) and the entry `corner` at (0, n-1), n >= 3.
+
+    Nodes 0 ... n-2 are eliminated as in `sturm_count`, and their fill in
+    the column of node n-1 is carried along: b_0 = corner,
+    b_i = -e_{i-1} b_{i-1} / q_{i-1}, plus e_{n-2} at i = n-2.  The last pivot
+    is the Schur complement s = d_{n-1} - x - sum b_i^2 / q_i, and the count
+    is #{q_i < 0} + [s < 0].
+    """
+    n = len(d)
+    pivmin = sys.float_info.min * max(1.0, max(b * b for b in e), corner * corner)
+    count = 0
+    q = 1.0
+    b = corner
+    fill = 0.0
+    for i in range(n - 1):
+        if i:
+            b = -e[i - 1] * b / q
+            q = d[i] - x - e[i - 1] ** 2 / q
+        else:
+            q = d[0] - x
+        if i == n - 2:
+            b += e[i]
+        if q < pivmin:
+            if q > -pivmin:
+                q = -pivmin
+            count += 1
+        fill += b * b / q
+    return count + (d[n - 1] - x - fill < pivmin)
+
+
 def bisect_count(count: Callable[[float], int], lo: float, hi: float,
                  tol: float) -> tuple[float, float, int]:
     """Bracket the point where a nondecreasing integer function leaves 0.
@@ -114,31 +175,48 @@ def bisect_count(count: Callable[[float], int], lo: float, hi: float,
     return lo, hi, steps
 
 
-def lowest_pair(T: TridiagonalSym) -> tuple[float, np.ndarray]:
-    """Lowest eigenpair of a non-periodic tridiagonal matrix, without LAPACK.
+def bracket_lowest(T: TridiagonalSym, tol: float) -> tuple[float, float]:
+    """Bracket (lo, hi), hi - lo <= tol, of the lowest eigenvalue of T, the
+    periodic wrap included: bisection of the Sturm count from one below the
+    Gershgorin bound to one above the Rayleigh quotient of the constant
+    vector.  count(lo) == 0, so T - lo is positive definite."""
+    d = T.d.tolist()
+    if T.corner is None:
+        e2 = (T.e**2).tolist()
 
-    Bisection of `sturm_count` brackets the lowest eigenvalue, from one
-    below the Gershgorin bound to one above the Rayleigh quotient of the
-    constant vector, to width tol = 1e-15 ||T||.  The bracket's lower end
-    sigma lies below the spectrum, so T - sigma is positive definite and its
-    LDL^T factor needs no pivoting.  Three solves with it (inverse iteration
-    from the constant vector) give the eigenvector, its error shrinking by
+        def count(x: float) -> int:
+            return sturm_count(d, e2, x)
+    else:
+        e = T.e.tolist()
+
+        def count(x: float) -> int:
+            return cyclic_sturm_count(d, e, T.corner, x)
+    lo = float(np.min(T.d - T.radius())) - 1.0
+    hi = float(np.sum(T.matvec(np.ones(T.n)))) / T.n + 1.0
+    lo, hi, _ = bisect_count(count, lo, hi, tol)
+    return lo, hi
+
+
+def lowest_pair(T: TridiagonalSym) -> tuple[float, np.ndarray]:
+    """Lowest eigenpair of a non-periodic tridiagonal matrix.
+
+    `bracket_lowest` brackets the lowest eigenvalue to width
+    tol = 1e-15 ||T||.  The bracket's lower end sigma lies below the
+    spectrum, so T - sigma is positive definite and its LDL^T factor needs
+    no pivoting.  Three solves with it (inverse iteration from the constant
+    vector) give the eigenvector, its error shrinking by
     (e0 - sigma) / (e1 - sigma) per solve, and its Rayleigh quotient the
     eigenvalue, certified by count(e0 - tol) == 0 < count(e0 + tol).
     Returns (e0, unit eigenvector).
     """
     if T.corner is not None:
-        raise ComputationError("Sturm counts are not defined for the periodic wrap")
-    d, e = T.d.tolist(), T.e.tolist()
-    e2 = [b * b for b in e]
-    ae = np.abs(T.e)
-    radius = np.concatenate(([0.0], ae)) + np.concatenate((ae, [0.0]))
-    tol = 1e-15 * max(1.0, float(np.max(np.abs(T.d) + radius)))
-    lo = float(np.min(T.d - radius)) - 1.0
-    hi = float(np.sum(T.d) + 2.0 * np.sum(T.e)) / T.n + 1.0
-    lo, _, _ = bisect_count(lambda x: sturm_count(d, e2, x), lo, hi, tol)
+        raise ComputationError("inverse iteration is not defined for the periodic wrap")
+    tol = 1e-15 * max(1.0, T.norm_inf())
+    lo, _ = bracket_lowest(T, tol)
 
     # count(lo) == 0: these are the pivots sturm_count found, all positive
+    d, e = T.d.tolist(), T.e.tolist()
+    e2 = [b * b for b in e]
     n = T.n
     piv = [d[0] - lo]
     for i in range(1, n):
@@ -169,100 +247,230 @@ def lowest_pair(T: TridiagonalSym) -> tuple[float, np.ndarray]:
     return e0, vec
 
 
-def sturm_smallest(T: TridiagonalSym, m: int = 1, tol: float = 1e-12) -> np.ndarray:
-    """The m smallest eigenvalues, each bracketed to width <= tol by LAPACK's
-    Sturm-count bisection (stebz); non-periodic only."""
-    from scipy.linalg import eigh_tridiagonal
+@dataclass(frozen=True, eq=False)
+class BlockTridiagonal:
+    """Symmetric matrix I (x) bx + diag(d) + C (x) I.
 
-    if T.corner is not None:
-        raise ComputationError("Sturm counts are not defined for the periodic wrap")
-    if not 1 <= m <= T.n:
-        raise ComputationError(f"cannot take {m} eigenvalues of an order-{T.n} matrix")
-    return eigh_tridiagonal(T.d, T.e, eigvals_only=True, select="i",
-                            select_range=(0, m - 1), tol=tol)
+    Diagonal block j is bx + diag(d[j]), and blocks j and j + 1 are coupled
+    by c[j] I; unknown i of block j sits at index j * n_x + i.
+    """
+
+    bx: np.ndarray      # (n_x, n_x), symmetric
+    d: np.ndarray       # (n_blocks, n_x)
+    c: np.ndarray       # (n_blocks - 1,)
+
+    @property
+    def n(self) -> int:
+        return self.d.size
+
+    def matvec(self, v: np.ndarray) -> np.ndarray:
+        u = v.reshape(self.d.shape)
+        out = u @ self.bx + self.d * u
+        out[1:] += self.c[:, None] * u[:-1]
+        out[:-1] += self.c[:, None] * u[1:]
+        return out.ravel()
+
+    def quadratic_form(self, v: np.ndarray) -> float:
+        """v^T h v as sum_i s_i v_i^2 - sum_{i<k} h_ik (v_i - v_k)^2, s the row
+        sums of h.  With nonpositive off-diagonal entries every difference
+        term is nonnegative and the large diagonal does not cancel against
+        the couplings, so the rounding error scales with the energies, not
+        with ||h||."""
+        u = v.reshape(self.d.shape)
+        rows = self.bx.sum(axis=1) + self.d
+        rows[1:] += self.c[:, None]
+        rows[:-1] += self.c[:, None]
+        i, k = np.nonzero(np.triu(self.bx, 1))
+        return float(np.sum(rows * u * u)
+                     - np.sum(self.bx[i, k] * (u[:, i] - u[:, k]) ** 2)
+                     - np.sum(self.c[:, None] * (u[1:] - u[:-1]) ** 2))
+
+    def norm_inf(self) -> float:
+        """The largest absolute row sum, a bound on the 2-norm."""
+        diag = np.diag(self.bx)
+        rows = np.abs(self.bx).sum(axis=1) - np.abs(diag) + np.abs(diag + self.d)
+        ac = np.abs(self.c)[:, None]
+        rows[1:] += ac
+        rows[:-1] += ac
+        return float(rows.max())
 
 
-def upper_band(a, shift: float = 0.0, out: Optional[np.ndarray] = None) -> np.ndarray:
-    """Upper band of the symmetric sparse matrix a - shift I in LAPACK layout:
-    row b - d holds superdiagonal d, Fortran order so it factors in place.
-    `out`, a band of the same shape, is overwritten instead of allocating."""
-    dia = a.todia()
-    b = int(dia.offsets.max())
-    band = np.empty((b + 1, a.shape[0]), order="F") if out is None else out
-    band[:] = 0.0
-    for d, diag in zip(dia.offsets, dia.data):
-        if d >= 0:
-            band[b - d] = diag
-    band[b] -= shift
-    return band
+def _spd_inverse(s: np.ndarray, out: np.ndarray) -> bool:
+    """Write the inverse of the symmetric matrix s into `out` and return
+    True, or return False when s is not positive definite.
+
+    2 x 2 block elimination: s is positive definite exactly when its leading
+    half a and the Schur complement d - b^T a^-1 b both have Cholesky
+    factors, and the inverse is assembled from the two half-size inverses
+    by four products.  At the block sizes of the 2D solve (~70) this costs
+    about 0.7 of a Cholesky factor plus a LAPACK inverse of s (measured on
+    2 vCPUs).
+    """
+    m = len(s) // 2
+    a, b, d = s[:m, :m], s[:m, m:], s[m:, m:]
+    try:
+        np.linalg.cholesky(a)
+        ai = np.linalg.inv(a)
+        aib = ai @ b
+        schur = d - b.T @ aib
+        np.linalg.cholesky(schur)
+    except np.linalg.LinAlgError:
+        return False
+    si = np.linalg.inv(schur)
+    x = aib @ si
+    out[:m, :m] = ai + x @ aib.T
+    out[:m, m:] = -x
+    out[m:, :m] = -x.T
+    out[m:, m:] = si
+    return True
 
 
-def shift_invert_lowest(a, k: int, floor: float, guess: Optional[float] = None,
-                        tol: float = 1e-7, seed: int = 1234):
-    """k lowest eigenpairs of the symmetric sparse matrix `a`.
+def _block_ldlt(h: BlockTridiagonal, sigma: float, inv: np.ndarray) -> bool:
+    """Write into `inv` the inverses of the pivot blocks of the block LDL^T
+    factor of h - sigma: S_0 = B_0 - sigma and
+    S_j = B_j - sigma - c_{j-1}^2 S_{j-1}^-1.  Every S_j is positive
+    definite exactly when h - sigma is (Sylvester's law of inertia);
+    returns whether they all are, stopping at the first that is not."""
+    n_x = h.bx.shape[0]
+    base = h.bx - sigma * np.eye(n_x)
+    diag = np.diag_indices(n_x)
+    for j, dj in enumerate(h.d):
+        s = base - h.c[j - 1] ** 2 * inv[j - 1] if j else base.copy()
+        s[diag] += dj
+        if not _spd_inverse(s, inv[j]):
+            return False
+    return True
 
-    Shift-invert Lanczos (ARPACK) on (a - sigma)^-1 from a deterministic
-    start vector, applied through a banded Cholesky factor.  By Sylvester's
-    law of inertia the factor exists exactly when no eigenvalue lies at or
-    below sigma, so it certifies that sigma + 1/mu for the largest Ritz
-    values mu are the lowest eigenvalues.  With a `guess`, sigma first sits
-    just below it, where the wanted mu are well separated; if that does not
-    factor, sigma falls back to `floor`, which the caller certifies lies
-    below the spectrum.  Every shift is factored in place in one band array.
 
-    ARPACK bounds the residual of (a - sigma)^-1 relative to mu; with its
-    tolerance divided by a bound on ||a - sigma||, a converged pair has
-    ||a x - lambda x|| <= tol, up to rounding of order eps ||a||.
+def _block_solve(inv: list[np.ndarray], c: list[float], b: np.ndarray) -> np.ndarray:
+    """(h - sigma)^-1 b from the pivot inverses: a forward and a back sweep."""
+    y = b.reshape(len(inv), -1)
+    x = np.empty_like(y)
+    rows = list(x)
+    prev = np.dot(inv[0], y[0], out=rows[0])
+    for j in range(1, len(rows)):
+        prev = np.dot(inv[j], y[j] - c[j - 1] * prev, out=rows[j])
+    for j in range(len(rows) - 2, -1, -1):
+        rows[j] -= c[j] * np.dot(inv[j], prev)
+        prev = rows[j]
+    return x.ravel()
+
+
+def _orthogonalize(q: np.ndarray, w: np.ndarray) -> float:
+    """Remove from w, in place, its components along the orthonormal rows of
+    q by classical Gram-Schmidt, once more when that removes more than
+    1 - 1/sqrt(2) of its norm (twice is enough); returns the norm left."""
+    for _ in range(2):
+        before = np.linalg.norm(w)
+        w -= q.T @ (q @ w)
+        left = float(np.linalg.norm(w))
+        if left > 0.7071 * before:
+            break
+    return left
+
+
+def _shifts(guess, floor: float):
+    """The shift just below each guess, then the floor; an iterable of
+    guesses is read only as far as the shifts are tried."""
+    if guess is not None:
+        for g in [guess] if isinstance(guess, numbers.Real) else guess:
+            yield g - _NEAR_MARGIN * max(1.0, abs(g))
+    yield floor
+
+
+def shift_invert_lanczos(h: BlockTridiagonal, k: int, floor: float,
+                         guess: Union[float, Iterable[float], None] = None,
+                         tol: float = 1e-7, seed: int = 1234):
+    """k lowest eigenpairs of the block-tridiagonal matrix h.
+
+    Lanczos with full reorthogonalization on (h - sigma)^-1, from a seeded
+    random start vector, applied through a block LDL^T factor of h - sigma.
+    By Sylvester's law of inertia the factor exists exactly when no
+    eigenvalue lies at or below sigma, so it certifies that sigma + 1/mu for
+    the largest Ritz values mu are the lowest eigenvalues; each is reported
+    as the Rayleigh quotient of its Ritz vector (`quadratic_form`).  With a
+    `guess` (one value, or several tried in order) sigma first sits just
+    below a guess, where the wanted mu are well separated.  A shift that does not
+    factor is followed by the next lower one, and last by `floor`, which the
+    caller certifies lies below the spectrum; the blocks are factored in
+    order, so a shift too high for the first blocks fails at once.
+
+    The iteration stops when |beta s_i| <= (tol / (||h||_inf + |sigma|)) mu_i
+    for the k wanted Ritz pairs (beta the last Lanczos coefficient, s_i the
+    last entry of the Ritz vector): ARPACK's test, with a tolerance that
+    bounds ||h x - lambda x|| by about tol.  It raises `ConvergenceError`
+    after _MAX_LANCZOS steps.  When the Krylov space closes before it holds
+    k pairs, the iteration goes on from a new random direction; as with any
+    single-vector Krylov method, a multiple eigenvalue may be found fewer
+    times than it occurs.
 
     Returns (values, vectors, residuals): values ascending, vectors as
-    columns, residuals the independently recomputed ||a x - lambda x||.
+    columns, residuals the independently recomputed ||h x - lambda x||.
     """
-    # imported here, so that commands without a banded solve never load them
-    import scipy.sparse.linalg as spla
-    from scipy.linalg import cho_solve_banded, cholesky_banded
-
-    n = a.shape[0]
-    shifts = [floor]
-    if guess is not None:
-        near = guess - _NEAR_MARGIN * max(1.0, abs(guess))
-        if near > floor:
-            shifts.insert(0, near)
+    n = h.n
+    inv = np.empty(h.d.shape + h.d.shape[1:])
     tried = []
-    band = None
-    for sigma in shifts:
-        band = upper_band(a, sigma, out=band)
-        try:
-            upper = cholesky_banded(band, overwrite_ab=True, check_finite=False)
-        except np.linalg.LinAlgError:
-            tried.append((sigma, False))
+    for sigma in _shifts(guess, floor):
+        if sigma < floor or (tried and sigma >= tried[-1][0]):
             continue
-        tried.append((sigma, True))
-        break
+        tried.append((sigma, _block_ldlt(h, sigma, inv)))
+        if tried[-1][1]:
+            break
     else:
-        raise ComputationError(f"a - sigma is not positive definite at the floor "
+        raise ComputationError(f"h - sigma is not positive definite at the floor "
                                f"shift {floor:.6g}: the floor is not below the spectrum")
 
-    solves = 0
-
-    def solve(v):
-        nonlocal solves
-        solves += 1
-        return cho_solve_banded((upper, False), v, check_finite=False)
-
-    inverse = spla.LinearOperator((n, n), dtype=float, matvec=solve)
-    # ||a - sigma||_2 <= ||a||_inf + |sigma| for symmetric a
-    scale = spla.norm(a, np.inf) + abs(sigma)
-    v0 = np.random.default_rng(seed).standard_normal(n)
+    blocks, c = list(inv), h.c.tolist()
+    rtol = tol / (h.norm_inf() + abs(sigma))
+    rng = np.random.default_rng(seed)
+    w = rng.standard_normal(n)
+    basis = np.empty((min(n, 32), n))
+    alpha, beta = [], []
+    m = 0
     try:
-        mus, vecs = spla.eigsh(inverse, k=k, which="LA", tol=tol / scale, v0=v0)
-    except spla.ArpackNoConvergence as exc:
-        raise ConvergenceError(f"shift-invert Lanczos stalled: {exc}") from exc
+        while True:
+            if m == len(basis):
+                basis = np.concatenate((basis, np.empty((min(n, 2 * m) - m, n))))
+            basis[m] = w / np.linalg.norm(w)
+            w = _block_solve(blocks, c, basis[m])
+            alpha.append(float(basis[m] @ w))
+            w -= alpha[-1] * basis[m]
+            if m:
+                w -= beta[-1] * basis[m - 1]
+            m += 1
+            done = basis[:m]
+            b = _orthogonalize(done, w)
+            last = m == min(n, _MAX_LANCZOS)
+            # past 25 rows LAPACK's eigh switches to divide and conquer, and
+            # with threaded BLAS one call costs about a solve of a scan rung
+            # (~1.4 ms at m = 47 on 2 threads), so from m = 24 on the test
+            # runs on every (m // 12)-th step only
+            if m >= k and (m < 24 or m % (m // 12) == 0 or last):
+                mus, s = np.linalg.eigh(np.diag(alpha) + np.diag(beta, 1)
+                                        + np.diag(beta, -1))
+                if np.all(np.abs(b * s[-1, -k:]) <= rtol * mus[-k:]):
+                    break
+            if last:
+                raise ConvergenceError(
+                    f"shift-invert Lanczos did not converge in {m} steps on order {n}")
+            if b <= 1e-12 * max(alpha):
+                # an invariant subspace with fewer than k eigenpairs: go on
+                # from a new direction orthogonal to it
+                w = rng.standard_normal(n)
+                _orthogonalize(done, w)
+                b = 0.0
+            beta.append(b)
     finally:
-        _log.debug("shift-invert on order %d: shifts %s, %d banded solves", n,
+        _log.debug("shift-invert on order %d: shifts %s, %d block solves", n,
                    ", ".join(f"{s:.9g} ({'factored' if ok else 'not definite'})"
-                             for s, ok in tried), solves)
-    vals = sigma + 1.0 / mus
-    order = np.argsort(vals)
+                             for s, ok in tried), m)
+    # the Ritz vectors of the k largest mu; their Rayleigh quotients are the
+    # eigenvalues to (residual)^2 / gap, and unlike sigma + 1/mu they carry
+    # no rounding of the shift and the solves
+    vecs = basis[:m].T @ s[:, :-k - 1:-1]
+    vals = np.array([h.quadratic_form(x) for x in vecs.T])
+    order = np.argsort(vals, kind="stable")
     vals, vecs = vals[order], vecs[:, order]
-    residuals = np.linalg.norm(a @ vecs - vecs * vals, axis=0)
+    residuals = np.array([np.linalg.norm(h.matvec(x) - lam * x)
+                          for lam, x in zip(vals, vecs.T)])
     return vals, vecs, residuals

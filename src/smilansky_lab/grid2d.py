@@ -2,30 +2,36 @@
 
 The operator is discretized with the 5-point stencil on [x_lo, x_hi] times
 [-Y, Y], Dirichlet in y (truncation of the line), x boundary per the model
-configuration.  The channel term y^2 V((x - b) y) narrows like a/y in x, so
-the x-mesh must resolve the a/Y scale near each channel center; an optional
-graded mesh (fine near the centers, coarse elsewhere) keeps that affordable.
-The transition itself is read off the Y-dependence of the lowest eigenvalue:
-subcritical configurations stabilize, supercritical ones plunge like -cY^2
-with c near the 1D channel energy |E0|.  With even channel profiles the
-operator commutes with y -> -y, and a scan solves only its block on vectors
-even in y, which holds the ground state.
+configuration, all three in one finite-volume x-stencil.  The channel term
+y^2 V((x - b) y) narrows like a/y in x, so the x-mesh must resolve the a/Y
+scale near each channel center; a graded mesh (fine near the centers, coarse
+elsewhere) keeps that affordable.  H is block tridiagonal, one block per
+y-row, with the x-stencil plus a diagonal on the blocks and scalar
+couplings between them; the 2D solve works on that form with numpy alone,
+and scipy.sparse is loaded only to export the matrix.  The transition itself
+is read off the Y-dependence of the lowest eigenvalue: subcritical
+configurations stabilize, supercritical ones plunge like -cY^2 with c near
+the 1D channel energy |E0|.  With even channel profiles the operator
+commutes with y -> -y, and a scan solves only its block on vectors even in
+y, which holds the ground state.
 """
 
 from __future__ import annotations
 
 import logging
 from dataclasses import dataclass
-from typing import TYPE_CHECKING
+from functools import cached_property
+from typing import TYPE_CHECKING, Iterable
 
 import numpy as np
 
-from .eigs import shift_invert_lowest
+from .bracketing import channel_threshold
+from .eigs import BlockTridiagonal, TridiagonalSym, shift_invert_lanczos
 from .errors import ComputationError, ConfigurationError, RefinementError
 from .model import ModelConfig, eval_potential_2d
 
-# scipy.sparse is imported inside the functions that build matrices, so the
-# commands that build none never load it
+# scipy.sparse is imported only where the sparse matrix is built
+# (`SparseHamiltonian.matrix`): no solve needs it
 if TYPE_CHECKING:
     import scipy.sparse as sp
 
@@ -44,6 +50,9 @@ __all__ = [
 ]
 
 _MEMORY_CAP = 4_000_000
+# the pivot blocks of the 2D solve may take this many doubles per node of the
+# memory cap: 512 MiB at the default cap
+_DOUBLES_PER_NODE = 16
 
 _log = logging.getLogger(__name__)
 
@@ -71,17 +80,18 @@ class Grid2D:
         if len(x) * self.n_y > self.memory_cap:
             raise ConfigurationError(
                 f"grid size {len(x)}x{self.n_y} exceeds the memory cap")
+        # the 2D solve stores one n_x x n_x pivot inverse per y-row
+        if len(x) ** 2 * self.n_y > _DOUBLES_PER_NODE * self.memory_cap:
+            raise ConfigurationError(
+                f"grid size {len(x)}x{self.n_y} needs {len(x) ** 2 * self.n_y:.3g} "
+                f"doubles of pivot blocks, more than {_DOUBLES_PER_NODE} per node "
+                "of the memory cap")
 
     @classmethod
-    def uniform(cls, x_lo: float, x_hi: float, n_x: int, y_half: float, n_y: int,
-                staggered_x: bool = False) -> "Grid2D":
-        """Uniform interior nodes; `staggered_x` places cell-centered nodes
-        (used for Neumann and periodic x boundaries)."""
-        if staggered_x:
-            h = (x_hi - x_lo) / n_x
-            x = x_lo + h * (np.arange(n_x) + 0.5)
-        else:
-            x = np.linspace(x_lo, x_hi, n_x + 2)[1:-1]
+    def uniform(cls, x_lo: float, x_hi: float, n_x: int, y_half: float,
+                n_y: int) -> "Grid2D":
+        """Uniform interior (vertex) nodes."""
+        x = np.linspace(x_lo, x_hi, n_x + 2)[1:-1]
         return cls(x_lo, x_hi, x, y_half, n_y)
 
     @property
@@ -127,15 +137,17 @@ def graded_x_nodes(x_lo: float, x_hi: float, centers: tuple[float, ...],
 
 @dataclass(frozen=True)
 class SparseHamiltonian:
-    """Assembled 5-point operator; symmetric by construction.
+    """Assembled 5-point operator H = I (x) Bx + diag(d) + C (x) I.
 
-    Unknown (ix, iy) sits at index iy * n_x + ix (x runs fastest), so the
-    matrix is banded with half-bandwidth n_x.  `sector` is "full", or "even"
-    for the block of H on vectors even in y (see `assemble_h2d`), whose
-    eigenvalues are those of the even eigenvectors of H only.
+    `op` holds the x-stencil Bx once, the y-diagonal plus the potential d
+    row by row, and the scalar y-couplings C; the solve works on it
+    directly.  Unknown (ix, iy) sits at index iy * n_x + ix (x runs
+    fastest), so the matrix has half-bandwidth n_x.  `sector` is "full", or
+    "even" for the block of H on vectors even in y (see `assemble_h2d`),
+    whose eigenvalues are those of the even eigenvectors of H only.
     """
 
-    matrix: sp.csr_matrix
+    op: BlockTridiagonal
     grid: Grid2D
     bc: dict
     potential_min: float
@@ -143,7 +155,19 @@ class SparseHamiltonian:
 
     @property
     def n(self) -> int:
-        return self.matrix.shape[0]
+        return self.op.n
+
+    @cached_property
+    def matrix(self) -> sp.csr_matrix:
+        """The sparse matrix, built on first use (it loads scipy.sparse)."""
+        import scipy.sparse as sp
+
+        h = self.op
+        n_rows = len(h.d)
+        cy = sp.diags([h.c, h.c], [-1, 1], shape=(n_rows, n_rows))
+        return (sp.kron(sp.identity(n_rows), sp.csr_matrix(h.bx))
+                + sp.kron(cy, sp.identity(h.bx.shape[0]))
+                + sp.diags(h.d.ravel())).tocsr()
 
     def export_coo(self) -> str:
         """Coordinate text format: one 'row col value' line per entry."""
@@ -152,43 +176,39 @@ class SparseHamiltonian:
                          for i, j, v in zip(coo.row, coo.col, coo.data)) + "\n"
 
 
-def _second_diff_1d(nodes: np.ndarray, lo: float, hi: float, bc: str) -> sp.csr_matrix:
-    """Symmetric -d2/dx2 on the given nodes.
+def _second_diff_1d(nodes: np.ndarray, lo: float, hi: float, bc: str) -> TridiagonalSym:
+    """Symmetric -d2/dx2 on the nodes of (lo, hi), in finite-volume form.
 
-    Uniform grids get the standard stencil (Dirichlet: vertex nodes; Neumann
-    and periodic: cell-centered nodes).  Nonuniform grids get the
-    finite-volume form symmetrized by the half-cell weights,
-    off-diagonal -1/(h_{i+1/2} sqrt(w_i w_{i+1})); Dirichlet only.
+    Node i owns the cell between the midpoints to its neighbours, of width
+    w_i = (hl_i + hr_i)/2 for the spacings hl_i and hr_i to them, and the
+    flux through each face is the difference quotient across it.  The
+    operator W^-1 K (K the flux matrix) is symmetrized as W^-1/2 K W^-1/2:
+    off-diagonal -1/(h_{i+1/2} sqrt(w_i w_{i+1})).  At the ends:
+    - Dirichlet: the wall is a neighbour with value 0, at x_0 - lo and
+      hi - x_{n-1};
+    - Neumann: no flux through the wall, and the end cells reach it;
+    - periodic: the wrap edge, of spacing (x_0 - lo) + (hi - x_{n-1}), is a
+      face between nodes 0 and n-1 (the corner entry).
+    On uniform vertex nodes (Dirichlet) or cell-centred nodes (Neumann,
+    periodic) these are the classical three-point stencils.
     """
-    import scipy.sparse as sp
-
-    n = len(nodes)
     d = np.diff(nodes)
-    uniform = np.max(d) - np.min(d) <= 1e-12 * np.max(d)
-    if uniform:
-        h = float(np.mean(d))
-        diag = np.full(n, 2.0 / h**2)
-        off = np.full(n - 1, -1.0 / h**2)
-        mat = sp.diags([off, diag, off], [-1, 0, 1], format="lil")
-        if bc == "neumann":
-            mat[0, 0] = 1.0 / h**2
-            mat[-1, -1] = 1.0 / h**2
-        elif bc == "periodic":
-            mat[0, -1] = -1.0 / h**2
-            mat[-1, 0] = -1.0 / h**2
-        return mat.tocsr()
-    if bc != "dirichlet":
-        raise ConfigurationError("graded meshes support Dirichlet only")
-    hl = np.empty(n)
-    hr = np.empty(n)
-    hl[0] = nodes[0] - lo
-    hl[1:] = d
-    hr[:-1] = d
-    hr[-1] = hi - nodes[-1]
+    wall_lo, wall_hi = nodes[0] - lo, hi - nodes[-1]
+    hl = np.concatenate(([wall_lo], d))
+    hr = np.concatenate((d, [wall_hi]))
+    if bc == "periodic":
+        hl[0] = hr[-1] = wall_lo + wall_hi
     w = 0.5 * (hl + hr)
-    diag = (1.0 / hl + 1.0 / hr) / w
-    off = -1.0 / (d * np.sqrt(w[:-1] * w[1:]))
-    return sp.diags([off, diag, off], [-1, 0, 1], format="csr")
+    flux = 1.0 / hl + 1.0 / hr
+    if bc == "neumann":
+        w[0] += 0.5 * wall_lo
+        w[-1] += 0.5 * wall_hi
+        flux[0] -= 1.0 / wall_lo
+        flux[-1] -= 1.0 / wall_hi
+    corner = None
+    if bc == "periodic":
+        corner = -1.0 / (hl[0] * np.sqrt(w[0] * w[-1]))
+    return TridiagonalSym(flux / w, -1.0 / (d * np.sqrt(w[:-1] * w[1:])), corner)
 
 
 def _check_resolution(config: ModelConfig, grid: Grid2D) -> None:
@@ -206,7 +226,9 @@ def _check_resolution(config: ModelConfig, grid: Grid2D) -> None:
 
 def assemble_h2d(config: ModelConfig, grid: Grid2D,
                  sector: str = "full") -> SparseHamiltonian:
-    """Kronecker-sum assembly, x fastest: kron(I, Bx) + kron(By, I) + diag(potential).
+    """Kronecker-sum assembly, x fastest: I (x) Bx + By (x) I + diag(potential),
+    held as Bx, the diagonal of By plus the potential row by row, and the
+    off-diagonal of By (`eigs.BlockTridiagonal`).
 
     sector="full" takes every node of `grid`.  sector="even" needs even
     channel profiles (`PotentialProfile.is_even`), so that H commutes with
@@ -219,10 +241,8 @@ def assemble_h2d(config: ModelConfig, grid: Grid2D,
     block has about half the unknowns of the full matrix and the same
     half-bandwidth n_x.  The wall comes first, as in the full matrix, so a
     shift that is not below the spectrum of a plunging ground state fails
-    early in the banded Cholesky factorization.
+    early in the block factorization.
     """
-    import scipy.sparse as sp
-
     if sector not in ("full", "even"):
         raise ConfigurationError(f"unknown y sector {sector!r}")
     if sector == "even" and not all(ch.profile.is_even for ch in config.channels):
@@ -237,41 +257,35 @@ def assemble_h2d(config: ModelConfig, grid: Grid2D,
     _check_resolution(config, grid)
 
     bx = _second_diff_1d(grid.x_nodes, grid.x_lo, grid.x_hi, bc_x)
-    if sector == "full":
-        y = grid.y_nodes
-        by = _second_diff_1d(y, -grid.y_half, grid.y_half, "dirichlet")
-    else:
-        y = grid.y_nodes[grid.n_y // 2:][::-1]
-        h2 = grid.h_y ** 2
-        diag = np.full(len(y), 2.0 / h2)
-        off = np.full(len(y) - 1, -1.0 / h2)
+    y = grid.y_nodes if sector == "full" else grid.y_nodes[grid.n_y // 2:][::-1]
+    h2 = grid.h_y ** 2
+    diag = np.full(len(y), 2.0 / h2)
+    off = np.full(len(y) - 1, -1.0 / h2)
+    if sector == "even":
         if grid.n_y % 2:
             off[-1] *= np.sqrt(2.0)
         else:
             diag[-1] = 1.0 / h2
-        by = sp.diags([off, diag, off], [-1, 0, 1], format="csr")
     pot = eval_potential_2d(config, grid.x_nodes[None, :], y[:, None])
-    ham = (sp.kron(sp.identity(len(y)), bx, format="csr")
-           + sp.kron(by, sp.identity(grid.n_x), format="csr")
-           + sp.diags(pot.ravel(), format="csr"))
-    return SparseHamiltonian(matrix=ham.tocsr(), grid=grid,
-                             bc={"x": bc_x, "y": "dirichlet"},
+    return SparseHamiltonian(op=BlockTridiagonal(bx.toarray(), pot + diag[:, None], off),
+                             grid=grid, bc={"x": bc_x, "y": "dirichlet"},
                              potential_min=float(np.min(pot)), sector=sector)
 
 
 def lowest_eigenvalues(ham: SparseHamiltonian, k: int = 1, tol: float = 1e-7,
-                       seed: int = 1234, guess: float | None = None
+                       seed: int = 1234, guess: float | Iterable[float] | None = None
                        ) -> list[tuple[float, float]]:
-    """k smallest eigenvalues of `ham.matrix` (of its y-sector: on the even
-    block, those of the eigenvectors even in y) with independently
-    recomputed residual norms, each ||H x - lambda x|| <= tol up to rounding
-    of order eps ||H||.
+    """k smallest eigenvalues of `ham` (of its y-sector: on the even block,
+    those of the eigenvectors even in y) with independently recomputed
+    residual norms, each ||H x - lambda x|| <= tol up to rounding of order
+    eps ||H||.
 
-    Banded shift-invert Lanczos (`eigs.shift_invert_lowest`).  A `guess`
-    near lambda0, such as lambda0 of the previous rung of a scan, puts the
-    shift just below it, certified by its own Cholesky factor; without one,
-    or when that factor does not exist, the shift is potential_min - 1, so
-    that H - sigma >= I.
+    Shift-invert Lanczos on the block LDL^T factor
+    (`eigs.shift_invert_lanczos`).  A `guess` near lambda0, such as lambda0
+    of the previous rung of a scan, or several tried in order, puts the
+    shift just below it, certified by its own factor; without one, or when
+    no such factor exists, the shift is potential_min - 1, so that
+    H - sigma >= I.
     """
     if not 1 <= k <= 20:
         raise ConfigurationError("eigenvalue count must be between 1 and 20")
@@ -279,8 +293,8 @@ def lowest_eigenvalues(ham: SparseHamiltonian, k: int = 1, tol: float = 1e-7,
     if k >= n - 1:
         raise ConfigurationError(
             f"{k} eigenvalues need more than {k + 1} unknowns; the grid has {n}")
-    vals, _, res = shift_invert_lowest(ham.matrix, k, ham.potential_min - 1.0,
-                                       guess=guess, tol=tol, seed=seed)
+    vals, _, res = shift_invert_lanczos(ham.op, k, ham.potential_min - 1.0,
+                                        guess=guess, tol=tol, seed=seed)
     return [(float(v), float(r)) for v, r in zip(vals, res)]
 
 
@@ -323,22 +337,23 @@ class TransitionScan:
 
 def scan_grid(config: ModelConfig, policy: ScanPolicy, y_half: float,
               y_max: float) -> Grid2D:
-    """The grid for truncation y_half on a ladder that ends at y_max."""
+    """The grid for truncation y_half on a ladder that ends at y_max.
+
+    The x-nodes are graded toward the channel centers (on a periodic
+    interval, by the distance modulo the period), with the floor tied to
+    the top of the ladder, so the same x-grid serves every Y (exact
+    Dirichlet domain nesting).
+    """
     if config.x_domain.kind == "interval":
         x_lo, x_hi = -config.x_domain.c, config.x_domain.c
     else:
         x_lo, x_hi = -policy.x_half_width, policy.x_half_width
-    if config.x_domain.kind == "interval" and config.x_domain.bc != "dirichlet":
-        # Neumann and periodic stencils need uniform cell-centered nodes
-        n_x = int(np.ceil((x_hi - x_lo) * 4.0 * y_max))
-        h = (x_hi - x_lo) / n_x
-        x = x_lo + h * (np.arange(n_x) + 0.5)
-    else:
-        centers = tuple(ch.center for ch in config.channels)
-        a_min = min((ch.profile.a for ch in config.channels), default=1.0)
-        # graded toward the centers, floor tied to the top of the ladder so
-        # the same x-grid serves every Y (exact Dirichlet domain nesting)
-        x = graded_x_nodes(x_lo, x_hi, centers, a_min / (4.0 * y_max), policy.h_max)
+    centers = tuple(ch.center for ch in config.channels)
+    if config.x_domain.kind == "interval" and config.x_domain.bc == "periodic":
+        period = x_hi - x_lo
+        centers += tuple(b + s for b in centers for s in (-period, period))
+    a_min = min((ch.profile.a for ch in config.channels), default=1.0)
+    x = graded_x_nodes(x_lo, x_hi, centers, a_min / (4.0 * y_max), policy.h_max)
     n_y = int(round(2.0 * y_half * policy.points_per_unit_y)) - 1
     return Grid2D(x_lo, x_hi, x, y_half, n_y, memory_cap=policy.memory_cap)
 
@@ -354,10 +369,13 @@ def transition_scan(config: ModelConfig, y_ladder: list[float],
     shared across the ladder, and the y-node sets nest, so Dirichlet domain
     monotonicity of lambda0 is exact and is checked; it also makes each
     previous lambda0 the eigensolver's guess, so a stabilizing ladder solves
-    every later rung with a near shift.  Verdicts: subcritical
-    when lambda0 stabilizes between Y_max/2 and Y_max, supercritical when
-    the fitted c is positive with R^2 at least the policy threshold,
-    inconclusive otherwise (never a guess).
+    every later rung with a near shift.  On a plunging ladder that guess
+    lies above lambda0 and its shift does not factor; the next guess is
+    t_V Y^2 (t_V the lowest channel threshold, computed once, and used only
+    when negative), so the shift 1.05 t_V Y^2 is tried before the floor.
+    Verdicts: subcritical when lambda0 stabilizes between Y_max/2 and Y_max,
+    supercritical when the fitted c is positive with R^2 at least the policy
+    threshold, inconclusive otherwise (never a guess).
 
     When every channel profile is even, each rung is solved on the even-in-y
     block of H (`assemble_h2d(..., "even")`), with about half the unknowns.
@@ -368,7 +386,7 @@ def transition_scan(config: ModelConfig, y_ladder: list[float],
     map is an isometry that intertwines the block with H, so the residual of
     the block's pair is ||H x - lambda0 x|| of the unfolded vector, and the
     residual gate, the Rayleigh bound and the monotonicity check keep their
-    meaning; the Cholesky factor certifies its shift below the even
+    meaning; the block factor certifies its shift below the even
     spectrum, which holds lambda0.  Otherwise every rung is solved on H.
     """
     if len(y_ladder) < 3 or any(b <= a for a, b in zip(y_ladder, y_ladder[1:])):
@@ -377,11 +395,23 @@ def transition_scan(config: ModelConfig, y_ladder: list[float],
     sector = "even" if all(ch.profile.is_even for ch in config.channels) else "full"
     vals = []
     residuals = []
+    t_v = []    # min_j of the channel thresholds, once, when first needed
+
+    def guesses(y: float):
+        yield vals[-1]
+        # the previous lambda0 failed as a guess: on a plunging ladder the
+        # ground state sits near t_V Y^2, far below every earlier rung
+        if config.channels:
+            if not t_v:
+                t_v.append(min(channel_threshold(config, ch) for ch in config.channels))
+            if t_v[0] < 0.0:
+                yield t_v[0] * y * y
+
     for y in y_ladder:
         grid = scan_grid(config, policy, float(y), y_max)
         ham = assemble_h2d(config, grid, sector)
         (lam0, res), = lowest_eigenvalues(ham, 1, tol=policy.eig_tol,
-                                          guess=vals[-1] if vals else None)
+                                          guess=guesses(y) if vals else None)
         _log.debug("scan rung Y=%g: %s sector of order %d, lambda0 %.12g, "
                    "residual %.3g", y, sector, ham.n, lam0, res)
         if not res <= 1e-6 * max(1.0, abs(lam0)):

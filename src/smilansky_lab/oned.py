@@ -19,10 +19,10 @@ as lambda grows.  Both are bisections of the pure-Python Sturm count of
 `eigs`, Richardson-extrapolated over m, 2m and 4m and gated at `rich_tol`.
 
 Interval x-domains (-c, c) keep the whole-interval assembly with Dirichlet,
-Neumann or periodic ends, solved by LAPACK (stebz, and the folded periodic
-wrap); scipy.linalg is imported only there.  `ground_state`, the eigenpair
-behind the Weyl quasi-modes, is solved on a fixed Dirichlet grid by the
-same Sturm count and inverse iteration.
+Neumann or periodic ends; its minimal eigenvalue is a bisection of the same
+count, bordered for the periodic wrap, so no 1D command loads scipy.
+`ground_state`, the eigenpair behind the Weyl quasi-modes, is solved on a
+fixed Dirichlet grid by the same Sturm count and inverse iteration.
 
 Each threshold and coupling logs one `smilansky_lab.oned` debug record: the
 resolution, the three values, their Richardson gap and the bisection steps.
@@ -37,8 +37,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .eigs import (TridiagonalSym, bisect_count, lowest_pair, shift_invert_lowest,
-                   sturm_count, sturm_smallest, upper_band)
+from .eigs import (TridiagonalSym, bisect_count, bracket_lowest, lowest_pair,
+                   sturm_count)
 from .errors import ComputationError, ConfigurationError, RefinementError
 from .model import PotentialProfile, eval_profile
 from .quadrature import quintic_hermite
@@ -168,42 +168,11 @@ def assemble_comparison(spec: ComparisonSpec, grid: Grid1D) -> TridiagonalSym:
 
 
 def _min_eig(spec: ComparisonSpec, grid: Grid1D) -> float:
+    """Minimal eigenvalue of the whole-interval assembly, bracketed by the
+    Sturm count (the bordered count for the periodic wrap) to 1e-15 ||T||."""
     T = assemble_comparison(spec, grid)
-    if T.corner is not None:
-        return _periodic_min_eig(T)
-    scale = max(1.0, float(np.max(np.abs(T.d))))
-    return float(sturm_smallest(T, 1, tol=max(1e-15 * scale, 1e-13))[0])
-
-
-def _periodic_min_eig(T: TridiagonalSym) -> float:
-    """Minimal eigenvalue of the periodic wrap.
-
-    Ordering the unknowns 0, n-1, 1, n-2, ... folds the cyclic tridiagonal
-    matrix into a pentadiagonal band.  LAPACK's banded solver (eig_banded)
-    gives a guess that banded shift-invert refines to rounding level; the
-    Gershgorin bound minus one is the certified floor shift.
-    """
-    import scipy.sparse as sp
-    from scipy.linalg import eig_banded
-
-    n = T.n
-    k = np.arange(n)
-    # unknown k sits at position i[k] of the fold; off[k] couples k and k + 1
-    i = np.where(2 * k < n, 2 * k, 2 * (n - 1 - k) + 1)
-    j = np.roll(i, -1)
-    off = np.append(T.e, T.corner)
-    a = sp.csr_matrix((np.concatenate([T.d, off, off]),
-                       (np.concatenate([i, i, j]), np.concatenate([i, j, i]))),
-                      shape=(n, n))
-    guess = float(eig_banded(upper_band(a), eigvals_only=True, select="i",
-                             select_range=(0, 0))[0])
-    floor = float(np.min(T.d - np.abs(off) - np.abs(np.roll(off, 1)))) - 1.0
-    tol = 1e-12 * float(abs(a).sum(axis=1).max())
-    (val,), _, (res,) = shift_invert_lowest(a, 1, floor, guess=guess, tol=tol)
-    if not res <= tol:
-        raise ComputationError(
-            f"periodic minimal eigenvalue {val!r} has residual {res:.3g} > {tol:.3g}")
-    return float(val)
+    lo, hi = bracket_lowest(T, 1e-15 * max(1.0, T.norm_inf()))
+    return 0.5 * (lo + hi)
 
 
 def _richardson(what: str, values: list[float], steps, policy: ResolutionPolicy) -> float:
@@ -341,7 +310,6 @@ class GroundState:
     lam: float
     omega: float
     profile: PotentialProfile
-    no_bound_state: bool
     # (nodes, values, first, second derivatives) of the Hermite interpolant
     _hermite: tuple = field(repr=False)
 
@@ -381,8 +349,7 @@ class GroundState:
         return (self.omega**2 - self.lam * v - self.e0) * self.h(t)
 
 
-def ground_state(spec: ComparisonSpec, grid: Grid1D,
-                 flag_tol: float = 1e-6) -> GroundState:
+def ground_state(spec: ComparisonSpec, grid: Grid1D) -> GroundState:
     """Minimal eigenpair on the given grid (Dirichlet/truncated-line only)."""
     bc = "dirichlet" if spec.domain.kind == "truncated_line" else spec.domain.bc
     if bc != "dirichlet":
@@ -405,8 +372,7 @@ def ground_state(spec: ComparisonSpec, grid: Grid1D,
     d2 = (spec.omega**2 - spec.lam * va - e0) * ha
     return GroundState(
         e0=e0, samples=v, nodes=x, grid=grid, lam=spec.lam, omega=spec.omega,
-        profile=spec.profile, no_bound_state=bool(e0 >= spec.omega**2 - flag_tol),
-        _hermite=(xa, ha, d1, d2),
+        profile=spec.profile, _hermite=(xa, ha, d1, d2),
     )
 
 

@@ -13,7 +13,10 @@ import numpy as np
 import pytest
 
 from smilansky_lab import bracketing, grid2d, weyl
-from smilansky_lab.eigs import TridiagonalSym, shift_invert_lowest, sturm_smallest
+from scipy.linalg import eigh_tridiagonal
+
+from smilansky_lab.eigs import (TridiagonalSym, bracket_lowest, lowest_pair,
+                                shift_invert_lanczos)
 from smilansky_lab.model import ChannelSpec, ModelConfig, XDomain
 from smilansky_lab.oned import (ComparisonSpec, Domain1D, Grid1D,
                                 ResolutionPolicy, critical_coupling,
@@ -196,23 +199,27 @@ def test_criterion_10_eigensolver_oracles():
     t0 = time.perf_counter()
     n = 50
     T = TridiagonalSym(np.full(n, 2.0), np.full(n - 1, -1.0))
-    got = sturm_smallest(T, n, tol=1e-14)
+    oracle = eigh_tridiagonal(T.d, T.e, eigvals_only=True)
     want = np.sort(2.0 - 2.0 * np.cos(np.arange(1, n + 1) * np.pi / (n + 1)))
-    tri_ok = np.max(np.abs(got - want)) < 1e-12
+    lo, hi = bracket_lowest(T, 1e-14)
+    e0, _ = lowest_pair(T)
+    wrap_lo, wrap_hi = bracket_lowest(TridiagonalSym(T.d, T.e, corner=-1.0), 1e-14)
+    tri_ok = (np.max(np.abs(oracle - want)) < 1e-12 and lo <= want[0] <= hi
+              and abs(e0 - oracle[0]) < 1e-13 and wrap_lo <= 0.0 <= wrap_hi)
 
     g = grid2d.Grid2D.uniform(-4.0, 4.0, 40, 3.0, 40)
     ham = grid2d.assemble_h2d(ModelConfig(omega=1.0), g)
     hx = np.diff(g.x_nodes)[0]
-    ex = sturm_smallest(TridiagonalSym(np.full(40, 2.0 / hx**2),
-                                       np.full(39, -1.0 / hx**2)), 2)
-    ey = sturm_smallest(TridiagonalSym(np.full(40, 2.0 / g.h_y**2)
-                                       + g.y_nodes**2,
-                                       np.full(39, -1.0 / g.h_y**2)), 2)
+    ex = eigh_tridiagonal(np.full(40, 2.0 / hx**2), np.full(39, -1.0 / hx**2),
+                          eigvals_only=True, select="i", select_range=(0, 1))
+    ey = eigh_tridiagonal(np.full(40, 2.0 / g.h_y**2) + g.y_nodes**2,
+                          np.full(39, -1.0 / g.h_y**2),
+                          eigvals_only=True, select="i", select_range=(0, 1))
     sums = sorted(a + b for a in ex for b in ey)[:2]
-    vals, vecs, res = shift_invert_lowest(ham.matrix, 2, ham.potential_min - 1.0)
+    vals, vecs, res = shift_invert_lanczos(ham.op, 2, ham.potential_min - 1.0)
     sep_ok = np.all(res <= 1e-7) and np.max(np.abs(vals - np.array(sums))) < 1e-8
     orth_ok = np.max(np.abs(vecs.T @ vecs - np.eye(2))) <= 1e-10
-    ok = _report(10, "tridiagonal spectrum, separable sums vs banded"
+    ok = _report(10, "tridiagonal Sturm bisection, separable sums vs block"
                  " shift-invert, orthogonality", tri_ok and sep_ok and orth_ok,
                  time.perf_counter() - t0, 30.0)
     assert ok

@@ -27,6 +27,10 @@ SUPER = {
 }
 
 
+def env_with_src():
+    return dict(os.environ, PYTHONPATH=str(Path(smilansky_lab.__file__).resolve().parents[1]))
+
+
 @pytest.fixture
 def single_cfg(tmp_path):
     p = tmp_path / "single.json"
@@ -201,8 +205,8 @@ class TestExitCodes:
         assert proc.returncode == 0, proc.stderr
 
     def test_import_leaves_out_scipy_sparse(self):
-        # a fresh process: only eig2d, scan and the periodic 1D fold build
-        # sparse matrices, and they import scipy.sparse when they do
+        # a fresh process: only `eig2d --export-matrix` builds a sparse
+        # matrix, and it imports scipy.sparse when it does
         src = str(Path(smilansky_lab.__file__).resolve().parents[1])
         env = dict(os.environ, PYTHONPATH=src)
         code = ("import sys, smilansky_lab.cli; "
@@ -215,7 +219,7 @@ class TestExitCodes:
 
     def test_one_d_commands_leave_out_scipy_linalg(self, single_cfg, super_cfg, tmp_path):
         # a fresh process: on the line, thresholds, couplings and the weyl
-        # ground state are Sturm counts in pure Python
+        # ground state are Sturm counts in pure Python, with no scipy
         src = str(Path(smilansky_lab.__file__).resolve().parents[1])
         env = dict(os.environ, PYTHONPATH=src)
         runs = [["critical", "--config", single_cfg],
@@ -229,8 +233,39 @@ class TestExitCodes:
                 "from smilansky_lab.cli import main\n"
                 f"for args in {runs!r}:\n"
                 f"    assert main(args + ['--output', {out!r}]) == 0, args\n"
-                "assert 'scipy.linalg' not in sys.modules, 'scipy.linalg'\n")
+                "loaded = {'scipy.sparse', 'scipy.linalg'} & set(sys.modules)\n"
+                "assert not loaded, loaded\n")
         proc = subprocess.run([sys.executable, "-c", code], env=env,
+                              capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+
+    def test_two_d_and_interval_commands_leave_out_scipy(self, single_cfg, super_cfg,
+                                                         tmp_path):
+        # a fresh process: the 2D solve is a block LDL^T factor and Lanczos on
+        # numpy, and interval thresholds are Sturm counts, bordered for the
+        # periodic wrap; only `eig2d --export-matrix` loads scipy.sparse
+        periodic = tmp_path / "periodic.json"
+        periodic.write_text(json.dumps({**SINGLE, "x_domain": {
+            "type": "interval", "c": 1.5, "bc": "periodic"}}))
+        runs = [["scan", "--config", single_cfg, "--ladder", "2,3,4"],
+                ["eig2d", "--config", super_cfg, "--y-half", "3", "--k", "2"],
+                ["scan", "--config", str(periodic), "--ladder", "2,3,4"],
+                ["eig2d", "--config", str(periodic), "--y-half", "3"],
+                ["eig1d", "--config", str(periodic)],
+                ["classify", "--config", str(periodic)],
+                ["bound", "--config", str(periodic)]]
+        out = str(tmp_path / "out")
+        export = str(tmp_path / "h.coo")
+        code = ("import sys\n"
+                "from smilansky_lab.cli import main\n"
+                f"for args in {runs!r}:\n"
+                f"    assert main(args + ['--output', {out!r}]) == 0, args\n"
+                "loaded = {'scipy.sparse', 'scipy.linalg'} & set(sys.modules)\n"
+                "assert not loaded, loaded\n"
+                f"assert main(['eig2d', '--config', {single_cfg!r}, '--y-half', '3',\n"
+                f"             '--export-matrix', {export!r}, '--output', {out!r}]) == 0\n"
+                "assert 'scipy.sparse' in sys.modules\n")
+        proc = subprocess.run([sys.executable, "-c", code], env=env_with_src(),
                               capture_output=True, text=True)
         assert proc.returncode == 0, proc.stderr
 

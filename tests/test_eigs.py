@@ -2,14 +2,12 @@ import logging
 
 import numpy as np
 import pytest
-import scipy.sparse as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy.linalg import eig_banded
 
-from smilansky_lab.eigs import (TridiagonalSym, bisect_count, lowest_pair,
-                                shift_invert_lowest, sturm_count,
-                                sturm_smallest, upper_band)
+from smilansky_lab.eigs import (BlockTridiagonal, TridiagonalSym, _spd_inverse,
+                                bisect_count, bracket_lowest, cyclic_sturm_count,
+                                lowest_pair, shift_invert_lanczos, sturm_count)
 from smilansky_lab.errors import ComputationError
 
 
@@ -17,24 +15,35 @@ def dirichlet_laplacian(n):
     return TridiagonalSym(np.full(n, 2.0), np.full(n - 1, -1.0))
 
 
+def smallest_by_count(T, m, tol):
+    """The m smallest eigenvalues of a non-periodic T: the j-th is where the
+    Sturm count passes j, bisected to width tol."""
+    d, e2 = T.d.tolist(), (T.e**2).tolist()
+    lo = float(np.min(T.d - T.radius())) - 1.0
+    hi = float(np.max(T.d + T.radius())) + 1.0
+    return np.array([0.5 * sum(bisect_count(lambda x: sturm_count(d, e2, x) > j,
+                                            lo, hi, tol)[:2]) for j in range(m)])
+
+
 class TestSturm:
+    # eigenvalues by bisection of the Sturm count
     def test_laplacian_spectrum(self):
         T = dirichlet_laplacian(10)
-        got = sturm_smallest(T, 10, tol=1e-14)
+        got = smallest_by_count(T, 10, tol=1e-14)
         want = 2.0 - 2.0 * np.cos(np.arange(1, 11) * np.pi / 11.0)
         assert np.max(np.abs(got - np.sort(want))) < 1e-12
 
     def test_diagonal_matrix(self):
         d = np.array([3.0, -1.0, 7.0, 0.5])
         T = TridiagonalSym(d, np.zeros(3))
-        assert np.allclose(sturm_smallest(T, 4, tol=1e-14), np.sort(d),
+        assert np.allclose(smallest_by_count(T, 4, tol=1e-14), np.sort(d),
                            atol=1e-12)
 
     def test_shift_covariance(self):
         T = dirichlet_laplacian(12)
         shifted = TridiagonalSym(T.d + 3.25, T.e)
-        a = sturm_smallest(T, 3, tol=1e-13)
-        b = sturm_smallest(shifted, 3, tol=1e-13)
+        a = smallest_by_count(T, 3, tol=1e-13)
+        b = smallest_by_count(shifted, 3, tol=1e-13)
         assert np.max(np.abs((a + 3.25) - b)) < 1e-11
 
     @settings(max_examples=25, deadline=None)
@@ -43,18 +52,18 @@ class TestSturm:
         rng = np.random.default_rng(seed)
         d = rng.standard_normal(n)
         e = rng.standard_normal(n - 1)
-        full = sturm_smallest(TridiagonalSym(d, e), n, tol=1e-12)
-        sub = sturm_smallest(TridiagonalSym(d[:-1], e[:-1]), n - 1, tol=1e-12)
+        full = smallest_by_count(TridiagonalSym(d, e), n, tol=1e-12)
+        sub = smallest_by_count(TridiagonalSym(d[:-1], e[:-1]), n - 1, tol=1e-12)
         for j in range(n - 1):
             assert full[j] <= sub[j] + 1e-9
             assert sub[j] <= full[j + 1] + 1e-9
 
     def test_rejects_periodic_wrap_and_bad_count(self):
-        T = dirichlet_laplacian(6)
+        # a wrap needs three nodes, and the off-diagonal n - 1 entries
         with pytest.raises(ComputationError):
-            sturm_smallest(TridiagonalSym(T.d, T.e, corner=-1.0))
+            TridiagonalSym([2.0, 2.0], [-1.0], corner=-1.0)
         with pytest.raises(ComputationError):
-            sturm_smallest(T, 7)
+            TridiagonalSym(np.full(6, 2.0), np.full(6, -1.0))
 
 
 class TestSturmCount:
@@ -96,6 +105,31 @@ class TestSturmCount:
         assert abs(np.linalg.norm(v) - 1.0) < 1e-14
         assert np.max(np.abs(v * np.sign(v @ vecs[:, 0]) - vecs[:, 0])) < 1e-12
 
+    def test_cyclic_count_matches_dense(self):
+        # 300 random periodic wraps, at points between and around their
+        # eigenvalues
+        rng = np.random.default_rng(7)
+        for _ in range(300):
+            n = int(rng.integers(3, 15))
+            T = TridiagonalSym(rng.standard_normal(n), rng.standard_normal(n - 1),
+                               corner=float(rng.standard_normal()))
+            vals = np.linalg.eigvalsh(T.toarray())
+            points = np.concatenate(([vals[0] - 1.0], 0.5 * (vals[1:] + vals[:-1]),
+                                     [vals[-1] + 1.0]))[:11]
+            for x in points:
+                if np.min(np.abs(vals - x)) > 1e-9:
+                    assert cyclic_sturm_count(T.d.tolist(), T.e.tolist(), T.corner,
+                                              float(x)) == int(np.sum(vals < x))
+
+    @pytest.mark.parametrize("corner", [None, -1.0])
+    def test_bracket_lowest(self, corner):
+        # the periodic Laplacian has the constant kernel; the Dirichlet one
+        # its lowest eigenvalue 2 - 2 cos(pi / 41)
+        T = TridiagonalSym(np.full(40, 2.0), np.full(39, -1.0), corner)
+        lo, hi = bracket_lowest(T, 1e-14)
+        want = 0.0 if corner else 2.0 - 2.0 * np.cos(np.pi / 41.0)
+        assert lo <= want + 1e-15 and want - 1e-15 <= hi and hi - lo <= 1e-14
+
     def test_lowest_pair_rejects_periodic_wrap(self):
         T = dirichlet_laplacian(6)
         with pytest.raises(ComputationError):
@@ -103,81 +137,134 @@ class TestSturmCount:
 
 
 class TestLanczos:
-    # shift_invert_lowest is Lanczos (ARPACK) on (a - sigma)^-1
+    # shift_invert_lanczos is Lanczos on (h - sigma)^-1
     def test_diagonal_sparse(self):
         d = np.linspace(-3.0, 9.0, 60)
-        vals, _, res = shift_invert_lowest(sp.diags(d).tocsr(), 3, floor=-4.0)
+        h = BlockTridiagonal(np.zeros((1, 1)), d[:, None], np.zeros(59))
+        vals, _, res = shift_invert_lanczos(h, 3, floor=-4.0)
         assert np.all(res <= 1e-7)
         assert np.max(np.abs(vals - np.sort(d)[:3])) < 1e-8
 
     def test_residual_certificate(self):
+        # one dense block
         rng = np.random.default_rng(3)
         q, _ = np.linalg.qr(rng.standard_normal((40, 40)))
         a = q @ np.diag(np.arange(40.0)) @ q.T
-        a = sp.csr_matrix(0.5 * (a + a.T))
-        vals, vecs, res = shift_invert_lowest(a, 2, floor=-1.0)
+        h = BlockTridiagonal(0.5 * (a + a.T), np.zeros((1, 40)), np.zeros(0))
+        vals, vecs, res = shift_invert_lanczos(h, 2, floor=-1.0)
         assert np.all(res <= 1e-7)
         for i in range(2):
-            again = np.linalg.norm(a @ vecs[:, i] - vals[i] * vecs[:, i])
+            again = np.linalg.norm(h.bx @ vecs[:, i] - vals[i] * vecs[:, i])
             assert abs(again - res[i]) < 1e-12
         assert np.max(np.abs(vecs.T @ vecs - np.eye(2))) < 1e-10
+
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_closed_krylov_space_goes_on_from_a_new_direction(self, seed):
+        # on the identity the Krylov space of any start vector closes after
+        # one step, with beta often exactly 0, short of the two pairs asked for
+        h = BlockTridiagonal(np.zeros((1, 1)), np.ones((16, 1)), np.zeros(15))
+        vals, vecs, res = shift_invert_lanczos(h, 2, floor=0.0, seed=seed)
+        assert np.max(np.abs(vals - 1.0)) <= 1e-14 and np.all(res <= 1e-14)
+        assert np.max(np.abs(vecs.T @ vecs - np.eye(2))) < 1e-12
+
+
+def dense(h):
+    """The matrix of a BlockTridiagonal, written out."""
+    n_b = len(h.d)
+    return (np.kron(np.eye(n_b), h.bx) + np.diag(h.d.ravel())
+            + np.kron(np.diag(h.c, 1) + np.diag(h.c, -1), np.eye(len(h.bx))))
 
 
 class TestShiftInvert:
     @pytest.fixture(scope="class")
     def matrix(self):
         # 5-point Laplacian on a 12 x 12 grid plus a random diagonal:
-        # symmetric, half-bandwidth 12, indefinite
+        # symmetric, 12 blocks of 12, indefinite
         rng = np.random.default_rng(5)
-        lap = sp.diags([-1.0, 2.0, -1.0], [-1, 0, 1], shape=(12, 12))
-        return (sp.kronsum(lap, lap)
-                + sp.diags(rng.uniform(-1.0, 1.0, 144))).tocsr()
+        lap = dirichlet_laplacian(12).toarray()
+        return BlockTridiagonal(lap, 2.0 + rng.uniform(-1.0, 1.0, (12, 12)),
+                                np.full(11, -1.0))
 
-    def test_upper_band_layout(self, matrix):
-        band = upper_band(matrix, 0.5)
-        assert band.shape == (13, 144) and band.flags.f_contiguous
-        want = np.linalg.eigvalsh(matrix.toarray()) - 0.5
-        assert np.max(np.abs(eig_banded(band, eigvals_only=True) - want)) < 1e-12
+    def test_block_layout(self, matrix):
+        rng = np.random.default_rng(2)
+        v = rng.standard_normal(matrix.n)
+        a = dense(matrix)
+        assert np.max(np.abs(matrix.matvec(v) - a @ v)) < 1e-13
+        assert matrix.norm_inf() == np.max(np.sum(np.abs(a), axis=1))
+
+    @pytest.mark.parametrize("n", [1, 2, 7, 69])
+    def test_pivot_inverse_and_its_certificate(self, n):
+        rng = np.random.default_rng(n)
+        q, _ = np.linalg.qr(rng.standard_normal((n, n)))
+        out = np.empty((n, n))
+        spd = q @ np.diag(rng.uniform(0.5, 2.0, n)) @ q.T
+        assert _spd_inverse(spd, out)
+        assert np.max(np.abs(out @ spd - np.eye(n))) < 1e-13
+        # one negative eigenvalue: caught by the leading half or by its
+        # Schur complement, wherever it shows
+        for lead in (0, n - 1):
+            bad = spd.copy()
+            bad[lead, lead] -= 10.0
+            assert not _spd_inverse(bad, out)
 
     def test_matches_dense(self, matrix):
-        vals, vecs, res = shift_invert_lowest(matrix, 3, floor=-2.0, tol=1e-10)
-        want = np.linalg.eigvalsh(matrix.toarray())[:3]
+        vals, vecs, res = shift_invert_lanczos(matrix, 3, floor=-2.0, tol=1e-10)
+        a = dense(matrix)
+        want = np.linalg.eigvalsh(a)[:3]
         assert np.max(np.abs(vals - want)) < 1e-10
-        again = np.linalg.norm(matrix @ vecs - vecs * vals, axis=0)
+        again = np.linalg.norm(a @ vecs - vecs * vals, axis=0)
         assert np.max(np.abs(again - res)) < 1e-12 and np.all(res <= 1e-10)
         assert np.max(np.abs(vecs.T @ vecs - np.eye(3))) < 1e-10
 
     def test_singular_psd(self):
         # the Neumann Laplacian (plus its kernel, the constant vector) is
         # positive semidefinite with lowest eigenvalue exactly 0
-        lap = sp.diags([-1.0, 2.0, -1.0], [-1, 0, 1], shape=(30, 30), format="lil")
+        lap = dirichlet_laplacian(30).toarray()
         lap[0, 0] = lap[-1, -1] = 1.0
-        (val,), vec, _ = shift_invert_lowest(lap.tocsr(), 1, floor=-1.0, tol=1e-12)
+        h = BlockTridiagonal(lap, np.zeros((1, 30)), np.zeros(0))
+        (val,), vec, _ = shift_invert_lanczos(h, 1, floor=-1.0, tol=1e-12)
         assert abs(val) < 1e-12
         assert np.max(np.abs(vec[:, 0] - vec[0, 0])) < 1e-10
 
     def test_determinism(self, matrix):
-        r1 = shift_invert_lowest(matrix, 2, floor=-2.0, guess=0.0)
-        r2 = shift_invert_lowest(matrix, 2, floor=-2.0, guess=0.0)
+        r1 = shift_invert_lanczos(matrix, 2, floor=-2.0, guess=0.0)
+        r2 = shift_invert_lanczos(matrix, 2, floor=-2.0, guess=0.0)
         assert all(np.array_equal(a, b) for a, b in zip(r1, r2))
 
     def test_guess_above_lowest_falls_back_to_floor(self, matrix, caplog):
-        (base,), _, _ = shift_invert_lowest(matrix, 1, floor=-2.0)
+        (base,), _, _ = shift_invert_lanczos(matrix, 1, floor=-2.0)
         with caplog.at_level(logging.DEBUG, logger="smilansky_lab.eigs"):
-            (got,), _, _ = shift_invert_lowest(matrix, 1, floor=-2.0,
-                                               guess=base + 1.0)
+            (got,), _, _ = shift_invert_lanczos(matrix, 1, floor=-2.0,
+                                                guess=base + 1.0)
         assert abs(got - base) <= 1e-10 * max(1.0, abs(base))
         assert "(not definite), -2 (factored)" in caplog.text
 
     def test_near_shift_below_the_guess_is_used(self, matrix, caplog):
-        lam0 = np.linalg.eigvalsh(matrix.toarray())[0]
+        lam0 = np.linalg.eigvalsh(dense(matrix))[0]
         with caplog.at_level(logging.DEBUG, logger="smilansky_lab.eigs"):
-            (got,), _, _ = shift_invert_lowest(matrix, 1, floor=-2.0, guess=lam0)
+            (got,), _, _ = shift_invert_lanczos(matrix, 1, floor=-2.0, guess=lam0)
         assert abs(got - lam0) < 1e-10
         assert caplog.text.count("factored") == 1 and "not definite" not in caplog.text
 
+    def test_guesses_are_tried_in_order_and_read_lazily(self, matrix, caplog):
+        lam0 = np.linalg.eigvalsh(dense(matrix))[0]
+        read = []
+
+        def guesses():
+            for g in (lam0 + 1.0, lam0 + 2.0, lam0, "never read"):
+                read.append(g)
+                yield g
+
+        with caplog.at_level(logging.DEBUG, logger="smilansky_lab.eigs"):
+            (got,), _, _ = shift_invert_lanczos(matrix, 1, floor=-2.0, guess=guesses())
+        assert abs(got - lam0) < 1e-10 and read == [lam0 + 1.0, lam0 + 2.0, lam0]
+        # lam0 + 2 lies above the shift that failed, so it is not factored
+        assert caplog.text.count("(not definite)") == 1
+        assert caplog.text.count("(factored)") == 1
+
     def test_floor_not_below_spectrum_raises(self, matrix):
-        lam0 = np.linalg.eigvalsh(matrix.toarray())[0]
+        lam0 = np.linalg.eigvalsh(dense(matrix))[0]
         for guess in (None, lam0 + 1.0):
             with pytest.raises(ComputationError, match="not positive definite"):
-                shift_invert_lowest(matrix, 1, floor=lam0 + 1e-3, guess=guess)
+                shift_invert_lanczos(matrix, 1, floor=lam0 + 1e-3, guess=guess)

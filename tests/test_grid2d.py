@@ -6,9 +6,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 import scipy.sparse as sp
+from scipy.linalg import eigh_tridiagonal
 
 from smilansky_lab import grid2d
-from smilansky_lab.eigs import TridiagonalSym, sturm_smallest
 from smilansky_lab.errors import ComputationError, ConfigurationError, RefinementError
 from smilansky_lab.model import (ChannelSpec, ModelConfig, PotentialProfile, XDomain,
                                  load_config)
@@ -44,12 +44,11 @@ class TestAssembly:
     def test_separable_oracle(self, oscillator, small_grid):
         g = small_grid
         hx = np.diff(g.x_nodes)[0]
-        bx = TridiagonalSym(np.full(g.n_x, 2.0 / hx**2),
-                            np.full(g.n_x - 1, -1.0 / hx**2))
-        by = TridiagonalSym(np.full(g.n_y, 2.0 / g.h_y**2) + g.y_nodes**2,
-                            np.full(g.n_y - 1, -1.0 / g.h_y**2))
-        ex = sturm_smallest(bx, 3, tol=1e-13)
-        ey = sturm_smallest(by, 3, tol=1e-13)
+        ex = eigh_tridiagonal(np.full(g.n_x, 2.0 / hx**2), np.full(g.n_x - 1, -1.0 / hx**2),
+                              eigvals_only=True, select="i", select_range=(0, 2))
+        ey = eigh_tridiagonal(np.full(g.n_y, 2.0 / g.h_y**2) + g.y_nodes**2,
+                              np.full(g.n_y - 1, -1.0 / g.h_y**2),
+                              eigvals_only=True, select="i", select_range=(0, 2))
         sums = sorted(a + b for a in ex for b in ey)[:3]
         got = grid2d.lowest_eigenvalues(oscillator, 3, tol=1e-9)
         assert np.max(np.abs(np.array([v for v, _ in got])
@@ -97,20 +96,64 @@ class TestAssembly:
 
     @pytest.mark.parametrize("bc", ["dirichlet", "neumann", "periodic"])
     def test_matches_dense_on_interval(self, bc):
+        # the block solver against dense eigvalsh, k = 1 ... 4, on the
+        # graded scan grid, in both sectors
         cfg = ModelConfig(omega=1.0, x_domain=XDomain("interval", 2.0, bc),
                           channels=(ChannelSpec(
                               3.0, 0.5, PotentialProfile("cos2", 1.0, 1.0)),))
-        g = grid2d.Grid2D.uniform(-2.0, 2.0, 24, 2.5, 30,
-                                  staggered_x=bc != "dirichlet")
-        ham = grid2d.assemble_h2d(cfg, g)
-        got = grid2d.lowest_eigenvalues(ham, 4)
-        want = np.linalg.eigvalsh(ham.matrix.toarray())[:4]
-        assert np.max(np.abs(np.array([v for v, _ in got]) - want)) < 1e-10
-        assert all(r <= 1e-7 for _, r in got)
+        g = grid2d.scan_grid(cfg, grid2d.ScanPolicy(points_per_unit_y=6), 2.5, 2.5)
+        for sector in ("full", "even"):
+            ham = grid2d.assemble_h2d(cfg, g, sector)
+            want = np.linalg.eigvalsh(ham.matrix.toarray())
+            for k in range(1, 5):
+                got = grid2d.lowest_eigenvalues(ham, k)
+                assert np.max(np.abs(np.array([v for v, _ in got]) - want[:k])) < 1e-10
+                assert all(r <= 1e-7 for _, r in got)
+
+    @pytest.mark.parametrize("bc", ["dirichlet", "neumann", "periodic"])
+    def test_finite_volume_stencil_is_classical_on_uniform_nodes(self, bc):
+        # vertex nodes for Dirichlet, cell-centred ones for Neumann and
+        # periodic ends
+        n, lo, hi = 37, -1.5, 2.5
+        if bc == "dirichlet":
+            h = (hi - lo) / (n + 1)
+            x = lo + h * np.arange(1, n + 1)
+        else:
+            h = (hi - lo) / n
+            x = lo + h * (np.arange(n) + 0.5)
+        want = (np.diag(np.full(n, 2.0)) - np.diag(np.ones(n - 1), 1)
+                - np.diag(np.ones(n - 1), -1)) / h**2
+        if bc == "neumann":
+            want[0, 0] = want[-1, -1] = 1.0 / h**2
+        elif bc == "periodic":
+            want[0, -1] = want[-1, 0] = -1.0 / h**2
+        got = grid2d._second_diff_1d(x, lo, hi, bc).toarray()
+        assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
+
+    def test_periodic_and_neumann_agree_on_an_even_profile(self):
+        # with the channel at the center of (-c, c), the periodic ground
+        # state is even about 0 and about the ends, where its slope vanishes:
+        # it is the Neumann ground state; the two discretizations differ
+        # only at the ends (a wrap face against two wall cells)
+        lam = {}
+        for bc in ("neumann", "periodic"):
+            cfg = ModelConfig(omega=1.0, x_domain=XDomain("interval", 2.0, bc),
+                              channels=(ChannelSpec(2.0, 0.0, COS2),))
+            g = grid2d.scan_grid(cfg, grid2d.ScanPolicy(), 4.0, 4.0)
+            (lam[bc], _), = grid2d.lowest_eigenvalues(grid2d.assemble_h2d(cfg, g, "even"))
+        assert abs(lam["periodic"] - lam["neumann"]) <= 1e-5 * abs(lam["neumann"])
+
+    def test_guess_above_lowest_falls_back_to_floor(self, oscillator, caplog):
+        (base, _), = grid2d.lowest_eigenvalues(oscillator, 1)
+        with caplog.at_level(logging.DEBUG, logger="smilansky_lab.eigs"):
+            (got, _), = grid2d.lowest_eigenvalues(oscillator, 1, guess=base + 1.0)
+        assert abs(got - base) <= 1e-10 * max(1.0, abs(base))
+        floor = oscillator.potential_min - 1.0
+        assert f"(not definite), {floor:.9g} (factored)" in caplog.text
 
     def test_potential_min_above_minimum_is_computation_error(self, oscillator):
         # sigma = potential_min - 1 then sits above the lowest eigenvalue,
-        # so H - sigma has no Cholesky factor
+        # so H - sigma has no block Cholesky factor
         wrong = dataclasses.replace(
             oscillator, potential_min=float(oscillator.matrix.diagonal().max()) + 1.0)
         with pytest.raises(ComputationError, match="not positive definite"):
@@ -119,6 +162,10 @@ class TestAssembly:
     def test_memory_cap(self):
         with pytest.raises(ConfigurationError):
             grid2d.Grid2D.uniform(-4.0, 4.0, 4000, 3.0, 4000)
+        # 2 million nodes pass the node count, but their pivot blocks, one
+        # n_x x n_x inverse per y-row, would take 4e9 doubles
+        with pytest.raises(ConfigurationError, match="pivot blocks"):
+            grid2d.Grid2D.uniform(-4.0, 4.0, 2000, 3.0, 1000)
 
     def test_coo_export_round_trip(self, oscillator):
         text = oscillator.export_coo()
@@ -205,16 +252,23 @@ class TestScan:
 
     def test_ladder_rungs_take_one_factorization_and_few_solves(self, caplog):
         # Dirichlet nesting makes each previous lambda0 a certified guess on
-        # a stabilizing ladder: one Cholesky factor, one ARPACK restart cycle.
-        # Each banded solve logs one record: every shift it factored or tried
-        # (one Cholesky factorization each), and its number of banded solves.
-        cfg = load_config(str(Path(__file__).parents[1] / "configs" / "single_channel.json"))
-        with caplog.at_level(logging.DEBUG, logger="smilansky_lab.eigs"):
-            scan = grid2d.transition_scan(cfg, [4.0, 8.0, 16.0])
-        rungs = [(shifts.count("("), solves) for _, shifts, solves in
-                 (r.args for r in caplog.records if r.name == "smilansky_lab.eigs")]
-        assert scan.verdict == "subcritical" and len(rungs) == 3
-        assert all(factors == 1 and solves <= 25 for factors, solves in rungs[1:])
+        # a stabilizing ladder: one block factorization and few solves.  On a
+        # plunging ladder that guess fails, and t_V Y^2 is tried before the
+        # floor: at most two shifts.  Each eigensolve logs one record: every
+        # shift it factored or tried (one block factorization each), and its
+        # number of block solves.
+        root = Path(__file__).parents[1] / "configs"
+        for name, verdict, shifts_max in (("single_channel", "subcritical", 1),
+                                          ("supercritical", "supercritical", 2)):
+            caplog.clear()
+            cfg = load_config(str(root / f"{name}.json"))
+            with caplog.at_level(logging.DEBUG, logger="smilansky_lab.eigs"):
+                scan = grid2d.transition_scan(cfg, [4.0, 8.0, 16.0])
+            rungs = [(shifts.count("("), solves) for _, shifts, solves in
+                     (r.args for r in caplog.records if r.name == "smilansky_lab.eigs")]
+            assert scan.verdict == verdict and len(rungs) == 3
+            assert all(factors <= shifts_max and solves <= 25
+                       for factors, solves in rungs[1:])
 
     def test_csv_header(self):
         pol = grid2d.ScanPolicy(points_per_unit_y=12, x_half_width=4.0)
@@ -241,7 +295,7 @@ def _even_cases():
                           channels=(ChannelSpec(3.0, 0.5, COS2),))
         for n_y in (31, 30):
             cases.append((f"{bc}-ny{n_y}", cfg, grid2d.Grid2D.uniform(
-                -2.0, 2.0, 24, 2.5, n_y, staggered_x=bc != "dirichlet")))
+                -2.0, 2.0, 24, 2.5, n_y)))
     pol = grid2d.ScanPolicy(points_per_unit_y=8, x_half_width=5.0)
     line = {
         "graded": ModelConfig(omega=1.0, channels=(ChannelSpec(4.0, 0.0, COS2),)),

@@ -83,7 +83,7 @@ class TestThreshold:
 
     @pytest.mark.parametrize("n", [17, 64, 301])
     def test_periodic_min_eig_matches_dense(self, cos2_profile, dense_periodic_min, n):
-        # the fold 0, n-1, 1, n-2, ... must keep odd and even orders exact
+        # the bordered Sturm count of the periodic wrap, at odd and even orders
         spec = ComparisonSpec(1.0, 4.0, cos2_profile,
                               Domain1D("interval", 1.0, "periodic"))
         grid = Grid1D(-1.0, 1.0, n)
@@ -236,12 +236,6 @@ class TestGroundState:
         t = np.linspace(4.0, 8.0, 9)
         slopes = np.diff(np.log(gs.h(t))) / np.diff(t)
         assert np.max(np.abs(slopes + gs.kappa)) < 0.02 * gs.kappa
-
-    def test_no_bound_state_flagged(self, cos2_profile):
-        spec = ComparisonSpec(1.0, 0.05, cos2_profile,
-                              Domain1D("truncated_line", 12.0))
-        gs = ground_state(spec, Grid1D(-12.0, 12.0, 2001))
-        assert gs.no_bound_state
 
 
 class TestAssembly:
