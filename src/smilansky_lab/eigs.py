@@ -45,8 +45,10 @@ _log = logging.getLogger(__name__)
 # a shift tried below a guess of the lowest eigenvalue sits this far below it,
 # relative to max(1, |guess|)
 _NEAR_MARGIN = 0.05
-# Lanczos steps after which shift_invert_lanczos gives up
-_MAX_LANCZOS = 300
+# Lanczos steps of one restart cycle of shift_invert_lanczos, and cycles
+# before it gives up
+_CYCLE = 64
+_CYCLES = 16
 
 
 @dataclass(frozen=True)
@@ -369,13 +371,58 @@ def _orthogonalize(q: np.ndarray, w: np.ndarray) -> float:
     return left
 
 
+def _near(guess: float) -> float:
+    """The shift tried just below a guess of the lowest eigenvalue."""
+    return guess - _NEAR_MARGIN * max(1.0, abs(guess))
+
+
 def _shifts(guess, floor: float):
     """The shift just below each guess, then the floor; an iterable of
     guesses is read only as far as the shifts are tried."""
     if guess is not None:
         for g in [guess] if isinstance(guess, numbers.Real) else guess:
-            yield g - _NEAR_MARGIN * max(1.0, abs(g))
+            yield _near(g)
     yield floor
+
+
+def _lanczos(inv: list[np.ndarray], c: list[float], w: np.ndarray, k: int,
+             rtol: float, steps: int, rng: np.random.Generator):
+    """At most `steps` Lanczos steps with full reorthogonalization on
+    (h - sigma)^-1, from w.  Returns (converged, basis, mus, s): the
+    orthonormal Lanczos vectors as rows, and the eigenvalues (ascending)
+    and eigenvectors of their tridiagonal T."""
+    n = len(w)
+    basis = np.empty((min(n, steps), n))     # a row is touched when it is made
+    alpha, beta = [], []
+    m = 0
+    while True:
+        basis[m] = w / np.linalg.norm(w)
+        w = _block_solve(inv, c, basis[m])
+        alpha.append(float(basis[m] @ w))
+        w -= alpha[-1] * basis[m]
+        if m:
+            w -= beta[-1] * basis[m - 1]
+        m += 1
+        done = basis[:m]
+        b = _orthogonalize(done, w)
+        last = m == min(n, steps)
+        # past 25 rows LAPACK's eigh switches to divide and conquer, and
+        # with threaded BLAS one call costs about a solve of a scan rung
+        # (~1.4 ms at m = 47 on 2 threads), so from m = 24 on the test runs
+        # on every (m // 12)-th step only
+        if m >= k and (m < 24 or m % (m // 12) == 0 or last):
+            mus, s = np.linalg.eigh(np.diag(alpha) + np.diag(beta, 1)
+                                    + np.diag(beta, -1))
+            converged = np.all(np.abs(b * s[-1, -k:]) <= rtol * mus[-k:])
+            if converged or last:
+                return converged, done, mus, s
+        if b <= 1e-12 * max(alpha):
+            # an invariant subspace with fewer than k eigenpairs: go on
+            # from a new direction orthogonal to it
+            w = rng.standard_normal(n)
+            _orthogonalize(done, w)
+            b = 0.0
+        beta.append(b)
 
 
 def shift_invert_lanczos(h: BlockTridiagonal, k: int, floor: float,
@@ -390,24 +437,30 @@ def shift_invert_lanczos(h: BlockTridiagonal, k: int, floor: float,
     the largest Ritz values mu are the lowest eigenvalues; each is reported
     as the Rayleigh quotient of its Ritz vector (`quadratic_form`).  With a
     `guess` (one value, or several tried in order) sigma first sits just
-    below a guess, where the wanted mu are well separated.  A shift that does not
-    factor is followed by the next lower one, and last by `floor`, which the
-    caller certifies lies below the spectrum; the blocks are factored in
-    order, so a shift too high for the first blocks fails at once.
+    below a guess, where the wanted mu are well separated.  A shift that
+    does not factor is followed by the next lower one, and last by `floor`,
+    which the caller certifies lies below the spectrum; the blocks are
+    factored in order, so a shift too high for the first blocks fails at
+    once.
 
     The iteration stops when |beta s_i| <= (tol / (||h||_inf + |sigma|)) mu_i
     for the k wanted Ritz pairs (beta the last Lanczos coefficient, s_i the
     last entry of the Ritz vector): ARPACK's test, with a tolerance that
-    bounds ||h x - lambda x|| by about tol.  It raises `ConvergenceError`
-    after _MAX_LANCZOS steps.  When the Krylov space closes before it holds
-    k pairs, the iteration goes on from a new random direction; as with any
-    single-vector Krylov method, a multiple eigenvalue may be found fewer
-    times than it occurs.
+    bounds ||h x - lambda x|| by about tol.  A cycle that has not converged
+    in _CYCLE steps restarts from the sum of the wanted Ritz vectors, and
+    just below the lowest Ritz value sigma + 1/mu (never below lambda0) when
+    that shift factors; `ConvergenceError` follows _CYCLES cycles.  When the Krylov space closes before it holds k pairs, the
+    iteration goes on from a new random direction; as with any single-vector
+    Krylov method, a multiple eigenvalue may be found fewer times than it
+    occurs.
 
     Returns (values, vectors, residuals): values ascending, vectors as
     columns, residuals the independently recomputed ||h x - lambda x||.
     """
     n = h.n
+    if not 1 <= k < min(n, _CYCLE):
+        raise ComputationError(f"cannot take {k} eigenpairs of an order-{n} matrix "
+                               f"in cycles of {_CYCLE} Lanczos steps")
     inv = np.empty(h.d.shape + h.d.shape[1:])
     tried = []
     for sigma in _shifts(guess, floor):
@@ -420,54 +473,35 @@ def shift_invert_lanczos(h: BlockTridiagonal, k: int, floor: float,
         raise ComputationError(f"h - sigma is not positive definite at the floor "
                                f"shift {floor:.6g}: the floor is not below the spectrum")
 
-    blocks, c = list(inv), h.c.tolist()
-    rtol = tol / (h.norm_inf() + abs(sigma))
     rng = np.random.default_rng(seed)
     w = rng.standard_normal(n)
-    basis = np.empty((min(n, 32), n))
-    alpha, beta = [], []
-    m = 0
+    solves = 0
     try:
-        while True:
-            if m == len(basis):
-                basis = np.concatenate((basis, np.empty((min(n, 2 * m) - m, n))))
-            basis[m] = w / np.linalg.norm(w)
-            w = _block_solve(blocks, c, basis[m])
-            alpha.append(float(basis[m] @ w))
-            w -= alpha[-1] * basis[m]
-            if m:
-                w -= beta[-1] * basis[m - 1]
-            m += 1
-            done = basis[:m]
-            b = _orthogonalize(done, w)
-            last = m == min(n, _MAX_LANCZOS)
-            # past 25 rows LAPACK's eigh switches to divide and conquer, and
-            # with threaded BLAS one call costs about a solve of a scan rung
-            # (~1.4 ms at m = 47 on 2 threads), so from m = 24 on the test
-            # runs on every (m // 12)-th step only
-            if m >= k and (m < 24 or m % (m // 12) == 0 or last):
-                mus, s = np.linalg.eigh(np.diag(alpha) + np.diag(beta, 1)
-                                        + np.diag(beta, -1))
-                if np.all(np.abs(b * s[-1, -k:]) <= rtol * mus[-k:]):
-                    break
-            if last:
-                raise ConvergenceError(
-                    f"shift-invert Lanczos did not converge in {m} steps on order {n}")
-            if b <= 1e-12 * max(alpha):
-                # an invariant subspace with fewer than k eigenpairs: go on
-                # from a new direction orthogonal to it
-                w = rng.standard_normal(n)
-                _orthogonalize(done, w)
-                b = 0.0
-            beta.append(b)
+        for _ in range(_CYCLES):
+            rtol = tol / (h.norm_inf() + abs(sigma))
+            converged, basis, mus, s = _lanczos(list(inv), h.c.tolist(), w, k,
+                                                rtol, _CYCLE, rng)
+            solves += len(basis)
+            if converged:
+                break
+            w = basis.T @ s[:, -k:].sum(axis=1)
+            near = _near(sigma + 1.0 / mus[-1])
+            if near > sigma:
+                trial = np.empty_like(inv)
+                tried.append((near, _block_ldlt(h, near, trial)))
+                if tried[-1][1]:
+                    inv, sigma = trial, near
+        else:
+            raise ConvergenceError(f"shift-invert Lanczos did not converge in "
+                                   f"{solves} steps on order {n}")
     finally:
         _log.debug("shift-invert on order %d: shifts %s, %d block solves", n,
                    ", ".join(f"{s:.9g} ({'factored' if ok else 'not definite'})"
-                             for s, ok in tried), m)
+                             for s, ok in tried), solves)
     # the Ritz vectors of the k largest mu; their Rayleigh quotients are the
     # eigenvalues to (residual)^2 / gap, and unlike sigma + 1/mu they carry
     # no rounding of the shift and the solves
-    vecs = basis[:m].T @ s[:, :-k - 1:-1]
+    vecs = basis.T @ s[:, :-k - 1:-1]
     vals = np.array([h.quadratic_form(x) for x in vecs.T])
     order = np.argsort(vals, kind="stable")
     vals, vecs = vals[order], vecs[:, order]

@@ -263,6 +263,27 @@ class TestShiftInvert:
         assert caplog.text.count("(not definite)") == 1
         assert caplog.text.count("(factored)") == 1
 
+    def test_far_floor_restarts_just_below_the_lowest_ritz_value(self, caplog):
+        # from a floor 1e4 below the spectrum the wanted mu are too close to
+        # converge in one cycle; the restart moves the shift just below the
+        # lowest Ritz value, where its block factor certifies it
+        rng = np.random.default_rng(5)
+        h = BlockTridiagonal(100.0 * dirichlet_laplacian(30).toarray(),
+                             200.0 + rng.uniform(-50.0, 50.0, (30, 30)),
+                             np.full(29, -100.0))
+        want = np.linalg.eigvalsh(dense(h))[:4]
+        with caplog.at_level(logging.DEBUG, logger="smilansky_lab.eigs"):
+            vals, _, res = shift_invert_lanczos(h, 4, floor=-1e4)
+        assert np.max(np.abs(vals - want)) < 1e-10 and np.all(res <= 1e-7)
+        _, shifts, solves = caplog.records[-1].args
+        assert shifts.startswith("-10000 (factored), ") and shifts.count("(factored)") == 2
+        assert float(shifts.split(", ")[1].split()[0]) < want[0] and solves > 64
+
+    def test_rejects_bad_count(self, matrix):
+        for k in (0, 64):
+            with pytest.raises(ComputationError, match="cannot take"):
+                shift_invert_lanczos(matrix, k, floor=-2.0)
+
     def test_floor_not_below_spectrum_raises(self, matrix):
         lam0 = np.linalg.eigvalsh(dense(matrix))[0]
         for guess in (None, lam0 + 1.0):
