@@ -3,17 +3,32 @@
 Submodules: model (configuration and potentials), oned (1D comparison
 operator), grid2d (truncated 2D Hamiltonian and transition scans), weyl
 (quasi-mode certificates), bracketing (lower bounds and classification),
-eigs (symmetric eigensolvers), quadrature (Gauss-Legendre panels), cli.
+sturm (Sturm counts on lists), eigs (symmetric eigensolvers), quadrature
+(Gauss-Legendre panels), cli.  A submodule is imported on first access, so
+`import smilansky_lab` loads none of them, and the 1D path (model, oned,
+bracketing, sturm, cli) never loads numpy.
 """
 
-from . import bracketing, eigs, grid2d, model, oned, quadrature, weyl
+import importlib
+
 from .errors import (ComputationError, ConfigurationError, ConvergenceError,
                      RefinementError, SmilanskyError)
 
 __version__ = "0.1.0"
 
+_SUBMODULES = ("bracketing", "cli", "eigs", "grid2d", "model", "oned", "quadrature",
+               "sturm", "weyl")
+
 __all__ = [
-    "bracketing", "eigs", "grid2d", "model", "oned", "quadrature", "weyl",
+    *_SUBMODULES,
     "SmilanskyError", "ConfigurationError", "ComputationError",
     "ConvergenceError", "RefinementError", "__version__",
 ]
+
+
+def __getattr__(name: str):
+    """`smilansky_lab.grid2d` and the other submodules, imported on first
+    access (PEP 562)."""
+    if name in _SUBMODULES:
+        return importlib.import_module(f".{name}", __name__)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

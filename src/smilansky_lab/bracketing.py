@@ -134,23 +134,35 @@ def _strips(config: ModelConfig, e_l: float, n_min: int, n_max: int) -> list[Str
     return out
 
 
-def global_lower_bound(config: ModelConfig, n_start: int = 64,
-                       max_extensions: int = 6,
+def global_lower_bound(config: ModelConfig,
                        policy: ResolutionPolicy = ResolutionPolicy()):
     """Lower bound on the whole operator, or the string "unbounded below".
 
     Supercritical configurations are routed straight to "unbounded below".
-    Otherwise the bound is the minimum over the central region |y| <= ln 2
-    (potential-minimum bound) and the computed strips, accepted only once the
-    net strip bounds are increasing at the end of the range (so the tail
-    cannot dip lower); the range is extended a few times before giving up.
+    Otherwise the bound is the minimum of the central term
+    -lambda sup V ln^2 2 (the potential minimum on |y| <= ln 2) and every
+    net strip bound net(n) = ln^2(n) e_l - corr(n), e_l the channel's 1D
+    threshold and corr = `_correction` for n >= 2; net(1) is the central
+    term itself.
+
+    Lemma: for e_l >= 0 that minimum is min(central, net(2)).  For n >= 2,
+    g(n) = ln(n+1) ln(1 + 1/n) decreases, since
+    g'(n) = (n ln(1 + 1/n) - ln(n+1)) / (n (n+1)) < 0, as n ln(1 + 1/n) < 1
+    < ln 3 <= ln(n+1); and ln(n+1) / ln(n) = 1 + ln(1 + 1/n) / ln(n) is
+    positive and decreases.  corr(n) = lambda (a sup|V'| ln(n+1)/ln(n) g(n)
+    + 2 sup V g(n)), with nonnegative coefficients, is therefore
+    nonincreasing, while ln^2(n) e_l does not decrease when e_l >= 0: net(n)
+    is nondecreasing for n >= 2.
+
+    When e_l < 0 (a "critical" verdict with t_V within tol below 0) the
+    strip bounds tend to -inf and there is no finite bound:
+    `ComputationError` names t_V.
     """
     cls = classify(config, policy=policy) if config.channels else None
-    return _lower_bound(config, cls, n_start, max_extensions)
+    return _lower_bound(config, cls)
 
 
-def _lower_bound(config: ModelConfig, cls: Classification | None,
-                 n_start: int = 64, max_extensions: int = 6):
+def _lower_bound(config: ModelConfig, cls: Classification | None):
     """global_lower_bound from the classification of the configuration's
     channels (None when it has none), so no threshold is computed twice."""
     if cls is None:
@@ -164,17 +176,12 @@ def _lower_bound(config: ModelConfig, cls: Classification | None,
         ch = config.channels[0]
         central = -ch.lam * ch.profile.sup_value * math.log(2.0) ** 2
         e_l = cls.per_channel[0]
-
-    n_max = n_start
-    for _ in range(max_extensions):
-        nets = [s.net_bound for s in _strips(config, e_l, 1, n_max)]
-        tail = nets[-8:]
-        if all(b >= a for a, b in zip(tail, tail[1:])):
-            return min([central] + nets)
-        n_max *= 2
-    raise ComputationError(
-        f"strip net bounds not yet monotone up to n={n_max}; "
-        "cannot certify the tail")
+        if e_l < 0.0:
+            raise ComputationError(
+                f"t_V = {e_l!r} < 0: the strip bounds ln^2(n) t_V - corr(n) "
+                "tend to -inf, so the operator has no finite lower bound from "
+                "them")
+    return min(central, _strips(config, e_l, 2, 2)[0].net_bound)
 
 
 def classification_json_dict(config: ModelConfig, cls: Classification) -> dict:
@@ -183,8 +190,10 @@ def classification_json_dict(config: ModelConfig, cls: Classification) -> dict:
         "verdict": cls.verdict,
         "per_channel": list(cls.per_channel),
     }
-    if len(config.channels) <= 1 or cls.verdict == "supercritical":
-        # routed, like global_lower_bound, by the verdict at the default tol
-        out["global_lower_bound"] = _lower_bound(config,
-                                                 _classification(cls.per_channel))
+    # routed, like global_lower_bound, by the verdict at the default tol;
+    # omitted where the strip bounds give none
+    routed = _classification(cls.per_channel)
+    if routed.verdict == "supercritical" or (len(config.channels) <= 1
+                                             and routed.t_v >= 0.0):
+        out["global_lower_bound"] = _lower_bound(config, routed)
     return out

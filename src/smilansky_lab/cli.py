@@ -5,6 +5,10 @@ operation, and writes CSV or JSON with a reproducibility header (config
 hash, tolerances, seed).  Exit codes: 0 success, 1 computation failure
 (including a `weyl` certificate whose checks fail, after its rows are
 written), 2 configuration error.
+
+The 1D commands (`critical`, `tune`, `eig1d`, `classify`, `bound`) run on
+the standard library alone; `eig2d` and `scan` import `grid2d`, and `weyl`
+imports `weyl`, and with them numpy, in their own branches.
 """
 
 from __future__ import annotations
@@ -16,7 +20,7 @@ import sys
 from dataclasses import dataclass, field
 from typing import Optional
 
-from . import bracketing, grid2d, weyl
+from . import bracketing
 from .errors import ComputationError, ConfigurationError, SmilanskyError
 from .model import ModelConfig, load_config
 from .oned import (ComparisonSpec, Domain1D, Grid1D, critical_coupling,
@@ -123,6 +127,8 @@ def run(request: RunRequest) -> int:
                     for ch in config.channels]
             _emit(request, _json_payload(request, {"channels": rows}))
         elif request.command == "eig2d":
+            from . import grid2d
+
             y_half = p.get("y_half", 8.0)
             policy = grid2d.ScanPolicy()
             grid = grid2d.scan_grid(config, policy, y_half, y_half)
@@ -138,6 +144,8 @@ def run(request: RunRequest) -> int:
                 "residuals": [r for _, r in pairs],
             }))
         elif request.command == "scan":
+            from . import grid2d
+
             scan = grid2d.transition_scan(config, p["ladder"])
             if request.fmt == "csv":
                 _emit(request, _csv_with_header(request, grid2d.scan_csv(scan)))
@@ -149,6 +157,8 @@ def run(request: RunRequest) -> int:
                     "verdict": scan.verdict,
                 }))
         elif request.command == "weyl":
+            from . import weyl
+
             ch = _single_channel(config)
             dom = Domain1D("truncated_line", 12.0)
             spec = ComparisonSpec(config.omega, ch.lam, ch.profile, dom)

@@ -1,13 +1,10 @@
 """Symmetric eigensolvers used throughout the package, on numpy alone.
 
-Tridiagonal matrices of the 1D commands: `sturm_count` is the written-out
-LDL^T recurrence that counts the eigenvalues below a point, and
-`cyclic_sturm_count` the same count for the periodic wrap, with the fill of
-the wrap entry carried toward the last node.  `bisect_count` bisects any
-nondecreasing count (in an energy or in a coupling), `bracket_lowest`
-brackets the lowest eigenvalue of any `TridiagonalSym` with it, and
-`lowest_pair` adds an eigenvector by inverse iteration with a written-out
-tridiagonal solve.
+Tridiagonal matrices (`TridiagonalSym`): `bracket_lowest` brackets the
+lowest eigenvalue, the periodic wrap included, by bisecting the Sturm count
+of `sturm`, and `lowest_pair` adds an eigenvector by inverse iteration with
+a written-out tridiagonal solve.  The counts themselves live in the
+numpy-free `sturm`, so that the 1D thresholds start without numpy.
 
 Block-tridiagonal matrices I (x) Bx + diag(d) + C (x) I (`BlockTridiagonal`,
 the 2D Hamiltonian) go to `shift_invert_lanczos`: Lanczos with full
@@ -20,21 +17,17 @@ from __future__ import annotations
 
 import logging
 import numbers
-import sys
 from dataclasses import dataclass
-from itertools import chain
-from typing import Callable, Iterable, Optional, Sequence, Union
+from typing import Iterable, Optional, Union
 
 import numpy as np
 
 from .errors import ComputationError, ConvergenceError
+from .sturm import chain_bracket, chain_norm, sturm_count
 
 __all__ = [
     "TridiagonalSym",
     "BlockTridiagonal",
-    "sturm_count",
-    "cyclic_sturm_count",
-    "bisect_count",
     "bracket_lowest",
     "lowest_pair",
     "shift_invert_lanczos",
@@ -90,113 +83,15 @@ class TridiagonalSym:
             out[0, -1] = out[-1, 0] = self.corner
         return out
 
-    def radius(self) -> np.ndarray:
-        """Gershgorin radii: the absolute off-diagonal row sums."""
-        ae = np.abs(self.e)
-        r = np.concatenate(([0.0], ae)) + np.concatenate((ae, [0.0]))
-        if self.corner is not None:
-            r[[0, -1]] += abs(self.corner)
-        return r
-
     def norm_inf(self) -> float:
         """The largest absolute row sum, a bound on the 2-norm."""
-        return float(np.max(np.abs(self.d) + self.radius()))
-
-
-def sturm_count(d: Sequence[float], e2: Sequence[float], x: float) -> int:
-    """Number of eigenvalues below x of the symmetric tridiagonal matrix with
-    diagonal d and squared off-diagonal e2 (lists are fastest).
-
-    By Sylvester's law of inertia it is the number of negative pivots of the
-    LDL^T factorization of T - x.  As in LAPACK's stebz, a pivot smaller in
-    magnitude than pivmin is replaced by -pivmin, so the count is exact for
-    a matrix within rounding of T.
-    """
-    pivmin = sys.float_info.min * max(1.0, max(e2, default=0.0))
-    count = 0
-    q = 1.0
-    for di, b2 in zip(d, chain((0.0,), e2)):
-        q = di - x - b2 / q
-        if q < pivmin:
-            if q > -pivmin:
-                q = -pivmin
-            count += 1
-    return count
-
-
-def cyclic_sturm_count(d: Sequence[float], e: Sequence[float], corner: float,
-                       x: float) -> int:
-    """`sturm_count` of the periodic wrap: off-diagonal e (signed, lists are
-    fastest) and the entry `corner` at (0, n-1), n >= 3.
-
-    Nodes 0 ... n-2 are eliminated as in `sturm_count`, and their fill in
-    the column of node n-1 is carried along: b_0 = corner,
-    b_i = -e_{i-1} b_{i-1} / q_{i-1}, plus e_{n-2} at i = n-2.  The last pivot
-    is the Schur complement s = d_{n-1} - x - sum b_i^2 / q_i, and the count
-    is #{q_i < 0} + [s < 0].
-    """
-    n = len(d)
-    pivmin = sys.float_info.min * max(1.0, max(b * b for b in e), corner * corner)
-    count = 0
-    q = 1.0
-    b = corner
-    fill = 0.0
-    for i in range(n - 1):
-        if i:
-            b = -e[i - 1] * b / q
-            q = d[i] - x - e[i - 1] ** 2 / q
-        else:
-            q = d[0] - x
-        if i == n - 2:
-            b += e[i]
-        if q < pivmin:
-            if q > -pivmin:
-                q = -pivmin
-            count += 1
-        fill += b * b / q
-    return count + (d[n - 1] - x - fill < pivmin)
-
-
-def bisect_count(count: Callable[[float], int], lo: float, hi: float,
-                 tol: float) -> tuple[float, float, int]:
-    """Bracket the point where a nondecreasing integer function leaves 0.
-
-    On entry and on exit count(lo) == 0 < count(hi); on exit hi - lo <= tol,
-    or lo and hi are adjacent floats.  Returns (lo, hi, bisection steps).
-    """
-    steps = 0
-    while hi - lo > tol:
-        mid = 0.5 * (lo + hi)
-        if not lo < mid < hi:
-            break
-        steps += 1
-        if count(mid):
-            hi = mid
-        else:
-            lo = mid
-    return lo, hi, steps
+        return chain_norm(self.d.tolist(), self.e.tolist(), self.corner)
 
 
 def bracket_lowest(T: TridiagonalSym, tol: float) -> tuple[float, float]:
     """Bracket (lo, hi), hi - lo <= tol, of the lowest eigenvalue of T, the
-    periodic wrap included: bisection of the Sturm count from one below the
-    Gershgorin bound to one above the Rayleigh quotient of the constant
-    vector.  count(lo) == 0, so T - lo is positive definite."""
-    d = T.d.tolist()
-    if T.corner is None:
-        e2 = (T.e**2).tolist()
-
-        def count(x: float) -> int:
-            return sturm_count(d, e2, x)
-    else:
-        e = T.e.tolist()
-
-        def count(x: float) -> int:
-            return cyclic_sturm_count(d, e, T.corner, x)
-    lo = float(np.min(T.d - T.radius())) - 1.0
-    hi = float(np.sum(T.matvec(np.ones(T.n)))) / T.n + 1.0
-    lo, hi, _ = bisect_count(count, lo, hi, tol)
-    return lo, hi
+    periodic wrap included: `chain_bracket` on its entries."""
+    return chain_bracket(T.d.tolist(), T.e.tolist(), T.corner, tol)
 
 
 def lowest_pair(T: TridiagonalSym) -> tuple[float, np.ndarray]:

@@ -7,18 +7,26 @@ The operator acts as
 with every channel profile V_j nonnegative, compactly supported and C^1.
 Channel j is the translate (in x) of a centered channel; the supports of
 distinct channels must not overlap.
+
+The module imports only the standard library, so the 1D commands start
+without numpy: `profile_values` evaluates a cos2 or quartic profile on a
+list of points in float arithmetic, with the same formula that
+`eval_profile` and `eval_potential_2d` apply elementwise to numpy arrays.
+A `table` profile (its PCHIP interpolant) and the array functions import
+numpy where they run.
 """
 
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
-from typing import Optional, Sequence
-
-import numpy as np
+from typing import TYPE_CHECKING, Optional, Sequence
 
 from .errors import ConfigurationError
-from .quadrature import cubic_hermite, cubic_hermite_max_slope, pchip_slopes
+
+if TYPE_CHECKING:
+    import numpy as np
 
 __all__ = [
     "PotentialProfile",
@@ -26,6 +34,7 @@ __all__ = [
     "XDomain",
     "ModelConfig",
     "eval_profile",
+    "profile_values",
     "eval_potential_2d",
     "load_config",
     "config_to_dict",
@@ -59,6 +68,10 @@ class PotentialProfile:
         if self.a <= 0 or self.amplitude <= 0:
             raise ConfigurationError("profile half-width and amplitude must be positive")
         if self.family == "table":
+            import numpy as np
+
+            from .quadrature import pchip_slopes
+
             if not self.table or len(self.table) < 3:
                 raise ConfigurationError("tabulated profile needs at least 3 points")
             ts = np.array([p[0] for p in self.table], dtype=float)
@@ -81,9 +94,11 @@ class PotentialProfile:
         """sup |V'|, exact for every family (a table profile's V' is
         quadratic on each interval)."""
         if self.family == "cos2":
-            return self.amplitude * np.pi / (2.0 * self.a)
+            return self.amplitude * math.pi / (2.0 * self.a)
         if self.family == "quartic":
-            return self.amplitude * 8.0 / (3.0 * np.sqrt(3.0) * self.a)
+            return self.amplitude * 8.0 / (3.0 * math.sqrt(3.0) * self.a)
+        from .quadrature import cubic_hermite_max_slope
+
         return cubic_hermite_max_slope(*self._hermite)
 
     @property
@@ -91,7 +106,7 @@ class PotentialProfile:
         """sup V, exact: PCHIP does not overshoot its node values."""
         if self.family in ("cos2", "quartic"):
             return self.amplitude
-        return float(np.max(self._hermite[1]))
+        return float(self._hermite[1].max())
 
     @property
     def is_even(self) -> bool:
@@ -99,31 +114,48 @@ class PotentialProfile:
         samples mirror exactly about t = 0 (PCHIP of mirrored data is even)."""
         if self.family != "table":
             return True
-        ts, vs = np.array(self.table).T
-        return bool(np.array_equal(ts, -ts[::-1]) and np.array_equal(vs, vs[::-1]))
+        ts, vs = zip(*self.table)
+        return ts == tuple(-t for t in reversed(ts)) and vs == vs[::-1]
+
+
+def _bump(profile: PotentialProfile, t, m):
+    """(V(t), V'(t)) of a cos2 or quartic profile for |t| < a: on floats with
+    m = math, elementwise on arrays with m = numpy.  Squares are products,
+    which both round alike (float ** 2 calls pow)."""
+    a, amp = profile.a, profile.amplitude
+    if profile.family == "cos2":
+        c = m.cos(m.pi * t / (2.0 * a))
+        return amp * (c * c), -amp * m.pi / (2.0 * a) * m.sin(m.pi * t / a)
+    u = t / a
+    s = 1.0 - u * u
+    return amp * (s * s), amp * (-4.0 * u * s) / a
+
+
+def profile_values(profile: PotentialProfile, ts: Sequence[float]) -> list[float]:
+    """V at the points ts, equal to `eval_profile(profile, ts)[0].tolist()`;
+    numpy is loaded only for a `table` profile."""
+    if profile.family == "table":
+        return eval_profile(profile, ts)[0].tolist()
+    return [_bump(profile, t, math)[0] if abs(t) < profile.a else 0.0 for t in ts]
 
 
 def eval_profile(profile: PotentialProfile, t) -> tuple[np.ndarray, np.ndarray]:
     """Return (V(t), V'(t)); both vanish identically for |t| >= a."""
+    import numpy as np
+
     t = np.asarray(t, dtype=float)
     v = np.zeros_like(t)
     dv = np.zeros_like(t)
     if profile.family == "table":
+        from .quadrature import cubic_hermite
+
         ts = profile._hermite[0]
         inside = (t > ts[0]) & (t < ts[-1])
         v[inside], dv[inside] = cubic_hermite(*profile._hermite, t[inside])
         np.clip(v, 0.0, None, out=v)
         return v, dv
-    a, amp = profile.a, profile.amplitude
-    inside = np.abs(t) < a
-    ti = t[inside]
-    if profile.family == "cos2":
-        v[inside] = amp * np.cos(np.pi * ti / (2.0 * a)) ** 2
-        dv[inside] = -amp * np.pi / (2.0 * a) * np.sin(np.pi * ti / a)
-    else:  # quartic
-        u = ti / a
-        v[inside] = amp * (1.0 - u**2) ** 2
-        dv[inside] = amp * (-4.0 * u * (1.0 - u**2)) / a
+    inside = np.abs(t) < profile.a
+    v[inside], dv[inside] = _bump(profile, t[inside], np)
     return v, dv
 
 
@@ -196,6 +228,8 @@ class ModelConfig:
 
 def eval_potential_2d(config: ModelConfig, x, y) -> np.ndarray:
     """Potential of the 2D operator at (x, y); broadcasts over array input."""
+    import numpy as np
+
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
     x, y = np.broadcast_arrays(x, y)

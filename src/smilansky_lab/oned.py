@@ -20,9 +20,12 @@ as lambda grows.  Both are bisections of the pure-Python Sturm count of
 
 Interval x-domains (-c, c) keep the whole-interval assembly with Dirichlet,
 Neumann or periodic ends; its minimal eigenvalue is a bisection of the same
-count, bordered for the periodic wrap, so no 1D command loads scipy.
-`ground_state`, the eigenpair behind the Weyl quasi-modes, is solved on a
-fixed Dirichlet grid by the same Sturm count and inverse iteration.
+count, bordered for the periodic wrap.  Both chains are built as Python
+lists, so this module, and with it every 1D threshold and coupling, imports
+only the standard library.  `ground_state`, the eigenpair behind the Weyl
+quasi-modes, is solved on a fixed Dirichlet grid by the same Sturm count and
+inverse iteration of `eigs`; it, `assemble_comparison` and `GroundState`
+import numpy where they run.
 
 Each threshold and coupling logs one `smilansky_lab.oned` debug record: the
 resolution, the three values, their Richardson gap and the bisection steps.
@@ -34,14 +37,16 @@ import logging
 import math
 import sys
 from dataclasses import dataclass, field
+from typing import TYPE_CHECKING
 
-import numpy as np
-
-from .eigs import (TridiagonalSym, bisect_count, bracket_lowest, lowest_pair,
-                   sturm_count)
 from .errors import ComputationError, ConfigurationError, RefinementError
-from .model import PotentialProfile, eval_profile
-from .quadrature import quintic_hermite
+from .model import PotentialProfile, eval_profile, profile_values
+from .sturm import bisect_count, chain_bracket, chain_norm, sturm_count
+
+if TYPE_CHECKING:
+    import numpy as np
+
+    from .eigs import TridiagonalSym
 
 __all__ = [
     "Grid1D",
@@ -79,14 +84,14 @@ class Grid1D:
     def h(self) -> float:
         return (self.hi - self.lo) / (self.n + 1)
 
-    def interior_nodes(self) -> np.ndarray:
-        """Vertex-centered interior nodes, used with Dirichlet ends."""
-        return self.lo + self.h * np.arange(1, self.n + 1)
-
-    def centered_nodes(self) -> np.ndarray:
-        """Cell-centered nodes, used with Neumann or periodic ends."""
-        hc = (self.hi - self.lo) / self.n
-        return self.lo + hc * (np.arange(self.n) + 0.5)
+    def nodes(self, bc: str) -> tuple[float, list[float]]:
+        """Spacing and nodes: the n interior vertices with Dirichlet ends,
+        the n cell centres with Neumann or periodic ends."""
+        if bc == "dirichlet":
+            h = self.h
+            return h, [self.lo + h * k for k in range(1, self.n + 1)]
+        h = (self.hi - self.lo) / self.n
+        return h, [self.lo + h * (k + 0.5) for k in range(self.n)]
 
 
 @dataclass(frozen=True)
@@ -129,49 +134,53 @@ class ResolutionPolicy:
 
     def n_for(self, lo: float, hi: float) -> int:
         """Interior nodes of a whole-interval grid on (lo, hi)."""
-        return max(64, int(np.ceil(self.points_per_unit * (hi - lo))))
+        return max(64, math.ceil(self.points_per_unit * (hi - lo)))
 
     def m_for(self, a: float) -> int:
         """Steps of the support half-width a on the line (h = a/m)."""
         return math.ceil(self.points_per_unit * a)
 
 
-def assemble_comparison(spec: ComparisonSpec, grid: Grid1D) -> TridiagonalSym:
-    """Second-order central-difference assembly of L on the grid.
+def _interval_chain(spec: ComparisonSpec, grid: Grid1D):
+    """Second-order central-difference assembly of L on the grid, as lists:
+    (diagonal, off-diagonal, periodic wrap entry or None).
 
     Dirichlet drops the boundary points, Neumann mirrors ghost points across a
     cell-centered grid, periodic wraps (corner entry).
     """
     dom = spec.domain
-    if not (np.isclose(grid.lo, -dom.half_width) and np.isclose(grid.hi, dom.half_width)):
+    if not all(math.isclose(end, x, rel_tol=1e-5, abs_tol=1e-8)
+               for end, x in ((grid.lo, -dom.half_width), (grid.hi, dom.half_width))):
         raise ConfigurationError(
             f"grid [{grid.lo}, {grid.hi}] does not cover the domain "
             f"[-{dom.half_width}, {dom.half_width}]"
         )
     bc = "dirichlet" if dom.kind == "truncated_line" else dom.bc
-    if bc == "dirichlet":
-        x = grid.interior_nodes()
-        h = grid.h
-    else:
-        x = grid.centered_nodes()
-        h = (grid.hi - grid.lo) / grid.n
-    v, _ = eval_profile(spec.profile, x)
-    diag = 2.0 / h**2 + spec.omega**2 - spec.lam * v
-    off = np.full(len(x) - 1, -1.0 / h**2)
+    h, x = grid.nodes(bc)
+    base = 2.0 / h**2 + spec.omega**2
+    diag = [base - spec.lam * vi for vi in profile_values(spec.profile, x)]
+    off = [-1.0 / h**2] * (len(x) - 1)
     corner = None
     if bc == "neumann":
         diag[0] -= 1.0 / h**2
         diag[-1] -= 1.0 / h**2
     elif bc == "periodic":
         corner = -1.0 / h**2
-    return TridiagonalSym(diag, off, corner)
+    return diag, off, corner
+
+
+def assemble_comparison(spec: ComparisonSpec, grid: Grid1D) -> TridiagonalSym:
+    """`_interval_chain` as a `TridiagonalSym`."""
+    from .eigs import TridiagonalSym
+
+    return TridiagonalSym(*_interval_chain(spec, grid))
 
 
 def _min_eig(spec: ComparisonSpec, grid: Grid1D) -> float:
     """Minimal eigenvalue of the whole-interval assembly, bracketed by the
     Sturm count (the bordered count for the periodic wrap) to 1e-15 ||T||."""
-    T = assemble_comparison(spec, grid)
-    lo, hi = bracket_lowest(T, 1e-15 * max(1.0, T.norm_inf()))
+    d, e, corner = _interval_chain(spec, grid)
+    lo, hi = chain_bracket(d, e, corner, 1e-15 * max(1.0, chain_norm(d, e, corner)))
     return 0.5 * (lo + hi)
 
 
@@ -198,9 +207,9 @@ def _support_chain(omega: float, profile: PotentialProfile, m: int):
     2/h^2 + omega^2 without the ends' transparent terms, and the squared
     off-diagonal 1/h^4."""
     h = profile.a / m
-    v, _ = eval_profile(profile, h * np.arange(1 - m, m))
+    v = profile_values(profile, [h * j for j in range(1 - m, m)])
     d = [2.0 / h**2 + omega**2] * (2 * m - 1)
-    return h, v.tolist(), d, [h**-4] * (2 * m - 2)
+    return h, v, d, [h**-4] * (2 * m - 2)
 
 
 def _transparent_end(kappa2: float, h: float) -> float:
@@ -316,9 +325,13 @@ class GroundState:
     @property
     def kappa(self) -> float:
         """Tail decay rate sqrt(omega^2 - E0) outside the channel support."""
-        return float(np.sqrt(max(self.omega**2 - self.e0, 0.0)))
+        return math.sqrt(max(self.omega**2 - self.e0, 0.0))
 
     def h(self, t) -> np.ndarray:
+        import numpy as np
+
+        from .quadrature import quintic_hermite
+
         t = np.asarray(t, dtype=float)
         lo, hi = self.nodes[0], self.nodes[-1]
         out = np.empty_like(t)
@@ -331,6 +344,10 @@ class GroundState:
         return out
 
     def h1(self, t) -> np.ndarray:
+        import numpy as np
+
+        from .quadrature import quintic_hermite
+
         t = np.asarray(t, dtype=float)
         lo, hi = self.nodes[0], self.nodes[-1]
         out = np.empty_like(t)
@@ -344,20 +361,23 @@ class GroundState:
 
     def h2(self, t) -> np.ndarray:
         """Second derivative straight from the eigenvalue ODE."""
-        t = np.asarray(t, dtype=float)
         v, _ = eval_profile(self.profile, t)
         return (self.omega**2 - self.lam * v - self.e0) * self.h(t)
 
 
 def ground_state(spec: ComparisonSpec, grid: Grid1D) -> GroundState:
     """Minimal eigenpair on the given grid (Dirichlet/truncated-line only)."""
+    import numpy as np
+
+    from .eigs import lowest_pair
+
     bc = "dirichlet" if spec.domain.kind == "truncated_line" else spec.domain.bc
     if bc != "dirichlet":
         raise ConfigurationError("ground_state supports Dirichlet-type grids only")
     e0, v = lowest_pair(assemble_comparison(spec, grid))
 
-    x = grid.interior_nodes()
-    h = grid.h
+    h, x = grid.nodes("dirichlet")
+    x = np.array(x)
     v = v / np.sqrt(np.sum(v**2) * h)
     vv, _ = eval_profile(spec.profile, x)
     anchor = int(np.argmax(vv)) if spec.lam > 0 else int(np.argmin(np.abs(x)))
@@ -378,6 +398,8 @@ def ground_state(spec: ComparisonSpec, grid: Grid1D) -> GroundState:
 
 def _fd4_derivative(u: np.ndarray, h: float) -> np.ndarray:
     """Fourth-order first derivative on a uniform grid, one-sided at the ends."""
+    import numpy as np
+
     n = len(u)
     d = np.empty(n)
     d[2:-2] = (u[:-4] - 8 * u[1:-3] + 8 * u[3:-1] - u[4:]) / (12 * h)

@@ -5,7 +5,7 @@ import pytest
 
 from smilansky_lab import bracketing as br
 from smilansky_lab.cli import RunRequest, run
-from smilansky_lab.errors import ConfigurationError
+from smilansky_lab.errors import ComputationError, ConfigurationError
 from smilansky_lab.model import ChannelSpec, ModelConfig, PotentialProfile, load_config
 from smilansky_lab.oned import threshold, tune_lambda_to_threshold
 
@@ -107,6 +107,39 @@ class TestGlobalBound:
         bound = br.global_lower_bound(cfg)
         assert isinstance(bound, float)
         assert bound <= -lam * math.log(2.0) ** 2 + 1e-12
+
+    @pytest.mark.parametrize("family, lam", [("cos2", 0.1), ("cos2", 2.0),
+                                             ("quartic", 2.7), ("quartic", 0.5)])
+    def test_bound_is_the_minimum_over_all_strips(self, family, lam):
+        # the lemma: net(n) is nondecreasing for n >= 2, so min(central,
+        # net(2)) is the minimum over every strip
+        p = PotentialProfile(family, 1.0, 1.0)
+        cfg = ModelConfig(omega=1.0, channels=(ChannelSpec(lam, 0.0, p),))
+        central = -lam * math.log(2.0) ** 2
+        nets = [s.net_bound for s in br.strip_bounds(cfg, 4096)]
+        assert all(b >= a for a, b in zip(nets[1:], nets[2:]))
+        assert br.global_lower_bound(cfg) == min([central] + nets)
+
+    def test_negative_threshold_in_critical_band_has_no_bound(self, prof, lam_crit):
+        # t_V ~ -1.5e-7: "critical" at tol 1e-6, but the strip bounds
+        # ln^2(n) t_V - corr(n) tend to -inf
+        cfg = ModelConfig(omega=1.0,
+                          channels=(ChannelSpec(lam_crit * (1.0 + 1e-7), 0.0, prof),))
+        cls = br.classify(cfg)
+        assert cls.verdict == "critical" and -1e-6 < cls.t_v < 0.0
+        with pytest.raises(ComputationError, match="t_V = -1.5"):
+            br.global_lower_bound(cfg)
+        assert "global_lower_bound" not in br.classification_json_dict(cfg, cls)
+
+    def test_two_channels_routed_by_the_default_tol(self, prof, lam_crit):
+        # supercritical at tol 1e-9 but critical at the default tol, which
+        # routes the bound: two channels give none, and no error
+        cfg = ModelConfig(omega=1.0, channels=(
+            ChannelSpec(lam_crit * (1.0 + 1e-7), 0.0, prof),
+            ChannelSpec(1.0, 3.0, PotentialProfile("quartic", 1.0, 1.0))))
+        cls = br.classify(cfg, tol=1e-9)
+        assert cls.verdict == "supercritical"
+        assert "global_lower_bound" not in br.classification_json_dict(cfg, cls)
 
 
 @pytest.mark.parametrize("command, config", [("classify", "two_channel.json"),

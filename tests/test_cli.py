@@ -194,8 +194,8 @@ class TestExitCodes:
         assert "computation failed:" in err and "k >= 2^58 > 2^53" in err
 
     def test_import_leaves_out_scipy_interpolate(self):
-        # a fresh process: the package imports only numpy, scipy.linalg and
-        # scipy.sparse, which keeps the start-up of every command short
+        # a fresh process: no command needs scipy.interpolate (table
+        # profiles use the package's own PCHIP)
         src = str(Path(smilansky_lab.__file__).resolve().parents[1])
         env = dict(os.environ, PYTHONPATH=src)
         code = ("import sys, smilansky_lab.cli; "
@@ -238,6 +238,61 @@ class TestExitCodes:
         proc = subprocess.run([sys.executable, "-c", code], env=env,
                               capture_output=True, text=True)
         assert proc.returncode == 0, proc.stderr
+
+    def test_one_d_commands_leave_out_numpy(self, single_cfg, tmp_path):
+        # a fresh process: thresholds and couplings on the line and on
+        # intervals are Sturm counts on lists; only the 2D and Weyl
+        # commands load numpy, in their own branches
+        quartic = tmp_path / "quartic.json"
+        quartic.write_text(json.dumps({**SINGLE, "channels": [{
+            "lambda": 2.0, "center": 0.0,
+            "profile": {"family": "quartic", "a": 1.0, "amplitude": 1.0}}]}))
+        dirichlet = tmp_path / "dirichlet.json"
+        dirichlet.write_text(json.dumps({**SINGLE, "x_domain": {
+            "type": "interval", "c": 1.5, "bc": "dirichlet"}}))
+        periodic = tmp_path / "periodic.json"
+        periodic.write_text(json.dumps({**SINGLE, "x_domain": {
+            "type": "interval", "c": 1.5, "bc": "periodic"}}))
+        two = str(Path(__file__).parents[1] / "configs" / "two_channel.json")
+        runs = [[command, "--config", cfg, *extra]
+                for cfg in (single_cfg, str(quartic))
+                for command, extra in (("critical", ["--tol", "1e-2"]),
+                                       ("tune", ["--target", "-1"]),
+                                       ("eig1d", []), ("classify", []), ("bound", []))]
+        runs += [["eig1d", "--config", two], ["classify", "--config", two]]
+        runs += [[command, "--config", str(cfg)] for cfg in (dirichlet, periodic)
+                 for command in ("eig1d", "classify", "bound")]
+        later = [["weyl", "--config", single_cfg, "--eps", "0.1"],
+                 ["scan", "--config", single_cfg, "--ladder", "2,3"]]
+        out = str(tmp_path / "out")
+        code = ("import sys\n"
+                "import smilansky_lab.cli\n"
+                "assert 'numpy' not in sys.modules\n"
+                "from smilansky_lab.cli import main\n"
+                f"for args in {runs!r}:\n"
+                f"    assert main(args + ['--output', {out!r}]) == 0, args\n"
+                "    assert 'numpy' not in sys.modules, args\n"
+                f"for args in {later!r}:\n"
+                f"    main(args + ['--output', {out!r}])\n"
+                "    assert 'numpy' in sys.modules, args\n")
+        proc = subprocess.run([sys.executable, "-c", code], env=env_with_src(),
+                              capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+
+    def test_negative_threshold_in_critical_band(self, tmp_path, capsys):
+        # lambda just above lambda_crit: t_V = -1.5e-7 is "critical" at the
+        # default tol, and there is no finite lower bound
+        p = tmp_path / "band.json"
+        p.write_text(json.dumps({**SINGLE, "channels": [{
+            "lambda": 2.8663043553582006 * (1.0 + 1e-7), "center": 0.0,
+            "profile": {"family": "cos2", "a": 1.0, "amplitude": 1.0}}]}))
+        assert main(["bound", "--config", str(p)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("computation failed: t_V = -1.5")
+        assert main(["classify", "--config", str(p)]) == 0
+        cls = json.loads(capsys.readouterr().out)
+        assert cls["verdict"] == "critical" and -1e-6 < cls["t_V"] < 0.0
+        assert "global_lower_bound" not in cls
 
     def test_two_d_and_interval_commands_leave_out_scipy(self, single_cfg, super_cfg,
                                                          tmp_path):

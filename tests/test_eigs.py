@@ -6,9 +6,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from smilansky_lab.eigs import (BlockTridiagonal, TridiagonalSym, _spd_inverse,
-                                bisect_count, bracket_lowest, cyclic_sturm_count,
-                                lowest_pair, shift_invert_lanczos, sturm_count)
+                                bracket_lowest, lowest_pair, shift_invert_lanczos)
 from smilansky_lab.errors import ComputationError
+from smilansky_lab.sturm import bisect_count, cyclic_sturm_count, sturm_count
 
 
 def dirichlet_laplacian(n):
@@ -19,8 +19,9 @@ def smallest_by_count(T, m, tol):
     """The m smallest eigenvalues of a non-periodic T: the j-th is where the
     Sturm count passes j, bisected to width tol."""
     d, e2 = T.d.tolist(), (T.e**2).tolist()
-    lo = float(np.min(T.d - T.radius())) - 1.0
-    hi = float(np.max(T.d + T.radius())) + 1.0
+    # the spectrum lies in [-||T||_inf, ||T||_inf]
+    hi = T.norm_inf() + 1.0
+    lo = -hi
     return np.array([0.5 * sum(bisect_count(lambda x: sturm_count(d, e2, x) > j,
                                             lo, hi, tol)[:2]) for j in range(m)])
 

@@ -8,7 +8,8 @@ from hypothesis import strategies as st
 from smilansky_lab.errors import ConfigurationError
 from smilansky_lab.model import (ChannelSpec, ModelConfig, PotentialProfile,
                                  XDomain, config_from_dict, config_to_dict,
-                                 eval_potential_2d, eval_profile, load_config)
+                                 eval_potential_2d, eval_profile, load_config,
+                                 profile_values)
 
 
 class TestProfiles:
@@ -108,6 +109,15 @@ class TestProfiles:
         assert not PotentialProfile("table", 1.0, 1.0, table=skewed).is_even
         shifted = ((-1.0, 0.0), (-0.5, 0.7), (0.0, 1.0), (0.4, 0.7), (1.0, 0.0))
         assert not PotentialProfile("table", 1.0, 1.0, table=shifted).is_even
+
+    def test_list_values_equal_array_values(self):
+        # one formula per family: float arithmetic on lists, numpy on arrays
+        t = np.random.default_rng(5).uniform(-1.5, 1.5, 2001)
+        t[:3] = (-1.0, 0.0, 1.0)
+        table = ((-1.0, 0.0), (-0.5, 0.9), (0.0, 1.0), (0.5, 0.3), (1.0, 0.0))
+        for p in (PotentialProfile("cos2", 1.3, 0.7), PotentialProfile("quartic", 0.8, 2.0),
+                  PotentialProfile("table", 1.0, 1.5, table=table)):
+            assert profile_values(p, t.tolist()) == eval_profile(p, t)[0].tolist()
 
     def test_invalid_profiles_rejected(self):
         with pytest.raises(ConfigurationError):

@@ -39,6 +39,18 @@ TRUNCATED_LINE_THRESHOLDS = {
               -0.9955298345549832, -50.85943715663878),
 }
 PINNED_LAMBDAS = (0.1, 0.5, 2.0, 4.5858855443, 64.0)
+# thresholds at ARRAY_PATH_LAMBDAS and the couplings with threshold 0 and -1
+# (omega = 1), computed when the support values came from `eval_profile` on
+# a numpy grid instead of `profile_values` on a list
+ARRAY_PATH_LAMBDAS = (0.05, 0.5, 2.0, 4.5858855443, 64.0)
+ARRAY_PATH_VALUES = {
+    "cos2": ((0.9993876107117102, 0.9479239098363905, 0.42955149322369834,
+              -0.9999999999828987, -51.086563835749),
+             (2.8663043553582006, 4.5858855443802895)),
+    "quartic": ((0.9993048740136148, 0.9418577206597547, 0.38069144183100434,
+                 -1.1282633493887424, -52.09737168915225),
+                (2.72964673708096, 4.387981119774243)),
+}
 
 
 def line(lam, profile):
@@ -150,6 +162,24 @@ class TestLineThreshold:
         got = lam_crit if target == 0.0 else lam_e0_minus1
         assert abs(got - want) <= 1e-9
         assert abs(pinned - want) <= 1e-9
+
+    @pytest.mark.parametrize("name", sorted(PROFILES))
+    def test_support_values_equal_the_array_path(self, name):
+        profile = PROFILES[name]
+        for m in (120, 240, 480):
+            h = profile.a / m
+            want = eval_profile(profile, h * np.arange(1 - m, m))[0].tolist()
+            assert oned._support_chain(1.0, profile, m)[1] == want
+
+    @pytest.mark.parametrize("name", sorted(ARRAY_PATH_VALUES))
+    def test_list_path_matches_array_path(self, name):
+        profile = PROFILES[name]
+        got = ([threshold(line(lam, profile)) for lam in ARRAY_PATH_LAMBDAS]
+               + [critical_coupling(1.0, profile),
+                  tune_lambda_to_threshold(1.0, profile, -1.0)])
+        thresholds, couplings = ARRAY_PATH_VALUES[name]
+        for g, w in zip(got, thresholds + couplings, strict=True):
+            assert abs(g - w) <= 1e-15 * abs(w)
 
     def test_profile_vanishing_on_every_node(self):
         # a bump strictly between the nodes 0 and h = 1/480 of every level
