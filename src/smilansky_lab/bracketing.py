@@ -69,8 +69,9 @@ def classify(config: ModelConfig, tol: float = _TOL,
     """t_V = min_j inf sigma(L_j); sign against tol gives the verdict."""
     if not config.channels:
         raise ConfigurationError("classification needs at least one channel")
-    if tol <= 0:
-        raise ConfigurationError("classification tolerance must be positive")
+    if not 0 < tol < math.inf:
+        raise ConfigurationError(
+            f"classification tolerance must be positive and finite, got {tol!r}")
     return _classification(
         tuple(channel_threshold(config, ch, policy) for ch in config.channels), tol)
 

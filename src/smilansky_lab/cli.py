@@ -16,6 +16,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import math
 import sys
 from dataclasses import dataclass, field
 from typing import Optional
@@ -46,9 +47,14 @@ class RunRequest:
         if self.fmt not in ("csv", "json"):
             raise ConfigurationError(f"unknown output format {self.fmt!r}")
         p = self.params
-        for key in ("tol", "mu_margin"):
-            if key in p and p[key] <= 0:
-                raise ConfigurationError(f"{key} must be positive")
+        # NaN passes every comparison below, and an infinite value reaches
+        # a bisection or an integer grid size
+        for key in ("tol", "target", "y_half", "mu", "ladder", "eps"):
+            values = p.get(key, [])
+            if not all(map(math.isfinite, values if isinstance(values, list) else [values])):
+                raise ConfigurationError(f"{key} must be finite, got {values!r}")
+        if p.get("tol", 1.0) <= 0:
+            raise ConfigurationError("tol must be positive")
         if "ladder" in p:
             lad = p["ladder"]
             if sorted(lad) != list(lad):

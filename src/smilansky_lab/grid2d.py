@@ -12,13 +12,18 @@ and scipy.sparse is loaded only to export the matrix.  The transition itself
 is read off the Y-dependence of the lowest eigenvalue: subcritical
 configurations stabilize, supercritical ones plunge like -cY^2 with c near
 the 1D channel energy |E0|.  With even channel profiles the operator
-commutes with y -> -y, and a scan solves only its block on vectors even in
-y, which holds the ground state.
+commutes with y -> -y, and when x -> -x also maps the channels onto each
+other it commutes with that reflection too; the graded x-mesh is built from
+x = 0 outward, so it keeps that symmetry.  A scan solves only the block of H
+on vectors even under each such reflection (one fold per axis,
+`_mirror_fold`), which holds the ground state: on both shipped scan configs
+that is the even-even quarter block.
 """
 
 from __future__ import annotations
 
 import logging
+import math
 from dataclasses import dataclass
 from functools import cached_property
 from typing import TYPE_CHECKING, Iterable
@@ -71,8 +76,8 @@ class Grid2D:
     def __post_init__(self):
         x = np.asarray(self.x_nodes, dtype=float)
         object.__setattr__(self, "x_nodes", x)
-        if self.y_half <= 1.0:
-            raise ConfigurationError("y-truncation must satisfy Y > 1")
+        if not 1.0 < self.y_half < math.inf:
+            raise ConfigurationError(f"y-truncation must satisfy 1 < Y < inf, got {self.y_half!r}")
         if self.n_y < 3 or len(x) < 3:
             raise ConfigurationError("need at least 3 interior nodes per direction")
         if np.any(np.diff(x) <= 0) or x[0] <= self.x_lo or x[-1] >= self.x_hi:
@@ -90,8 +95,10 @@ class Grid2D:
     @classmethod
     def uniform(cls, x_lo: float, x_hi: float, n_x: int, y_half: float,
                 n_y: int) -> "Grid2D":
-        """Uniform interior (vertex) nodes."""
-        x = np.linspace(x_lo, x_hi, n_x + 2)[1:-1]
+        """Uniform interior (vertex) nodes, placed from the midpoint out, so
+        that on (-c, c) they are exactly mirror-symmetric about 0."""
+        h = (x_hi - x_lo) / (n_x + 1)
+        x = 0.5 * (x_lo + x_hi) + h * (np.arange(n_x) - 0.5 * (n_x - 1))
         return cls(x_lo, x_hi, x, y_half, n_y)
 
     @property
@@ -106,33 +113,53 @@ class Grid2D:
     def y_nodes(self) -> np.ndarray:
         return np.linspace(-self.y_half, self.y_half, self.n_y + 2)[1:-1]
 
+    @property
+    def is_even_in_x(self) -> bool:
+        """x -> -x maps the x-range and the x-nodes onto themselves, exactly."""
+        x = self.x_nodes
+        return self.x_lo == -self.x_hi and bool(np.array_equal(x, -x[::-1]))
+
 
 def graded_x_nodes(x_lo: float, x_hi: float, centers: tuple[float, ...],
                    h_min: float, h_max: float = 0.25) -> np.ndarray:
-    """Interior nodes graded toward the channel centers.
+    """Interior nodes graded toward the channel centers, built outward from
+    the midpoint of (x_lo, x_hi), which is a node.
 
     Local spacing max(h_min, |x - b|/4) near the nearest center, capped at
     h_max; the |x|/4 law matches the a/y width of the channel at the height
-    y = a/|x| where the point (x, y) last touches the support.
+    y = a/|x| where the point (x, y) last touches the support.  Each step
+    takes the spacing at its own midpoint, as estimated from its start.  The
+    nodes left of the midpoint are the negated walk to the right for the
+    mirrored centers; so when the centers are mirror-symmetric about the
+    midpoint (and it is 0, as on every scan domain) the nodes are exactly
+    mirror-symmetric, and the x-fold of `assemble_h2d` is exact.
     """
-    if not centers:
-        centers = (0.5 * (x_lo + x_hi),)
-    if h_min <= 0 or h_max < h_min:
+    # a NaN or infinite wall never ends the walk
+    if not -math.inf < x_lo < x_hi < math.inf:
+        raise ConfigurationError(f"need a finite x-range, got ({x_lo!r}, {x_hi!r})")
+    if not 0 < h_min <= h_max:
         raise ConfigurationError("need 0 < h_min <= h_max")
+    mid = 0.5 * (x_lo + x_hi)
+    offsets = [b - mid for b in centers] or [0.0]
 
-    def spacing(x: float) -> float:
-        d = min(abs(x - b) for b in centers)
-        return min(h_max, max(h_min, d / 4.0))
+    def walk(offsets: list[float], end: float) -> list[float]:
+        """Offsets t > 0 of the nodes right of the midpoint, up to the wall
+        at t = end, for centers at `offsets`."""
+        def spacing(t: float) -> float:
+            d = min(abs(t - c) for c in offsets)
+            return min(h_max, max(h_min, d / 4.0))
 
-    nodes = []
-    x = x_lo
-    while True:
-        step = spacing(x + 0.5 * spacing(x))
-        x = x + step
-        if x >= x_hi - 0.5 * step:
-            break
-        nodes.append(x)
-    return np.array(nodes)
+        nodes, t = [], 0.0
+        while True:
+            step = spacing(t + 0.5 * spacing(t))
+            t = t + step
+            if t >= end - 0.5 * step:
+                return nodes
+            nodes.append(t)
+
+    right = walk(offsets, x_hi - mid)
+    left = walk([-c for c in offsets], mid - x_lo)
+    return mid + np.array([-t for t in reversed(left)] + [0.0] + right)
 
 
 @dataclass(frozen=True)
@@ -142,9 +169,11 @@ class SparseHamiltonian:
     `op` holds the x-stencil Bx once, the y-diagonal plus the potential d
     row by row, and the scalar y-couplings C; the solve works on it
     directly.  Unknown (ix, iy) sits at index iy * n_x + ix (x runs
-    fastest), so the matrix has half-bandwidth n_x.  `sector` is "full", or
-    "even" for the block of H on vectors even in y (see `assemble_h2d`),
-    whose eigenvalues are those of the even eigenvectors of H only.
+    fastest), so the matrix has half-bandwidth n_x.  `sector` is "full",
+    "even" for the block of H on vectors even in y, or "even-even" for its
+    block on vectors even in x and in y (see `assemble_h2d`); the
+    eigenvalues of a block are those of the eigenvectors of H in its sector
+    only.  `grid` is the full grid in every sector.
     """
 
     op: BlockTridiagonal
@@ -211,6 +240,43 @@ def _second_diff_1d(nodes: np.ndarray, lo: float, hi: float, bc: str) -> Tridiag
     return TridiagonalSym(flux / w, -1.0 / (d * np.sqrt(w[:-1] * w[1:])), corner)
 
 
+def _mirror_fold(t: TridiagonalSym) -> TridiagonalSym:
+    """U^T t U for the isometry U onto the vectors even under the mirror
+    i -> n - 1 - i of the nodes: its columns are e_i on a node that is its
+    own image (the middle one, n odd) and (e_i + e_{n-1-i})/sqrt(2) on the
+    others, for i = n // 2, ..., n - 1 in that order.
+
+    When t commutes with the mirror, t U = U (U^T t U): U^T t U is the
+    block of t on the mirror-even vectors, and U carries its eigenvectors
+    to those of t.  It is tridiagonal again; the couplings across the middle
+    and the periodic corner land on its diagonal, or next to it, so one
+    product handles every boundary condition and both parities of n.
+    """
+    n = t.n
+    k = np.arange(n // 2, n)
+    image = n - 1 - k
+    own = k == image
+
+    def entry(i: np.ndarray, j: np.ndarray) -> np.ndarray:
+        """t[i, j], elementwise."""
+        out = np.where(i == j, t.d[i], 0.0)
+        out = np.where(np.abs(i - j) == 1, t.e[np.minimum(np.minimum(i, j), n - 2)], out)
+        if t.corner is not None:
+            out = np.where(np.abs(i - j) == n - 1, t.corner, out)
+        return out
+
+    def block(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+        """(U^T t U)[a, b]; the weights are products of the two columns'
+        1/2 (own image) or 1/sqrt(2), written exactly."""
+        w = np.where(own[a] & own[b], 0.25,
+                     np.where(own[a] | own[b], 0.5 * math.sqrt(0.5), 0.5))
+        return w * (entry(k[a], k[b]) + entry(k[a], image[b])
+                    + entry(image[a], k[b]) + entry(image[a], image[b]))
+
+    i = np.arange(len(k))
+    return TridiagonalSym(block(i, i), block(i[:-1], i[1:]))
+
+
 def _check_resolution(config: ModelConfig, grid: Grid2D) -> None:
     x = grid.x_nodes
     for ch in config.channels:
@@ -230,23 +296,33 @@ def assemble_h2d(config: ModelConfig, grid: Grid2D,
     held as Bx, the diagonal of By plus the potential row by row, and the
     off-diagonal of By (`eigs.BlockTridiagonal`).
 
-    sector="full" takes every node of `grid`.  sector="even" needs even
-    channel profiles (`PotentialProfile.is_even`), so that H commutes with
-    y -> -y, and assembles the block of H on vectors even in y: the nodes
-    y >= 0 of `grid.y_nodes` (the same values, so the potential is that of
-    the upper half), ordered from the wall y = Y inward, in the orthonormal
-    basis e_0, (e_j + e_-j)/sqrt(2).  Its By is the Dirichlet stencil except
-    in the row nearest y = 0: (-sqrt(2), 2)/h^2 when that node is y = 0
-    (n_y odd), diagonal 1/h^2 when the nodes straddle y = 0 (n_y even).  The
-    block has about half the unknowns of the full matrix and the same
-    half-bandwidth n_x.  The wall comes first, as in the full matrix, so a
-    shift that is not below the spectrum of a plunging ground state fails
-    early in the block factorization.
+    sector="full" takes every node of `grid`.  The folded sectors assemble
+    U^T H U for an isometry U onto the vectors even under a reflection that
+    commutes with H, one `_mirror_fold` of the 1D stencil per folded axis:
+    - "even" needs a potential even in y (`ModelConfig.is_even_in_y`) and
+      folds y: the nodes y >= 0 of `grid.y_nodes` (the same values, so the
+      potential is that of the upper half), ordered from the wall y = Y
+      inward.  Its By is the Dirichlet stencil except in the row nearest
+      y = 0: (-sqrt(2), 2)/h^2 when that node is y = 0 (n_y odd), diagonal
+      1/h^2 when the nodes straddle y = 0 (n_y even).  The wall comes
+      first, as in the full matrix, so a shift that is not below the
+      spectrum of a plunging ground state fails early in the block
+      factorization.
+    - "even-even" also needs a potential even in x
+      (`ModelConfig.is_even_in_x`) and x-nodes mirror-symmetric about 0
+      (`Grid2D.is_even_in_x`), and folds x too, onto the nodes x >= 0 in
+      increasing order: Bx becomes U_x^T Bx U_x, of order (n_x + 1) // 2,
+      which is also the half-bandwidth of the block.
+    A block has about 1/2 ("even") or 1/4 ("even-even") of the unknowns.
     """
-    if sector not in ("full", "even"):
-        raise ConfigurationError(f"unknown y sector {sector!r}")
-    if sector == "even" and not all(ch.profile.is_even for ch in config.channels):
+    if sector not in ("full", "even", "even-even"):
+        raise ConfigurationError(f"unknown sector {sector!r}")
+    if sector != "full" and not config.is_even_in_y:
         raise ConfigurationError("the even-in-y sector needs even channel profiles")
+    if sector == "even-even" and not (config.is_even_in_x and grid.is_even_in_x):
+        raise ConfigurationError(
+            "the even-in-x sector needs channels that x -> -x maps onto each "
+            "other and x-nodes mirror-symmetric about x = 0")
     if config.x_domain.kind == "interval":
         if not np.isclose(grid.x_hi, config.x_domain.c) or \
            not np.isclose(grid.x_lo, -config.x_domain.c):
@@ -257,17 +333,18 @@ def assemble_h2d(config: ModelConfig, grid: Grid2D,
     _check_resolution(config, grid)
 
     bx = _second_diff_1d(grid.x_nodes, grid.x_lo, grid.x_hi, bc_x)
-    y = grid.y_nodes if sector == "full" else grid.y_nodes[grid.n_y // 2:][::-1]
     h2 = grid.h_y ** 2
-    diag = np.full(len(y), 2.0 / h2)
-    off = np.full(len(y) - 1, -1.0 / h2)
-    if sector == "even":
-        if grid.n_y % 2:
-            off[-1] *= np.sqrt(2.0)
-        else:
-            diag[-1] = 1.0 / h2
-    pot = eval_potential_2d(config, grid.x_nodes[None, :], y[:, None])
-    return SparseHamiltonian(op=BlockTridiagonal(bx.toarray(), pot + diag[:, None], off),
+    by = TridiagonalSym(np.full(grid.n_y, 2.0 / h2), np.full(grid.n_y - 1, -1.0 / h2))
+    x, y = grid.x_nodes, grid.y_nodes
+    if sector != "full":
+        by = _mirror_fold(by)
+        by = TridiagonalSym(by.d[::-1], by.e[::-1])
+        y = y[grid.n_y // 2:][::-1]
+    if sector == "even-even":
+        bx = _mirror_fold(bx)
+        x = x[grid.n_x // 2:]
+    pot = eval_potential_2d(config, x[None, :], y[:, None])
+    return SparseHamiltonian(op=BlockTridiagonal(bx.toarray(), pot + by.d[:, None], by.e),
                              grid=grid, bc={"x": bc_x, "y": "dirichlet"},
                              potential_min=float(np.min(pot)), sector=sector)
 
@@ -275,10 +352,10 @@ def assemble_h2d(config: ModelConfig, grid: Grid2D,
 def lowest_eigenvalues(ham: SparseHamiltonian, k: int = 1, tol: float = 1e-7,
                        seed: int = 1234, guess: float | Iterable[float] | None = None
                        ) -> list[tuple[float, float]]:
-    """k smallest eigenvalues of `ham` (of its y-sector: on the even block,
-    those of the eigenvectors even in y) with independently recomputed
-    residual norms, each ||H x - lambda x|| <= tol up to rounding of order
-    eps ||H||.
+    """k smallest eigenvalues of `ham` (of its sector: on a folded block,
+    those of the eigenvectors of H even under its reflections) with
+    independently recomputed residual norms, each ||H x - lambda x|| <= tol
+    up to rounding of order eps ||H||.
 
     Shift-invert Lanczos on the block LDL^T factor
     (`eigs.shift_invert_lanczos`).  A `guess` near lambda0, such as lambda0
@@ -342,8 +419,12 @@ def scan_grid(config: ModelConfig, policy: ScanPolicy, y_half: float,
     The x-nodes are graded toward the channel centers (on a periodic
     interval, by the distance modulo the period), with the floor tied to
     the top of the ladder, so the same x-grid serves every Y (exact
-    Dirichlet domain nesting).
+    Dirichlet domain nesting).  The x-range is centred at 0, so the nodes
+    are mirror-symmetric about 0 when the centers (images included) are.
     """
+    if not (math.isfinite(y_half) and math.isfinite(y_max)):
+        raise ConfigurationError(f"need a finite truncation, got Y = {y_half!r}, "
+                                 f"Y_max = {y_max!r}")
     if config.x_domain.kind == "interval":
         x_lo, x_hi = -config.x_domain.c, config.x_domain.c
     else:
@@ -377,22 +458,30 @@ def transition_scan(config: ModelConfig, y_ladder: list[float],
     supercritical when the fitted c is positive with R^2 at least the policy
     threshold, inconclusive otherwise (never a guess).
 
-    When every channel profile is even, each rung is solved on the even-in-y
-    block of H (`assemble_h2d(..., "even")`), with about half the unknowns.
-    H has nonpositive off-diagonals on a connected grid, so by
-    Perron-Frobenius its lowest eigenvalue is simple with a positive
-    eigenvector; as H commutes with y -> -y, that eigenvector is even, and
-    lambda0 is exactly the lowest eigenvalue of the block.  The unfolding
-    map is an isometry that intertwines the block with H, so the residual of
-    the block's pair is ||H x - lambda0 x|| of the unfolded vector, and the
-    residual gate, the Rayleigh bound and the monotonicity check keep their
-    meaning; the block factor certifies its shift below the even
-    spectrum, which holds lambda0.  Otherwise every rung is solved on H.
+    Each rung is solved on the block of H on vectors even under every
+    reflection that commutes with H (`assemble_h2d`): the even-even quarter
+    block when the potential is even in x and in y
+    (`ModelConfig.is_even_in_x`; `scan_grid` then makes the x-nodes
+    mirror-symmetric), the even-in-y block ("even") when only every channel
+    profile is even, and H itself ("full") otherwise.  H has nonpositive
+    off-diagonals on a connected grid, so by Perron-Frobenius its lowest
+    eigenvalue is simple with a positive eigenvector v.  A reflection R
+    that commutes with H maps v to an eigenvector of the same simple
+    eigenvalue, so R v = +-v, and R v is positive too: R v = v.  So the
+    ground state is even under both reflections, and lambda0 is exactly the
+    lowest eigenvalue of the block.  The unfolding map (the Kronecker
+    product of the two axes' isometries) intertwines the block with H, so
+    the residual of the block's pair is ||H x - lambda0 x|| of the unfolded
+    vector, and the residual gate, the Rayleigh bound and the monotonicity
+    check keep their meaning; the block factor certifies its shift below
+    the spectrum of the block, which holds lambda0.  Each rung logs its
+    sector and the order of its block at DEBUG.
     """
     if len(y_ladder) < 3 or any(b <= a for a, b in zip(y_ladder, y_ladder[1:])):
         raise ConfigurationError("Y ladder must be increasing with >= 3 entries")
     y_max = float(y_ladder[-1])
-    sector = "even" if all(ch.profile.is_even for ch in config.channels) else "full"
+    sector = ("even-even" if config.is_even_in_x
+              else "even" if config.is_even_in_y else "full")
     vals = []
     residuals = []
     t_v = []    # min_j of the channel thresholds, once, when first needed

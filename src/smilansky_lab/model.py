@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import TYPE_CHECKING, Optional, Sequence
 
 from .errors import ConfigurationError
@@ -65,8 +65,11 @@ class PotentialProfile:
     def __post_init__(self):
         if self.family not in _FAMILIES:
             raise ConfigurationError(f"unknown profile family {self.family!r}")
-        if self.a <= 0 or self.amplitude <= 0:
-            raise ConfigurationError("profile half-width and amplitude must be positive")
+        # NaN passes every sign check (json reads NaN and Infinity)
+        if not (0 < self.a < math.inf and 0 < self.amplitude < math.inf):
+            raise ConfigurationError(
+                f"profile half-width and amplitude must be positive and finite, "
+                f"got {self.a!r}, {self.amplitude!r}")
         if self.family == "table":
             import numpy as np
 
@@ -76,6 +79,8 @@ class PotentialProfile:
                 raise ConfigurationError("tabulated profile needs at least 3 points")
             ts = np.array([p[0] for p in self.table], dtype=float)
             vs = np.array([p[1] for p in self.table], dtype=float)
+            if not (np.all(np.isfinite(ts)) and np.all(np.isfinite(vs))):
+                raise ConfigurationError("tabulated profile points must be finite")
             if np.any(np.diff(ts) <= 0):
                 raise ConfigurationError("tabulated abscissae must be strictly increasing")
             if np.any(vs < 0):
@@ -168,8 +173,10 @@ class ChannelSpec:
     profile: PotentialProfile = field(default_factory=PotentialProfile)
 
     def __post_init__(self):
-        if self.lam < 0:
-            raise ConfigurationError("channel coupling must be nonnegative")
+        if not 0 <= self.lam < math.inf or not math.isfinite(self.center):
+            raise ConfigurationError(
+                f"channel coupling must be nonnegative and finite, and its center "
+                f"finite, got {self.lam!r}, {self.center!r}")
 
     @property
     def support(self) -> tuple[float, float]:
@@ -188,8 +195,9 @@ class XDomain:
         if self.kind not in ("line", "interval"):
             raise ConfigurationError(f"unknown x-domain kind {self.kind!r}")
         if self.kind == "interval":
-            if self.c <= 0:
-                raise ConfigurationError("interval half-width must be positive")
+            if not 0 < self.c < math.inf:
+                raise ConfigurationError(
+                    f"interval half-width must be positive and finite, got {self.c!r}")
             if self.bc not in ("dirichlet", "neumann", "periodic"):
                 raise ConfigurationError(f"unknown boundary condition {self.bc!r}")
         elif self.bc != "dirichlet":
@@ -208,8 +216,10 @@ class ModelConfig:
     y_cutoff: Optional[float] = None  # optional |y| >= y0 gate on the channel term
 
     def __post_init__(self):
-        if self.omega <= 0:
-            raise ConfigurationError("omega must be positive")
+        if not 0 < self.omega < math.inf:
+            raise ConfigurationError(f"omega must be positive and finite, got {self.omega!r}")
+        if self.y_cutoff is not None and not math.isfinite(self.y_cutoff):
+            raise ConfigurationError(f"y_cutoff must be finite, got {self.y_cutoff!r}")
         sups = sorted(ch.support for ch in self.channels)
         for (lo1, hi1), (lo2, hi2) in zip(sups, sups[1:]):
             if hi1 > lo2:
@@ -224,6 +234,21 @@ class ModelConfig:
                         f"channel centered at {ch.center} does not fit inside "
                         f"(-{self.x_domain.c}, {self.x_domain.c})"
                     )
+
+    @property
+    def is_even_in_y(self) -> bool:
+        """The potential is even in y: every channel profile is even."""
+        return all(ch.profile.is_even for ch in self.channels)
+
+    @property
+    def is_even_in_x(self) -> bool:
+        """The potential is even in x: every channel profile is even, and
+        x -> -x maps the channels onto each other (coupling and profile
+        included).  Both x-domains, the line and (-c, c), are symmetric
+        about x = 0."""
+        channels = set(self.channels)
+        return self.is_even_in_y and all(
+            replace(ch, center=-ch.center) in channels for ch in self.channels)
 
 
 def eval_potential_2d(config: ModelConfig, x, y) -> np.ndarray:

@@ -416,6 +416,11 @@ def _coupling(omega: float, profile: PotentialProfile, target: float,
               tol: float, policy: ResolutionPolicy) -> float:
     """Richardson-extrapolated coupling with threshold `target` on the line,
     certified by one threshold at that coupling within tol of the target."""
+    # a NaN target or omega passes the comparisons below and never ends the
+    # doubling of the coupling bracket
+    if not all(map(math.isfinite, (omega, target, tol))):
+        raise ConfigurationError(
+            f"omega, target and tol must be finite, got {omega!r}, {target!r}, {tol!r}")
     if tol <= 0:
         raise ConfigurationError("tolerance must be positive")
     if target >= omega**2:

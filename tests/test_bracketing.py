@@ -52,6 +52,13 @@ class TestClassify:
         with pytest.raises(ConfigurationError):
             br.classify(ModelConfig(omega=1.0))
 
+    @pytest.mark.parametrize("tol", [math.nan, math.inf, 0.0])
+    def test_tol_must_be_positive_and_finite(self, prof, lam_crit, tol):
+        # with tol = NaN both sign tests failed and t_V = 0.43 read "critical"
+        cfg = ModelConfig(omega=1.0, channels=(ChannelSpec(0.5 * lam_crit, 0.0, prof),))
+        with pytest.raises(ConfigurationError, match="positive and finite"):
+            br.classify(cfg, tol=tol)
+
 
 class TestStrips:
     def test_partition_of_positive_axis(self, prof, lam_crit):

@@ -58,6 +58,42 @@ class TestRequests:
         with pytest.raises(ConfigurationError):
             RunRequest("critical", single_cfg, params={"tol": -1.0})
 
+    @pytest.mark.parametrize("args", [
+        ["tune", "--target", "nan"], ["tune", "--target", "-1", "--tol", "inf"],
+        ["critical", "--tol", "nan"], ["classify", "--tol", "nan"],
+        ["eig2d", "--y-half", "nan"], ["eig2d", "--y-half", "inf"],
+        ["scan", "--ladder", "4,8,nan"], ["scan", "--ladder", "4,8,inf"],
+        ["weyl", "--mu", "nan", "--eps", "0.1"], ["weyl", "--eps", "0.1,nan"]],
+        ids=lambda args: " ".join(args))
+    def test_non_finite_parameters_exit_2(self, single_cfg, args):
+        # a fresh process with a timeout: `tune --target nan` never ended,
+        # `classify --tol nan` printed a verdict, the others failed with a
+        # traceback or a message about something else
+        proc = subprocess.run(
+            [sys.executable, "-m", "smilansky_lab.cli", args[0], "--config", single_cfg,
+             *args[1:]], env=env_with_src(), capture_output=True, text=True, timeout=60)
+        assert proc.returncode == 2, proc.stderr
+        assert proc.stderr.startswith("configuration error: ")
+        assert "must be finite" in proc.stderr or "must lie in (0, 1)" in proc.stderr
+        assert proc.stdout == ""
+
+    def test_non_finite_config_values_exit_2(self, tmp_path, capsys):
+        # json reads NaN: "lambda": NaN gave NaN thresholds with exit 0, and
+        # "omega": NaN a finite bound
+        for key, path in (("lambda", ("channels", 0)), ("omega", ())):
+            bad = json.loads(json.dumps(SINGLE))
+            leaf = bad
+            for k in path:
+                leaf = leaf[k]
+            leaf[key] = float("nan")
+            p = tmp_path / f"{key}.json"
+            p.write_text(json.dumps(bad))
+            for command in ("eig1d", "classify", "bound"):
+                assert main([command, "--config", str(p)]) == 2
+                captured = capsys.readouterr()
+                assert captured.out == ""
+                assert "finite, got nan" in captured.err
+
 
 class TestCommands:
     def test_critical_json(self, single_cfg, tmp_path, capsys):

@@ -185,6 +185,33 @@ class TestGradedMesh:
         mid = 0.5 * (x[:-1] + x[1:])
         assert np.all(d <= np.maximum(1.0 / 64.0, np.abs(mid) / 4.0) * 1.35)
 
+    @pytest.mark.parametrize("centers", [(), (0.0,), (-2.0, 2.0), (0.0, -12.0, 12.0),
+                                         (-1.7, 0.0, 1.7, -13.7, 10.3, -10.3, 13.7)])
+    def test_symmetric_centers_give_mirrored_nodes(self, centers):
+        # the walk to the left is the negated walk to the right, from the
+        # midpoint node, bitwise; the last two sets are periodic images
+        # (b +- 12 on (-6, 6))
+        x = grid2d.graded_x_nodes(-6.0, 6.0, centers, 1.0 / 64.0, 0.25)
+        assert len(x) % 2 == 1 and x[len(x) // 2] == 0.0
+        assert np.array_equal(x, -x[::-1])
+
+    @pytest.mark.parametrize("x_lo, x_hi", [(-np.inf, np.inf), (-np.nan, np.nan), (2.0, -2.0)])
+    def test_bad_x_range_rejected(self, x_lo, x_hi):
+        with pytest.raises(ConfigurationError, match="x-range"):
+            grid2d.graded_x_nodes(x_lo, x_hi, (0.0,), 1.0 / 64.0, 0.25)
+
+    def test_asymmetric_centers_keep_the_midpoint_node(self):
+        x = grid2d.graded_x_nodes(1.0, 5.0, (3.5,), 1.0 / 64.0, 0.25)
+        assert 3.0 in x and not np.allclose(x - 3.0, (3.0 - x)[::-1])
+        d = np.diff(x)
+        assert np.min(d) >= 1.0 / 64.0 - 1e-12 and np.max(d) <= 0.25 + 1e-12
+
+    def test_shipped_scan_grid_is_mirrored(self):
+        root = Path(__file__).parents[1] / "configs"
+        cfg = load_config(str(root / "single_channel.json"))
+        g = grid2d.scan_grid(cfg, grid2d.ScanPolicy(), 4.0, 16.0)
+        assert g.n_x == 69 and g.is_even_in_x
+
     def test_graded_matches_uniform_on_oscillator(self):
         # graded assembly of a smooth problem agrees with the uniform answer
         cfg = ModelConfig(omega=1.0)
@@ -228,6 +255,9 @@ class TestScan:
             grid2d.transition_scan(ModelConfig(omega=1.0), [4.0, 3.0, 8.0])
         with pytest.raises(ConfigurationError):
             grid2d.transition_scan(ModelConfig(omega=1.0), [4.0, 8.0])
+        for bad in ([4.0, 8.0, np.nan], [4.0, np.nan, 16.0], [4.0, 8.0, np.inf]):
+            with pytest.raises(ConfigurationError, match="finite truncation"):
+                grid2d.transition_scan(ModelConfig(omega=1.0), bad)
 
     def test_zero_channel_scan_subcritical(self):
         # start the ladder at Y = 3 so the y-truncation error of the
@@ -288,7 +318,8 @@ SKEWED_TABLE = PotentialProfile("table", 1.0, 1.0, table=(
 
 def _even_cases():
     """(id, config, grid) over x boundaries, x-grids, channels and both
-    parities of n_y."""
+    parities of n_y; the centred channels and the symmetric line cases are
+    also even in x, on odd and even n_x."""
     cases = []
     for bc in ("dirichlet", "neumann", "periodic"):
         cfg = ModelConfig(omega=1.0, x_domain=XDomain("interval", 2.0, bc),
@@ -296,6 +327,11 @@ def _even_cases():
         for n_y in (31, 30):
             cases.append((f"{bc}-ny{n_y}", cfg, grid2d.Grid2D.uniform(
                 -2.0, 2.0, 24, 2.5, n_y)))
+        centred = dataclasses.replace(cfg, channels=(ChannelSpec(3.0, 0.0, COS2),))
+        for n_x in (25, 24):
+            for n_y in (31, 30):
+                cases.append((f"{bc}-centred-nx{n_x}-ny{n_y}", centred,
+                              grid2d.Grid2D.uniform(-2.0, 2.0, n_x, 2.5, n_y)))
     pol = grid2d.ScanPolicy(points_per_unit_y=8, x_half_width=5.0)
     line = {
         "graded": ModelConfig(omega=1.0, channels=(ChannelSpec(4.0, 0.0, COS2),)),
@@ -318,16 +354,26 @@ def _even_cases():
 EVEN_CASES = _even_cases()
 
 
-def _unfold(grid, n_even):
-    """The isometry from the even block onto even vectors of the full grid:
-    folded y-row j (counted from the wall y = Y) spreads over the full rows
-    j and n_y - 1 - j, weight 1/sqrt(2) each, or 1 on the row y = 0."""
-    j = np.arange(n_even // grid.n_x)
-    w = np.where(j == grid.n_y - 1 - j, 1.0, np.sqrt(0.5))
-    uy = np.zeros((grid.n_y, len(j)))
-    uy[j, j] = w
-    uy[grid.n_y - 1 - j, j] = w
-    return sp.kron(sp.csr_matrix(uy), sp.identity(grid.n_x), format="csr")
+def _mirror_isometry(n):
+    """The columns of `grid2d._mirror_fold`'s U on n nodes: node i of the
+    upper half n // 2, ..., n - 1 spreads over i and n - 1 - i, weight
+    1/sqrt(2) each, or 1 on a node that is its own image."""
+    k = np.arange(n // 2, n)
+    cols = np.arange(len(k))
+    w = np.where(k == n - 1 - k, 1.0, np.sqrt(0.5))
+    u = np.zeros((n, len(k)))
+    u[k, cols] = w
+    u[n - 1 - k, cols] = w
+    return u
+
+
+def _unfold(grid, sector):
+    """The isometry from a folded block onto the vectors of the full grid
+    even in y, and in x for "even-even": folded y-rows count from the wall
+    y = Y inward, folded x-columns from x = 0 outward."""
+    uy = _mirror_isometry(grid.n_y)[:, ::-1]
+    ux = _mirror_isometry(grid.n_x) if sector == "even-even" else np.eye(grid.n_x)
+    return sp.kron(sp.csr_matrix(uy), sp.csr_matrix(ux), format="csr")
 
 
 class TestEvenSector:
@@ -335,30 +381,73 @@ class TestEvenSector:
                              ids=[c[0] for c in EVEN_CASES])
     def test_even_block_matches_full_operator(self, cfg, grid):
         full = grid2d.assemble_h2d(cfg, grid)
-        even = grid2d.assemble_h2d(cfg, grid, "even")
-        assert even.sector == "even" and even.n == grid.n_x * ((grid.n_y + 1) // 2)
-        # the Perron-Frobenius premise: nonpositive off-diagonals
-        for ham in (full, even):
-            assert (ham.matrix - sp.diags(ham.matrix.diagonal())).max() <= 0.0
-        coo = even.matrix.tocoo()
-        assert np.max(coo.col - coo.row) == grid.n_x
-        # the unfolding map is an isometry that intertwines the block with H
-        u = _unfold(grid, even.n)
-        scale = abs(full.matrix).max()
-        assert abs(u.T @ u - sp.identity(even.n)).max() <= 1e-15
-        assert abs(full.matrix @ u - u @ even.matrix).max() <= 1e-12 * scale
-        assert abs(even.potential_min - full.potential_min) <= 1e-12 * scale
-        # so residuals agree, for any vector ...
-        x = np.random.default_rng(3).standard_normal(even.n)
-        lam = x @ (even.matrix @ x) / (x @ x)
-        r_even = np.linalg.norm(even.matrix @ x - lam * x)
-        r_full = np.linalg.norm(full.matrix @ (u @ x) - lam * (u @ x))
-        assert abs(r_even - r_full) <= 1e-12 * r_full
-        # ... and the even ground state is the ground state
         (lam_full, _), = grid2d.lowest_eigenvalues(full, 1, tol=1e-10)
-        (lam_even, res), = grid2d.lowest_eigenvalues(even, 1, tol=1e-10)
-        assert abs(lam_even - lam_full) <= 1e-12 * max(1.0, abs(lam_full))
-        assert res <= 1e-10
+        scale = abs(full.matrix).max()
+        sectors = ["even"]
+        if cfg.is_even_in_x:
+            assert grid.is_even_in_x
+            sectors.append("even-even")
+        else:
+            with pytest.raises(ConfigurationError, match="even-in-x"):
+                grid2d.assemble_h2d(cfg, grid, "even-even")
+        for sector in sectors:
+            block = grid2d.assemble_h2d(cfg, grid, sector)
+            n_x = grid.n_x if sector == "even" else (grid.n_x + 1) // 2
+            assert block.sector == sector and block.n == n_x * ((grid.n_y + 1) // 2)
+            # the Perron-Frobenius premise: nonpositive off-diagonals
+            for ham in (full, block):
+                assert (ham.matrix - sp.diags(ham.matrix.diagonal())).max() <= 0.0
+            coo = block.matrix.tocoo()
+            assert np.max(coo.col - coo.row) == n_x
+            # the unfolding map is an isometry that intertwines the block with H
+            u = _unfold(grid, sector)
+            assert abs(u.T @ u - sp.identity(block.n)).max() <= 1e-15
+            assert abs(full.matrix @ u - u @ block.matrix).max() <= 1e-12 * scale
+            assert abs(block.potential_min - full.potential_min) <= 1e-12 * scale
+            # so residuals agree, for any vector ...
+            x = np.random.default_rng(3).standard_normal(block.n)
+            lam = x @ (block.matrix @ x) / (x @ x)
+            r_block = np.linalg.norm(block.matrix @ x - lam * x)
+            r_full = np.linalg.norm(full.matrix @ (u @ x) - lam * (u @ x))
+            assert abs(r_block - r_full) <= 1e-12 * r_full
+            # ... and the block's ground state is the ground state
+            (lam_block, res), = grid2d.lowest_eigenvalues(block, 1, tol=1e-10)
+            assert abs(lam_block - lam_full) <= 1e-12 * max(1.0, abs(lam_full))
+            assert res <= 1e-10
+
+    def test_fold_needs_mirrored_nodes(self):
+        cfg = ModelConfig(omega=1.0, channels=(ChannelSpec(4.0, 0.0, COS2),))
+        x = grid2d.graded_x_nodes(-5.0, 5.0, (0.0,), 1.0 / 16.0, 0.25)
+        shifted = grid2d.Grid2D(-5.0, 5.0, x + 1e-3, 3.0, 47)
+        assert cfg.is_even_in_x and not shifted.is_even_in_x
+        with pytest.raises(ConfigurationError, match="mirror-symmetric"):
+            grid2d.assemble_h2d(cfg, shifted, "even-even")
+
+    def test_scans_fold_x_only_for_a_potential_even_in_x(self, caplog):
+        # the sector is read off the input, and each rung's debug record
+        # names it with the order of its block (the skewed table, solved on
+        # the full operator, is the next test)
+        root = Path(__file__).parents[1] / "configs"
+        pol = grid2d.ScanPolicy(points_per_unit_y=8, x_half_width=4.0)
+        ladder = [2.0, 3.0, 4.0]
+        cases = [
+            ("even-even", ModelConfig(omega=1.0, channels=(
+                ChannelSpec(2.0, -2.0, COS2), ChannelSpec(2.0, 2.0, COS2)))),
+            ("even", load_config(str(root / "two_channel.json"))),
+            ("even", ModelConfig(omega=1.0, channels=(ChannelSpec(4.0, 0.5, COS2),))),
+            ("even", ModelConfig(omega=1.0, channels=(
+                ChannelSpec(2.0, -2.0, COS2), ChannelSpec(2.5, 2.0, COS2)))),
+        ]
+        for sector, cfg in cases:
+            caplog.clear()
+            with caplog.at_level(logging.DEBUG, logger="smilansky_lab.grid2d"):
+                grid2d.transition_scan(cfg, ladder, pol)
+            grids = [grid2d.scan_grid(cfg, pol, y, 4.0) for y in ladder]
+            orders = [(g.n_x + 1) // 2 * ((g.n_y + 1) // 2) if sector == "even-even"
+                      else g.n_x * ((g.n_y + 1) // 2) for g in grids]
+            assert [r.getMessage().split(": ")[1].split(",")[0]
+                    for r in caplog.records] == [
+                f"{sector} sector of order {n}" for n in orders]
 
     def test_asymmetric_table_scans_on_the_full_operator(self, caplog):
         cfg = ModelConfig(omega=1.0, channels=(ChannelSpec(3.0, 0.0, SKEWED_TABLE),))
@@ -378,11 +467,15 @@ class TestEvenSector:
     @pytest.mark.parametrize("name", ["single_channel", "supercritical"])
     def test_shipped_scans_keep_the_full_operator_lambda0(self, name, caplog):
         root = Path(__file__).parents[1]
-        want = json.loads((root / "tests" / "data" / "scan_ladder_4_8_16.json")
-                          .read_text())[name]
+        pinned = json.loads((root / "tests" / "data" / "scan_ladder_4_8_16.json")
+                            .read_text())
+        want = pinned[name]
         cfg = load_config(str(root / "configs" / f"{name}.json"))
         with caplog.at_level(logging.DEBUG, logger="smilansky_lab.grid2d"):
             scan = grid2d.transition_scan(cfg, [4.0, 8.0, 16.0])
         assert np.allclose([r.lambda0 for r in scan.rows], want, rtol=1e-12, atol=0.0)
         assert [r.getMessage().split(": ")[1].split(",")[0] for r in caplog.records] == [
-            f"even sector of order {n}" for n in (6624, 13248, 26496)]
+            f"even-even sector of order {n}" for n in (3360, 6720, 13440)]
+        # the mirror-symmetric mesh moved lambda0 by far less than its
+        # discretization error (about 1 %) from the mesh graded left to right
+        assert np.allclose(want, pinned["left_to_right_mesh"][name], rtol=1e-3, atol=0.0)

@@ -194,6 +194,34 @@ class TestSerialization:
         back = load_config(str(path))
         assert back == cfg
 
+    @pytest.mark.parametrize("path", [
+        ("omega",), ("channels", 0, "lambda"), ("channels", 0, "center"),
+        ("channels", 0, "profile", "a"), ("channels", 0, "profile", "amplitude"),
+        ("channels", 1, "profile", "table", 1, 0), ("channels", 1, "profile", "table", 1, 1),
+        ("x_domain", "c"), ("y_cutoff",)])
+    @pytest.mark.parametrize("bad", ["NaN", "Infinity", "-Infinity"])
+    def test_non_finite_numbers_rejected(self, tmp_path, path, bad):
+        # json reads NaN and Infinity; NaN passed every sign check, and
+        # "lambda": NaN printed NaN thresholds with exit 0
+        d = {"omega": 1.0,
+             "channels": [{"lambda": 2.0, "center": -0.5,
+                           "profile": {"family": "cos2", "a": 0.5, "amplitude": 1.0}},
+                          {"lambda": 2.0, "center": 1.0, "profile": {
+                              "family": "table", "a": 0.5,
+                              "table": [[-0.5, 0.0], [0.0, 1.0], [0.5, 0.0]]}}],
+             "x_domain": {"type": "interval", "c": 2.0, "bc": "dirichlet"},
+             "y_cutoff": 0.5}
+        config_from_dict(d)
+        leaf = d
+        for key in path[:-1]:
+            leaf = leaf[key]
+        leaf[path[-1]] = 1234.5
+        text = json.dumps(d).replace("1234.5", bad)
+        p = tmp_path / "bad.json"
+        p.write_text(text)
+        with pytest.raises(ConfigurationError, match="finite"):
+            load_config(str(p))
+
     def test_malformed_rejected(self):
         with pytest.raises(ConfigurationError):
             config_from_dict({"channels": []})

@@ -1,4 +1,5 @@
 import logging
+import math
 
 import numpy as np
 import pytest
@@ -196,6 +197,16 @@ class TestLineThreshold:
         assert abs(critical_coupling(1.0, cos2_profile, tol=1e-2) - LAM_CRIT_COS2) < 1e-8
         with pytest.raises(RefinementError, match="misses the target"):
             critical_coupling(1.0, cos2_profile, tol=1e-3)
+
+    @pytest.mark.parametrize("target, tol", [(math.nan, 1e-6), (-math.inf, 1e-6),
+                                             (-1.0, math.nan), (-1.0, math.inf)])
+    def test_non_finite_target_or_tol_rejected(self, cos2_profile, target, tol):
+        # a NaN target passed every check and doubled the coupling forever
+        with pytest.raises(ConfigurationError, match="finite"):
+            tune_lambda_to_threshold(1.0, cos2_profile, target, tol=tol)
+        if target == -1.0:
+            with pytest.raises(ConfigurationError, match="finite"):
+                critical_coupling(1.0, cos2_profile, tol=tol)
 
     def test_one_debug_record_per_threshold_and_coupling(self, cos2_profile, caplog):
         with caplog.at_level(logging.DEBUG, logger="smilansky_lab.oned"):
