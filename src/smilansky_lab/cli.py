@@ -6,9 +6,10 @@ hash, tolerances, seed).  Exit codes: 0 success, 1 computation failure
 (including a `weyl` certificate whose checks fail, after its rows are
 written), 2 configuration error.
 
-The 1D commands (`critical`, `tune`, `eig1d`, `classify`, `bound`) run on
-the standard library alone; `eig2d` and `scan` import `grid2d`, and `weyl`
-imports `weyl`, and with them numpy, in their own branches.
+The 1D commands (`critical`, `tune`, `eig1d`, `classify`, `bound`) and
+`weyl` run on the standard library alone (a `table` profile loads numpy for
+its PCHIP); `eig2d` and `scan` import `grid2d`, and with it numpy, in their
+own branch, and `weyl` imports `weyl` in its own.
 """
 
 from __future__ import annotations

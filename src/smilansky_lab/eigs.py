@@ -2,9 +2,10 @@
 
 Tridiagonal matrices (`TridiagonalSym`): `bracket_lowest` brackets the
 lowest eigenvalue, the periodic wrap included, by bisecting the Sturm count
-of `sturm`, and `lowest_pair` adds an eigenvector by inverse iteration with
-a written-out tridiagonal solve.  The counts themselves live in the
-numpy-free `sturm`, so that the 1D thresholds start without numpy.
+of `sturm`, and `lowest_pair` adds an eigenvector by inverse iteration.  Both
+are adapters: the counts, the bisection and the inverse iteration live in
+the numpy-free `sturm`, so that the 1D thresholds and the Weyl ground state
+start without numpy.
 
 Block-tridiagonal matrices I (x) Bx + diag(d) + C (x) I (`BlockTridiagonal`,
 the 2D Hamiltonian) go to `shift_invert_lanczos`: Lanczos with full
@@ -23,7 +24,7 @@ from typing import Iterable, Optional, Union
 import numpy as np
 
 from .errors import ComputationError, ConvergenceError
-from .sturm import chain_bracket, chain_norm, sturm_count
+from .sturm import chain_bracket, chain_lowest_pair, chain_norm
 
 __all__ = [
     "TridiagonalSym",
@@ -95,53 +96,12 @@ def bracket_lowest(T: TridiagonalSym, tol: float) -> tuple[float, float]:
 
 
 def lowest_pair(T: TridiagonalSym) -> tuple[float, np.ndarray]:
-    """Lowest eigenpair of a non-periodic tridiagonal matrix.
-
-    `bracket_lowest` brackets the lowest eigenvalue to width
-    tol = 1e-15 ||T||.  The bracket's lower end sigma lies below the
-    spectrum, so T - sigma is positive definite and its LDL^T factor needs
-    no pivoting.  Three solves with it (inverse iteration from the constant
-    vector) give the eigenvector, its error shrinking by
-    (e0 - sigma) / (e1 - sigma) per solve, and its Rayleigh quotient the
-    eigenvalue, certified by count(e0 - tol) == 0 < count(e0 + tol).
-    Returns (e0, unit eigenvector).
-    """
+    """Lowest eigenpair (e0, unit eigenvector) of a non-periodic tridiagonal
+    matrix: `chain_lowest_pair` (inverse iteration on lists) on its entries."""
     if T.corner is not None:
         raise ComputationError("inverse iteration is not defined for the periodic wrap")
-    tol = 1e-15 * max(1.0, T.norm_inf())
-    lo, _ = bracket_lowest(T, tol)
-
-    # count(lo) == 0: these are the pivots sturm_count found, all positive
-    d, e = T.d.tolist(), T.e.tolist()
-    e2 = [b * b for b in e]
-    n = T.n
-    piv = [d[0] - lo]
-    for i in range(1, n):
-        piv.append(d[i] - lo - e2[i - 1] / piv[i - 1])
-    v = [1.0] * n
-    for _ in range(3):
-        # forward, then back substitution through L D L^T, L_i = e_{i-1}/piv_{i-1}
-        for i in range(1, n):
-            v[i] -= e[i - 1] / piv[i - 1] * v[i - 1]
-        v[-1] /= piv[-1]
-        for i in range(n - 2, -1, -1):
-            v[i] = (v[i] - e[i] * v[i + 1]) / piv[i]
-        scale = max(map(abs, v))
-        v = [x / scale for x in v]
-    vec = np.array(v)
-    vec /= np.linalg.norm(vec)
-    # the Rayleigh quotient as sum c_i v_i^2 - sum e_i (v_{i+1} - v_i)^2, with
-    # c the row sums of T: it avoids the cancellation of the large diagonal
-    # against the off-diagonal
-    c = T.d.copy()
-    c[1:] += T.e
-    c[:-1] += T.e
-    e0 = float(c @ vec**2 - T.e @ np.diff(vec) ** 2)
-    if sturm_count(d, e2, e0 - tol) or not sturm_count(d, e2, e0 + tol):
-        raise ComputationError(
-            f"lowest eigenvalue {e0!r} is not certified by the Sturm counts "
-            f"at +-{tol:.3g}")
-    return e0, vec
+    e0, v = chain_lowest_pair(T.d.tolist(), T.e.tolist())
+    return e0, np.array(v)
 
 
 @dataclass(frozen=True, eq=False)

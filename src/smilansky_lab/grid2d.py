@@ -85,12 +85,6 @@ class Grid2D:
         if len(x) * self.n_y > self.memory_cap:
             raise ConfigurationError(
                 f"grid size {len(x)}x{self.n_y} exceeds the memory cap")
-        # the 2D solve stores one n_x x n_x pivot inverse per y-row
-        if len(x) ** 2 * self.n_y > _DOUBLES_PER_NODE * self.memory_cap:
-            raise ConfigurationError(
-                f"grid size {len(x)}x{self.n_y} needs {len(x) ** 2 * self.n_y:.3g} "
-                f"doubles of pivot blocks, more than {_DOUBLES_PER_NODE} per node "
-                "of the memory cap")
 
     @classmethod
     def uniform(cls, x_lo: float, x_hi: float, n_x: int, y_half: float,
@@ -323,6 +317,15 @@ def assemble_h2d(config: ModelConfig, grid: Grid2D,
         raise ConfigurationError(
             "the even-in-x sector needs channels that x -> -x maps onto each "
             "other and x-nodes mirror-symmetric about x = 0")
+    # the 2D solve stores one pivot inverse per y-row of the block, each of
+    # the order of the block's x-stencil
+    n_bx = (grid.n_x + 1) // 2 if sector == "even-even" else grid.n_x
+    n_by = grid.n_y if sector == "full" else (grid.n_y + 1) // 2
+    if n_bx**2 * n_by > _DOUBLES_PER_NODE * grid.memory_cap:
+        raise ConfigurationError(
+            f"the {sector} block of the {grid.n_x}x{grid.n_y} grid needs "
+            f"{n_bx**2 * n_by:.3g} doubles of pivot blocks, more than "
+            f"{_DOUBLES_PER_NODE} per node of the memory cap")
     if config.x_domain.kind == "interval":
         if not np.isclose(grid.x_hi, config.x_domain.c) or \
            not np.isclose(grid.x_lo, -config.x_domain.c):

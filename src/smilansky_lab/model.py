@@ -216,8 +216,10 @@ class ModelConfig:
     y_cutoff: Optional[float] = None  # optional |y| >= y0 gate on the channel term
 
     def __post_init__(self):
-        if not 0 < self.omega < math.inf:
-            raise ConfigurationError(f"omega must be positive and finite, got {self.omega!r}")
+        # every operator takes omega^2, which overflows from 1.35e154 on
+        if not 0 < self.omega * self.omega < math.inf:
+            raise ConfigurationError(
+                f"omega must be positive with omega^2 finite, got {self.omega!r}")
         if self.y_cutoff is not None and not math.isfinite(self.y_cutoff):
             raise ConfigurationError(f"y_cutoff must be finite, got {self.y_cutoff!r}")
         sups = sorted(ch.support for ch in self.channels)

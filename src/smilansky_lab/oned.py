@@ -23,9 +23,11 @@ Neumann or periodic ends; its minimal eigenvalue is a bisection of the same
 count, bordered for the periodic wrap.  Both chains are built as Python
 lists, so this module, and with it every 1D threshold and coupling, imports
 only the standard library.  `ground_state`, the eigenpair behind the Weyl
-quasi-modes, is solved on a fixed Dirichlet grid by the same Sturm count and
-inverse iteration of `eigs`; it, `assemble_comparison` and `GroundState`
-import numpy where they run.
+quasi-modes, is solved on the fixed Dirichlet chain that `_interval_chain`
+builds as lists, by the Sturm count and inverse iteration of `sturm`, and
+`GroundState` evaluates its interpolant on floats, so the Weyl path starts
+without numpy too; only `assemble_comparison` (an `eigs.TridiagonalSym`)
+imports numpy where it runs.
 
 Each threshold and coupling logs one `smilansky_lab.oned` debug record: the
 resolution, the three values, their Richardson gap and the bisection steps.
@@ -37,15 +39,14 @@ import logging
 import math
 import sys
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING
+from functools import partial
+from typing import TYPE_CHECKING, Callable, Sequence
 
 from .errors import ComputationError, ConfigurationError, RefinementError
-from .model import PotentialProfile, eval_profile, profile_values
-from .sturm import bisect_count, chain_bracket, chain_norm, sturm_count
+from .model import PotentialProfile, profile_values
+from .sturm import bisect_count, chain_bracket, chain_lowest_pair, chain_norm, sturm_count
 
 if TYPE_CHECKING:
-    import numpy as np
-
     from .eigs import TridiagonalSym
 
 __all__ = [
@@ -308,107 +309,102 @@ class GroundState:
     quintic Hermite interpolant matches the sampled values, fourth-order
     finite difference first derivatives, and ODE-exact second derivatives at
     the nodes; beyond the last node the analytic exponential tail takes over.
-    Equality and hashing are by identity, so derived quantities can be
-    cached per ground state.
+    `h`, `h1` and `h2` take and return floats.  Equality and hashing are by
+    identity, so derived quantities can be cached per ground state.
     """
 
     e0: float
-    samples: np.ndarray
-    nodes: np.ndarray
+    samples: list[float]
+    nodes: list[float]
     grid: Grid1D
     lam: float
     omega: float
     profile: PotentialProfile
-    # (nodes, values, first, second derivatives) of the Hermite interpolant
-    _hermite: tuple = field(repr=False)
+    # t -> (h, h', h'') of the quintic Hermite interpolant on [lo, hi]
+    _interpolant: Callable[[float], tuple[float, float, float]] = field(repr=False)
 
     @property
     def kappa(self) -> float:
         """Tail decay rate sqrt(omega^2 - E0) outside the channel support."""
         return math.sqrt(max(self.omega**2 - self.e0, 0.0))
 
-    def h(self, t) -> np.ndarray:
-        import numpy as np
-
-        from .quadrature import quintic_hermite
-
-        t = np.asarray(t, dtype=float)
+    def jet(self, t: float) -> tuple[float, float]:
+        """(h(t), h'(t))."""
         lo, hi = self.nodes[0], self.nodes[-1]
-        out = np.empty_like(t)
-        inside = (t >= lo) & (t <= hi)
-        out[inside] = quintic_hermite(*self._hermite, t[inside])
-        right = t > hi
-        out[right] = self.samples[-1] * np.exp(-self.kappa * (t[right] - hi))
-        left = t < lo
-        out[left] = self.samples[0] * np.exp(-self.kappa * (lo - t[left]))
-        return out
+        if t > hi:
+            v = self.samples[-1] * math.exp(-self.kappa * (t - hi))
+            return v, -self.kappa * v
+        if t < lo:
+            v = self.samples[0] * math.exp(-self.kappa * (lo - t))
+            return v, self.kappa * v
+        return self._interpolant(t)[:2]
 
-    def h1(self, t) -> np.ndarray:
-        import numpy as np
+    def h(self, t: float) -> float:
+        return self.jet(t)[0]
 
-        from .quadrature import quintic_hermite
+    def h1(self, t: float) -> float:
+        return self.jet(t)[1]
 
-        t = np.asarray(t, dtype=float)
-        lo, hi = self.nodes[0], self.nodes[-1]
-        out = np.empty_like(t)
-        inside = (t >= lo) & (t <= hi)
-        out[inside] = quintic_hermite(*self._hermite, t[inside], 1)
-        right = t > hi
-        out[right] = -self.kappa * self.samples[-1] * np.exp(-self.kappa * (t[right] - hi))
-        left = t < lo
-        out[left] = self.kappa * self.samples[0] * np.exp(-self.kappa * (lo - t[left]))
-        return out
+    def ode_factors(self, ts: Sequence[float]) -> list[float]:
+        """h''/h = omega^2 - lambda V(t) - E0 at the points ts, from the
+        eigenvalue ODE."""
+        return _ode_factors(self.omega, self.lam, self.profile, self.e0, ts)
 
-    def h2(self, t) -> np.ndarray:
+    def h2(self, t: float) -> float:
         """Second derivative straight from the eigenvalue ODE."""
-        v, _ = eval_profile(self.profile, t)
-        return (self.omega**2 - self.lam * v - self.e0) * self.h(t)
+        return self.ode_factors([t])[0] * self.h(t)
+
+
+def _ode_factors(omega: float, lam: float, profile: PotentialProfile, e0: float,
+                 ts: Sequence[float]) -> list[float]:
+    w2 = omega**2 - e0
+    return [w2 - lam * v for v in profile_values(profile, ts)]
 
 
 def ground_state(spec: ComparisonSpec, grid: Grid1D) -> GroundState:
-    """Minimal eigenpair on the given grid (Dirichlet/truncated-line only)."""
-    import numpy as np
-
-    from .eigs import lowest_pair
+    """Minimal eigenpair on the given grid (Dirichlet/truncated-line only):
+    the Dirichlet chain of `_interval_chain` and `chain_lowest_pair`, all on
+    lists."""
+    from .quadrature import quintic_hermite
 
     bc = "dirichlet" if spec.domain.kind == "truncated_line" else spec.domain.bc
     if bc != "dirichlet":
         raise ConfigurationError("ground_state supports Dirichlet-type grids only")
-    e0, v = lowest_pair(assemble_comparison(spec, grid))
+    d, e, _ = _interval_chain(spec, grid)
+    e0, v = chain_lowest_pair(d, e)
 
     h, x = grid.nodes("dirichlet")
-    x = np.array(x)
-    v = v / np.sqrt(np.sum(v**2) * h)
-    vv, _ = eval_profile(spec.profile, x)
-    anchor = int(np.argmax(vv)) if spec.lam > 0 else int(np.argmin(np.abs(x)))
+    norm = math.sqrt(math.fsum(vi * vi for vi in v) * h)
+    v = [vi / norm for vi in v]
+    if spec.lam > 0:
+        vv = profile_values(spec.profile, x)
+        anchor = max(range(len(x)), key=vv.__getitem__)
+    else:
+        anchor = min(range(len(x)), key=lambda i: abs(x[i]))
     if v[anchor] < 0:
-        v = -v
+        v = [-vi for vi in v]
 
     # augment with the Dirichlet boundary zeros: the interpolant's node data
-    xa = np.concatenate(([grid.lo], x, [grid.hi]))
-    ha = np.concatenate(([0.0], v, [0.0]))
+    xa = [grid.lo, *x, grid.hi]
+    ha = [0.0, *v, 0.0]
     d1 = _fd4_derivative(ha, h)
-    va, _ = eval_profile(spec.profile, xa)
-    d2 = (spec.omega**2 - spec.lam * va - e0) * ha
+    d2 = [f * hv for f, hv in
+          zip(_ode_factors(spec.omega, spec.lam, spec.profile, e0, xa), ha)]
     return GroundState(
         e0=e0, samples=v, nodes=x, grid=grid, lam=spec.lam, omega=spec.omega,
-        profile=spec.profile, _hermite=(xa, ha, d1, d2),
+        profile=spec.profile, _interpolant=partial(quintic_hermite, xa, ha, d1, d2),
     )
 
 
-def _fd4_derivative(u: np.ndarray, h: float) -> np.ndarray:
+def _fd4_derivative(u: Sequence[float], h: float) -> list[float]:
     """Fourth-order first derivative on a uniform grid, one-sided at the ends."""
-    import numpy as np
-
     n = len(u)
-    d = np.empty(n)
-    d[2:-2] = (u[:-4] - 8 * u[1:-3] + 8 * u[3:-1] - u[4:]) / (12 * h)
-    for i in (0, 1):
-        d[i] = (-25 * u[i] + 48 * u[i + 1] - 36 * u[i + 2]
-                + 16 * u[i + 3] - 3 * u[i + 4]) / (12 * h)
-    for i in (n - 2, n - 1):
-        d[i] = (25 * u[i] - 48 * u[i - 1] + 36 * u[i - 2]
-                - 16 * u[i - 3] + 3 * u[i - 4]) / (12 * h)
+    d = [(-25 * u[i] + 48 * u[i + 1] - 36 * u[i + 2] + 16 * u[i + 3] - 3 * u[i + 4])
+         / (12 * h) for i in (0, 1)]
+    d += [(u[i - 2] - 8 * u[i - 1] + 8 * u[i + 1] - u[i + 2]) / (12 * h)
+          for i in range(2, n - 2)]
+    d += [(25 * u[i] - 48 * u[i - 1] + 36 * u[i - 2] - 16 * u[i - 3] + 3 * u[i - 4])
+          / (12 * h) for i in (n - 2, n - 1)]
     return d
 
 

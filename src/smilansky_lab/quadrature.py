@@ -1,114 +1,131 @@
 """Gauss-Legendre panel quadrature and Hermite interpolation.
 
 All integrals in this package run over smooth piecewise-defined integrands
-with known breakpoints, so composite Gauss-Legendre panels with adaptive
-bisection are enough; no general-purpose adaptivity is needed.  The
-integrands' C^2 pieces (ground-state interpolant, cutoff bridges) are
-quintic Hermite interpolants of node values and first two derivatives;
-tabulated potential profiles are C^1 monotone cubic Hermite (PCHIP)
-interpolants of node values.
+with known breakpoints, so composite Gauss-Legendre panels of fixed order
+are enough; no adaptivity is needed.  The integrands' C^2 pieces
+(ground-state interpolant, cutoff bridges) are quintic Hermite interpolants
+of node values and first two derivatives.  The rules, the panels and the
+quintic Hermite evaluator run on floats and lists with `math`, so the Weyl
+quasi-modes need no numpy.  Tabulated potential profiles are C^1 monotone
+cubic Hermite (PCHIP) interpolants of node values, evaluated on numpy
+arrays; those functions import numpy where they run.
 """
 
 from __future__ import annotations
 
-from math import perm
+import math
+from bisect import bisect_right
+from functools import lru_cache
+from typing import TYPE_CHECKING, Sequence
 
-import numpy as np
+if TYPE_CHECKING:
+    import numpy as np
 
-__all__ = ["gauss_panels", "panel_integrate", "adaptive_integrate", "log_panels",
-           "quintic_hermite", "pchip_slopes", "cubic_hermite", "cubic_hermite_max_slope"]
-
-_RULE_CACHE: dict[int, tuple[np.ndarray, np.ndarray]] = {}
-
-
-def _rule(order: int) -> tuple[np.ndarray, np.ndarray]:
-    if order not in _RULE_CACHE:
-        _RULE_CACHE[order] = np.polynomial.legendre.leggauss(order)
-    return _RULE_CACHE[order]
+__all__ = ["gauss_rule", "gauss_panels", "linspace", "log_panels", "quintic_hermite",
+           "quintic_local", "pchip_slopes", "cubic_hermite", "cubic_hermite_max_slope"]
 
 
-def gauss_panels(edges: np.ndarray, order: int = 16) -> tuple[np.ndarray, np.ndarray]:
-    """Nodes and weights of a composite Gauss-Legendre rule on the given panel edges."""
-    edges = np.asarray(edges, dtype=float)
-    x, w = _rule(order)
-    mid = 0.5 * (edges[1:] + edges[:-1])
-    half = 0.5 * (edges[1:] - edges[:-1])
-    nodes = (mid[:, None] + half[:, None] * x[None, :]).ravel()
-    weights = (half[:, None] * w[None, :]).ravel()
+@lru_cache(maxsize=None)
+def gauss_rule(order: int) -> tuple[tuple[float, ...], tuple[float, ...]]:
+    """Nodes (increasing) and weights of the `order`-point Gauss-Legendre
+    rule on [-1, 1]: Newton's method on P_order from the asymptotic root
+    estimates, with weights 2 / ((1 - x^2) P'_order(x)^2)."""
+    n = order
+
+    def legendre(x: float) -> tuple[float, float]:
+        """P_n(x) and P_n'(x) by the three-term recurrence."""
+        p0, p1 = 1.0, x
+        for j in range(2, n + 1):
+            p0, p1 = p1, ((2 * j - 1) * x * p1 - (j - 1) * p0) / j
+        return p1, n * (x * p1 - p0) / (x * x - 1.0)
+
+    # the roots in (0, 1), largest first, and x = 0 for odd n
+    pos = []
+    for i in range(n // 2):
+        x = math.cos(math.pi * (i + 0.75) / (n + 0.5))
+        for _ in range(100):
+            p, dp = legendre(x)
+            x -= p / dp
+            if abs(p / dp) <= 1e-15:
+                break
+        pos.append((x, 2.0 / ((1.0 - x * x) * legendre(x)[1] ** 2)))
+    middle = [(0.0, 2.0 / legendre(0.0)[1] ** 2)] if n % 2 else []
+    nodes, weights = zip(*([(-x, w) for x, w in pos] + middle + pos[::-1]))
     return nodes, weights
 
 
-def panel_integrate(f, edges: np.ndarray, order: int = 16) -> float:
-    nodes, weights = gauss_panels(edges, order)
-    return float(np.dot(weights, f(nodes)))
+def gauss_panels(edges: Sequence[float], order: int = 16) -> tuple[list[float], list[float]]:
+    """Nodes and weights of a composite Gauss-Legendre rule on the given panel edges."""
+    x, w = gauss_rule(order)
+    nodes: list[float] = []
+    weights: list[float] = []
+    for a, b in zip(edges, edges[1:]):
+        mid = 0.5 * (b + a)
+        half = 0.5 * (b - a)
+        nodes.extend(mid + half * xi for xi in x)
+        weights.extend(half * wi for wi in w)
+    return nodes, weights
 
 
-def log_panels(lo: float, hi: float, per_unit: float = 4.0) -> np.ndarray:
-    """Panel edges geometric in z, i.e. uniform in ln z, for integrands smooth in ln z."""
+def linspace(lo: float, hi: float, num: int) -> list[float]:
+    """`num` >= 2 evenly spaced points from lo to hi, both included, each
+    lo + i (hi - lo)/(num - 1) as numpy.linspace rounds it."""
+    step = (hi - lo) / (num - 1)
+    return [i * step + lo for i in range(num - 1)] + [hi]
+
+
+def log_panels(lo: float, hi: float, per_unit: float = 4.0) -> list[float]:
+    """Panel edges geometric in z, i.e. uniform in ln z, for integrands
+    smooth in ln z; the first edge is lo and the last hi, exactly."""
     if not (0.0 < lo < hi):
         raise ValueError("log_panels requires 0 < lo < hi")
-    n = max(2, int(np.ceil(per_unit * np.log(hi / lo))))
-    return lo * np.exp(np.linspace(0.0, np.log(hi / lo), n + 1))
+    span = math.log(hi / lo)
+    n = max(2, math.ceil(per_unit * span))
+    edges = [lo * math.exp(u) for u in linspace(0.0, span, n + 1)]
+    edges[0], edges[-1] = lo, hi
+    return edges
 
 
-def adaptive_integrate(f, edges: np.ndarray, rtol: float = 1e-12,
-                       atol: float = 1e-300, order: int = 16,
-                       max_doublings: int = 12) -> float:
-    """Integrate over the panels, bisecting all of them until two successive
-    refinements agree to the requested tolerance.
+def quintic_local(s: float, width: float, left: Sequence[float],
+                  right: Sequence[float]) -> tuple[float, float, float]:
+    """Value, first and second derivative at the local coordinate s of the
+    quintic on [0, width] that matches the value, first and second
+    derivative `left` at 0 and `right` at `width`.
 
-    Raises RuntimeError when the doubling budget is exhausted.
-    """
-    edges = np.asarray(edges, dtype=float)
-    prev = panel_integrate(f, edges, order)
-    for _ in range(max_doublings):
-        refined = np.empty(2 * len(edges) - 1)
-        refined[0::2] = edges
-        refined[1::2] = 0.5 * (edges[1:] + edges[:-1])
-        edges = refined
-        cur = panel_integrate(f, edges, order)
-        if abs(cur - prev) <= rtol * abs(cur) + atol:
-            return cur
-        prev = cur
-    raise RuntimeError(
-        f"quadrature did not converge: last two estimates {prev!r}, panels {len(edges)-1}"
-    )
-
-
-# Quintic Hermite basis on the unit interval, one row per datum (value, first
-# and second derivative at s = 0, then at s = 1), one column per power s^0..s^5.
-_QUINTIC_BASIS = np.array([
-    [1.0, 0.0, 0.0, -10.0, 15.0, -6.0],
-    [0.0, 1.0, 0.0, -6.0, 8.0, -3.0],
-    [0.0, 0.0, 0.5, -1.5, 1.5, -0.5],
-    [0.0, 0.0, 0.0, 10.0, -15.0, 6.0],
-    [0.0, 0.0, 0.0, -4.0, 7.0, -3.0],
-    [0.0, 0.0, 0.0, 0.5, -1.0, 0.5],
-])
+    In u = s / width it is y0 + a1 u + a2 u^2/2 + c3 u^3 + c4 u^4 + c5 u^5,
+    a_j and b_j the scaled derivatives width^j y^(j) at the two ends; the
+    cubic to quintic coefficients take the ends' difference y1 - y0, which
+    keeps the rounding of the derivatives at eps |y1 - y0|, not eps |y|."""
+    y0, d0, dd0 = left
+    y1, d1, dd1 = right
+    a1, a2 = width * d0, width * width * dd0
+    b1, b2 = width * d1, width * width * dd1
+    dy = y1 - y0
+    c3 = 10.0 * dy - 6.0 * a1 - 1.5 * a2 - 4.0 * b1 + 0.5 * b2
+    c4 = -15.0 * dy + 8.0 * a1 + 1.5 * a2 + 7.0 * b1 - b2
+    c5 = 6.0 * dy - 3.0 * a1 - 0.5 * a2 - 3.0 * b1 + 0.5 * b2
+    u = s / width
+    return (y0 + u * (a1 + u * (0.5 * a2 + u * (c3 + u * (c4 + u * c5)))),
+            (a1 + u * (a2 + u * (3.0 * c3 + u * (4.0 * c4 + u * (5.0 * c5))))) / width,
+            (a2 + u * (6.0 * c3 + u * (12.0 * c4 + u * (20.0 * c5)))) / (width * width))
 
 
-def quintic_hermite(x: np.ndarray, y: np.ndarray, dy: np.ndarray, d2y: np.ndarray,
-                    t, deriv: int = 0) -> np.ndarray:
-    """Evaluate at `t` the C^2 piecewise quintic matching the values `y`, first
-    derivatives `dy` and second derivatives `d2y` at the increasing nodes `x`
-    (`deriv` = 0, 1 or 2 selects the value or a derivative).  Points outside
-    [x[0], x[-1]] are extrapolated from the end intervals."""
-    t = np.asarray(t, dtype=float)
-    i = np.clip(np.searchsorted(x, t, side="right") - 1, 0, len(x) - 2)
-    dx = x[i + 1] - x[i]
-    s = (t - x[i]) / dx
-    # d^deriv/ds^deriv of s^j, j = 0..5
-    powers = np.zeros(t.shape + (6,))
-    for j in range(deriv, 6):
-        powers[..., j] = perm(j, deriv) * s ** (j - deriv)
-    basis = powers @ _QUINTIC_BASIS.T
-    data = (y[i], dx * dy[i], dx**2 * d2y[i], y[i + 1], dx * dy[i + 1], dx**2 * d2y[i + 1])
-    return sum(basis[..., b] * d for b, d in enumerate(data)) / dx**deriv
+def quintic_hermite(x: Sequence[float], y: Sequence[float], dy: Sequence[float],
+                    d2y: Sequence[float], t: float) -> tuple[float, float, float]:
+    """Value, first and second derivative at `t` of the C^2 piecewise quintic
+    matching the values `y`, first derivatives `dy` and second derivatives
+    `d2y` at the increasing nodes `x`.  Points outside [x[0], x[-1]] are
+    extrapolated from the end intervals."""
+    i = min(max(bisect_right(x, t) - 1, 0), len(x) - 2)
+    return quintic_local(t - x[i], x[i + 1] - x[i], (y[i], dy[i], d2y[i]),
+                         (y[i + 1], dy[i + 1], d2y[i + 1]))
 
 
 def _pchip_end_slope(h0: float, h1: float, m0: float, m1: float) -> float:
     """One-sided three-point end slope, clipped to keep the end interval
     monotone (Moler, *Numerical Computing with MATLAB*, sec. 3.6)."""
+    import numpy as np
+
     d = ((2.0 * h0 + h1) * m0 - h0 * m1) / (h0 + h1)
     if np.sign(d) != np.sign(m0):
         return 0.0
@@ -124,6 +141,8 @@ def pchip_slopes(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     next to a flat secant) and a clipped one-sided estimate at the ends.
     Every slope then lies between 0 and 3 times each adjacent secant, so no
     interval overshoots its end values."""
+    import numpy as np
+
     h = np.diff(x)
     m = np.diff(y) / h
     d = np.zeros_like(y)
@@ -140,6 +159,8 @@ def pchip_slopes(x: np.ndarray, y: np.ndarray) -> np.ndarray:
 def _cubic_coefficients(x: np.ndarray, y: np.ndarray, dy: np.ndarray):
     """Per-interval coefficients (c2, c3) of the cubic Hermite interpolant
     y_i + dy_i s + c2 s^2 + c3 s^3 in the local coordinate s = t - x_i."""
+    import numpy as np
+
     h = np.diff(x)
     m = np.diff(y) / h
     q = (dy[:-1] + dy[1:] - 2.0 * m) / h
@@ -151,6 +172,8 @@ def cubic_hermite(x: np.ndarray, y: np.ndarray, dy: np.ndarray,
     """Value and first derivative at `t` of the C^1 piecewise cubic matching
     the values `y` and slopes `dy` at the increasing nodes `x`.  Points
     outside [x[0], x[-1]] are extrapolated from the end intervals."""
+    import numpy as np
+
     t = np.asarray(t, dtype=float)
     i = np.clip(np.searchsorted(x, t, side="right") - 1, 0, len(x) - 2)
     c2, c3 = _cubic_coefficients(x, y, dy)
@@ -164,6 +187,8 @@ def cubic_hermite_max_slope(x: np.ndarray, y: np.ndarray, dy: np.ndarray) -> flo
     """Exact max |dy/dt| of the cubic Hermite interpolant on [x[0], x[-1]]:
     the derivative is quadratic on each interval, so its extreme values lie
     at the nodes or at the interior vertex."""
+    import numpy as np
+
     c2, c3 = _cubic_coefficients(x, y, dy)
     best = float(np.max(np.abs(dy)))
     h = np.diff(x)

@@ -1,19 +1,24 @@
 """Sturm counts of symmetric tridiagonal matrices, on plain Python lists.
 
-The 1D thresholds and couplings are bisections of these counts, and they
-need nothing else: this module, like the whole 1D path (`model`, `oned`,
-`bracketing`, `cli`), imports only the standard library.  `eigs` builds its
-numpy matrix solvers on the same counts.
+The 1D thresholds and couplings are bisections of these counts, and the
+ground state behind the Weyl quasi-modes adds an eigenvector by inverse
+iteration (`chain_lowest_pair`); they need nothing else.  This module, like
+the whole 1D and Weyl path (`model`, `oned`, `bracketing`, `quadrature`,
+`weyl`, `cli`), imports only the standard library.  `eigs` builds its numpy
+matrix solvers on the same counts.
 """
 
 from __future__ import annotations
 
+import math
 import sys
 from itertools import chain
 from typing import Callable, Optional, Sequence
 
+from .errors import ComputationError
+
 __all__ = ["sturm_count", "cyclic_sturm_count", "bisect_count", "chain_norm",
-           "chain_bracket"]
+           "chain_bracket", "chain_lowest_pair"]
 
 
 def sturm_count(d: Sequence[float], e2: Sequence[float], x: float) -> int:
@@ -129,3 +134,58 @@ def chain_bracket(d: Sequence[float], e: Sequence[float], corner: Optional[float
     hi = (sum(d) + 2.0 * sum(e) + wrap) / len(d) + 1.0
     lo, hi, _ = bisect_count(count, lo, hi, tol)
     return lo, hi
+
+
+def chain_lowest_pair(d: Sequence[float], e: Sequence[float]) -> tuple[float, list[float]]:
+    """Lowest eigenpair of the symmetric tridiagonal matrix with diagonal d
+    and off-diagonal e (no periodic wrap).
+
+    `chain_bracket` brackets the lowest eigenvalue to width
+    tol = 1e-15 ||T||.  The bracket's lower end sigma lies below the
+    spectrum, so T - sigma is positive definite and its LDL^T factor needs
+    no pivoting.  Three solves with it (inverse iteration from the constant
+    vector) give the eigenvector, its error shrinking by
+    (e0 - sigma) / (e1 - sigma) per solve, and its Rayleigh quotient the
+    eigenvalue, certified by count(e0 - tol) == 0 < count(e0 + tol).
+    Returns (e0, unit eigenvector).
+    """
+    if not all(map(math.isfinite, chain(d, e))):
+        raise ComputationError("non-finite matrix entries")
+    n = len(d)
+    tol = 1e-15 * max(1.0, chain_norm(d, e, None))
+    lo, _ = chain_bracket(d, e, None, tol)
+
+    # count(lo) == 0 makes the pivots below, the ones sturm_count finds, all
+    # positive; it fails only when the diagonal is so large that lo, one
+    # below the Gershgorin bound, rounds onto it
+    e2 = [b * b for b in e]
+    if sturm_count(d, e2, lo):
+        raise ComputationError(
+            f"T - sigma is not positive definite at the bracket's lower end "
+            f"sigma = {lo!r}: the entries exceed what float64 resolves")
+    piv = [d[0] - lo]
+    for i in range(1, n):
+        piv.append(d[i] - lo - e2[i - 1] / piv[i - 1])
+    v = [1.0] * n
+    for _ in range(3):
+        # forward, then back substitution through L D L^T, L_i = e_{i-1}/piv_{i-1}
+        for i in range(1, n):
+            v[i] -= e[i - 1] / piv[i - 1] * v[i - 1]
+        v[-1] /= piv[-1]
+        for i in range(n - 2, -1, -1):
+            v[i] = (v[i] - e[i] * v[i + 1]) / piv[i]
+        scale = max(map(abs, v))
+        v = [x / scale for x in v]
+    norm = math.sqrt(math.fsum(x * x for x in v))
+    v = [x / norm for x in v]
+    # the Rayleigh quotient as sum c_i v_i^2 - sum e_i (v_{i+1} - v_i)^2, with
+    # c the row sums of T: it avoids the cancellation of the large diagonal
+    # against the off-diagonal
+    c = [di + a + b for di, a, b in zip(d, chain((0.0,), e), chain(e, (0.0,)))]
+    e0 = math.fsum(chain((ci * x * x for ci, x in zip(c, v)),
+                         (-b * (y - x) ** 2 for b, x, y in zip(e, v, v[1:]))))
+    if sturm_count(d, e2, e0 - tol) or not sturm_count(d, e2, e0 + tol):
+        raise ComputationError(
+            f"lowest eigenvalue {e0!r} is not certified by the Sturm counts "
+            f"at +-{tol:.3g}")
+    return e0, v

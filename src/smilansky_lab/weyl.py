@@ -7,29 +7,31 @@ functions
     f(t) = -(i sqrt(E)/2) t^2 h(t),    theta'(y) = sqrt(E y^2 + mu),
 
 with h the 1D channel ground state at threshold -E and chi a C^2 logarithmic
-cutoff supported on [1, k].  This module builds the cutoff, selects (k, n_k)
-for a requested accuracy, and evaluates the norm and residual ||(H - mu) psi||
-by quadrature in (t, z) = (xy, y/n_k), factoring the unimodular phase out so
-only theta' and theta'' ever enter.  The huge y^2-proportional terms cancel
-algebraically through the eigenvalue ODE h'' = (omega^2 - lambda V - E0) h
-and are removed before evaluation.  Everything that remains is O(1) or
-n_k-suppressed, and is a rank-6 sum of products of functions of z and of t,
-so the residual costs O(n_z + n_t).
+cutoff supported on [1, k].  This module builds the cutoff, with its
+moments in closed form, selects (k, n_k) for a requested accuracy, and
+evaluates the norm and residual ||(H - mu) psi|| by quadrature in
+(t, z) = (xy, y/n_k), factoring the unimodular phase out so only theta' and
+theta'' ever enter.  The huge y^2-proportional terms cancel algebraically
+through the eigenvalue ODE h'' = (omega^2 - lambda V - E0) h and are removed
+before evaluation.  Everything that remains is O(1) or n_k-suppressed, and
+is a rank-6 sum of products of functions of z and of t, so the residual
+costs O(n_z + n_t).  All of it runs on floats and lists with `math`; only
+the cross-checks `quasimode_norm_direct` and `residual_identity_check`
+import numpy.
 """
 
 from __future__ import annotations
 
 import math
 import weakref
-from dataclasses import dataclass, field, replace
-from typing import Optional
-
-import numpy as np
+from dataclasses import dataclass, field
+from itertools import zip_longest
+from operator import mul
+from typing import Optional, Sequence
 
 from .errors import ComputationError, ConfigurationError
-from .model import eval_profile
 from .oned import GroundState
-from .quadrature import adaptive_integrate, gauss_panels, log_panels, quintic_hermite
+from .quadrature import gauss_panels, gauss_rule, linspace, log_panels, quintic_local
 
 __all__ = [
     "CutoffFunction",
@@ -51,26 +53,102 @@ __all__ = [
 
 
 # --- logarithmic cutoff -----------------------------------------------------
+#
+# In u = ln z the rise and the descent are polynomials: chi = R(v), v = u - u0,
+# with R = 8 s (u/L)^3 (u0 = 0) on the rise and R = -2 s v / L (u0 = L, so
+# v = u - L) on the descent, s the prescale and L = ln k.  Then
+# chi' = R'(v)/z and chi'' = (R''(v) - R'(v))/z^2, and every moment is an
+# integral of a polynomial times e^{cu}: int chi^2/z dz = int R^2 du,
+# int z chi'^2 dz = int R'^2 du, int chi^2 dz = int R^2 e^u du,
+# int chi'^2 dz = int R'^2 e^{-u} du, int chi''^2 dz = int (R'' - R')^2 e^{-3u} du
+# and int chi^2/z^5 dz = int R^2 e^{-4u} du.
 
 
-def _rise(z, L: float, s: float, deriv: int):
-    """Pre-normalization cubic-log rise s * 8 (ln z / L)^3 on [1, sqrt(k)]."""
-    u = np.log(z)
-    if deriv == 0:
-        return s * 8.0 * u**3 / L**3
-    if deriv == 1:
-        return s * 24.0 * u**2 / (z * L**3)
-    return s * 24.0 * u * (2.0 - u) / (z**2 * L**3)
+def _poly_val(p: Sequence[float], x: float) -> float:
+    acc = 0.0
+    for a in reversed(p):
+        acc = acc * x + a
+    return acc
 
 
-def _descent(z, L: float, s: float, deriv: int):
-    """Pre-normalization logarithmic descent s * 2 (L - ln z) / L on
-    [sqrt(k) + 1, k - 1]."""
-    if deriv == 0:
-        return s * 2.0 * (L - np.log(z)) / L
-    if deriv == 1:
-        return s * -2.0 / (z * L)
-    return s * 2.0 / (z**2 * L)
+def _poly_der(p: Sequence[float]) -> list[float]:
+    return [j * a for j, a in enumerate(p)][1:] or [0.0]
+
+
+def _poly_mul(p: Sequence[float], q: Sequence[float]) -> list[float]:
+    out = [0.0] * (len(p) + len(q) - 1)
+    for i, a in enumerate(p):
+        for j, b in enumerate(q):
+            out[i + j] += a * b
+    return out
+
+
+def _exp_poly_integral(p: Sequence[float], c: int, va: float, vb: float,
+                       ea: float, eb: float) -> float:
+    """int P(v) e^{cu} du over the u-interval whose ends have the shifted
+    coordinates v = va, vb and the exponentials e^{cu} = ea, eb.
+
+    The antiderivative is the polynomial one for c = 0, and
+    e^{cu} sum_j (-1)^j P^(j)(v) / c^(j+1) otherwise."""
+    if c == 0:
+        anti = [0.0] + [a / (j + 1) for j, a in enumerate(p)]
+        return _poly_val(anti, vb) - _poly_val(anti, va)
+    q = [0.0] * len(p)
+    term, scale = list(p), 1.0 / c
+    while any(term):
+        for i, a in enumerate(term):
+            q[i] += scale * a
+        term, scale = _poly_der(term), -scale / c
+    return eb * _poly_val(q, vb) - ea * _poly_val(q, va)
+
+
+def _log_jet(r: tuple, v: float, z: float) -> tuple[float, float, float]:
+    """(chi, chi', chi'') at z of chi = R(v), v = ln z - u0, from the
+    coefficient lists r = (R, R', R'')."""
+    d1 = _poly_val(r[1], v)
+    return _poly_val(r[0], v), d1 / z, (_poly_val(r[2], v) - d1) / (z * z)
+
+
+def _log_moments(r: tuple, va: float, vb: float, za: float, zb: float) -> list[float]:
+    """The six raw moments (see `_MOMENT_NAMES`) of the piece chi = R(v) on
+    [za, zb], whose ends have the shifted coordinates va, vb."""
+    sq = _poly_mul(r[0], r[0])
+    sq1 = _poly_mul(r[1], r[1])
+    dd = [a - b for a, b in zip_longest(r[2], r[1], fillvalue=0.0)]
+    sq2 = _poly_mul(dd, dd)
+    return [_exp_poly_integral(p, c, va, vb, za ** c, zb ** c)
+            for p, c in ((sq, 0), (sq1, 0), (sq, 1), (sq1, -1), (sq2, -3), (sq, -4))]
+
+
+def _bridge_jet(bridge: tuple, s: float) -> tuple[float, float, float]:
+    """(chi, chi', chi'') of a unit-width quintic bridge (base, left jet,
+    right jet), whose end values are offsets from `base`, at its local
+    coordinate s in [0, 1]."""
+    base, left, right = bridge
+    v, d1, d2 = quintic_local(s, 1.0, left, right)
+    return base + v, d1, d2
+
+
+# Gauss order of the bridge moments: exact for the polynomial ones (degree
+# <= 10 in s), and for chi^2/z and chi^2/z^5, z >= 4 on a unit interval, far
+# past the rounding level
+_BRIDGE_ORDER = 16
+
+
+def _bridge_moments(bridge: tuple, z0: float) -> list[float]:
+    """The six raw moments of the quintic bridge on [z0, z0 + 1]."""
+    x, w = gauss_rule(_BRIDGE_ORDER)
+    terms = []
+    for xi, wi in zip(x, w):
+        s = 0.5 * xi + 0.5
+        v, d1, d2 = _bridge_jet(bridge, s)
+        z = z0 + s
+        terms.append([0.5 * wi * f for f in
+                      (v * v / z, z * d1 * d1, v * v, d1 * d1, d2 * d2, v * v * z ** -5.0)])
+    return [math.fsum(col) for col in zip(*terms)]
+
+
+_MOMENT_NAMES = ("mass_over_z", "j_weighted", "m_chi2", "m_dchi2", "m_ddchi2", "m_z5")
 
 
 @dataclass(frozen=True)
@@ -79,7 +157,9 @@ class CutoffFunction:
     Hermite interpolants bridging (sqrt(k), sqrt(k)+1) and (k-1, k].
 
     `c` is the normalization making the weighted mass int_1^k chi^2/z dz = 1.
-    Moment integrals are cached at construction.
+    Moment integrals are computed at construction: closed forms on the rise
+    and the descent, a fixed Gauss rule on the bridges.  `value`, `d1` and
+    `d2` take and return floats.
     """
 
     k: float
@@ -92,105 +172,90 @@ class CutoffFunction:
     m_dchi2: float          # int chi'^2 dz
     m_ddchi2: float         # int chi''^2 dz
     m_z5: float             # int chi^2 / z^5 dz
-    # Hermite node data (nodes, values, first, second derivatives) on
-    # (sqrt(k), sqrt(k)+1, k-1, k); only the two bridges are ever evaluated
-    _bridges: tuple = field(repr=False, compare=False)
+    # the coefficient lists (R, R', R'') of the rise and the descent, and the
+    # two bridges as (base, left jet, right jet), their values offsets from base
+    _pieces: tuple = field(repr=False, compare=False)
 
     @property
     def breaks(self) -> tuple[float, float, float]:
-        rk = np.sqrt(self.k)
+        rk = math.sqrt(self.k)
         return rk, rk + 1.0, self.k - 1.0
 
-    def _pieces(self, z: np.ndarray, deriv: int) -> np.ndarray:
-        z = np.asarray(z, dtype=float)
+    def _raw_jet(self, z: float) -> tuple[float, float, float]:
+        """(chi_tilde, chi_tilde', chi_tilde'') at z; a bridge is evaluated
+        at its local coordinate z - sqrt(k) or z - (k - 1)."""
         z1, z2, z3 = self.breaks
-        L = np.log(self.k)
-        out = np.zeros_like(z)
-        m1 = (z >= 1.0) & (z <= z1)
-        m2 = (z >= z2) & (z <= z3)
-        mb = ((z > z1) & (z < z2)) | ((z > z3) & (z <= self.k))
-        out[m1] = _rise(z[m1], L, self.prescale, deriv)
-        out[m2] = _descent(z[m2], L, self.prescale, deriv)
-        out[mb] = quintic_hermite(*self._bridges, z[mb], deriv)
-        return out
+        rise, descent, first, last = self._pieces
+        if not 1.0 <= z <= self.k:
+            return 0.0, 0.0, 0.0
+        if z <= z1:
+            return _log_jet(rise, math.log(z), z)
+        if z < z2:
+            return _bridge_jet(first, z - z1)
+        if z <= z3:
+            return _log_jet(descent, math.log(z) - math.log(self.k), z)
+        return _bridge_jet(last, z - z3)
 
-    def raw(self, z) -> np.ndarray:
-        """Pre-normalization chi_tilde."""
-        return self._pieces(z, 0)
+    def value(self, z: float) -> float:
+        return self.c * self._raw_jet(z)[0]
 
-    def value(self, z) -> np.ndarray:
-        return self.c * self._pieces(z, 0)
+    def d1(self, z: float) -> float:
+        return self.c * self._raw_jet(z)[1]
 
-    def d1(self, z) -> np.ndarray:
-        return self.c * self._pieces(z, 1)
-
-    def d2(self, z) -> np.ndarray:
-        return self.c * self._pieces(z, 2)
-
-
-def _cutoff_edges(k: float, per_unit: float = 3.0) -> np.ndarray:
-    z1, z2, z3 = np.sqrt(k), np.sqrt(k) + 1.0, k - 1.0
-    edges = np.concatenate([
-        log_panels(1.0, z1, per_unit),
-        np.linspace(z1, z2, 5),
-        log_panels(z2, z3, per_unit),
-        np.linspace(z3, k, 5),
-    ])
-    return np.unique(edges)
+    def d2(self, z: float) -> float:
+        return self.c * self._raw_jet(z)[2]
 
 
 def build_cutoff(k: float, prescale: float = 1.0) -> CutoffFunction:
-    """Construct and normalize the cutoff for ladder parameter k >= 16.
+    """Construct and normalize the cutoff for a finite ladder parameter k >= 16.
 
     `prescale` multiplies the pre-normalization pieces; the normalization
     constant compensates exactly, so the returned cutoff is independent of it
-    (exposed to make that invariance testable).
+    (exposed to make that invariance testable).  The descent's end k - 1
+    enters only through ln(k - 1) - ln k = log1p(-1/k) and the bridge's
+    local coordinate, so k - 1 == k in float64 (k >= 2^53) is harmless.
     """
-    if k < 16:
-        raise ConfigurationError("cutoff requires k >= 16")
-    if prescale <= 0:
-        raise ConfigurationError("prescale must be positive")
+    if not 16.0 <= k < math.inf:
+        raise ConfigurationError(f"cutoff requires a finite k >= 16, got {k!r}")
+    if not 0.0 < prescale < math.inf:
+        raise ConfigurationError("prescale must be positive and finite")
     k = float(k)
-    if k - 1.0 == k:
-        raise ComputationError(
-            f"k={k!r} is too large for float64: the descent starts at k - 1 == k")
-    z1, z2, z3 = np.sqrt(k), np.sqrt(k) + 1.0, k - 1.0
-    L = np.log(k)
-    bridges = (np.array([z1, z2, z3, k]),) + tuple(
-        np.array([_rise(z1, L, prescale, d), _descent(z2, L, prescale, d),
-                  _descent(z3, L, prescale, d), 0.0])
-        for d in range(3))
-    cut = CutoffFunction(k=k, c=1.0, prescale=prescale, premass=0.0,
-                         mass_over_z=0.0, j_weighted=0.0,
-                         m_chi2=0.0, m_dchi2=0.0, m_ddchi2=0.0, m_z5=0.0,
-                         _bridges=bridges)
-
-    edges = _cutoff_edges(k)
-    try:
-        raw_mass = adaptive_integrate(lambda z: cut.raw(z) ** 2 / z, edges)
-        premass = adaptive_integrate(
-            lambda z: cut.raw(z) ** 2 / z, np.unique(np.clip(edges, 1.0, z1)))
-        c = raw_mass ** -0.5
-        mass = adaptive_integrate(lambda z: (c * cut.raw(z)) ** 2 / z, edges)
-        jw = adaptive_integrate(lambda z: z * (c * cut._pieces(z, 1)) ** 2, edges)
-        m2 = adaptive_integrate(lambda z: (c * cut.raw(z)) ** 2, edges)
-        md = adaptive_integrate(lambda z: (c * cut._pieces(z, 1)) ** 2, edges)
-        mdd = adaptive_integrate(lambda z: (c * cut._pieces(z, 2)) ** 2, edges, rtol=1e-10)
-        mz5 = adaptive_integrate(lambda z: (c * cut.raw(z)) ** 2 / z**5, edges)
-    except RuntimeError as exc:
-        raise ComputationError(f"cutoff quadrature failed for k={k}: {exc}") from exc
-
-    return replace(cut, c=c, premass=premass, mass_over_z=mass, j_weighted=jw,
-                   m_chi2=m2, m_dchi2=md, m_ddchi2=mdd, m_z5=mz5)
+    L = math.log(k)
+    z1, z2, z3 = math.sqrt(k), math.sqrt(k) + 1.0, k - 1.0
+    rise = [[0.0, 0.0, 0.0, 8.0 * prescale / L**3]]
+    descent = [[0.0, -2.0 * prescale / L]]
+    for r in (rise, descent):
+        r += [_poly_der(r[0]), _poly_der(_poly_der(r[0]))]
+    v2 = math.log1p(1.0 / z1) - 0.5 * L      # ln(sqrt(k) + 1) - ln k
+    v3 = math.log1p(-1.0 / k)                # ln(k - 1) - ln k
+    # the rise ends at exactly `prescale`, so the first bridge runs from an
+    # offset of 0 to the descent's -2 s log1p(1/sqrt(k)) / L, exact where a
+    # difference of two values near s would carry its rounding (1e-16 over
+    # a unit width, a spurious slope that z chi'^2 weighs with z ~ sqrt(k))
+    first = (prescale, (0.0,) + _log_jet(rise, 0.5 * L, z1)[1:],
+             (-2.0 * prescale * math.log1p(1.0 / z1) / L,) + _log_jet(descent, v2, z2)[1:])
+    last = (0.0, _log_jet(descent, v3, z3), (0.0, 0.0, 0.0))
+    rise_m = _log_moments(rise, 0.0, 0.5 * L, 1.0, z1)
+    raw = [math.fsum(parts) for parts in zip(
+        rise_m, _bridge_moments(first, z1), _log_moments(descent, v2, v3, z2, z3),
+        _bridge_moments(last, z3))]
+    c = raw[0] ** -0.5
+    moments = dict(zip(_MOMENT_NAMES, (c * c * m for m in raw)))
+    return CutoffFunction(k=k, c=c, prescale=prescale, premass=rise_m[0],
+                          _pieces=(rise, descent, first, last), **moments)
 
 
 _CUTOFF_CACHE: dict[float, CutoffFunction] = {}
-# largest p with 2^p - 1 != 2^p in float64; build_cutoff rejects larger k
-_MAX_K_POW = np.finfo(float).nmant + 1
+# y = n_k z runs up to k n_k, and the residual takes y^4: it stays finite in
+# float64 while k n_k <= 2^255
+_MAX_KN = 2.0**255
+# the largest ladder k = 2^p whose smallest n_k = 4k keeps k n_k <= _MAX_KN
+_MAX_K_POW = 126
 # lim J(k) ln^2 k: the rise and the descent alone give J = 28/(5 ln k) and
 # weighted mass 5 ln k / 21 before normalization, so J ln^2 k = 588/25; with
-# the bridges J(2^p) ln^2(2^p) exceeds it for every p = 4 .. _MAX_K_POW
-# (28.14 at p = 4, falling to 23.52000002 at p = 53)
+# the bridges J(2^p) ln^2(2^p) exceeds it for every p >= 4 (28.14 at p = 4,
+# falling to 23.52000002 at p = 53), by a relative 2.6 * 2^-(p/2) / ln k or
+# so: 1.4e-11 at p = 64, and below rounding from p = 100 on
 _J_LN2K_LIMIT = 588.0 / 25.0
 
 
@@ -198,12 +263,14 @@ def _first_ladder_pow(eps: float) -> int:
     """Smallest p that J(2^p) < eps allows, from J(2^p) > 588/25 / (p ln 2)^2.
 
     Raises ComputationError when that p exceeds _MAX_K_POW."""
-    p = math.floor(math.sqrt(_J_LN2K_LIMIT / eps) / math.log(2.0)) + 1
-    if p > _MAX_K_POW:
+    x = math.sqrt(_J_LN2K_LIMIT / eps) / math.log(2.0)
+    if not x < _MAX_K_POW:
+        # x = inf: 588/25 / eps overflowed, so p > sqrt(1.8e308) / ln 2
+        need = f"2^{math.floor(x) + 1}" if x < math.inf else "2^(1e154 and more)"
         raise ComputationError(
-            f"J(k) < {eps} needs k >= 2^{p} > 2^{_MAX_K_POW}, the largest "
-            f"ladder k with k - 1 != k in float64")
-    return p
+            f"J(k) < {eps} needs k >= {need} > 2^{_MAX_K_POW}, the largest "
+            f"ladder k with (k n_k)^4 finite in float64")
+    return math.floor(x) + 1
 
 
 def cutoff_cached(k: float) -> CutoffFunction:
@@ -218,32 +285,31 @@ def cutoff_cached(k: float) -> CutoffFunction:
 @dataclass(frozen=True)
 class PlateauCutoff:
     """C^2 plateau: 1 on [-w/2, w/2], quintic-smoothstep shoulders, 0 outside
-    (-w, w).  sup |phi| = 1."""
+    (-w, w).  sup |phi| = 1.  `value`, `d1` and `d2` take and return floats."""
 
     half_width: float = 1.0
 
-    def _u(self, x: np.ndarray) -> np.ndarray:
-        return np.clip((np.abs(x) / self.half_width - 0.5) * 2.0, 0.0, 1.0)
+    def _u(self, x: float) -> float:
+        return min(max((abs(x) / self.half_width - 0.5) * 2.0, 0.0), 1.0)
 
-    def value(self, x) -> np.ndarray:
-        x = np.asarray(x, dtype=float)
+    def _on_shoulder(self, x: float) -> bool:
+        return 0.5 * self.half_width < abs(x) < self.half_width
+
+    def value(self, x: float) -> float:
         u = self._u(x)
         return 1.0 - u**3 * (10.0 - 15.0 * u + 6.0 * u**2)
 
-    def d1(self, x) -> np.ndarray:
-        x = np.asarray(x, dtype=float)
+    def d1(self, x: float) -> float:
+        if not self._on_shoulder(x):
+            return 0.0
         u = self._u(x)
-        inner = -30.0 * u**2 * (1.0 - u) ** 2 * (2.0 / self.half_width)
-        return np.where((np.abs(x) > 0.5 * self.half_width)
-                        & (np.abs(x) < self.half_width),
-                        inner * np.sign(x), 0.0)
+        return math.copysign(-30.0 * u**2 * (1.0 - u) ** 2 * (2.0 / self.half_width), x)
 
-    def d2(self, x) -> np.ndarray:
-        x = np.asarray(x, dtype=float)
+    def d2(self, x: float) -> float:
+        if not self._on_shoulder(x):
+            return 0.0
         u = self._u(x)
-        inner = -60.0 * u * (1.0 - u) * (1.0 - 2.0 * u) * (2.0 / self.half_width) ** 2
-        return np.where((np.abs(x) > 0.5 * self.half_width)
-                        & (np.abs(x) < self.half_width), inner, 0.0)
+        return -60.0 * u * (1.0 - u) * (1.0 - 2.0 * u) * (2.0 / self.half_width) ** 2
 
     @property
     def sup(self) -> float:
@@ -259,25 +325,25 @@ def build_plateau_cutoff(half_width: float = 1.0) -> PlateauCutoff:
 
 @dataclass(frozen=True)
 class PhaseRule:
-    """theta'(y) = sqrt(E y^2 + mu); only theta' and theta'' are ever used."""
+    """theta'(y) = sqrt(E y^2 + mu); theta'' = E y / theta' = sqrt(E) / rho
+    enters only through rho.  The methods take and return floats, and need
+    E y^2 + mu > 0."""
 
     mu: float
     e_mag: float
 
-    def dtheta(self, y) -> np.ndarray:
-        return np.sqrt(self.e_mag * np.asarray(y, dtype=float) ** 2 + self.mu)
+    def is_real_from(self, y0: float) -> bool:
+        """E y^2 + mu > 0 for every y >= y0 > 0."""
+        y0 = float(y0)
+        return self.e_mag * (y0 * y0) + self.mu > 0.0
 
-    def d2theta(self, y) -> np.ndarray:
-        return self.e_mag * np.asarray(y, dtype=float) / self.dtheta(y)
-
-    def rho(self, y) -> np.ndarray:
-        """theta'(y) / (sqrt(E) y)."""
-        return np.sqrt(1.0 + self.mu / (self.e_mag * np.asarray(y, dtype=float) ** 2))
-
-    def rho_minus_1(self, y) -> np.ndarray:
-        """rho - 1 evaluated without cancellation."""
-        q = self.mu / (self.e_mag * np.asarray(y, dtype=float) ** 2)
-        return q / (1.0 + np.sqrt(1.0 + q))
+    def jet(self, y: float) -> tuple[float, float, float]:
+        """(theta'(y), rho(y), rho(y) - 1) with rho = theta'(y) / (sqrt(E) y),
+        rho - 1 evaluated without cancellation."""
+        y2 = y * y
+        q = self.mu / (self.e_mag * y2)
+        rho = math.sqrt(1.0 + q)
+        return math.sqrt(self.e_mag * y2 + self.mu), rho, q / (1.0 + rho)
 
 
 # --- quasi-mode -------------------------------------------------------------
@@ -301,6 +367,10 @@ class QuasiMode:
             object.__setattr__(self, "phi", build_plateau_cutoff())
         if self.gs.e0 >= 0:
             raise ConfigurationError("quasi-modes need a negative 1D threshold")
+        if not self.phase.is_real_from(self.n_k):
+            raise ConfigurationError(
+                f"theta' = sqrt(E y^2 + mu) is not real on the support y >= n_k = "
+                f"{self.n_k} at mu = {self.mu!r}")
 
     @property
     def k(self) -> float:
@@ -323,18 +393,40 @@ class QuasiMode:
 # --- ground-state moments ---------------------------------------------------
 
 
+def _gram(w: Sequence[float], rows: Sequence[Sequence[float]]) -> list[list[float]]:
+    """G_ij = sum_n w_n rows_i[n] rows_j[n], each sum correctly rounded."""
+    wr = [list(map(mul, w, r)) for r in rows]
+    g = [[0.0] * len(rows) for _ in rows]
+    try:
+        for i, a in enumerate(wr):
+            for j in range(i, len(rows)):
+                g[i][j] = g[j][i] = math.fsum(map(mul, a, rows[j]))
+    except (OverflowError, ValueError) as exc:
+        raise ComputationError(f"a quadrature sum leaves the float64 range: {exc}") from exc
+    return g
+
+
+def _qform(g: Sequence[Sequence[float]], v: Sequence[float]) -> float:
+    """v^T g v."""
+    return math.fsum(a * gij * b for a, row in zip(v, g) for gij, b in zip(row, v))
+
+
 def _t_rule(gs: GroundState, spacing: float = 0.2, order: int = 10):
     kap = max(gs.kappa, 0.3)
     xe = gs.nodes[-1] + 30.0 / kap
-    n_panels = max(64, int(np.ceil(2.0 * xe / spacing)))
-    return gauss_panels(np.linspace(-xe, xe, n_panels + 1), order)
+    n_panels = max(64, math.ceil(2.0 * xe / spacing))
+    return gauss_panels(linspace(-xe, xe, n_panels + 1), order)
 
 
-def _residual_basis(gs: GroundState, t: np.ndarray) -> np.ndarray:
+def _residual_basis(gs: GroundState, t: Sequence[float]) -> list[list[float]]:
     """The real t-factors B_0..B_5 of the rank-6 residual amplitude:
     h, t h', t^2 h'', t^4 h'', t^3 h', t^2 h (h'' = p h by the ODE)."""
-    h, h1, hpp = gs.h(t), gs.h1(t), gs.h2(t)
-    return np.array([h, t * h1, t**2 * hpp, t**4 * hpp, t**3 * h1, t**2 * h])
+    h, h1 = zip(*map(gs.jet, t))
+    hpp = list(map(mul, gs.ode_factors(t), h))
+    t2 = [x * x for x in t]
+    return [h, list(map(mul, t, h1)), list(map(mul, t2, hpp)),
+            [x * x * y for x, y in zip(t2, hpp)], [x * y * z for x, y, z in zip(t, t2, h1)],
+            list(map(mul, t2, h))]
 
 
 @dataclass(frozen=True)
@@ -342,7 +434,7 @@ class _GroundMoments:
     """What every quasi-mode on one ground state needs from the t-rule."""
 
     t_max: float        # max |t| over the rule's nodes
-    gram: np.ndarray    # G = B diag(w) B^T over the basis B of _residual_basis
+    gram: list          # G = B diag(w) B^T over the basis B of _residual_basis
     mom: dict           # weighted moments behind the suppressed-term bounds
 
 
@@ -361,20 +453,19 @@ def _ground_moments(gs: GroundState) -> _GroundMoments:
     if gs not in _MOMENTS:
         t, w = _t_rule(gs)
         basis = _residual_basis(gs, t)
-        gram = (basis * w) @ basis.T
+        gram = _gram(w, basis)
         quarter_e = -gs.e0 / 4.0
-        v_f1 = np.array([0.0, 0.0, 0.0, 0.0, 1.0, 2.0])
-        v_fpp = np.array([0.0, 0.0, 0.0, 1.0, 4.0, 2.0])
+        mix = [abs(a) + 2.0 * abs(b) for a, b in zip(basis[0], basis[1])]
         mom = {
-            "h2": float(gram[0, 0]),
-            "t2h1": float(gram[1, 1]),
-            "t4hpp": float(gram[2, 2]),
-            "f2": float(quarter_e * gram[5, 5]),
-            "t2f1": float(quarter_e * (v_f1 @ gram @ v_f1)),
-            "t4fpp": float(quarter_e * (v_fpp @ gram @ v_fpp)),
-            "mix": float(w @ (np.abs(basis[0]) + 2.0 * np.abs(basis[1])) ** 2),
+            "h2": gram[0][0],
+            "t2h1": gram[1][1],
+            "t4hpp": gram[2][2],
+            "f2": quarter_e * gram[5][5],
+            "t2f1": quarter_e * _qform(gram, (0.0, 0.0, 0.0, 0.0, 1.0, 2.0)),
+            "t4fpp": quarter_e * _qform(gram, (0.0, 0.0, 0.0, 1.0, 4.0, 2.0)),
+            "mix": _gram(w, [mix])[0][0],
         }
-        _MOMENTS[gs] = _GroundMoments(float(np.max(np.abs(t))), gram, mom)
+        _MOMENTS[gs] = _GroundMoments(max(map(abs, t)), gram, mom)
     return _MOMENTS[gs]
 
 
@@ -384,9 +475,11 @@ def _ground_moments(gs: GroundState) -> _GroundMoments:
 def suppressed_term_bounds(cut: CutoffFunction, n_k: int, mom: dict,
                            mu: float, e_mag: float) -> dict:
     """The explicit n_k-suppressed bounds on the residual terms, one entry per
-    inequality, plus the extra phase term present when mu != 0."""
-    n4 = float(n_k) ** -4.0
-    n8 = float(n_k) ** -8.0
+    inequality, plus the extra phase term present when mu != 0.  A bound past
+    the float64 range is inf."""
+    n = float(n_k)
+    n4 = n ** -4.0
+    n8 = n ** -8.0
     bounds = {
         "x2_hpp": n4 * cut.m_chi2 * mom["t4hpp"],
         "x_hp_chi1": n4 * cut.m_dchi2 * mom["t2h1"],
@@ -401,7 +494,9 @@ def suppressed_term_bounds(cut: CutoffFunction, n_k: int, mom: dict,
         "f_y4": n8 * cut.m_chi2 * mom["f2"],
     }
     if mu != 0.0:
-        bounds["phase"] = (mu**2 / e_mag) * n4 * cut.mass_over_z * mom["mix"]
+        # (mu / n^2)^2 as a product, which gives inf where mu**2 would raise
+        m = mu * n ** -2.0
+        bounds["phase"] = (m * m / e_mag) * cut.mass_over_z * mom["mix"]
     return bounds
 
 
@@ -409,24 +504,27 @@ def choose_parameters(eps: float, gs: GroundState, mu: float = 0.0,
                       min_n: int = 1, max_n_doublings: int = 60) -> tuple[float, int]:
     """Deterministic (k, n_k) selection.
 
-    k is the smallest power of two from 16 to 2^53 (the largest with
-    k - 1 != k in float64) with weighted derivative mass J(k) < eps.  Since
-    J(k) ln^2 k > 588/25 on that range, no k up to 2^p0 with
+    k is the smallest power of two from 16 to 2^126 with weighted derivative
+    mass J(k) < eps; 2^126 is the largest k whose smallest n_k = 4k keeps
+    y <= k n_k <= 2^255, so that the residual's y^4 stays finite.  Since
+    J(k) ln^2 k > 588/25, no k up to 2^p0 with
     p0 = floor(sqrt(588/(25 eps)) / ln 2) qualifies, so the search starts at
     max(16, 2^(p0 + 1)) and usually builds one cutoff; an eps that needs
-    k > 2^53 (eps <= 588/25 / (53 ln 2)^2 = 0.01743) fails before any is
-    built.  n_k doubles from 4k (and past `min_n`, which enforces disjoint supports along
-    a ladder and the interval plateau of `residual_norm`) until the
-    correction-term norm bound is below 1/16 and the suppressed residual
-    bounds sum below eps.
+    k > 2^126 (eps <= 588/25 / (126 ln 2)^2 = 0.003083) fails before any is
+    built.  n_k doubles from 4k (and past `min_n`, which enforces disjoint
+    supports along a ladder and the interval plateau of `residual_norm`)
+    until the correction-term norm bound is below 1/16, the suppressed
+    residual bounds sum below eps and theta' is real on the support
+    (E n_k^2 + mu > 0); it fails once k n_k would pass 2^255.
     """
     if not (0.0 < eps < 1.0):
         raise ConfigurationError("eps must lie in (0, 1)")
     if gs.e0 >= 0:
         raise ConfigurationError("parameter selection needs a negative threshold")
     cut = None
-    # J(2^p) exceeds 588/25 / (p ln 2)^2 by over 7e-10 relatively, far more
-    # than the rounding of the bound, so no candidate is skipped
+    # J(2^p) exceeds 588/25 / (p ln 2)^2, so no candidate is skipped; from
+    # p = 100 or so on the excess is below rounding, and the computed J(2^p)
+    # could pass an eps on the bound that the true J does not
     for p in range(max(4, _first_ladder_pow(eps)), _MAX_K_POW + 1):
         cand = cutoff_cached(2.0**p)
         if cand.j_weighted < eps:
@@ -436,14 +534,20 @@ def choose_parameters(eps: float, gs: GroundState, mu: float = 0.0,
         raise ComputationError(f"no ladder k up to 2^{_MAX_K_POW} with J(k) < {eps}")
 
     mom = _ground_moments(gs).mom
+    e_mag = -gs.e0
+    phase = PhaseRule(mu, e_mag)
     n = int(4 * cut.k)
     while n <= min_n:
         n *= 2
     for _ in range(max_n_doublings):
+        if n > _MAX_KN / cut.k:
+            raise ComputationError(
+                f"n_k search reached n_k = {n:.3g} at k = {cut.k:.3g}, past "
+                f"k n_k = 2^255 where y^4 leaves the float64 range")
         corr = float(n) ** -4.0 * cut.m_z5 * mom["f2"]
-        bounds = suppressed_term_bounds(cut, n, mom, mu, -gs.e0)
+        bounds = suppressed_term_bounds(cut, n, mom, mu, e_mag)
         total = sum(bounds.values())
-        if corr < 1.0 / 16.0 and total < eps:
+        if corr < 1.0 / 16.0 and total < eps and phase.is_real_from(n):
             return cut.k, n
         n *= 2
     worst = max(bounds, key=bounds.get)
@@ -471,25 +575,27 @@ def quasimode_norm(qm: QuasiMode) -> QuasiModeNorm:
     mom = _ground_moments(qm.gs).mom
     main = qm.cutoff.mass_over_z * mom["h2"]
     corr = float(qm.n_k) ** -4.0 * qm.cutoff.m_z5 * mom["f2"]
-    return QuasiModeNorm(main, corr, float(np.sqrt(main + corr)))
+    return QuasiModeNorm(main, corr, math.sqrt(main + corr))
 
 
 def quasimode_norm_direct(qm: QuasiMode, n_y: int = 400) -> float:
     """Direct 2D quadrature of |psi|^2 in (x, y); cross-check for the
     transformed route.  Only usable at medium n_k (x-spacing ~ 1/y)."""
+    import numpy as np
+
     ylo, yhi = qm.support
-    ynodes, yw = gauss_panels(np.linspace(ylo, yhi, n_y + 1), 8)
-    t, tw = _t_rule(qm.gs)
-    h = qm.gs.h(t)
-    chi = qm.cutoff.value(ynodes / qm.n_k)
+    ynodes, yw = gauss_panels(linspace(ylo, yhi, n_y + 1), 8)
+    t, tw = map(np.array, _t_rule(qm.gs))
+    h = np.array([qm.gs.h(x) for x in t])
+    phi = np.vectorize(qm.phi.value) if qm.mode == "interval" else None
     acc = 0.0
-    for yv, wv, cv in zip(ynodes, yw, chi):
-        g2 = h**2 + (0.5 * np.sqrt(qm.e_mag) * t**2 * h / yv**2) ** 2
-        if qm.mode == "interval":
-            g2 = g2 * qm.phi.value(t / yv) ** 2
+    for yv, wv in zip(ynodes, yw):
+        g2 = h**2 + (0.5 * math.sqrt(qm.e_mag) * t**2 * h / yv**2) ** 2
+        if phi is not None:
+            g2 = g2 * phi(t / yv) ** 2
         # x-integral of |psi|^2 at fixed y equals (1/y) * t-integral
-        acc += wv * cv**2 / yv * float(tw @ g2)
-    return float(np.sqrt(acc))
+        acc += wv * qm.cutoff.value(yv / qm.n_k) ** 2 / yv * float(tw @ g2)
+    return math.sqrt(acc)
 
 
 def residual_identity_check(gs: GroundState, e_mag: Optional[float] = None) -> float:
@@ -497,10 +603,14 @@ def residual_identity_check(gs: GroundState, e_mag: Optional[float] = None) -> f
     cancellation, with h' and h'' taken from central differences of the
     sampled eigenfunction (an independent route; the quasi-mode itself uses
     ODE-exact derivatives).  Converges at second order in the grid spacing."""
+    import numpy as np
+
+    from .model import eval_profile
+
     e = -gs.e0 if e_mag is None else float(e_mag)
     s = np.sqrt(e)
-    t = gs.nodes
-    h = gs.samples
+    t = np.array(gs.nodes)
+    h = np.array(gs.samples)
     hx = gs.grid.h
     v, _ = eval_profile(gs.profile, t)
     f = -0.5j * s * t**2 * h
@@ -514,14 +624,25 @@ def residual_identity_check(gs: GroundState, e_mag: Optional[float] = None) -> f
 
 
 def _residual_z_rule(cut: CutoffFunction):
+    """Nodes z, weights and cutoff jets (chi, chi', chi'') of the residual's
+    z-rule: order-10 Gauss panels, uniform in ln z on the rise and on the
+    descent (4 per unit), and 6 equal ones on each bridge, laid out in the
+    bridge's local coordinate, where its jet is evaluated."""
     z1, z2, z3 = cut.breaks
-    edges = np.unique(np.concatenate([
-        log_panels(1.0, z1, 4.0),
-        np.linspace(z1, z2, 7),
-        log_panels(z2, z3, 4.0),
-        np.linspace(z3, cut.k, 7),
-    ]))
-    return gauss_panels(edges, 10)
+    rise, descent, first, last = cut._pieces
+    z, w, jets = [], [], []
+    for r, u0, lo, hi in ((rise, 0.0, 1.0, z1), (descent, math.log(cut.k), z2, z3)):
+        nodes, weights = gauss_panels(log_panels(lo, hi, 4.0), 10)
+        z += nodes
+        w += weights
+        jets += [_log_jet(r, math.log(x) - u0, x) for x in nodes]
+    for bridge, z0 in ((first, z1), (last, z3)):
+        nodes, weights = gauss_panels(linspace(0.0, 1.0, 7), 10)
+        z += [z0 + s for s in nodes]
+        w += weights
+        jets += [_bridge_jet(bridge, s) for s in nodes]
+    c = cut.c
+    return z, w, [(c * a, c * b, c * d) for a, b, d in jets]
 
 
 def residual_norm(qm: QuasiMode, config=None) -> float:
@@ -532,8 +653,9 @@ def residual_norm(qm: QuasiMode, config=None) -> float:
     a = chi'/n_k and b = chi''/n_k^2, the identities t f' - 2 f =
     -(i sqrt(E)/2) t^3 h' and f = -(i sqrt(E)/2) t^2 h leave the amplitude
     the rank-6 sum r(z, t) = sum_j A_j(z) B_j(t) over the real basis B of
-    `_residual_basis`, so ||r||^2 = sum_z (w_z / z) A(z)^H G A(z) with the
-    Gram matrix G of B on the t-rule: O(n_z + n_t) work, not O(n_z n_t).
+    `_residual_basis`, so ||r||^2 = sum_ij G_ij M_ij with the Gram matrix G
+    of B on the t-rule and M_ij = sum_z (w_z / z) Re(conj(A_i) A_j) on the
+    z-rule: O(n_z + n_t) work, not O(n_z n_t).
 
     `config`, when given, must agree with the quasi-mode variant (line vs
     interval x-domain).  An interval quasi-mode must keep its plateau
@@ -553,28 +675,33 @@ def residual_norm(qm: QuasiMode, config=None) -> float:
             f"{2.0 * gm.t_max / qm.phi.half_width:.6g} to keep its plateau on "
             f"the t-rule; got n_k = {qm.n_k}")
     e = qm.e_mag
-    s = np.sqrt(e)
+    s = math.sqrt(e)
     n = float(qm.n_k)
     phase = qm.phase
 
-    z, wz = _residual_z_rule(qm.cutoff)
-    y = n * z
-    chi = qm.cutoff.value(z)
-    a = qm.cutoff.d1(z) / n
-    b = qm.cutoff.d2(z) / n**2
-    rho = phase.rho(y)
-    rm1 = phase.rho_minus_1(y)
-    theta1 = phase.dtheta(y)
-    amp = np.array([
-        1.0j * s * chi * rm1 / rho - 2.0j * a * theta1 - b,
-        -2.0j * s * chi * rm1 - 2.0 * a / y,
-        -chi / y**2,
-        0.5j * s * chi / y**4,
-        -e * chi * rho / y**2 + 1.0j * s * a / y**3,
-        (-e * chi / (2.0 * rho) - s * a * theta1 + 0.5j * s * b) / y**2,
-    ])
-    per_z = np.sum(amp.conj() * (gm.gram @ amp), axis=0).real
-    return float(np.sqrt(np.sum((wz / z) * per_z)))
+    z, wz, jets = _residual_z_rule(qm.cutoff)
+    amps = []
+    for zi, (chi, chi1, chi2) in zip(z, jets):
+        y = n * zi
+        y2 = y * y
+        a = chi1 / n
+        b = chi2 / (n * n)
+        theta1, rho, rm1 = phase.jet(y)
+        amps.append((
+            # the real parts of A_0, A_1, A_2, A_4, A_5 (A_3 is imaginary)
+            -b, -2.0 * a / y, -chi / y2, -e * chi * rho / y2,
+            (-e * chi / (2.0 * rho) - s * a * theta1) / y2,
+            # the imaginary parts of A_0, A_1, A_3, A_4, A_5 (A_2 is real)
+            s * chi * rm1 / rho - 2.0 * a * theta1, -2.0 * s * chi * rm1,
+            0.5 * s * chi / (y2 * y2), s * a / (y2 * y), 0.5 * s * b / y2))
+    parts = list(zip(*amps))
+    wr = [wi / zi for wi, zi in zip(wz, z)]
+    g = gm.gram
+    total = []
+    for index, rows in (((0, 1, 2, 4, 5), parts[:5]), ((0, 1, 3, 4, 5), parts[5:])):
+        m = _gram(wr, rows)
+        total += [g[p][q] * m[i][j] for i, p in enumerate(index) for j, q in enumerate(index)]
+    return math.sqrt(math.fsum(total))
 
 
 # --- certificate ------------------------------------------------------------
@@ -614,8 +741,10 @@ def weyl_certificate(config, gs: GroundState, mu: float,
     rows = []
     min_n = 1
     if mode == "interval":
-        # keeps phi(t/y) = 1 on the whole t-rule, as residual_norm requires
-        min_n = int(np.ceil(2.0 * _ground_moments(gs).t_max / phi.half_width))
+        # keeps phi(t/y) = 1 on the whole t-rule, as residual_norm requires;
+        # a need past the float range fails in the n_k search
+        need = 2.0 * _ground_moments(gs).t_max / phi.half_width
+        min_n = math.ceil(min(need, _MAX_KN))
     for eps in eps_ladder:
         k, n_k = choose_parameters(eps, gs, mu, min_n=min_n)
         qm = QuasiMode(mu=mu, cutoff=cutoff_cached(k), n_k=n_k, gs=gs,
@@ -648,7 +777,7 @@ def certificate_summary(rows: list[CertificateRow]) -> dict:
         "residual_sq_le_bound": all(r.residual**2 <= r.bound_9eps * (1.0 + 1e-6)
                                     for r in rows),
         "normalized_residual_le_2sqrt": all(
-            r.normalized_residual <= 2.0 * np.sqrt(r.bound_9eps) * (1.0 + 1e-6)
+            r.normalized_residual <= 2.0 * math.sqrt(r.bound_9eps) * (1.0 + 1e-6)
             for r in rows),
         "normalized_residual_decreasing": all(
             a.normalized_residual > b.normalized_residual

@@ -217,17 +217,37 @@ class TestExitCodes:
         assert run(RunRequest("critical", str(p))) == 2
 
     def test_weyl_eps_beyond_the_ladder_is_1(self, super_cfg, capsys, monkeypatch):
-        # eps = 0.015 needs k >= 2^58, since 588/25 / (57 ln 2)^2 = 0.01507,
-        # past the last float64-resolvable k = 2^53; it fails before any
-        # cutoff of the ladder is built
+        # eps = 0.003 needs k >= 2^128, since 588/25 / (127 ln 2)^2 = 0.003035,
+        # past the last ladder k = 2^126 whose (k n_k)^4 is finite in float64;
+        # it fails before any cutoff of the ladder is built
         def no_cutoff(k):
             raise AssertionError(f"cutoff built for k={k}")
 
         monkeypatch.setattr(weyl, "cutoff_cached", no_cutoff)
         assert main(["weyl", "--config", super_cfg,
-                     "--eps", "0.1,0.05,0.015"]) == 1
+                     "--eps", "0.1,0.05,0.003"]) == 1
         err = capsys.readouterr().err
-        assert "computation failed:" in err and "k >= 2^58 > 2^53" in err
+        assert "computation failed:" in err and "k >= 2^128 > 2^126" in err
+
+    def test_weyl_eps_0015_passes(self, super_cfg, capsys):
+        # k = 2^58, where k - 1 == k in float64
+        assert main(["weyl", "--config", super_cfg, "--eps", "0.1,0.05,0.015",
+                     "--format", "json"]) == 0
+        out = json.loads(capsys.readouterr().out)
+        assert out["all_pass"] and out["rows"][-1]["k"] == 2.0**58
+
+    @pytest.mark.parametrize("args", [["--mu=1e300"], ["--mu=-1e300"], ["--eps", "1e-320"]],
+                             ids=lambda args: " ".join(args))
+    def test_weyl_float_range_is_1(self, super_cfg, args):
+        # a fresh process: mu**2 and floor(sqrt(588/25 / eps)) overflowed into
+        # a raw traceback
+        eps = [] if "--eps" in args else ["--eps", "0.1"]
+        proc = subprocess.run(
+            [sys.executable, "-m", "smilansky_lab.cli", "weyl", "--config", super_cfg,
+             *eps, *args], env=env_with_src(), capture_output=True, text=True, timeout=60)
+        assert proc.returncode == 1, proc.stderr
+        assert proc.stderr.startswith("computation failed: ")
+        assert "Traceback" not in proc.stderr
 
     def test_import_leaves_out_scipy_interpolate(self):
         # a fresh process: no command needs scipy.interpolate (table
@@ -277,8 +297,8 @@ class TestExitCodes:
 
     def test_one_d_commands_leave_out_numpy(self, single_cfg, tmp_path):
         # a fresh process: thresholds and couplings on the line and on
-        # intervals are Sturm counts on lists; only the 2D and Weyl
-        # commands load numpy, in their own branches
+        # intervals are Sturm counts on lists, and so is the Weyl ground
+        # state; only the 2D commands load numpy, in their own branches
         quartic = tmp_path / "quartic.json"
         quartic.write_text(json.dumps({**SINGLE, "channels": [{
             "lambda": 2.0, "center": 0.0,
@@ -298,8 +318,10 @@ class TestExitCodes:
         runs += [["eig1d", "--config", two], ["classify", "--config", two]]
         runs += [[command, "--config", str(cfg)] for cfg in (dirichlet, periodic)
                  for command in ("eig1d", "classify", "bound")]
-        later = [["weyl", "--config", single_cfg, "--eps", "0.1"],
-                 ["scan", "--config", single_cfg, "--ladder", "2,3"]]
+        supercritical = tmp_path / "super.json"
+        supercritical.write_text(json.dumps(SUPER))
+        runs += [["weyl", "--config", str(supercritical), "--eps", "0.1"]]
+        later = [["scan", "--config", single_cfg, "--ladder", "2,3"]]
         out = str(tmp_path / "out")
         code = ("import sys\n"
                 "import smilansky_lab.cli\n"
@@ -314,6 +336,57 @@ class TestExitCodes:
         proc = subprocess.run([sys.executable, "-c", code], env=env_with_src(),
                               capture_output=True, text=True)
         assert proc.returncode == 0, proc.stderr
+
+    def test_weyl_huge_omega(self, tmp_path, capsys):
+        # omega^2 overflowed into a raw OverflowError at 1e200; at 1e150 the
+        # Dirichlet chain's diagonal swallows its off-diagonal, and the
+        # inverse iteration divided by a zero pivot
+        for omega, code, message in ((1e200, 2, "configuration error: omega must be"),
+                                     (1e150, 1, "computation failed: T - sigma is not positive")):
+            path = tmp_path / "omega.json"
+            path.write_text(json.dumps({**SUPER, "omega": omega}))
+            assert main(["weyl", "--config", str(path), "--eps", "0.1"]) == code
+            assert capsys.readouterr().err.startswith(message)
+
+    def test_weyl_leaves_out_numpy(self, tmp_path):
+        # a fresh process per run: the cutoff moments are closed forms and
+        # the quadratures loops over lists, for cos2 and quartic channels,
+        # on the line and on the interval, at mu = 0 and mu != 0
+        quartic = {**SUPER, "channels": [{"lambda": 6.0, "center": 0.0, "profile": {
+            "family": "quartic", "a": 1.0, "amplitude": 1.0}}]}
+        interval = {**SUPER, "x_domain": {"type": "interval", "c": 1.0, "bc": "dirichlet"}}
+        cases = [(SUPER, []), (quartic, []), (interval, []), (SUPER, ["--mu", "2.5"]),
+                 (quartic, ["--mu", "2.5"])]
+        for i, (cfg, extra) in enumerate(cases):
+            path = tmp_path / f"cfg{i}.json"
+            path.write_text(json.dumps(cfg))
+            args = ["weyl", "--config", str(path), "--eps", "0.1,0.05", *extra,
+                    "--output", str(tmp_path / "out")]
+            code = ("import sys\n"
+                    "from smilansky_lab.cli import main\n"
+                    f"assert main({args!r}) == 0\n"
+                    "assert 'numpy' not in sys.modules\n")
+            proc = subprocess.run([sys.executable, "-c", code], env=env_with_src(),
+                                  capture_output=True, text=True)
+            assert proc.returncode == 0, (cfg, extra, proc.stderr)
+
+    def test_weyl_table_profile_rows(self, tmp_path, capsys):
+        # a table profile still loads numpy for its PCHIP; its rows, pinned
+        # from the earlier numpy quadrature, hold to 1e-12
+        path = tmp_path / "table.json"
+        path.write_text(json.dumps({**SUPER, "channels": [{"lambda": 6.0, "center": 0.0,
+            "profile": {"family": "table", "a": 1.0, "amplitude": 1.0, "table": [
+                [-1, 0], [-0.5, 0.5], [0, 1], [0.5, 0.5], [1, 0]]}}]}))
+        assert main(["weyl", "--config", str(path), "--eps", "0.1,0.05,0.02",
+                     "--mu=-0.5", "--format", "json"]) == 0
+        rows = json.loads(capsys.readouterr().out)["rows"]
+        want = [(2.0**23, 2**25, 1.0000000011614139, 0.8376448032528704),
+                (2.0**32, 2**49, 1.0000000011614136, 0.6020407133488209),
+                (2.0**50, 2**82, 1.0000000011614139, 0.3853057107701708)]
+        for row, (k, n_k, norm, residual) in zip(rows, want, strict=True):
+            assert (row["k"], row["n_k"]) == (k, n_k)
+            assert abs(row["norm"] - norm) <= 1e-12 * norm
+            assert abs(row["residual"] - residual) <= 1e-12 * residual
 
     def test_negative_threshold_in_critical_band(self, tmp_path, capsys):
         # lambda just above lambda_crit: t_V = -1.5e-7 is "critical" at the

@@ -159,13 +159,29 @@ class TestAssembly:
         with pytest.raises(ComputationError, match="not positive definite"):
             grid2d.lowest_eigenvalues(wrong, 1)
 
-    def test_memory_cap(self):
+    def test_memory_cap(self, monkeypatch):
         with pytest.raises(ConfigurationError):
             grid2d.Grid2D.uniform(-4.0, 4.0, 4000, 3.0, 4000)
+        free = ModelConfig(omega=1.0)
         # 2 million nodes pass the node count, but their pivot blocks, one
-        # n_x x n_x inverse per y-row, would take 4e9 doubles
+        # n_x x n_x inverse per y-row, would take 4e9 doubles; the check
+        # comes before anything is assembled
+        def no_stencil(*args):
+            raise AssertionError("assembled past the pivot-block check")
+
+        monkeypatch.setattr(grid2d, "_second_diff_1d", no_stencil)
+        big = grid2d.Grid2D.uniform(-4.0, 4.0, 2000, 3.0, 1000)
+        for sector in ("full", "even-even"):
+            with pytest.raises(ConfigurationError, match="pivot blocks"):
+                grid2d.assemble_h2d(free, big, sector)
+        monkeypatch.undo()
+        # the 401 x 400 grid: 6.4e7 doubles for the full matrix, past the
+        # cap, but 201^2 x 200 = 8.1e6 for its even-even quarter block
+        grid = grid2d.Grid2D.uniform(-4.0, 4.0, 401, 3.0, 400)
         with pytest.raises(ConfigurationError, match="pivot blocks"):
-            grid2d.Grid2D.uniform(-4.0, 4.0, 2000, 3.0, 1000)
+            grid2d.assemble_h2d(free, grid)
+        ham = grid2d.assemble_h2d(free, grid, "even-even")
+        assert ham.op.bx.shape == (201, 201) and ham.n == 201 * 200
 
     def test_coo_export_round_trip(self, oscillator):
         text = oscillator.export_coo()

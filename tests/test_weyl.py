@@ -1,4 +1,5 @@
 import json
+import math
 from pathlib import Path
 
 import numpy as np
@@ -15,8 +16,9 @@ K_LADDER = [2.0**p for p in (4, 8, 12, 16)]
 # (eps, k, n_k) pinned from the first successful selection run
 PARAMS_REGRESSION = {0.1: (2.0**23, 2**25), 0.05: (2.0**32, 2**34)}
 
-# c and the seven moments of build_cutoff(2^p), p = 4..52, pinned from the
-# adaptive quadrature over the scipy BPoly bridges
+# c and the seven moments of build_cutoff(2^p), p = 4..52, pinned from an
+# adaptive quadrature over the scipy BPoly bridges (they agree to 3.5e-13
+# with an 8x finer order-24 Gauss rule)
 CUTOFF_MOMENTS = json.loads(
     (Path(__file__).parent / "data" / "cutoff_moments.json").read_text())
 
@@ -39,20 +41,22 @@ def brute_force_residual(qm: weyl.QuasiMode) -> float:
     s = np.sqrt(e)
     n = float(qm.n_k)
     phase = qm.phase
-    t, tw = weyl._t_rule(gs)
-    h, h1 = gs.h(t), gs.h1(t)
+    t, tw = map(np.array, weyl._t_rule(gs))
+    h, h1 = np.array([gs.jet(x) for x in t]).T
     v, _ = eval_profile(gs.profile, t)
     p = gs.omega**2 - gs.lam * v + e          # h'' = p h
     fh = -0.5j * s * t**2 * h
     f1 = -0.5j * s * (2.0 * t * h + t**2 * h1)
-    znodes, zw = weyl._residual_z_rule(qm.cutoff)
+    znodes, zw = map(np.array, weyl._residual_z_rule(qm.cutoff)[:2])
+    cutoff = [np.vectorize(f) for f in (qm.cutoff.value, qm.cutoff.d1, qm.cutoff.d2)]
+    phase_jet = np.vectorize(phase.jet)
     total = 0.0
     for i0 in range(0, len(znodes), 64):
         z = znodes[i0:i0 + 64][:, None]
         wz = zw[i0:i0 + 64]
-        cz, cz1, cz2 = (f(z) for f in (qm.cutoff.value, qm.cutoff.d1, qm.cutoff.d2))
+        cz, cz1, cz2 = (f(z) for f in cutoff)
         y = n * z
-        rho, rm1, theta1 = phase.rho(y), phase.rho_minus_1(y), phase.dtheta(y)
+        theta1, rho, rm1 = phase_jet(y)
         t2_term = 1.0j * s * (h * (rm1 / rho) - 2.0 * t * h1 * rm1)
         t3_term = -t**2 * p * h / y**2
         t4_term = 0.5j * s * t**4 * p * h / y**4
@@ -63,8 +67,8 @@ def brute_force_residual(qm: weyl.QuasiMode) -> float:
              + cz1 * (-2.0 * g_y - 2.0j * theta1 * g) / n - cz2 * g / n**2)
         if qm.mode == "interval":
             x = t / y
-            r = r * qm.phi.value(x) + cz * (
-                -2.0 * (y * h1 + f1 / y) * qm.phi.d1(x) - g * qm.phi.d2(x))
+            phi, phi1, phi2 = (np.vectorize(f)(x) for f in (qm.phi.value, qm.phi.d1, qm.phi.d2))
+            r = r * phi + cz * (-2.0 * (y * h1 + f1 / y) * phi1 - g * phi2)
         total += float(np.sum((wz / z[:, 0]) * (np.abs(r) ** 2 @ tw)))
     return float(np.sqrt(total))
 
@@ -78,7 +82,7 @@ class TestCutoff:
     def test_mass_against_scipy_quad(self):
         cut = weyl.cutoff_cached(2.0**8)
         z1, z2, z3 = cut.breaks
-        mass = sum(quad(lambda z: cut.value(np.array([z]))[0] ** 2 / z,
+        mass = sum(quad(lambda z: cut.value(z) ** 2 / z,
                         a, b, limit=200)[0]
                    for a, b in [(1.0, z1), (z1, z2), (z2, z3), (z3, cut.k)])
         assert abs(mass - 1.0) < 1e-9
@@ -88,18 +92,17 @@ class TestCutoff:
         eps = 1e-7
         for z in cut.breaks:
             for f in (cut.value, cut.d1, cut.d2):
-                left = f(np.array([z - eps]))[0]
-                right = f(np.array([z + eps]))[0]
+                left = f(z - eps)
+                right = f(z + eps)
                 assert abs(left - right) <= 1e-4 * max(1.0, abs(left)) + 1e-8
 
     def test_support_and_endpoint_zeros(self):
         cut = weyl.cutoff_cached(2.0**8)
-        z = np.array([0.5, 0.999, 1.0, cut.k, cut.k + 1.0])
-        v = cut.value(z)
+        v = [cut.value(z) for z in (0.5, 0.999, 1.0, cut.k, cut.k + 1.0)]
         assert v[0] == 0.0 and v[1] == 0.0 and v[4] == 0.0
         assert abs(v[2]) < 1e-12 and abs(v[3]) < 1e-12
-        assert abs(cut.d1(np.array([cut.k]))[0]) < 1e-12
-        assert abs(cut.d2(np.array([cut.k]))[0]) < 1e-12
+        assert abs(cut.d1(cut.k)) < 1e-12
+        assert abs(cut.d2(cut.k)) < 1e-12
 
     def test_j_decreasing_on_ladder(self):
         js = [weyl.cutoff_cached(k).j_weighted for k in K_LADDER]
@@ -109,8 +112,8 @@ class TestCutoff:
         base = weyl.build_cutoff(2.0**6)
         scaled = weyl.build_cutoff(2.0**6, prescale=7.0)
         z = np.linspace(1.0, 2.0**6, 513)
-        assert np.max(np.abs(base.value(z) - scaled.value(z))) < 1e-13
-        assert np.max(np.abs(base.d2(z) - scaled.d2(z))) < 1e-12
+        assert max(abs(base.value(x) - scaled.value(x)) for x in z) < 1e-13
+        assert max(abs(base.d2(x) - scaled.d2(x)) for x in z) < 1e-12
 
     def test_small_k_rejected(self):
         with pytest.raises(ConfigurationError):
@@ -130,33 +133,55 @@ class TestCutoff:
             assert pinned["j_weighted"] * (int(p) * np.log(2.0)) ** 2 > 588.0 / 25.0, p
 
     def test_k_beyond_float64_resolution_rejected(self):
-        # 2^54 - 1 == 2^54 in float64, so the descent (k - 1, k] is empty
-        with pytest.raises(SmilanskyError):
-            weyl.build_cutoff(2.0**54)
+        # k - 1 == k in float64 from 2^53 on no longer matters: the descent
+        # ends at ln(k - 1) = ln k + log1p(-1/k) and its bridge runs in the
+        # local coordinate z - (k - 1); only a k past the float64 range fails
+        for k in (2.0**54, 2.0**1023):
+            cut = weyl.build_cutoff(k)
+            assert abs(cut.mass_over_z - 1.0) <= 1e-15
+            assert all(math.isfinite(getattr(cut, name)) for name in CUTOFF_MOMENTS["4"])
+        for k in (math.inf, math.nan):
+            with pytest.raises(SmilanskyError):
+                weyl.build_cutoff(k)
+
+    @pytest.mark.parametrize("p", [64, 128])
+    def test_moments_past_the_pinned_ladder(self, p):
+        cut = weyl.build_cutoff(2.0**p)
+        log_k = p * math.log(2.0)
+        # the rise alone carries the pre-normalization mass, exactly ln(k)/14
+        assert abs(cut.premass - log_k / 14.0) <= 1e-15 * log_k
+        assert abs(cut.mass_over_z - 1.0) <= 1e-15
+        # J ln^2 k exceeds 588/25 by about 2.6 * 2^-(p/2) / ln k relatively:
+        # 1.4e-11 at p = 64, and 1.6e-21 at p = 128, below float64
+        # resolution, where J ln^2 k must round to 588/25
+        excess = cut.j_weighted * log_k**2 / (588.0 / 25.0) - 1.0
+        if p == 64:
+            assert 1e-12 < excess < 1e-10
+        else:
+            assert abs(excess) <= 1e-15
 
 
 class TestPlateau:
     def test_plateau_shape(self):
         phi = weyl.build_plateau_cutoff()
-        x = np.array([0.0, 0.5, -0.5, 1.0, -1.0, 2.0])
-        assert np.allclose(phi.value(x[:3]), 1.0)
-        assert np.allclose(phi.value(x[3:]), 0.0)
+        assert all(phi.value(x) == 1.0 for x in (0.0, 0.5, -0.5))
+        assert all(phi.value(x) == 0.0 for x in (1.0, -1.0, 2.0))
         for f in (phi.d1, phi.d2):
-            assert np.allclose(f(np.array([1.0, -1.0, 0.3])), 0.0)
+            assert all(f(x) == 0.0 for x in (1.0, -1.0, 0.3))
 
     def test_monotone_shoulder(self):
         phi = weyl.build_plateau_cutoff()
         x = np.linspace(0.5, 1.0, 200)
-        v = phi.value(x)
+        v = np.array([phi.value(xi) for xi in x])
         assert np.all(np.diff(v) <= 1e-15)
 
     def test_second_derivative_mass(self):
         # two independent quadrature routes for int (phi'')^2
         phi = weyl.build_plateau_cutoff()
-        v1 = quad(lambda x: phi.d2(np.array([x]))[0] ** 2, 0.5, 1.0,
+        v1 = quad(lambda x: phi.d2(x) ** 2, 0.5, 1.0,
                   limit=100)[0] * 2.0
         x = np.linspace(0.5, 1.0, 20001)
-        v2 = 2.0 * np.trapezoid(phi.d2(x) ** 2, x)
+        v2 = 2.0 * np.trapezoid(np.array([phi.d2(xi) for xi in x]) ** 2, x)
         assert abs(v1 - v2) < 1e-6 * v1
         # closed form: shoulders contribute 2 * 8 * int_0^1 (S'')^2 = 1920/7
         # for the quintic smoothstep S
@@ -186,9 +211,30 @@ class TestParameterSelection:
             raise AssertionError(f"cutoff built for k={k}")
 
         monkeypatch.setattr(weyl, "cutoff_cached", no_cutoff)
-        # 588/25 / (57 ln 2)^2 = 0.01507 > 0.015, so k = 2^58 is the first candidate
-        with pytest.raises(ComputationError, match=r"k >= 2\^58 > 2\^53"):
-            weyl.choose_parameters(0.015, gs_minus1)
+        # 588/25 / (127 ln 2)^2 = 0.003035 > 0.003, so k = 2^128 is the first
+        # candidate, past 2^126, where 4 k^2 = 2^254 is the last k n_k whose
+        # fourth power is finite
+        with pytest.raises(ComputationError, match=r"k >= 2\^128 > 2\^126"):
+            weyl.choose_parameters(0.003, gs_minus1)
+        # an eps whose 588/25 / eps overflows still names the limit
+        with pytest.raises(ComputationError, match=r"> 2\^126"):
+            weyl.choose_parameters(5e-324, gs_minus1)
+
+    def test_eps_below_the_old_float64_resolution_limit(self, gs_minus1):
+        # eps = 0.015 needs k = 2^58, where k - 1 == k in float64
+        k, n_k = weyl.choose_parameters(0.015, gs_minus1)
+        assert k == 2.0**58 and n_k >= 4 * k
+
+    @pytest.mark.parametrize("mu", [1e300, -1e300, 1e150, -1e150])
+    def test_huge_mu_exhausts_the_n_k_search(self, gs_minus1, mu):
+        # (mu / n_k^2)^2 is inf where mu**2 overflowed; for mu < 0 theta' must
+        # also stay real on the support
+        with pytest.raises(ComputationError, match="n_k search"):
+            weyl.choose_parameters(0.1, gs_minus1, mu)
+
+    def test_n_k_stops_at_the_float_range(self, gs_minus1):
+        with pytest.raises(ComputationError, match=r"past k n_k = 2\^255"):
+            weyl.choose_parameters(0.1, gs_minus1, min_n=2**240)
 
     def test_moments_match_pinned_values(self, gs_shipped):
         mom = weyl._ground_moments(gs_shipped).mom
@@ -279,6 +325,12 @@ class TestQuasiMode:
                             gs=gs_minus1, mode=mode, phi=phi)
         want = brute_force_residual(qm)
         assert abs(weyl.residual_norm(qm) - want) <= 1e-12 * want
+
+    def test_phase_must_be_real_on_the_support(self, gs_minus1):
+        # theta' = sqrt(E y^2 + mu) at y = n_k = 64, E = 1
+        with pytest.raises(ConfigurationError, match="not real"):
+            weyl.QuasiMode(mu=-4096.5, cutoff=weyl.cutoff_cached(16.0), n_k=64, gs=gs_minus1)
+        weyl.QuasiMode(mu=-4095.0, cutoff=weyl.cutoff_cached(16.0), n_k=64, gs=gs_minus1)
 
     def test_interval_plateau_precondition(self, gs_minus1):
         # max|t| of the t-rule is about 33 > n_k c / 2 = 16
