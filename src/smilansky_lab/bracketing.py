@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 from .errors import ComputationError, ConfigurationError
 from .model import ChannelSpec, ModelConfig
-from .oned import ComparisonSpec, Domain1D, ResolutionPolicy, threshold
+from .oned import ComparisonSpec, Domain1D, ResolutionPolicy, coarse_threshold, threshold
 
 __all__ = [
     "StripBound",
@@ -57,11 +57,13 @@ def _channel_domain(config: ModelConfig) -> Domain1D:
 
 
 def channel_threshold(config: ModelConfig, ch: ChannelSpec,
-                      policy: ResolutionPolicy = ResolutionPolicy()) -> float:
+                      policy: ResolutionPolicy = ResolutionPolicy(),
+                      coarse: bool = False) -> float:
     """inf sigma(L_j) for one channel; on an interval x-domain the comparison
-    operator carries the same boundary conditions on (-c, c)."""
+    operator carries the same boundary conditions on (-c, c).  `coarse`
+    gives the unextrapolated estimate of `oned.coarse_threshold`."""
     spec = ComparisonSpec(config.omega, ch.lam, ch.profile, _channel_domain(config))
-    return threshold(spec, policy)
+    return (coarse_threshold if coarse else threshold)(spec, policy)
 
 
 def classify(config: ModelConfig, tol: float = _TOL,

@@ -16,10 +16,11 @@ imports scipy.
 
 from __future__ import annotations
 
+import itertools
 import logging
 import numbers
 from dataclasses import dataclass
-from typing import Iterable, Optional, Union
+from typing import Callable, Iterable, Optional, Union
 
 import numpy as np
 
@@ -243,10 +244,24 @@ def _shifts(guess, floor: float):
     yield floor
 
 
+def _splitmix64(seed: int, start: int, n: int) -> np.ndarray:
+    """Outputs start, ..., start + n - 1 of the splitmix64 generator seeded
+    with `seed` (Steele, Lea & Flood 2014), each a function of (seed, index)
+    alone, as floats uniform on [-1, 1): start vectors without the import of
+    numpy.random."""
+    z = (np.uint64(seed % 2**64) + np.arange(start + 1, start + n + 1, dtype=np.uint64)
+         * np.uint64(0x9E3779B97F4A7C15))
+    z = (z ^ (z >> np.uint64(30))) * np.uint64(0xBF58476D1CE4E5B9)
+    z = (z ^ (z >> np.uint64(27))) * np.uint64(0x94D049BB133111EB)
+    z ^= z >> np.uint64(31)
+    return (z >> np.uint64(11)).astype(float) * 2.0**-52 - 1.0
+
+
 def _lanczos(inv: list[np.ndarray], c: list[float], w: np.ndarray, k: int,
-             rtol: float, steps: int, rng: np.random.Generator):
+             rtol: float, steps: int, direction: Callable[[], np.ndarray]):
     """At most `steps` Lanczos steps with full reorthogonalization on
-    (h - sigma)^-1, from w.  Returns (converged, basis, mus, s): the
+    (h - sigma)^-1, from w; `direction()` gives a new direction when the
+    Krylov space closes.  Returns (converged, basis, mus, s): the
     orthonormal Lanczos vectors as rows, and the eigenvalues (ascending)
     and eigenvectors of their tridiagonal T."""
     n = len(w)
@@ -277,7 +292,7 @@ def _lanczos(inv: list[np.ndarray], c: list[float], w: np.ndarray, k: int,
         if b <= 1e-12 * max(alpha):
             # an invariant subspace with fewer than k eigenpairs: go on
             # from a new direction orthogonal to it
-            w = rng.standard_normal(n)
+            w = direction()
             _orthogonalize(done, w)
             b = 0.0
         beta.append(b)
@@ -288,8 +303,9 @@ def shift_invert_lanczos(h: BlockTridiagonal, k: int, floor: float,
                          tol: float = 1e-7, seed: int = 1234):
     """k lowest eigenpairs of the block-tridiagonal matrix h.
 
-    Lanczos with full reorthogonalization on (h - sigma)^-1, from a seeded
-    random start vector, applied through a block LDL^T factor of h - sigma.
+    Lanczos with full reorthogonalization on (h - sigma)^-1, from a start
+    vector drawn from `seed` (`_splitmix64`), applied through a block LDL^T
+    factor of h - sigma.
     By Sylvester's law of inertia the factor exists exactly when no
     eigenvalue lies at or below sigma, so it certifies that sigma + 1/mu for
     the largest Ritz values mu are the lowest eigenvalues; each is reported
@@ -307,8 +323,9 @@ def shift_invert_lanczos(h: BlockTridiagonal, k: int, floor: float,
     bounds ||h x - lambda x|| by about tol.  A cycle that has not converged
     in _CYCLE steps restarts from the sum of the wanted Ritz vectors, and
     just below the lowest Ritz value sigma + 1/mu (never below lambda0) when
-    that shift factors; `ConvergenceError` follows _CYCLES cycles.  When the Krylov space closes before it holds k pairs, the
-    iteration goes on from a new random direction; as with any single-vector
+    that shift factors; `ConvergenceError` follows _CYCLES cycles.  When the
+    Krylov space closes before it holds k pairs, the iteration goes on from
+    a new direction, the next draw from `seed`; as with any single-vector
     Krylov method, a multiple eigenvalue may be found fewer times than it
     occurs.
 
@@ -331,14 +348,18 @@ def shift_invert_lanczos(h: BlockTridiagonal, k: int, floor: float,
         raise ComputationError(f"h - sigma is not positive definite at the floor "
                                f"shift {floor:.6g}: the floor is not below the spectrum")
 
-    rng = np.random.default_rng(seed)
-    w = rng.standard_normal(n)
+    draws = itertools.count()
+
+    def direction() -> np.ndarray:
+        return _splitmix64(seed, next(draws) * n, n)
+
+    w = direction()
     solves = 0
     try:
         for _ in range(_CYCLES):
             rtol = tol / (h.norm_inf() + abs(sigma))
             converged, basis, mus, s = _lanczos(list(inv), h.c.tolist(), w, k,
-                                                rtol, _CYCLE, rng)
+                                                rtol, _CYCLE, direction)
             solves += len(basis)
             if converged:
                 break

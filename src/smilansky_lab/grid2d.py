@@ -385,7 +385,7 @@ def lowest_eigenvalues(ham: SparseHamiltonian, k: int = 1, tol: float = 1e-7,
 class ScanPolicy:
     """Resolution and verdict thresholds for the Y-ladder scan."""
 
-    points_per_unit_y: int = 24
+    points_per_unit_y: int = 12
     x_half_width: float = 6.0
     h_max: float = 0.25
     stability_tol: float = 0.01     # relative, on lambda0(Ymax) vs lambda0(Ymax/2)
@@ -453,10 +453,13 @@ def transition_scan(config: ModelConfig, y_ladder: list[float],
     shared across the ladder, and the y-node sets nest, so Dirichlet domain
     monotonicity of lambda0 is exact and is checked; it also makes each
     previous lambda0 the eigensolver's guess, so a stabilizing ladder solves
-    every later rung with a near shift.  On a plunging ladder that guess
-    lies above lambda0 and its shift does not factor; the next guess is
-    t_V Y^2 (t_V the lowest channel threshold, computed once, and used only
-    when negative), so the shift 1.05 t_V Y^2 is tried before the floor.
+    every later rung with a near shift.  On a plunging ladder (t_V < 0, t_V
+    the lowest channel threshold, estimated once before the first rung)
+    that guess lies above lambda0 and its shift would not factor.  There
+    the ground state follows the wall law lambda0 ~ t_V Y^2 + a Y^(2/3) (an
+    Airy layer at the truncation), so a later rung first tries
+    t_V Y^2 + (lambda0(Y') - t_V Y'^2)(Y/Y')^(2/3), Y' the previous rung,
+    then t_V Y^2, and the first rung tries t_V Y^2, each before the floor.
     Verdicts: subcritical when lambda0 stabilizes between Y_max/2 and Y_max,
     supercritical when the fitted c is positive with R^2 at least the policy
     threshold, inconclusive otherwise (never a guess).
@@ -487,23 +490,26 @@ def transition_scan(config: ModelConfig, y_ladder: list[float],
               else "even" if config.is_even_in_y else "full")
     vals = []
     residuals = []
-    t_v = []    # min_j of the channel thresholds, once, when first needed
+    # t_V only places shifts, and each shift is certified by its own block
+    # factor, so the unextrapolated threshold of each channel is enough
+    t_v = min((channel_threshold(config, ch, coarse=True) for ch in config.channels),
+              default=0.0)
 
-    def guesses(y: float):
-        yield vals[-1]
-        # the previous lambda0 failed as a guess: on a plunging ladder the
-        # ground state sits near t_V Y^2, far below every earlier rung
-        if config.channels:
-            if not t_v:
-                t_v.append(min(channel_threshold(config, ch) for ch in config.channels))
-            if t_v[0] < 0.0:
-                yield t_v[0] * y * y
+    def guesses(y: float) -> list[float]:
+        if t_v >= 0.0:
+            return vals[-1:]
+        plunge = t_v * y * y
+        if not vals:
+            return [plunge]
+        # the wall law lambda0 ~ t_V Y^2 + a Y^(2/3), with a from the last rung
+        y_prev = y_ladder[len(vals) - 1]
+        return [plunge + (vals[-1] - t_v * y_prev**2) * (y / y_prev) ** (2.0 / 3.0),
+                plunge]
 
     for y in y_ladder:
         grid = scan_grid(config, policy, float(y), y_max)
         ham = assemble_h2d(config, grid, sector)
-        (lam0, res), = lowest_eigenvalues(ham, 1, tol=policy.eig_tol,
-                                          guess=guesses(y) if vals else None)
+        (lam0, res), = lowest_eigenvalues(ham, 1, tol=policy.eig_tol, guess=guesses(y))
         _log.debug("scan rung Y=%g: %s sector of order %d, lambda0 %.12g, "
                    "residual %.3g", y, sector, ham.n, lam0, res)
         if not res <= 1e-6 * max(1.0, abs(lam0)):

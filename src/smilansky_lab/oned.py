@@ -58,6 +58,7 @@ __all__ = [
     "assemble_comparison",
     "ground_state",
     "threshold",
+    "coarse_threshold",
     "critical_coupling",
     "tune_lambda_to_threshold",
 ]
@@ -65,6 +66,10 @@ __all__ = [
 _log = logging.getLogger(__name__)
 
 _EPS = sys.float_info.epsilon
+# the Richardson gate never asks the extrapolants to agree more closely than
+# this, relative to the result: float64 rounding of the bisections and of the
+# extrapolation alone spreads them over several eps |result|
+_FLOAT_RESOLUTION = 64 * _EPS
 
 
 @dataclass(frozen=True)
@@ -188,17 +193,24 @@ def _min_eig(spec: ComparisonSpec, grid: Grid1D) -> float:
 def _richardson(what: str, values: list[float], steps, policy: ResolutionPolicy) -> float:
     """Extrapolate values at resolutions (k, 2k, 4k) of an O(h^2) scheme.
 
-    The (k, 2k) and (2k, 4k) extrapolants must agree to rich_tol; the second
-    is returned, so three equal values give that value exactly.
+    The (k, 2k) and (2k, 4k) extrapolants must agree to rich_tol, or to
+    64 eps |r2| (_FLOAT_RESOLUTION) where float64 cannot resolve rich_tol
+    at the size of the result; the second is returned, so three equal
+    values give that value exactly.
     """
     r1 = values[1] + (values[1] - values[0]) / 3.0
     r2 = values[2] + (values[2] - values[1]) / 3.0
     gap = abs(r1 - r2)
     _log.debug("%s: values %r, Richardson gap %.3g, bisection steps %s",
                what, values, gap, steps)
-    if gap > policy.rich_tol:
+    resolved = _FLOAT_RESOLUTION * abs(r2)
+    if gap > max(policy.rich_tol, resolved):
+        why = (f"disagree beyond rich_tol = {policy.rich_tol:g}"
+               if resolved <= policy.rich_tol else
+               f"disagree beyond what float64 resolves at this size, "
+               f"64 eps |value| = {resolved:.3g}")
         raise RefinementError(
-            f"Richardson extrapolants disagree: {r1!r} vs {r2!r} for the {what}; "
+            f"Richardson extrapolants {why}: {r1!r} vs {r2!r} for the {what}; "
             f"raw values {values!r}")
     return r2
 
@@ -290,6 +302,20 @@ def threshold(spec: ComparisonSpec, policy: ResolutionPolicy = ResolutionPolicy(
         return _richardson(f"threshold at lambda={spec.lam!r} on (-{c}, {c}) "
                            f"with {spec.domain.bc} ends, n={n}", values, "-", policy)
     return _threshold_on_line(spec.omega, spec.lam, spec.profile, policy)
+
+
+def coarse_threshold(spec: ComparisonSpec,
+                     policy: ResolutionPolicy = ResolutionPolicy()) -> float:
+    """The discrete threshold at the coarsest resolution of `threshold` (m
+    steps of the support, or n interval nodes) alone: one Sturm bisection,
+    neither extrapolated nor gated, so it carries the O(h^2) error of that
+    resolution.  An estimate, for callers that certify what they do with it
+    by other means."""
+    if spec.domain.kind == "interval":
+        c = spec.domain.half_width
+        return _min_eig(spec, Grid1D(-c, c, policy.n_for(-c, c)))
+    return _chain_threshold(spec.omega, spec.lam, spec.profile,
+                            policy.m_for(spec.profile.a))[0]
 
 
 def _threshold_on_line(omega: float, lam: float, profile: PotentialProfile,

@@ -17,6 +17,11 @@ from typing import Callable, Optional, Sequence
 
 from .errors import ComputationError
 
+# the bracket of chain_bracket starts this far outside the spectrum, relative
+# to ||T||_inf, once that exceeds 1 (at 1e12): far above the rounding
+# eps ||T||_inf of its ends and of the counts
+_MARGIN_REL = 1e-12
+
 __all__ = ["sturm_count", "cyclic_sturm_count", "bisect_count", "chain_norm",
            "chain_bracket", "chain_lowest_pair"]
 
@@ -117,9 +122,11 @@ def chain_bracket(d: Sequence[float], e: Sequence[float], corner: Optional[float
                   tol: float) -> tuple[float, float]:
     """Bracket (lo, hi), hi - lo <= tol, of the lowest eigenvalue of the
     tridiagonal matrix with diagonal d, off-diagonal e and the periodic wrap
-    entry `corner` (None for none): bisection of the Sturm count from one
-    below the Gershgorin bound to one above the Rayleigh quotient of the
-    constant vector.  count(lo) == 0, so T - lo is positive definite."""
+    entry `corner` (None for none): bisection of the Sturm count from below
+    the Gershgorin bound to above the Rayleigh quotient of the constant
+    vector, both by max(1, _MARGIN_REL ||T||_inf), a margin that no
+    rounding of the entries swallows.  count(lo) == 0, so T - lo is positive
+    definite."""
     if corner is None:
         e2 = [b * b for b in e]
 
@@ -130,8 +137,9 @@ def chain_bracket(d: Sequence[float], e: Sequence[float], corner: Optional[float
         def count(x: float) -> int:
             return cyclic_sturm_count(d, e, corner, x)
         wrap = 2.0 * corner
-    lo = min(di - ri for di, ri in zip(d, _radii(e, corner))) - 1.0
-    hi = (sum(d) + 2.0 * sum(e) + wrap) / len(d) + 1.0
+    margin = max(1.0, _MARGIN_REL * chain_norm(d, e, corner))
+    lo = min(di - ri for di, ri in zip(d, _radii(e, corner))) - margin
+    hi = (sum(d) + 2.0 * sum(e) + wrap) / len(d) + margin
     lo, hi, _ = bisect_count(count, lo, hi, tol)
     return lo, hi
 
@@ -156,8 +164,7 @@ def chain_lowest_pair(d: Sequence[float], e: Sequence[float]) -> tuple[float, li
     lo, _ = chain_bracket(d, e, None, tol)
 
     # count(lo) == 0 makes the pivots below, the ones sturm_count finds, all
-    # positive; it fails only when the diagonal is so large that lo, one
-    # below the Gershgorin bound, rounds onto it
+    # positive; the bracket's margin keeps it so at any size of the entries
     e2 = [b * b for b in e]
     if sturm_count(d, e2, lo):
         raise ComputationError(

@@ -11,7 +11,8 @@ from smilansky_lab import weyl
 from smilansky_lab.cli import RunRequest, main, run
 from smilansky_lab.errors import ConfigurationError
 from smilansky_lab.model import PotentialProfile
-from smilansky_lab.oned import ComparisonSpec, Domain1D, Grid1D, ResolutionPolicy
+from smilansky_lab.oned import (ComparisonSpec, Domain1D, Grid1D, ResolutionPolicy,
+                                ground_state)
 
 SINGLE = {
     "omega": 1.0,
@@ -339,14 +340,60 @@ class TestExitCodes:
 
     def test_weyl_huge_omega(self, tmp_path, capsys):
         # omega^2 overflowed into a raw OverflowError at 1e200; at 1e150 the
-        # Dirichlet chain's diagonal swallows its off-diagonal, and the
-        # inverse iteration divided by a zero pivot
+        # Dirichlet chain's diagonal (1e300) swallows its off-diagonal, and
+        # its bracket's margin, relative to the chain's norm, keeps the
+        # ground state solvable: the shipped coupling binds no state below
+        # omega^2 = 1e300, and the certificate says so
         for omega, code, message in ((1e200, 2, "configuration error: omega must be"),
-                                     (1e150, 1, "computation failed: T - sigma is not positive")):
+                                     (1e150, 2, "configuration error: certificate needs "
+                                                "a supercritical channel")):
             path = tmp_path / "omega.json"
             path.write_text(json.dumps({**SUPER, "omega": omega}))
             assert main(["weyl", "--config", str(path), "--eps", "0.1"]) == code
             assert capsys.readouterr().err.startswith(message)
+        spec = ComparisonSpec(1e150, SUPER["channels"][0]["lambda"],
+                              PotentialProfile("cos2", 1.0, 1.0),
+                              Domain1D("truncated_line", 12.0))
+        gs = ground_state(spec, Grid1D(-12.0, 12.0, 4001))
+        assert abs(gs.e0 - 1e300) <= 1e-15 * 1e300
+
+    @pytest.mark.parametrize("omega", [1e7, 1e9])
+    @pytest.mark.parametrize("domain", [
+        {"type": "line"}, {"type": "interval", "c": 3.0, "bc": "dirichlet"}])
+    def test_eig1d_huge_omega(self, tmp_path, omega, domain):
+        # the threshold is omega^2 - O(1), about 1e14 and 1e18, where float64
+        # spacing is 0.016 and 128: the Richardson gate asks no agreement
+        # finer than 64 eps |threshold| of the extrapolants, and names float
+        # resolution when it fails
+        path = tmp_path / "omega.json"
+        path.write_text(json.dumps({**SINGLE, "omega": omega, "x_domain": domain}))
+        out = tmp_path / "out.json"
+        proc = subprocess.run(
+            [sys.executable, "-m", "smilansky_lab.cli", "eig1d", "--config", str(path),
+             "--output", str(out)], env=env_with_src(), capture_output=True, text=True)
+        if proc.returncode:
+            assert proc.returncode == 1 and "float64 resolves" in proc.stderr, proc.stderr
+        else:
+            (row,) = json.loads(out.read_text())["channels"]
+            gate = 64 * sys.float_info.epsilon * omega**2
+            assert abs(row["threshold"] - omega**2) <= gate + 10.0
+
+    def test_two_d_commands_leave_out_numpy_random(self, single_cfg, super_cfg, tmp_path):
+        # a fresh process: the Lanczos start vectors and restart directions
+        # are splitmix64 outputs of (seed, index), so numpy.random is never
+        # imported
+        runs = [["scan", "--config", single_cfg, "--ladder", "2,3,4"],
+                ["scan", "--config", super_cfg, "--ladder", "2,3,4"],
+                ["eig2d", "--config", super_cfg, "--y-half", "3", "--k", "2"]]
+        out = str(tmp_path / "out")
+        code = ("import sys\n"
+                "from smilansky_lab.cli import main\n"
+                f"for args in {runs!r}:\n"
+                f"    assert main(args + ['--output', {out!r}]) == 0, args\n"
+                "assert 'numpy' in sys.modules and 'numpy.random' not in sys.modules\n")
+        proc = subprocess.run([sys.executable, "-c", code], env=env_with_src(),
+                              capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
 
     def test_weyl_leaves_out_numpy(self, tmp_path):
         # a fresh process per run: the cutoff moments are closed forms and

@@ -1,4 +1,5 @@
 import logging
+import math
 
 import numpy as np
 import pytest
@@ -6,9 +7,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from smilansky_lab.eigs import (BlockTridiagonal, TridiagonalSym, _spd_inverse,
-                                bracket_lowest, lowest_pair, shift_invert_lanczos)
+                                _splitmix64, bracket_lowest, lowest_pair,
+                                shift_invert_lanczos)
 from smilansky_lab.errors import ComputationError
-from smilansky_lab.sturm import bisect_count, cyclic_sturm_count, sturm_count
+from smilansky_lab.sturm import (bisect_count, chain_bracket, chain_lowest_pair, chain_norm,
+                                 cyclic_sturm_count, sturm_count)
 
 
 def dirichlet_laplacian(n):
@@ -131,6 +134,30 @@ class TestSturmCount:
         want = 0.0 if corner else 2.0 - 2.0 * np.cos(np.pi / 41.0)
         assert lo <= want + 1e-15 and want - 1e-15 <= hi and hi - lo <= 1e-14
 
+    def test_bracket_margin_scales_with_the_chain(self):
+        # below ||T||_inf = 1e12 the bracket starts one outside the
+        # Gershgorin bound and the constant vector's Rayleigh quotient, as it
+        # always did, so ordinary brackets are bit-identical; a 1e300
+        # diagonal would round that unit away, and the relative margin keeps
+        # count(lo) == 0
+        rng = np.random.default_rng(4)
+        for scale in (1.0, 1e4, 1e11):
+            d = (scale * rng.uniform(1.0, 3.0, 30)).tolist()
+            e = (-scale * rng.uniform(0.5, 1.0, 29)).tolist()
+            e2 = [b * b for b in e]
+            r = [abs(a) + abs(b) for a, b in zip([0.0] + e, e + [0.0])]
+            lo = min(di - ri for di, ri in zip(d, r)) - 1.0
+            hi = (sum(d) + 2.0 * sum(e)) / len(d) + 1.0
+            want = bisect_count(lambda x: sturm_count(d, e2, x), lo, hi, 1e-15 * scale)[:2]
+            assert chain_bracket(d, e, None, 1e-15 * scale) == want
+        d, e = [1e300] * 8, [-1.0] * 7
+        lo, hi = chain_bracket(d, e, None, 1e-15 * chain_norm(d, e, None))
+        assert sturm_count(d, [1.0] * 7, lo) == 0 < sturm_count(d, [1.0] * 7, hi)
+        assert lo <= 1e300 <= hi
+        e0, v = chain_lowest_pair(d, e)
+        assert abs(e0 - 1e300) <= 1e-15 * 1e300
+        assert abs(math.fsum(x * x for x in v) - 1.0) < 1e-14
+
     def test_lowest_pair_rejects_periodic_wrap(self):
         T = dirichlet_laplacian(6)
         with pytest.raises(ComputationError):
@@ -139,6 +166,17 @@ class TestSturmCount:
 
 class TestLanczos:
     # shift_invert_lanczos is Lanczos on (h - sigma)^-1
+    def test_start_vectors_are_splitmix64_outputs(self):
+        # the reference generator's first outputs from seed 0, as integers,
+        # and each output depends on (seed, index) alone
+        first = [0xE220A8397B1DCDAF, 0x6E789E6AA1B965F4, 0x06C45D188009454F]
+        want = [(z >> 11) * 2.0**-52 - 1.0 for z in first]
+        assert _splitmix64(0, 0, 3).tolist() == want
+        assert _splitmix64(0, 1, 2).tolist() == want[1:]
+        v = _splitmix64(1234, 0, 4096)
+        assert np.all((-1.0 <= v) & (v < 1.0)) and abs(v.mean()) < 0.05
+        assert not np.array_equal(v[:8], _splitmix64(1235, 0, 8))
+
     def test_diagonal_sparse(self):
         d = np.linspace(-3.0, 9.0, 60)
         h = BlockTridiagonal(np.zeros((1, 1)), d[:, None], np.zeros(59))

@@ -298,23 +298,26 @@ class TestScan:
 
     def test_ladder_rungs_take_one_factorization_and_few_solves(self, caplog):
         # Dirichlet nesting makes each previous lambda0 a certified guess on
-        # a stabilizing ladder: one block factorization and few solves.  On a
-        # plunging ladder that guess fails, and t_V Y^2 is tried before the
-        # floor: at most two shifts.  Each eigensolve logs one record: every
-        # shift it factored or tried (one block factorization each), and its
-        # number of block solves.
+        # a stabilizing ladder, and on a plunging one the wall law from t_V
+        # places the shift: every rung factors its first shift, and takes
+        # few solves.  Each eigensolve logs one record: every shift it tried
+        # (one block factorization each, "factored" or "not definite"), and
+        # its number of block solves.
         root = Path(__file__).parents[1] / "configs"
-        for name, verdict, shifts_max in (("single_channel", "subcritical", 1),
-                                          ("supercritical", "supercritical", 2)):
+        for name, verdict, first_max, later_max in (
+                ("single_channel", "subcritical", None, 25),
+                ("supercritical", "supercritical", 25, 15)):
             caplog.clear()
             cfg = load_config(str(root / f"{name}.json"))
             with caplog.at_level(logging.DEBUG, logger="smilansky_lab.eigs"):
                 scan = grid2d.transition_scan(cfg, [4.0, 8.0, 16.0])
-            rungs = [(shifts.count("("), solves) for _, shifts, solves in
+            rungs = [(shifts, solves) for _, shifts, solves in
                      (r.args for r in caplog.records if r.name == "smilansky_lab.eigs")]
             assert scan.verdict == verdict and len(rungs) == 3
-            assert all(factors <= shifts_max and solves <= 25
-                       for factors, solves in rungs[1:])
+            assert all(shifts.count("(factored)") == 1 and "not definite" not in shifts
+                       for shifts, _ in rungs)
+            assert first_max is None or rungs[0][1] <= first_max
+            assert all(solves <= later_max for _, solves in rungs[1:])
 
     def test_csv_header(self):
         pol = grid2d.ScanPolicy(points_per_unit_y=12, x_half_width=4.0)
@@ -491,7 +494,28 @@ class TestEvenSector:
             scan = grid2d.transition_scan(cfg, [4.0, 8.0, 16.0])
         assert np.allclose([r.lambda0 for r in scan.rows], want, rtol=1e-12, atol=0.0)
         assert [r.getMessage().split(": ")[1].split(",")[0] for r in caplog.records] == [
-            f"even-even sector of order {n}" for n in (3360, 6720, 13440)]
-        # the mirror-symmetric mesh moved lambda0 by far less than its
-        # discretization error (about 1 %) from the mesh graded left to right
-        assert np.allclose(want, pinned["left_to_right_mesh"][name], rtol=1e-3, atol=0.0)
+            f"even-even sector of order {n}" for n in (1680, 3360, 6720)]
+        # halving the y-density, and the mirror-symmetric mesh, each moved
+        # lambda0 by far less than its discretization error (about 1 %)
+        for earlier in ("points_per_unit_y_24", "left_to_right_mesh"):
+            assert np.allclose(want, pinned[earlier][name], rtol=1e-3, atol=0.0)
+
+    @pytest.mark.parametrize("name", ["single_channel", "supercritical"])
+    def test_y_density_error_is_a_tenth_of_the_x_error(self, name):
+        # lambda0 on the shipped y-density, at twice it, and at twice it
+        # with every x-cell halved by inserting its midpoint: on every rung
+        # the y-density moves lambda0 by at most a tenth of what the x-cells
+        # do, so the y-rows are not where the mesh error lies
+        cfg = load_config(str(Path(__file__).parents[1] / "configs" / f"{name}.json"))
+        ladder = [4.0, 8.0, 16.0]
+        fine_y = dataclasses.replace(grid2d.ScanPolicy(), points_per_unit_y=24)
+        shipped = grid2d.transition_scan(cfg, ladder).rows
+        ref = grid2d.transition_scan(cfg, ladder, fine_y).rows
+        for r_y, r_ref in zip(shipped, ref):
+            g = grid2d.scan_grid(cfg, fine_y, r_ref.y_half, ladder[-1])
+            ends = np.concatenate(([g.x_lo], g.x_nodes, [g.x_hi]))
+            x = np.sort(np.concatenate((g.x_nodes, 0.5 * (ends[:-1] + ends[1:]))))
+            fine_x = grid2d.assemble_h2d(cfg, dataclasses.replace(g, x_nodes=x), "even-even")
+            (lam_x, _), = grid2d.lowest_eigenvalues(fine_x, 1, guess=r_ref.lambda0)
+            assert (abs(r_y.lambda0 - r_ref.lambda0)
+                    <= 0.1 * abs(lam_x - r_ref.lambda0))

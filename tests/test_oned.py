@@ -11,8 +11,8 @@ from smilansky_lab.errors import (ComputationError, ConfigurationError,
 from smilansky_lab.model import PotentialProfile, eval_profile
 from smilansky_lab.oned import (ComparisonSpec, Domain1D, Grid1D,
                                 ResolutionPolicy, _min_eig,
-                                assemble_comparison, critical_coupling,
-                                ground_state, threshold,
+                                assemble_comparison, coarse_threshold,
+                                critical_coupling, ground_state, threshold,
                                 tune_lambda_to_threshold)
 from smilansky_lab.quadrature import gauss_panels
 
@@ -109,6 +109,28 @@ class TestThreshold:
         policy = ResolutionPolicy(points_per_unit=16.0, rich_tol=1e-3)
         e = [dense_periodic_min(spec, Grid1D(-1.0, 1.0, m)) for m in (64, 128, 256)]
         assert abs(threshold(spec, policy) - (4.0 * e[2] - e[1]) / 3.0) < 1e-9
+
+    def test_richardson_gate_is_never_finer_than_float64(self):
+        # extrapolants (1 + 4/3 delta apart at the top) of three values
+        # delta apart: at size 1 the gate is rich_tol = 1e-6 exactly, at
+        # 1e14 it is 64 eps 1e14 = 1.42, and each failure names its gate
+        pol = ResolutionPolicy()
+        assert oned._richardson("t", [1.0, 1.0, 1.0 + 0.74e-6], "-", pol) > 1.0
+        with pytest.raises(RefinementError, match="beyond rich_tol = 1e-06"):
+            oned._richardson("t", [1.0, 1.0, 1.0 + 0.76e-6], "-", pol)
+        assert oned._richardson("t", [1e14, 1e14, 1e14 + 1.0], "-", pol) > 1e14
+        with pytest.raises(RefinementError, match="float64 resolves"):
+            oned._richardson("t", [1e14, 1e14, 1e14 + 1.5], "-", pol)
+
+    @pytest.mark.parametrize("domain", [Domain1D("truncated_line", 12.0),
+                                        Domain1D("interval", 3.0, "neumann")])
+    def test_coarse_threshold_is_the_first_resolution(self, cos2_profile, domain, caplog):
+        spec = ComparisonSpec(1.0, 4.0, cos2_profile, domain)
+        with caplog.at_level(logging.DEBUG, logger="smilansky_lab.oned"):
+            t = threshold(spec)
+        values = caplog.records[-1].args[1]
+        assert coarse_threshold(spec) == values[0]
+        assert abs(values[0] - t) <= 1e-4 * abs(t)
 
 
 class TestLineThreshold:
