@@ -3,8 +3,8 @@
 Submodules: model (configuration and potentials), oned (1D comparison
 operator), grid2d (truncated 2D Hamiltonian and transition scans), weyl
 (quasi-mode certificates), bracketing (lower bounds and classification),
-sturm (Sturm counts and inverse iteration on lists), eigs (symmetric
-eigensolvers), quadrature (Gauss-Legendre panels, Hermite interpolants),
+sturm (Sturm counts and inverse iteration on lists), eigs (the 2D
+eigensolver), quadrature (Gauss-Legendre panels, Hermite interpolants),
 cli.  A submodule is imported on first access, so `import smilansky_lab`
 loads none of them, and the 1D and Weyl paths (model, oned, bracketing,
 sturm, quadrature, weyl, cli) never load numpy for cos2 and quartic

@@ -79,10 +79,19 @@ def _meta(req: RunRequest) -> dict:
     }
 
 
+def _write(path: str, text: str) -> None:
+    """Write a file; a path that cannot be written is a configuration error,
+    as a config that cannot be read is."""
+    try:
+        with open(path, "w") as fh:
+            fh.write(text)
+    except OSError as exc:
+        raise ConfigurationError(f"cannot write {path}: {exc.strerror or exc}") from exc
+
+
 def _emit(req: RunRequest, text: str) -> None:
     if req.output:
-        with open(req.output, "w") as fh:
-            fh.write(text)
+        _write(req.output, text)
     else:
         sys.stdout.write(text)
 
@@ -143,8 +152,7 @@ def run(request: RunRequest) -> int:
             pairs = grid2d.lowest_eigenvalues(ham, p.get("k", 1),
                                               tol=p.get("tol", 1e-7), seed=_SEED)
             if p.get("export_matrix"):
-                with open(p["export_matrix"], "w") as fh:
-                    fh.write(ham.export_coo())
+                _write(p["export_matrix"], ham.export_coo())
             _emit(request, _json_payload(request, {
                 "y_half": y_half,
                 "eigenvalues": [v for v, _ in pairs],

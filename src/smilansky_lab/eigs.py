@@ -1,11 +1,4 @@
-"""Symmetric eigensolvers used throughout the package, on numpy alone.
-
-Tridiagonal matrices (`TridiagonalSym`): `bracket_lowest` brackets the
-lowest eigenvalue, the periodic wrap included, by bisecting the Sturm count
-of `sturm`, and `lowest_pair` adds an eigenvector by inverse iteration.  Both
-are adapters: the counts, the bisection and the inverse iteration live in
-the numpy-free `sturm`, so that the 1D thresholds and the Weyl ground state
-start without numpy.
+"""The 2D eigensolver, on numpy alone.
 
 Block-tridiagonal matrices I (x) Bx + diag(d) + C (x) I (`BlockTridiagonal`,
 the 2D Hamiltonian) go to `shift_invert_lanczos`: Lanczos with full
@@ -20,20 +13,13 @@ import itertools
 import logging
 import numbers
 from dataclasses import dataclass
-from typing import Callable, Iterable, Optional, Union
+from typing import Callable, Iterable, Union
 
 import numpy as np
 
 from .errors import ComputationError, ConvergenceError
-from .sturm import chain_bracket, chain_lowest_pair, chain_norm
 
-__all__ = [
-    "TridiagonalSym",
-    "BlockTridiagonal",
-    "bracket_lowest",
-    "lowest_pair",
-    "shift_invert_lanczos",
-]
+__all__ = ["BlockTridiagonal", "shift_invert_lanczos"]
 
 _log = logging.getLogger(__name__)
 
@@ -44,65 +30,6 @@ _NEAR_MARGIN = 0.05
 # before it gives up
 _CYCLE = 64
 _CYCLES = 16
-
-
-@dataclass(frozen=True)
-class TridiagonalSym:
-    """Symmetric tridiagonal matrix; `corner` adds the periodic wrap entry."""
-
-    d: np.ndarray
-    e: np.ndarray
-    corner: Optional[float] = None
-
-    def __post_init__(self):
-        d = np.asarray(self.d, dtype=float)
-        e = np.asarray(self.e, dtype=float)
-        object.__setattr__(self, "d", d)
-        object.__setattr__(self, "e", e)
-        if len(e) != len(d) - 1:
-            raise ComputationError("off-diagonal must have length n-1")
-        if not (np.all(np.isfinite(d)) and np.all(np.isfinite(e))):
-            raise ComputationError("non-finite matrix entries")
-        if self.corner is not None and len(d) < 3:
-            raise ComputationError("the periodic wrap needs at least 3 nodes")
-
-    @property
-    def n(self) -> int:
-        return len(self.d)
-
-    def matvec(self, v: np.ndarray) -> np.ndarray:
-        out = self.d * v
-        out[:-1] += self.e * v[1:]
-        out[1:] += self.e * v[:-1]
-        if self.corner is not None:
-            out[0] += self.corner * v[-1]
-            out[-1] += self.corner * v[0]
-        return out
-
-    def toarray(self) -> np.ndarray:
-        out = np.diag(self.d) + np.diag(self.e, 1) + np.diag(self.e, -1)
-        if self.corner is not None:
-            out[0, -1] = out[-1, 0] = self.corner
-        return out
-
-    def norm_inf(self) -> float:
-        """The largest absolute row sum, a bound on the 2-norm."""
-        return chain_norm(self.d.tolist(), self.e.tolist(), self.corner)
-
-
-def bracket_lowest(T: TridiagonalSym, tol: float) -> tuple[float, float]:
-    """Bracket (lo, hi), hi - lo <= tol, of the lowest eigenvalue of T, the
-    periodic wrap included: `chain_bracket` on its entries."""
-    return chain_bracket(T.d.tolist(), T.e.tolist(), T.corner, tol)
-
-
-def lowest_pair(T: TridiagonalSym) -> tuple[float, np.ndarray]:
-    """Lowest eigenpair (e0, unit eigenvector) of a non-periodic tridiagonal
-    matrix: `chain_lowest_pair` (inverse iteration on lists) on its entries."""
-    if T.corner is not None:
-        raise ComputationError("inverse iteration is not defined for the periodic wrap")
-    e0, v = chain_lowest_pair(T.d.tolist(), T.e.tolist())
-    return e0, np.array(v)
 
 
 @dataclass(frozen=True, eq=False)

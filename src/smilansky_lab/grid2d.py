@@ -7,8 +7,8 @@ y^2 V((x - b) y) narrows like a/y in x, so the x-mesh must resolve the a/Y
 scale near each channel center; a graded mesh (fine near the centers, coarse
 elsewhere) keeps that affordable.  H is block tridiagonal, one block per
 y-row, with the x-stencil plus a diagonal on the blocks and scalar
-couplings between them; the 2D solve works on that form with numpy alone,
-and scipy.sparse is loaded only to export the matrix.  The transition itself
+couplings between them; the 2D solve and the matrix export work on that
+form with numpy alone.  The transition itself
 is read off the Y-dependence of the lowest eigenvalue: subcritical
 configurations stabilize, supercritical ones plunge like -cY^2 with c near
 the 1D channel energy |E0|.  With even channel profiles the operator
@@ -25,20 +25,14 @@ from __future__ import annotations
 import logging
 import math
 from dataclasses import dataclass
-from functools import cached_property
-from typing import TYPE_CHECKING, Iterable
+from typing import Iterable, Optional
 
 import numpy as np
 
 from .bracketing import channel_threshold
-from .eigs import BlockTridiagonal, TridiagonalSym, shift_invert_lanczos
+from .eigs import BlockTridiagonal, shift_invert_lanczos
 from .errors import ComputationError, ConfigurationError, RefinementError
 from .model import ModelConfig, eval_potential_2d
-
-# scipy.sparse is imported only where the sparse matrix is built
-# (`SparseHamiltonian.matrix`): no solve needs it
-if TYPE_CHECKING:
-    import scipy.sparse as sp
 
 __all__ = [
     "Grid2D",
@@ -85,15 +79,6 @@ class Grid2D:
         if len(x) * self.n_y > self.memory_cap:
             raise ConfigurationError(
                 f"grid size {len(x)}x{self.n_y} exceeds the memory cap")
-
-    @classmethod
-    def uniform(cls, x_lo: float, x_hi: float, n_x: int, y_half: float,
-                n_y: int) -> "Grid2D":
-        """Uniform interior (vertex) nodes, placed from the midpoint out, so
-        that on (-c, c) they are exactly mirror-symmetric about 0."""
-        h = (x_hi - x_lo) / (n_x + 1)
-        x = 0.5 * (x_lo + x_hi) + h * (np.arange(n_x) - 0.5 * (n_x - 1))
-        return cls(x_lo, x_hi, x, y_half, n_y)
 
     @property
     def n_x(self) -> int:
@@ -180,23 +165,58 @@ class SparseHamiltonian:
     def n(self) -> int:
         return self.op.n
 
-    @cached_property
-    def matrix(self) -> sp.csr_matrix:
-        """The sparse matrix, built on first use (it loads scipy.sparse)."""
-        import scipy.sparse as sp
-
-        h = self.op
-        n_rows = len(h.d)
-        cy = sp.diags([h.c, h.c], [-1, 1], shape=(n_rows, n_rows))
-        return (sp.kron(sp.identity(n_rows), sp.csr_matrix(h.bx))
-                + sp.kron(cy, sp.identity(h.bx.shape[0]))
-                + sp.diags(h.d.ravel())).tocsr()
-
     def export_coo(self) -> str:
-        """Coordinate text format: one 'row col value' line per entry."""
-        coo = self.matrix.tocoo()
-        return "\n".join(f"{i} {j} {v:.17g}"
-                         for i, j, v in zip(coo.row, coo.col, coo.data)) + "\n"
+        """Coordinate text format: one 'row col value' line per entry that
+        is not exactly 0, rows ascending and columns ascending within a row.
+        Row r = j n_x + i holds the coupling c[j-1] to the y-row below, row
+        i of the stencil Bx with d[j, i] added on its diagonal, then the
+        coupling c[j] to the y-row above."""
+        h = self.op
+        node = np.arange(h.n).reshape(h.d.shape)
+        i, k = np.nonzero((h.bx != 0) | np.eye(len(h.bx), dtype=bool))
+        coupling = np.repeat(h.c, len(h.bx))
+        stencil = h.bx[i, k] + np.where(i == k, h.d[:, i], 0.0)
+        rows = np.concatenate((node[1:].ravel(), node[:, i].ravel(), node[:-1].ravel()))
+        cols = np.concatenate((node[:-1].ravel(), node[:, k].ravel(), node[1:].ravel()))
+        vals = np.concatenate((coupling, stencil.ravel(), coupling))
+        keep = vals != 0
+        rows, cols, vals = rows[keep], cols[keep], vals[keep]
+        order = np.lexsort((cols, rows))
+        return "\n".join(f"{r} {c} {v:.17g}" for r, c, v in
+                         zip(rows[order].tolist(), cols[order].tolist(),
+                             vals[order].tolist())) + "\n"
+
+
+@dataclass(frozen=True)
+class TridiagonalSym:
+    """Symmetric tridiagonal matrix, the 1D stencils of the 2D operator;
+    `corner` adds the periodic wrap entry."""
+
+    d: np.ndarray
+    e: np.ndarray
+    corner: Optional[float] = None
+
+    def __post_init__(self):
+        d = np.asarray(self.d, dtype=float)
+        e = np.asarray(self.e, dtype=float)
+        object.__setattr__(self, "d", d)
+        object.__setattr__(self, "e", e)
+        if len(e) != len(d) - 1:
+            raise ComputationError("off-diagonal must have length n-1")
+        if not (np.all(np.isfinite(d)) and np.all(np.isfinite(e))):
+            raise ComputationError("non-finite matrix entries")
+        if self.corner is not None and len(d) < 3:
+            raise ComputationError("the periodic wrap needs at least 3 nodes")
+
+    @property
+    def n(self) -> int:
+        return len(self.d)
+
+    def toarray(self) -> np.ndarray:
+        out = np.diag(self.d) + np.diag(self.e, 1) + np.diag(self.e, -1)
+        if self.corner is not None:
+            out[0, -1] = out[-1, 0] = self.corner
+        return out
 
 
 def _second_diff_1d(nodes: np.ndarray, lo: float, hi: float, bc: str) -> TridiagonalSym:

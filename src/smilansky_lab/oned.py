@@ -16,7 +16,7 @@ vanishes on every support node; then there is no bound state, and the
 threshold is omega^2 itself.  A coupling that places the
 threshold at a target E is where the same count, at that fixed E, leaves 0
 as lambda grows.  Both are bisections of the pure-Python Sturm count of
-`eigs`, Richardson-extrapolated over m, 2m and 4m and gated at `rich_tol`.
+`sturm`, Richardson-extrapolated over m, 2m and 4m and gated at `rich_tol`.
 
 Interval x-domains (-c, c) keep the whole-interval assembly with Dirichlet,
 Neumann or periodic ends; its minimal eigenvalue is a bisection of the same
@@ -26,8 +26,7 @@ only the standard library.  `ground_state`, the eigenpair behind the Weyl
 quasi-modes, is solved on the fixed Dirichlet chain that `_interval_chain`
 builds as lists, by the Sturm count and inverse iteration of `sturm`, and
 `GroundState` evaluates its interpolant on floats, so the Weyl path starts
-without numpy too; only `assemble_comparison` (an `eigs.TridiagonalSym`)
-imports numpy where it runs.
+without numpy too.
 
 Each threshold and coupling logs one `smilansky_lab.oned` debug record: the
 resolution, the three values, their Richardson gap and the bisection steps.
@@ -40,14 +39,11 @@ import math
 import sys
 from dataclasses import dataclass, field
 from functools import partial
-from typing import TYPE_CHECKING, Callable, Sequence
+from typing import Callable, Sequence
 
 from .errors import ComputationError, ConfigurationError, RefinementError
 from .model import PotentialProfile, profile_values
 from .sturm import bisect_count, chain_bracket, chain_lowest_pair, chain_norm, sturm_count
-
-if TYPE_CHECKING:
-    from .eigs import TridiagonalSym
 
 __all__ = [
     "Grid1D",
@@ -55,7 +51,6 @@ __all__ = [
     "ComparisonSpec",
     "GroundState",
     "ResolutionPolicy",
-    "assemble_comparison",
     "ground_state",
     "threshold",
     "coarse_threshold",
@@ -104,7 +99,7 @@ class Grid1D:
 class Domain1D:
     """Either the line or a genuine interval (-c, c).  Thresholds on the line
     need no truncation; its half-width X is the extent of the fixed grid that
-    `ground_state` and `assemble_comparison` use."""
+    `ground_state` uses."""
 
     kind: str = "truncated_line"
     half_width: float = 0.0
@@ -173,13 +168,6 @@ def _interval_chain(spec: ComparisonSpec, grid: Grid1D):
     elif bc == "periodic":
         corner = -1.0 / h**2
     return diag, off, corner
-
-
-def assemble_comparison(spec: ComparisonSpec, grid: Grid1D) -> TridiagonalSym:
-    """`_interval_chain` as a `TridiagonalSym`."""
-    from .eigs import TridiagonalSym
-
-    return TridiagonalSym(*_interval_chain(spec, grid))
 
 
 def _min_eig(spec: ComparisonSpec, grid: Grid1D) -> float:

@@ -4,8 +4,7 @@ The 1D thresholds and couplings are bisections of these counts, and the
 ground state behind the Weyl quasi-modes adds an eigenvector by inverse
 iteration (`chain_lowest_pair`); they need nothing else.  This module, like
 the whole 1D and Weyl path (`model`, `oned`, `bracketing`, `quadrature`,
-`weyl`, `cli`), imports only the standard library.  `eigs` builds its numpy
-matrix solvers on the same counts.
+`weyl`, `cli`), imports only the standard library.
 """
 
 from __future__ import annotations

@@ -15,9 +15,8 @@ theta'' ever enter.  The huge y^2-proportional terms cancel algebraically
 through the eigenvalue ODE h'' = (omega^2 - lambda V - E0) h and are removed
 before evaluation.  Everything that remains is O(1) or n_k-suppressed, and
 is a rank-6 sum of products of functions of z and of t, so the residual
-costs O(n_z + n_t).  All of it runs on floats and lists with `math`; only
-the cross-checks `quasimode_norm_direct` and `residual_identity_check`
-import numpy.
+costs O(n_z + n_t).  All of it runs on floats and lists with `math`; nothing
+here imports numpy.
 """
 
 from __future__ import annotations
@@ -44,7 +43,6 @@ __all__ = [
     "build_plateau_cutoff",
     "choose_parameters",
     "quasimode_norm",
-    "residual_identity_check",
     "residual_norm",
     "weyl_certificate",
     "certificate_csv",
@@ -576,51 +574,6 @@ def quasimode_norm(qm: QuasiMode) -> QuasiModeNorm:
     main = qm.cutoff.mass_over_z * mom["h2"]
     corr = float(qm.n_k) ** -4.0 * qm.cutoff.m_z5 * mom["f2"]
     return QuasiModeNorm(main, corr, math.sqrt(main + corr))
-
-
-def quasimode_norm_direct(qm: QuasiMode, n_y: int = 400) -> float:
-    """Direct 2D quadrature of |psi|^2 in (x, y); cross-check for the
-    transformed route.  Only usable at medium n_k (x-spacing ~ 1/y)."""
-    import numpy as np
-
-    ylo, yhi = qm.support
-    ynodes, yw = gauss_panels(linspace(ylo, yhi, n_y + 1), 8)
-    t, tw = map(np.array, _t_rule(qm.gs))
-    h = np.array([qm.gs.h(x) for x in t])
-    phi = np.vectorize(qm.phi.value) if qm.mode == "interval" else None
-    acc = 0.0
-    for yv, wv in zip(ynodes, yw):
-        g2 = h**2 + (0.5 * math.sqrt(qm.e_mag) * t**2 * h / yv**2) ** 2
-        if phi is not None:
-            g2 = g2 * phi(t / yv) ** 2
-        # x-integral of |psi|^2 at fixed y equals (1/y) * t-integral
-        acc += wv * qm.cutoff.value(yv / qm.n_k) ** 2 / yv * float(tw @ g2)
-    return math.sqrt(acc)
-
-
-def residual_identity_check(gs: GroundState, e_mag: Optional[float] = None) -> float:
-    """Max pointwise defect of the algebraic identity behind the residual
-    cancellation, with h' and h'' taken from central differences of the
-    sampled eigenfunction (an independent route; the quasi-mode itself uses
-    ODE-exact derivatives).  Converges at second order in the grid spacing."""
-    import numpy as np
-
-    from .model import eval_profile
-
-    e = -gs.e0 if e_mag is None else float(e_mag)
-    s = np.sqrt(e)
-    t = np.array(gs.nodes)
-    h = np.array(gs.samples)
-    hx = gs.grid.h
-    v, _ = eval_profile(gs.profile, t)
-    f = -0.5j * s * t**2 * h
-    fpp = np.empty_like(f)
-    fpp[1:-1] = (f[:-2] - 2.0 * f[1:-1] + f[2:]) / hx**2
-    h1 = np.empty_like(h)
-    h1[1:-1] = (h[2:] - h[:-2]) / (2.0 * hx)
-    d = (-fpp[1:-1] + f[1:-1] * (e + gs.omega**2 - gs.lam * v[1:-1])
-         - 2.0j * s * t[1:-1] * h1[1:-1] - 1.0j * s * h[1:-1])
-    return float(np.max(np.abs(d)))
 
 
 def _residual_z_rule(cut: CutoffFunction):

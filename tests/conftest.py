@@ -2,9 +2,9 @@ import numpy as np
 import pytest
 
 from smilansky_lab.model import ChannelSpec, ModelConfig, PotentialProfile
-from smilansky_lab.oned import (ComparisonSpec, Domain1D, Grid1D,
-                                assemble_comparison, critical_coupling,
-                                ground_state, tune_lambda_to_threshold)
+from smilansky_lab.oned import (ComparisonSpec, Domain1D, Grid1D, _interval_chain,
+                                critical_coupling, ground_state,
+                                tune_lambda_to_threshold)
 
 
 @pytest.fixture(scope="session")
@@ -53,8 +53,8 @@ def rng():
 def dense_periodic_min():
     """Lowest eigenvalue of the periodic comparison matrix by dense eigvalsh."""
     def lowest(spec: ComparisonSpec, grid: Grid1D) -> float:
-        T = assemble_comparison(spec, grid)
-        a = np.diag(T.d) + np.diag(T.e, 1) + np.diag(T.e, -1)
-        a[0, -1] = a[-1, 0] = T.corner
+        d, e, corner = _interval_chain(spec, grid)
+        a = np.diag(d) + np.diag(e, 1) + np.diag(e, -1)
+        a[0, -1] = a[-1, 0] = corner
         return float(np.linalg.eigvalsh(a)[0])
     return lowest

@@ -1,0 +1,89 @@
+"""Reference implementations that only the tests read.
+
+Each is an independent route to a number the package computes another way:
+the scipy sparse matrix of an assembled 2D operator, and its coordinate text;
+uniform 2D grids; the quasi-mode norm by direct 2D quadrature; and the defect
+of the identity behind the Weyl residual, from finite differences.  They
+need numpy and scipy, which the package itself does not load.
+"""
+
+from __future__ import annotations
+
+import math
+from typing import Optional
+
+import numpy as np
+import scipy.sparse as sp
+
+from smilansky_lab.grid2d import Grid2D, SparseHamiltonian
+from smilansky_lab.model import eval_profile
+from smilansky_lab.oned import GroundState
+from smilansky_lab.quadrature import gauss_panels, linspace
+from smilansky_lab.weyl import QuasiMode, _t_rule
+
+
+def uniform_grid(x_lo: float, x_hi: float, n_x: int, y_half: float,
+                 n_y: int) -> Grid2D:
+    """Uniform interior (vertex) nodes, placed from the midpoint out, so
+    that on (-c, c) they are exactly mirror-symmetric about 0."""
+    h = (x_hi - x_lo) / (n_x + 1)
+    x = 0.5 * (x_lo + x_hi) + h * (np.arange(n_x) - 0.5 * (n_x - 1))
+    return Grid2D(x_lo, x_hi, x, y_half, n_y)
+
+
+def sparse_matrix(ham: SparseHamiltonian) -> sp.csr_matrix:
+    """The sparse matrix I (x) Bx + C (x) I + diag(d) of `ham.op`, summed by
+    scipy.sparse."""
+    h = ham.op
+    n_rows = len(h.d)
+    cy = sp.diags([h.c, h.c], [-1, 1], shape=(n_rows, n_rows))
+    return (sp.kron(sp.identity(n_rows), sp.csr_matrix(h.bx))
+            + sp.kron(cy, sp.identity(h.bx.shape[0]))
+            + sp.diags(h.d.ravel())).tocsr()
+
+
+def coo_text(a: sp.csr_matrix) -> str:
+    """Coordinate text format of a sparse matrix: one 'row col value' line
+    per stored entry, in its CSR order."""
+    coo = a.tocoo()
+    return "\n".join(f"{i} {j} {v:.17g}"
+                     for i, j, v in zip(coo.row, coo.col, coo.data)) + "\n"
+
+
+def quasimode_norm_direct(qm: QuasiMode, n_y: int = 400) -> float:
+    """Direct 2D quadrature of |psi|^2 in (x, y); cross-check for the
+    transformed route.  Only usable at medium n_k (x-spacing ~ 1/y)."""
+    ylo, yhi = qm.support
+    ynodes, yw = gauss_panels(linspace(ylo, yhi, n_y + 1), 8)
+    t, tw = map(np.array, _t_rule(qm.gs))
+    h = np.array([qm.gs.h(x) for x in t])
+    phi = np.vectorize(qm.phi.value) if qm.mode == "interval" else None
+    acc = 0.0
+    for yv, wv in zip(ynodes, yw):
+        g2 = h**2 + (0.5 * math.sqrt(qm.e_mag) * t**2 * h / yv**2) ** 2
+        if phi is not None:
+            g2 = g2 * phi(t / yv) ** 2
+        # x-integral of |psi|^2 at fixed y equals (1/y) * t-integral
+        acc += wv * qm.cutoff.value(yv / qm.n_k) ** 2 / yv * float(tw @ g2)
+    return math.sqrt(acc)
+
+
+def residual_identity_check(gs: GroundState, e_mag: Optional[float] = None) -> float:
+    """Max pointwise defect of the algebraic identity behind the residual
+    cancellation, with h' and h'' taken from central differences of the
+    sampled eigenfunction (an independent route; the quasi-mode itself uses
+    ODE-exact derivatives).  Converges at second order in the grid spacing."""
+    e = -gs.e0 if e_mag is None else float(e_mag)
+    s = np.sqrt(e)
+    t = np.array(gs.nodes)
+    h = np.array(gs.samples)
+    hx = gs.grid.h
+    v, _ = eval_profile(gs.profile, t)
+    f = -0.5j * s * t**2 * h
+    fpp = np.empty_like(f)
+    fpp[1:-1] = (f[:-2] - 2.0 * f[1:-1] + f[2:]) / hx**2
+    h1 = np.empty_like(h)
+    h1[1:-1] = (h[2:] - h[:-2]) / (2.0 * hx)
+    d = (-fpp[1:-1] + f[1:-1] * (e + gs.omega**2 - gs.lam * v[1:-1])
+         - 2.0j * s * t[1:-1] * h1[1:-1] - 1.0j * s * h[1:-1])
+    return float(np.max(np.abs(d)))

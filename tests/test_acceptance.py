@@ -15,13 +15,14 @@ import pytest
 from smilansky_lab import bracketing, grid2d, weyl
 from scipy.linalg import eigh_tridiagonal
 
-from smilansky_lab.eigs import (TridiagonalSym, bracket_lowest, lowest_pair,
-                                shift_invert_lanczos)
+from oracles import residual_identity_check, uniform_grid
+from smilansky_lab.eigs import shift_invert_lanczos
 from smilansky_lab.model import ChannelSpec, ModelConfig, XDomain
 from smilansky_lab.oned import (ComparisonSpec, Domain1D, Grid1D,
                                 ResolutionPolicy, critical_coupling,
                                 ground_state, threshold,
                                 tune_lambda_to_threshold)
+from smilansky_lab.sturm import chain_bracket, chain_lowest_pair
 
 K_LADDER = [2.0**p for p in (4, 8, 12, 16)]
 C_J = 10.1507     # pinned by the k = 2^4 quadrature oracle run
@@ -84,7 +85,7 @@ def test_criterion_3_residual_identity(cos2_profile, lam_e0_minus1):
     defects = []
     for n in (4001, 8001, 16001, 32001):
         gs = ground_state(spec, Grid1D(-12.0, 12.0, n))
-        defects.append(weyl.residual_identity_check(gs))
+        defects.append(residual_identity_check(gs))
     ratios = [a / b for a, b in zip(defects, defects[1:])]
     order_ok = all(3.0 <= r <= 5.0 for r in ratios)
     final_ok = defects[-1] <= 1e-6
@@ -198,16 +199,16 @@ def test_criterion_9_bracketing_consistency(scans):
 def test_criterion_10_eigensolver_oracles():
     t0 = time.perf_counter()
     n = 50
-    T = TridiagonalSym(np.full(n, 2.0), np.full(n - 1, -1.0))
-    oracle = eigh_tridiagonal(T.d, T.e, eigvals_only=True)
+    d, e = [2.0] * n, [-1.0] * (n - 1)
+    oracle = eigh_tridiagonal(d, e, eigvals_only=True)
     want = np.sort(2.0 - 2.0 * np.cos(np.arange(1, n + 1) * np.pi / (n + 1)))
-    lo, hi = bracket_lowest(T, 1e-14)
-    e0, _ = lowest_pair(T)
-    wrap_lo, wrap_hi = bracket_lowest(TridiagonalSym(T.d, T.e, corner=-1.0), 1e-14)
+    lo, hi = chain_bracket(d, e, None, 1e-14)
+    e0, _ = chain_lowest_pair(d, e)
+    wrap_lo, wrap_hi = chain_bracket(d, e, -1.0, 1e-14)
     tri_ok = (np.max(np.abs(oracle - want)) < 1e-12 and lo <= want[0] <= hi
               and abs(e0 - oracle[0]) < 1e-13 and wrap_lo <= 0.0 <= wrap_hi)
 
-    g = grid2d.Grid2D.uniform(-4.0, 4.0, 40, 3.0, 40)
+    g = uniform_grid(-4.0, 4.0, 40, 3.0, 40)
     ham = grid2d.assemble_h2d(ModelConfig(omega=1.0), g)
     hx = np.diff(g.x_nodes)[0]
     ex = eigh_tridiagonal(np.full(40, 2.0 / hx**2), np.full(39, -1.0 / hx**2),

@@ -32,6 +32,32 @@ def env_with_src():
     return dict(os.environ, PYTHONPATH=str(Path(smilansky_lab.__file__).resolve().parents[1]))
 
 
+def run_with_scipy_blocked(runs, tmp_path):
+    # a fresh process in which every scipy import raises ImportError; each
+    # command must still exit 0
+    out = str(tmp_path / "out")
+    code = ("import importlib.abc, sys\n"
+            "class NoScipy(importlib.abc.MetaPathFinder):\n"
+            "    def find_spec(self, name, path=None, target=None):\n"
+            "        if name == 'scipy' or name.startswith('scipy.'):\n"
+            "            raise ImportError(f'{name} is blocked')\n"
+            "sys.meta_path.insert(0, NoScipy())\n"
+            "try:\n"
+            "    import scipy\n"
+            "except ImportError:\n"
+            "    pass\n"
+            "else:\n"
+            "    raise AssertionError('scipy was imported')\n"
+            "import smilansky_lab.cli\n"
+            "from smilansky_lab.cli import main\n"
+            "assert smilansky_lab.grid2d.assemble_h2d\n"
+            f"for args in {runs!r}:\n"
+            f"    assert main(args + ['--output', {out!r}]) == 0, args\n")
+    proc = subprocess.run([sys.executable, "-c", code], env=env_with_src(),
+                          capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+
+
 @pytest.fixture
 def single_cfg(tmp_path):
     p = tmp_path / "single.json"
@@ -250,52 +276,6 @@ class TestExitCodes:
         assert proc.stderr.startswith("computation failed: ")
         assert "Traceback" not in proc.stderr
 
-    def test_import_leaves_out_scipy_interpolate(self):
-        # a fresh process: no command needs scipy.interpolate (table
-        # profiles use the package's own PCHIP)
-        src = str(Path(smilansky_lab.__file__).resolve().parents[1])
-        env = dict(os.environ, PYTHONPATH=src)
-        code = ("import sys, smilansky_lab.cli; "
-                "assert 'scipy.interpolate' not in sys.modules, 'scipy.interpolate'")
-        proc = subprocess.run([sys.executable, "-c", code], env=env,
-                              capture_output=True, text=True)
-        assert proc.returncode == 0, proc.stderr
-
-    def test_import_leaves_out_scipy_sparse(self):
-        # a fresh process: only `eig2d --export-matrix` builds a sparse
-        # matrix, and it imports scipy.sparse when it does
-        src = str(Path(smilansky_lab.__file__).resolve().parents[1])
-        env = dict(os.environ, PYTHONPATH=src)
-        code = ("import sys, smilansky_lab.cli; "
-                "loaded = {'scipy.sparse', 'scipy.sparse.linalg'} & set(sys.modules); "
-                "assert not loaded, loaded; "
-                "assert smilansky_lab.grid2d.assemble_h2d")
-        proc = subprocess.run([sys.executable, "-c", code], env=env,
-                              capture_output=True, text=True)
-        assert proc.returncode == 0, proc.stderr
-
-    def test_one_d_commands_leave_out_scipy_linalg(self, single_cfg, super_cfg, tmp_path):
-        # a fresh process: on the line, thresholds, couplings and the weyl
-        # ground state are Sturm counts in pure Python, with no scipy
-        src = str(Path(smilansky_lab.__file__).resolve().parents[1])
-        env = dict(os.environ, PYTHONPATH=src)
-        runs = [["critical", "--config", single_cfg],
-                ["tune", "--config", single_cfg, "--target", "-1"],
-                ["eig1d", "--config", super_cfg],
-                ["classify", "--config", single_cfg],
-                ["bound", "--config", single_cfg],
-                ["weyl", "--config", super_cfg, "--eps", "0.1"]]
-        out = str(tmp_path / "out")
-        code = ("import sys\n"
-                "from smilansky_lab.cli import main\n"
-                f"for args in {runs!r}:\n"
-                f"    assert main(args + ['--output', {out!r}]) == 0, args\n"
-                "loaded = {'scipy.sparse', 'scipy.linalg'} & set(sys.modules)\n"
-                "assert not loaded, loaded\n")
-        proc = subprocess.run([sys.executable, "-c", code], env=env,
-                              capture_output=True, text=True)
-        assert proc.returncode == 0, proc.stderr
-
     def test_one_d_commands_leave_out_numpy(self, single_cfg, tmp_path):
         # a fresh process: thresholds and couplings on the line and on
         # intervals are Sturm counts on lists, and so is the Weyl ground
@@ -450,35 +430,64 @@ class TestExitCodes:
         assert cls["verdict"] == "critical" and -1e-6 < cls["t_V"] < 0.0
         assert "global_lower_bound" not in cls
 
+    def test_import_leaves_out_scipy_interpolate(self, tmp_path):
+        # a fresh process with scipy blocked: a table profile uses the
+        # package's own PCHIP
+        table = tmp_path / "table.json"
+        table.write_text(json.dumps({**SINGLE, "channels": [{
+            "lambda": 2.0, "center": 0.0, "profile": {
+                "family": "table", "a": 1.0, "amplitude": 1.0,
+                "table": [[-1, 0], [-0.5, 0.5], [0, 1], [0.5, 0.5], [1, 0]]}}]}))
+        run_with_scipy_blocked([["eig1d", "--config", str(table)]], tmp_path)
+
+    def test_import_leaves_out_scipy_sparse(self, single_cfg, tmp_path):
+        # a fresh process with scipy blocked: the matrix export is written
+        # from the block form, so `eig2d --export-matrix` needs numpy alone
+        export = tmp_path / "h.coo"
+        run_with_scipy_blocked([["eig2d", "--config", single_cfg, "--y-half", "3",
+                                 "--export-matrix", str(export)]], tmp_path)
+        assert export.read_text().startswith("0 0 ")
+
+    def test_one_d_commands_leave_out_scipy_linalg(self, single_cfg, super_cfg, tmp_path):
+        # a fresh process with scipy blocked: on the line, thresholds,
+        # couplings and the weyl ground state are Sturm counts in pure Python
+        run_with_scipy_blocked([["critical", "--config", single_cfg],
+                                ["tune", "--config", single_cfg, "--target", "-1"],
+                                ["eig1d", "--config", super_cfg],
+                                ["classify", "--config", single_cfg],
+                                ["bound", "--config", single_cfg],
+                                ["weyl", "--config", super_cfg, "--eps", "0.1"]], tmp_path)
+
     def test_two_d_and_interval_commands_leave_out_scipy(self, single_cfg, super_cfg,
                                                          tmp_path):
-        # a fresh process: the 2D solve is a block LDL^T factor and Lanczos on
-        # numpy, and interval thresholds are Sturm counts, bordered for the
-        # periodic wrap; only `eig2d --export-matrix` loads scipy.sparse
+        # a fresh process with scipy blocked: the 2D solve is a block LDL^T
+        # factor and Lanczos on numpy, and interval thresholds are Sturm
+        # counts, bordered for the periodic wrap
         periodic = tmp_path / "periodic.json"
         periodic.write_text(json.dumps({**SINGLE, "x_domain": {
             "type": "interval", "c": 1.5, "bc": "periodic"}}))
-        runs = [["scan", "--config", single_cfg, "--ladder", "2,3,4"],
-                ["eig2d", "--config", super_cfg, "--y-half", "3", "--k", "2"],
-                ["scan", "--config", str(periodic), "--ladder", "2,3,4"],
-                ["eig2d", "--config", str(periodic), "--y-half", "3"],
-                ["eig1d", "--config", str(periodic)],
-                ["classify", "--config", str(periodic)],
-                ["bound", "--config", str(periodic)]]
-        out = str(tmp_path / "out")
-        export = str(tmp_path / "h.coo")
-        code = ("import sys\n"
-                "from smilansky_lab.cli import main\n"
-                f"for args in {runs!r}:\n"
-                f"    assert main(args + ['--output', {out!r}]) == 0, args\n"
-                "loaded = {'scipy.sparse', 'scipy.linalg'} & set(sys.modules)\n"
-                "assert not loaded, loaded\n"
-                f"assert main(['eig2d', '--config', {single_cfg!r}, '--y-half', '3',\n"
-                f"             '--export-matrix', {export!r}, '--output', {out!r}]) == 0\n"
-                "assert 'scipy.sparse' in sys.modules\n")
-        proc = subprocess.run([sys.executable, "-c", code], env=env_with_src(),
-                              capture_output=True, text=True)
-        assert proc.returncode == 0, proc.stderr
+        run_with_scipy_blocked([["scan", "--config", single_cfg, "--ladder", "2,3,4"],
+                                ["eig2d", "--config", super_cfg, "--y-half", "3", "--k", "2"],
+                                ["scan", "--config", str(periodic), "--ladder", "2,3,4"],
+                                ["eig2d", "--config", str(periodic), "--y-half", "3"],
+                                ["eig1d", "--config", str(periodic)],
+                                ["classify", "--config", str(periodic)],
+                                ["bound", "--config", str(periodic)]], tmp_path)
+
+    @pytest.mark.parametrize("flag", ["--output", "--export-matrix"])
+    def test_unwritable_path_is_2(self, single_cfg, tmp_path, flag):
+        # a fresh process: a missing parent directory and a directory are
+        # configuration errors, reported without a traceback
+        for path in (tmp_path / "missing" / "out", tmp_path):
+            args = (["eig2d", "--config", single_cfg, "--y-half", "2", flag, str(path)]
+                    if flag == "--export-matrix"
+                    else ["bound", "--config", single_cfg, flag, str(path)])
+            proc = subprocess.run([sys.executable, "-m", "smilansky_lab.cli", *args],
+                                  env=env_with_src(), capture_output=True, text=True,
+                                  timeout=60)
+            assert proc.returncode == 2, proc.stderr
+            assert proc.stderr.startswith(f"configuration error: cannot write {path}: ")
+            assert "Traceback" not in proc.stderr
 
     @pytest.mark.parametrize("command", ["critical", "tune"])
     def test_coupling_on_interval_domain_is_2(self, tmp_path, capsys, command):

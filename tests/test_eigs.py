@@ -6,10 +6,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from smilansky_lab.eigs import (BlockTridiagonal, TridiagonalSym, _spd_inverse,
-                                _splitmix64, bracket_lowest, lowest_pair,
-                                shift_invert_lanczos)
+from smilansky_lab.eigs import BlockTridiagonal, _spd_inverse, _splitmix64, shift_invert_lanczos
 from smilansky_lab.errors import ComputationError
+from smilansky_lab.grid2d import TridiagonalSym
 from smilansky_lab.sturm import (bisect_count, chain_bracket, chain_lowest_pair, chain_norm,
                                  cyclic_sturm_count, sturm_count)
 
@@ -23,7 +22,7 @@ def smallest_by_count(T, m, tol):
     Sturm count passes j, bisected to width tol."""
     d, e2 = T.d.tolist(), (T.e**2).tolist()
     # the spectrum lies in [-||T||_inf, ||T||_inf]
-    hi = T.norm_inf() + 1.0
+    hi = chain_norm(d, T.e.tolist(), None) + 1.0
     lo = -hi
     return np.array([0.5 * sum(bisect_count(lambda x: sturm_count(d, e2, x) > j,
                                             lo, hi, tol)[:2]) for j in range(m)])
@@ -103,7 +102,8 @@ class TestSturmCount:
         rng = np.random.default_rng(11)
         n = 500
         T = TridiagonalSym(2.0 + rng.uniform(-1.0, 1.0, n), np.full(n - 1, -1.0))
-        e0, v = lowest_pair(T)
+        e0, v = chain_lowest_pair(T.d.tolist(), T.e.tolist())
+        v = np.array(v)
         (want,), vecs = eigh_tridiagonal(T.d, T.e, select="i", select_range=(0, 0))
         assert abs(e0 - want) < 1e-13
         assert abs(np.linalg.norm(v) - 1.0) < 1e-14
@@ -130,7 +130,7 @@ class TestSturmCount:
         # the periodic Laplacian has the constant kernel; the Dirichlet one
         # its lowest eigenvalue 2 - 2 cos(pi / 41)
         T = TridiagonalSym(np.full(40, 2.0), np.full(39, -1.0), corner)
-        lo, hi = bracket_lowest(T, 1e-14)
+        lo, hi = chain_bracket(T.d.tolist(), T.e.tolist(), T.corner, 1e-14)
         want = 0.0 if corner else 2.0 - 2.0 * np.cos(np.pi / 41.0)
         assert lo <= want + 1e-15 and want - 1e-15 <= hi and hi - lo <= 1e-14
 
@@ -157,11 +157,6 @@ class TestSturmCount:
         e0, v = chain_lowest_pair(d, e)
         assert abs(e0 - 1e300) <= 1e-15 * 1e300
         assert abs(math.fsum(x * x for x in v) - 1.0) < 1e-14
-
-    def test_lowest_pair_rejects_periodic_wrap(self):
-        T = dirichlet_laplacian(6)
-        with pytest.raises(ComputationError):
-            lowest_pair(TridiagonalSym(T.d, T.e, corner=-1.0))
 
 
 class TestLanczos:

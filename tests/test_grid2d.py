@@ -8,7 +8,9 @@ import pytest
 import scipy.sparse as sp
 from scipy.linalg import eigh_tridiagonal
 
+from oracles import coo_text, sparse_matrix, uniform_grid
 from smilansky_lab import grid2d
+from smilansky_lab.eigs import BlockTridiagonal
 from smilansky_lab.errors import ComputationError, ConfigurationError, RefinementError
 from smilansky_lab.model import (ChannelSpec, ModelConfig, PotentialProfile, XDomain,
                                  load_config)
@@ -16,7 +18,7 @@ from smilansky_lab.model import (ChannelSpec, ModelConfig, PotentialProfile, XDo
 
 @pytest.fixture(scope="module")
 def small_grid():
-    return grid2d.Grid2D.uniform(-4.0, 4.0, 40, 3.0, 50)
+    return uniform_grid(-4.0, 4.0, 40, 3.0, 50)
 
 
 @pytest.fixture(scope="module")
@@ -26,18 +28,18 @@ def oscillator(small_grid):
 
 class TestAssembly:
     def test_exact_symmetry(self, oscillator):
-        a = oscillator.matrix
+        a = sparse_matrix(oscillator)
         assert abs(a - a.T).max() == 0.0
 
     def test_five_point_pattern(self, oscillator):
-        a = oscillator.matrix
+        a = sparse_matrix(oscillator)
         per_row = np.diff(a.indptr)
         assert np.max(per_row) <= 5
 
     def test_diagonal_lower_bound(self, oscillator, small_grid):
         g = small_grid
         hx = np.diff(g.x_nodes)[0]
-        d = oscillator.matrix.diagonal()
+        d = sparse_matrix(oscillator).diagonal()
         assert np.all(d >= 2.0 / hx**2 + 2.0 / g.h_y**2
                       + oscillator.potential_min - 1e-12)
 
@@ -56,7 +58,7 @@ class TestAssembly:
 
     def test_zero_channel_ground_energy(self):
         # omega in y plus the Dirichlet box term in x, up to O(h^2)
-        g = grid2d.Grid2D.uniform(-6.0, 6.0, 160, 6.0, 240)
+        g = uniform_grid(-6.0, 6.0, 160, 6.0, 240)
         ham = grid2d.assemble_h2d(ModelConfig(omega=1.0), g)
         (val, _), = grid2d.lowest_eigenvalues(ham, 1)
         want = 1.0 + (np.pi / 12.0) ** 2
@@ -66,19 +68,19 @@ class TestAssembly:
     def test_resolution_check_names_channel(self):
         prof = PotentialProfile("cos2", 1.0, 1.0)
         cfg = ModelConfig(omega=1.0, channels=(ChannelSpec(2.0, 1.5, prof),))
-        g = grid2d.Grid2D.uniform(-4.0, 4.0, 40, 8.0, 60)
+        g = uniform_grid(-4.0, 4.0, 40, 8.0, 60)
         with pytest.raises(RefinementError, match="1.5"):
             grid2d.assemble_h2d(cfg, g)
 
     def test_interval_domain_mismatch_rejected(self):
         cfg = ModelConfig(omega=1.0, x_domain=XDomain("interval", 2.0, "dirichlet"))
-        g = grid2d.Grid2D.uniform(-4.0, 4.0, 40, 3.0, 40)
+        g = uniform_grid(-4.0, 4.0, 40, 3.0, 40)
         with pytest.raises(ConfigurationError):
             grid2d.assemble_h2d(cfg, g)
 
     def test_eigenvalue_count_needs_unknowns(self):
         ham = grid2d.assemble_h2d(ModelConfig(omega=1.0),
-                                  grid2d.Grid2D.uniform(-2.0, 2.0, 3, 2.0, 3))
+                                  uniform_grid(-2.0, 2.0, 3, 2.0, 3))
         assert len(grid2d.lowest_eigenvalues(ham, 7)) == 7
         with pytest.raises(ConfigurationError):
             grid2d.lowest_eigenvalues(ham, 8)
@@ -90,7 +92,7 @@ class TestAssembly:
         graded = grid2d.scan_grid(cfg, grid2d.ScanPolicy(), 3.0, 6.0)
         for ham, g in ((oscillator, small_grid),
                        (grid2d.assemble_h2d(cfg, graded), graded)):
-            coo = ham.matrix.tocoo()
+            coo = sparse_matrix(ham).tocoo()
             assert g.n_x != g.n_y
             assert np.max(coo.col - coo.row) == g.n_x
 
@@ -104,7 +106,7 @@ class TestAssembly:
         g = grid2d.scan_grid(cfg, grid2d.ScanPolicy(points_per_unit_y=6), 2.5, 2.5)
         for sector in ("full", "even"):
             ham = grid2d.assemble_h2d(cfg, g, sector)
-            want = np.linalg.eigvalsh(ham.matrix.toarray())
+            want = np.linalg.eigvalsh(sparse_matrix(ham).toarray())
             for k in range(1, 5):
                 got = grid2d.lowest_eigenvalues(ham, k)
                 assert np.max(np.abs(np.array([v for v, _ in got]) - want[:k])) < 1e-10
@@ -155,13 +157,13 @@ class TestAssembly:
         # sigma = potential_min - 1 then sits above the lowest eigenvalue,
         # so H - sigma has no block Cholesky factor
         wrong = dataclasses.replace(
-            oscillator, potential_min=float(oscillator.matrix.diagonal().max()) + 1.0)
+            oscillator, potential_min=float(sparse_matrix(oscillator).diagonal().max()) + 1.0)
         with pytest.raises(ComputationError, match="not positive definite"):
             grid2d.lowest_eigenvalues(wrong, 1)
 
     def test_memory_cap(self, monkeypatch):
         with pytest.raises(ConfigurationError):
-            grid2d.Grid2D.uniform(-4.0, 4.0, 4000, 3.0, 4000)
+            uniform_grid(-4.0, 4.0, 4000, 3.0, 4000)
         free = ModelConfig(omega=1.0)
         # 2 million nodes pass the node count, but their pivot blocks, one
         # n_x x n_x inverse per y-row, would take 4e9 doubles; the check
@@ -170,26 +172,47 @@ class TestAssembly:
             raise AssertionError("assembled past the pivot-block check")
 
         monkeypatch.setattr(grid2d, "_second_diff_1d", no_stencil)
-        big = grid2d.Grid2D.uniform(-4.0, 4.0, 2000, 3.0, 1000)
+        big = uniform_grid(-4.0, 4.0, 2000, 3.0, 1000)
         for sector in ("full", "even-even"):
             with pytest.raises(ConfigurationError, match="pivot blocks"):
                 grid2d.assemble_h2d(free, big, sector)
         monkeypatch.undo()
         # the 401 x 400 grid: 6.4e7 doubles for the full matrix, past the
         # cap, but 201^2 x 200 = 8.1e6 for its even-even quarter block
-        grid = grid2d.Grid2D.uniform(-4.0, 4.0, 401, 3.0, 400)
+        grid = uniform_grid(-4.0, 4.0, 401, 3.0, 400)
         with pytest.raises(ConfigurationError, match="pivot blocks"):
             grid2d.assemble_h2d(free, grid)
         ham = grid2d.assemble_h2d(free, grid, "even-even")
         assert ham.op.bx.shape == (201, 201) and ham.n == 201 * 200
 
     def test_coo_export_round_trip(self, oscillator):
-        text = oscillator.export_coo()
-        rows = np.array([[float(tok) for tok in line.split()]
-                         for line in text.strip().split("\n")])
-        a = oscillator.matrix.tocoo()
-        assert len(rows) == a.nnz
-        assert np.allclose(rows[:, 2].sum(), a.data.sum())
+        # the export, written from the block form, is byte for byte the text
+        # of the matrix that scipy.sparse sums, rows and then columns
+        # ascending: on the line, on Dirichlet, Neumann and periodic
+        # intervals, and for two channels that no reflection maps onto each
+        # other.  One loop keeps the test's id.
+        single = ModelConfig(omega=1.0, channels=(ChannelSpec(2.0, 0.0, COS2),))
+        configs = {"line": single,
+                   "two-channels": ModelConfig(omega=1.0, channels=(
+                       ChannelSpec(4.585884094238281, 0.0, COS2),
+                       ChannelSpec(1.8, 3.0, PotentialProfile("quartic", 1.0, 1.0))))}
+        for bc in ("dirichlet", "neumann", "periodic"):
+            configs[bc] = dataclasses.replace(single, x_domain=XDomain("interval", 3.0, bc))
+        for name, cfg in configs.items():
+            grid = grid2d.scan_grid(cfg, grid2d.ScanPolicy(), 3.0, 3.0)
+            ham = grid2d.assemble_h2d(cfg, grid)
+            assert ham.export_coo() == coo_text(sparse_matrix(ham)), name
+        # entries that come to exactly 0 (here a diagonal 2 - 2 and the
+        # coupling c[0]) are left out, where scipy.sparse keeps them stored
+        bx = np.array([[2.0, -1.0, -0.5], [-1.0, 2.0, -1.0], [-0.5, -1.0, 2.0]])
+        ham = dataclasses.replace(oscillator, op=BlockTridiagonal(
+            bx, np.array([[-2.0, 1.0, 0.0], [0.5, -2.0, 3.0], [1.0, 1.0, 1.0]]),
+            np.array([0.0, -4.0])))
+        a = sparse_matrix(ham).toarray()
+        i, j = np.nonzero(a)
+        assert len(i) == 27 + 12 - 6 - 2
+        assert ham.export_coo() == "".join(f"{r} {c} {v:.17g}\n"
+                                           for r, c, v in zip(i, j, a[i, j]))
 
 
 class TestGradedMesh:
@@ -234,7 +257,7 @@ class TestGradedMesh:
         x = grid2d.graded_x_nodes(-5.0, 5.0, (0.0,), 1.0 / 32.0, 0.1)
         g = grid2d.Grid2D(-5.0, 5.0, x, 4.0, 160)
         (v_graded, _), = grid2d.lowest_eigenvalues(grid2d.assemble_h2d(cfg, g), 1)
-        gu = grid2d.Grid2D.uniform(-5.0, 5.0, 220, 4.0, 160)
+        gu = uniform_grid(-5.0, 5.0, 220, 4.0, 160)
         (v_uni, _), = grid2d.lowest_eigenvalues(grid2d.assemble_h2d(cfg, gu), 1)
         assert abs(v_graded - v_uni) < 5e-3
 
@@ -243,10 +266,10 @@ class TestGradedMesh:
         # 50-step Krylov spaces from 200 random starts
         rng = np.random.default_rng(11)
         cfg = ModelConfig(omega=1.0)
-        g = grid2d.Grid2D.uniform(-3.0, 3.0, 18, 2.5, 20)
+        g = uniform_grid(-3.0, 3.0, 18, 2.5, 20)
         ham = grid2d.assemble_h2d(cfg, g)
         (val, _), = grid2d.lowest_eigenvalues(ham, 1, tol=1e-10)
-        a = ham.matrix
+        a = sparse_matrix(ham)
         best = np.inf
         for _ in range(200):
             v = rng.standard_normal(ham.n)
@@ -344,13 +367,13 @@ def _even_cases():
         cfg = ModelConfig(omega=1.0, x_domain=XDomain("interval", 2.0, bc),
                           channels=(ChannelSpec(3.0, 0.5, COS2),))
         for n_y in (31, 30):
-            cases.append((f"{bc}-ny{n_y}", cfg, grid2d.Grid2D.uniform(
+            cases.append((f"{bc}-ny{n_y}", cfg, uniform_grid(
                 -2.0, 2.0, 24, 2.5, n_y)))
         centred = dataclasses.replace(cfg, channels=(ChannelSpec(3.0, 0.0, COS2),))
         for n_x in (25, 24):
             for n_y in (31, 30):
                 cases.append((f"{bc}-centred-nx{n_x}-ny{n_y}", centred,
-                              grid2d.Grid2D.uniform(-2.0, 2.0, n_x, 2.5, n_y)))
+                              uniform_grid(-2.0, 2.0, n_x, 2.5, n_y)))
     pol = grid2d.ScanPolicy(points_per_unit_y=8, x_half_width=5.0)
     line = {
         "graded": ModelConfig(omega=1.0, channels=(ChannelSpec(4.0, 0.0, COS2),)),
@@ -400,8 +423,9 @@ class TestEvenSector:
                              ids=[c[0] for c in EVEN_CASES])
     def test_even_block_matches_full_operator(self, cfg, grid):
         full = grid2d.assemble_h2d(cfg, grid)
+        a_full = sparse_matrix(full)
         (lam_full, _), = grid2d.lowest_eigenvalues(full, 1, tol=1e-10)
-        scale = abs(full.matrix).max()
+        scale = abs(a_full).max()
         sectors = ["even"]
         if cfg.is_even_in_x:
             assert grid.is_even_in_x
@@ -413,21 +437,22 @@ class TestEvenSector:
             block = grid2d.assemble_h2d(cfg, grid, sector)
             n_x = grid.n_x if sector == "even" else (grid.n_x + 1) // 2
             assert block.sector == sector and block.n == n_x * ((grid.n_y + 1) // 2)
+            a_block = sparse_matrix(block)
             # the Perron-Frobenius premise: nonpositive off-diagonals
-            for ham in (full, block):
-                assert (ham.matrix - sp.diags(ham.matrix.diagonal())).max() <= 0.0
-            coo = block.matrix.tocoo()
+            for a in (a_full, a_block):
+                assert (a - sp.diags(a.diagonal())).max() <= 0.0
+            coo = a_block.tocoo()
             assert np.max(coo.col - coo.row) == n_x
             # the unfolding map is an isometry that intertwines the block with H
             u = _unfold(grid, sector)
             assert abs(u.T @ u - sp.identity(block.n)).max() <= 1e-15
-            assert abs(full.matrix @ u - u @ block.matrix).max() <= 1e-12 * scale
+            assert abs(a_full @ u - u @ a_block).max() <= 1e-12 * scale
             assert abs(block.potential_min - full.potential_min) <= 1e-12 * scale
             # so residuals agree, for any vector ...
             x = np.random.default_rng(3).standard_normal(block.n)
-            lam = x @ (block.matrix @ x) / (x @ x)
-            r_block = np.linalg.norm(block.matrix @ x - lam * x)
-            r_full = np.linalg.norm(full.matrix @ (u @ x) - lam * (u @ x))
+            lam = x @ (a_block @ x) / (x @ x)
+            r_block = np.linalg.norm(a_block @ x - lam * x)
+            r_full = np.linalg.norm(a_full @ (u @ x) - lam * (u @ x))
             assert abs(r_block - r_full) <= 1e-12 * r_full
             # ... and the block's ground state is the ground state
             (lam_block, res), = grid2d.lowest_eigenvalues(block, 1, tol=1e-10)

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
+from oracles import quasimode_norm_direct, residual_identity_check
 from smilansky_lab import weyl
 from smilansky_lab.errors import ComputationError, ConfigurationError, SmilanskyError
 from smilansky_lab.model import ChannelSpec, ModelConfig, XDomain, eval_profile
@@ -264,7 +265,7 @@ class TestResidualIdentity:
         defects = []
         for n in (1001, 2001, 4001):
             gs = ground_state(spec, Grid1D(-12.0, 12.0, n))
-            defects.append(weyl.residual_identity_check(gs))
+            defects.append(residual_identity_check(gs))
         for a, b in zip(defects, defects[1:]):
             assert 3.0 <= a / b <= 5.0
 
@@ -299,7 +300,7 @@ class TestQuasiMode:
         qm = weyl.QuasiMode(mu=0.0, cutoff=weyl.cutoff_cached(16.0), n_k=64,
                             gs=gs_minus1)
         a = weyl.quasimode_norm(qm).norm
-        b = weyl.quasimode_norm_direct(qm, n_y=600)
+        b = quasimode_norm_direct(qm, n_y=600)
         assert abs(a - b) < 1e-6
 
     def test_support(self, gs_minus1):
