@@ -7,8 +7,7 @@ sturm (Sturm counts and inverse iteration on lists), eigs (the 2D
 eigensolver), quadrature (Gauss-Legendre panels, Hermite interpolants),
 cli.  A submodule is imported on first access, so `import smilansky_lab`
 loads none of them, and the 1D and Weyl paths (model, oned, bracketing,
-sturm, quadrature, weyl, cli) never load numpy for cos2 and quartic
-profiles.
+sturm, quadrature, weyl, cli) never load numpy, for any profile family.
 """
 
 import importlib

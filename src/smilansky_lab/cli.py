@@ -7,9 +7,9 @@ hash, tolerances, seed).  Exit codes: 0 success, 1 computation failure
 written), 2 configuration error.
 
 The 1D commands (`critical`, `tune`, `eig1d`, `classify`, `bound`) and
-`weyl` run on the standard library alone (a `table` profile loads numpy for
-its PCHIP); `eig2d` and `scan` import `grid2d`, and with it numpy, in their
-own branch, and `weyl` imports `weyl` in its own.
+`weyl` run on the standard library alone, for every profile family;
+`eig2d` and `scan` import `grid2d`, and with it numpy, in their own branch,
+and `weyl` imports `weyl` in its own.
 """
 
 from __future__ import annotations
@@ -149,10 +149,11 @@ def run(request: RunRequest) -> int:
             policy = grid2d.ScanPolicy()
             grid = grid2d.scan_grid(config, policy, y_half, y_half)
             ham = grid2d.assemble_h2d(config, grid)
-            pairs = grid2d.lowest_eigenvalues(ham, p.get("k", 1),
-                                              tol=p.get("tol", 1e-7), seed=_SEED)
+            # an unwritable path fails before the solve, not after it
             if p.get("export_matrix"):
                 _write(p["export_matrix"], ham.export_coo())
+            pairs = grid2d.lowest_eigenvalues(ham, p.get("k", 1),
+                                              tol=p.get("tol", 1e-7), seed=_SEED)
             _emit(request, _json_payload(request, {
                 "y_half": y_half,
                 "eigenvalues": [v for v, _ in pairs],

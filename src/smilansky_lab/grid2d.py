@@ -32,7 +32,7 @@ import numpy as np
 from .bracketing import channel_threshold
 from .eigs import BlockTridiagonal, shift_invert_lanczos
 from .errors import ComputationError, ConfigurationError, RefinementError
-from .model import ModelConfig, eval_potential_2d
+from .model import ModelConfig, profile_values
 
 __all__ = [
     "Grid2D",
@@ -157,7 +157,6 @@ class SparseHamiltonian:
 
     op: BlockTridiagonal
     grid: Grid2D
-    bc: dict
     potential_min: float
     sector: str = "full"
 
@@ -304,6 +303,23 @@ def _check_resolution(config: ModelConfig, grid: Grid2D) -> None:
                 f"4 cells)")
 
 
+def _potential(config: ModelConfig, x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """omega^2 y^2 - sum_j lambda_j y^2 V_j((x - b_j) y) at the nodes
+    (x[i], y[j]), as an array of shape (len(y), len(x)).  V_j comes from
+    `profile_values` on the flattened products; the y^2 terms stay numpy
+    arithmetic, whose squares a float ** 2 (pow) may not match in the last
+    bit."""
+    x, y = np.broadcast_arrays(x[None, :], y[:, None])
+    w = config.omega**2 * y**2
+    gate = 1.0
+    if config.y_cutoff is not None:
+        gate = (np.abs(y) >= config.y_cutoff).astype(float)
+    for ch in config.channels:
+        v = profile_values(ch.profile, ((x - ch.center) * y).ravel().tolist())
+        w = w - gate * ch.lam * y**2 * np.array(v).reshape(w.shape)
+    return w
+
+
 def assemble_h2d(config: ModelConfig, grid: Grid2D,
                  sector: str = "full") -> SparseHamiltonian:
     """Kronecker-sum assembly, x fastest: I (x) Bx + By (x) I + diag(potential),
@@ -366,10 +382,9 @@ def assemble_h2d(config: ModelConfig, grid: Grid2D,
     if sector == "even-even":
         bx = _mirror_fold(bx)
         x = x[grid.n_x // 2:]
-    pot = eval_potential_2d(config, x[None, :], y[:, None])
+    pot = _potential(config, x, y)
     return SparseHamiltonian(op=BlockTridiagonal(bx.toarray(), pot + by.d[:, None], by.e),
-                             grid=grid, bc={"x": bc_x, "y": "dirichlet"},
-                             potential_min=float(np.min(pot)), sector=sector)
+                             grid=grid, potential_min=float(np.min(pot)), sector=sector)
 
 
 def lowest_eigenvalues(ham: SparseHamiltonian, k: int = 1, tol: float = 1e-7,

@@ -9,11 +9,10 @@ Channel j is the translate (in x) of a centered channel; the supports of
 distinct channels must not overlap.
 
 The module imports only the standard library, so the 1D commands start
-without numpy: `profile_values` evaluates a cos2 or quartic profile on a
-list of points in float arithmetic, with the same formula that
-`eval_profile` and `eval_potential_2d` apply elementwise to numpy arrays.
-A `table` profile (its PCHIP interpolant) and the array functions import
-numpy where they run.
+without numpy: `profile_values` is the one evaluator of every profile
+family, on a list of points in float arithmetic, a `table` profile's PCHIP
+interpolant included.  The 2D assembly applies it to the flattened grid
+products (x - b) y.
 """
 
 from __future__ import annotations
@@ -21,21 +20,16 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field, replace
-from typing import TYPE_CHECKING, Optional, Sequence
+from typing import Optional, Sequence
 
 from .errors import ConfigurationError
-
-if TYPE_CHECKING:
-    import numpy as np
 
 __all__ = [
     "PotentialProfile",
     "ChannelSpec",
     "XDomain",
     "ModelConfig",
-    "eval_profile",
     "profile_values",
-    "eval_potential_2d",
     "load_config",
     "config_to_dict",
 ]
@@ -71,19 +65,16 @@ class PotentialProfile:
                 f"profile half-width and amplitude must be positive and finite, "
                 f"got {self.a!r}, {self.amplitude!r}")
         if self.family == "table":
-            import numpy as np
-
             from .quadrature import pchip_slopes
 
             if not self.table or len(self.table) < 3:
                 raise ConfigurationError("tabulated profile needs at least 3 points")
-            ts = np.array([p[0] for p in self.table], dtype=float)
-            vs = np.array([p[1] for p in self.table], dtype=float)
-            if not (np.all(np.isfinite(ts)) and np.all(np.isfinite(vs))):
+            ts, vs = (tuple(map(float, c)) for c in zip(*self.table))
+            if not all(map(math.isfinite, ts + vs)):
                 raise ConfigurationError("tabulated profile points must be finite")
-            if np.any(np.diff(ts) <= 0):
+            if any(b <= a for a, b in zip(ts, ts[1:])):
                 raise ConfigurationError("tabulated abscissae must be strictly increasing")
-            if np.any(vs < 0):
+            if any(v < 0 for v in vs):
                 raise ConfigurationError("tabulated profile values must be nonnegative")
             if vs[0] != 0.0 or vs[-1] != 0.0:
                 raise ConfigurationError("tabulated profile must vanish at its endpoints")
@@ -91,8 +82,8 @@ class PotentialProfile:
                 raise ConfigurationError(
                     f"tabulated abscissae [{ts[0]}, {ts[-1]}] must lie in "
                     f"[-{self.a}, {self.a}]")
-            ys = self.amplitude * vs
-            object.__setattr__(self, "_hermite", (ts, ys, pchip_slopes(ts, ys)))
+            ys = tuple(self.amplitude * v for v in vs)
+            object.__setattr__(self, "_hermite", (ts, ys, tuple(pchip_slopes(ts, ys))))
 
     @property
     def derivative_bound(self) -> float:
@@ -111,7 +102,7 @@ class PotentialProfile:
         """sup V, exact: PCHIP does not overshoot its node values."""
         if self.family in ("cos2", "quartic"):
             return self.amplitude
-        return float(self._hermite[1].max())
+        return max(self._hermite[1])
 
     @property
     def is_even(self) -> bool:
@@ -123,45 +114,29 @@ class PotentialProfile:
         return ts == tuple(-t for t in reversed(ts)) and vs == vs[::-1]
 
 
-def _bump(profile: PotentialProfile, t, m):
-    """(V(t), V'(t)) of a cos2 or quartic profile for |t| < a: on floats with
-    m = math, elementwise on arrays with m = numpy.  Squares are products,
-    which both round alike (float ** 2 calls pow)."""
+def _bump(profile: PotentialProfile, t: float) -> float:
+    """V(t) of a cos2 or quartic profile for |t| < a.  Squares are products
+    (float ** 2 calls pow, which may round differently)."""
     a, amp = profile.a, profile.amplitude
     if profile.family == "cos2":
-        c = m.cos(m.pi * t / (2.0 * a))
-        return amp * (c * c), -amp * m.pi / (2.0 * a) * m.sin(m.pi * t / a)
+        c = math.cos(math.pi * t / (2.0 * a))
+        return amp * (c * c)
     u = t / a
     s = 1.0 - u * u
-    return amp * (s * s), amp * (-4.0 * u * s) / a
+    return amp * (s * s)
 
 
 def profile_values(profile: PotentialProfile, ts: Sequence[float]) -> list[float]:
-    """V at the points ts, equal to `eval_profile(profile, ts)[0].tolist()`;
-    numpy is loaded only for a `table` profile."""
-    if profile.family == "table":
-        return eval_profile(profile, ts)[0].tolist()
-    return [_bump(profile, t, math)[0] if abs(t) < profile.a else 0.0 for t in ts]
+    """V at the points ts, in float arithmetic: 0 for |t| >= a, and for a
+    table profile its PCHIP interpolant strictly inside the tabulated range,
+    clipped at 0 against rounding."""
+    if profile.family != "table":
+        return [_bump(profile, t) if abs(t) < profile.a else 0.0 for t in ts]
+    from .quadrature import cubic_hermite
 
-
-def eval_profile(profile: PotentialProfile, t) -> tuple[np.ndarray, np.ndarray]:
-    """Return (V(t), V'(t)); both vanish identically for |t| >= a."""
-    import numpy as np
-
-    t = np.asarray(t, dtype=float)
-    v = np.zeros_like(t)
-    dv = np.zeros_like(t)
-    if profile.family == "table":
-        from .quadrature import cubic_hermite
-
-        ts = profile._hermite[0]
-        inside = (t > ts[0]) & (t < ts[-1])
-        v[inside], dv[inside] = cubic_hermite(*profile._hermite, t[inside])
-        np.clip(v, 0.0, None, out=v)
-        return v, dv
-    inside = np.abs(t) < profile.a
-    v[inside], dv[inside] = _bump(profile, t[inside], np)
-    return v, dv
+    x, y, dy = profile._hermite
+    vs = (cubic_hermite(x, y, dy, t)[0] if x[0] < t < x[-1] else 0.0 for t in ts)
+    return [v if v > 0.0 else 0.0 for v in vs]
 
 
 @dataclass(frozen=True)
@@ -251,25 +226,6 @@ class ModelConfig:
         channels = set(self.channels)
         return self.is_even_in_y and all(
             replace(ch, center=-ch.center) in channels for ch in self.channels)
-
-
-def eval_potential_2d(config: ModelConfig, x, y) -> np.ndarray:
-    """Potential of the 2D operator at (x, y); broadcasts over array input."""
-    import numpy as np
-
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
-    x, y = np.broadcast_arrays(x, y)
-    w = config.omega**2 * y**2
-    if not config.channels:
-        return w
-    gate = 1.0
-    if config.y_cutoff is not None:
-        gate = (np.abs(y) >= config.y_cutoff).astype(float)
-    for ch in config.channels:
-        v, _ = eval_profile(ch.profile, (x - ch.center) * y)
-        w = w - gate * ch.lam * y**2 * v
-    return w
 
 
 # --- JSON configuration -----------------------------------------------------

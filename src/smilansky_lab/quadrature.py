@@ -7,8 +7,9 @@ are enough; no adaptivity is needed.  The integrands' C^2 pieces
 of node values and first two derivatives.  The rules, the panels and the
 quintic Hermite evaluator run on floats and lists with `math`, so the Weyl
 quasi-modes need no numpy.  Tabulated potential profiles are C^1 monotone
-cubic Hermite (PCHIP) interpolants of node values, evaluated on numpy
-arrays; those functions import numpy where they run.
+cubic Hermite (PCHIP) interpolants of node values; their node slopes, point
+values and exact maximum slope run on lists too, so the module imports no
+numpy.
 """
 
 from __future__ import annotations
@@ -16,10 +17,7 @@ from __future__ import annotations
 import math
 from bisect import bisect_right
 from functools import lru_cache
-from typing import TYPE_CHECKING, Sequence
-
-if TYPE_CHECKING:
-    import numpy as np
+from typing import Sequence
 
 __all__ = ["gauss_rule", "gauss_panels", "linspace", "log_panels", "quintic_hermite",
            "quintic_local", "pchip_slopes", "cubic_hermite", "cubic_hermite_max_slope"]
@@ -121,82 +119,74 @@ def quintic_hermite(x: Sequence[float], y: Sequence[float], dy: Sequence[float],
                          (y[i + 1], dy[i + 1], d2y[i + 1]))
 
 
+def _sign(v: float) -> int:
+    """-1, 0 or 1, as numpy.sign gives it for a finite float."""
+    return (v > 0.0) - (v < 0.0)
+
+
 def _pchip_end_slope(h0: float, h1: float, m0: float, m1: float) -> float:
     """One-sided three-point end slope, clipped to keep the end interval
     monotone (Moler, *Numerical Computing with MATLAB*, sec. 3.6)."""
-    import numpy as np
-
     d = ((2.0 * h0 + h1) * m0 - h0 * m1) / (h0 + h1)
-    if np.sign(d) != np.sign(m0):
+    if _sign(d) != _sign(m0):
         return 0.0
-    if np.sign(m0) != np.sign(m1) and abs(d) > 3.0 * abs(m0):
+    if _sign(m0) != _sign(m1) and abs(d) > 3.0 * abs(m0):
         return 3.0 * m0
     return d
 
 
-def pchip_slopes(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+def pchip_slopes(x: Sequence[float], y: Sequence[float]) -> list[float]:
     """Fritsch-Butland node slopes of the monotone piecewise cubic through
     (x, y), x strictly increasing with at least 3 nodes: the weighted harmonic
     mean of the adjacent secants in the interior (zero at a local extremum or
     next to a flat secant) and a clipped one-sided estimate at the ends.
     Every slope then lies between 0 and 3 times each adjacent secant, so no
     interval overshoots its end values."""
-    import numpy as np
-
-    h = np.diff(x)
-    m = np.diff(y) / h
-    d = np.zeros_like(y)
-    w1 = 2.0 * h[1:] + h[:-1]
-    w2 = h[1:] + 2.0 * h[:-1]
-    mono = (np.sign(m[1:]) == np.sign(m[:-1])) & (m[1:] != 0.0) & (m[:-1] != 0.0)
-    d[1:-1][mono] = 1.0 / ((w1[mono] / m[:-1][mono] + w2[mono] / m[1:][mono])
-                           / (w1 + w2)[mono])
-    d[0] = _pchip_end_slope(h[0], h[1], m[0], m[1])
-    d[-1] = _pchip_end_slope(h[-1], h[-2], m[-1], m[-2])
+    h = [b - a for a, b in zip(x, x[1:])]
+    m = [(b - a) / hi for a, b, hi in zip(y, y[1:], h)]
+    d = [_pchip_end_slope(h[0], h[1], m[0], m[1])]
+    for h0, h1, m0, m1 in zip(h, h[1:], m, m[1:]):
+        if _sign(m0) == _sign(m1) != 0:
+            w1, w2 = 2.0 * h1 + h0, h1 + 2.0 * h0
+            d.append(1.0 / ((w1 / m0 + w2 / m1) / (w1 + w2)))
+        else:
+            d.append(0.0)
+    d.append(_pchip_end_slope(h[-1], h[-2], m[-1], m[-2]))
     return d
 
 
-def _cubic_coefficients(x: np.ndarray, y: np.ndarray, dy: np.ndarray):
-    """Per-interval coefficients (c2, c3) of the cubic Hermite interpolant
-    y_i + dy_i s + c2 s^2 + c3 s^3 in the local coordinate s = t - x_i."""
-    import numpy as np
+def _cubic_local(x0: float, x1: float, y0: float, y1: float, d0: float,
+                 d1: float) -> tuple[float, float]:
+    """Coefficients (c2, c3) of the cubic y0 + d0 s + c2 s^2 + c3 s^3 in
+    s = t - x0 that takes the values y0, y1 and slopes d0, d1 at x0, x1."""
+    h = x1 - x0
+    m = (y1 - y0) / h
+    q = (d0 + d1 - 2.0 * m) / h
+    return (m - d0) / h - q, q / h
 
-    h = np.diff(x)
-    m = np.diff(y) / h
-    q = (dy[:-1] + dy[1:] - 2.0 * m) / h
-    return (m - dy[:-1]) / h - q, q / h
 
-
-def cubic_hermite(x: np.ndarray, y: np.ndarray, dy: np.ndarray,
-                  t) -> tuple[np.ndarray, np.ndarray]:
+def cubic_hermite(x: Sequence[float], y: Sequence[float], dy: Sequence[float],
+                  t: float) -> tuple[float, float]:
     """Value and first derivative at `t` of the C^1 piecewise cubic matching
     the values `y` and slopes `dy` at the increasing nodes `x`.  Points
     outside [x[0], x[-1]] are extrapolated from the end intervals."""
-    import numpy as np
-
-    t = np.asarray(t, dtype=float)
-    i = np.clip(np.searchsorted(x, t, side="right") - 1, 0, len(x) - 2)
-    c2, c3 = _cubic_coefficients(x, y, dy)
+    i = min(max(bisect_right(x, t) - 1, 0), len(x) - 2)
+    c2, c3 = _cubic_local(x[i], x[i + 1], y[i], y[i + 1], dy[i], dy[i + 1])
     s = t - x[i]
-    c2, c3 = c2[i], c3[i]
     return (y[i] + s * (dy[i] + s * (c2 + s * c3)),
             dy[i] + s * (2.0 * c2 + s * (3.0 * c3)))
 
 
-def cubic_hermite_max_slope(x: np.ndarray, y: np.ndarray, dy: np.ndarray) -> float:
+def cubic_hermite_max_slope(x: Sequence[float], y: Sequence[float],
+                            dy: Sequence[float]) -> float:
     """Exact max |dy/dt| of the cubic Hermite interpolant on [x[0], x[-1]]:
     the derivative is quadratic on each interval, so its extreme values lie
     at the nodes or at the interior vertex."""
-    import numpy as np
-
-    c2, c3 = _cubic_coefficients(x, y, dy)
-    best = float(np.max(np.abs(dy)))
-    h = np.diff(x)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        s = -c2 / (3.0 * c3)
-    inner = (c3 != 0.0) & (s > 0.0) & (s < h)
-    if np.any(inner):
-        si = s[inner]
-        vertex = dy[:-1][inner] - si**2 * (3.0 * c3[inner])
-        best = max(best, float(np.max(np.abs(vertex))))
+    best = max(map(abs, dy))
+    for i in range(len(x) - 1):
+        c2, c3 = _cubic_local(x[i], x[i + 1], y[i], y[i + 1], dy[i], dy[i + 1])
+        if c3 != 0.0:
+            s = -c2 / (3.0 * c3)
+            if 0.0 < s < x[i + 1] - x[i]:
+                best = max(best, abs(dy[i] - s * s * (3.0 * c3)))
     return best

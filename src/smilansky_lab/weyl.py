@@ -249,6 +249,8 @@ _CUTOFF_CACHE: dict[float, CutoffFunction] = {}
 _MAX_KN = 2.0**255
 # the largest ladder k = 2^p whose smallest n_k = 4k keeps k n_k <= _MAX_KN
 _MAX_K_POW = 126
+# n_k doublings tried by `choose_parameters` before its search gives up
+_MAX_N_DOUBLINGS = 60
 # lim J(k) ln^2 k: the rise and the descent alone give J = 28/(5 ln k) and
 # weighted mass 5 ln k / 21 before normalization, so J ln^2 k = 588/25; with
 # the bridges J(2^p) ln^2(2^p) exceeds it for every p >= 4 (28.14 at p = 4,
@@ -499,7 +501,7 @@ def suppressed_term_bounds(cut: CutoffFunction, n_k: int, mom: dict,
 
 
 def choose_parameters(eps: float, gs: GroundState, mu: float = 0.0,
-                      min_n: int = 1, max_n_doublings: int = 60) -> tuple[float, int]:
+                      min_n: int = 1) -> tuple[float, int]:
     """Deterministic (k, n_k) selection.
 
     k is the smallest power of two from 16 to 2^126 with weighted derivative
@@ -537,7 +539,7 @@ def choose_parameters(eps: float, gs: GroundState, mu: float = 0.0,
     n = int(4 * cut.k)
     while n <= min_n:
         n *= 2
-    for _ in range(max_n_doublings):
+    for _ in range(_MAX_N_DOUBLINGS):
         if n > _MAX_KN / cut.k:
             raise ComputationError(
                 f"n_k search reached n_k = {n:.3g} at k = {cut.k:.3g}, past "

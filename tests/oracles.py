@@ -1,9 +1,10 @@
 """Reference implementations that only the tests read.
 
 Each is an independent route to a number the package computes another way:
-the scipy sparse matrix of an assembled 2D operator, and its coordinate text;
-uniform 2D grids; the quasi-mode norm by direct 2D quadrature; and the defect
-of the identity behind the Weyl residual, from finite differences.  They
+the slope V' of a channel profile; the scipy sparse matrix of an assembled
+2D operator, and its coordinate text; uniform 2D grids; the quasi-mode norm
+by direct 2D quadrature; and the defect of the identity behind the Weyl
+residual, from finite differences.  They
 need numpy and scipy, which the package itself does not load.
 """
 
@@ -16,10 +17,32 @@ import numpy as np
 import scipy.sparse as sp
 
 from smilansky_lab.grid2d import Grid2D, SparseHamiltonian
-from smilansky_lab.model import eval_profile
+from smilansky_lab.model import PotentialProfile, profile_values
 from smilansky_lab.oned import GroundState
 from smilansky_lab.quadrature import gauss_panels, linspace
 from smilansky_lab.weyl import QuasiMode, _t_rule
+
+
+def profile_slopes(profile: PotentialProfile, t) -> np.ndarray:
+    """V'(t), 0 for |t| >= a: the closed-form derivatives of cos2 and
+    quartic, and for a table profile the slope of scipy's cubic Hermite
+    spline through its nodes, values and PCHIP slopes, strictly inside the
+    tabulated range."""
+    from scipy.interpolate import CubicHermiteSpline
+
+    t = np.asarray(t, dtype=float)
+    a, amp = profile.a, profile.amplitude
+    if profile.family == "table":
+        x = profile._hermite[0]
+        inside = (t > x[0]) & (t < x[-1])
+        return np.where(inside, CubicHermiteSpline(*profile._hermite)(t, 1), 0.0)
+    inside = np.abs(t) < a
+    if profile.family == "cos2":
+        dv = -amp * math.pi / (2.0 * a) * np.sin(math.pi * t / a)
+    else:
+        u = t / a
+        dv = amp * (-4.0 * u * (1.0 - u * u)) / a
+    return np.where(inside, dv, 0.0)
 
 
 def uniform_grid(x_lo: float, x_hi: float, n_x: int, y_half: float,
@@ -78,7 +101,7 @@ def residual_identity_check(gs: GroundState, e_mag: Optional[float] = None) -> f
     t = np.array(gs.nodes)
     h = np.array(gs.samples)
     hx = gs.grid.h
-    v, _ = eval_profile(gs.profile, t)
+    v = np.array(profile_values(gs.profile, gs.nodes))
     f = -0.5j * s * t**2 * h
     fpp = np.empty_like(f)
     fpp[1:-1] = (f[:-2] - 2.0 * f[1:-1] + f[2:]) / hx**2

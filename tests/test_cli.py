@@ -26,6 +26,9 @@ SUPER = {
                   "profile": {"family": "cos2", "a": 1.0, "amplitude": 1.0}}],
     "x_domain": {"type": "line"},
 }
+# a mirrored 5-knot table profile
+TABLE5 = {"family": "table", "a": 1.0, "amplitude": 1.0,
+          "table": [[-1, 0], [-0.5, 0.5], [0, 1], [0.5, 0.5], [1, 0]]}
 
 
 def env_with_src():
@@ -279,11 +282,15 @@ class TestExitCodes:
     def test_one_d_commands_leave_out_numpy(self, single_cfg, tmp_path):
         # a fresh process: thresholds and couplings on the line and on
         # intervals are Sturm counts on lists, and so is the Weyl ground
-        # state; only the 2D commands load numpy, in their own branches
+        # state, and a table profile's PCHIP runs on lists too; only the 2D
+        # commands load numpy, in their own branches
         quartic = tmp_path / "quartic.json"
         quartic.write_text(json.dumps({**SINGLE, "channels": [{
             "lambda": 2.0, "center": 0.0,
             "profile": {"family": "quartic", "a": 1.0, "amplitude": 1.0}}]}))
+        table = tmp_path / "table.json"
+        table.write_text(json.dumps({**SINGLE, "channels": [{
+            "lambda": 2.0, "center": 0.0, "profile": TABLE5}]}))
         dirichlet = tmp_path / "dirichlet.json"
         dirichlet.write_text(json.dumps({**SINGLE, "x_domain": {
             "type": "interval", "c": 1.5, "bc": "dirichlet"}}))
@@ -292,7 +299,7 @@ class TestExitCodes:
             "type": "interval", "c": 1.5, "bc": "periodic"}}))
         two = str(Path(__file__).parents[1] / "configs" / "two_channel.json")
         runs = [[command, "--config", cfg, *extra]
-                for cfg in (single_cfg, str(quartic))
+                for cfg in (single_cfg, str(quartic), str(table))
                 for command, extra in (("critical", ["--tol", "1e-2"]),
                                        ("tune", ["--target", "-1"]),
                                        ("eig1d", []), ("classify", []), ("bound", []))]
@@ -301,7 +308,11 @@ class TestExitCodes:
                  for command in ("eig1d", "classify", "bound")]
         supercritical = tmp_path / "super.json"
         supercritical.write_text(json.dumps(SUPER))
-        runs += [["weyl", "--config", str(supercritical), "--eps", "0.1"]]
+        table_super = tmp_path / "table_super.json"
+        table_super.write_text(json.dumps({**SUPER, "channels": [{
+            "lambda": 6.0, "center": 0.0, "profile": TABLE5}]}))
+        runs += [["weyl", "--config", str(cfg), "--eps", "0.1"]
+                 for cfg in (supercritical, table_super)]
         later = [["scan", "--config", single_cfg, "--ladder", "2,3"]]
         out = str(tmp_path / "out")
         code = ("import sys\n"
@@ -398,12 +409,11 @@ class TestExitCodes:
             assert proc.returncode == 0, (cfg, extra, proc.stderr)
 
     def test_weyl_table_profile_rows(self, tmp_path, capsys):
-        # a table profile still loads numpy for its PCHIP; its rows, pinned
-        # from the earlier numpy quadrature, hold to 1e-12
+        # a table profile's rows, pinned from the earlier numpy quadrature,
+        # hold to 1e-12
         path = tmp_path / "table.json"
         path.write_text(json.dumps({**SUPER, "channels": [{"lambda": 6.0, "center": 0.0,
-            "profile": {"family": "table", "a": 1.0, "amplitude": 1.0, "table": [
-                [-1, 0], [-0.5, 0.5], [0, 1], [0.5, 0.5], [1, 0]]}}]}))
+                                                          "profile": TABLE5}]}))
         assert main(["weyl", "--config", str(path), "--eps", "0.1,0.05,0.02",
                      "--mu=-0.5", "--format", "json"]) == 0
         rows = json.loads(capsys.readouterr().out)["rows"]
@@ -435,9 +445,7 @@ class TestExitCodes:
         # package's own PCHIP
         table = tmp_path / "table.json"
         table.write_text(json.dumps({**SINGLE, "channels": [{
-            "lambda": 2.0, "center": 0.0, "profile": {
-                "family": "table", "a": 1.0, "amplitude": 1.0,
-                "table": [[-1, 0], [-0.5, 0.5], [0, 1], [0.5, 0.5], [1, 0]]}}]}))
+            "lambda": 2.0, "center": 0.0, "profile": TABLE5}]}))
         run_with_scipy_blocked([["eig1d", "--config", str(table)]], tmp_path)
 
     def test_import_leaves_out_scipy_sparse(self, single_cfg, tmp_path):
@@ -488,6 +496,21 @@ class TestExitCodes:
             assert proc.returncode == 2, proc.stderr
             assert proc.stderr.startswith(f"configuration error: cannot write {path}: ")
             assert "Traceback" not in proc.stderr
+
+    def test_unwritable_export_fails_before_the_solve(self, single_cfg, tmp_path,
+                                                      monkeypatch, capsys):
+        # the matrix is exported right after assembly, so an unwritable path
+        # exits 2 without a 2D solve
+        from smilansky_lab import grid2d
+
+        def no_solve(*args, **kwargs):
+            raise AssertionError("the 2D solve ran")
+
+        monkeypatch.setattr(grid2d, "lowest_eigenvalues", no_solve)
+        assert main(["eig2d", "--config", single_cfg, "--y-half", "2",
+                     "--export-matrix", str(tmp_path)]) == 2
+        assert capsys.readouterr().err.startswith(
+            f"configuration error: cannot write {tmp_path}: ")
 
     @pytest.mark.parametrize("command", ["critical", "tune"])
     def test_coupling_on_interval_domain_is_2(self, tmp_path, capsys, command):

@@ -1,21 +1,38 @@
+import hashlib
 import json
+import struct
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from oracles import profile_slopes
 from smilansky_lab.errors import ConfigurationError
+from smilansky_lab.grid2d import _potential
 from smilansky_lab.model import (ChannelSpec, ModelConfig, PotentialProfile,
                                  XDomain, config_from_dict, config_to_dict,
-                                 eval_potential_2d, eval_profile, load_config,
-                                 profile_values)
+                                 load_config, profile_values)
+
+
+def values(profile, t):
+    return np.array(profile_values(profile, np.asarray(t, dtype=float).tolist()))
+
+
+def potential_at(config, x, y):
+    return _potential(config, np.array([x]), np.array([y]))[0, 0]
+
+
+def digest(vals):
+    """First 16 hex digits of the sha256 of the doubles, little-endian."""
+    return hashlib.sha256(struct.pack(f"<{len(vals)}d", *vals)).hexdigest()[:16]
 
 
 class TestProfiles:
     def test_cos2_values(self):
         p = PotentialProfile("cos2", 1.0, 1.0)
-        v, dv = eval_profile(p, np.array([0.0, 0.5, 1.0, 2.0]))
+        t = [0.0, 0.5, 1.0, 2.0]
+        v, dv = values(p, t), profile_slopes(p, t)
         assert v[0] == 1.0
         assert abs(v[1] - 0.5) < 1e-15
         assert v[2] == 0.0 and v[3] == 0.0
@@ -25,7 +42,7 @@ class TestProfiles:
         for fam in ("cos2", "quartic"):
             p = PotentialProfile(fam, 1.5, 2.0)
             t = np.array([1.5 - 1e-7, 1.5, 1.5 + 1e-7])
-            v, dv = eval_profile(p, t)
+            v, dv = values(p, t), profile_slopes(p, t)
             assert v[1] == 0.0 and v[2] == 0.0
             assert abs(v[0]) < 1e-12 and abs(dv[0]) < 1e-6
 
@@ -33,7 +50,7 @@ class TestProfiles:
         for fam in ("cos2", "quartic"):
             p = PotentialProfile(fam, 0.7, 1.3)
             t = np.linspace(-0.7, 0.7, 20001)
-            _, dv = eval_profile(p, t)
+            dv = profile_slopes(p, t)
             assert np.max(np.abs(dv)) <= p.derivative_bound * (1 + 1e-12)
             # and the bound is attained somewhere (not vacuously loose)
             assert np.max(np.abs(dv)) >= 0.99 * p.derivative_bound
@@ -44,7 +61,7 @@ class TestProfiles:
         vs[0] = vs[-1] = 0.0
         pts = tuple((float(t), float(v)) for t, v in zip(ts, vs))
         p = PotentialProfile("table", 1.0, 1.0, table=pts)
-        v, _ = eval_profile(p, np.array([0.0, 5.0]))
+        v = values(p, [0.0, 5.0])
         assert abs(v[0] - 1.0) < 1e-12 and v[1] == 0.0
 
     def test_table_profile_matches_scipy_pchip(self):
@@ -54,10 +71,11 @@ class TestProfiles:
         p = PotentialProfile("table", 1.0, 2.5, table=pts)
         ref = PchipInterpolator([q[0] for q in pts], [2.5 * q[1] for q in pts])
         t = np.linspace(-0.9, 1.0, 1001)[1:-1]
-        v, dv = eval_profile(p, t)
+        v, dv = values(p, t), profile_slopes(p, t)
         assert np.max(np.abs(v - ref(t))) <= 1e-14 * 2.5
         assert np.max(np.abs(dv - ref.derivative()(t))) <= 1e-14 * np.max(np.abs(dv))
-        v, dv = eval_profile(p, np.array([-1.0, -0.9, 1.0, 1.5]))
+        t = [-1.0, -0.9, 1.0, 1.5]
+        v, dv = values(p, t), profile_slopes(p, t)
         assert np.all(v == 0.0) and np.all(dv == 0.0)
 
     def test_table_sup_value_exact(self):
@@ -66,7 +84,7 @@ class TestProfiles:
         p = PotentialProfile("table", 1.0, 2.5,
                              table=((-1, 0), (-0.2, 0.4), (0.5, 0.9), (1, 0)))
         assert p.sup_value == 2.5 * 0.9
-        v, _ = eval_profile(p, np.linspace(-1.0, 1.0, 20001))
+        v = values(p, np.linspace(-1.0, 1.0, 20001))
         assert np.max(v) <= p.sup_value
 
     def test_table_derivative_bound_exact(self):
@@ -80,7 +98,7 @@ class TestProfiles:
         for table in tables:
             p = PotentialProfile("table", 1.0, 1.7, table=table)
             t = np.linspace(-1.0, 1.0, 200001)
-            _, dv = eval_profile(p, t)
+            dv = profile_slopes(p, t)
             bound = p.derivative_bound
             assert np.max(np.abs(dv)) <= bound * (1 + 1e-14)  # rounding only
             assert np.max(np.abs(dv)) >= bound * (1 - 1e-4)  # attained
@@ -103,21 +121,29 @@ class TestProfiles:
         p = PotentialProfile("table", 1.0, 1.0, table=mirrored)
         t = np.linspace(0.0, 1.0, 101)
         assert p.is_even
-        assert np.allclose(eval_profile(p, t)[0], eval_profile(p, -t)[0],
-                           rtol=0.0, atol=1e-15)
+        assert np.allclose(values(p, t), values(p, -t), rtol=0.0, atol=1e-15)
         skewed = ((-1.0, 0.0), (-0.4, 0.7), (0.0, 1.0), (0.4, 0.6), (1.0, 0.0))
         assert not PotentialProfile("table", 1.0, 1.0, table=skewed).is_even
         shifted = ((-1.0, 0.0), (-0.5, 0.7), (0.0, 1.0), (0.4, 0.7), (1.0, 0.0))
         assert not PotentialProfile("table", 1.0, 1.0, table=shifted).is_even
 
     def test_list_values_equal_array_values(self):
-        # one formula per family: float arithmetic on lists, numpy on arrays
+        # bit for bit the pinned values of the earlier numpy evaluator: V at
+        # t = 0, -0.6426, -1.3382 (outside) and -0.3499, and a digest of V
+        # at all 2001 points
         t = np.random.default_rng(5).uniform(-1.5, 1.5, 2001)
         t[:3] = (-1.0, 0.0, 1.0)
         table = ((-1.0, 0.0), (-0.5, 0.9), (0.0, 1.0), (0.5, 0.3), (1.0, 0.0))
-        for p in (PotentialProfile("cos2", 1.3, 0.7), PotentialProfile("quartic", 0.8, 2.0),
-                  PotentialProfile("table", 1.0, 1.5, table=table)):
-            assert profile_values(p, t.tolist()) == eval_profile(p, t)[0].tolist()
+        pins = [(PotentialProfile("cos2", 1.3, 0.7), "d712bde0b0945ff1",
+                 [0.7, 0.35626218694188466, 0.0, 0.5821604379975451]),
+                (PotentialProfile("quartic", 0.8, 2.0), "f31fa8cbfc3a5d29",
+                 [2.0, 0.25176288914003075, 0.0, 1.3080249325564617]),
+                (PotentialProfile("table", 1.0, 1.5, table=table), "d0e41dd117c44079",
+                 [1.5, 1.1572507208135423, 0.0, 1.4221343365691912])]
+        for p, want_digest, want in pins:
+            v = profile_values(p, t.tolist())
+            assert [v[i] for i in (1, 3, 4, 5)] == want
+            assert digest(v) == want_digest
 
     def test_invalid_profiles_rejected(self):
         with pytest.raises(ConfigurationError):
@@ -132,7 +158,7 @@ class TestProfiles:
     def test_nonnegative_and_compact(self, t, a, amp):
         for fam in ("cos2", "quartic"):
             p = PotentialProfile(fam, a, amp)
-            v, _ = eval_profile(p, np.array([t]))
+            v = profile_values(p, [t])
             assert v[0] >= 0.0
             if abs(t) >= a:
                 assert v[0] == 0.0
@@ -141,17 +167,17 @@ class TestProfiles:
 class TestConfig:
     def test_potential_values(self):
         cfg = ModelConfig(omega=1.0)
-        assert eval_potential_2d(cfg, 0.3, 2.0) == 4.0
+        assert potential_at(cfg, 0.3, 2.0) == 4.0
         prof = PotentialProfile("cos2", 1.0, 1.0)
         cfg = ModelConfig(omega=1.0, channels=(ChannelSpec(2.0, 0.0, prof),))
-        assert abs(eval_potential_2d(cfg, 0.0, 3.0) - (-9.0)) < 1e-12
+        assert abs(potential_at(cfg, 0.0, 3.0) - (-9.0)) < 1e-12
         # outside the support: pure oscillator
-        assert eval_potential_2d(cfg, 0.6, 2.0) == 4.0
+        assert potential_at(cfg, 0.6, 2.0) == 4.0
 
     def test_translated_channel(self):
         prof = PotentialProfile("cos2", 1.0, 1.0)
         cfg = ModelConfig(omega=1.0, channels=(ChannelSpec(2.0, 3.0, prof),))
-        assert abs(eval_potential_2d(cfg, 3.0, 3.0) - (-9.0)) < 1e-12
+        assert abs(potential_at(cfg, 3.0, 3.0) - (-9.0)) < 1e-12
 
     def test_overlapping_channels_rejected(self):
         prof = PotentialProfile("cos2", 1.0, 1.0)
@@ -179,8 +205,8 @@ class TestConfig:
         prof = PotentialProfile("cos2", 1.0, 1.0)
         cfg = ModelConfig(omega=1.0, channels=(ChannelSpec(2.0, 0.0, prof),),
                           y_cutoff=2.0)
-        assert eval_potential_2d(cfg, 0.0, 1.0) == 1.0       # gated off
-        assert eval_potential_2d(cfg, 0.0, 3.0) < 9.0        # active
+        assert potential_at(cfg, 0.0, 1.0) == 1.0       # gated off
+        assert potential_at(cfg, 0.0, 3.0) < 9.0        # active
 
 
 class TestSerialization:

@@ -1,5 +1,7 @@
+import hashlib
 import logging
 import math
+import struct
 
 import numpy as np
 import pytest
@@ -8,7 +10,7 @@ from scipy.linalg import eigh, eigh_tridiagonal
 from smilansky_lab import oned
 from smilansky_lab.errors import (ComputationError, ConfigurationError,
                                   RefinementError)
-from smilansky_lab.model import PotentialProfile, eval_profile
+from smilansky_lab.model import PotentialProfile, profile_values
 from smilansky_lab.oned import (ComparisonSpec, Domain1D, Grid1D,
                                 ResolutionPolicy, _interval_chain, _min_eig,
                                 coarse_threshold, critical_coupling, threshold,
@@ -40,8 +42,8 @@ TRUNCATED_LINE_THRESHOLDS = {
 }
 PINNED_LAMBDAS = (0.1, 0.5, 2.0, 4.5858855443, 64.0)
 # thresholds at ARRAY_PATH_LAMBDAS and the couplings with threshold 0 and -1
-# (omega = 1), computed when the support values came from `eval_profile` on
-# a numpy grid instead of `profile_values` on a list
+# (omega = 1), computed when the support values came from a numpy evaluator
+# of the profile instead of `profile_values` on a list
 ARRAY_PATH_LAMBDAS = (0.05, 0.5, 2.0, 4.5858855443, 64.0)
 ARRAY_PATH_VALUES = {
     "cos2": ((0.9993876107117102, 0.9479239098363905, 0.42955149322369834,
@@ -50,6 +52,14 @@ ARRAY_PATH_VALUES = {
     "quartic": ((0.9993048740136148, 0.9418577206597547, 0.38069144183100434,
                  -1.1282633493887424, -52.09737168915225),
                 (2.72964673708096, 4.387981119774243)),
+}
+# first 16 hex digits of the sha256 of the 2m - 1 support values V(h j),
+# h = a/m, |j| < m, as little-endian doubles, for m = 120, 240, 480, from
+# the earlier numpy evaluator
+SUPPORT_VALUE_DIGESTS = {
+    "cos2": ("364d165a4bdbbb5d", "1b140a128ae0d2d0", "a5ba74f7e94138d3"),
+    "quartic": ("12c597cede102c3e", "b6b2cb1591696eef", "1215892daca194f7"),
+    "table": ("eea52760f36ba90b", "8794d5a9e4050312", "bc96b5c56bf92d89"),
 }
 
 
@@ -77,7 +87,7 @@ class TestThreshold:
         n, X = 16000, 24.0
         x = np.linspace(-X, X, n + 2)[1:-1]
         h = x[1] - x[0]
-        v, _ = eval_profile(cos2_profile, x)
+        v = np.array(profile_values(cos2_profile, x.tolist()))
         vals = eigh_tridiagonal(2.0 / h**2 + 1.0 - lam * v,
                                 np.full(n - 1, -1.0 / h**2),
                                 select="i", select_range=(0, 0))[0]
@@ -147,7 +157,7 @@ class TestLineThreshold:
         ref = []
         for h in (1.0 / 480.0, 1.0 / 960.0):
             n = int(round(2.0 * X / h)) - 1
-            v, _ = eval_profile(skewed, -X + h * np.arange(1, n + 1))
+            v = np.array(profile_values(skewed, (-X + h * np.arange(1, n + 1)).tolist()))
             ref.append(eigh_tridiagonal(2.0 / h**2 + 1.0 - lam * v,
                                         np.full(n - 1, -1.0 / h**2), eigvals_only=True,
                                         select="i", select_range=(0, 0))[0])
@@ -163,7 +173,7 @@ class TestLineThreshold:
         """1 / largest mu of V x = mu (A - target) x on the 2m - 1 support
         nodes, A with the transparent ends written out independently."""
         h = profile.a / m
-        v, _ = eval_profile(profile, h * np.arange(1 - m, m))
+        v = np.array(profile_values(profile, (h * np.arange(1 - m, m)).tolist()))
         s = (1.0 - target) * h * h
         r = (2.0 + s - np.sqrt((2.0 + s) ** 2 - 4.0)) / 2.0
         a = (np.diag(np.full(2 * m - 1, 2.0 / h**2 + 1.0 - target))
@@ -185,13 +195,13 @@ class TestLineThreshold:
         assert abs(got - want) <= 1e-9
         assert abs(pinned - want) <= 1e-9
 
-    @pytest.mark.parametrize("name", sorted(PROFILES))
+    @pytest.mark.parametrize("name", sorted(SUPPORT_VALUE_DIGESTS))
     def test_support_values_equal_the_array_path(self, name):
+        # bit for bit the pinned support values of the earlier numpy evaluator
         profile = PROFILES[name]
-        for m in (120, 240, 480):
-            h = profile.a / m
-            want = eval_profile(profile, h * np.arange(1 - m, m))[0].tolist()
-            assert oned._support_chain(1.0, profile, m)[1] == want
+        for m, want in zip((120, 240, 480), SUPPORT_VALUE_DIGESTS[name], strict=True):
+            v = oned._support_chain(1.0, profile, m)[1]
+            assert hashlib.sha256(struct.pack(f"<{len(v)}d", *v)).hexdigest()[:16] == want
 
     @pytest.mark.parametrize("name", sorted(ARRAY_PATH_VALUES))
     def test_list_path_matches_array_path(self, name):
@@ -282,7 +292,7 @@ class TestGroundState:
         gs = gs_minus1
         t, w = map(np.array, gauss_panels(np.linspace(-11.0, 11.0, 441).tolist(), 8))
         h, h1 = np.array([gs.jet(x) for x in t]).T
-        v, _ = eval_profile(gs.profile, t)
+        v = np.array(profile_values(gs.profile, t.tolist()))
         num = w @ (h1**2 + (gs.omega**2 - gs.lam * v) * h**2)
         den = w @ h**2
         assert abs(num / den - gs.e0) < 1e-4
@@ -290,7 +300,7 @@ class TestGroundState:
     def test_ode_second_derivative(self, gs_minus1):
         gs = gs_minus1
         t = np.linspace(-2.0, 2.0, 17)
-        v, _ = eval_profile(gs.profile, t)
+        v = np.array(profile_values(gs.profile, t.tolist()))
         assert np.allclose([gs.h2(x) for x in t],
                            (gs.omega**2 - gs.lam * v - gs.e0) * np.array([gs.h(x) for x in t]))
 

@@ -115,17 +115,22 @@ def test_pchip_matches_scipy():
     for x, y in _pchip_tables():
         ref = PchipInterpolator(x, y)
         t = np.concatenate([x, rng.uniform(x[0], x[-1], 400)])
-        v, dv = cubic_hermite(x, y, pchip_slopes(x, y), t)
+        xs, ys = x.tolist(), y.tolist()
+        dy = pchip_slopes(xs, ys)
+        v, dv = np.array([cubic_hermite(xs, ys, dy, ti) for ti in t.tolist()]).T
         want_v, want_dv = ref(t), ref.derivative()(t)
         assert np.max(np.abs(v - want_v)) <= 1e-14 * np.max(np.abs(want_v))
         assert np.max(np.abs(dv - want_dv)) <= 1e-14 * np.max(np.abs(want_dv))
 
 
 def test_pchip_does_not_overshoot():
-    # each interval stays between its end values, so sup = max node value
+    # each interval stays between its end values, so sup = max node value;
+    # the cubic of the slopes is sampled densely by scipy's evaluator
+    from scipy.interpolate import CubicHermiteSpline
+
     for x, y in _pchip_tables():
         t = np.linspace(x[0], x[-1], 20001)
-        v, _ = cubic_hermite(x, y, pchip_slopes(x, y), t)
+        v = CubicHermiteSpline(x, y, pchip_slopes(x.tolist(), y.tolist()))(t)
         i = np.clip(np.searchsorted(x, t, side="right") - 1, 0, len(x) - 2)
         lo, hi = np.minimum(y[i], y[i + 1]), np.maximum(y[i], y[i + 1])
         slack = 1e-14 * np.max(np.abs(y))
@@ -133,11 +138,14 @@ def test_pchip_does_not_overshoot():
 
 
 def test_cubic_hermite_max_slope_is_exact():
+    # the slope sampled densely by scipy's evaluator of the same cubic
+    from scipy.interpolate import CubicHermiteSpline
+
     rng = np.random.default_rng(3)
     for x, y in _pchip_tables():
-        dy = pchip_slopes(x, y) + rng.normal(size=x.size)   # not just PCHIP data
-        bound = cubic_hermite_max_slope(x, y, dy)
+        dy = np.array(pchip_slopes(x.tolist(), y.tolist())) + rng.normal(size=x.size)
+        bound = cubic_hermite_max_slope(x.tolist(), y.tolist(), dy.tolist())
         t = np.linspace(x[0], x[-1], 200001)
-        sampled = np.max(np.abs(cubic_hermite(x, y, dy, t)[1]))
+        sampled = np.max(np.abs(CubicHermiteSpline(x, y, dy)(t, 1)))
         assert sampled <= bound * (1 + 1e-13)
         assert sampled >= bound * (1 - 1e-4)    # attained, not loose

@@ -9,7 +9,7 @@ from scipy.integrate import quad
 from oracles import quasimode_norm_direct, residual_identity_check
 from smilansky_lab import weyl
 from smilansky_lab.errors import ComputationError, ConfigurationError, SmilanskyError
-from smilansky_lab.model import ChannelSpec, ModelConfig, XDomain, eval_profile
+from smilansky_lab.model import ChannelSpec, ModelConfig, XDomain, profile_values
 from smilansky_lab.oned import ComparisonSpec, Domain1D, Grid1D, ground_state
 
 K_LADDER = [2.0**p for p in (4, 8, 12, 16)]
@@ -44,7 +44,7 @@ def brute_force_residual(qm: weyl.QuasiMode) -> float:
     phase = qm.phase
     t, tw = map(np.array, weyl._t_rule(gs))
     h, h1 = np.array([gs.jet(x) for x in t]).T
-    v, _ = eval_profile(gs.profile, t)
+    v = np.array(profile_values(gs.profile, t.tolist()))
     p = gs.omega**2 - gs.lam * v + e          # h'' = p h
     fh = -0.5j * s * t**2 * h
     f1 = -0.5j * s * (2.0 * t * h + t**2 * h1)
