@@ -8,8 +8,7 @@ should halve the critical coupling).
 import argparse
 
 from smilansky_lab.model import PotentialProfile
-from smilansky_lab.oned import (ComparisonSpec, Domain1D, ResolutionPolicy,
-                                critical_coupling, threshold)
+from smilansky_lab.oned import ComparisonSpec, ResolutionPolicy, critical_coupling, threshold
 
 
 def main() -> None:
@@ -25,8 +24,7 @@ def main() -> None:
     lam_coarse = critical_coupling(
         args.omega, prof, tol=args.tol,
         policy=ResolutionPolicy(points_per_unit=84.0))
-    e_res = threshold(ComparisonSpec(args.omega, lam, prof,
-                                     Domain1D("truncated_line", 12.0)))
+    e_res = threshold(ComparisonSpec(args.omega, lam, prof))
 
     prof2 = PotentialProfile("cos2", args.a, 2.0)
     lam2 = critical_coupling(args.omega, prof2, tol=args.tol)

@@ -11,8 +11,7 @@ import pathlib
 
 from smilansky_lab import grid2d
 from smilansky_lab.model import ChannelSpec, ModelConfig, PotentialProfile
-from smilansky_lab.oned import (ComparisonSpec, Domain1D, critical_coupling,
-                                threshold)
+from smilansky_lab.oned import ComparisonSpec, critical_coupling, threshold
 
 
 def main() -> None:
@@ -40,8 +39,7 @@ def main() -> None:
         print(f"{tag}: lambda = {lam:.6f}, verdict = {scan.verdict}, "
               f"c_fit = {scan.c_fit:.6f} -> {path}")
         if tag == "supercritical":
-            e0 = threshold(ComparisonSpec(args.omega, lam, prof,
-                                          Domain1D("truncated_line", 12.0)))
+            e0 = threshold(ComparisonSpec(args.omega, lam, prof))
             print(f"  comparison |E0| = {abs(e0):.6f}")
 
 

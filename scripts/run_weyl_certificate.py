@@ -9,8 +9,8 @@ import argparse
 from smilansky_lab import weyl
 from smilansky_lab.model import ChannelSpec, ModelConfig
 from smilansky_lab.model import PotentialProfile
-from smilansky_lab.oned import (ComparisonSpec, Domain1D, Grid1D,
-                                ground_state, tune_lambda_to_threshold)
+from smilansky_lab.oned import (ComparisonSpec, Grid1D, ground_state,
+                                tune_lambda_to_threshold)
 
 
 def main() -> None:
@@ -22,9 +22,7 @@ def main() -> None:
     prof = PotentialProfile("cos2", 1.0, 1.0)
     lam = tune_lambda_to_threshold(1.0, prof, -1.0)
     cfg = ModelConfig(omega=1.0, channels=(ChannelSpec(lam, 0.0, prof),))
-    gs = ground_state(ComparisonSpec(1.0, lam, prof,
-                                     Domain1D("truncated_line", 12.0)),
-                      Grid1D(-12.0, 12.0, 4001))
+    gs = ground_state(ComparisonSpec(1.0, lam, prof), Grid1D(-12.0, 12.0, 4001))
     print(f"lambda(E0=-1) = {lam:.9f}")
 
     for mu in args.mu:

@@ -6,7 +6,9 @@ G_n the frozen-coefficient comparison operator is unitarily equivalent to
 ln^2(n) L, and the freezing error admits an explicit bound assembled from
 sup V, sup |V'|, and the support half-width.  The classification rule takes
 t_V, the minimum over channels of the 1D threshold inf sigma(L_j); its sign
-decides bounded-below versus unbounded-below.
+decides bounded-below versus unbounded-below.  Each L_j lives on the
+configuration's x-domain (`model.XDomain`): the line, or the interval
+(-c, c) with the configuration's boundary conditions.
 """
 
 from __future__ import annotations
@@ -16,7 +18,7 @@ from dataclasses import dataclass
 
 from .errors import ComputationError, ConfigurationError
 from .model import ChannelSpec, ModelConfig
-from .oned import ComparisonSpec, Domain1D, ResolutionPolicy, coarse_threshold, threshold
+from .oned import ComparisonSpec, ResolutionPolicy, coarse_threshold, threshold
 
 __all__ = [
     "StripBound",
@@ -50,19 +52,14 @@ class Classification:
 _TOL = 1e-6
 
 
-def _channel_domain(config: ModelConfig) -> Domain1D:
-    if config.x_domain.kind == "interval":
-        return Domain1D("interval", config.x_domain.c, config.x_domain.bc)
-    return Domain1D("truncated_line", 12.0)
-
-
 def channel_threshold(config: ModelConfig, ch: ChannelSpec,
                       policy: ResolutionPolicy = ResolutionPolicy(),
                       coarse: bool = False) -> float:
-    """inf sigma(L_j) for one channel; on an interval x-domain the comparison
-    operator carries the same boundary conditions on (-c, c).  `coarse`
-    gives the unextrapolated estimate of `oned.coarse_threshold`."""
-    spec = ComparisonSpec(config.omega, ch.lam, ch.profile, _channel_domain(config))
+    """inf sigma(L_j) for one channel, on the configuration's own x-domain:
+    on an interval the comparison operator carries the same boundary
+    conditions on (-c, c).  `coarse` gives the unextrapolated estimate of
+    `oned.coarse_threshold`."""
+    spec = ComparisonSpec(config.omega, ch.lam, ch.profile, config.x_domain)
     return (coarse_threshold if coarse else threshold)(spec, policy)
 
 

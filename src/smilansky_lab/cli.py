@@ -24,9 +24,9 @@ from typing import Optional
 
 from . import bracketing
 from .errors import ComputationError, ConfigurationError, SmilanskyError
-from .model import ModelConfig, load_config
-from .oned import (ComparisonSpec, Domain1D, Grid1D, critical_coupling,
-                   ground_state, tune_lambda_to_threshold)
+from .model import ModelConfig, XDomain, load_config
+from .oned import (ComparisonSpec, Grid1D, critical_coupling, ground_state,
+                   tune_lambda_to_threshold)
 
 __all__ = ["RunRequest", "run", "main"]
 
@@ -176,8 +176,8 @@ def run(request: RunRequest) -> int:
             from . import weyl
 
             ch = _single_channel(config)
-            dom = Domain1D("truncated_line", 12.0)
-            spec = ComparisonSpec(config.omega, ch.lam, ch.profile, dom)
+            # the channel's ground state on the line, truncated at |x| = 12
+            spec = ComparisonSpec(config.omega, ch.lam, ch.profile, XDomain())
             gs = ground_state(spec, Grid1D(-12.0, 12.0, 4001))
             rows = weyl.weyl_certificate(config, gs, p.get("mu", 0.0), p["eps"])
             summary = weyl.certificate_summary(rows)

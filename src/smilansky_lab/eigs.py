@@ -11,9 +11,8 @@ from __future__ import annotations
 
 import itertools
 import logging
-import numbers
 from dataclasses import dataclass
-from typing import Callable, Iterable, Union
+from typing import Callable, Iterable
 
 import numpy as np
 
@@ -162,12 +161,11 @@ def _near(guess: float) -> float:
     return guess - _NEAR_MARGIN * max(1.0, abs(guess))
 
 
-def _shifts(guess, floor: float):
-    """The shift just below each guess, then the floor; an iterable of
-    guesses is read only as far as the shifts are tried."""
-    if guess is not None:
-        for g in [guess] if isinstance(guess, numbers.Real) else guess:
-            yield _near(g)
+def _shifts(guess: Iterable[float], floor: float):
+    """The shift just below each guess, then the floor; the guesses are read
+    only as far as the shifts are tried."""
+    for g in guess:
+        yield _near(g)
     yield floor
 
 
@@ -226,7 +224,7 @@ def _lanczos(inv: list[np.ndarray], c: list[float], w: np.ndarray, k: int,
 
 
 def shift_invert_lanczos(h: BlockTridiagonal, k: int, floor: float,
-                         guess: Union[float, Iterable[float], None] = None,
+                         guess: Iterable[float] = (),
                          tol: float = 1e-7, seed: int = 1234):
     """k lowest eigenpairs of the block-tridiagonal matrix h.
 
@@ -236,9 +234,9 @@ def shift_invert_lanczos(h: BlockTridiagonal, k: int, floor: float,
     By Sylvester's law of inertia the factor exists exactly when no
     eigenvalue lies at or below sigma, so it certifies that sigma + 1/mu for
     the largest Ritz values mu are the lowest eigenvalues; each is reported
-    as the Rayleigh quotient of its Ritz vector (`quadratic_form`).  With a
-    `guess` (one value, or several tried in order) sigma first sits just
-    below a guess, where the wanted mu are well separated.  A shift that
+    as the Rayleigh quotient of its Ritz vector (`quadratic_form`).  Given
+    guesses (`guess`, tried in order) sigma first sits just below a guess,
+    where the wanted mu are well separated.  A shift that
     does not factor is followed by the next lower one, and last by `floor`,
     which the caller certifies lies below the spectrum; the blocks are
     factored in order, so a shift too high for the first blocks fails at

@@ -33,6 +33,7 @@ from .bracketing import channel_threshold
 from .eigs import BlockTridiagonal, shift_invert_lanczos
 from .errors import ComputationError, ConfigurationError, RefinementError
 from .model import ModelConfig, profile_values
+from .oned import NODE_CAP
 
 __all__ = [
     "Grid2D",
@@ -48,7 +49,6 @@ __all__ = [
     "scan_csv",
 ]
 
-_MEMORY_CAP = 4_000_000
 # the pivot blocks of the 2D solve may take this many doubles per node of the
 # memory cap: 512 MiB at the default cap
 _DOUBLES_PER_NODE = 16
@@ -65,7 +65,7 @@ class Grid2D:
     x_nodes: np.ndarray
     y_half: float
     n_y: int
-    memory_cap: int = _MEMORY_CAP
+    memory_cap: int = NODE_CAP
 
     def __post_init__(self):
         x = np.asarray(self.x_nodes, dtype=float)
@@ -362,16 +362,13 @@ def assemble_h2d(config: ModelConfig, grid: Grid2D,
             f"the {sector} block of the {grid.n_x}x{grid.n_y} grid needs "
             f"{n_bx**2 * n_by:.3g} doubles of pivot blocks, more than "
             f"{_DOUBLES_PER_NODE} per node of the memory cap")
-    if config.x_domain.kind == "interval":
-        if not np.isclose(grid.x_hi, config.x_domain.c) or \
-           not np.isclose(grid.x_lo, -config.x_domain.c):
-            raise ConfigurationError("grid x-range does not match the interval domain")
-        bc_x = config.x_domain.bc
-    else:
-        bc_x = "dirichlet"
+    if config.x_domain.kind == "interval" and not (
+            np.isclose(grid.x_hi, config.x_domain.c)
+            and np.isclose(grid.x_lo, -config.x_domain.c)):
+        raise ConfigurationError("grid x-range does not match the interval domain")
     _check_resolution(config, grid)
 
-    bx = _second_diff_1d(grid.x_nodes, grid.x_lo, grid.x_hi, bc_x)
+    bx = _second_diff_1d(grid.x_nodes, grid.x_lo, grid.x_hi, config.x_domain.bc)
     h2 = grid.h_y ** 2
     by = TridiagonalSym(np.full(grid.n_y, 2.0 / h2), np.full(grid.n_y - 1, -1.0 / h2))
     x, y = grid.x_nodes, grid.y_nodes
@@ -388,7 +385,7 @@ def assemble_h2d(config: ModelConfig, grid: Grid2D,
 
 
 def lowest_eigenvalues(ham: SparseHamiltonian, k: int = 1, tol: float = 1e-7,
-                       seed: int = 1234, guess: float | Iterable[float] | None = None
+                       seed: int = 1234, guess: Iterable[float] = ()
                        ) -> list[tuple[float, float]]:
     """k smallest eigenvalues of `ham` (of its sector: on a folded block,
     those of the eigenvectors of H even under its reflections) with
@@ -396,11 +393,11 @@ def lowest_eigenvalues(ham: SparseHamiltonian, k: int = 1, tol: float = 1e-7,
     up to rounding of order eps ||H||.
 
     Shift-invert Lanczos on the block LDL^T factor
-    (`eigs.shift_invert_lanczos`).  A `guess` near lambda0, such as lambda0
-    of the previous rung of a scan, or several tried in order, puts the
-    shift just below it, certified by its own factor; without one, or when
-    no such factor exists, the shift is potential_min - 1, so that
-    H - sigma >= I.
+    (`eigs.shift_invert_lanczos`).  A guess near lambda0 in `guess`, such
+    as lambda0 of the previous rung of a scan, puts the shift just below
+    it, certified by its own factor; the guesses are tried in order, and
+    without one, or when no such factor exists, the shift is
+    potential_min - 1, so that H - sigma >= I.
     """
     if not 1 <= k <= 20:
         raise ConfigurationError("eigenvalue count must be between 1 and 20")
@@ -426,7 +423,7 @@ class ScanPolicy:
     stability_tol: float = 0.01     # relative, on lambda0(Ymax) vs lambda0(Ymax/2)
     r2_min: float = 0.95
     eig_tol: float = 1e-7
-    memory_cap: int = _MEMORY_CAP
+    memory_cap: int = NODE_CAP
 
     def __post_init__(self):
         if self.points_per_unit_y < 4 or self.x_half_width <= 0:
@@ -459,6 +456,9 @@ def scan_grid(config: ModelConfig, policy: ScanPolicy, y_half: float,
     the top of the ladder, so the same x-grid serves every Y (exact
     Dirichlet domain nesting).  The x-range is centred at 0, so the nodes
     are mirror-symmetric about 0 when the centers (images included) are.
+    The spacing never exceeds h_max, so the grid has at least
+    (x_hi - x_lo)/h_max - 2 x-nodes per y-row; a range where that many pass
+    the memory cap is refused before the walk.
     """
     if not (math.isfinite(y_half) and math.isfinite(y_max)):
         raise ConfigurationError(f"need a finite truncation, got Y = {y_half!r}, "
@@ -467,13 +467,19 @@ def scan_grid(config: ModelConfig, policy: ScanPolicy, y_half: float,
         x_lo, x_hi = -config.x_domain.c, config.x_domain.c
     else:
         x_lo, x_hi = -policy.x_half_width, policy.x_half_width
+    n_y = int(round(2.0 * y_half * policy.points_per_unit_y)) - 1
+    n_x = (x_hi - x_lo) / policy.h_max - 2.0
+    if n_x * n_y > policy.memory_cap:
+        raise ConfigurationError(
+            f"the x-range ({x_lo}, {x_hi}) needs at least {n_x:.6g} x-nodes at "
+            f"spacing h_max = {policy.h_max}, {n_x * n_y:.6g} nodes with {n_y} "
+            f"y-rows, more than the memory cap of {policy.memory_cap}")
     centers = tuple(ch.center for ch in config.channels)
     if config.x_domain.kind == "interval" and config.x_domain.bc == "periodic":
         period = x_hi - x_lo
         centers += tuple(b + s for b in centers for s in (-period, period))
     a_min = min((ch.profile.a for ch in config.channels), default=1.0)
     x = graded_x_nodes(x_lo, x_hi, centers, a_min / (4.0 * y_max), policy.h_max)
-    n_y = int(round(2.0 * y_half * policy.points_per_unit_y)) - 1
     return Grid2D(x_lo, x_hi, x, y_half, n_y, memory_cap=policy.memory_cap)
 
 

@@ -18,15 +18,15 @@ threshold at a target E is where the same count, at that fixed E, leaves 0
 as lambda grows.  Both are bisections of the pure-Python Sturm count of
 `sturm`, Richardson-extrapolated over m, 2m and 4m and gated at `rich_tol`.
 
-Interval x-domains (-c, c) keep the whole-interval assembly with Dirichlet,
-Neumann or periodic ends; its minimal eigenvalue is a bisection of the same
-count, bordered for the periodic wrap.  Both chains are built as Python
-lists, so this module, and with it every 1D threshold and coupling, imports
-only the standard library.  `ground_state`, the eigenpair behind the Weyl
-quasi-modes, is solved on the fixed Dirichlet chain that `_interval_chain`
-builds as lists, by the Sturm count and inverse iteration of `sturm`, and
-`GroundState` evaluates its interpolant on floats, so the Weyl path starts
-without numpy too.
+The x-domain is the model's `XDomain`.  An interval (-c, c) keeps the
+whole-interval assembly with Dirichlet, Neumann or periodic ends, on n, 2n
+and 4n nodes (4n at most `NODE_CAP`); its minimal eigenvalue is a bisection
+of the same count, bordered for the periodic wrap.  Both chains are Python
+lists, so every 1D threshold and coupling imports only the standard
+library.  `ground_state`, the eigenpair behind the Weyl quasi-modes, is
+solved on the line truncated at the ends of a grid, by the Sturm count and
+inverse iteration of `sturm`, and `GroundState` evaluates its interpolant
+on floats, so the Weyl path starts without numpy too.
 
 Each threshold and coupling logs one `smilansky_lab.oned` debug record: the
 resolution, the three values, their Richardson gap and the bisection steps.
@@ -42,12 +42,11 @@ from functools import partial
 from typing import Callable, Sequence
 
 from .errors import ComputationError, ConfigurationError, RefinementError
-from .model import PotentialProfile, profile_values
+from .model import PotentialProfile, XDomain, profile_values
 from .sturm import bisect_count, chain_bracket, chain_lowest_pair, chain_norm, sturm_count
 
 __all__ = [
     "Grid1D",
-    "Domain1D",
     "ComparisonSpec",
     "GroundState",
     "ResolutionPolicy",
@@ -65,6 +64,9 @@ _EPS = sys.float_info.epsilon
 # this, relative to the result: float64 rounding of the bisections and of the
 # extrapolation alone spreads them over several eps |result|
 _FLOAT_RESOLUTION = 64 * _EPS
+# the most nodes one grid may hold: the finest 1D interval level here, a 2D
+# grid in `grid2d`
+NODE_CAP = 4_000_000
 
 
 @dataclass(frozen=True)
@@ -96,30 +98,11 @@ class Grid1D:
 
 
 @dataclass(frozen=True)
-class Domain1D:
-    """Either the line or a genuine interval (-c, c).  Thresholds on the line
-    need no truncation; its half-width X is the extent of the fixed grid that
-    `ground_state` uses."""
-
-    kind: str = "truncated_line"
-    half_width: float = 0.0
-    bc: str = "dirichlet"
-
-    def __post_init__(self):
-        if self.kind not in ("truncated_line", "interval"):
-            raise ConfigurationError(f"unknown 1D domain kind {self.kind!r}")
-        if self.half_width <= 0:
-            raise ConfigurationError("domain half-width must be positive")
-        if self.bc not in ("dirichlet", "neumann", "periodic"):
-            raise ConfigurationError(f"unknown boundary condition {self.bc!r}")
-
-
-@dataclass(frozen=True)
 class ComparisonSpec:
     omega: float
     lam: float
     profile: PotentialProfile
-    domain: Domain1D
+    domain: XDomain = XDomain()
 
     def __post_init__(self):
         if self.omega <= 0 or self.lam < 0:
@@ -133,9 +116,15 @@ class ResolutionPolicy:
     points_per_unit: float = 120.0
     rich_tol: float = 1e-6
 
-    def n_for(self, lo: float, hi: float) -> int:
-        """Interior nodes of a whole-interval grid on (lo, hi)."""
-        return max(64, math.ceil(self.points_per_unit * (hi - lo)))
+    def n_for(self, c: float) -> int:
+        """Interior nodes n of the coarsest grid on (-c, c), checked before
+        any grid is built: the finest, 4n, must not pass NODE_CAP."""
+        n = max(64, math.ceil(self.points_per_unit * (c + c)))
+        if 4 * n > NODE_CAP:
+            raise ConfigurationError(
+                f"the interval (-{c}, {c}) needs {4 * n} nodes at its finest "
+                f"resolution, more than the cap of {NODE_CAP}")
+        return n
 
     def m_for(self, a: float) -> int:
         """Steps of the support half-width a on the line (h = a/m)."""
@@ -149,14 +138,7 @@ def _interval_chain(spec: ComparisonSpec, grid: Grid1D):
     Dirichlet drops the boundary points, Neumann mirrors ghost points across a
     cell-centered grid, periodic wraps (corner entry).
     """
-    dom = spec.domain
-    if not all(math.isclose(end, x, rel_tol=1e-5, abs_tol=1e-8)
-               for end, x in ((grid.lo, -dom.half_width), (grid.hi, dom.half_width))):
-        raise ConfigurationError(
-            f"grid [{grid.lo}, {grid.hi}] does not cover the domain "
-            f"[-{dom.half_width}, {dom.half_width}]"
-        )
-    bc = "dirichlet" if dom.kind == "truncated_line" else dom.bc
+    bc = spec.domain.bc
     h, x = grid.nodes(bc)
     base = 2.0 / h**2 + spec.omega**2
     diag = [base - spec.lam * vi for vi in profile_values(spec.profile, x)]
@@ -284,8 +266,8 @@ def threshold(spec: ComparisonSpec, policy: ResolutionPolicy = ResolutionPolicy(
     eigenvalue of the whole-interval assembly at n, 2n and 4n nodes.
     """
     if spec.domain.kind == "interval":
-        c = spec.domain.half_width
-        n = policy.n_for(-c, c)
+        c = spec.domain.c
+        n = policy.n_for(c)
         values = [_min_eig(spec, Grid1D(-c, c, k)) for k in (n, 2 * n, 4 * n)]
         return _richardson(f"threshold at lambda={spec.lam!r} on (-{c}, {c}) "
                            f"with {spec.domain.bc} ends, n={n}", values, "-", policy)
@@ -300,8 +282,8 @@ def coarse_threshold(spec: ComparisonSpec,
     resolution.  An estimate, for callers that certify what they do with it
     by other means."""
     if spec.domain.kind == "interval":
-        c = spec.domain.half_width
-        return _min_eig(spec, Grid1D(-c, c, policy.n_for(-c, c)))
+        c = spec.domain.c
+        return _min_eig(spec, Grid1D(-c, c, policy.n_for(c)))
     return _chain_threshold(spec.omega, spec.lam, spec.profile,
                             policy.m_for(spec.profile.a))[0]
 
@@ -323,7 +305,7 @@ class GroundState:
     quintic Hermite interpolant matches the sampled values, fourth-order
     finite difference first derivatives, and ODE-exact second derivatives at
     the nodes; beyond the last node the analytic exponential tail takes over.
-    `h`, `h1` and `h2` take and return floats.  Equality and hashing are by
+    `jet` takes and returns floats.  Equality and hashing are by
     identity, so derived quantities can be cached per ground state.
     """
 
@@ -353,20 +335,10 @@ class GroundState:
             return v, self.kappa * v
         return self._interpolant(t)[:2]
 
-    def h(self, t: float) -> float:
-        return self.jet(t)[0]
-
-    def h1(self, t: float) -> float:
-        return self.jet(t)[1]
-
     def ode_factors(self, ts: Sequence[float]) -> list[float]:
         """h''/h = omega^2 - lambda V(t) - E0 at the points ts, from the
         eigenvalue ODE."""
         return _ode_factors(self.omega, self.lam, self.profile, self.e0, ts)
-
-    def h2(self, t: float) -> float:
-        """Second derivative straight from the eigenvalue ODE."""
-        return self.ode_factors([t])[0] * self.h(t)
 
 
 def _ode_factors(omega: float, lam: float, profile: PotentialProfile, e0: float,
@@ -376,14 +348,13 @@ def _ode_factors(omega: float, lam: float, profile: PotentialProfile, e0: float,
 
 
 def ground_state(spec: ComparisonSpec, grid: Grid1D) -> GroundState:
-    """Minimal eigenpair on the given grid (Dirichlet/truncated-line only):
-    the Dirichlet chain of `_interval_chain` and `chain_lowest_pair`, all on
-    lists."""
+    """Minimal eigenpair on the line, truncated with Dirichlet ends at the
+    ends of the grid: the chain of `_interval_chain` and
+    `chain_lowest_pair`, all on lists."""
     from .quadrature import quintic_hermite
 
-    bc = "dirichlet" if spec.domain.kind == "truncated_line" else spec.domain.bc
-    if bc != "dirichlet":
-        raise ConfigurationError("ground_state supports Dirichlet-type grids only")
+    if spec.domain.kind != "line":
+        raise ConfigurationError("ground_state solves on the line only")
     d, e, _ = _interval_chain(spec, grid)
     e0, v = chain_lowest_pair(d, e)
 

@@ -15,8 +15,10 @@ theta'' ever enter.  The huge y^2-proportional terms cancel algebraically
 through the eigenvalue ODE h'' = (omega^2 - lambda V - E0) h and are removed
 before evaluation.  Everything that remains is O(1) or n_k-suppressed, and
 is a rank-6 sum of products of functions of z and of t, so the residual
-costs O(n_z + n_t).  All of it runs on floats and lists with `math`; nothing
-here imports numpy.
+costs O(n_z + n_t).  On an interval x-domain (-c, c) psi also carries a
+plateau phi(x) of half-width c (`QuasiMode`), which n_k keeps equal to 1
+wherever the t-rule samples h(xy), so the residual is the line's.  All of
+it runs on floats and lists with `math`; nothing here imports numpy.
 """
 
 from __future__ import annotations
@@ -26,21 +28,20 @@ import weakref
 from dataclasses import dataclass, field
 from itertools import zip_longest
 from operator import mul
-from typing import Optional, Sequence
+from typing import Sequence
 
 from .errors import ComputationError, ConfigurationError
+from .model import XDomain
 from .oned import GroundState
 from .quadrature import gauss_panels, gauss_rule, linspace, log_panels, quintic_local
 
 __all__ = [
     "CutoffFunction",
-    "PlateauCutoff",
     "PhaseRule",
     "QuasiMode",
     "QuasiModeNorm",
     "CertificateRow",
     "build_cutoff",
-    "build_plateau_cutoff",
     "choose_parameters",
     "quasimode_norm",
     "residual_norm",
@@ -279,47 +280,6 @@ def cutoff_cached(k: float) -> CutoffFunction:
     return _CUTOFF_CACHE[k]
 
 
-# --- plateau cutoff for the interval variant --------------------------------
-
-
-@dataclass(frozen=True)
-class PlateauCutoff:
-    """C^2 plateau: 1 on [-w/2, w/2], quintic-smoothstep shoulders, 0 outside
-    (-w, w).  sup |phi| = 1.  `value`, `d1` and `d2` take and return floats."""
-
-    half_width: float = 1.0
-
-    def _u(self, x: float) -> float:
-        return min(max((abs(x) / self.half_width - 0.5) * 2.0, 0.0), 1.0)
-
-    def _on_shoulder(self, x: float) -> bool:
-        return 0.5 * self.half_width < abs(x) < self.half_width
-
-    def value(self, x: float) -> float:
-        u = self._u(x)
-        return 1.0 - u**3 * (10.0 - 15.0 * u + 6.0 * u**2)
-
-    def d1(self, x: float) -> float:
-        if not self._on_shoulder(x):
-            return 0.0
-        u = self._u(x)
-        return math.copysign(-30.0 * u**2 * (1.0 - u) ** 2 * (2.0 / self.half_width), x)
-
-    def d2(self, x: float) -> float:
-        if not self._on_shoulder(x):
-            return 0.0
-        u = self._u(x)
-        return -60.0 * u * (1.0 - u) * (1.0 - 2.0 * u) * (2.0 / self.half_width) ** 2
-
-    @property
-    def sup(self) -> float:
-        return 1.0
-
-
-def build_plateau_cutoff(half_width: float = 1.0) -> PlateauCutoff:
-    return PlateauCutoff(half_width)
-
-
 # --- phase rule -------------------------------------------------------------
 
 
@@ -351,20 +311,19 @@ class PhaseRule:
 
 @dataclass(frozen=True)
 class QuasiMode:
-    """Concrete Weyl test function, determined by (mu, k, n_k, ground state)."""
+    """Concrete Weyl test function, determined by (mu, k, n_k, ground state)
+    on the x-domain of its configuration.  On an interval (-c, c) psi has
+    the factor phi(x), a C^2 quintic-smoothstep plateau: 1 for |x| <= c/2, 0
+    from |x| = c on.  No number depends on phi beyond its half-width c and
+    sup phi = 1: `residual_norm` needs phi(t/y) = 1 on its whole t-rule."""
 
     mu: float
     cutoff: CutoffFunction
     n_k: int
     gs: GroundState
-    mode: str = "line"                      # "line" | "interval"
-    phi: Optional[PlateauCutoff] = None
+    x_domain: XDomain = XDomain()
 
     def __post_init__(self):
-        if self.mode not in ("line", "interval"):
-            raise ConfigurationError(f"unknown quasi-mode variant {self.mode!r}")
-        if self.mode == "interval" and self.phi is None:
-            object.__setattr__(self, "phi", build_plateau_cutoff())
         if self.gs.e0 >= 0:
             raise ConfigurationError("quasi-modes need a negative 1D threshold")
         if not self.phase.is_real_from(self.n_k):
@@ -600,7 +559,7 @@ def _residual_z_rule(cut: CutoffFunction):
     return z, w, [(c * a, c * b, c * d) for a, b, d in jets]
 
 
-def residual_norm(qm: QuasiMode, config=None) -> float:
+def residual_norm(qm: QuasiMode) -> float:
     """||(H - mu) psi|| by quadrature in (t, z) = (xy, y/n_k).
 
     The common phase e^{i theta(y)} is factored out, and the y^2-proportional
@@ -612,23 +571,16 @@ def residual_norm(qm: QuasiMode, config=None) -> float:
     of B on the t-rule and M_ij = sum_z (w_z / z) Re(conj(A_i) A_j) on the
     z-rule: O(n_z + n_t) work, not O(n_z n_t).
 
-    `config`, when given, must agree with the quasi-mode variant (line vs
-    interval x-domain).  An interval quasi-mode must keep its plateau
-    phi(t/y) = 1, phi' = phi'' = 0 on the whole t-rule, i.e. max|t| <=
-    n_k c/2; its residual is then the line residual.
+    A quasi-mode on an interval (-c, c) must keep its plateau phi(t/y) = 1,
+    phi' = phi'' = 0 on the whole t-rule, i.e. max|t| <= n_k c/2; its
+    residual is then the line residual.
     """
-    if config is not None:
-        want = "interval" if config.x_domain.kind == "interval" else "line"
-        if want != qm.mode:
-            raise ConfigurationError(
-                f"quasi-mode variant {qm.mode!r} does not match the "
-                f"{config.x_domain.kind!r} x-domain")
     gm = _ground_moments(qm.gs)
-    if qm.mode == "interval" and gm.t_max > 0.5 * qm.phi.half_width * qm.n_k:
+    c = qm.x_domain.c
+    if qm.x_domain.kind == "interval" and gm.t_max > 0.5 * c * qm.n_k:
         raise ConfigurationError(
-            f"interval quasi-mode needs n_k >= 2 max|t| / c = "
-            f"{2.0 * gm.t_max / qm.phi.half_width:.6g} to keep its plateau on "
-            f"the t-rule; got n_k = {qm.n_k}")
+            f"interval quasi-mode needs n_k >= 2 max|t| / c = {2.0 * gm.t_max / c:.6g} "
+            f"to keep its plateau on the t-rule; got n_k = {qm.n_k}")
     e = qm.e_mag
     s = math.sqrt(e)
     n = float(qm.n_k)
@@ -679,8 +631,8 @@ class CertificateRow:
 def weyl_certificate(config, gs: GroundState, mu: float,
                      eps_ladder: list[float]) -> list[CertificateRow]:
     """One quasi-mode per ladder entry, supports pairwise disjoint, each with
-    its norm, residual, and the bound it is certified against.  The x-domain
-    of `config` selects the full-line or interval variant."""
+    its norm, residual, and the bound it is certified against, on the
+    x-domain of `config` (`QuasiMode`)."""
     if gs.e0 >= 0:
         raise ConfigurationError("certificate needs a supercritical channel")
     if any(not 0.0 < e < 1.0 for e in eps_ladder):
@@ -689,27 +641,25 @@ def weyl_certificate(config, gs: GroundState, mu: float,
         raise ConfigurationError("eps ladder must be decreasing")
     if eps_ladder:
         _first_ladder_pow(eps_ladder[-1])  # fail before building any cutoff
-    mode = "interval" if config.x_domain.kind == "interval" else "line"
-    phi = build_plateau_cutoff(config.x_domain.c) if mode == "interval" else None
-    sup_phi = 1.0 if phi is None else phi.sup
+    dom = config.x_domain
 
     rows = []
     min_n = 1
-    if mode == "interval":
+    if dom.kind == "interval":
         # keeps phi(t/y) = 1 on the whole t-rule, as residual_norm requires;
         # a need past the float range fails in the n_k search
-        need = 2.0 * _ground_moments(gs).t_max / phi.half_width
+        need = 2.0 * _ground_moments(gs).t_max / dom.c
         min_n = math.ceil(min(need, _MAX_KN))
     for eps in eps_ladder:
         k, n_k = choose_parameters(eps, gs, mu, min_n=min_n)
-        qm = QuasiMode(mu=mu, cutoff=cutoff_cached(k), n_k=n_k, gs=gs,
-                       mode=mode, phi=phi)
+        qm = QuasiMode(mu=mu, cutoff=cutoff_cached(k), n_k=n_k, gs=gs, x_domain=dom)
         nr = quasimode_norm(qm)
-        res = residual_norm(qm, config)
+        res = residual_norm(qm)
         rows.append(CertificateRow(
             eps=eps, k=k, n_k=n_k, norm=nr.norm, residual=res,
             normalized_residual=res / nr.norm,
-            bound_9eps=9.0 * sup_phi**2 * eps,
+            # 9 sup(phi)^2 eps, with sup phi = 1 on an interval too
+            bound_9eps=9.0 * eps,
             support=qm.support, main_term=nr.main_term,
             correction_term=nr.correction_term,
         ))

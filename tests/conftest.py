@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from smilansky_lab.model import ChannelSpec, ModelConfig, PotentialProfile
-from smilansky_lab.oned import (ComparisonSpec, Domain1D, Grid1D, _interval_chain,
+from smilansky_lab.oned import (ComparisonSpec, Grid1D, _interval_chain,
                                 critical_coupling, ground_state,
                                 tune_lambda_to_threshold)
 
@@ -25,16 +25,14 @@ def lam_e0_minus1(cos2_profile):
 
 @pytest.fixture(scope="session")
 def gs_minus1(cos2_profile, lam_e0_minus1):
-    spec = ComparisonSpec(1.0, lam_e0_minus1, cos2_profile,
-                          Domain1D("truncated_line", 12.0))
+    spec = ComparisonSpec(1.0, lam_e0_minus1, cos2_profile)
     return ground_state(spec, Grid1D(-12.0, 12.0, 4001))
 
 
 @pytest.fixture(scope="session")
 def gs_shipped(cos2_profile):
     """Ground state at the coupling of configs/supercritical.json."""
-    spec = ComparisonSpec(1.0, 4.585884094238281, cos2_profile,
-                          Domain1D("truncated_line", 12.0))
+    spec = ComparisonSpec(1.0, 4.585884094238281, cos2_profile)
     return ground_state(spec, Grid1D(-12.0, 12.0, 4001))
 
 

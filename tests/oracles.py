@@ -74,18 +74,15 @@ def coo_text(a: sp.csr_matrix) -> str:
 
 
 def quasimode_norm_direct(qm: QuasiMode, n_y: int = 400) -> float:
-    """Direct 2D quadrature of |psi|^2 in (x, y); cross-check for the
-    transformed route.  Only usable at medium n_k (x-spacing ~ 1/y)."""
+    """Direct 2D quadrature of |psi|^2 in (x, y) on the line; cross-check
+    for the transformed route.  Only usable at medium n_k (x-spacing ~ 1/y)."""
     ylo, yhi = qm.support
     ynodes, yw = gauss_panels(linspace(ylo, yhi, n_y + 1), 8)
     t, tw = map(np.array, _t_rule(qm.gs))
-    h = np.array([qm.gs.h(x) for x in t])
-    phi = np.vectorize(qm.phi.value) if qm.mode == "interval" else None
+    h = np.array([qm.gs.jet(x)[0] for x in t])
     acc = 0.0
     for yv, wv in zip(ynodes, yw):
         g2 = h**2 + (0.5 * math.sqrt(qm.e_mag) * t**2 * h / yv**2) ** 2
-        if phi is not None:
-            g2 = g2 * phi(t / yv) ** 2
         # x-integral of |psi|^2 at fixed y equals (1/y) * t-integral
         acc += wv * qm.cutoff.value(yv / qm.n_k) ** 2 / yv * float(tw @ g2)
     return math.sqrt(acc)

@@ -18,9 +18,8 @@ from scipy.linalg import eigh_tridiagonal
 from oracles import residual_identity_check, uniform_grid
 from smilansky_lab.eigs import shift_invert_lanczos
 from smilansky_lab.model import ChannelSpec, ModelConfig, XDomain
-from smilansky_lab.oned import (ComparisonSpec, Domain1D, Grid1D,
-                                ResolutionPolicy, critical_coupling,
-                                ground_state, threshold,
+from smilansky_lab.oned import (ComparisonSpec, Grid1D, ResolutionPolicy,
+                                critical_coupling, ground_state, threshold,
                                 tune_lambda_to_threshold)
 from smilansky_lab.sturm import chain_bracket, chain_lowest_pair
 
@@ -80,8 +79,7 @@ def test_criterion_2_prenormalization_mass():
 
 def test_criterion_3_residual_identity(cos2_profile, lam_e0_minus1):
     t0 = time.perf_counter()
-    spec = ComparisonSpec(1.0, lam_e0_minus1, cos2_profile,
-                          Domain1D("truncated_line", 12.0))
+    spec = ComparisonSpec(1.0, lam_e0_minus1, cos2_profile)
     defects = []
     for n in (4001, 8001, 16001, 32001):
         gs = ground_state(spec, Grid1D(-12.0, 12.0, n))
@@ -134,8 +132,7 @@ def test_criterion_6_critical_coupling(cos2_profile, lam_crit):
     repro_ok = abs(other - lam_crit) <= 1e-3 * lam_crit
     lam_doubled = critical_coupling(1.0, PotentialProfile("cos2", 1.0, 2.0))
     halving_ok = abs(2.0 * lam_doubled - lam_crit) <= 1e-3 * lam_crit
-    e_res = threshold(ComparisonSpec(1.0, lam_crit, cos2_profile,
-                                     Domain1D("truncated_line", 12.0)))
+    e_res = threshold(ComparisonSpec(1.0, lam_crit, cos2_profile))
     res_ok = abs(e_res) <= 1e-6
     ok = _report(6, "critical coupling: resolution-stable, amplitude-covariant,"
                  " |E(lam_crit)| <= 1e-6",
@@ -151,8 +148,7 @@ def test_criterion_7_spectral_transition(scans, cos2_profile, lam_crit):
     vals = {r.y_half: r.lambda0 for r in sub.rows}
     drift = abs(vals[32.0] - vals[8.0]) / abs(vals[32.0])
     sub_ok = sub.verdict == "subcritical" and drift <= 0.01
-    e0 = threshold(ComparisonSpec(1.0, 1.5 * lam_crit, cos2_profile,
-                                  Domain1D("truncated_line", 12.0)))
+    e0 = threshold(ComparisonSpec(1.0, 1.5 * lam_crit, cos2_profile))
     sup_ok = (sup.verdict == "supercritical"
               and abs(sup.c_fit - abs(e0)) <= 0.30 * abs(e0))
     ok = _report(7, "transition: subcritical stable, supercritical c ~ |E0|",

@@ -10,9 +10,8 @@ import smilansky_lab
 from smilansky_lab import weyl
 from smilansky_lab.cli import RunRequest, main, run
 from smilansky_lab.errors import ConfigurationError
-from smilansky_lab.model import PotentialProfile
-from smilansky_lab.oned import (ComparisonSpec, Domain1D, Grid1D, ResolutionPolicy,
-                                ground_state)
+from smilansky_lab.model import PotentialProfile, XDomain
+from smilansky_lab.oned import ComparisonSpec, Grid1D, ResolutionPolicy, ground_state
 
 SINGLE = {
     "omega": 1.0,
@@ -180,7 +179,7 @@ class TestCommands:
         assert json.loads(c.read_text())["t_V"] == got
         # dense Richardson reference on the default grids n = 240, 480, 960
         spec = ComparisonSpec(1.0, 4.0, PotentialProfile("cos2", 1.0, 1.0),
-                              Domain1D("interval", 1.0, "periodic"))
+                              XDomain("interval", 1.0, "periodic"))
         e = [dense_periodic_min(spec, Grid1D(-1.0, 1.0, n)) for n in (240, 480, 960)]
         assert abs(got - (4.0 * e[2] - e[1]) / 3.0) <= ResolutionPolicy().rich_tol
 
@@ -343,8 +342,7 @@ class TestExitCodes:
             assert main(["weyl", "--config", str(path), "--eps", "0.1"]) == code
             assert capsys.readouterr().err.startswith(message)
         spec = ComparisonSpec(1e150, SUPER["channels"][0]["lambda"],
-                              PotentialProfile("cos2", 1.0, 1.0),
-                              Domain1D("truncated_line", 12.0))
+                              PotentialProfile("cos2", 1.0, 1.0))
         gs = ground_state(spec, Grid1D(-12.0, 12.0, 4001))
         assert abs(gs.e0 - 1e300) <= 1e-15 * 1e300
 
@@ -522,6 +520,28 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert "configuration error:" in err
         assert "the x-domain is the interval (-1.0, 1.0) with dirichlet ends" in err
+
+    @pytest.mark.parametrize("args", [["eig1d"], ["classify"], ["eig2d"],
+                                      ["scan", "--ladder", "4,8,16"]], ids=lambda a: a[0])
+    def test_huge_interval_fails_before_any_grid(self, tmp_path, capsys, monkeypatch,
+                                                 args):
+        # c = 1e7 needs billions of 1D or 2D nodes: the node counts are
+        # checked before any grid is built
+        from smilansky_lab import grid2d, oned
+
+        def heavy(*args, **kwargs):
+            raise AssertionError("a grid was built")
+
+        for module, name in ((oned, "_min_eig"), (oned, "_interval_chain"),
+                             (grid2d, "graded_x_nodes")):
+            monkeypatch.setattr(module, name, heavy)
+        p = tmp_path / "huge.json"
+        p.write_text(json.dumps({**SINGLE, "x_domain": {"type": "interval", "c": 1e7,
+                                                        "bc": "periodic"}}))
+        assert main([args[0], "--config", str(p), *args[1:]]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("configuration error: ")
+        assert "(-10000000.0, 10000000.0) needs" in err and "nodes" in err
 
     def test_weak_coupling_classify_and_bound_are_0(self, tmp_path, capsys):
         p = tmp_path / "weak.json"

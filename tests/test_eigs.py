@@ -262,22 +262,22 @@ class TestShiftInvert:
         assert np.max(np.abs(vec[:, 0] - vec[0, 0])) < 1e-10
 
     def test_determinism(self, matrix):
-        r1 = shift_invert_lanczos(matrix, 2, floor=-2.0, guess=0.0)
-        r2 = shift_invert_lanczos(matrix, 2, floor=-2.0, guess=0.0)
+        r1 = shift_invert_lanczos(matrix, 2, floor=-2.0, guess=[0.0])
+        r2 = shift_invert_lanczos(matrix, 2, floor=-2.0, guess=[0.0])
         assert all(np.array_equal(a, b) for a, b in zip(r1, r2))
 
     def test_guess_above_lowest_falls_back_to_floor(self, matrix, caplog):
         (base,), _, _ = shift_invert_lanczos(matrix, 1, floor=-2.0)
         with caplog.at_level(logging.DEBUG, logger="smilansky_lab.eigs"):
             (got,), _, _ = shift_invert_lanczos(matrix, 1, floor=-2.0,
-                                                guess=base + 1.0)
+                                                guess=[base + 1.0])
         assert abs(got - base) <= 1e-10 * max(1.0, abs(base))
         assert "(not definite), -2 (factored)" in caplog.text
 
     def test_near_shift_below_the_guess_is_used(self, matrix, caplog):
         lam0 = np.linalg.eigvalsh(dense(matrix))[0]
         with caplog.at_level(logging.DEBUG, logger="smilansky_lab.eigs"):
-            (got,), _, _ = shift_invert_lanczos(matrix, 1, floor=-2.0, guess=lam0)
+            (got,), _, _ = shift_invert_lanczos(matrix, 1, floor=-2.0, guess=[lam0])
         assert abs(got - lam0) < 1e-10
         assert caplog.text.count("factored") == 1 and "not definite" not in caplog.text
 
@@ -320,6 +320,6 @@ class TestShiftInvert:
 
     def test_floor_not_below_spectrum_raises(self, matrix):
         lam0 = np.linalg.eigvalsh(dense(matrix))[0]
-        for guess in (None, lam0 + 1.0):
+        for guess in ((), [lam0 + 1.0]):
             with pytest.raises(ComputationError, match="not positive definite"):
                 shift_invert_lanczos(matrix, 1, floor=lam0 + 1e-3, guess=guess)

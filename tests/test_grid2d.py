@@ -148,7 +148,7 @@ class TestAssembly:
     def test_guess_above_lowest_falls_back_to_floor(self, oscillator, caplog):
         (base, _), = grid2d.lowest_eigenvalues(oscillator, 1)
         with caplog.at_level(logging.DEBUG, logger="smilansky_lab.eigs"):
-            (got, _), = grid2d.lowest_eigenvalues(oscillator, 1, guess=base + 1.0)
+            (got, _), = grid2d.lowest_eigenvalues(oscillator, 1, guess=[base + 1.0])
         assert abs(got - base) <= 1e-10 * max(1.0, abs(base))
         floor = oscillator.potential_min - 1.0
         assert f"(not definite), {floor:.9g} (factored)" in caplog.text
@@ -315,7 +315,7 @@ class TestScan:
         assert all(0.0 <= r.residual <= 1e-6 * max(1.0, abs(r.lambda0))
                    for r in scan.rows)
         monkeypatch.setattr(grid2d, "lowest_eigenvalues",
-                            lambda ham, k, tol, guess=None: [(1.0, 2e-6)])
+                            lambda ham, k, tol, guess=(): [(1.0, 2e-6)])
         with pytest.raises(ComputationError, match="Y=2.0"):
             grid2d.transition_scan(ModelConfig(omega=1.0), [2.0, 3.0, 4.0], pol)
 
@@ -541,6 +541,6 @@ class TestEvenSector:
             ends = np.concatenate(([g.x_lo], g.x_nodes, [g.x_hi]))
             x = np.sort(np.concatenate((g.x_nodes, 0.5 * (ends[:-1] + ends[1:]))))
             fine_x = grid2d.assemble_h2d(cfg, dataclasses.replace(g, x_nodes=x), "even-even")
-            (lam_x, _), = grid2d.lowest_eigenvalues(fine_x, 1, guess=r_ref.lambda0)
+            (lam_x, _), = grid2d.lowest_eigenvalues(fine_x, 1, guess=[r_ref.lambda0])
             assert (abs(r_y.lambda0 - r_ref.lambda0)
                     <= 0.1 * abs(lam_x - r_ref.lambda0))

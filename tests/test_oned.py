@@ -10,10 +10,10 @@ from scipy.linalg import eigh, eigh_tridiagonal
 from smilansky_lab import oned
 from smilansky_lab.errors import (ComputationError, ConfigurationError,
                                   RefinementError)
-from smilansky_lab.model import PotentialProfile, profile_values
-from smilansky_lab.oned import (ComparisonSpec, Domain1D, Grid1D,
-                                ResolutionPolicy, _interval_chain, _min_eig,
-                                coarse_threshold, critical_coupling, threshold,
+from smilansky_lab.model import PotentialProfile, XDomain, profile_values
+from smilansky_lab.oned import (ComparisonSpec, Grid1D, ResolutionPolicy,
+                                _interval_chain, _min_eig, coarse_threshold,
+                                critical_coupling, ground_state, threshold,
                                 tune_lambda_to_threshold)
 from smilansky_lab.quadrature import gauss_panels
 
@@ -64,25 +64,22 @@ SUPPORT_VALUE_DIGESTS = {
 
 
 def line(lam, profile):
-    return ComparisonSpec(1.0, lam, profile, Domain1D("truncated_line", 12.0))
+    return ComparisonSpec(1.0, lam, profile)
 
 
 class TestThreshold:
     def test_zero_coupling_is_continuum_edge(self, cos2_profile):
-        spec = ComparisonSpec(1.0, 0.0, cos2_profile,
-                              Domain1D("truncated_line", 12.0))
+        spec = ComparisonSpec(1.0, 0.0, cos2_profile)
         assert threshold(spec) == 1.0
 
     def test_supercritical_value(self, cos2_profile):
-        spec = ComparisonSpec(1.0, LAM_E0_MINUS1, cos2_profile,
-                              Domain1D("truncated_line", 12.0))
+        spec = ComparisonSpec(1.0, LAM_E0_MINUS1, cos2_profile)
         assert abs(threshold(spec) + 1.0) < 2e-6
 
     def test_independent_dense_oracle(self, cos2_profile):
         # same operator through scipy's dense tridiagonal solver
         lam = 1.5 * LAM_CRIT_COS2
-        spec = ComparisonSpec(1.0, lam, cos2_profile,
-                              Domain1D("truncated_line", 24.0))
+        spec = ComparisonSpec(1.0, lam, cos2_profile)
         e = threshold(spec)
         n, X = 16000, 24.0
         x = np.linspace(-X, X, n + 2)[1:-1]
@@ -95,26 +92,26 @@ class TestThreshold:
 
     def test_interval_neumann_zero_potential(self, cos2_profile):
         spec = ComparisonSpec(2.0, 0.0, cos2_profile,
-                              Domain1D("interval", 3.0, "neumann"))
+                              XDomain("interval", 3.0, "neumann"))
         assert abs(threshold(spec) - 4.0) < 1e-8
 
     def test_interval_dirichlet_adds_box_energy(self, cos2_profile):
         spec = ComparisonSpec(1.0, 0.0, cos2_profile,
-                              Domain1D("interval", 2.0, "dirichlet"))
+                              XDomain("interval", 2.0, "dirichlet"))
         assert abs(threshold(spec) - (1.0 + (np.pi / 4.0) ** 2)) < 1e-7
 
     @pytest.mark.parametrize("n", [17, 64, 301])
     def test_periodic_min_eig_matches_dense(self, cos2_profile, dense_periodic_min, n):
         # the bordered Sturm count of the periodic wrap, at odd and even orders
         spec = ComparisonSpec(1.0, 4.0, cos2_profile,
-                              Domain1D("interval", 1.0, "periodic"))
+                              XDomain("interval", 1.0, "periodic"))
         grid = Grid1D(-1.0, 1.0, n)
         assert abs(_min_eig(spec, grid) - dense_periodic_min(spec, grid)) < 1e-9
 
     def test_interval_periodic_threshold_matches_dense(self, cos2_profile,
                                                        dense_periodic_min):
         spec = ComparisonSpec(1.0, 4.0, cos2_profile,
-                              Domain1D("interval", 1.0, "periodic"))
+                              XDomain("interval", 1.0, "periodic"))
         policy = ResolutionPolicy(points_per_unit=16.0, rich_tol=1e-3)
         e = [dense_periodic_min(spec, Grid1D(-1.0, 1.0, m)) for m in (64, 128, 256)]
         assert abs(threshold(spec, policy) - (4.0 * e[2] - e[1]) / 3.0) < 1e-9
@@ -131,8 +128,8 @@ class TestThreshold:
         with pytest.raises(RefinementError, match="float64 resolves"):
             oned._richardson("t", [1e14, 1e14, 1e14 + 1.5], "-", pol)
 
-    @pytest.mark.parametrize("domain", [Domain1D("truncated_line", 12.0),
-                                        Domain1D("interval", 3.0, "neumann")])
+    @pytest.mark.parametrize("domain", [XDomain(),
+                                        XDomain("interval", 3.0, "neumann")])
     def test_coarse_threshold_is_the_first_resolution(self, cos2_profile, domain, caplog):
         spec = ComparisonSpec(1.0, 4.0, cos2_profile, domain)
         with caplog.at_level(logging.DEBUG, logger="smilansky_lab.oned"):
@@ -256,8 +253,7 @@ class TestCriticalCoupling:
         assert abs(lam_crit - LAM_CRIT_COS2) < 1e-5 * LAM_CRIT_COS2
 
     def test_threshold_residual(self, cos2_profile, lam_crit):
-        spec = ComparisonSpec(1.0, lam_crit, cos2_profile,
-                              Domain1D("truncated_line", 12.0))
+        spec = ComparisonSpec(1.0, lam_crit, cos2_profile)
         assert abs(threshold(spec)) <= 1e-6
 
     def test_resolution_independence(self, cos2_profile, lam_crit):
@@ -285,8 +281,9 @@ class TestGroundState:
         h = gs.grid.h
         assert abs(np.sum(np.array(gs.samples) ** 2) * h - 1.0) < 1e-12
         # even potential: even ground state, zero derivative at the origin
-        assert abs(gs.h1(0.0)) < 1e-8
-        assert gs.h(0.0) > 0
+        h0, h1 = gs.jet(0.0)
+        assert abs(h1) < 1e-8
+        assert h0 > 0
 
     def test_quadrature_rayleigh_identity(self, gs_minus1):
         gs = gs_minus1
@@ -301,28 +298,36 @@ class TestGroundState:
         gs = gs_minus1
         t = np.linspace(-2.0, 2.0, 17)
         v = np.array(profile_values(gs.profile, t.tolist()))
-        assert np.allclose([gs.h2(x) for x in t],
-                           (gs.omega**2 - gs.lam * v - gs.e0) * np.array([gs.h(x) for x in t]))
+        h = np.array([gs.jet(x)[0] for x in t])
+        assert np.allclose(np.array(gs.ode_factors(t.tolist())) * h,
+                           (gs.omega**2 - gs.lam * v - gs.e0) * h)
+
+    def test_interval_spec_rejected(self, cos2_profile):
+        spec = ComparisonSpec(1.0, 4.0, cos2_profile, XDomain("interval", 12.0))
+        with pytest.raises(ConfigurationError, match="on the line only"):
+            ground_state(spec, Grid1D(-12.0, 12.0, 101))
 
     def test_exponential_tail(self, gs_minus1):
         gs = gs_minus1
         t = np.linspace(4.0, 8.0, 9)
-        slopes = np.diff(np.log([gs.h(x) for x in t])) / np.diff(t)
+        slopes = np.diff(np.log([gs.jet(x)[0] for x in t])) / np.diff(t)
         assert np.max(np.abs(slopes + gs.kappa)) < 0.02 * gs.kappa
 
 
 class TestAssembly:
     def test_neumann_constant_mode(self, cos2_profile):
         spec = ComparisonSpec(1.0, 0.0, cos2_profile,
-                              Domain1D("interval", 2.0, "neumann"))
+                              XDomain("interval", 2.0, "neumann"))
         d, e, _ = _interval_chain(spec, Grid1D(-2.0, 2.0, 64))
         a = np.diag(d) + np.diag(e, 1) + np.diag(e, -1)
         ones = np.ones(len(d))
         # constant vector is an exact discrete eigenvector at omega^2
         assert np.max(np.abs(a @ ones - 1.0 * ones)) < 1e-12
 
-    def test_grid_validation(self, cos2_profile):
-        spec = ComparisonSpec(1.0, 1.0, cos2_profile,
-                              Domain1D("truncated_line", 12.0))
-        with pytest.raises(ConfigurationError):
-            _interval_chain(spec, Grid1D(-8.0, 8.0, 100))
+    def test_node_cap_bounds_the_finest_level(self):
+        # n = 240 c nodes per unit of c, so 4n reaches NODE_CAP = 4e6 at
+        # c = 4166.67; the check comes before any grid is built
+        pol = ResolutionPolicy()
+        assert 4 * pol.n_for(4166.0) <= oned.NODE_CAP
+        with pytest.raises(ConfigurationError, match=r"\(-4167.0, 4167.0\) needs 4000320 nodes"):
+            pol.n_for(4167.0)

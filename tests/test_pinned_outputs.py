@@ -1,0 +1,42 @@
+"""The pure-Python outputs, pinned bit for bit.
+
+`eig1d` on interval copies of `configs/single_channel.json` and `weyl` on
+`configs/supercritical.json` and interval copies of it run on the standard
+library alone, so their floats are the same on every platform; the pins in
+`data/pure_python_pins.json` are compared with ==.
+"""
+
+import json
+from pathlib import Path
+
+import pytest
+
+from smilansky_lab.cli import main
+
+CONFIGS = Path(__file__).resolve().parents[1] / "configs"
+PINS = json.loads((Path(__file__).parent / "data" / "pure_python_pins.json").read_text())
+
+
+def run_cli(tmp_path, config: str, x_domain: dict, args: list[str]) -> dict:
+    cfg = tmp_path / "config.json"
+    cfg.write_text(json.dumps({**json.loads((CONFIGS / config).read_text()),
+                               "x_domain": x_domain}))
+    out = tmp_path / "out.json"
+    main([args[0], "--config", str(cfg), "--output", str(out), "--format", "json",
+          *args[1:]])
+    return json.loads(out.read_text())
+
+
+@pytest.mark.parametrize("pin", PINS["eig1d"], ids=lambda p: p["x_domain"]["bc"])
+def test_eig1d_interval_thresholds(tmp_path, pin):
+    got = run_cli(tmp_path, "single_channel.json", pin["x_domain"], ["eig1d"])
+    assert got["channels"][0]["threshold"] == pin["threshold"]
+
+
+@pytest.mark.parametrize("pin", PINS["weyl"],
+                         ids=lambda p: f"{p['x_domain'].get('bc', 'line')}-mu{p['mu']:g}")
+def test_weyl_rows(tmp_path, pin):
+    got = run_cli(tmp_path, "supercritical.json", pin["x_domain"],
+                  ["weyl", "--eps", "0.1,0.05,0.02", "--mu", repr(pin["mu"])])
+    assert got["rows"] == pin["rows"]
+    assert got["all_pass"] == pin["all_pass"]

@@ -10,7 +10,7 @@ from oracles import quasimode_norm_direct, residual_identity_check
 from smilansky_lab import weyl
 from smilansky_lab.errors import ComputationError, ConfigurationError, SmilanskyError
 from smilansky_lab.model import ChannelSpec, ModelConfig, XDomain, profile_values
-from smilansky_lab.oned import ComparisonSpec, Domain1D, Grid1D, ground_state
+from smilansky_lab.oned import ComparisonSpec, Grid1D, ground_state
 
 K_LADDER = [2.0**p for p in (4, 8, 12, 16)]
 
@@ -34,9 +34,10 @@ H_MOMENTS = {"h2": 1.0000000000407478, "t2h1": 0.584685367426129,
 
 
 def brute_force_residual(qm: weyl.QuasiMode) -> float:
-    """||(H - mu) psi|| from the full complex integrand on the n_z x n_t
-    tensor grid of residual_norm's own rules, with the interval plateau
-    factors phi, phi', phi'' written out (reference for the rank-6 sum)."""
+    """||(H - mu) psi|| on the line from the full complex integrand on the
+    n_z x n_t tensor grid of residual_norm's own rules (reference for the
+    rank-6 sum).  On an interval the plateau is 1 on that grid, with zero
+    derivatives, so this is the interval residual too."""
     gs = qm.gs
     e = qm.e_mag
     s = np.sqrt(e)
@@ -66,10 +67,6 @@ def brute_force_residual(qm: weyl.QuasiMode) -> float:
         g_y = t * h1 / y + t * f1 / y**3 - 2.0 * fh / y**3
         r = (cz * (t2_term + t3_term + t4_term + t5_term)
              + cz1 * (-2.0 * g_y - 2.0j * theta1 * g) / n - cz2 * g / n**2)
-        if qm.mode == "interval":
-            x = t / y
-            phi, phi1, phi2 = (np.vectorize(f)(x) for f in (qm.phi.value, qm.phi.d1, qm.phi.d2))
-            r = r * phi + cz * (-2.0 * (y * h1 + f1 / y) * phi1 - g * phi2)
         total += float(np.sum((wz / z[:, 0]) * (np.abs(r) ** 2 @ tw)))
     return float(np.sqrt(total))
 
@@ -162,33 +159,6 @@ class TestCutoff:
             assert abs(excess) <= 1e-15
 
 
-class TestPlateau:
-    def test_plateau_shape(self):
-        phi = weyl.build_plateau_cutoff()
-        assert all(phi.value(x) == 1.0 for x in (0.0, 0.5, -0.5))
-        assert all(phi.value(x) == 0.0 for x in (1.0, -1.0, 2.0))
-        for f in (phi.d1, phi.d2):
-            assert all(f(x) == 0.0 for x in (1.0, -1.0, 0.3))
-
-    def test_monotone_shoulder(self):
-        phi = weyl.build_plateau_cutoff()
-        x = np.linspace(0.5, 1.0, 200)
-        v = np.array([phi.value(xi) for xi in x])
-        assert np.all(np.diff(v) <= 1e-15)
-
-    def test_second_derivative_mass(self):
-        # two independent quadrature routes for int (phi'')^2
-        phi = weyl.build_plateau_cutoff()
-        v1 = quad(lambda x: phi.d2(x) ** 2, 0.5, 1.0,
-                  limit=100)[0] * 2.0
-        x = np.linspace(0.5, 1.0, 20001)
-        v2 = 2.0 * np.trapezoid(np.array([phi.d2(xi) for xi in x]) ** 2, x)
-        assert abs(v1 - v2) < 1e-6 * v1
-        # closed form: shoulders contribute 2 * 8 * int_0^1 (S'')^2 = 1920/7
-        # for the quintic smoothstep S
-        assert abs(v1 - 1920.0 / 7.0) < 1e-8 * 1920.0 / 7.0
-
-
 class TestParameterSelection:
     def test_regression_pairs(self, gs_minus1):
         for eps, (k, n_k) in PARAMS_REGRESSION.items():
@@ -260,8 +230,7 @@ class TestParameterSelection:
 
 class TestResidualIdentity:
     def test_second_order_convergence(self, cos2_profile, lam_e0_minus1):
-        spec = ComparisonSpec(1.0, lam_e0_minus1, cos2_profile,
-                              Domain1D("truncated_line", 12.0))
+        spec = ComparisonSpec(1.0, lam_e0_minus1, cos2_profile)
         defects = []
         for n in (1001, 2001, 4001):
             gs = ground_state(spec, Grid1D(-12.0, 12.0, n))
@@ -321,9 +290,9 @@ class TestQuasiMode:
     def test_residual_matches_brute_force(self, gs_minus1, mode, mu, pair):
         k, n_k = (16.0, 64) if pair == "16,64" else PARAMS_REGRESSION[0.1]
         # a plateau of half-width 2 is 1 on the t-rule (max|t| ~ 33) at n_k = 64
-        phi = weyl.build_plateau_cutoff(2.0) if mode == "interval" else None
+        dom = XDomain("interval", 2.0) if mode == "interval" else XDomain()
         qm = weyl.QuasiMode(mu=mu, cutoff=weyl.cutoff_cached(k), n_k=n_k,
-                            gs=gs_minus1, mode=mode, phi=phi)
+                            gs=gs_minus1, x_domain=dom)
         want = brute_force_residual(qm)
         assert abs(weyl.residual_norm(qm) - want) <= 1e-12 * want
 
@@ -336,7 +305,7 @@ class TestQuasiMode:
     def test_interval_plateau_precondition(self, gs_minus1):
         # max|t| of the t-rule is about 33 > n_k c / 2 = 16
         qm = weyl.QuasiMode(mu=0.0, cutoff=weyl.cutoff_cached(16.0), n_k=32,
-                            gs=gs_minus1, mode="interval")
+                            gs=gs_minus1, x_domain=XDomain("interval", 1.0))
         with pytest.raises(ConfigurationError, match="plateau"):
             weyl.residual_norm(qm)
 
@@ -378,8 +347,7 @@ class TestCertificate:
         assert r.residual**2 <= 0.9 * (1.0 + 1e-6)
 
     def test_subcritical_rejected(self, cos2_profile, supercritical_config):
-        spec = ComparisonSpec(1.0, 0.0, cos2_profile,
-                              Domain1D("truncated_line", 12.0))
+        spec = ComparisonSpec(1.0, 0.0, cos2_profile)
         gs = ground_state(spec, Grid1D(-12.0, 12.0, 1001))
         with pytest.raises(ConfigurationError):
             weyl.weyl_certificate(supercritical_config, gs, 0.0, [0.1])
