@@ -1,7 +1,9 @@
 """Build quasi-mode certificates for a supercritical channel.
 
-Tunes the coupling so the comparison operator has threshold E0 = -1, then
-emits one certificate row per epsilon in the ladder, for each requested mu.
+Tunes the coupling so the comparison operator has threshold E0 = -1, solves
+its ground state on the channel's support chain (transparent ends, exact
+exponential tails), then emits one certificate row per epsilon in the
+ladder, for each requested mu.
 """
 
 import argparse
@@ -9,8 +11,7 @@ import argparse
 from smilansky_lab import weyl
 from smilansky_lab.model import ChannelSpec, ModelConfig
 from smilansky_lab.model import PotentialProfile
-from smilansky_lab.oned import (ComparisonSpec, Grid1D, ground_state,
-                                tune_lambda_to_threshold)
+from smilansky_lab.oned import ComparisonSpec, ground_state, tune_lambda_to_threshold
 
 
 def main() -> None:
@@ -22,7 +23,7 @@ def main() -> None:
     prof = PotentialProfile("cos2", 1.0, 1.0)
     lam = tune_lambda_to_threshold(1.0, prof, -1.0)
     cfg = ModelConfig(omega=1.0, channels=(ChannelSpec(lam, 0.0, prof),))
-    gs = ground_state(ComparisonSpec(1.0, lam, prof), Grid1D(-12.0, 12.0, 4001))
+    gs = ground_state(ComparisonSpec(1.0, lam, prof))
     print(f"lambda(E0=-1) = {lam:.9f}")
 
     for mu in args.mu:

@@ -24,9 +24,8 @@ from typing import Optional
 
 from . import bracketing
 from .errors import ComputationError, ConfigurationError, SmilanskyError
-from .model import ModelConfig, XDomain, load_config
-from .oned import (ComparisonSpec, Grid1D, critical_coupling, ground_state,
-                   tune_lambda_to_threshold)
+from .model import ModelConfig, load_config
+from .oned import ComparisonSpec, critical_coupling, ground_state, tune_lambda_to_threshold
 
 __all__ = ["RunRequest", "run", "main"]
 
@@ -176,9 +175,13 @@ def run(request: RunRequest) -> int:
             from . import weyl
 
             ch = _single_channel(config)
-            # the channel's ground state on the line, truncated at |x| = 12
-            spec = ComparisonSpec(config.omega, ch.lam, ch.profile, XDomain())
-            gs = ground_state(spec, Grid1D(-12.0, 12.0, 4001))
+            # L >= omega^2 - lambda sup V, so no threshold lies below 0 unless
+            # lambda sup V > omega^2; this also refuses the channels that bind
+            # no ground state at all
+            if not ch.lam * ch.profile.sup_value > config.omega**2:
+                raise ConfigurationError("certificate needs a supercritical channel")
+            # the channel's ground state on the line, on its support chain
+            gs = ground_state(ComparisonSpec(config.omega, ch.lam, ch.profile))
             rows = weyl.weyl_certificate(config, gs, p.get("mu", 0.0), p["eps"])
             summary = weyl.certificate_summary(rows)
             if request.fmt == "csv":

@@ -494,9 +494,12 @@ def transition_scan(config: ModelConfig, y_ladder: list[float],
     shared across the ladder, and the y-node sets nest, so Dirichlet domain
     monotonicity of lambda0 is exact and is checked; it also makes each
     previous lambda0 the eigensolver's guess, so a stabilizing ladder solves
-    every later rung with a near shift.  On a plunging ladder (t_V < 0, t_V
-    the lowest channel threshold, estimated once before the first rung)
-    that guess lies above lambda0 and its shift would not factor.  There
+    every later rung with a near shift.  Its first rung tries the shift
+    just below sqrt(t_V) (t_V >= 0 the lowest channel threshold, estimated
+    once before the first rung): on the line, lambda0 >= sqrt(t_V) is the
+    adiabatic lower bound, and the shift is only a guess, certified by its
+    block factor like every other.  On a plunging ladder (t_V < 0) the
+    previous lambda0 lies above lambda0 and its shift would not factor.  There
     the ground state follows the wall law lambda0 ~ t_V Y^2 + a Y^(2/3) (an
     Airy layer at the truncation), so a later rung first tries
     t_V Y^2 + (lambda0(Y') - t_V Y'^2)(Y/Y')^(2/3), Y' the previous rung,
@@ -538,7 +541,7 @@ def transition_scan(config: ModelConfig, y_ladder: list[float],
 
     def guesses(y: float) -> list[float]:
         if t_v >= 0.0:
-            return vals[-1:]
+            return vals[-1:] or [math.sqrt(t_v)]
         plunge = t_v * y * y
         if not vals:
             return [plunge]

@@ -105,6 +105,14 @@ class PotentialProfile:
         return max(self._hermite[1])
 
     @property
+    def breakpoints(self) -> tuple[float, ...]:
+        """The points of [-a, a], increasing, where V'' may jump: the ends of
+        the support, and the abscissae of a table."""
+        if self.family != "table":
+            return (-self.a, self.a)
+        return tuple(sorted({-self.a, *self._hermite[0], self.a}))
+
+    @property
     def is_even(self) -> bool:
         """V(-t) = V(t): always for cos2 and quartic, and for a table whose
         samples mirror exactly about t = 0 (PCHIP of mirrored data is even)."""

@@ -24,9 +24,11 @@ and 4n nodes (4n at most `NODE_CAP`); its minimal eigenvalue is a bisection
 of the same count, bordered for the periodic wrap.  Both chains are Python
 lists, so every 1D threshold and coupling imports only the standard
 library.  `ground_state`, the eigenpair behind the Weyl quasi-modes, is
-solved on the line truncated at the ends of a grid, by the Sturm count and
-inverse iteration of `sturm`, and `GroundState` evaluates its interpolant
-on floats, so the Weyl path starts without numpy too.
+solved on the support chain at 2m (its threshold, then inverse iteration
+of `sturm` on A(E0)), with a few exterior nodes u_edge r^j and the
+geometric sum of the rest: its cost is that of the support.  `GroundState`
+evaluates its interpolant on floats, so the Weyl path starts without numpy
+too.
 
 Each threshold and coupling logs one `smilansky_lab.oned` debug record: the
 resolution, the three values, their Richardson gap and the bisection steps.
@@ -298,21 +300,22 @@ def _threshold_on_line(omega: float, lam: float, profile: PotentialProfile,
 
 @dataclass(frozen=True, eq=False)
 class GroundState:
-    """Minimal eigenpair of the discretized comparison operator.
+    """Minimal eigenpair of the discretized comparison operator on the line.
 
-    `samples` live on `nodes` (interior points, Dirichlet ends), normalized so
-    that sum(h_i^2) * h_x = 1 and positive at the potential minimum.  The C^2
-    quintic Hermite interpolant matches the sampled values, fourth-order
-    finite difference first derivatives, and ODE-exact second derivatives at
-    the nodes; beyond the last node the analytic exponential tail takes over.
-    `jet` takes and returns floats.  Equality and hashing are by
-    identity, so derived quantities can be cached per ground state.
+    `samples` u_j live on the uniform `nodes` of spacing h (the support chain
+    and a few exterior nodes on each side), normalized so that
+    sum(u_j^2) h = 1 over the whole chain, and positive.  The C^2 quintic Hermite
+    interpolant matches the sampled values, fourth-order finite difference
+    first derivatives, and ODE-exact second derivatives at the nodes; beyond
+    the last node the analytic exponential tail takes over.  `jet` takes and
+    returns floats.  Equality and hashing are by identity, so derived
+    quantities can be cached per ground state.
     """
 
     e0: float
     samples: list[float]
     nodes: list[float]
-    grid: Grid1D
+    spacing: float
     lam: float
     omega: float
     profile: PotentialProfile
@@ -347,37 +350,67 @@ def _ode_factors(omega: float, lam: float, profile: PotentialProfile, e0: float,
     return [w2 - lam * v for v in profile_values(profile, ts)]
 
 
-def ground_state(spec: ComparisonSpec, grid: Grid1D) -> GroundState:
-    """Minimal eigenpair on the line, truncated with Dirichlet ends at the
-    ends of the grid: the chain of `_interval_chain` and
-    `chain_lowest_pair`, all on lists."""
+# exterior nodes u_edge r^j kept on each side of the support chain: the
+# fourth-order slopes reach two nodes out, so every node of the support
+# takes centred ones, and the one-sided ones fall on the exact exponential
+_EXTERIOR_NODES = 4
+
+
+def ground_state(spec: ComparisonSpec,
+                 policy: ResolutionPolicy = ResolutionPolicy()) -> GroundState:
+    """Minimal eigenpair on the line, on the support chain of spacing
+    h = a/(2m), m = `policy.m_for(a)`, all on lists.
+
+    E0 is the chain's threshold (`_chain_threshold`): the E that is the
+    lowest eigenvalue of A(E), the support chain with transparent ends.  The
+    eigenvector is that of A(E0), by `chain_lowest_pair`.  Outside the
+    support the discrete solution is exactly u_edge r^j, with r the decaying
+    root at E0: `_EXTERIOR_NODES` of those nodes complete the interpolant's
+    data on each side, and the geometric sum of the rest completes the
+    normalization over the whole line.  So the cost is that of the support
+    alone.  Raises ConfigurationError when there is no decaying tail: no
+    bound state below omega^2 (r = 1), or a decay that float64 cannot hold
+    (r = 0).
+    """
     from .quadrature import quintic_hermite
 
     if spec.domain.kind != "line":
         raise ConfigurationError("ground_state solves on the line only")
-    d, e, _ = _interval_chain(spec, grid)
-    e0, v = chain_lowest_pair(d, e)
+    omega, lam, profile = spec.omega, spec.lam, spec.profile
+    m = 2 * policy.m_for(profile.a)
+    h, v, d, _ = _support_chain(omega, profile, m)
+    e0, _ = _chain_threshold(omega, lam, profile, m)
+    kappa2 = omega**2 - e0
+    end = _transparent_end(kappa2, h)
+    r = end * h * h
+    if not (kappa2 > 0.0 and r < 1.0):
+        raise ConfigurationError(
+            f"the channel binds no state below omega^2 = {omega**2!r} at "
+            f"h = {h:.3g}: its ground state has no decaying tail")
+    if r <= 0.0:
+        raise ConfigurationError(
+            f"the ground state's tail ratio r underflows to 0 at kappa h = "
+            f"{math.sqrt(kappa2) * h:.3g}: float64 cannot hold its decay")
+    d = [di - lam * vi for di, vi in zip(d, v)]
+    d[0] -= end
+    d[-1] -= end
+    _, u = chain_lowest_pair(d, [-1.0 / h**2] * (2 * m - 2))
+    if math.fsum(u) < 0.0:
+        u = [-x for x in u]
 
-    h, x = grid.nodes("dirichlet")
-    norm = math.sqrt(math.fsum(vi * vi for vi in v) * h)
-    v = [vi / norm for vi in v]
-    if spec.lam > 0:
-        vv = profile_values(spec.profile, x)
-        anchor = max(range(len(x)), key=vv.__getitem__)
-    else:
-        anchor = min(range(len(x)), key=lambda i: abs(x[i]))
-    if v[anchor] < 0:
-        v = [-vi for vi in v]
-
-    # augment with the Dirichlet boundary zeros: the interpolant's node data
-    xa = [grid.lo, *x, grid.hi]
-    ha = [0.0, *v, 0.0]
-    d1 = _fd4_derivative(ha, h)
-    d2 = [f * hv for f, hv in
-          zip(_ode_factors(spec.omega, spec.lam, spec.profile, e0, xa), ha)]
+    p = _EXTERIOR_NODES
+    powers = [r**j for j in range(1, p + 1)]
+    u = [u[0] * f for f in reversed(powers)] + u + [u[-1] * f for f in powers]
+    # the exterior beyond the kept nodes: sum_{j >= 1} r^(2j) = r^2 / (1 - r^2)
+    tail = (u[0] ** 2 + u[-1] ** 2) * (r * r / (1.0 - r * r))
+    norm = math.sqrt((math.fsum(x * x for x in u) + tail) * h)
+    u = [x / norm for x in u]
+    x = [h * j for j in range(1 - m - p, m + p)]
+    d1 = _fd4_derivative(u, h)
+    d2 = [f * y for f, y in zip(_ode_factors(omega, lam, profile, e0, x), u)]
     return GroundState(
-        e0=e0, samples=v, nodes=x, grid=grid, lam=spec.lam, omega=spec.omega,
-        profile=spec.profile, _interpolant=partial(quintic_hermite, xa, ha, d1, d2),
+        e0=e0, samples=u, nodes=x, spacing=h, lam=lam, omega=omega,
+        profile=profile, _interpolant=partial(quintic_hermite, x, u, d1, d2),
     )
 
 

@@ -15,10 +15,13 @@ theta'' ever enter.  The huge y^2-proportional terms cancel algebraically
 through the eigenvalue ODE h'' = (omega^2 - lambda V - E0) h and are removed
 before evaluation.  Everything that remains is O(1) or n_k-suppressed, and
 is a rank-6 sum of products of functions of z and of t, so the residual
-costs O(n_z + n_t).  On an interval x-domain (-c, c) psi also carries a
-plateau phi(x) of half-width c (`QuasiMode`), which n_k keeps equal to 1
-wherever the t-rule samples h(xy), so the residual is the line's.  All of
-it runs on floats and lists with `math`; nothing here imports numpy.
+costs O(n_z + n_t).  The t-rule covers only the ground state's nodes, the
+channel support and a few exterior nodes: beyond them h is an exponential,
+and the tail integrals out to the truncation t_max are closed forms.  On an
+interval x-domain (-c, c) psi also carries a plateau phi(x) of half-width c
+(`QuasiMode`), which n_k keeps equal to 1 wherever |t| <= t_max, so the
+residual is the line's.  All of it runs on floats and lists with `math`;
+nothing here imports numpy.
 """
 
 from __future__ import annotations
@@ -82,7 +85,7 @@ def _poly_mul(p: Sequence[float], q: Sequence[float]) -> list[float]:
     return out
 
 
-def _exp_poly_integral(p: Sequence[float], c: int, va: float, vb: float,
+def _exp_poly_integral(p: Sequence[float], c: float, va: float, vb: float,
                        ea: float, eb: float) -> float:
     """int P(v) e^{cu} du over the u-interval whose ends have the shifted
     coordinates v = va, vb and the exponentials e^{cu} = ea, eb.
@@ -157,8 +160,8 @@ class CutoffFunction:
 
     `c` is the normalization making the weighted mass int_1^k chi^2/z dz = 1.
     Moment integrals are computed at construction: closed forms on the rise
-    and the descent, a fixed Gauss rule on the bridges.  `value`, `d1` and
-    `d2` take and return floats.
+    and the descent, a fixed Gauss rule on the bridges.  The residual's
+    z-rule evaluates the pieces in place (`_residual_z_rule`).
     """
 
     k: float
@@ -179,30 +182,6 @@ class CutoffFunction:
     def breaks(self) -> tuple[float, float, float]:
         rk = math.sqrt(self.k)
         return rk, rk + 1.0, self.k - 1.0
-
-    def _raw_jet(self, z: float) -> tuple[float, float, float]:
-        """(chi_tilde, chi_tilde', chi_tilde'') at z; a bridge is evaluated
-        at its local coordinate z - sqrt(k) or z - (k - 1)."""
-        z1, z2, z3 = self.breaks
-        rise, descent, first, last = self._pieces
-        if not 1.0 <= z <= self.k:
-            return 0.0, 0.0, 0.0
-        if z <= z1:
-            return _log_jet(rise, math.log(z), z)
-        if z < z2:
-            return _bridge_jet(first, z - z1)
-        if z <= z3:
-            return _log_jet(descent, math.log(z) - math.log(self.k), z)
-        return _bridge_jet(last, z - z3)
-
-    def value(self, z: float) -> float:
-        return self.c * self._raw_jet(z)[0]
-
-    def d1(self, z: float) -> float:
-        return self.c * self._raw_jet(z)[1]
-
-    def d2(self, z: float) -> float:
-        return self.c * self._raw_jet(z)[2]
 
 
 def build_cutoff(k: float, prescale: float = 1.0) -> CutoffFunction:
@@ -315,7 +294,7 @@ class QuasiMode:
     on the x-domain of its configuration.  On an interval (-c, c) psi has
     the factor phi(x), a C^2 quintic-smoothstep plateau: 1 for |x| <= c/2, 0
     from |x| = c on.  No number depends on phi beyond its half-width c and
-    sup phi = 1: `residual_norm` needs phi(t/y) = 1 on its whole t-rule."""
+    sup phi = 1: `residual_norm` needs phi(t/y) = 1 for |t| <= t_max."""
 
     mu: float
     cutoff: CutoffFunction
@@ -371,10 +350,15 @@ def _qform(g: Sequence[Sequence[float]], v: Sequence[float]) -> float:
 
 
 def _t_rule(gs: GroundState, spacing: float = 0.2, order: int = 10):
-    kap = max(gs.kappa, 0.3)
-    xe = gs.nodes[-1] + 30.0 / kap
-    n_panels = max(64, math.ceil(2.0 * xe / spacing))
-    return gauss_panels(linspace(-xe, xe, n_panels + 1), order)
+    """Gauss panels, at most `spacing` wide, on the ground state's nodes
+    [-T, T], beyond which its tails are exponentials; the profile's
+    breakpoints are panel edges, so each panel holds a smooth V."""
+    lo, hi = gs.nodes[0], gs.nodes[-1]
+    cuts = sorted({lo, hi, *gs.profile.breakpoints})
+    edges = [lo]
+    for a, b in zip(cuts, cuts[1:]):
+        edges += linspace(a, b, math.ceil((b - a) / spacing) + 1)[1:]
+    return gauss_panels(edges, order)
 
 
 def _residual_basis(gs: GroundState, t: Sequence[float]) -> list[list[float]]:
@@ -388,24 +372,39 @@ def _residual_basis(gs: GroundState, t: Sequence[float]) -> list[list[float]]:
             list(map(mul, t2, h))]
 
 
+def _tail_polys(kappa: float) -> list[list[float]]:
+    """Beyond the last node, where h = s e^{-kappa (|t| - T)} and h'' =
+    kappa^2 h, each B_j of `_residual_basis` is h times a polynomial in |t|
+    (both tails give the same one); and the `mix` factor |B_0| + 2 |B_1| is
+    h (1 + 2 kappa |t|).  Coefficient lists, lowest degree first."""
+    k2 = kappa * kappa
+    return [[1.0], [0.0, -kappa], [0.0, 0.0, k2], [0.0, 0.0, 0.0, 0.0, k2],
+            [0.0, 0.0, 0.0, -kappa], [0.0, 0.0, 1.0], [1.0, 2.0 * kappa]]
+
+
 @dataclass(frozen=True)
 class _GroundMoments:
     """What every quasi-mode on one ground state needs from the t-rule."""
 
-    t_max: float        # max |t| over the rule's nodes
-    gram: list          # G = B diag(w) B^T over the basis B of _residual_basis
+    t_max: float        # the truncation in |t|: the tails are cut at e^-30
+    gram: list          # G = int B B^T dt over the basis B of _residual_basis
     mom: dict           # weighted moments behind the suppressed-term bounds
 
 
 # Per ground state (hashed by identity, immutable): an entry lives exactly as
 # long as its ground state and is a pure function of it.
 _MOMENTS: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
+# the tails are cut where h has decayed by e^-_TAIL_DECAY from the last node
+_TAIL_DECAY = 30.0
 
 
 def _ground_moments(gs: GroundState) -> _GroundMoments:
     """Build the t-rule and its Gram matrix once per ground state.
 
-    With f = -(i sqrt(E)/2) t^2 h, |f|^2 = (E/4) B_5^2,
+    The t-rule covers the nodes [-T, T]; from T to t_max = T + 30/kappa each
+    tail integral is int P(|t|) e^{-2 kappa (|t| - T)} dt in closed form
+    (`_tail_polys`, `_exp_poly_integral`), weighed by the two end samples
+    squared.  With f = -(i sqrt(E)/2) t^2 h, |f|^2 = (E/4) B_5^2,
     t^2 |f'|^2 = (E/4) (B_4 + 2 B_5)^2 and t^4 |f''|^2 = (E/4) (B_3 + 4 B_4
     + 2 B_5)^2, so every moment but `mix` is a quadratic form in G.
     """
@@ -413,8 +412,23 @@ def _ground_moments(gs: GroundState) -> _GroundMoments:
         t, w = _t_rule(gs)
         basis = _residual_basis(gs, t)
         gram = _gram(w, basis)
+        mix = _gram(w, [[abs(a) + 2.0 * abs(b) for a, b in zip(basis[0], basis[1])]])[0][0]
+        kap = gs.kappa
+        edge = gs.nodes[-1]
+        t_max = edge + _TAIL_DECAY / kap
+        weight = gs.samples[0] ** 2 + gs.samples[-1] ** 2
+        decay = math.exp(-2.0 * _TAIL_DECAY)
+
+        def tail(p: Sequence[float], q: Sequence[float]) -> float:
+            return weight * _exp_poly_integral(_poly_mul(p, q), -2.0 * kap, edge, t_max,
+                                               1.0, decay)
+
+        *polys, mix_poly = _tail_polys(kap)
+        for i, p in enumerate(polys):
+            for j in range(i, len(polys)):
+                gram[i][j] += tail(p, polys[j])
+                gram[j][i] = gram[i][j]
         quarter_e = -gs.e0 / 4.0
-        mix = [abs(a) + 2.0 * abs(b) for a, b in zip(basis[0], basis[1])]
         mom = {
             "h2": gram[0][0],
             "t2h1": gram[1][1],
@@ -422,9 +436,9 @@ def _ground_moments(gs: GroundState) -> _GroundMoments:
             "f2": quarter_e * gram[5][5],
             "t2f1": quarter_e * _qform(gram, (0.0, 0.0, 0.0, 0.0, 1.0, 2.0)),
             "t4fpp": quarter_e * _qform(gram, (0.0, 0.0, 0.0, 1.0, 4.0, 2.0)),
-            "mix": _gram(w, [mix])[0][0],
+            "mix": mix + tail(mix_poly, mix_poly),
         }
-        _MOMENTS[gs] = _GroundMoments(max(map(abs, t)), gram, mom)
+        _MOMENTS[gs] = _GroundMoments(t_max, gram, mom)
     return _MOMENTS[gs]
 
 
@@ -537,16 +551,22 @@ def quasimode_norm(qm: QuasiMode) -> QuasiModeNorm:
     return QuasiModeNorm(main, corr, math.sqrt(main + corr))
 
 
+# order-10 panels of the residual's z-rule per unit of ln z on the rise and
+# the descent, where its integrand is a polynomial in ln z times a power of z
+_Z_PANELS_PER_UNIT = 1.0
+
+
 def _residual_z_rule(cut: CutoffFunction):
     """Nodes z, weights and cutoff jets (chi, chi', chi'') of the residual's
     z-rule: order-10 Gauss panels, uniform in ln z on the rise and on the
-    descent (4 per unit), and 6 equal ones on each bridge, laid out in the
-    bridge's local coordinate, where its jet is evaluated."""
+    descent (`_Z_PANELS_PER_UNIT` per unit), and 6 equal ones on each
+    bridge, laid out in the bridge's local coordinate, where its jet is
+    evaluated."""
     z1, z2, z3 = cut.breaks
     rise, descent, first, last = cut._pieces
     z, w, jets = [], [], []
     for r, u0, lo, hi in ((rise, 0.0, 1.0, z1), (descent, math.log(cut.k), z2, z3)):
-        nodes, weights = gauss_panels(log_panels(lo, hi, 4.0), 10)
+        nodes, weights = gauss_panels(log_panels(lo, hi, _Z_PANELS_PER_UNIT), 10)
         z += nodes
         w += weights
         jets += [_log_jet(r, math.log(x) - u0, x) for x in nodes]
@@ -572,15 +592,15 @@ def residual_norm(qm: QuasiMode) -> float:
     z-rule: O(n_z + n_t) work, not O(n_z n_t).
 
     A quasi-mode on an interval (-c, c) must keep its plateau phi(t/y) = 1,
-    phi' = phi'' = 0 on the whole t-rule, i.e. max|t| <= n_k c/2; its
-    residual is then the line residual.
+    phi' = phi'' = 0 for |t| <= t_max, the truncation of the t-integrals,
+    i.e. t_max <= n_k c/2; its residual is then the line residual.
     """
     gm = _ground_moments(qm.gs)
     c = qm.x_domain.c
     if qm.x_domain.kind == "interval" and gm.t_max > 0.5 * c * qm.n_k:
         raise ConfigurationError(
-            f"interval quasi-mode needs n_k >= 2 max|t| / c = {2.0 * gm.t_max / c:.6g} "
-            f"to keep its plateau on the t-rule; got n_k = {qm.n_k}")
+            f"interval quasi-mode needs n_k >= 2 t_max / c = {2.0 * gm.t_max / c:.6g} "
+            f"to keep its plateau on |t| <= t_max; got n_k = {qm.n_k}")
     e = qm.e_mag
     s = math.sqrt(e)
     n = float(qm.n_k)
@@ -646,7 +666,7 @@ def weyl_certificate(config, gs: GroundState, mu: float,
     rows = []
     min_n = 1
     if dom.kind == "interval":
-        # keeps phi(t/y) = 1 on the whole t-rule, as residual_norm requires;
+        # keeps phi(t/y) = 1 for |t| <= t_max, as residual_norm requires;
         # a need past the float range fails in the n_k search
         need = 2.0 * _ground_moments(gs).t_max / dom.c
         min_n = math.ceil(min(need, _MAX_KN))

@@ -26,14 +26,14 @@ def lam_e0_minus1(cos2_profile):
 @pytest.fixture(scope="session")
 def gs_minus1(cos2_profile, lam_e0_minus1):
     spec = ComparisonSpec(1.0, lam_e0_minus1, cos2_profile)
-    return ground_state(spec, Grid1D(-12.0, 12.0, 4001))
+    return ground_state(spec)
 
 
 @pytest.fixture(scope="session")
 def gs_shipped(cos2_profile):
     """Ground state at the coupling of configs/supercritical.json."""
     spec = ComparisonSpec(1.0, 4.585884094238281, cos2_profile)
-    return ground_state(spec, Grid1D(-12.0, 12.0, 4001))
+    return ground_state(spec)
 
 
 @pytest.fixture(scope="session")

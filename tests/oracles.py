@@ -2,15 +2,18 @@
 
 Each is an independent route to a number the package computes another way:
 the slope V' of a channel profile; the scipy sparse matrix of an assembled
-2D operator, and its coordinate text; uniform 2D grids; the quasi-mode norm
+2D operator, and its coordinate text; uniform 2D grids; the ground state on
+the line truncated with Dirichlet ends; the cutoff's jet at a point; a t-rule
+that integrates the ground state's tails by quadrature; the quasi-mode norm
 by direct 2D quadrature; and the defect of the identity behind the Weyl
-residual, from finite differences.  They
-need numpy and scipy, which the package itself does not load.
+residual, from finite differences.  They need numpy and scipy, which the
+package itself does not load.
 """
 
 from __future__ import annotations
 
 import math
+from functools import partial
 from typing import Optional
 
 import numpy as np
@@ -18,9 +21,12 @@ import scipy.sparse as sp
 
 from smilansky_lab.grid2d import Grid2D, SparseHamiltonian
 from smilansky_lab.model import PotentialProfile, profile_values
-from smilansky_lab.oned import GroundState
-from smilansky_lab.quadrature import gauss_panels, linspace
-from smilansky_lab.weyl import QuasiMode, _t_rule
+from smilansky_lab.oned import (ComparisonSpec, Grid1D, GroundState, _fd4_derivative,
+                                _interval_chain, _ode_factors)
+from smilansky_lab.quadrature import gauss_panels, linspace, quintic_hermite
+from smilansky_lab.sturm import chain_lowest_pair
+from smilansky_lab.weyl import (CutoffFunction, QuasiMode, _bridge_jet, _ground_moments,
+                                _log_jet, _t_rule)
 
 
 def profile_slopes(profile: PotentialProfile, t) -> np.ndarray:
@@ -73,18 +79,70 @@ def coo_text(a: sp.csr_matrix) -> str:
                      for i, j, v in zip(coo.row, coo.col, coo.data)) + "\n"
 
 
+def truncated_line_ground_state(spec: ComparisonSpec, grid: Grid1D) -> GroundState:
+    """Minimal eigenpair on the line truncated with Dirichlet ends at the
+    ends of the grid: the whole-interval chain and `chain_lowest_pair`.
+    Its samples are normalized on the grid, and its interpolant takes the
+    boundary zeros as nodes."""
+    d, e, _ = _interval_chain(spec, grid)
+    e0, v = chain_lowest_pair(d, e)
+    h, x = grid.nodes("dirichlet")
+    norm = math.sqrt(math.fsum(vi * vi for vi in v) * h)
+    v = [vi / norm for vi in v]
+    if math.fsum(v) < 0.0:
+        v = [-vi for vi in v]
+    xa = [grid.lo, *x, grid.hi]
+    ha = [0.0, *v, 0.0]
+    d1 = _fd4_derivative(ha, h)
+    d2 = [f * hv for f, hv in
+          zip(_ode_factors(spec.omega, spec.lam, spec.profile, e0, xa), ha)]
+    return GroundState(e0=e0, samples=v, nodes=x, spacing=h, lam=spec.lam,
+                       omega=spec.omega, profile=spec.profile,
+                       _interpolant=partial(quintic_hermite, xa, ha, d1, d2))
+
+
+def cutoff_jet(cut: CutoffFunction, z: float) -> tuple[float, float, float]:
+    """(chi, chi', chi'') at z, 0 off [1, k]; a bridge is evaluated at its
+    local coordinate z - sqrt(k) or z - (k - 1)."""
+    z1, z2, z3 = cut.breaks
+    rise, descent, first, last = cut._pieces
+    if not 1.0 <= z <= cut.k:
+        return 0.0, 0.0, 0.0
+    if z <= z1:
+        jet = _log_jet(rise, math.log(z), z)
+    elif z < z2:
+        jet = _bridge_jet(first, z - z1)
+    elif z <= z3:
+        jet = _log_jet(descent, math.log(z) - math.log(cut.k), z)
+    else:
+        jet = _bridge_jet(last, z - z3)
+    return tuple(cut.c * f for f in jet)
+
+
+def line_t_rule(gs: GroundState, spacing: float = 0.2) -> tuple[np.ndarray, np.ndarray]:
+    """The t-rule of `weyl._ground_moments` on the nodes, and order-10 Gauss
+    panels at most `spacing` wide over the two tails out to t_max, where the
+    package integrates in closed form."""
+    t, w = _t_rule(gs)
+    edge, t_max = gs.nodes[-1], _ground_moments(gs).t_max
+    n_panels = math.ceil((t_max - edge) / spacing)
+    tail, tw = gauss_panels(linspace(edge, t_max, n_panels + 1), 10)
+    return (np.array([-x for x in reversed(tail)] + t + tail),
+            np.array(list(reversed(tw)) + w + tw))
+
+
 def quasimode_norm_direct(qm: QuasiMode, n_y: int = 400) -> float:
     """Direct 2D quadrature of |psi|^2 in (x, y) on the line; cross-check
     for the transformed route.  Only usable at medium n_k (x-spacing ~ 1/y)."""
     ylo, yhi = qm.support
     ynodes, yw = gauss_panels(linspace(ylo, yhi, n_y + 1), 8)
-    t, tw = map(np.array, _t_rule(qm.gs))
+    t, tw = line_t_rule(qm.gs)
     h = np.array([qm.gs.jet(x)[0] for x in t])
     acc = 0.0
     for yv, wv in zip(ynodes, yw):
         g2 = h**2 + (0.5 * math.sqrt(qm.e_mag) * t**2 * h / yv**2) ** 2
         # x-integral of |psi|^2 at fixed y equals (1/y) * t-integral
-        acc += wv * qm.cutoff.value(yv / qm.n_k) ** 2 / yv * float(tw @ g2)
+        acc += wv * cutoff_jet(qm.cutoff, yv / qm.n_k)[0] ** 2 / yv * float(tw @ g2)
     return math.sqrt(acc)
 
 
@@ -97,7 +155,7 @@ def residual_identity_check(gs: GroundState, e_mag: Optional[float] = None) -> f
     s = np.sqrt(e)
     t = np.array(gs.nodes)
     h = np.array(gs.samples)
-    hx = gs.grid.h
+    hx = gs.spacing
     v = np.array(profile_values(gs.profile, gs.nodes))
     f = -0.5j * s * t**2 * h
     fpp = np.empty_like(f)

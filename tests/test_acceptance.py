@@ -18,7 +18,7 @@ from scipy.linalg import eigh_tridiagonal
 from oracles import residual_identity_check, uniform_grid
 from smilansky_lab.eigs import shift_invert_lanczos
 from smilansky_lab.model import ChannelSpec, ModelConfig, XDomain
-from smilansky_lab.oned import (ComparisonSpec, Grid1D, ResolutionPolicy,
+from smilansky_lab.oned import (ComparisonSpec, ResolutionPolicy,
                                 critical_coupling, ground_state, threshold,
                                 tune_lambda_to_threshold)
 from smilansky_lab.sturm import chain_bracket, chain_lowest_pair
@@ -81,8 +81,9 @@ def test_criterion_3_residual_identity(cos2_profile, lam_e0_minus1):
     t0 = time.perf_counter()
     spec = ComparisonSpec(1.0, lam_e0_minus1, cos2_profile)
     defects = []
-    for n in (4001, 8001, 16001, 32001):
-        gs = ground_state(spec, Grid1D(-12.0, 12.0, n))
+    # the support chain at m, 2m, 4m and 8m steps of the half-width
+    for ppu in (120.0, 240.0, 480.0, 960.0):
+        gs = ground_state(spec, ResolutionPolicy(points_per_unit=ppu))
         defects.append(residual_identity_check(gs))
     ratios = [a / b for a, b in zip(defects, defects[1:])]
     order_ok = all(3.0 <= r <= 5.0 for r in ratios)

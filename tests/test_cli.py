@@ -7,7 +7,8 @@ from pathlib import Path
 import pytest
 
 import smilansky_lab
-from smilansky_lab import weyl
+from oracles import truncated_line_ground_state
+from smilansky_lab import cli, weyl
 from smilansky_lab.cli import RunRequest, main, run
 from smilansky_lab.errors import ConfigurationError
 from smilansky_lab.model import PotentialProfile, XDomain
@@ -25,9 +26,11 @@ SUPER = {
                   "profile": {"family": "cos2", "a": 1.0, "amplitude": 1.0}}],
     "x_domain": {"type": "line"},
 }
-# a mirrored 5-knot table profile
+# a mirrored 5-knot table profile, and one that is not even
 TABLE5 = {"family": "table", "a": 1.0, "amplitude": 1.0,
           "table": [[-1, 0], [-0.5, 0.5], [0, 1], [0.5, 0.5], [1, 0]]}
+SKEWED5 = {"family": "table", "a": 1.0, "amplitude": 1.0,
+           "table": [[-1, 0], [-0.5, 0.9], [0, 1], [0.5, 0.3], [1, 0]]}
 
 
 def env_with_src():
@@ -330,10 +333,9 @@ class TestExitCodes:
 
     def test_weyl_huge_omega(self, tmp_path, capsys):
         # omega^2 overflowed into a raw OverflowError at 1e200; at 1e150 the
-        # Dirichlet chain's diagonal (1e300) swallows its off-diagonal, and
-        # its bracket's margin, relative to the chain's norm, keeps the
-        # ground state solvable: the shipped coupling binds no state below
-        # omega^2 = 1e300, and the certificate says so
+        # shipped coupling binds no state below omega^2 = 1e300 (lambda V
+        # rounds away against it), and the certificate says so before any
+        # solve; the line's ground state would have no decaying tail
         for omega, code, message in ((1e200, 2, "configuration error: omega must be"),
                                      (1e150, 2, "configuration error: certificate needs "
                                                 "a supercritical channel")):
@@ -343,8 +345,30 @@ class TestExitCodes:
             assert capsys.readouterr().err.startswith(message)
         spec = ComparisonSpec(1e150, SUPER["channels"][0]["lambda"],
                               PotentialProfile("cos2", 1.0, 1.0))
-        gs = ground_state(spec, Grid1D(-12.0, 12.0, 4001))
+        with pytest.raises(ConfigurationError, match="no decaying tail"):
+            ground_state(spec)
+        # the truncated line's Dirichlet chain has diagonal 1e300, which
+        # swallows its off-diagonal, and its bracket's margin, relative to
+        # the chain's norm, keeps its eigenpair solvable
+        gs = truncated_line_ground_state(spec, Grid1D(-12.0, 12.0, 4001))
         assert abs(gs.e0 - 1e300) <= 1e-15 * 1e300
+
+    @pytest.mark.parametrize("lam, message", [
+        (0.0, "certificate needs a supercritical channel"),
+        (1e160, "the ground state's tail ratio r underflows to 0")])
+    def test_weyl_without_a_decaying_tail(self, tmp_path, lam, message):
+        # lambda = 0 binds no state (r = 1); lambda = 1e160 binds one whose
+        # tail ratio r, about 1 / (kappa h)^2, is 0 in float64: both exit 2
+        # in a fresh process, with one line and no traceback
+        path = tmp_path / "tail.json"
+        path.write_text(json.dumps({**SUPER, "channels": [
+            {**SUPER["channels"][0], "lambda": lam}]}))
+        proc = subprocess.run(
+            [sys.executable, "-m", "smilansky_lab.cli", "weyl", "--config", str(path),
+             "--eps", "0.1"], env=env_with_src(), capture_output=True, text=True)
+        assert proc.returncode == 2
+        assert proc.stderr.startswith(f"configuration error: {message}"), proc.stderr
+        assert "Traceback" not in proc.stderr and proc.stderr.count("\n") == 1
 
     @pytest.mark.parametrize("omega", [1e7, 1e9])
     @pytest.mark.parametrize("domain", [
@@ -407,21 +431,43 @@ class TestExitCodes:
             assert proc.returncode == 0, (cfg, extra, proc.stderr)
 
     def test_weyl_table_profile_rows(self, tmp_path, capsys):
-        # a table profile's rows, pinned from the earlier numpy quadrature,
-        # hold to 1e-12
+        # a table profile's rows, pinned from the ground state on the support
+        # chain, hold to 1e-12
         path = tmp_path / "table.json"
         path.write_text(json.dumps({**SUPER, "channels": [{"lambda": 6.0, "center": 0.0,
                                                           "profile": TABLE5}]}))
         assert main(["weyl", "--config", str(path), "--eps", "0.1,0.05,0.02",
                      "--mu=-0.5", "--format", "json"]) == 0
         rows = json.loads(capsys.readouterr().out)["rows"]
-        want = [(2.0**23, 2**25, 1.0000000011614139, 0.8376448032528704),
-                (2.0**32, 2**49, 1.0000000011614136, 0.6020407133488209),
-                (2.0**50, 2**82, 1.0000000011614139, 0.3853057107701708)]
+        want = [(2.0**23, 2**25, 0.9999999431048102, 0.8376427783428384),
+                (2.0**32, 2**49, 0.9999999431048103, 0.6020392579846615),
+                (2.0**50, 2**82, 0.9999999431048103, 0.3853047793379151)]
         for row, (k, n_k, norm, residual) in zip(rows, want, strict=True):
             assert (row["k"], row["n_k"]) == (k, n_k)
             assert abs(row["norm"] - norm) <= 1e-12 * norm
             assert abs(row["residual"] - residual) <= 1e-12 * residual
+
+    @pytest.mark.parametrize("profile", [SUPER["channels"][0]["profile"], SKEWED5],
+                             ids=["cos2", "skewed_table"])
+    def test_weyl_rows_agree_with_the_truncated_line(self, tmp_path, capsys, monkeypatch,
+                                                     profile):
+        # the ground state on the support chain against the line truncated at
+        # |x| = 12 with 4001 Dirichlet nodes: the same (k, n_k), and the
+        # residual and the norm within 1e-5
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({**SUPER, "channels": [
+            {"lambda": 5.0, "center": 0.0, "profile": profile}]}))
+        args = ["weyl", "--config", str(path), "--eps", "0.1,0.05,0.02", "--format", "json"]
+        assert main(args) == 0
+        rows = json.loads(capsys.readouterr().out)["rows"]
+        monkeypatch.setattr(cli, "ground_state", lambda spec: truncated_line_ground_state(
+            spec, Grid1D(-12.0, 12.0, 4001)))
+        assert main(args) == 0
+        want = json.loads(capsys.readouterr().out)["rows"]
+        for row, ref in zip(rows, want, strict=True):
+            assert (row["k"], row["n_k"]) == (ref["k"], ref["n_k"])
+            for key in ("residual", "norm"):
+                assert abs(row[key] - ref[key]) <= 1e-5 * ref[key], key
 
     def test_negative_threshold_in_critical_band(self, tmp_path, capsys):
         # lambda just above lambda_crit: t_V = -1.5e-7 is "critical" at the

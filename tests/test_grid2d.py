@@ -321,14 +321,15 @@ class TestScan:
 
     def test_ladder_rungs_take_one_factorization_and_few_solves(self, caplog):
         # Dirichlet nesting makes each previous lambda0 a certified guess on
-        # a stabilizing ladder, and on a plunging one the wall law from t_V
+        # a stabilizing ladder, whose first rung starts below the adiabatic
+        # bound sqrt(t_V), and on a plunging one the wall law from t_V
         # places the shift: every rung factors its first shift, and takes
         # few solves.  Each eigensolve logs one record: every shift it tried
         # (one block factorization each, "factored" or "not definite"), and
         # its number of block solves.
         root = Path(__file__).parents[1] / "configs"
         for name, verdict, first_max, later_max in (
-                ("single_channel", "subcritical", None, 25),
+                ("single_channel", "subcritical", 12, 25),
                 ("supercritical", "supercritical", 25, 15)):
             caplog.clear()
             cfg = load_config(str(root / f"{name}.json"))

@@ -7,7 +7,8 @@ import numpy as np
 import pytest
 from scipy.linalg import eigh, eigh_tridiagonal
 
-from smilansky_lab import oned
+from oracles import truncated_line_ground_state
+from smilansky_lab import oned, weyl
 from smilansky_lab.errors import (ComputationError, ConfigurationError,
                                   RefinementError)
 from smilansky_lab.model import PotentialProfile, XDomain, profile_values
@@ -22,6 +23,9 @@ from smilansky_lab.quadrature import gauss_panels
 LAM_CRIT_COS2 = 2.8663043554
 LAM_E0_MINUS1 = 4.5858855444
 
+# a table profile that is not even
+SKEWED_TABLE = PotentialProfile("table", 1.0, 1.0, table=(
+    (-1.0, 0.0), (-0.5, 0.9), (0.0, 1.0), (0.5, 0.3), (1.0, 0.0)))
 # cos^2(pi t / 2) sampled at 9 points, as a `table` profile
 TABLE9 = PotentialProfile("table", 1.0, 1.0, table=tuple(
     (float(t), float(round(np.cos(np.pi * t / 2.0) ** 2, 6)))
@@ -278,8 +282,13 @@ class TestGroundState:
     def test_eigen_invariants(self, gs_minus1):
         gs = gs_minus1
         assert abs(gs.e0 + 1.0) < 1e-4
-        h = gs.grid.h
-        assert abs(np.sum(np.array(gs.samples) ** 2) * h - 1.0) < 1e-12
+        # the samples beyond the support are u_edge r^j, and the rest of
+        # each tail sums geometrically
+        u = np.array(gs.samples)
+        r = u[-1] / u[-2]
+        assert abs(u[0] / u[1] - r) <= 1e-12 * r
+        tail = (u[0] ** 2 + u[-1] ** 2) * r**2 / (1.0 - r**2)
+        assert abs((np.sum(u**2) + tail) * gs.spacing - 1.0) < 1e-12
         # even potential: even ground state, zero derivative at the origin
         h0, h1 = gs.jet(0.0)
         assert abs(h1) < 1e-8
@@ -305,7 +314,48 @@ class TestGroundState:
     def test_interval_spec_rejected(self, cos2_profile):
         spec = ComparisonSpec(1.0, 4.0, cos2_profile, XDomain("interval", 12.0))
         with pytest.raises(ConfigurationError, match="on the line only"):
-            ground_state(spec, Grid1D(-12.0, 12.0, 101))
+            ground_state(spec)
+
+    @pytest.mark.parametrize("profile", [PotentialProfile("cos2", 1.0, 1.0), SKEWED_TABLE],
+                             ids=["cos2", "skewed_table"])
+    def test_agrees_with_the_truncated_line(self, profile):
+        # the support chain with transparent ends against the line truncated
+        # at |x| = 12 with 4001 Dirichlet nodes (h = 0.006 there, a/240
+        # here).  Both are O(h^2) discretizations: against a support chain
+        # 8x finer, E0 and h of either are off by less than 1e-5, h' by up
+        # to 2.2e-5 and the t^4-weighted moments by up to 2.4e-5 relative
+        spec = ComparisonSpec(1.0, 5.0, profile)
+        gs = ground_state(spec)
+        ref = truncated_line_ground_state(spec, Grid1D(-12.0, 12.0, 4001))
+        assert abs(gs.e0 - ref.e0) <= 1e-5 * abs(ref.e0)
+        for t in np.linspace(-3.0, 3.0, 61):
+            (h, h1), (want, want1) = gs.jet(t), ref.jet(t)
+            assert abs(h - want) <= 1e-5 and abs(h1 - want1) <= 3e-5, t
+        mom, want = (weyl._ground_moments(g).mom for g in (gs, ref))
+        for name in want:
+            assert abs(mom[name] - want[name]) <= 5e-5 * want[name], name
+
+    @pytest.mark.parametrize("lam", [2.0, 4.0, 20.0, 500.0])
+    def test_work_is_fixed_by_the_support(self, cos2_profile, lam):
+        # the chain holds the 2m - 1 support nodes of h = a/2m and the fixed
+        # exterior nodes, and the moments' t-rule stays on them, whatever the
+        # decay rate kappa (0.76 to 21.6 here) and so the truncation
+        gs = ground_state(ComparisonSpec(1.0, lam, cos2_profile))
+        m = 2 * ResolutionPolicy().m_for(1.0)
+        assert len(gs.nodes) == len(gs.samples) == 2 * m - 1 + 2 * oned._EXTERIOR_NODES
+        assert len(weyl._t_rule(gs)[0]) <= 600
+
+    @pytest.mark.parametrize("omega, lam", [(1.0, 0.0), (1e150, 4.585884094238281)])
+    def test_no_bound_state_has_no_tail(self, cos2_profile, omega, lam):
+        # lambda = 0, or a lambda V that rounds away against omega^2 = 1e300:
+        # the threshold is omega^2, and r = 1
+        with pytest.raises(ConfigurationError, match="no decaying tail"):
+            ground_state(ComparisonSpec(omega, lam, cos2_profile))
+
+    def test_tail_ratio_underflow_is_refused(self, cos2_profile):
+        # kappa^2 h^2 = 1e160 / 240^2 makes r = 0 in float64
+        with pytest.raises(ConfigurationError, match="underflows to 0"):
+            ground_state(ComparisonSpec(1.0, 1e160, cos2_profile))
 
     def test_exponential_tail(self, gs_minus1):
         gs = gs_minus1

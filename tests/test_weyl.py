@@ -6,11 +6,12 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
-from oracles import quasimode_norm_direct, residual_identity_check
+from oracles import (cutoff_jet, line_t_rule, quasimode_norm_direct,
+                     residual_identity_check)
 from smilansky_lab import weyl
 from smilansky_lab.errors import ComputationError, ConfigurationError, SmilanskyError
 from smilansky_lab.model import ChannelSpec, ModelConfig, XDomain, profile_values
-from smilansky_lab.oned import ComparisonSpec, Grid1D, ground_state
+from smilansky_lab.oned import ComparisonSpec, ResolutionPolicy, ground_state
 
 K_LADDER = [2.0**p for p in (4, 8, 12, 16)]
 
@@ -23,34 +24,34 @@ PARAMS_REGRESSION = {0.1: (2.0**23, 2**25), 0.05: (2.0**32, 2**34)}
 CUTOFF_MOMENTS = json.loads(
     (Path(__file__).parent / "data" / "cutoff_moments.json").read_text())
 
-# ground-state moments of gs_shipped, one quadrature sum per moment over the
-# f, f' and f'' samples, pinned from the same grid's eigenpair computed in
-# 80-bit extended precision (inverse iteration at the count-bisected
-# eigenvalue); the earlier LAPACK (stein) eigenvector gave t4fpp 1.7e-12 high
-H_MOMENTS = {"h2": 1.0000000000407478, "t2h1": 0.584685367426129,
-             "t4hpp": 1.9536262798623225, "f2": 0.13075413199614222,
-             "t2f1": 0.19826740019513026, "t4fpp": 1.1871561585392445,
-             "mix": 5.338741491782229}
+# ground-state moments of gs_shipped (the support chain of h = 1/240), pinned
+# from this package's t-rule and closed-form tails; a Gauss rule aligned with
+# every interpolation node agrees to 2e-10 relative
+H_MOMENTS = {"h2": 0.999999884441916, "t2h1": 0.5846869115112379,
+             "t4hpp": 1.9536280122622767, "f2": 0.13075410803940207,
+             "t2f1": 0.19826757609795898, "t4fpp": 1.1871386509526964,
+             "mix": 5.338747299512972}
 
 
 def brute_force_residual(qm: weyl.QuasiMode) -> float:
     """||(H - mu) psi|| on the line from the full complex integrand on the
-    n_z x n_t tensor grid of residual_norm's own rules (reference for the
-    rank-6 sum).  On an interval the plateau is 1 on that grid, with zero
+    n_z x n_t tensor grid of residual_norm's own rules, the tails of the
+    t-rule by quadrature (reference for the rank-6 sum and the closed-form
+    tails).  On an interval the plateau is 1 on that grid, with zero
     derivatives, so this is the interval residual too."""
     gs = qm.gs
     e = qm.e_mag
     s = np.sqrt(e)
     n = float(qm.n_k)
     phase = qm.phase
-    t, tw = map(np.array, weyl._t_rule(gs))
+    t, tw = line_t_rule(gs)
     h, h1 = np.array([gs.jet(x) for x in t]).T
     v = np.array(profile_values(gs.profile, t.tolist()))
     p = gs.omega**2 - gs.lam * v + e          # h'' = p h
     fh = -0.5j * s * t**2 * h
     f1 = -0.5j * s * (2.0 * t * h + t**2 * h1)
     znodes, zw = map(np.array, weyl._residual_z_rule(qm.cutoff)[:2])
-    cutoff = [np.vectorize(f) for f in (qm.cutoff.value, qm.cutoff.d1, qm.cutoff.d2)]
+    cutoff = [np.vectorize(lambda z, i=i: cutoff_jet(qm.cutoff, z)[i]) for i in range(3)]
     phase_jet = np.vectorize(phase.jet)
     total = 0.0
     for i0 in range(0, len(znodes), 64):
@@ -80,7 +81,7 @@ class TestCutoff:
     def test_mass_against_scipy_quad(self):
         cut = weyl.cutoff_cached(2.0**8)
         z1, z2, z3 = cut.breaks
-        mass = sum(quad(lambda z: cut.value(z) ** 2 / z,
+        mass = sum(quad(lambda z: cutoff_jet(cut, z)[0] ** 2 / z,
                         a, b, limit=200)[0]
                    for a, b in [(1.0, z1), (z1, z2), (z2, z3), (z3, cut.k)])
         assert abs(mass - 1.0) < 1e-9
@@ -89,18 +90,17 @@ class TestCutoff:
         cut = weyl.cutoff_cached(2.0**8)
         eps = 1e-7
         for z in cut.breaks:
-            for f in (cut.value, cut.d1, cut.d2):
-                left = f(z - eps)
-                right = f(z + eps)
+            for left, right in zip(cutoff_jet(cut, z - eps), cutoff_jet(cut, z + eps)):
                 assert abs(left - right) <= 1e-4 * max(1.0, abs(left)) + 1e-8
 
     def test_support_and_endpoint_zeros(self):
         cut = weyl.cutoff_cached(2.0**8)
-        v = [cut.value(z) for z in (0.5, 0.999, 1.0, cut.k, cut.k + 1.0)]
+        v = [cutoff_jet(cut, z)[0] for z in (0.5, 0.999, 1.0, cut.k, cut.k + 1.0)]
         assert v[0] == 0.0 and v[1] == 0.0 and v[4] == 0.0
         assert abs(v[2]) < 1e-12 and abs(v[3]) < 1e-12
-        assert abs(cut.d1(cut.k)) < 1e-12
-        assert abs(cut.d2(cut.k)) < 1e-12
+        _, d1, d2 = cutoff_jet(cut, cut.k)
+        assert abs(d1) < 1e-12
+        assert abs(d2) < 1e-12
 
     def test_j_decreasing_on_ladder(self):
         js = [weyl.cutoff_cached(k).j_weighted for k in K_LADDER]
@@ -110,8 +110,9 @@ class TestCutoff:
         base = weyl.build_cutoff(2.0**6)
         scaled = weyl.build_cutoff(2.0**6, prescale=7.0)
         z = np.linspace(1.0, 2.0**6, 513)
-        assert max(abs(base.value(x) - scaled.value(x)) for x in z) < 1e-13
-        assert max(abs(base.d2(x) - scaled.d2(x)) for x in z) < 1e-12
+        jets = [(cutoff_jet(base, x), cutoff_jet(scaled, x)) for x in z]
+        assert max(abs(a[0] - b[0]) for a, b in jets) < 1e-13
+        assert max(abs(a[2] - b[2]) for a, b in jets) < 1e-12
 
     def test_small_k_rejected(self):
         with pytest.raises(ConfigurationError):
@@ -232,8 +233,8 @@ class TestResidualIdentity:
     def test_second_order_convergence(self, cos2_profile, lam_e0_minus1):
         spec = ComparisonSpec(1.0, lam_e0_minus1, cos2_profile)
         defects = []
-        for n in (1001, 2001, 4001):
-            gs = ground_state(spec, Grid1D(-12.0, 12.0, n))
+        for ppu in (30.0, 60.0, 120.0):
+            gs = ground_state(spec, ResolutionPolicy(points_per_unit=ppu))
             defects.append(residual_identity_check(gs))
         for a, b in zip(defects, defects[1:]):
             assert 3.0 <= a / b <= 5.0
@@ -289,7 +290,7 @@ class TestQuasiMode:
     @pytest.mark.parametrize("pair", ["16,64", "eps=0.1"])
     def test_residual_matches_brute_force(self, gs_minus1, mode, mu, pair):
         k, n_k = (16.0, 64) if pair == "16,64" else PARAMS_REGRESSION[0.1]
-        # a plateau of half-width 2 is 1 on the t-rule (max|t| ~ 33) at n_k = 64
+        # a plateau of half-width 2 is 1 for |t| <= t_max ~ 22 at n_k = 64
         dom = XDomain("interval", 2.0) if mode == "interval" else XDomain()
         qm = weyl.QuasiMode(mu=mu, cutoff=weyl.cutoff_cached(k), n_k=n_k,
                             gs=gs_minus1, x_domain=dom)
@@ -303,7 +304,7 @@ class TestQuasiMode:
         weyl.QuasiMode(mu=-4095.0, cutoff=weyl.cutoff_cached(16.0), n_k=64, gs=gs_minus1)
 
     def test_interval_plateau_precondition(self, gs_minus1):
-        # max|t| of the t-rule is about 33 > n_k c / 2 = 16
+        # t_max is about 22 > n_k c / 2 = 16
         qm = weyl.QuasiMode(mu=0.0, cutoff=weyl.cutoff_cached(16.0), n_k=32,
                             gs=gs_minus1, x_domain=XDomain("interval", 1.0))
         with pytest.raises(ConfigurationError, match="plateau"):
@@ -328,6 +329,31 @@ class TestQuasiMode:
         assert abs(rp - rm) < 1e-9
 
 
+class TestZRule:
+    @pytest.mark.parametrize("eps", [0.1, 0.02, 0.005])
+    @pytest.mark.parametrize("mu", [0.0, 2.5, -0.5])
+    def test_one_panel_per_unit_is_resolved(self, gs_shipped, monkeypatch, eps, mu):
+        # on the rise and the descent the integrand is a polynomial in ln z
+        # times e^{cu}: order-10 panels 1 per unit of ln z agree with 4 per
+        # unit to rounding, down to eps = 0.005 (k = 2^99)
+        k, n_k = weyl.choose_parameters(eps, gs_shipped, mu)
+        qm = weyl.QuasiMode(mu=mu, cutoff=weyl.cutoff_cached(k), n_k=n_k, gs=gs_shipped)
+        got = weyl.residual_norm(qm)
+        monkeypatch.setattr(weyl, "_Z_PANELS_PER_UNIT", 4.0)
+        want = weyl.residual_norm(qm)
+        assert abs(got - want) <= 1e-12 * want
+
+    def test_node_count(self, monkeypatch):
+        # k = 2^50: ln sqrt(k) = 17.3 on the rise and on the descent, so
+        # 18 panels each, plus 6 on each bridge, of 10 nodes; 70 + 70 + 12
+        # panels at 4 per unit
+        cut = weyl.cutoff_cached(2.0**50)
+        z = weyl._residual_z_rule(cut)[0]
+        assert len(z) == 10 * (18 + 18 + 12)
+        monkeypatch.setattr(weyl, "_Z_PANELS_PER_UNIT", 4.0)
+        assert len(z) <= 0.32 * len(weyl._residual_z_rule(cut)[0])
+
+
 class TestCertificate:
     def test_full_line_ladder(self, supercritical_config, gs_minus1):
         rows = weyl.weyl_certificate(supercritical_config, gs_minus1, 0.0,
@@ -347,9 +373,11 @@ class TestCertificate:
         assert r.residual**2 <= 0.9 * (1.0 + 1e-6)
 
     def test_subcritical_rejected(self, cos2_profile, supercritical_config):
-        spec = ComparisonSpec(1.0, 0.0, cos2_profile)
-        gs = ground_state(spec, Grid1D(-12.0, 12.0, 1001))
-        with pytest.raises(ConfigurationError):
+        # lambda = 2 binds a state at E0 = 0.43 > 0: a ground state, but no
+        # quasi-modes
+        gs = ground_state(ComparisonSpec(1.0, 2.0, cos2_profile))
+        assert 0.0 < gs.e0 < 1.0
+        with pytest.raises(ConfigurationError, match="supercritical"):
             weyl.weyl_certificate(supercritical_config, gs, 0.0, [0.1])
 
     def test_csv_shape(self, supercritical_config, gs_minus1):
