@@ -3,32 +3,39 @@
 The sign of its spectral threshold decides the spectral character of the 2D
 model, so everything here is built around computing that threshold reliably.
 
-On the line, every channel profile vanishes outside its support [-a, a], so
-the exterior of the support is eliminated exactly (a discrete transparent
-boundary condition).  On the uniform chain of spacing h = a/m, a solution
-below the continuum edge omega^2 decays outside the support like r^j, with
-r + 1/r = 2 + (omega^2 - E) h^2 and r < 1.  So E is an eigenvalue exactly
-when it is an eigenvalue of A(E): the central-difference matrix on the
-2m - 1 support nodes with each end diagonal lowered by r/h^2.  The number of
-eigenvalues of A(E) below E is nondecreasing in E, and the threshold is the
-point where it leaves 0.  At E = omega^2 that count is 0 exactly when lambda V
-vanishes on every support node; then there is no bound state, and the
-threshold is omega^2 itself.  A coupling that places the
-threshold at a target E is where the same count, at that fixed E, leaves 0
-as lambda grows.  Both are bisections of the pure-Python Sturm count of
-`sturm`, Richardson-extrapolated over m, 2m and 4m and gated at `rich_tol`.
+Every channel profile vanishes outside its support [-a, a], so a threshold
+is computed on the support chain alone: the Schur complement of the
+potential-free exterior lowers each end diagonal by g/h^2.  On a chain of
+spacing h the exterior solutions are r^j and r^-j, r + 1/r = 2 + (omega^2
+- E) h^2, r < 1 below omega^2.  With N exterior nodes beyond each end, the
+line (h = a/m, 2m - 1 support nodes) has N infinite and g = r, the discrete
+transparent end; a Dirichlet end has g = r (1 - r^2N) / (1 - r^(2N+2)), a
+Neumann end (the reflected last row) r (1 + r^(2N-1)) / (1 + r^(2N+1));
+periodic ends take the Dirichlet g of the ring of M = 2N exterior nodes
+and the corner entry -r^M (1 - r^2) / (1 - r^(2M+2)) / h^2.  Where the
+exterior block is positive definite, Sylvester's law of inertia makes the
+number of eigenvalues below E of the whole chain that of A(E) - E, A(E) the
+support chain with these end terms; it leaves 0 at the threshold.  Only a
+Dirichlet box has a threshold above omega^2, where cos(phi) = 1 + (omega^2
+- E) h^2 / 2 and g = sin(N phi) / sin((N+1) phi).  The bisection's top is
+the potential-free lowest eigenvalue (omega^2, or omega^2 + (4/h^2)
+sin^2(pi/(2n + 2)) for a box of n nodes): above the threshold by min-max,
+below the exterior block's spectrum by Cauchy interlacing, and the
+threshold when lambda V vanishes on every support node.  A coupling that
+places the line's threshold at a target E is where the same count, at that
+fixed E, leaves 0 as lambda grows.
 
-The x-domain is the model's `XDomain`.  An interval (-c, c) keeps the
-whole-interval assembly with Dirichlet, Neumann or periodic ends, on n, 2n
-and 4n nodes (4n at most `NODE_CAP`); its minimal eigenvalue is a bisection
-of the same count, bordered for the periodic wrap.  Both chains are Python
-lists, so every 1D threshold and coupling imports only the standard
-library.  `ground_state`, the eigenpair behind the Weyl quasi-modes, is
-solved on the support chain at 2m (its threshold, then inverse iteration
-of `sturm` on A(E0)), with a few exterior nodes u_edge r^j and the
-geometric sum of the rest: its cost is that of the support.  `GroundState`
-evaluates its interpolant on floats, so the Weyl path starts without numpy
-too.
+Both are bisections of the pure-Python Sturm count of `sturm` (cyclic for
+periodic ends), Richardson-extrapolated over three resolutions and gated
+at `rich_tol`: m, 2m and 4m steps of the support on the line, and on an
+interval (-c, c) the grids of n, 2n and 4n nodes (interior vertices with
+Dirichlet ends, cell centres otherwise), whose support nodes and exterior
+counts are integer arithmetic: c does not enter the cost.  `ground_state`,
+the eigenpair behind the Weyl quasi-modes, is solved on the line's support
+chain at 2m (its threshold, then inverse iteration on A(E0)), with a few
+exterior nodes u_edge r^j and the geometric sum of the rest.  All of it runs
+on floats and lists: the 1D commands and the Weyl path import only the
+standard library.
 
 Each threshold and coupling logs one `smilansky_lab.oned` debug record: the
 resolution, the three values, their Richardson gap and the bisection steps.
@@ -41,14 +48,13 @@ import math
 import sys
 from dataclasses import dataclass, field
 from functools import partial
-from typing import Callable, Sequence
+from typing import Callable, Optional, Sequence
 
 from .errors import ComputationError, ConfigurationError, RefinementError
 from .model import PotentialProfile, XDomain, profile_values
-from .sturm import bisect_count, chain_bracket, chain_lowest_pair, chain_norm, sturm_count
+from .sturm import bisect_count, chain_lowest_pair, cyclic_sturm_count, sturm_count
 
 __all__ = [
-    "Grid1D",
     "ComparisonSpec",
     "GroundState",
     "ResolutionPolicy",
@@ -66,37 +72,6 @@ _EPS = sys.float_info.epsilon
 # this, relative to the result: float64 rounding of the bisections and of the
 # extrapolation alone spreads them over several eps |result|
 _FLOAT_RESOLUTION = 64 * _EPS
-# the most nodes one grid may hold: the finest 1D interval level here, a 2D
-# grid in `grid2d`
-NODE_CAP = 4_000_000
-
-
-@dataclass(frozen=True)
-class Grid1D:
-    """Uniform grid with n interior points on (lo, hi)."""
-
-    lo: float
-    hi: float
-    n: int
-
-    def __post_init__(self):
-        if self.hi <= self.lo:
-            raise ConfigurationError("grid needs lo < hi")
-        if self.n < 16:
-            raise ConfigurationError("spectral grids need at least 16 interior points")
-
-    @property
-    def h(self) -> float:
-        return (self.hi - self.lo) / (self.n + 1)
-
-    def nodes(self, bc: str) -> tuple[float, list[float]]:
-        """Spacing and nodes: the n interior vertices with Dirichlet ends,
-        the n cell centres with Neumann or periodic ends."""
-        if bc == "dirichlet":
-            h = self.h
-            return h, [self.lo + h * k for k in range(1, self.n + 1)]
-        h = (self.hi - self.lo) / self.n
-        return h, [self.lo + h * (k + 0.5) for k in range(self.n)]
 
 
 @dataclass(frozen=True)
@@ -119,47 +94,16 @@ class ResolutionPolicy:
     rich_tol: float = 1e-6
 
     def n_for(self, c: float) -> int:
-        """Interior nodes n of the coarsest grid on (-c, c), checked before
-        any grid is built: the finest, 4n, must not pass NODE_CAP."""
-        n = max(64, math.ceil(self.points_per_unit * (c + c)))
-        if 4 * n > NODE_CAP:
-            raise ConfigurationError(
-                f"the interval (-{c}, {c}) needs {4 * n} nodes at its finest "
-                f"resolution, more than the cap of {NODE_CAP}")
-        return n
+        """Nodes n of the coarsest grid on (-c, c).  The end terms take the
+        node counts as floats, so the finest, 4n, must not overflow float64."""
+        if not 4.0 * self.points_per_unit * (c + c) < math.inf:
+            raise ConfigurationError(f"the interval (-{c}, {c}) is too long: its finest "
+                                     "grid's node count overflows float64")
+        return max(64, math.ceil(self.points_per_unit * (c + c)))
 
     def m_for(self, a: float) -> int:
         """Steps of the support half-width a on the line (h = a/m)."""
         return math.ceil(self.points_per_unit * a)
-
-
-def _interval_chain(spec: ComparisonSpec, grid: Grid1D):
-    """Second-order central-difference assembly of L on the grid, as lists:
-    (diagonal, off-diagonal, periodic wrap entry or None).
-
-    Dirichlet drops the boundary points, Neumann mirrors ghost points across a
-    cell-centered grid, periodic wraps (corner entry).
-    """
-    bc = spec.domain.bc
-    h, x = grid.nodes(bc)
-    base = 2.0 / h**2 + spec.omega**2
-    diag = [base - spec.lam * vi for vi in profile_values(spec.profile, x)]
-    off = [-1.0 / h**2] * (len(x) - 1)
-    corner = None
-    if bc == "neumann":
-        diag[0] -= 1.0 / h**2
-        diag[-1] -= 1.0 / h**2
-    elif bc == "periodic":
-        corner = -1.0 / h**2
-    return diag, off, corner
-
-
-def _min_eig(spec: ComparisonSpec, grid: Grid1D) -> float:
-    """Minimal eigenvalue of the whole-interval assembly, bracketed by the
-    Sturm count (the bordered count for the periodic wrap) to 1e-15 ||T||."""
-    d, e, corner = _interval_chain(spec, grid)
-    lo, hi = chain_bracket(d, e, corner, 1e-15 * max(1.0, chain_norm(d, e, corner)))
-    return 0.5 * (lo + hi)
 
 
 def _richardson(what: str, values: list[float], steps, policy: ResolutionPolicy) -> float:
@@ -187,14 +131,28 @@ def _richardson(what: str, values: list[float], steps, policy: ResolutionPolicy)
     return r2
 
 
-def _support_chain(omega: float, profile: PotentialProfile, m: int):
-    """Spacing h = a/m, V on the 2m - 1 support nodes, the diagonal
-    2/h^2 + omega^2 without the ends' transparent terms, and the squared
-    off-diagonal 1/h^4."""
-    h = profile.a / m
-    v = profile_values(profile, [h * j for j in range(1 - m, m)])
-    d = [2.0 / h**2 + omega**2] * (2 * m - 1)
-    return h, v, d, [h**-4] * (2 * m - 2)
+def _line_level(profile: PotentialProfile, m: int) -> tuple:
+    """The 2m - 1 support nodes of spacing a/m on the line."""
+    return profile.a / m, 2 * m - 2, None
+
+
+def _interval_level(profile: PotentialProfile, domain: XDomain, n: int) -> tuple:
+    """The grid of n nodes on (-c, c), x = (h/2) j, |j| <= n - 1, j = n + 1
+    mod 2: interior vertices of h = 2c/(n + 1) with Dirichlet ends, cell
+    centres of h = 2c/n otherwise.  The support chain takes a node with
+    |x| >= a at each end (or stops at the ends), so V vanishes beyond it
+    whatever the rounding of x."""
+    h = (domain.c + domain.c) / (n + 1 if domain.bc == "dirichlet" else n)
+    half_width = min(n - 1, 2 * math.ceil(profile.a / h) + 1 - n % 2)
+    return h, half_width, (domain.bc, (n - 1 - half_width) // 2)
+
+
+def _support_chain(omega: float, profile: PotentialProfile, h: float, half_width: int):
+    """V on the support nodes x = (h/2) j, |j| <= half_width, the diagonal
+    2/h^2 + omega^2 without the end terms, and the squared off-diagonal
+    1/h^4."""
+    v = profile_values(profile, [0.5 * h * j for j in range(-half_width, half_width + 1, 2)])
+    return v, [2.0 / h**2 + omega**2] * len(v), [h**-4] * (len(v) - 1)
 
 
 def _transparent_end(kappa2: float, h: float) -> float:
@@ -203,39 +161,82 @@ def _transparent_end(kappa2: float, h: float) -> float:
     return 1.0 / (1.0 + 0.5 * s + math.sqrt(s * (1.0 + 0.25 * s))) / (h * h)
 
 
-def _chain_threshold(omega: float, lam: float, profile: PotentialProfile,
-                    m: int) -> tuple[float, int]:
-    """Discrete threshold on the chain of spacing a/m, and its bisection steps."""
-    h, v, d0, e2 = _support_chain(omega, profile, m)
+def _end_terms(exterior: Optional[tuple[str, int]], w2: float, h: float,
+               e: float) -> tuple[float, Optional[float]]:
+    """At the energy e: the drop g/h^2 of each end diagonal of the support
+    chain, and the corner entry between its ends (None but for periodic
+    ends)."""
+    if exterior is None:
+        return _transparent_end(w2 - e, h), None
+    bc, n = exterior
+    if e >= w2:
+        # a Dirichlet box at or above omega^2: U_{n-1}/U_n at cos(phi)
+        phi = 2.0 * math.asin(0.5 * h * math.sqrt(e - w2))
+        g = math.sin(n * phi) / math.sin((n + 1) * phi) if phi else n / (n + 1.0)
+        return g / (h * h), None
+    # r = e^-theta is the line's r; its powers go through theta, which keeps
+    # 1 - r^k accurate when kappa h is small
+    theta = 2.0 * math.asinh(0.5 * h * math.sqrt(w2 - e))
+    if bc == "neumann":
+        return ((math.exp(-theta) + math.exp(-2.0 * n * theta))
+                / (1.0 + math.exp(-(2.0 * n + 1.0) * theta)) / (h * h)), None
+    k = 2 * n if bc == "periodic" else n
+    den = math.expm1(-(2.0 * k + 2.0) * theta) * h * h
+    g = math.exp(-theta) * math.expm1(-2.0 * k * theta) / den
+    if bc == "dirichlet":
+        return g, None
+    return g, -math.exp(-k * theta) * math.expm1(-2.0 * theta) / den
+
+
+def _chain_count(omega: float, lam: float, profile: PotentialProfile, h: float,
+                 half_width: int, exterior: Optional[tuple[str, int]]):
+    """E -> the number of eigenvalues of A(E) below E, for E below omega^2
+    or below a Dirichlet box's floor, and V on the support nodes."""
+    v, d0, e2 = _support_chain(omega, profile, h, half_width)
     w2 = omega**2
-    # A(omega^2) - omega^2 is the Neumann chain minus lambda V, on which the
-    # constant vector has Rayleigh quotient -lambda mean(V): a bound state
-    # exists exactly when lambda V is nonzero on a support node
-    if lam == 0.0 or max(v) <= 0.0:
-        return w2, 0
     base = [di - lam * vi for di, vi in zip(d0, v)]
+    off = [-1.0 / h**2] * len(e2)
 
     def count(e: float) -> int:
         d = base.copy()
-        end = _transparent_end(w2 - e, h)
+        end, corner = _end_terms(exterior, w2, h, e)
         d[0] -= end
         d[-1] -= end
-        return sturm_count(d, e2, e)
+        return (sturm_count(d, e2, e) if corner is None
+                else cyclic_sturm_count(d, off, corner, e))
+    return count, v
 
+
+def _chain_threshold(omega: float, lam: float, profile: PotentialProfile, h: float,
+                     half_width: int, exterior: Optional[tuple[str, int]] = None
+                     ) -> tuple[float, int]:
+    """Discrete threshold at one resolution, and its bisection steps: the
+    spacing h, the support chain x = (h/2) j, |j| <= half_width in steps of
+    2, and the exterior, None on the line, else the ends and the nodes N
+    beyond each end of the chain."""
+    count, v = _chain_count(omega, lam, profile, h, half_width, exterior)
+    top = w2 = omega**2
+    if exterior is not None and exterior[0] == "dirichlet":
+        top += (2.0 / h * math.sin(0.5 * math.pi / (half_width + 2 + 2 * exterior[1]))) ** 2
+    # A(top) - top is the potential-free chain minus lambda V, with a
+    # positive lowest eigenvector: a state binds below top iff lambda V != 0
+    if lam == 0.0 or max(v) <= 0.0:
+        return top, 0
     # Rayleigh: the chain operator is >= omega^2 - lambda sup V, so no
     # eigenvalue of A(E) lies below E there; the bisection stops at the
     # rounding level eps ||A|| of the count
     lo = w2 - lam * profile.sup_value - 1.0
     tol = _EPS * (4.0 / h**2 + w2 + lam * profile.sup_value)
-    lo, hi, steps = bisect_count(count, lo, w2, tol)
+    lo, hi, steps = bisect_count(count, lo, top, tol)
     return 0.5 * (lo + hi), steps
 
 
 def _chain_coupling(omega: float, profile: PotentialProfile, target: float,
                    m: int) -> tuple[float, int]:
-    """Coupling whose discrete threshold on the chain of spacing a/m is the
-    target, and the doubling and bisection steps that found it."""
-    h, v, d0, e2 = _support_chain(omega, profile, m)
+    """Coupling whose discrete threshold on the line's chain of spacing a/m
+    is the target, and the doubling and bisection steps that found it."""
+    h, half_width, _ = _line_level(profile, m)
+    v, d0, e2 = _support_chain(omega, profile, h, half_width)
     if max(v) <= 0.0:
         raise ComputationError(
             f"the profile vanishes on every support node at h = {h:.3g}: "
@@ -260,42 +261,38 @@ def _chain_coupling(omega: float, profile: PotentialProfile, target: float,
     return 0.5 * (lo + hi), doublings + steps
 
 
-def threshold(spec: ComparisonSpec, policy: ResolutionPolicy = ResolutionPolicy()) -> float:
-    """Richardson-extrapolated threshold inf sigma(L).
+def _levels(spec: ComparisonSpec, policy: ResolutionPolicy) -> tuple[list[tuple], str]:
+    """The three resolutions of spec's threshold, coarsest first, as
+    arguments of `_chain_threshold`, and where they lie."""
+    if spec.domain.kind == "line":
+        m = policy.m_for(spec.profile.a)
+        return ([_line_level(spec.profile, k) for k in (m, 2 * m, 4 * m)],
+                f"on the line, m={m}")
+    c = spec.domain.c
+    n = policy.n_for(c)
+    return ([_interval_level(spec.profile, spec.domain, k) for k in (n, 2 * n, 4 * n)],
+            f"on (-{c}, {c}) with {spec.domain.bc} ends, n={n}")
 
-    On the line: the discrete threshold with transparent ends at h = a/m,
-    a/2m and a/4m (m from `policy.m_for`).  On an interval: the minimal
-    eigenvalue of the whole-interval assembly at n, 2n and 4n nodes.
-    """
-    if spec.domain.kind == "interval":
-        c = spec.domain.c
-        n = policy.n_for(c)
-        values = [_min_eig(spec, Grid1D(-c, c, k)) for k in (n, 2 * n, 4 * n)]
-        return _richardson(f"threshold at lambda={spec.lam!r} on (-{c}, {c}) "
-                           f"with {spec.domain.bc} ends, n={n}", values, "-", policy)
-    return _threshold_on_line(spec.omega, spec.lam, spec.profile, policy)
+
+def threshold(spec: ComparisonSpec, policy: ResolutionPolicy = ResolutionPolicy()) -> float:
+    """Richardson-extrapolated threshold inf sigma(L), at m, 2m and 4m steps
+    of the support on the line (`policy.m_for`), on the grids of n, 2n and
+    4n nodes on an interval (`policy.n_for`)."""
+    levels, where = _levels(spec, policy)
+    runs = [_chain_threshold(spec.omega, spec.lam, spec.profile, *level)
+            for level in levels]
+    return _richardson(f"threshold at lambda={spec.lam!r} {where}",
+                       [e for e, _ in runs], [s for _, s in runs], policy)
 
 
 def coarse_threshold(spec: ComparisonSpec,
                      policy: ResolutionPolicy = ResolutionPolicy()) -> float:
-    """The discrete threshold at the coarsest resolution of `threshold` (m
-    steps of the support, or n interval nodes) alone: one Sturm bisection,
-    neither extrapolated nor gated, so it carries the O(h^2) error of that
-    resolution.  An estimate, for callers that certify what they do with it
-    by other means."""
-    if spec.domain.kind == "interval":
-        c = spec.domain.c
-        return _min_eig(spec, Grid1D(-c, c, policy.n_for(c)))
-    return _chain_threshold(spec.omega, spec.lam, spec.profile,
-                            policy.m_for(spec.profile.a))[0]
-
-
-def _threshold_on_line(omega: float, lam: float, profile: PotentialProfile,
-                       policy: ResolutionPolicy) -> float:
-    m = policy.m_for(profile.a)
-    runs = [_chain_threshold(omega, lam, profile, k) for k in (m, 2 * m, 4 * m)]
-    return _richardson(f"threshold at lambda={lam!r} on the line, m={m}",
-                       [e for e, _ in runs], [s for _, s in runs], policy)
+    """The discrete threshold at the coarsest resolution of `threshold` alone:
+    one Sturm bisection, neither extrapolated nor gated, so it carries the
+    O(h^2) error of that resolution.  An estimate, for callers that certify
+    what they do with it by other means."""
+    level = _levels(spec, policy)[0][0]
+    return _chain_threshold(spec.omega, spec.lam, spec.profile, *level)[0]
 
 
 @dataclass(frozen=True, eq=False)
@@ -378,8 +375,9 @@ def ground_state(spec: ComparisonSpec,
         raise ConfigurationError("ground_state solves on the line only")
     omega, lam, profile = spec.omega, spec.lam, spec.profile
     m = 2 * policy.m_for(profile.a)
-    h, v, d, _ = _support_chain(omega, profile, m)
-    e0, _ = _chain_threshold(omega, lam, profile, m)
+    h, half_width, _ = _line_level(profile, m)
+    v, d, _ = _support_chain(omega, profile, h, half_width)
+    e0, _ = _chain_threshold(omega, lam, profile, h, half_width)
     kappa2 = omega**2 - e0
     end = _transparent_end(kappa2, h)
     r = end * h * h
@@ -445,7 +443,7 @@ def _coupling(omega: float, profile: PotentialProfile, target: float,
     runs = [_chain_coupling(omega, profile, target, k) for k in (m, 2 * m, 4 * m)]
     lam = _richardson(f"coupling at target {target!r} on the line, m={m}",
                       [lam for lam, _ in runs], [s for _, s in runs], policy)
-    e = _threshold_on_line(omega, lam, profile, policy)
+    e = threshold(ComparisonSpec(omega, lam, profile), policy)
     if not abs(e - target) <= tol:
         raise RefinementError(
             f"the threshold {e!r} at the coupling {lam!r} misses the target "

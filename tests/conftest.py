@@ -2,8 +2,8 @@ import numpy as np
 import pytest
 
 from smilansky_lab.model import ChannelSpec, ModelConfig, PotentialProfile
-from smilansky_lab.oned import (ComparisonSpec, Grid1D, _interval_chain,
-                                critical_coupling, ground_state,
+from oracles import interval_chain
+from smilansky_lab.oned import (ComparisonSpec, critical_coupling, ground_state,
                                 tune_lambda_to_threshold)
 
 
@@ -49,9 +49,10 @@ def rng():
 
 @pytest.fixture(scope="session")
 def dense_periodic_min():
-    """Lowest eigenvalue of the periodic comparison matrix by dense eigvalsh."""
-    def lowest(spec: ComparisonSpec, grid: Grid1D) -> float:
-        d, e, corner = _interval_chain(spec, grid)
+    """Lowest eigenvalue of the periodic comparison matrix on n nodes by
+    dense eigvalsh."""
+    def lowest(spec: ComparisonSpec, n: int) -> float:
+        _, _, d, e, corner = interval_chain(spec, n)
         a = np.diag(d) + np.diag(e, 1) + np.diag(e, -1)
         a[0, -1] = a[-1, 0] = corner
         return float(np.linalg.eigvalsh(a)[0])

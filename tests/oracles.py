@@ -2,8 +2,9 @@
 
 Each is an independent route to a number the package computes another way:
 the slope V' of a channel profile; the scipy sparse matrix of an assembled
-2D operator, and its coordinate text; uniform 2D grids; the ground state on
-the line truncated with Dirichlet ends; the cutoff's jet at a point; a t-rule
+2D operator, and its coordinate text; uniform 2D grids; the comparison
+operator assembled on a whole interval, its lowest eigenvalue, and the
+ground state on the line truncated with Dirichlet ends; the cutoff's jet at a point; a t-rule
 that integrates the ground state's tails by quadrature; the quasi-mode norm
 by direct 2D quadrature; and the defect of the identity behind the Weyl
 residual, from finite differences.  They need numpy and scipy, which the
@@ -13,6 +14,7 @@ package itself does not load.
 from __future__ import annotations
 
 import math
+from dataclasses import replace
 from functools import partial
 from typing import Optional
 
@@ -20,11 +22,10 @@ import numpy as np
 import scipy.sparse as sp
 
 from smilansky_lab.grid2d import Grid2D, SparseHamiltonian
-from smilansky_lab.model import PotentialProfile, profile_values
-from smilansky_lab.oned import (ComparisonSpec, Grid1D, GroundState, _fd4_derivative,
-                                _interval_chain, _ode_factors)
+from smilansky_lab.model import PotentialProfile, XDomain, profile_values
+from smilansky_lab.oned import ComparisonSpec, GroundState, _fd4_derivative, _ode_factors
 from smilansky_lab.quadrature import gauss_panels, linspace, quintic_hermite
-from smilansky_lab.sturm import chain_lowest_pair
+from smilansky_lab.sturm import chain_bracket, chain_lowest_pair, chain_norm
 from smilansky_lab.weyl import (CutoffFunction, QuasiMode, _bridge_jet, _ground_moments,
                                 _log_jet, _t_rule)
 
@@ -79,19 +80,53 @@ def coo_text(a: sp.csr_matrix) -> str:
                      for i, j, v in zip(coo.row, coo.col, coo.data)) + "\n"
 
 
-def truncated_line_ground_state(spec: ComparisonSpec, grid: Grid1D) -> GroundState:
-    """Minimal eigenpair on the line truncated with Dirichlet ends at the
-    ends of the grid: the whole-interval chain and `chain_lowest_pair`.
-    Its samples are normalized on the grid, and its interpolant takes the
-    boundary zeros as nodes."""
-    d, e, _ = _interval_chain(spec, grid)
+def interval_chain(spec: ComparisonSpec, n: int):
+    """The comparison operator assembled by central differences on the whole
+    interval (-c, c) of `spec.domain`, with n nodes, as lists: (nodes,
+    spacing, diagonal, off-diagonal, periodic corner entry or None).
+
+    Dirichlet ends take the n interior vertices of spacing 2c/(n + 1);
+    Neumann and periodic ends the n cell centres of spacing 2c/n, Neumann
+    mirroring a ghost node across each end and periodic wrapping.
+    """
+    c, bc = spec.domain.c, spec.domain.bc
+    if bc == "dirichlet":
+        h = (c + c) / (n + 1)
+        x = [-c + h * k for k in range(1, n + 1)]
+    else:
+        h = (c + c) / n
+        x = [-c + h * (k + 0.5) for k in range(n)]
+    base = 2.0 / h**2 + spec.omega**2
+    diag = [base - spec.lam * vi for vi in profile_values(spec.profile, x)]
+    corner = None
+    if bc == "neumann":
+        diag[0] -= 1.0 / h**2
+        diag[-1] -= 1.0 / h**2
+    elif bc == "periodic":
+        corner = -1.0 / h**2
+    return x, h, diag, [-1.0 / h**2] * (n - 1), corner
+
+
+def interval_min_eig(spec: ComparisonSpec, n: int) -> float:
+    """Lowest eigenvalue of `interval_chain`, bracketed by the Sturm count
+    (the cyclic count for the periodic wrap) to 1e-15 ||T||."""
+    _, _, d, e, corner = interval_chain(spec, n)
+    lo, hi = chain_bracket(d, e, corner, 1e-15 * max(1.0, chain_norm(d, e, corner)))
+    return 0.5 * (lo + hi)
+
+
+def truncated_line_ground_state(spec: ComparisonSpec, c: float, n: int) -> GroundState:
+    """Minimal eigenpair on the line truncated with Dirichlet ends at +-c:
+    `interval_chain` with n nodes and `chain_lowest_pair`.  Its samples are
+    normalized on the grid, and its interpolant takes the boundary zeros as
+    nodes."""
+    x, h, d, e, _ = interval_chain(replace(spec, domain=XDomain("interval", c)), n)
     e0, v = chain_lowest_pair(d, e)
-    h, x = grid.nodes("dirichlet")
     norm = math.sqrt(math.fsum(vi * vi for vi in v) * h)
     v = [vi / norm for vi in v]
     if math.fsum(v) < 0.0:
         v = [-vi for vi in v]
-    xa = [grid.lo, *x, grid.hi]
+    xa = [-c, *x, c]
     ha = [0.0, *v, 0.0]
     d1 = _fd4_derivative(ha, h)
     d2 = [f * hv for f, hv in

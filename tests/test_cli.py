@@ -12,7 +12,7 @@ from smilansky_lab import cli, weyl
 from smilansky_lab.cli import RunRequest, main, run
 from smilansky_lab.errors import ConfigurationError
 from smilansky_lab.model import PotentialProfile, XDomain
-from smilansky_lab.oned import ComparisonSpec, Grid1D, ResolutionPolicy, ground_state
+from smilansky_lab.oned import ComparisonSpec, ResolutionPolicy, ground_state, threshold
 
 SINGLE = {
     "omega": 1.0,
@@ -183,7 +183,7 @@ class TestCommands:
         # dense Richardson reference on the default grids n = 240, 480, 960
         spec = ComparisonSpec(1.0, 4.0, PotentialProfile("cos2", 1.0, 1.0),
                               XDomain("interval", 1.0, "periodic"))
-        e = [dense_periodic_min(spec, Grid1D(-1.0, 1.0, n)) for n in (240, 480, 960)]
+        e = [dense_periodic_min(spec, n) for n in (240, 480, 960)]
         assert abs(got - (4.0 * e[2] - e[1]) / 3.0) <= ResolutionPolicy().rich_tol
 
     def test_weyl_csv(self, super_cfg, tmp_path):
@@ -283,9 +283,10 @@ class TestExitCodes:
 
     def test_one_d_commands_leave_out_numpy(self, single_cfg, tmp_path):
         # a fresh process: thresholds and couplings on the line and on
-        # intervals are Sturm counts on lists, and so is the Weyl ground
-        # state, and a table profile's PCHIP runs on lists too; only the 2D
-        # commands load numpy, in their own branches
+        # intervals are Sturm counts on lists, with the closed-form end
+        # terms of every end condition (c = 1e6 too) on `math`, and so is
+        # the Weyl ground state, and a table profile's PCHIP runs on lists
+        # too; only the 2D commands load numpy, in their own branches
         quartic = tmp_path / "quartic.json"
         quartic.write_text(json.dumps({**SINGLE, "channels": [{
             "lambda": 2.0, "center": 0.0,
@@ -296,9 +297,15 @@ class TestExitCodes:
         dirichlet = tmp_path / "dirichlet.json"
         dirichlet.write_text(json.dumps({**SINGLE, "x_domain": {
             "type": "interval", "c": 1.5, "bc": "dirichlet"}}))
+        neumann = tmp_path / "neumann.json"
+        neumann.write_text(json.dumps({**SINGLE, "x_domain": {
+            "type": "interval", "c": 1.5, "bc": "neumann"}}))
         periodic = tmp_path / "periodic.json"
         periodic.write_text(json.dumps({**SINGLE, "x_domain": {
             "type": "interval", "c": 1.5, "bc": "periodic"}}))
+        long_periodic = tmp_path / "long_periodic.json"
+        long_periodic.write_text(json.dumps({**SINGLE, "x_domain": {
+            "type": "interval", "c": 1e6, "bc": "periodic"}}))
         two = str(Path(__file__).parents[1] / "configs" / "two_channel.json")
         runs = [[command, "--config", cfg, *extra]
                 for cfg in (single_cfg, str(quartic), str(table))
@@ -306,7 +313,8 @@ class TestExitCodes:
                                        ("tune", ["--target", "-1"]),
                                        ("eig1d", []), ("classify", []), ("bound", []))]
         runs += [["eig1d", "--config", two], ["classify", "--config", two]]
-        runs += [[command, "--config", str(cfg)] for cfg in (dirichlet, periodic)
+        runs += [[command, "--config", str(cfg)]
+                 for cfg in (dirichlet, neumann, periodic, long_periodic)
                  for command in ("eig1d", "classify", "bound")]
         supercritical = tmp_path / "super.json"
         supercritical.write_text(json.dumps(SUPER))
@@ -350,7 +358,7 @@ class TestExitCodes:
         # the truncated line's Dirichlet chain has diagonal 1e300, which
         # swallows its off-diagonal, and its bracket's margin, relative to
         # the chain's norm, keeps its eigenpair solvable
-        gs = truncated_line_ground_state(spec, Grid1D(-12.0, 12.0, 4001))
+        gs = truncated_line_ground_state(spec, 12.0, 4001)
         assert abs(gs.e0 - 1e300) <= 1e-15 * 1e300
 
     @pytest.mark.parametrize("lam, message", [
@@ -461,7 +469,7 @@ class TestExitCodes:
         assert main(args) == 0
         rows = json.loads(capsys.readouterr().out)["rows"]
         monkeypatch.setattr(cli, "ground_state", lambda spec: truncated_line_ground_state(
-            spec, Grid1D(-12.0, 12.0, 4001)))
+            spec, 12.0, 4001))
         assert main(args) == 0
         want = json.loads(capsys.readouterr().out)["rows"]
         for row, ref in zip(rows, want, strict=True):
@@ -514,7 +522,7 @@ class TestExitCodes:
                                                          tmp_path):
         # a fresh process with scipy blocked: the 2D solve is a block LDL^T
         # factor and Lanczos on numpy, and interval thresholds are Sturm
-        # counts, bordered for the periodic wrap
+        # counts on the support chain, cyclic for the periodic wrap
         periodic = tmp_path / "periodic.json"
         periodic.write_text(json.dumps({**SINGLE, "x_domain": {
             "type": "interval", "c": 1.5, "bc": "periodic"}}))
@@ -571,23 +579,48 @@ class TestExitCodes:
                                       ["scan", "--ladder", "4,8,16"]], ids=lambda a: a[0])
     def test_huge_interval_fails_before_any_grid(self, tmp_path, capsys, monkeypatch,
                                                  args):
-        # c = 1e7 needs billions of 1D or 2D nodes: the node counts are
-        # checked before any grid is built
-        from smilansky_lab import grid2d, oned
+        # c = 1e7: a 1D threshold takes the support chain and the closed-form
+        # end terms of the rest, and agrees with the line's; the 2D commands
+        # would need billions of nodes, which is checked before any grid is
+        # built
+        from smilansky_lab import grid2d
 
         def heavy(*args, **kwargs):
             raise AssertionError("a grid was built")
 
-        for module, name in ((oned, "_min_eig"), (oned, "_interval_chain"),
-                             (grid2d, "graded_x_nodes")):
-            monkeypatch.setattr(module, name, heavy)
+        monkeypatch.setattr(grid2d, "graded_x_nodes", heavy)
         p = tmp_path / "huge.json"
         p.write_text(json.dumps({**SINGLE, "x_domain": {"type": "interval", "c": 1e7,
                                                         "bc": "periodic"}}))
-        assert main([args[0], "--config", str(p), *args[1:]]) == 2
-        err = capsys.readouterr().err
-        assert err.startswith("configuration error: ")
-        assert "(-10000000.0, 10000000.0) needs" in err and "nodes" in err
+        code = main([args[0], "--config", str(p), *args[1:]])
+        out, err = capsys.readouterr()
+        if args[0] in ("eig1d", "classify"):
+            assert code == 0, err
+            payload = json.loads(out)
+            got = (payload["channels"][0]["threshold"] if args[0] == "eig1d"
+                   else payload["t_V"])
+            line = threshold(ComparisonSpec(1.0, 2.0, PotentialProfile("cos2", 1.0, 1.0)))
+            assert abs(got - line) <= 2 * ResolutionPolicy().rich_tol
+        else:
+            assert code == 2
+            assert err.startswith("configuration error: ")
+            assert "(-10000000.0, 10000000.0) needs" in err and "nodes" in err
+
+    @pytest.mark.parametrize("c", [1e306, 1.7e308])
+    def test_interval_beyond_float_node_counts_is_2(self, tmp_path, c):
+        # 4 x 240 c grid nodes overflow float64: a fresh process exits 2 with
+        # one line for each command that takes a 1D threshold, and no
+        # traceback (it was a raw OverflowError)
+        p = tmp_path / "huge.json"
+        p.write_text(json.dumps({**SINGLE, "x_domain": {"type": "interval", "c": c,
+                                                        "bc": "periodic"}}))
+        for args in (["eig1d"], ["classify"], ["bound"], ["scan", "--ladder", "4,8,16"]):
+            proc = subprocess.run(
+                [sys.executable, "-m", "smilansky_lab.cli", args[0], "--config", str(p),
+                 *args[1:]], env=env_with_src(), capture_output=True, text=True)
+            assert proc.returncode == 2, (args, proc.stderr)
+            assert proc.stderr.startswith("configuration error: the interval "), proc.stderr
+            assert "Traceback" not in proc.stderr and proc.stderr.count("\n") == 1
 
     def test_weak_coupling_classify_and_bound_are_0(self, tmp_path, capsys):
         p = tmp_path / "weak.json"

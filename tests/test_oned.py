@@ -7,16 +7,16 @@ import numpy as np
 import pytest
 from scipy.linalg import eigh, eigh_tridiagonal
 
-from oracles import truncated_line_ground_state
+from oracles import interval_chain, interval_min_eig, truncated_line_ground_state
 from smilansky_lab import oned, weyl
 from smilansky_lab.errors import (ComputationError, ConfigurationError,
                                   RefinementError)
 from smilansky_lab.model import PotentialProfile, XDomain, profile_values
-from smilansky_lab.oned import (ComparisonSpec, Grid1D, ResolutionPolicy,
-                                _interval_chain, _min_eig, coarse_threshold,
+from smilansky_lab.oned import (ComparisonSpec, ResolutionPolicy, coarse_threshold,
                                 critical_coupling, ground_state, threshold,
                                 tune_lambda_to_threshold)
 from smilansky_lab.quadrature import gauss_panels
+from smilansky_lab.sturm import cyclic_sturm_count, sturm_count
 
 # the couplings with threshold 0 and -1 (cos2, a = 1, omega = 1), from the
 # dense generalized eigenproblem of TestLineThreshold.test_couplings_match_dense
@@ -106,18 +106,19 @@ class TestThreshold:
 
     @pytest.mark.parametrize("n", [17, 64, 301])
     def test_periodic_min_eig_matches_dense(self, cos2_profile, dense_periodic_min, n):
-        # the bordered Sturm count of the periodic wrap, at odd and even orders
+        # the cyclic Sturm count of the periodic wrap, at odd and even orders
         spec = ComparisonSpec(1.0, 4.0, cos2_profile,
                               XDomain("interval", 1.0, "periodic"))
-        grid = Grid1D(-1.0, 1.0, n)
-        assert abs(_min_eig(spec, grid) - dense_periodic_min(spec, grid)) < 1e-9
+        level = oned._interval_level(cos2_profile, spec.domain, n)
+        got, _ = oned._chain_threshold(1.0, 4.0, cos2_profile, *level)
+        assert abs(got - dense_periodic_min(spec, n)) < 1e-9
 
     def test_interval_periodic_threshold_matches_dense(self, cos2_profile,
                                                        dense_periodic_min):
         spec = ComparisonSpec(1.0, 4.0, cos2_profile,
                               XDomain("interval", 1.0, "periodic"))
         policy = ResolutionPolicy(points_per_unit=16.0, rich_tol=1e-3)
-        e = [dense_periodic_min(spec, Grid1D(-1.0, 1.0, m)) for m in (64, 128, 256)]
+        e = [dense_periodic_min(spec, m) for m in (64, 128, 256)]
         assert abs(threshold(spec, policy) - (4.0 * e[2] - e[1]) / 3.0) < 1e-9
 
     def test_richardson_gate_is_never_finer_than_float64(self):
@@ -141,6 +142,62 @@ class TestThreshold:
         values = caplog.records[-1].args[1]
         assert coarse_threshold(spec) == values[0]
         assert abs(values[0] - t) <= 1e-4 * abs(t)
+
+
+# a bump strictly between the nodes +-h/2 of every interval grid below
+# (odd multiples of h/2 >= 1/960 from 0)
+BETWEEN_NODES = PotentialProfile("table", 1.0, 1.0, table=(
+    (-0.0005, 0.0), (0.0, 0.5), (0.0005, 0.0)))
+# (profile, lambda, c, ends): each end condition; a Dirichlet box whose
+# threshold lies above omega^2; supports that reach the ends (a >= c - h);
+# a profile that is not even on a periodic interval; and profiles that
+# vanish on every node
+ORACLE_CASES = {
+    "dirichlet": (PROFILES["cos2"], 4.0, 1.5, "dirichlet"),
+    "neumann": (PROFILES["cos2"], 4.0, 1.5, "neumann"),
+    "periodic": (PROFILES["cos2"], 4.0, 1.5, "periodic"),
+    "above-omega2": (PROFILES["cos2"], 0.3, 1.2, "dirichlet"),
+    "to-the-ends-dirichlet": (PROFILES["cos2"], 2.0, 1.0, "dirichlet"),
+    "to-the-ends-neumann": (PROFILES["quartic"], 2.0, 1.0, "neumann"),
+    "to-the-ends-periodic": (SKEWED_TABLE, 3.0, 1.0, "periodic"),
+    "skewed-periodic": (SKEWED_TABLE, 3.0, 1.5, "periodic"),
+    "vanishing-dirichlet": (BETWEEN_NODES, 1.0, 1.5, "dirichlet"),
+    "vanishing-periodic": (BETWEEN_NODES, 1.0, 1.5, "periodic"),
+}
+
+
+class TestIntervalThreshold:
+    @pytest.mark.parametrize("case", sorted(ORACLE_CASES))
+    def test_support_chain_count_matches_the_whole_interval(self, case):
+        # the support chain with its closed-form end terms against the
+        # whole-interval assembly, on the grids of n, 2n and 4n nodes: the
+        # same Sturm count at energies around and above the threshold, and
+        # the same lowest eigenvalue within the two bisections' widths
+        profile, lam, c, bc = ORACLE_CASES[case]
+        spec = ComparisonSpec(1.0, lam, profile, XDomain("interval", c, bc))
+        n = ResolutionPolicy().n_for(c)
+        for k in (n, 2 * n, 4 * n):
+            level = oned._interval_level(profile, spec.domain, k)
+            got, _ = oned._chain_threshold(1.0, lam, profile, *level)
+            want = interval_min_eig(spec, k)
+            _, h, d, e, corner = interval_chain(spec, k)
+            assert abs(got - want) <= 2e-15 * (4.0 / h**2 + 1.0 + lam), (k, got, want)
+            count, _ = oned._chain_count(1.0, lam, profile, *level)
+            # the end terms hold below the exterior's spectrum: omega^2, or
+            # for a Dirichlet box its floor
+            top = 1.0
+            if bc == "dirichlet":
+                top += (2.0 / h * math.sin(math.pi / (2 * k + 2))) ** 2
+            energies = [want - 1e-7, want + 1e-7] + [want + (top - want) * f
+                                                      for f in (0.25, 0.5, 0.75)]
+            for x in filter(lambda x: x < top - 1e-7, energies):
+                whole = (sturm_count(d, [b * b for b in e], x) if corner is None
+                         else cyclic_sturm_count(d, e, corner, x))
+                assert count(x) == whole, (k, x)
+        if case == "above-omega2":
+            assert got > 1.0
+        if case.startswith("vanishing"):
+            assert got == top
 
 
 class TestLineThreshold:
@@ -201,7 +258,7 @@ class TestLineThreshold:
         # bit for bit the pinned support values of the earlier numpy evaluator
         profile = PROFILES[name]
         for m, want in zip((120, 240, 480), SUPPORT_VALUE_DIGESTS[name], strict=True):
-            v = oned._support_chain(1.0, profile, m)[1]
+            v = oned._support_chain(1.0, profile, *oned._line_level(profile, m)[:2])[0]
             assert hashlib.sha256(struct.pack(f"<{len(v)}d", *v)).hexdigest()[:16] == want
 
     @pytest.mark.parametrize("name", sorted(ARRAY_PATH_VALUES))
@@ -223,9 +280,8 @@ class TestLineThreshold:
             critical_coupling(1.0, narrow)
 
     def test_coupling_certificate_uses_tol(self, cos2_profile, monkeypatch):
-        real = oned._threshold_on_line
-        monkeypatch.setattr(oned, "_threshold_on_line",
-                            lambda *args: real(*args) + 2e-3)
+        real = oned.threshold
+        monkeypatch.setattr(oned, "threshold", lambda *args: real(*args) + 2e-3)
         assert abs(critical_coupling(1.0, cos2_profile, tol=1e-2) - LAM_CRIT_COS2) < 1e-8
         with pytest.raises(RefinementError, match="misses the target"):
             critical_coupling(1.0, cos2_profile, tol=1e-3)
@@ -326,7 +382,7 @@ class TestGroundState:
         # to 2.2e-5 and the t^4-weighted moments by up to 2.4e-5 relative
         spec = ComparisonSpec(1.0, 5.0, profile)
         gs = ground_state(spec)
-        ref = truncated_line_ground_state(spec, Grid1D(-12.0, 12.0, 4001))
+        ref = truncated_line_ground_state(spec, 12.0, 4001)
         assert abs(gs.e0 - ref.e0) <= 1e-5 * abs(ref.e0)
         for t in np.linspace(-3.0, 3.0, 61):
             (h, h1), (want, want1) = gs.jet(t), ref.jet(t)
@@ -368,16 +424,29 @@ class TestAssembly:
     def test_neumann_constant_mode(self, cos2_profile):
         spec = ComparisonSpec(1.0, 0.0, cos2_profile,
                               XDomain("interval", 2.0, "neumann"))
-        d, e, _ = _interval_chain(spec, Grid1D(-2.0, 2.0, 64))
+        _, _, d, e, _ = interval_chain(spec, 64)
         a = np.diag(d) + np.diag(e, 1) + np.diag(e, -1)
         ones = np.ones(len(d))
         # constant vector is an exact discrete eigenvector at omega^2
         assert np.max(np.abs(a @ ones - 1.0 * ones)) < 1e-12
 
-    def test_node_cap_bounds_the_finest_level(self):
-        # n = 240 c nodes per unit of c, so 4n reaches NODE_CAP = 4e6 at
-        # c = 4166.67; the check comes before any grid is built
-        pol = ResolutionPolicy()
-        assert 4 * pol.n_for(4166.0) <= oned.NODE_CAP
-        with pytest.raises(ConfigurationError, match=r"\(-4167.0, 4167.0\) needs 4000320 nodes"):
-            pol.n_for(4167.0)
+    def test_threshold_work_does_not_depend_on_c(self, cos2_profile, monkeypatch):
+        # every Sturm count of an interval threshold runs on the support
+        # chain, with the rest of the interval in its end terms: the chains
+        # are as long at c = 1e6 (4n = 9.6e8 grid nodes) as at c = 3
+        lengths = []
+        for name in ("sturm_count", "cyclic_sturm_count"):
+            real = getattr(oned, name)
+            monkeypatch.setattr(oned, name, lambda d, *args, real=real, name=name: (
+                lengths.append((name, len(d))) or real(d, *args)))
+        for bc in ("dirichlet", "neumann", "periodic"):
+            seen = []
+            for c in (3.0, 1e6):
+                lengths.clear()
+                threshold(ComparisonSpec(1.0, 2.0, cos2_profile, XDomain("interval", c, bc)))
+                seen.append(sorted(set(lengths)))
+            assert seen[0] == seen[1], bc
+            kind = "cyclic_sturm_count" if bc == "periodic" else "sturm_count"
+            assert {name for name, _ in seen[0]} == {kind}
+            # at most 2 a/h + 4 nodes on the finest grid, h about a/480 there
+            assert max(n for _, n in seen[0]) <= 2 * 480 + 4

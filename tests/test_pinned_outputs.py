@@ -1,9 +1,19 @@
-"""The pure-Python outputs, pinned bit for bit.
+r"""The pure-Python outputs, pinned bit for bit.
 
 `eig1d` on interval copies of `configs/single_channel.json` and `weyl` on
 `configs/supercritical.json` and interval copies of it run on the standard
 library alone, so their floats are the same on every platform; the pins in
 `data/pure_python_pins.json` are compared with ==.
+
+The `eig1d` pins, and only they, are regenerated from the repository root
+with
+
+    PYTHONPATH=src:tests python -c "import json, tempfile, pathlib, \
+    test_pinned_outputs as t; pins = json.loads(t.PINS_PATH.read_text()); \
+    [pin.update(threshold=t.run_cli(pathlib.Path(tempfile.mkdtemp()), \
+    'single_channel.json', pin['x_domain'], ['eig1d'])['channels'][0] \
+    ['threshold']) for pin in pins['eig1d']]; \
+    t.PINS_PATH.write_text(json.dumps(pins, indent=1) + '\\n')"
 """
 
 import json
@@ -14,7 +24,8 @@ import pytest
 from smilansky_lab.cli import main
 
 CONFIGS = Path(__file__).resolve().parents[1] / "configs"
-PINS = json.loads((Path(__file__).parent / "data" / "pure_python_pins.json").read_text())
+PINS_PATH = Path(__file__).parent / "data" / "pure_python_pins.json"
+PINS = json.loads(PINS_PATH.read_text())
 
 
 def run_cli(tmp_path, config: str, x_domain: dict, args: list[str]) -> dict:
