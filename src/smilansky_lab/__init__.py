@@ -3,9 +3,9 @@
 Submodules: model (configuration and potentials), oned (1D comparison
 operator), grid2d (truncated 2D Hamiltonian and transition scans), weyl
 (quasi-mode certificates), bracketing (lower bounds and classification),
-sturm (Sturm counts and inverse iteration on lists), eigs (the 2D
-eigensolver), quadrature (Gauss-Legendre panels, Hermite interpolants),
-cli.  A submodule is imported on first access, so `import smilansky_lab`
+sturm (Sturm counts, their bisection, and the lowest eigenvector by inverse
+iteration, on lists), eigs (the 2D eigensolver), quadrature (Gauss-Legendre
+panels, Hermite interpolants), cli.  A submodule is imported on first access, so `import smilansky_lab`
 loads none of them, and the 1D and Weyl paths (model, oned, bracketing,
 sturm, quadrature, weyl, cli) never load numpy, for any profile family.
 """

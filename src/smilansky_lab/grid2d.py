@@ -32,7 +32,7 @@ import numpy as np
 from .bracketing import channel_threshold
 from .eigs import BlockTridiagonal, shift_invert_lanczos
 from .errors import ComputationError, ConfigurationError, RefinementError
-from .model import ModelConfig, profile_values
+from .model import NODE_CAP, ModelConfig, profile_values
 
 __all__ = [
     "Grid2D",
@@ -48,8 +48,6 @@ __all__ = [
     "scan_csv",
 ]
 
-# the most nodes one 2D grid may hold
-NODE_CAP = 4_000_000
 # the pivot blocks of the 2D solve may take this many doubles per node of the
 # memory cap: 512 MiB at the default cap
 _DOUBLES_PER_NODE = 16

@@ -35,6 +35,8 @@ __all__ = [
 ]
 
 _FAMILIES = ("cos2", "quartic", "table")
+# the most nodes one 2D grid, or one 1D support chain, may hold
+NODE_CAP = 4_000_000
 
 
 @dataclass(frozen=True)
@@ -200,7 +202,7 @@ class ModelConfig:
 
     def __post_init__(self):
         # every operator takes omega^2, which overflows from 1.35e154 on
-        if not 0 < self.omega * self.omega < math.inf:
+        if not (self.omega > 0 and self.omega * self.omega < math.inf):
             raise ConfigurationError(
                 f"omega must be positive with omega^2 finite, got {self.omega!r}")
         if self.y_cutoff is not None and not math.isfinite(self.y_cutoff):

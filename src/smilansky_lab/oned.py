@@ -32,8 +32,10 @@ interval (-c, c) the grids of n, 2n and 4n nodes (interior vertices with
 Dirichlet ends, cell centres otherwise), whose support nodes and exterior
 counts are integer arithmetic: c does not enter the cost.  `ground_state`,
 the eigenpair behind the Weyl quasi-modes, is solved on the line's support
-chain at 2m (its threshold, then inverse iteration on A(E0)), with a few
-exterior nodes u_edge r^j and the geometric sum of the rest.  All of it runs
+chain at 2m by one bisection: E0 is its threshold, and the eigenvector comes
+by inverse iteration on A(E0) from the bracket's lower end, shifted by the
+change of the end terms, with a few exterior nodes u_edge r^j and the
+geometric sum of the rest.  All of it runs
 on floats and lists: the 1D commands and the Weyl path import only the
 standard library.
 
@@ -51,8 +53,8 @@ from functools import partial
 from typing import Callable, Optional, Sequence
 
 from .errors import ComputationError, ConfigurationError, RefinementError
-from .model import PotentialProfile, XDomain, profile_values
-from .sturm import bisect_count, chain_lowest_pair, cyclic_sturm_count, sturm_count
+from .model import NODE_CAP, PotentialProfile, XDomain, profile_values
+from .sturm import bisect_count, cyclic_sturm_count, lowest_eigenvector, sturm_count
 
 __all__ = [
     "ComparisonSpec",
@@ -102,8 +104,15 @@ class ResolutionPolicy:
         return max(64, math.ceil(self.points_per_unit * (c + c)))
 
     def m_for(self, a: float) -> int:
-        """Steps of the support half-width a on the line (h = a/m)."""
-        return math.ceil(self.points_per_unit * a)
+        """Steps m of the support half-width a on the line (h = a/m).  The
+        finest chain, 8m - 1 nodes at h = a/4m, may not pass NODE_CAP; an
+        interval's finest chain, at about the same spacing, is as long."""
+        m = self.points_per_unit * a
+        if not m <= NODE_CAP // 8:
+            raise ConfigurationError(
+                f"the channel support [-{a}, {a}] is too wide: its finest "
+                f"chain would pass {NODE_CAP} nodes")
+        return math.ceil(m)
 
 
 def _richardson(what: str, values: list[float], steps, policy: ResolutionPolicy) -> float:
@@ -191,44 +200,51 @@ def _end_terms(exterior: Optional[tuple[str, int]], w2: float, h: float,
 def _chain_count(omega: float, lam: float, profile: PotentialProfile, h: float,
                  half_width: int, exterior: Optional[tuple[str, int]]):
     """E -> the number of eigenvalues of A(E) below E, for E below omega^2
-    or below a Dirichlet box's floor, and V on the support nodes."""
+    or below a Dirichlet box's floor; E -> the diagonal of A(E) and its
+    corner entry; and V on the support nodes."""
     v, d0, e2 = _support_chain(omega, profile, h, half_width)
     w2 = omega**2
     base = [di - lam * vi for di, vi in zip(d0, v)]
     off = [-1.0 / h**2] * len(e2)
 
-    def count(e: float) -> int:
+    def matrix(e: float) -> tuple[list[float], Optional[float]]:
         d = base.copy()
         end, corner = _end_terms(exterior, w2, h, e)
         d[0] -= end
         d[-1] -= end
+        return d, corner
+
+    def count(e: float) -> int:
+        d, corner = matrix(e)
         return (sturm_count(d, e2, e) if corner is None
                 else cyclic_sturm_count(d, off, corner, e))
-    return count, v
+    return count, matrix, v
 
 
 def _chain_threshold(omega: float, lam: float, profile: PotentialProfile, h: float,
                      half_width: int, exterior: Optional[tuple[str, int]] = None
-                     ) -> tuple[float, int]:
-    """Discrete threshold at one resolution, and its bisection steps: the
+                     ) -> tuple[float, int, float, Callable]:
+    """Discrete threshold at one resolution, its bisection steps, the lower
+    end lo of its bracket (count(lo) == 0; the threshold itself where
+    nothing binds) and E -> the diagonal of A(E) and its corner entry: the
     spacing h, the support chain x = (h/2) j, |j| <= half_width in steps of
     2, and the exterior, None on the line, else the ends and the nodes N
     beyond each end of the chain."""
-    count, v = _chain_count(omega, lam, profile, h, half_width, exterior)
+    count, matrix, v = _chain_count(omega, lam, profile, h, half_width, exterior)
     top = w2 = omega**2
     if exterior is not None and exterior[0] == "dirichlet":
         top += (2.0 / h * math.sin(0.5 * math.pi / (half_width + 2 + 2 * exterior[1]))) ** 2
     # A(top) - top is the potential-free chain minus lambda V, with a
     # positive lowest eigenvector: a state binds below top iff lambda V != 0
     if lam == 0.0 or max(v) <= 0.0:
-        return top, 0
+        return top, 0, top, matrix
     # Rayleigh: the chain operator is >= omega^2 - lambda sup V, so no
     # eigenvalue of A(E) lies below E there; the bisection stops at the
     # rounding level eps ||A|| of the count
     lo = w2 - lam * profile.sup_value - 1.0
     tol = _EPS * (4.0 / h**2 + w2 + lam * profile.sup_value)
     lo, hi, steps = bisect_count(count, lo, top, tol)
-    return 0.5 * (lo + hi), steps
+    return 0.5 * (lo + hi), steps, lo, matrix
 
 
 def _chain_coupling(omega: float, profile: PotentialProfile, target: float,
@@ -263,9 +279,10 @@ def _chain_coupling(omega: float, profile: PotentialProfile, target: float,
 
 def _levels(spec: ComparisonSpec, policy: ResolutionPolicy) -> tuple[list[tuple], str]:
     """The three resolutions of spec's threshold, coarsest first, as
-    arguments of `_chain_threshold`, and where they lie."""
+    arguments of `_chain_threshold`, and where they lie.  `policy.m_for`
+    refuses a support too wide for the finest chain, on an interval too."""
+    m = policy.m_for(spec.profile.a)
     if spec.domain.kind == "line":
-        m = policy.m_for(spec.profile.a)
         return ([_line_level(spec.profile, k) for k in (m, 2 * m, 4 * m)],
                 f"on the line, m={m}")
     c = spec.domain.c
@@ -282,7 +299,7 @@ def threshold(spec: ComparisonSpec, policy: ResolutionPolicy = ResolutionPolicy(
     runs = [_chain_threshold(spec.omega, spec.lam, spec.profile, *level)
             for level in levels]
     return _richardson(f"threshold at lambda={spec.lam!r} {where}",
-                       [e for e, _ in runs], [s for _, s in runs], policy)
+                       [run[0] for run in runs], [run[1] for run in runs], policy)
 
 
 def coarse_threshold(spec: ComparisonSpec,
@@ -360,7 +377,10 @@ def ground_state(spec: ComparisonSpec,
 
     E0 is the chain's threshold (`_chain_threshold`): the E that is the
     lowest eigenvalue of A(E), the support chain with transparent ends.  The
-    eigenvector is that of A(E0), by `chain_lowest_pair`.  Outside the
+    eigenvector is that of A(E0), by inverse iteration (`lowest_eigenvector`)
+    from the same bisection: its bracket's lower end lo, lowered by the
+    change of the end terms from lo to E0, lies below the spectrum of A(E0)
+    (Weyl's inequality), which one Sturm count certifies.  Outside the
     support the discrete solution is exactly u_edge r^j, with r the decaying
     root at E0: `_EXTERIOR_NODES` of those nodes complete the interpolant's
     data on each side, and the geometric sum of the rest completes the
@@ -376,8 +396,7 @@ def ground_state(spec: ComparisonSpec,
     omega, lam, profile = spec.omega, spec.lam, spec.profile
     m = 2 * policy.m_for(profile.a)
     h, half_width, _ = _line_level(profile, m)
-    v, d, _ = _support_chain(omega, profile, h, half_width)
-    e0, _ = _chain_threshold(omega, lam, profile, h, half_width)
+    e0, _, lo, matrix = _chain_threshold(omega, lam, profile, h, half_width)
     kappa2 = omega**2 - e0
     end = _transparent_end(kappa2, h)
     r = end * h * h
@@ -389,10 +408,11 @@ def ground_state(spec: ComparisonSpec,
         raise ConfigurationError(
             f"the ground state's tail ratio r underflows to 0 at kappa h = "
             f"{math.sqrt(kappa2) * h:.3g}: float64 cannot hold its decay")
-    d = [di - lam * vi for di, vi in zip(d, v)]
-    d[0] -= end
-    d[-1] -= end
-    _, u = chain_lowest_pair(d, [-1.0 / h**2] * (2 * m - 2))
+    # A(E0) = A(lo) - delta (e_0 e_0^T + e_n e_n^T), delta = end(E0) - end(lo)
+    # >= 0, and count(lo) == 0 makes A(lo) - lo positive definite
+    d, _ = matrix(e0)
+    sigma = lo - (end - _transparent_end(omega**2 - lo, h))
+    u = lowest_eigenvector(d, [-1.0 / h**2] * (2 * m - 2), sigma)
     if math.fsum(u) < 0.0:
         u = [-x for x in u]
 

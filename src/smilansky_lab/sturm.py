@@ -1,10 +1,11 @@
 """Sturm counts of symmetric tridiagonal matrices, on plain Python lists.
 
-The 1D thresholds and couplings are bisections of these counts, and the
-ground state behind the Weyl quasi-modes adds an eigenvector by inverse
-iteration (`chain_lowest_pair`); they need nothing else.  This module, like
-the whole 1D and Weyl path (`model`, `oned`, `bracketing`, `quadrature`,
-`weyl`, `cli`), imports only the standard library.
+The 1D thresholds and couplings are bisections of these counts.  The ground
+state behind the Weyl quasi-modes adds its eigenvector by inverse iteration
+(`lowest_eigenvector`), at a shift below the spectrum that one more count
+certifies; they need nothing else.  This module, like the whole 1D and Weyl
+path (`model`, `oned`, `bracketing`, `quadrature`, `weyl`, `cli`), imports
+only the standard library.
 """
 
 from __future__ import annotations
@@ -12,17 +13,11 @@ from __future__ import annotations
 import math
 import sys
 from itertools import chain
-from typing import Callable, Optional, Sequence
+from typing import Callable, Sequence
 
 from .errors import ComputationError
 
-# the bracket of chain_bracket starts this far outside the spectrum, relative
-# to ||T||_inf, once that exceeds 1 (at 1e12): far above the rounding
-# eps ||T||_inf of its ends and of the counts
-_MARGIN_REL = 1e-12
-
-__all__ = ["sturm_count", "cyclic_sturm_count", "bisect_count", "chain_norm",
-           "chain_bracket", "chain_lowest_pair"]
+__all__ = ["sturm_count", "cyclic_sturm_count", "bisect_count", "lowest_eigenvector"]
 
 
 def sturm_count(d: Sequence[float], e2: Sequence[float], x: float) -> int:
@@ -99,79 +94,27 @@ def bisect_count(count: Callable[[float], int], lo: float, hi: float,
     return lo, hi, steps
 
 
-def _radii(e: Sequence[float], corner: Optional[float]) -> list[float]:
-    """Gershgorin radii: the absolute off-diagonal row sums."""
-    ae = [abs(b) for b in e]
-    r = [x + y for x, y in zip([0.0] + ae, ae + [0.0])]
-    if corner is not None:
-        r[0] += abs(corner)
-        r[-1] += abs(corner)
-    return r
+def lowest_eigenvector(d: Sequence[float], e: Sequence[float], sigma: float) -> list[float]:
+    """Unit eigenvector of the lowest eigenvalue of the symmetric tridiagonal
+    matrix T with diagonal d and off-diagonal e (no periodic wrap), from a
+    shift sigma below its spectrum.
 
-
-def chain_norm(d: Sequence[float], e: Sequence[float],
-               corner: Optional[float]) -> float:
-    """The largest absolute row sum of the tridiagonal matrix with diagonal
-    d, off-diagonal e and the periodic wrap entry `corner`: a bound on its
-    2-norm."""
-    return max(abs(di) + ri for di, ri in zip(d, _radii(e, corner)))
-
-
-def chain_bracket(d: Sequence[float], e: Sequence[float], corner: Optional[float],
-                  tol: float) -> tuple[float, float]:
-    """Bracket (lo, hi), hi - lo <= tol, of the lowest eigenvalue of the
-    tridiagonal matrix with diagonal d, off-diagonal e and the periodic wrap
-    entry `corner` (None for none): bisection of the Sturm count from below
-    the Gershgorin bound to above the Rayleigh quotient of the constant
-    vector, both by max(1, _MARGIN_REL ||T||_inf), a margin that no
-    rounding of the entries swallows.  count(lo) == 0, so T - lo is positive
-    definite."""
-    if corner is None:
-        e2 = [b * b for b in e]
-
-        def count(x: float) -> int:
-            return sturm_count(d, e2, x)
-        wrap = 0.0
-    else:
-        def count(x: float) -> int:
-            return cyclic_sturm_count(d, e, corner, x)
-        wrap = 2.0 * corner
-    margin = max(1.0, _MARGIN_REL * chain_norm(d, e, corner))
-    lo = min(di - ri for di, ri in zip(d, _radii(e, corner))) - margin
-    hi = (sum(d) + 2.0 * sum(e) + wrap) / len(d) + margin
-    lo, hi, _ = bisect_count(count, lo, hi, tol)
-    return lo, hi
-
-
-def chain_lowest_pair(d: Sequence[float], e: Sequence[float]) -> tuple[float, list[float]]:
-    """Lowest eigenpair of the symmetric tridiagonal matrix with diagonal d
-    and off-diagonal e (no periodic wrap).
-
-    `chain_bracket` brackets the lowest eigenvalue to width
-    tol = 1e-15 ||T||.  The bracket's lower end sigma lies below the
-    spectrum, so T - sigma is positive definite and its LDL^T factor needs
-    no pivoting.  Three solves with it (inverse iteration from the constant
-    vector) give the eigenvector, its error shrinking by
-    (e0 - sigma) / (e1 - sigma) per solve, and its Rayleigh quotient the
-    eigenvalue, certified by count(e0 - tol) == 0 < count(e0 + tol).
-    Returns (e0, unit eigenvector).
+    sturm_count(d, e^2, sigma) == 0 certifies the shift: the pivots of the
+    LDL^T factorization of T - sigma, the ones that count finds, are all
+    positive, so the factor needs no pivoting.  Three solves with it from
+    the constant vector give the eigenvector, its error shrinking by
+    (e0 - sigma) / (e1 - sigma) per solve.
     """
-    if not all(map(math.isfinite, chain(d, e))):
+    if not all(map(math.isfinite, chain(d, e, (sigma,)))):
         raise ComputationError("non-finite matrix entries")
     n = len(d)
-    tol = 1e-15 * max(1.0, chain_norm(d, e, None))
-    lo, _ = chain_bracket(d, e, None, tol)
-
-    # count(lo) == 0 makes the pivots below, the ones sturm_count finds, all
-    # positive; the bracket's margin keeps it so at any size of the entries
     e2 = [b * b for b in e]
-    if sturm_count(d, e2, lo):
+    if sturm_count(d, e2, sigma):
         raise ComputationError(
-            f"T - sigma is not positive definite at the bracket's lower end "
-            f"sigma = {lo!r}: the entries exceed what float64 resolves")
-    piv = [d[0] - lo]
+            f"T - sigma is not positive definite at the shift sigma = {sigma!r}")
+    piv = [d[0] - sigma]
     for i in range(1, n):
-        piv.append(d[i] - lo - e2[i - 1] / piv[i - 1])
+        piv.append(d[i] - sigma - e2[i - 1] / piv[i - 1])
     v = [1.0] * n
     for _ in range(3):
         # forward, then back substitution through L D L^T, L_i = e_{i-1}/piv_{i-1}
@@ -183,15 +126,4 @@ def chain_lowest_pair(d: Sequence[float], e: Sequence[float]) -> tuple[float, li
         scale = max(map(abs, v))
         v = [x / scale for x in v]
     norm = math.sqrt(math.fsum(x * x for x in v))
-    v = [x / norm for x in v]
-    # the Rayleigh quotient as sum c_i v_i^2 - sum e_i (v_{i+1} - v_i)^2, with
-    # c the row sums of T: it avoids the cancellation of the large diagonal
-    # against the off-diagonal
-    c = [di + a + b for di, a, b in zip(d, chain((0.0,), e), chain(e, (0.0,)))]
-    e0 = math.fsum(chain((ci * x * x for ci, x in zip(c, v)),
-                         (-b * (y - x) ** 2 for b, x, y in zip(e, v, v[1:]))))
-    if sturm_count(d, e2, e0 - tol) or not sturm_count(d, e2, e0 + tol):
-        raise ComputationError(
-            f"lowest eigenvalue {e0!r} is not certified by the Sturm counts "
-            f"at +-{tol:.3g}")
-    return e0, v
+    return [x / norm for x in v]

@@ -2,7 +2,6 @@ import numpy as np
 import pytest
 
 from smilansky_lab.model import ChannelSpec, ModelConfig, PotentialProfile
-from oracles import interval_chain
 from smilansky_lab.oned import (ComparisonSpec, critical_coupling, ground_state,
                                 tune_lambda_to_threshold)
 
@@ -45,15 +44,3 @@ def supercritical_config(cos2_profile, lam_e0_minus1):
 @pytest.fixture(scope="session")
 def rng():
     return np.random.default_rng(20260824)
-
-
-@pytest.fixture(scope="session")
-def dense_periodic_min():
-    """Lowest eigenvalue of the periodic comparison matrix on n nodes by
-    dense eigvalsh."""
-    def lowest(spec: ComparisonSpec, n: int) -> float:
-        _, _, d, e, corner = interval_chain(spec, n)
-        a = np.diag(d) + np.diag(e, 1) + np.diag(e, -1)
-        a[0, -1] = a[-1, 0] = corner
-        return float(np.linalg.eigvalsh(a)[0])
-    return lowest

@@ -20,12 +20,12 @@ from typing import Optional
 
 import numpy as np
 import scipy.sparse as sp
+from scipy.linalg import eigh_tridiagonal
 
-from smilansky_lab.grid2d import Grid2D, SparseHamiltonian
+from smilansky_lab.grid2d import Grid2D, SparseHamiltonian, TridiagonalSym
 from smilansky_lab.model import PotentialProfile, XDomain, profile_values
 from smilansky_lab.oned import ComparisonSpec, GroundState, _fd4_derivative, _ode_factors
 from smilansky_lab.quadrature import gauss_panels, linspace, quintic_hermite
-from smilansky_lab.sturm import chain_bracket, chain_lowest_pair, chain_norm
 from smilansky_lab.weyl import (CutoffFunction, QuasiMode, _bridge_jet, _ground_moments,
                                 _log_jet, _t_rule)
 
@@ -108,20 +108,23 @@ def interval_chain(spec: ComparisonSpec, n: int):
 
 
 def interval_min_eig(spec: ComparisonSpec, n: int) -> float:
-    """Lowest eigenvalue of `interval_chain`, bracketed by the Sturm count
-    (the cyclic count for the periodic wrap) to 1e-15 ||T||."""
+    """Lowest eigenvalue of `interval_chain` by LAPACK: the tridiagonal
+    solver, or the dense one for the periodic wrap."""
     _, _, d, e, corner = interval_chain(spec, n)
-    lo, hi = chain_bracket(d, e, corner, 1e-15 * max(1.0, chain_norm(d, e, corner)))
-    return 0.5 * (lo + hi)
+    if corner is None:
+        return float(eigh_tridiagonal(d, e, eigvals_only=True, select="i",
+                                      select_range=(0, 0))[0])
+    return float(np.linalg.eigvalsh(TridiagonalSym(d, e, corner).toarray())[0])
 
 
 def truncated_line_ground_state(spec: ComparisonSpec, c: float, n: int) -> GroundState:
     """Minimal eigenpair on the line truncated with Dirichlet ends at +-c:
-    `interval_chain` with n nodes and `chain_lowest_pair`.  Its samples are
+    `interval_chain` with n nodes and LAPACK's tridiagonal solver.  Its samples are
     normalized on the grid, and its interpolant takes the boundary zeros as
     nodes."""
     x, h, d, e, _ = interval_chain(replace(spec, domain=XDomain("interval", c)), n)
-    e0, v = chain_lowest_pair(d, e)
+    (e0,), vec = eigh_tridiagonal(d, e, select="i", select_range=(0, 0))
+    e0, v = float(e0), vec[:, 0].tolist()
     norm = math.sqrt(math.fsum(vi * vi for vi in v) * h)
     v = [vi / norm for vi in v]
     if math.fsum(v) < 0.0:

@@ -21,7 +21,7 @@ from smilansky_lab.model import ChannelSpec, ModelConfig, XDomain
 from smilansky_lab.oned import (ComparisonSpec, ResolutionPolicy,
                                 critical_coupling, ground_state, threshold,
                                 tune_lambda_to_threshold)
-from smilansky_lab.sturm import chain_bracket, chain_lowest_pair
+from smilansky_lab.sturm import bisect_count, cyclic_sturm_count, lowest_eigenvector, sturm_count
 
 K_LADDER = [2.0**p for p in (4, 8, 12, 16)]
 C_J = 10.1507     # pinned by the k = 2^4 quadrature oracle run
@@ -197,13 +197,21 @@ def test_criterion_10_eigensolver_oracles():
     t0 = time.perf_counter()
     n = 50
     d, e = [2.0] * n, [-1.0] * (n - 1)
-    oracle = eigh_tridiagonal(d, e, eigvals_only=True)
+    oracle, vecs = eigh_tridiagonal(d, e)
     want = np.sort(2.0 - 2.0 * np.cos(np.arange(1, n + 1) * np.pi / (n + 1)))
-    lo, hi = chain_bracket(d, e, None, 1e-14)
-    e0, _ = chain_lowest_pair(d, e)
-    wrap_lo, wrap_hi = chain_bracket(d, e, -1.0, 1e-14)
+    # the Sturm counts of the chain and of its periodic wrap (kernel 0),
+    # bisected from below the Gershgorin bound 0
+    lo, hi, _ = bisect_count(lambda x: sturm_count(d, [1.0] * (n - 1), x), -1.0, 4.0, 1e-14)
+    wrap_lo, wrap_hi, _ = bisect_count(lambda x: cyclic_sturm_count(d, e, -1.0, x),
+                                       -1.0, 4.0, 1e-14)
+    # the lowest pair: inverse iteration from the bracket's lower end, and
+    # the vector's Rayleigh quotient
+    v = np.array(lowest_eigenvector(d, e, lo))
+    v *= np.sign(v @ vecs[:, 0])
+    e0 = float(v @ (np.diag(d) + np.diag(e, 1) + np.diag(e, -1)) @ v)
     tri_ok = (np.max(np.abs(oracle - want)) < 1e-12 and lo <= want[0] <= hi
-              and abs(e0 - oracle[0]) < 1e-13 and wrap_lo <= 0.0 <= wrap_hi)
+              and abs(e0 - oracle[0]) < 1e-13 and np.max(np.abs(v - vecs[:, 0])) < 1e-13
+              and wrap_lo <= 0.0 <= wrap_hi)
 
     g = uniform_grid(-4.0, 4.0, 40, 3.0, 40)
     ham = grid2d.assemble_h2d(ModelConfig(omega=1.0), g)

@@ -7,7 +7,7 @@ from pathlib import Path
 import pytest
 
 import smilansky_lab
-from oracles import truncated_line_ground_state
+from oracles import interval_min_eig, truncated_line_ground_state
 from smilansky_lab import cli, weyl
 from smilansky_lab.cli import RunRequest, main, run
 from smilansky_lab.errors import ConfigurationError
@@ -111,20 +111,21 @@ class TestRequests:
 
     def test_non_finite_config_values_exit_2(self, tmp_path, capsys):
         # json reads NaN: "lambda": NaN gave NaN thresholds with exit 0, and
-        # "omega": NaN a finite bound
-        for key, path in (("lambda", ("channels", 0)), ("omega", ())):
+        # "omega": NaN a finite bound; "omega": -1 gave `eig2d` an eigenvalue
+        for key, path, value in (("lambda", ("channels", 0), float("nan")),
+                                 ("omega", (), float("nan")), ("omega", (), -1.0)):
             bad = json.loads(json.dumps(SINGLE))
             leaf = bad
             for k in path:
                 leaf = leaf[k]
-            leaf[key] = float("nan")
+            leaf[key] = value
             p = tmp_path / f"{key}.json"
             p.write_text(json.dumps(bad))
-            for command in ("eig1d", "classify", "bound"):
+            for command in ("eig1d", "classify", "bound", "eig2d"):
                 assert main([command, "--config", str(p)]) == 2
                 captured = capsys.readouterr()
                 assert captured.out == ""
-                assert "finite, got nan" in captured.err
+                assert f"finite, got {value!r}" in captured.err
 
 
 class TestCommands:
@@ -169,7 +170,7 @@ class TestCommands:
         assert payload["verdict"] == "critical"
         assert payload["global_lower_bound"] == "unbounded below"
 
-    def test_periodic_interval_eig1d_and_classify(self, tmp_path, dense_periodic_min):
+    def test_periodic_interval_eig1d_and_classify(self, tmp_path):
         cfg = tmp_path / "periodic.json"
         cfg.write_text(json.dumps({**SUPER, "channels": [{
             "lambda": 4.0, "center": 0.0,
@@ -183,7 +184,7 @@ class TestCommands:
         # dense Richardson reference on the default grids n = 240, 480, 960
         spec = ComparisonSpec(1.0, 4.0, PotentialProfile("cos2", 1.0, 1.0),
                               XDomain("interval", 1.0, "periodic"))
-        e = [dense_periodic_min(spec, n) for n in (240, 480, 960)]
+        e = [interval_min_eig(spec, n) for n in (240, 480, 960)]
         assert abs(got - (4.0 * e[2] - e[1]) / 3.0) <= ResolutionPolicy().rich_tol
 
     def test_weyl_csv(self, super_cfg, tmp_path):
@@ -620,6 +621,33 @@ class TestExitCodes:
                  *args[1:]], env=env_with_src(), capture_output=True, text=True)
             assert proc.returncode == 2, (args, proc.stderr)
             assert proc.stderr.startswith("configuration error: the interval "), proc.stderr
+            assert "Traceback" not in proc.stderr and proc.stderr.count("\n") == 1
+
+    @pytest.mark.parametrize("a", [1e7, 1e307])
+    def test_huge_channel_half_width_is_2(self, tmp_path, a):
+        # the finest support chain would pass NODE_CAP: about 1e10 nodes at
+        # a = 1e7, and at 1e307 the step count overflowed (a raw
+        # OverflowError).  A fresh process, whose support chains raise if
+        # built, exits 2 with one line for each command that takes the 1D
+        # chain
+        cfg = json.loads(json.dumps(SUPER))
+        cfg["channels"][0]["profile"]["a"] = a
+        p = tmp_path / "wide.json"
+        p.write_text(json.dumps(cfg))
+        script = ("import sys\n"
+                  "from smilansky_lab import cli, oned\n"
+                  "def built(*args):\n"
+                  "    raise AssertionError('a support chain was built')\n"
+                  "oned._support_chain = built\n"
+                  "sys.exit(cli.main(sys.argv[1:]))\n")
+        for args in (["eig1d"], ["classify"], ["bound"], ["critical"],
+                     ["weyl", "--eps", "0.1"]):
+            proc = subprocess.run(
+                [sys.executable, "-c", script, args[0], "--config", str(p), *args[1:]],
+                env=env_with_src(), capture_output=True, text=True)
+            assert proc.returncode == 2, (args, proc.stderr)
+            assert proc.stderr.startswith("configuration error: the channel support "), \
+                proc.stderr
             assert "Traceback" not in proc.stderr and proc.stderr.count("\n") == 1
 
     def test_weak_coupling_classify_and_bound_are_0(self, tmp_path, capsys):

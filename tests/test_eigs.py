@@ -9,8 +9,7 @@ from hypothesis import strategies as st
 from smilansky_lab.eigs import BlockTridiagonal, _spd_inverse, _splitmix64, shift_invert_lanczos
 from smilansky_lab.errors import ComputationError
 from smilansky_lab.grid2d import TridiagonalSym
-from smilansky_lab.sturm import (bisect_count, chain_bracket, chain_lowest_pair, chain_norm,
-                                 cyclic_sturm_count, sturm_count)
+from smilansky_lab.sturm import bisect_count, cyclic_sturm_count, lowest_eigenvector, sturm_count
 
 
 def dirichlet_laplacian(n):
@@ -21,8 +20,10 @@ def smallest_by_count(T, m, tol):
     """The m smallest eigenvalues of a non-periodic T: the j-th is where the
     Sturm count passes j, bisected to width tol."""
     d, e2 = T.d.tolist(), (T.e**2).tolist()
-    # the spectrum lies in [-||T||_inf, ||T||_inf]
-    hi = chain_norm(d, T.e.tolist(), None) + 1.0
+    # the spectrum lies in [-||T||_inf, ||T||_inf], ||T||_inf the largest
+    # absolute row sum (Gershgorin)
+    ae = np.abs(T.e)
+    hi = float(np.max(np.abs(T.d) + np.append(ae, 0.0) + np.append(0.0, ae))) + 1.0
     lo = -hi
     return np.array([0.5 * sum(bisect_count(lambda x: sturm_count(d, e2, x) > j,
                                             lo, hi, tol)[:2]) for j in range(m)])
@@ -102,10 +103,13 @@ class TestSturmCount:
         rng = np.random.default_rng(11)
         n = 500
         T = TridiagonalSym(2.0 + rng.uniform(-1.0, 1.0, n), np.full(n - 1, -1.0))
-        e0, v = chain_lowest_pair(T.d.tolist(), T.e.tolist())
-        v = np.array(v)
         (want,), vecs = eigh_tridiagonal(T.d, T.e, select="i", select_range=(0, 0))
-        assert abs(e0 - want) < 1e-13
+        # the shift: the lower end of the Sturm bracket of the lowest
+        # eigenvalue, 1e-15 ||T||_inf wide
+        d, e2 = T.d.tolist(), (T.e**2).tolist()
+        sigma, _, _ = bisect_count(lambda x: sturm_count(d, e2, x), -1.0, 4.0, 4e-15)
+        v = np.array(lowest_eigenvector(d, T.e.tolist(), sigma))
+        assert abs(v @ T.toarray() @ v - want) < 1e-13
         assert abs(np.linalg.norm(v) - 1.0) < 1e-14
         assert np.max(np.abs(v * np.sign(v @ vecs[:, 0]) - vecs[:, 0])) < 1e-12
 
@@ -125,38 +129,23 @@ class TestSturmCount:
                     assert cyclic_sturm_count(T.d.tolist(), T.e.tolist(), T.corner,
                                               float(x)) == int(np.sum(vals < x))
 
-    @pytest.mark.parametrize("corner", [None, -1.0])
-    def test_bracket_lowest(self, corner):
-        # the periodic Laplacian has the constant kernel; the Dirichlet one
-        # its lowest eigenvalue 2 - 2 cos(pi / 41)
-        T = TridiagonalSym(np.full(40, 2.0), np.full(39, -1.0), corner)
-        lo, hi = chain_bracket(T.d.tolist(), T.e.tolist(), T.corner, 1e-14)
-        want = 0.0 if corner else 2.0 - 2.0 * np.cos(np.pi / 41.0)
-        assert lo <= want + 1e-15 and want - 1e-15 <= hi and hi - lo <= 1e-14
-
-    def test_bracket_margin_scales_with_the_chain(self):
-        # below ||T||_inf = 1e12 the bracket starts one outside the
-        # Gershgorin bound and the constant vector's Rayleigh quotient, as it
-        # always did, so ordinary brackets are bit-identical; a 1e300
-        # diagonal would round that unit away, and the relative margin keeps
-        # count(lo) == 0
-        rng = np.random.default_rng(4)
-        for scale in (1.0, 1e4, 1e11):
-            d = (scale * rng.uniform(1.0, 3.0, 30)).tolist()
-            e = (-scale * rng.uniform(0.5, 1.0, 29)).tolist()
-            e2 = [b * b for b in e]
-            r = [abs(a) + abs(b) for a, b in zip([0.0] + e, e + [0.0])]
-            lo = min(di - ri for di, ri in zip(d, r)) - 1.0
-            hi = (sum(d) + 2.0 * sum(e)) / len(d) + 1.0
-            want = bisect_count(lambda x: sturm_count(d, e2, x), lo, hi, 1e-15 * scale)[:2]
-            assert chain_bracket(d, e, None, 1e-15 * scale) == want
+    def test_shift_must_lie_below_the_spectrum(self):
+        # a 1e300 diagonal: the lower end of the Sturm bracket of the lowest
+        # eigenvalue, 1e-15 ||T||_inf wide, is certified, and the vector is
+        # a unit one with Rayleigh quotient 1e300; a shift above the lowest
+        # eigenvalue is refused, not iterated
         d, e = [1e300] * 8, [-1.0] * 7
-        lo, hi = chain_bracket(d, e, None, 1e-15 * chain_norm(d, e, None))
-        assert sturm_count(d, [1.0] * 7, lo) == 0 < sturm_count(d, [1.0] * 7, hi)
-        assert lo <= 1e300 <= hi
-        e0, v = chain_lowest_pair(d, e)
-        assert abs(e0 - 1e300) <= 1e-15 * 1e300
+        sigma, hi, _ = bisect_count(lambda x: sturm_count(d, [1.0] * 7, x),
+                                    0.5e300, 2e300, 1e-15 * 1e300)
+        assert sigma <= 1e300 <= hi
+        v = lowest_eigenvector(d, e, sigma)
         assert abs(math.fsum(x * x for x in v) - 1.0) < 1e-14
+        rayleigh = math.fsum(di * x * x for di, x in zip(d, v))
+        assert abs(rayleigh - 1e300) <= 1e-15 * 1e300
+        with pytest.raises(ComputationError, match="not positive definite"):
+            lowest_eigenvector([2.0] * 8, e, 1.0)
+        with pytest.raises(ComputationError, match="non-finite"):
+            lowest_eigenvector([2.0] * 8, e, math.nan)
 
 
 class TestLanczos:

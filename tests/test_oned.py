@@ -8,7 +8,7 @@ import pytest
 from scipy.linalg import eigh, eigh_tridiagonal
 
 from oracles import interval_chain, interval_min_eig, truncated_line_ground_state
-from smilansky_lab import oned, weyl
+from smilansky_lab import oned, sturm, weyl
 from smilansky_lab.errors import (ComputationError, ConfigurationError,
                                   RefinementError)
 from smilansky_lab.model import PotentialProfile, XDomain, profile_values
@@ -105,20 +105,19 @@ class TestThreshold:
         assert abs(threshold(spec) - (1.0 + (np.pi / 4.0) ** 2)) < 1e-7
 
     @pytest.mark.parametrize("n", [17, 64, 301])
-    def test_periodic_min_eig_matches_dense(self, cos2_profile, dense_periodic_min, n):
+    def test_periodic_min_eig_matches_dense(self, cos2_profile, n):
         # the cyclic Sturm count of the periodic wrap, at odd and even orders
         spec = ComparisonSpec(1.0, 4.0, cos2_profile,
                               XDomain("interval", 1.0, "periodic"))
         level = oned._interval_level(cos2_profile, spec.domain, n)
-        got, _ = oned._chain_threshold(1.0, 4.0, cos2_profile, *level)
-        assert abs(got - dense_periodic_min(spec, n)) < 1e-9
+        got = oned._chain_threshold(1.0, 4.0, cos2_profile, *level)[0]
+        assert abs(got - interval_min_eig(spec, n)) < 1e-9
 
-    def test_interval_periodic_threshold_matches_dense(self, cos2_profile,
-                                                       dense_periodic_min):
+    def test_interval_periodic_threshold_matches_dense(self, cos2_profile):
         spec = ComparisonSpec(1.0, 4.0, cos2_profile,
                               XDomain("interval", 1.0, "periodic"))
         policy = ResolutionPolicy(points_per_unit=16.0, rich_tol=1e-3)
-        e = [dense_periodic_min(spec, m) for m in (64, 128, 256)]
+        e = [interval_min_eig(spec, m) for m in (64, 128, 256)]
         assert abs(threshold(spec, policy) - (4.0 * e[2] - e[1]) / 3.0) < 1e-9
 
     def test_richardson_gate_is_never_finer_than_float64(self):
@@ -178,11 +177,11 @@ class TestIntervalThreshold:
         n = ResolutionPolicy().n_for(c)
         for k in (n, 2 * n, 4 * n):
             level = oned._interval_level(profile, spec.domain, k)
-            got, _ = oned._chain_threshold(1.0, lam, profile, *level)
+            got = oned._chain_threshold(1.0, lam, profile, *level)[0]
             want = interval_min_eig(spec, k)
             _, h, d, e, corner = interval_chain(spec, k)
             assert abs(got - want) <= 2e-15 * (4.0 / h**2 + 1.0 + lam), (k, got, want)
-            count, _ = oned._chain_count(1.0, lam, profile, *level)
+            count, _, _ = oned._chain_count(1.0, lam, profile, *level)
             # the end terms hold below the exterior's spectrum: omega^2, or
             # for a Dirichlet box its floor
             top = 1.0
@@ -392,14 +391,44 @@ class TestGroundState:
             assert abs(mom[name] - want[name]) <= 5e-5 * want[name], name
 
     @pytest.mark.parametrize("lam", [2.0, 4.0, 20.0, 500.0])
-    def test_work_is_fixed_by_the_support(self, cos2_profile, lam):
+    def test_work_is_fixed_by_the_support(self, cos2_profile, lam, monkeypatch):
         # the chain holds the 2m - 1 support nodes of h = a/2m and the fixed
         # exterior nodes, and the moments' t-rule stays on them, whatever the
-        # decay rate kappa (0.76 to 21.6 here) and so the truncation
-        gs = ground_state(ComparisonSpec(1.0, lam, cos2_profile))
+        # decay rate kappa (0.76 to 21.6 here) and so the truncation.  One
+        # bisection gives the eigenpair: its Sturm counts, and one more that
+        # certifies the shift of the inverse iteration
         m = 2 * ResolutionPolicy().m_for(1.0)
+        level = oned._line_level(cos2_profile, m)[:2]
+        steps = oned._chain_threshold(1.0, lam, cos2_profile, *level)[1]
+        counts = []
+
+        def counted(*args):
+            counts.append(args)
+            return sturm_count(*args)
+        monkeypatch.setattr(oned, "sturm_count", counted)
+        monkeypatch.setattr(sturm, "sturm_count", counted)
+        gs = ground_state(ComparisonSpec(1.0, lam, cos2_profile))
+        assert len(counts) <= steps + 2
         assert len(gs.nodes) == len(gs.samples) == 2 * m - 1 + 2 * oned._EXTERIOR_NODES
         assert len(weyl._t_rule(gs)[0]) <= 600
+
+    @pytest.mark.parametrize("profile", [PotentialProfile("cos2", 1.0, 1.0), SKEWED_TABLE],
+                             ids=["cos2", "skewed_table"])
+    @pytest.mark.parametrize("lam", [2.0, 5.0, 1e6])
+    def test_eigenvector_matches_lapack(self, profile, lam):
+        # the support samples against LAPACK's lowest eigenvector of A(E0),
+        # the support chain with transparent ends at E0, whose lowest
+        # eigenvalue is E0 to the bisection's rounding level
+        gs = ground_state(ComparisonSpec(1.0, lam, profile))
+        h, half_width, _ = oned._line_level(profile, 2 * ResolutionPolicy().m_for(1.0))
+        d, _ = oned._chain_count(1.0, lam, profile, h, half_width, None)[1](gs.e0)
+        (e0,), vec = eigh_tridiagonal(d, [-1.0 / h**2] * (len(d) - 1), select="i",
+                                      select_range=(0, 0))
+        assert abs(e0 - gs.e0) <= 4 * np.finfo(float).eps * (4.0 / h**2 + 1.0 + lam)
+        p = oned._EXTERIOR_NODES
+        u = np.array(gs.samples[p:-p])
+        u /= np.linalg.norm(u)
+        assert np.max(np.abs(u - vec[:, 0] * np.sign(u @ vec[:, 0]))) <= 1e-12
 
     @pytest.mark.parametrize("omega, lam", [(1.0, 0.0), (1e150, 4.585884094238281)])
     def test_no_bound_state_has_no_tail(self, cos2_profile, omega, lam):

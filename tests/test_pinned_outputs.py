@@ -5,14 +5,23 @@ r"""The pure-Python outputs, pinned bit for bit.
 library alone, so their floats are the same on every platform; the pins in
 `data/pure_python_pins.json` are compared with ==.
 
-The `eig1d` pins, and only they, are regenerated from the repository root
-with
+The `eig1d` pins are regenerated from the repository root with
 
     PYTHONPATH=src:tests python -c "import json, tempfile, pathlib, \
     test_pinned_outputs as t; pins = json.loads(t.PINS_PATH.read_text()); \
     [pin.update(threshold=t.run_cli(pathlib.Path(tempfile.mkdtemp()), \
     'single_channel.json', pin['x_domain'], ['eig1d'])['channels'][0] \
     ['threshold']) for pin in pins['eig1d']]; \
+    t.PINS_PATH.write_text(json.dumps(pins, indent=1) + '\\n')"
+
+and the `weyl` pins with
+
+    PYTHONPATH=src:tests python -c "import json, tempfile, pathlib, \
+    test_pinned_outputs as t; pins = json.loads(t.PINS_PATH.read_text()); \
+    runs = [t.run_cli(pathlib.Path(tempfile.mkdtemp()), 'supercritical.json', \
+    pin['x_domain'], ['weyl', '--eps', '0.1,0.05,0.02', '--mu', repr(pin['mu'])]) \
+    for pin in pins['weyl']]; [pin.update(rows=run['rows'], \
+    all_pass=run['all_pass']) for pin, run in zip(pins['weyl'], runs)]; \
     t.PINS_PATH.write_text(json.dumps(pins, indent=1) + '\\n')"
 """
 
