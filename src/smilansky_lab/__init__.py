@@ -5,9 +5,13 @@ operator), grid2d (truncated 2D Hamiltonian and transition scans), weyl
 (quasi-mode certificates), bracketing (lower bounds and classification),
 sturm (Sturm counts, their bisection, and the lowest eigenvector by inverse
 iteration, on lists), eigs (the 2D eigensolver), quadrature (Gauss-Legendre
-panels, Hermite interpolants), cli.  A submodule is imported on first access, so `import smilansky_lab`
-loads none of them, and the 1D and Weyl paths (model, oned, bracketing,
-sturm, quadrature, weyl, cli) never load numpy, for any profile family.
+panels, Hermite interpolants), cli.  A submodule is imported on first
+access, so `import smilansky_lab` loads none of them, and the 1D and Weyl
+paths (model, oned, bracketing, sturm, quadrature, weyl, cli) never load
+numpy, for any profile family.  The records are namedtuples (a plain class
+for `GroundState`), and the debug records reach `logging` only in a process
+that has imported it, so no command loads `logging`, nor a module to
+build its record classes.
 """
 
 import importlib

@@ -14,7 +14,7 @@ configuration's x-domain (`model.XDomain`): the line, or the interval
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .errors import ComputationError, ConfigurationError
 from .model import ChannelSpec, ModelConfig
@@ -30,8 +30,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class StripBound:
+class StripBound(NamedTuple):
     """Lower bound for the Neumann restriction to G_n (and its mirror)."""
 
     index: int
@@ -41,8 +40,7 @@ class StripBound:
     net_bound: float
 
 
-@dataclass(frozen=True)
-class Classification:
+class Classification(NamedTuple):
     t_v: float
     verdict: str                # "subcritical" | "supercritical" | "critical"
     per_channel: tuple[float, ...]

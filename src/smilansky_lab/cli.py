@@ -9,7 +9,8 @@ written), 2 configuration error.
 The 1D commands (`critical`, `tune`, `eig1d`, `classify`, `bound`) and
 `weyl` run on the standard library alone, for every profile family;
 `eig2d` and `scan` import `grid2d`, and with it numpy, in their own branch,
-and `weyl` imports `weyl` in its own.
+`weyl` imports `weyl` in its own, and `eig1d`, `classify` and `bound` import
+`bracketing` in theirs.
 """
 
 from __future__ import annotations
@@ -19,12 +20,11 @@ import hashlib
 import json
 import math
 import sys
-from dataclasses import dataclass, field
+from collections import namedtuple
 from typing import Optional
 
-from . import bracketing
 from .errors import ComputationError, ConfigurationError, SmilanskyError
-from .model import ModelConfig, load_config
+from .model import Checked, ModelConfig, load_config
 from .oned import ComparisonSpec, critical_coupling, ground_state, tune_lambda_to_threshold
 
 __all__ = ["RunRequest", "run", "main"]
@@ -33,20 +33,19 @@ _SEED = 1234
 _COMMANDS = ("critical", "tune", "eig1d", "eig2d", "scan", "weyl", "classify", "bound")
 
 
-@dataclass(frozen=True)
-class RunRequest:
-    command: str
-    config_path: str
-    params: dict = field(default_factory=dict)
-    output: Optional[str] = None
-    fmt: str = "json"
+class RunRequest(Checked, namedtuple("RunRequest", "command config_path params output fmt")):
+    """One command on one configuration; `params` defaults to a new empty
+    dict."""
 
-    def __post_init__(self):
-        if self.command not in _COMMANDS:
-            raise ConfigurationError(f"unknown command {self.command!r}")
-        if self.fmt not in ("csv", "json"):
-            raise ConfigurationError(f"unknown output format {self.fmt!r}")
-        p = self.params
+    __slots__ = ()
+
+    def __new__(cls, command: str, config_path: str, params: Optional[dict] = None,
+                output: Optional[str] = None, fmt: str = "json"):
+        if command not in _COMMANDS:
+            raise ConfigurationError(f"unknown command {command!r}")
+        if fmt not in ("csv", "json"):
+            raise ConfigurationError(f"unknown output format {fmt!r}")
+        p = {} if params is None else params
         # NaN passes every comparison below, and an infinite value reaches
         # a bisection or an integer grid size
         for key in ("tol", "target", "y_half", "mu", "ladder", "eps"):
@@ -62,6 +61,7 @@ class RunRequest:
         if "eps" in p:
             if any(not 0.0 < e < 1.0 for e in p["eps"]):
                 raise ConfigurationError("eps values must lie in (0, 1)")
+        return super().__new__(cls, command, config_path, p, output, fmt)
 
 
 def _config_hash(path: str) -> str:
@@ -137,6 +137,8 @@ def run(request: RunRequest) -> int:
             _emit(request, _json_payload(request, {"lambda": lam,
                                                    "target": p["target"]}))
         elif request.command == "eig1d":
+            from . import bracketing
+
             rows = [{"lambda": ch.lam, "center": ch.center,
                      "threshold": bracketing.channel_threshold(config, ch)}
                     for ch in config.channels]
@@ -194,10 +196,14 @@ def run(request: RunRequest) -> int:
                 raise ComputationError(
                     f"certificate checks failed: {', '.join(failed)}")
         elif request.command == "classify":
+            from . import bracketing
+
             cls = bracketing.classify(config, tol=p.get("tol", 1e-6))
             _emit(request, _json_payload(
                 request, bracketing.classification_json_dict(config, cls)))
         elif request.command == "bound":
+            from . import bracketing
+
             bound = bracketing.global_lower_bound(config)
             _emit(request, _json_payload(request, {"global_lower_bound": bound}))
         return 0

@@ -10,17 +10,13 @@ imports scipy.
 from __future__ import annotations
 
 import itertools
-import logging
-from dataclasses import dataclass
-from typing import Callable, Iterable
+from typing import Callable, Iterable, NamedTuple
 
 import numpy as np
 
-from .errors import ComputationError, ConvergenceError
+from .errors import ComputationError, ConvergenceError, _debug
 
 __all__ = ["BlockTridiagonal", "shift_invert_lanczos"]
-
-_log = logging.getLogger(__name__)
 
 # a shift tried below a guess of the lowest eigenvalue sits this far below it,
 # relative to max(1, |guess|)
@@ -31,8 +27,7 @@ _CYCLE = 64
 _CYCLES = 16
 
 
-@dataclass(frozen=True, eq=False)
-class BlockTridiagonal:
+class BlockTridiagonal(NamedTuple):
     """Symmetric matrix I (x) bx + diag(d) + C (x) I.
 
     Diagonal block j is bx + diag(d[j]), and blocks j and j + 1 are coupled
@@ -299,9 +294,9 @@ def shift_invert_lanczos(h: BlockTridiagonal, k: int, floor: float,
             raise ConvergenceError(f"shift-invert Lanczos did not converge in "
                                    f"{solves} steps on order {n}")
     finally:
-        _log.debug("shift-invert on order %d: shifts %s, %d block solves", n,
-                   ", ".join(f"{s:.9g} ({'factored' if ok else 'not definite'})"
-                             for s, ok in tried), solves)
+        _debug(__name__, "shift-invert on order %d: shifts %s, %d block solves", n,
+               ", ".join(f"{s:.9g} ({'factored' if ok else 'not definite'})"
+                         for s, ok in tried), solves)
     # the Ritz vectors of the k largest mu; their Rayleigh quotients are the
     # eigenvalues to (residual)^2 / gap, and unlike sigma + 1/mu they carry
     # no rounding of the shift and the solves

@@ -1,4 +1,6 @@
-"""Exception hierarchy shared by all modules."""
+"""Exception hierarchy and the debug records, shared by all modules."""
+
+import sys
 
 
 class SmilanskyError(Exception):
@@ -19,3 +21,12 @@ class ConvergenceError(ComputationError):
 
 class RefinementError(ComputationError):
     """Grid refinement or extrapolation check failed; diagnostics in the message."""
+
+
+def _debug(name: str, msg: str, *args) -> None:
+    """A DEBUG record on the logger `name`, at its caller's line, if the
+    process has imported `logging`: one that has not has no handler that
+    could show it, so the package never imports `logging` itself."""
+    logging = sys.modules.get("logging")
+    if logging is not None:
+        logging.getLogger(name).debug(msg, *args, stacklevel=2)

@@ -22,17 +22,16 @@ that is the even-even quarter block.
 
 from __future__ import annotations
 
-import logging
 import math
-from dataclasses import dataclass
-from typing import Iterable, Optional
+from collections import namedtuple
+from typing import Iterable, NamedTuple, Optional
 
 import numpy as np
 
 from .bracketing import channel_threshold
 from .eigs import BlockTridiagonal, shift_invert_lanczos
-from .errors import ComputationError, ConfigurationError, RefinementError
-from .model import NODE_CAP, ModelConfig, profile_values
+from .errors import ComputationError, ConfigurationError, RefinementError, _debug
+from .model import NODE_CAP, Checked, ModelConfig, profile_values
 
 __all__ = [
     "Grid2D",
@@ -52,32 +51,25 @@ __all__ = [
 # memory cap: 512 MiB at the default cap
 _DOUBLES_PER_NODE = 16
 
-_log = logging.getLogger(__name__)
 
-
-@dataclass(frozen=True)
-class Grid2D:
+class Grid2D(Checked, namedtuple("Grid2D", "x_lo x_hi x_nodes y_half n_y memory_cap")):
     """Tensor grid: arbitrary interior x-nodes, uniform interior y-nodes."""
 
-    x_lo: float
-    x_hi: float
-    x_nodes: np.ndarray
-    y_half: float
-    n_y: int
-    memory_cap: int = NODE_CAP
+    __slots__ = ()
 
-    def __post_init__(self):
-        x = np.asarray(self.x_nodes, dtype=float)
-        object.__setattr__(self, "x_nodes", x)
-        if not 1.0 < self.y_half < math.inf:
-            raise ConfigurationError(f"y-truncation must satisfy 1 < Y < inf, got {self.y_half!r}")
-        if self.n_y < 3 or len(x) < 3:
+    def __new__(cls, x_lo: float, x_hi: float, x_nodes: np.ndarray, y_half: float,
+                n_y: int, memory_cap: int = NODE_CAP):
+        x = np.asarray(x_nodes, dtype=float)
+        if not 1.0 < y_half < math.inf:
+            raise ConfigurationError(f"y-truncation must satisfy 1 < Y < inf, got {y_half!r}")
+        if n_y < 3 or len(x) < 3:
             raise ConfigurationError("need at least 3 interior nodes per direction")
-        if np.any(np.diff(x) <= 0) or x[0] <= self.x_lo or x[-1] >= self.x_hi:
+        if np.any(np.diff(x) <= 0) or x[0] <= x_lo or x[-1] >= x_hi:
             raise ConfigurationError("x-nodes must be increasing and interior")
-        if len(x) * self.n_y > self.memory_cap:
+        if len(x) * n_y > memory_cap:
             raise ConfigurationError(
-                f"grid size {len(x)}x{self.n_y} exceeds the memory cap")
+                f"grid size {len(x)}x{n_y} exceeds the memory cap")
+        return super().__new__(cls, x_lo, x_hi, x, y_half, n_y, memory_cap)
 
     @property
     def n_x(self) -> int:
@@ -140,8 +132,7 @@ def graded_x_nodes(x_lo: float, x_hi: float, centers: tuple[float, ...],
     return mid + np.array([-t for t in reversed(left)] + [0.0] + right)
 
 
-@dataclass(frozen=True)
-class SparseHamiltonian:
+class SparseHamiltonian(NamedTuple):
     """Assembled 5-point operator H = I (x) Bx + diag(d) + C (x) I.
 
     `op` holds the x-stencil Bx once, the y-diagonal plus the potential d
@@ -185,26 +176,22 @@ class SparseHamiltonian:
                              vals[order].tolist())) + "\n"
 
 
-@dataclass(frozen=True)
-class TridiagonalSym:
+class TridiagonalSym(Checked, namedtuple("TridiagonalSym", "d e corner")):
     """Symmetric tridiagonal matrix, the 1D stencils of the 2D operator;
     `corner` adds the periodic wrap entry."""
 
-    d: np.ndarray
-    e: np.ndarray
-    corner: Optional[float] = None
+    __slots__ = ()
 
-    def __post_init__(self):
-        d = np.asarray(self.d, dtype=float)
-        e = np.asarray(self.e, dtype=float)
-        object.__setattr__(self, "d", d)
-        object.__setattr__(self, "e", e)
+    def __new__(cls, d: np.ndarray, e: np.ndarray, corner: Optional[float] = None):
+        d = np.asarray(d, dtype=float)
+        e = np.asarray(e, dtype=float)
         if len(e) != len(d) - 1:
             raise ComputationError("off-diagonal must have length n-1")
         if not (np.all(np.isfinite(d)) and np.all(np.isfinite(e))):
             raise ComputationError("non-finite matrix entries")
-        if self.corner is not None and len(d) < 3:
+        if corner is not None and len(d) < 3:
             raise ComputationError("the periodic wrap needs at least 3 nodes")
+        return super().__new__(cls, d, e, corner)
 
     @property
     def n(self) -> int:
@@ -412,25 +399,23 @@ def lowest_eigenvalues(ham: SparseHamiltonian, k: int = 1, tol: float = 1e-7,
 # --- transition scan --------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class ScanPolicy:
-    """Resolution and verdict thresholds for the Y-ladder scan."""
+class ScanPolicy(Checked, namedtuple("ScanPolicy", "points_per_unit_y x_half_width h_max "
+                                       "stability_tol r2_min eig_tol memory_cap")):
+    """Resolution and verdict thresholds for the Y-ladder scan;
+    `stability_tol` is relative, on lambda0(Ymax) vs lambda0(Ymax/2)."""
 
-    points_per_unit_y: int = 12
-    x_half_width: float = 6.0
-    h_max: float = 0.25
-    stability_tol: float = 0.01     # relative, on lambda0(Ymax) vs lambda0(Ymax/2)
-    r2_min: float = 0.95
-    eig_tol: float = 1e-7
-    memory_cap: int = NODE_CAP
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.points_per_unit_y < 4 or self.x_half_width <= 0:
+    def __new__(cls, points_per_unit_y: int = 12, x_half_width: float = 6.0,
+                h_max: float = 0.25, stability_tol: float = 0.01, r2_min: float = 0.95,
+                eig_tol: float = 1e-7, memory_cap: int = NODE_CAP):
+        if points_per_unit_y < 4 or x_half_width <= 0:
             raise ConfigurationError("bad scan resolution policy")
+        return super().__new__(cls, points_per_unit_y, x_half_width, h_max,
+                               stability_tol, r2_min, eig_tol, memory_cap)
 
 
-@dataclass(frozen=True)
-class ScanRow:
+class ScanRow(NamedTuple):
     y_half: float
     lambda0: float
     c_fit: float
@@ -438,8 +423,7 @@ class ScanRow:
     residual: float
 
 
-@dataclass(frozen=True)
-class TransitionScan:
+class TransitionScan(NamedTuple):
     rows: tuple[ScanRow, ...]
     c_fit: float
     r_squared: float
@@ -553,8 +537,8 @@ def transition_scan(config: ModelConfig, y_ladder: list[float],
         grid = scan_grid(config, policy, float(y), y_max)
         ham = assemble_h2d(config, grid, sector)
         (lam0, res), = lowest_eigenvalues(ham, 1, tol=policy.eig_tol, guess=guesses(y))
-        _log.debug("scan rung Y=%g: %s sector of order %d, lambda0 %.12g, "
-                   "residual %.3g", y, sector, ham.n, lam0, res)
+        _debug(__name__, "scan rung Y=%g: %s sector of order %d, lambda0 %.12g, "
+               "residual %.3g", y, sector, ham.n, lam0, res)
         if not res <= 1e-6 * max(1.0, abs(lam0)):
             raise ComputationError(
                 f"residual {res:.3g} of lambda0 = {lam0:.12g} at Y={y} exceeds "

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field, replace
+from collections import namedtuple
 from typing import Optional, Sequence
 
 from .errors import ConfigurationError
@@ -39,8 +39,19 @@ _FAMILIES = ("cos2", "quartic", "table")
 NODE_CAP = 4_000_000
 
 
-@dataclass(frozen=True)
-class PotentialProfile:
+class Checked:
+    """Base of the records whose `__new__` checks and normalizes their
+    fields: `_make`, and so `_replace`, build through `__new__` too (a
+    namedtuple's own `_make` fills the tuple directly)."""
+
+    __slots__ = ()
+
+    @classmethod
+    def _make(cls, iterable):
+        return cls(*iterable)
+
+
+class PotentialProfile(Checked, namedtuple("PotentialProfile", "family a amplitude table")):
     """Compactly supported nonnegative C^1 bump on [-a, a].
 
     Families:
@@ -51,14 +62,14 @@ class PotentialProfile:
                    zero outside the tabulated range
     """
 
-    family: str = "cos2"
-    a: float = 1.0
-    amplitude: float = 1.0
-    table: Optional[tuple[tuple[float, float], ...]] = None
-    # PCHIP nodes, amplitude-scaled values and node slopes of a table profile
-    _hermite: tuple = field(init=False, repr=False, compare=False, default=None)
+    # no __slots__: a table profile keeps its PCHIP nodes, amplitude-scaled
+    # values and node slopes in `_hermite`, in the instance dict, outside
+    # equality, hashing and repr (the fields determine it)
+    _hermite = None
 
-    def __post_init__(self):
+    def __new__(cls, family: str = "cos2", a: float = 1.0, amplitude: float = 1.0,
+                table: Optional[tuple[tuple[float, float], ...]] = None):
+        self = super().__new__(cls, family, a, amplitude, table)
         if self.family not in _FAMILIES:
             raise ConfigurationError(f"unknown profile family {self.family!r}")
         # NaN passes every sign check (json reads NaN and Infinity)
@@ -85,7 +96,8 @@ class PotentialProfile:
                     f"tabulated abscissae [{ts[0]}, {ts[-1]}] must lie in "
                     f"[-{self.a}, {self.a}]")
             ys = tuple(self.amplitude * v for v in vs)
-            object.__setattr__(self, "_hermite", (ts, ys, tuple(pchip_slopes(ts, ys))))
+            self._hermite = (ts, ys, tuple(pchip_slopes(ts, ys)))
+        return self
 
     @property
     def derivative_bound(self) -> float:
@@ -149,78 +161,74 @@ def profile_values(profile: PotentialProfile, ts: Sequence[float]) -> list[float
     return [v if v > 0.0 else 0.0 for v in vs]
 
 
-@dataclass(frozen=True)
-class ChannelSpec:
+class ChannelSpec(Checked, namedtuple("ChannelSpec", "lam center profile")):
     """One potential channel: coupling, center in x, and its profile."""
 
-    lam: float
-    center: float = 0.0
-    profile: PotentialProfile = field(default_factory=PotentialProfile)
+    __slots__ = ()
 
-    def __post_init__(self):
-        if not 0 <= self.lam < math.inf or not math.isfinite(self.center):
+    def __new__(cls, lam: float, center: float = 0.0,
+                profile: PotentialProfile = PotentialProfile()):
+        if not 0 <= lam < math.inf or not math.isfinite(center):
             raise ConfigurationError(
                 f"channel coupling must be nonnegative and finite, and its center "
-                f"finite, got {self.lam!r}, {self.center!r}")
+                f"finite, got {lam!r}, {center!r}")
+        return super().__new__(cls, lam, center, profile)
 
     @property
     def support(self) -> tuple[float, float]:
         return (self.center - self.profile.a, self.center + self.profile.a)
 
 
-@dataclass(frozen=True)
-class XDomain:
+class XDomain(Checked, namedtuple("XDomain", "kind c bc")):
     """Either the full line (kind='line') or a symmetric interval (-c, c)."""
 
-    kind: str = "line"
-    c: float = 0.0
-    bc: str = "dirichlet"
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.kind not in ("line", "interval"):
-            raise ConfigurationError(f"unknown x-domain kind {self.kind!r}")
-        if self.kind == "interval":
-            if not 0 < self.c < math.inf:
+    def __new__(cls, kind: str = "line", c: float = 0.0, bc: str = "dirichlet"):
+        if kind not in ("line", "interval"):
+            raise ConfigurationError(f"unknown x-domain kind {kind!r}")
+        if kind == "interval":
+            if not 0 < c < math.inf:
                 raise ConfigurationError(
-                    f"interval half-width must be positive and finite, got {self.c!r}")
-            if self.bc not in ("dirichlet", "neumann", "periodic"):
-                raise ConfigurationError(f"unknown boundary condition {self.bc!r}")
-        elif self.bc != "dirichlet":
+                    f"interval half-width must be positive and finite, got {c!r}")
+            if bc not in ("dirichlet", "neumann", "periodic"):
+                raise ConfigurationError(f"unknown boundary condition {bc!r}")
+        elif bc != "dirichlet":
             raise ConfigurationError(
-                f"boundary condition {self.bc!r} needs an interval x-domain; "
+                f"boundary condition {bc!r} needs an interval x-domain; "
                 "the line is truncated with Dirichlet ends")
+        return super().__new__(cls, kind, c, bc)
 
 
-@dataclass(frozen=True)
-class ModelConfig:
-    """Full specification of the 2D model."""
+class ModelConfig(Checked, namedtuple("ModelConfig", "omega channels x_domain y_cutoff")):
+    """Full specification of the 2D model; `y_cutoff` is an optional
+    |y| >= y0 gate on the channel term."""
 
-    omega: float
-    channels: tuple[ChannelSpec, ...] = ()
-    x_domain: XDomain = field(default_factory=XDomain)
-    y_cutoff: Optional[float] = None  # optional |y| >= y0 gate on the channel term
+    __slots__ = ()
 
-    def __post_init__(self):
+    def __new__(cls, omega: float, channels: tuple[ChannelSpec, ...] = (),
+                x_domain: XDomain = XDomain(), y_cutoff: Optional[float] = None):
         # every operator takes omega^2, which overflows from 1.35e154 on
-        if not (self.omega > 0 and self.omega * self.omega < math.inf):
+        if not (omega > 0 and omega * omega < math.inf):
             raise ConfigurationError(
-                f"omega must be positive with omega^2 finite, got {self.omega!r}")
-        if self.y_cutoff is not None and not math.isfinite(self.y_cutoff):
-            raise ConfigurationError(f"y_cutoff must be finite, got {self.y_cutoff!r}")
-        sups = sorted(ch.support for ch in self.channels)
+                f"omega must be positive with omega^2 finite, got {omega!r}")
+        if y_cutoff is not None and not math.isfinite(y_cutoff):
+            raise ConfigurationError(f"y_cutoff must be finite, got {y_cutoff!r}")
+        sups = sorted(ch.support for ch in channels)
         for (lo1, hi1), (lo2, hi2) in zip(sups, sups[1:]):
             if hi1 > lo2:
                 raise ConfigurationError(
                     f"channel supports ({lo1}, {hi1}) and ({lo2}, {hi2}) overlap"
                 )
-        if self.x_domain.kind == "interval":
-            for ch in self.channels:
+        if x_domain.kind == "interval":
+            for ch in channels:
                 lo, hi = ch.support
-                if max(abs(lo), abs(hi)) > self.x_domain.c:
+                if max(abs(lo), abs(hi)) > x_domain.c:
                     raise ConfigurationError(
                         f"channel centered at {ch.center} does not fit inside "
-                        f"(-{self.x_domain.c}, {self.x_domain.c})"
+                        f"(-{x_domain.c}, {x_domain.c})"
                     )
+        return super().__new__(cls, omega, channels, x_domain, y_cutoff)
 
     @property
     def is_even_in_y(self) -> bool:
@@ -235,7 +243,7 @@ class ModelConfig:
         about x = 0."""
         channels = set(self.channels)
         return self.is_even_in_y and all(
-            replace(ch, center=-ch.center) in channels for ch in self.channels)
+            ch._replace(center=-ch.center) in channels for ch in self.channels)
 
 
 # --- JSON configuration -----------------------------------------------------

@@ -40,20 +40,20 @@ on floats and lists: the 1D commands and the Weyl path import only the
 standard library.
 
 Each threshold and coupling logs one `smilansky_lab.oned` debug record: the
-resolution, the three values, their Richardson gap and the bisection steps.
+resolution, the three values, their Richardson gap and the bisection steps
+(`errors._debug`: in a process that has imported `logging`).
 """
 
 from __future__ import annotations
 
-import logging
 import math
 import sys
-from dataclasses import dataclass, field
+from collections import namedtuple
 from functools import partial
-from typing import Callable, Optional, Sequence
+from typing import Callable, NamedTuple, Optional, Sequence
 
-from .errors import ComputationError, ConfigurationError, RefinementError
-from .model import NODE_CAP, PotentialProfile, XDomain, profile_values
+from .errors import ComputationError, ConfigurationError, RefinementError, _debug
+from .model import NODE_CAP, Checked, PotentialProfile, XDomain, profile_values
 from .sturm import bisect_count, cyclic_sturm_count, lowest_eigenvector, sturm_count
 
 __all__ = [
@@ -67,8 +67,6 @@ __all__ = [
     "tune_lambda_to_threshold",
 ]
 
-_log = logging.getLogger(__name__)
-
 _EPS = sys.float_info.epsilon
 # the Richardson gate never asks the extrapolants to agree more closely than
 # this, relative to the result: float64 rounding of the bisections and of the
@@ -76,20 +74,17 @@ _EPS = sys.float_info.epsilon
 _FLOAT_RESOLUTION = 64 * _EPS
 
 
-@dataclass(frozen=True)
-class ComparisonSpec:
-    omega: float
-    lam: float
-    profile: PotentialProfile
-    domain: XDomain = XDomain()
+class ComparisonSpec(Checked, namedtuple("ComparisonSpec", "omega lam profile domain")):
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.omega <= 0 or self.lam < 0:
+    def __new__(cls, omega: float, lam: float, profile: PotentialProfile,
+                domain: XDomain = XDomain()):
+        if omega <= 0 or lam < 0:
             raise ConfigurationError("need omega > 0 and lambda >= 0")
+        return super().__new__(cls, omega, lam, profile, domain)
 
 
-@dataclass(frozen=True)
-class ResolutionPolicy:
+class ResolutionPolicy(NamedTuple):
     """Discretization policy: grid density and the Richardson gate."""
 
     points_per_unit: float = 120.0
@@ -126,8 +121,8 @@ def _richardson(what: str, values: list[float], steps, policy: ResolutionPolicy)
     r1 = values[1] + (values[1] - values[0]) / 3.0
     r2 = values[2] + (values[2] - values[1]) / 3.0
     gap = abs(r1 - r2)
-    _log.debug("%s: values %r, Richardson gap %.3g, bisection steps %s",
-               what, values, gap, steps)
+    _debug(__name__, "%s: values %r, Richardson gap %.3g, bisection steps %s",
+           what, values, gap, steps)
     resolved = _FLOAT_RESOLUTION * abs(r2)
     if gap > max(policy.rich_tol, resolved):
         why = (f"disagree beyond rich_tol = {policy.rich_tol:g}"
@@ -223,13 +218,13 @@ def _chain_count(omega: float, lam: float, profile: PotentialProfile, h: float,
 
 def _chain_threshold(omega: float, lam: float, profile: PotentialProfile, h: float,
                      half_width: int, exterior: Optional[tuple[str, int]] = None
-                     ) -> tuple[float, int, float, Callable]:
+                     ) -> tuple[float, int, float, Callable, list[float]]:
     """Discrete threshold at one resolution, its bisection steps, the lower
     end lo of its bracket (count(lo) == 0; the threshold itself where
-    nothing binds) and E -> the diagonal of A(E) and its corner entry: the
-    spacing h, the support chain x = (h/2) j, |j| <= half_width in steps of
-    2, and the exterior, None on the line, else the ends and the nodes N
-    beyond each end of the chain."""
+    nothing binds), E -> the diagonal of A(E) and its corner entry, and V on
+    the support nodes: the spacing h, the support chain x = (h/2) j,
+    |j| <= half_width in steps of 2, and the exterior, None on the line,
+    else the ends and the nodes N beyond each end of the chain."""
     count, matrix, v = _chain_count(omega, lam, profile, h, half_width, exterior)
     top = w2 = omega**2
     if exterior is not None and exterior[0] == "dirichlet":
@@ -237,14 +232,14 @@ def _chain_threshold(omega: float, lam: float, profile: PotentialProfile, h: flo
     # A(top) - top is the potential-free chain minus lambda V, with a
     # positive lowest eigenvector: a state binds below top iff lambda V != 0
     if lam == 0.0 or max(v) <= 0.0:
-        return top, 0, top, matrix
+        return top, 0, top, matrix, v
     # Rayleigh: the chain operator is >= omega^2 - lambda sup V, so no
     # eigenvalue of A(E) lies below E there; the bisection stops at the
     # rounding level eps ||A|| of the count
     lo = w2 - lam * profile.sup_value - 1.0
     tol = _EPS * (4.0 / h**2 + w2 + lam * profile.sup_value)
     lo, hi, steps = bisect_count(count, lo, top, tol)
-    return 0.5 * (lo + hi), steps, lo, matrix
+    return 0.5 * (lo + hi), steps, lo, matrix, v
 
 
 def _chain_coupling(omega: float, profile: PotentialProfile, target: float,
@@ -312,7 +307,6 @@ def coarse_threshold(spec: ComparisonSpec,
     return _chain_threshold(spec.omega, spec.lam, spec.profile, *level)[0]
 
 
-@dataclass(frozen=True, eq=False)
 class GroundState:
     """Minimal eigenpair of the discretized comparison operator on the line.
 
@@ -323,18 +317,22 @@ class GroundState:
     first derivatives, and ODE-exact second derivatives at the nodes; beyond
     the last node the analytic exponential tail takes over.  `jet` takes and
     returns floats.  Equality and hashing are by identity, so derived
-    quantities can be cached per ground state.
+    quantities can be cached per ground state (weakly: it is
+    weak-referenceable).
     """
 
-    e0: float
-    samples: list[float]
-    nodes: list[float]
-    spacing: float
-    lam: float
-    omega: float
-    profile: PotentialProfile
-    # t -> (h, h', h'') of the quintic Hermite interpolant on [lo, hi]
-    _interpolant: Callable[[float], tuple[float, float, float]] = field(repr=False)
+    def __init__(self, e0: float, samples: list[float], nodes: list[float],
+                 spacing: float, lam: float, omega: float, profile: PotentialProfile,
+                 _interpolant: Callable[[float], tuple[float, float, float]]):
+        self.e0 = e0
+        self.samples = samples
+        self.nodes = nodes
+        self.spacing = spacing
+        self.lam = lam
+        self.omega = omega
+        self.profile = profile
+        # t -> (h, h', h'') of the quintic Hermite interpolant on [lo, hi]
+        self._interpolant = _interpolant
 
     @property
     def kappa(self) -> float:
@@ -355,13 +353,13 @@ class GroundState:
     def ode_factors(self, ts: Sequence[float]) -> list[float]:
         """h''/h = omega^2 - lambda V(t) - E0 at the points ts, from the
         eigenvalue ODE."""
-        return _ode_factors(self.omega, self.lam, self.profile, self.e0, ts)
+        return _ode_factors(self.omega, self.lam, self.e0, profile_values(self.profile, ts))
 
 
-def _ode_factors(omega: float, lam: float, profile: PotentialProfile, e0: float,
-                 ts: Sequence[float]) -> list[float]:
+def _ode_factors(omega: float, lam: float, e0: float, v: Sequence[float]) -> list[float]:
+    """h''/h = omega^2 - lambda V - E0 from the values v of V."""
     w2 = omega**2 - e0
-    return [w2 - lam * v for v in profile_values(profile, ts)]
+    return [w2 - lam * vi for vi in v]
 
 
 # exterior nodes u_edge r^j kept on each side of the support chain: the
@@ -396,7 +394,7 @@ def ground_state(spec: ComparisonSpec,
     omega, lam, profile = spec.omega, spec.lam, spec.profile
     m = 2 * policy.m_for(profile.a)
     h, half_width, _ = _line_level(profile, m)
-    e0, _, lo, matrix = _chain_threshold(omega, lam, profile, h, half_width)
+    e0, _, lo, matrix, v = _chain_threshold(omega, lam, profile, h, half_width)
     kappa2 = omega**2 - e0
     end = _transparent_end(kappa2, h)
     r = end * h * h
@@ -425,7 +423,10 @@ def ground_state(spec: ComparisonSpec,
     u = [x / norm for x in u]
     x = [h * j for j in range(1 - m - p, m + p)]
     d1 = _fd4_derivative(u, h)
-    d2 = [f * y for f, y in zip(_ode_factors(omega, lam, profile, e0, x), u)]
+    # V on the support nodes is the chain's: h j and (h/2)(2j) round the same
+    # product, so only the exterior nodes need the profile
+    v = profile_values(profile, x[:p]) + v + profile_values(profile, x[-p:])
+    d2 = [f * y for f, y in zip(_ode_factors(omega, lam, e0, v), u)]
     return GroundState(
         e0=e0, samples=u, nodes=x, spacing=h, lam=lam, omega=omega,
         profile=profile, _interpolant=partial(quintic_hermite, x, u, d1, d2),

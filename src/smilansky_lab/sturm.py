@@ -5,7 +5,8 @@ state behind the Weyl quasi-modes adds its eigenvector by inverse iteration
 (`lowest_eigenvector`), at a shift below the spectrum that one more count
 certifies; they need nothing else.  This module, like the whole 1D and Weyl
 path (`model`, `oned`, `bracketing`, `quadrature`, `weyl`, `cli`), imports
-only the standard library.
+only the standard library, and of it neither `logging` nor any module that
+builds record classes: the records are namedtuples.
 """
 
 from __future__ import annotations

@@ -28,13 +28,13 @@ from __future__ import annotations
 
 import math
 import weakref
-from dataclasses import dataclass, field
+from collections import namedtuple
 from itertools import zip_longest
 from operator import mul
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from .errors import ComputationError, ConfigurationError
-from .model import XDomain
+from .model import Checked, XDomain
 from .oned import GroundState
 from .quadrature import gauss_panels, gauss_rule, linspace, log_panels, quintic_local
 
@@ -153,30 +153,37 @@ def _bridge_moments(bridge: tuple, z0: float) -> list[float]:
 _MOMENT_NAMES = ("mass_over_z", "j_weighted", "m_chi2", "m_dchi2", "m_ddchi2", "m_z5")
 
 
-@dataclass(frozen=True)
-class CutoffFunction:
+class CutoffFunction(namedtuple("CutoffFunction", "k c prescale premass mass_over_z "
+                                              "j_weighted m_chi2 m_dchi2 m_ddchi2 m_z5")):
     """C^2 cutoff on [1, k]: cubic-log rise, logarithmic descent, and quintic
     Hermite interpolants bridging (sqrt(k), sqrt(k)+1) and (k-1, k].
 
-    `c` is the normalization making the weighted mass int_1^k chi^2/z dz = 1.
-    Moment integrals are computed at construction: closed forms on the rise
-    and the descent, a fixed Gauss rule on the bridges.  The residual's
-    z-rule evaluates the pieces in place (`_residual_z_rule`).
+    `c` is the normalization making the weighted mass int_1^k chi^2/z dz = 1,
+    and `prescale` the pre-normalization scaling that c compensates exactly;
+    `premass` = int_1^sqrt(k) chi_tilde^2 / z dz.  The moments are
+    `mass_over_z` = int chi^2 / z dz (= 1 by construction), `j_weighted` =
+    int z chi'^2 dz, `m_chi2` = int chi^2 dz, `m_dchi2` = int chi'^2 dz,
+    `m_ddchi2` = int chi''^2 dz and `m_z5` = int chi^2 / z^5 dz, computed at
+    construction: closed forms on the rise and the descent, a fixed Gauss
+    rule on the bridges.  The residual's z-rule evaluates the pieces in
+    place (`_residual_z_rule`).
     """
 
-    k: float
-    c: float
-    prescale: float         # pre-normalization scaling; c compensates exactly
-    premass: float          # int_1^sqrt(k) chi_tilde^2 / z dz
-    mass_over_z: float      # int chi^2 / z dz  (= 1 by construction)
-    j_weighted: float       # int z chi'^2 dz
-    m_chi2: float           # int chi^2 dz
-    m_dchi2: float          # int chi'^2 dz
-    m_ddchi2: float         # int chi''^2 dz
-    m_z5: float             # int chi^2 / z^5 dz
-    # the coefficient lists (R, R', R'') of the rise and the descent, and the
-    # two bridges as (base, left jet, right jet), their values offsets from base
-    _pieces: tuple = field(repr=False, compare=False)
+    # no __slots__: `_pieces`, the coefficient lists (R, R', R'') of the rise
+    # and the descent and the two bridges as (base, left jet, right jet),
+    # their values offsets from base, lives in the instance dict, outside
+    # equality, hashing and repr
+    def __new__(cls, k: float, c: float, prescale: float, premass: float,
+                mass_over_z: float, j_weighted: float, m_chi2: float, m_dchi2: float,
+                m_ddchi2: float, m_z5: float, _pieces: tuple):
+        self = super().__new__(cls, k, c, prescale, premass, mass_over_z, j_weighted,
+                               m_chi2, m_dchi2, m_ddchi2, m_z5)
+        self._pieces = _pieces
+        return self
+
+    def __getnewargs__(self):
+        # copy and pickle rebuild through __new__
+        return (*self, self._pieces)
 
     @property
     def breaks(self) -> tuple[float, float, float]:
@@ -262,8 +269,7 @@ def cutoff_cached(k: float) -> CutoffFunction:
 # --- phase rule -------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class PhaseRule:
+class PhaseRule(NamedTuple):
     """theta'(y) = sqrt(E y^2 + mu); theta'' = E y / theta' = sqrt(E) / rho
     enters only through rho.  The methods take and return floats, and need
     E y^2 + mu > 0."""
@@ -288,27 +294,25 @@ class PhaseRule:
 # --- quasi-mode -------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class QuasiMode:
+class QuasiMode(Checked, namedtuple("QuasiMode", "mu cutoff n_k gs x_domain")):
     """Concrete Weyl test function, determined by (mu, k, n_k, ground state)
     on the x-domain of its configuration.  On an interval (-c, c) psi has
     the factor phi(x), a C^2 quintic-smoothstep plateau: 1 for |x| <= c/2, 0
     from |x| = c on.  No number depends on phi beyond its half-width c and
     sup phi = 1: `residual_norm` needs phi(t/y) = 1 for |t| <= t_max."""
 
-    mu: float
-    cutoff: CutoffFunction
-    n_k: int
-    gs: GroundState
-    x_domain: XDomain = XDomain()
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.gs.e0 >= 0:
+    def __new__(cls, mu: float, cutoff: CutoffFunction, n_k: int, gs: GroundState,
+                x_domain: XDomain = XDomain()):
+        self = super().__new__(cls, mu, cutoff, n_k, gs, x_domain)
+        if gs.e0 >= 0:
             raise ConfigurationError("quasi-modes need a negative 1D threshold")
-        if not self.phase.is_real_from(self.n_k):
+        if not self.phase.is_real_from(n_k):
             raise ConfigurationError(
                 f"theta' = sqrt(E y^2 + mu) is not real on the support y >= n_k = "
-                f"{self.n_k} at mu = {self.mu!r}")
+                f"{n_k} at mu = {mu!r}")
+        return self
 
     @property
     def k(self) -> float:
@@ -382,8 +386,7 @@ def _tail_polys(kappa: float) -> list[list[float]]:
             [0.0, 0.0, 0.0, -kappa], [0.0, 0.0, 1.0], [1.0, 2.0 * kappa]]
 
 
-@dataclass(frozen=True)
-class _GroundMoments:
+class _GroundMoments(NamedTuple):
     """What every quasi-mode on one ground state needs from the t-rule."""
 
     t_max: float        # the truncation in |t|: the tails are cut at e^-30
@@ -532,8 +535,7 @@ def choose_parameters(eps: float, gs: GroundState, mu: float = 0.0,
 # --- norm and residual ------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class QuasiModeNorm:
+class QuasiModeNorm(NamedTuple):
     main_term: float        # squared norm of the leading part (= 1 in theory)
     correction_term: float  # squared norm of the f/y^2 part (< 1/16)
     norm: float
@@ -634,8 +636,7 @@ def residual_norm(qm: QuasiMode) -> float:
 # --- certificate ------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class CertificateRow:
+class CertificateRow(NamedTuple):
     eps: float
     k: float
     n_k: int

@@ -14,7 +14,6 @@ package itself does not load.
 from __future__ import annotations
 
 import math
-from dataclasses import replace
 from functools import partial
 from typing import Optional
 
@@ -122,7 +121,7 @@ def truncated_line_ground_state(spec: ComparisonSpec, c: float, n: int) -> Groun
     `interval_chain` with n nodes and LAPACK's tridiagonal solver.  Its samples are
     normalized on the grid, and its interpolant takes the boundary zeros as
     nodes."""
-    x, h, d, e, _ = interval_chain(replace(spec, domain=XDomain("interval", c)), n)
+    x, h, d, e, _ = interval_chain(spec._replace(domain=XDomain("interval", c)), n)
     (e0,), vec = eigh_tridiagonal(d, e, select="i", select_range=(0, 0))
     e0, v = float(e0), vec[:, 0].tolist()
     norm = math.sqrt(math.fsum(vi * vi for vi in v) * h)
@@ -133,7 +132,7 @@ def truncated_line_ground_state(spec: ComparisonSpec, c: float, n: int) -> Groun
     ha = [0.0, *v, 0.0]
     d1 = _fd4_derivative(ha, h)
     d2 = [f * hv for f, hv in
-          zip(_ode_factors(spec.omega, spec.lam, spec.profile, e0, xa), ha)]
+          zip(_ode_factors(spec.omega, spec.lam, e0, profile_values(spec.profile, xa)), ha)]
     return GroundState(e0=e0, samples=v, nodes=x, spacing=h, lam=spec.lam,
                        omega=spec.omega, profile=spec.profile,
                        _interpolant=partial(quintic_hermite, xa, ha, d1, d2))

@@ -89,6 +89,12 @@ class TestRequests:
             RunRequest("weyl", single_cfg, params={"eps": [1.5]})
         with pytest.raises(ConfigurationError):
             RunRequest("critical", single_cfg, params={"tol": -1.0})
+        with pytest.raises(ConfigurationError):
+            RunRequest("critical", single_cfg)._replace(params={"tol": -1.0})
+
+    def test_params_default_is_not_shared(self, single_cfg):
+        a, b = RunRequest("eig1d", single_cfg), RunRequest("eig1d", single_cfg)
+        assert a == b and a.params == {} and a.params is not b.params
 
     @pytest.mark.parametrize("args", [
         ["tune", "--target", "nan"], ["tune", "--target", "-1", "--tol", "inf"],
@@ -287,7 +293,11 @@ class TestExitCodes:
         # intervals are Sturm counts on lists, with the closed-form end
         # terms of every end condition (c = 1e6 too) on `math`, and so is
         # the Weyl ground state, and a table profile's PCHIP runs on lists
-        # too; only the 2D commands load numpy, in their own branches
+        # too; only the 2D commands load numpy, in their own branches.  The
+        # records are namedtuples and the debug records need `logging` only
+        # where the process has loaded it, so no command loads `dataclasses`
+        # or `logging`, and no 1D or `weyl` command `inspect` (numpy does);
+        # only modules absent before the package is imported are checked
         quartic = tmp_path / "quartic.json"
         quartic.write_text(json.dumps({**SINGLE, "channels": [{
             "lambda": 2.0, "center": 0.0,
@@ -324,21 +334,46 @@ class TestExitCodes:
             "lambda": 6.0, "center": 0.0, "profile": TABLE5}]}))
         runs += [["weyl", "--config", str(cfg), "--eps", "0.1"]
                  for cfg in (supercritical, table_super)]
-        later = [["scan", "--config", single_cfg, "--ladder", "2,3"]]
+        later = [["scan", "--config", single_cfg, "--ladder", "2,3,4"],
+                 ["eig2d", "--config", single_cfg, "--y-half", "2"]]
         out = str(tmp_path / "out")
         code = ("import sys\n"
+                "light = {'dataclasses', 'inspect', 'logging'} - set(sys.modules)\n"
                 "import smilansky_lab.cli\n"
                 "assert 'numpy' not in sys.modules\n"
                 "from smilansky_lab.cli import main\n"
                 f"for args in {runs!r}:\n"
                 f"    assert main(args + ['--output', {out!r}]) == 0, args\n"
                 "    assert 'numpy' not in sys.modules, args\n"
+                "    assert not light & set(sys.modules), (args, light & set(sys.modules))\n"
                 f"for args in {later!r}:\n"
-                f"    main(args + ['--output', {out!r}])\n"
-                "    assert 'numpy' in sys.modules, args\n")
+                f"    assert main(args + ['--output', {out!r}]) == 0, args\n"
+                "    assert 'numpy' in sys.modules, args\n"
+                "    assert not light - {'inspect'} & set(sys.modules), args\n")
         proc = subprocess.run([sys.executable, "-c", code], env=env_with_src(),
                               capture_output=True, text=True)
         assert proc.returncode == 0, proc.stderr
+
+    def test_debug_records_reach_a_configured_logging(self, single_cfg, tmp_path):
+        # a fresh process that sets up `logging` before the package runs
+        # gets every DEBUG record, from the line that makes it; `scan`
+        # takes unextrapolated thresholds, so `eig1d` makes the oned record
+        out = str(tmp_path / "out")
+        code = ("import logging\n"
+                "logging.basicConfig(level=logging.DEBUG,\n"
+                "                    format='%(name)s %(funcName)s: %(message)s')\n"
+                "from smilansky_lab.cli import main\n"
+                f"assert main(['eig1d', '--config', {single_cfg!r}, '--output', {out!r}]) == 0\n"
+                f"assert main(['scan', '--config', {single_cfg!r}, '--ladder', '2,3,4',\n"
+                f"             '--output', {out!r}]) == 0\n")
+        proc = subprocess.run([sys.executable, "-c", code], env=env_with_src(),
+                              capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        lines = proc.stderr.splitlines()
+        for start in ("smilansky_lab.oned _richardson: threshold at lambda=2.0",
+                      "smilansky_lab.eigs shift_invert_lanczos: shift-invert on order",
+                      "smilansky_lab.grid2d transition_scan: scan rung Y=4"):
+            assert any(line.startswith(start) for line in lines), (start, proc.stderr)
 
     def test_weyl_huge_omega(self, tmp_path, capsys):
         # omega^2 overflowed into a raw OverflowError at 1e200; at 1e150 the

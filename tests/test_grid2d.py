@@ -1,4 +1,3 @@
-import dataclasses
 import json
 import logging
 from pathlib import Path
@@ -156,8 +155,8 @@ class TestAssembly:
     def test_potential_min_above_minimum_is_computation_error(self, oscillator):
         # sigma = potential_min - 1 then sits above the lowest eigenvalue,
         # so H - sigma has no block Cholesky factor
-        wrong = dataclasses.replace(
-            oscillator, potential_min=float(sparse_matrix(oscillator).diagonal().max()) + 1.0)
+        wrong = oscillator._replace(
+            potential_min=float(sparse_matrix(oscillator).diagonal().max()) + 1.0)
         with pytest.raises(ComputationError, match="not positive definite"):
             grid2d.lowest_eigenvalues(wrong, 1)
 
@@ -197,7 +196,7 @@ class TestAssembly:
                        ChannelSpec(4.585884094238281, 0.0, COS2),
                        ChannelSpec(1.8, 3.0, PotentialProfile("quartic", 1.0, 1.0))))}
         for bc in ("dirichlet", "neumann", "periodic"):
-            configs[bc] = dataclasses.replace(single, x_domain=XDomain("interval", 3.0, bc))
+            configs[bc] = single._replace(x_domain=XDomain("interval", 3.0, bc))
         for name, cfg in configs.items():
             grid = grid2d.scan_grid(cfg, grid2d.ScanPolicy(), 3.0, 3.0)
             ham = grid2d.assemble_h2d(cfg, grid)
@@ -205,7 +204,7 @@ class TestAssembly:
         # entries that come to exactly 0 (here a diagonal 2 - 2 and the
         # coupling c[0]) are left out, where scipy.sparse keeps them stored
         bx = np.array([[2.0, -1.0, -0.5], [-1.0, 2.0, -1.0], [-0.5, -1.0, 2.0]])
-        ham = dataclasses.replace(oscillator, op=BlockTridiagonal(
+        ham = oscillator._replace(op=BlockTridiagonal(
             bx, np.array([[-2.0, 1.0, 0.0], [0.5, -2.0, 3.0], [1.0, 1.0, 1.0]]),
             np.array([0.0, -4.0])))
         a = sparse_matrix(ham).toarray()
@@ -370,7 +369,7 @@ def _even_cases():
         for n_y in (31, 30):
             cases.append((f"{bc}-ny{n_y}", cfg, uniform_grid(
                 -2.0, 2.0, 24, 2.5, n_y)))
-        centred = dataclasses.replace(cfg, channels=(ChannelSpec(3.0, 0.0, COS2),))
+        centred = cfg._replace(channels=(ChannelSpec(3.0, 0.0, COS2),))
         for n_x in (25, 24):
             for n_y in (31, 30):
                 cases.append((f"{bc}-centred-nx{n_x}-ny{n_y}", centred,
@@ -390,7 +389,7 @@ def _even_cases():
         g = grid2d.scan_grid(cfg, pol, 3.0, 3.0)
         assert g.n_y == 47
         cases.append((f"{name}-ny47", cfg, g))
-        cases.append((f"{name}-ny46", cfg, dataclasses.replace(g, n_y=46)))
+        cases.append((f"{name}-ny46", cfg, g._replace(n_y=46)))
     return cases
 
 
@@ -534,14 +533,14 @@ class TestEvenSector:
         # do, so the y-rows are not where the mesh error lies
         cfg = load_config(str(Path(__file__).parents[1] / "configs" / f"{name}.json"))
         ladder = [4.0, 8.0, 16.0]
-        fine_y = dataclasses.replace(grid2d.ScanPolicy(), points_per_unit_y=24)
+        fine_y = grid2d.ScanPolicy()._replace(points_per_unit_y=24)
         shipped = grid2d.transition_scan(cfg, ladder).rows
         ref = grid2d.transition_scan(cfg, ladder, fine_y).rows
         for r_y, r_ref in zip(shipped, ref):
             g = grid2d.scan_grid(cfg, fine_y, r_ref.y_half, ladder[-1])
             ends = np.concatenate(([g.x_lo], g.x_nodes, [g.x_hi]))
             x = np.sort(np.concatenate((g.x_nodes, 0.5 * (ends[:-1] + ends[1:]))))
-            fine_x = grid2d.assemble_h2d(cfg, dataclasses.replace(g, x_nodes=x), "even-even")
+            fine_x = grid2d.assemble_h2d(cfg, g._replace(x_nodes=x), "even-even")
             (lam_x, _), = grid2d.lowest_eigenvalues(fine_x, 1, guess=[r_ref.lambda0])
             assert (abs(r_y.lambda0 - r_ref.lambda0)
                     <= 0.1 * abs(lam_x - r_ref.lambda0))

@@ -209,6 +209,48 @@ class TestConfig:
         assert potential_at(cfg, 0.0, 3.0) < 9.0        # active
 
 
+class TestRecords:
+    """The records are namedtuples whose `__new__` checks their fields;
+    `_replace` must check them too (a namedtuple's own `_make` skips
+    `__new__`)."""
+
+    PROF = PotentialProfile("cos2", 1.0, 1.0)
+
+    @pytest.mark.parametrize("record, change", [
+        (ModelConfig(1.0), {"omega": -1.0}),
+        (ModelConfig(1.0), {"y_cutoff": float("nan")}),
+        (ModelConfig(1.0, (ChannelSpec(1.0, 0.0, PROF),)),
+         {"x_domain": XDomain("interval", 0.5)}),
+        (XDomain("interval", 2.0, "neumann"), {"c": -5.0}),
+        (XDomain("interval", 2.0, "neumann"), {"kind": "line"}),
+        (XDomain(), {"bc": "periodic"}),
+        (ChannelSpec(1.0, 0.0, PROF), {"lam": -5.0}),
+        (ChannelSpec(1.0, 0.0, PROF), {"center": float("inf")}),
+        (PROF, {"a": 0.0}),
+    ], ids=lambda v: repr(v)[:40])
+    def test_replace_rejects_invalid_values(self, record, change):
+        with pytest.raises(ConfigurationError):
+            record._replace(**change)
+
+    def test_replace_keeps_the_type_and_checks_pass(self):
+        dom = XDomain("interval", 2.0, "neumann")._replace(c=3.0)
+        assert type(dom) is XDomain and dom == XDomain("interval", 3.0, "neumann")
+        # a table profile recomputes its PCHIP data for the new amplitude
+        table = PotentialProfile("table", 1.0, 1.0, ((-1.0, 0.0), (0.0, 1.0), (1.0, 0.0)))
+        assert table._replace(amplitude=2.0).sup_value == 2.0
+
+    def test_value_equality_hashing_and_repr(self):
+        table = ((-1.0, 0.0), (0.0, 1.0), (1.0, 0.0))
+        a = PotentialProfile("table", 1.0, 1.0, table)
+        b = PotentialProfile("table", 1.0, 1.0, tuple(map(tuple, table)))
+        assert a == b and hash(a) == hash(b) and a._hermite is not b._hermite
+        assert repr(a) == f"PotentialProfile(family='table', a=1.0, amplitude=1.0, table={table!r})"
+        cfg = ModelConfig(1.0, (ChannelSpec(2.0, 0.0, a),))
+        assert cfg == ModelConfig(1.0, (ChannelSpec(2.0, 0.0, b),), XDomain(), None)
+        assert len({cfg, ModelConfig(1.0, (ChannelSpec(2.0, 0.0, b),))}) == 1
+        assert cfg != cfg._replace(omega=2.0)
+
+
 class TestSerialization:
     def test_round_trip(self, tmp_path):
         prof = PotentialProfile("quartic", 1.2, 0.8)

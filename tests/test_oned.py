@@ -2,6 +2,7 @@ import hashlib
 import logging
 import math
 import struct
+import weakref
 
 import numpy as np
 import pytest
@@ -365,6 +366,30 @@ class TestGroundState:
         h = np.array([gs.jet(x)[0] for x in t])
         assert np.allclose(np.array(gs.ode_factors(t.tolist())) * h,
                            (gs.omega**2 - gs.lam * v - gs.e0) * h)
+
+    def test_identity_semantics(self, gs_minus1):
+        # derived quantities are cached per ground state in a
+        # WeakKeyDictionary: it hashes and compares by identity, and is
+        # weak-referenceable
+        gs = gs_minus1
+        twin = oned.GroundState(gs.e0, gs.samples, gs.nodes, gs.spacing, gs.lam,
+                                gs.omega, gs.profile, _interpolant=gs._interpolant)
+        assert gs == gs and twin != gs and len({gs, twin}) == 2
+        assert weakref.ref(gs)() is gs
+        cache = weakref.WeakKeyDictionary({twin: 1})
+        del twin
+        assert len(cache) == 0
+
+    def test_v_is_evaluated_once_per_node(self, cos2_profile, monkeypatch):
+        # V on the support chain serves A(E) and the ODE-exact h'' alike;
+        # only the exterior nodes take profile_values once more
+        sizes = []
+        real = oned.profile_values
+        monkeypatch.setattr(oned, "profile_values",
+                            lambda p, ts: sizes.append(len(ts)) or real(p, ts))
+        gs = ground_state(ComparisonSpec(1.0, 4.0, cos2_profile))
+        p = oned._EXTERIOR_NODES
+        assert sorted(sizes) == sorted([p, p, len(gs.nodes) - 2 * p])
 
     def test_interval_spec_rejected(self, cos2_profile):
         spec = ComparisonSpec(1.0, 4.0, cos2_profile, XDomain("interval", 12.0))

@@ -1,5 +1,7 @@
+import copy
 import json
 import math
+import pickle
 from pathlib import Path
 
 import numpy as np
@@ -85,6 +87,13 @@ class TestCutoff:
                         a, b, limit=200)[0]
                    for a, b in [(1.0, z1), (z1, z2), (z2, z3), (z3, cut.k)])
         assert abs(mass - 1.0) < 1e-9
+
+    def test_copy_and_pickle_keep_the_pieces(self):
+        # the pieces sit outside the record's fields, in the instance dict
+        cut = weyl.build_cutoff(2.0**8)
+        for twin in (copy.deepcopy(cut), pickle.loads(pickle.dumps(cut))):
+            assert twin == cut and twin._pieces == cut._pieces
+            assert repr(twin) == repr(cut) and "_pieces" not in repr(cut)
 
     def test_junction_continuity(self):
         cut = weyl.cutoff_cached(2.0**8)
