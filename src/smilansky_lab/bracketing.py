@@ -18,7 +18,7 @@ from typing import NamedTuple
 
 from .errors import ComputationError, ConfigurationError
 from .model import ChannelSpec, ModelConfig
-from .oned import ComparisonSpec, ResolutionPolicy, coarse_threshold, threshold
+from .oned import ComparisonSpec, threshold
 
 __all__ = [
     "StripBound",
@@ -50,19 +50,14 @@ class Classification(NamedTuple):
 _TOL = 1e-6
 
 
-def channel_threshold(config: ModelConfig, ch: ChannelSpec,
-                      policy: ResolutionPolicy = ResolutionPolicy(),
-                      coarse: bool = False) -> float:
+def channel_threshold(config: ModelConfig, ch: ChannelSpec) -> float:
     """inf sigma(L_j) for one channel, on the configuration's own x-domain:
     on an interval the comparison operator carries the same boundary
-    conditions on (-c, c).  `coarse` gives the unextrapolated estimate of
-    `oned.coarse_threshold`."""
-    spec = ComparisonSpec(config.omega, ch.lam, ch.profile, config.x_domain)
-    return (coarse_threshold if coarse else threshold)(spec, policy)
+    conditions on (-c, c)."""
+    return threshold(ComparisonSpec(config.omega, ch.lam, ch.profile, config.x_domain))
 
 
-def classify(config: ModelConfig, tol: float = _TOL,
-             policy: ResolutionPolicy = ResolutionPolicy()) -> Classification:
+def classify(config: ModelConfig, tol: float = _TOL) -> Classification:
     """t_V = min_j inf sigma(L_j); sign against tol gives the verdict."""
     if not config.channels:
         raise ConfigurationError("classification needs at least one channel")
@@ -70,7 +65,7 @@ def classify(config: ModelConfig, tol: float = _TOL,
         raise ConfigurationError(
             f"classification tolerance must be positive and finite, got {tol!r}")
     return _classification(
-        tuple(channel_threshold(config, ch, policy) for ch in config.channels), tol)
+        tuple(channel_threshold(config, ch) for ch in config.channels), tol)
 
 
 def _classification(per: tuple[float, ...], tol: float = _TOL) -> Classification:
@@ -99,41 +94,42 @@ def _correction(ch: ChannelSpec, n: int) -> float:
                      + 2.0 * prof.sup_value * ln_n1 * gap)
 
 
-def strip_bounds(config: ModelConfig, n_max: int, n_min: int = 1,
-                 policy: ResolutionPolicy = ResolutionPolicy()) -> list[StripBound]:
-    """Per-strip lower bounds for a single-channel configuration.
+def strip_bounds(config: ModelConfig, n_max: int) -> list[StripBound]:
+    """Per-strip lower bounds for a single-channel configuration, for the
+    strips n = 1, ..., n_max.
 
     The n = 1 strip (0, ln 2] has ln n = 0, so freezing carries no
     information there; it is bounded by the potential minimum instead.
     """
     if len(config.channels) > 1:
         raise ConfigurationError("strip bounds are defined for a single channel")
-    if n_min < 1 or n_max < n_min:
-        raise ConfigurationError("need 1 <= n_min <= n_max")
-    e_l = (channel_threshold(config, config.channels[0], policy)
+    if n_max < 1:
+        raise ConfigurationError("need n_max >= 1")
+    e_l = (channel_threshold(config, config.channels[0])
            if config.channels else config.omega**2)
-    return _strips(config, e_l, n_min, n_max)
+    return _strips(config, e_l, n_max)
 
 
-def _strips(config: ModelConfig, e_l: float, n_min: int, n_max: int) -> list[StripBound]:
+def _strips(config: ModelConfig, e_l: float, n_max: int) -> list[StripBound]:
     """strip_bounds for a configuration of at most one channel whose
     comparison threshold e_l is already known."""
     ch = config.channels[0] if config.channels else None
     out = []
-    for n in range(n_min, n_max + 1):
+    for n in range(1, n_max + 1):
         lo, hi = math.log(n), math.log(n + 1)
-        if n == 1:
-            corr = ch.lam * ch.profile.sup_value * hi**2 if ch is not None else 0.0
-            out.append(StripBound(1, (lo, hi), 0.0, corr, -corr))
-            continue
-        corr = _correction(ch, n) if ch is not None else 0.0
-        sep = math.log(n) ** 2 * e_l
+        sep = 0.0 if n == 1 else lo**2 * e_l
+        if ch is None:
+            corr = 0.0
+        elif n == 1:
+            # the potential minimum on |y| <= ln 2: -lambda sup V ln^2 2
+            corr = ch.lam * ch.profile.sup_value * hi**2
+        else:
+            corr = _correction(ch, n)
         out.append(StripBound(n, (lo, hi), sep, corr, sep - corr))
     return out
 
 
-def global_lower_bound(config: ModelConfig,
-                       policy: ResolutionPolicy = ResolutionPolicy()):
+def global_lower_bound(config: ModelConfig):
     """Lower bound on the whole operator, or the string "unbounded below".
 
     Supercritical configurations are routed straight to "unbounded below".
@@ -156,7 +152,7 @@ def global_lower_bound(config: ModelConfig,
     strip bounds tend to -inf and there is no finite bound:
     `ComputationError` names t_V.
     """
-    cls = classify(config, policy=policy) if config.channels else None
+    cls = classify(config) if config.channels else None
     return _lower_bound(config, cls)
 
 
@@ -164,22 +160,20 @@ def _lower_bound(config: ModelConfig, cls: Classification | None):
     """global_lower_bound from the classification of the configuration's
     channels (None when it has none), so no threshold is computed twice."""
     if cls is None:
-        central, e_l = 0.0, config.omega**2
+        e_l = config.omega**2
     else:
         if cls.verdict == "supercritical":
             return "unbounded below"
         if len(config.channels) > 1:
             raise ConfigurationError(
                 "strip bounds (and hence the global bound) cover one channel")
-        ch = config.channels[0]
-        central = -ch.lam * ch.profile.sup_value * math.log(2.0) ** 2
         e_l = cls.per_channel[0]
         if e_l < 0.0:
             raise ComputationError(
                 f"t_V = {e_l!r} < 0: the strip bounds ln^2(n) t_V - corr(n) "
                 "tend to -inf, so the operator has no finite lower bound from "
                 "them")
-    return min(central, _strips(config, e_l, 2, 2)[0].net_bound)
+    return min(s.net_bound for s in _strips(config, e_l, 2))
 
 
 def classification_json_dict(config: ModelConfig, cls: Classification) -> dict:

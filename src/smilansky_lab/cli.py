@@ -31,11 +31,14 @@ __all__ = ["RunRequest", "run", "main"]
 
 _SEED = 1234
 _COMMANDS = ("critical", "tune", "eig1d", "eig2d", "scan", "weyl", "classify", "bound")
+# the parameter each command cannot run without
+_REQUIRED = {"tune": "target", "scan": "ladder", "weyl": "eps"}
 
 
 class RunRequest(Checked, namedtuple("RunRequest", "command config_path params output fmt")):
     """One command on one configuration; `params` defaults to a new empty
-    dict."""
+    dict, and must hold `target` for `tune`, `ladder` for `scan` and `eps`
+    for `weyl`."""
 
     __slots__ = ()
 
@@ -46,6 +49,9 @@ class RunRequest(Checked, namedtuple("RunRequest", "command config_path params o
         if fmt not in ("csv", "json"):
             raise ConfigurationError(f"unknown output format {fmt!r}")
         p = {} if params is None else params
+        need = _REQUIRED.get(command)
+        if need is not None and need not in p:
+            raise ConfigurationError(f"{command} needs the parameter {need!r}")
         # NaN passes every comparison below, and an infinite value reaches
         # a bisection or an integer grid size
         for key in ("tol", "target", "y_half", "mu", "ladder", "eps"):
@@ -147,8 +153,7 @@ def run(request: RunRequest) -> int:
             from . import grid2d
 
             y_half = p.get("y_half", 8.0)
-            policy = grid2d.ScanPolicy()
-            grid = grid2d.scan_grid(config, policy, y_half, y_half)
+            grid = grid2d.scan_grid(config, grid2d.ScanPolicy(), y_half, y_half)
             ham = grid2d.assemble_h2d(config, grid)
             # an unwritable path fails before the solve, not after it
             if p.get("export_matrix"):
@@ -273,9 +278,9 @@ def main(argv: Optional[list[str]] = None) -> int:
     if getattr(args, "export_matrix", None):
         params["export_matrix"] = args.export_matrix
     try:
-        if getattr(args, "ladder", None):
+        if getattr(args, "ladder", None) is not None:
             params["ladder"] = _parse_floats(args.ladder)
-        if getattr(args, "eps", None):
+        if getattr(args, "eps", None) is not None:
             params["eps"] = _parse_floats(args.eps)
         fmt = args.fmt or ("csv" if args.command in ("scan", "weyl") else "json")
         request = RunRequest(command=args.command, config_path=args.config,

@@ -28,10 +28,10 @@ from typing import Iterable, NamedTuple, Optional
 
 import numpy as np
 
-from .bracketing import channel_threshold
 from .eigs import BlockTridiagonal, shift_invert_lanczos
 from .errors import ComputationError, ConfigurationError, RefinementError, _debug
 from .model import NODE_CAP, Checked, ModelConfig, profile_values
+from .oned import ComparisonSpec, coarse_threshold
 
 __all__ = [
     "Grid2D",
@@ -47,18 +47,19 @@ __all__ = [
     "scan_csv",
 ]
 
-# the pivot blocks of the 2D solve may take this many doubles per node of the
-# memory cap: 512 MiB at the default cap
+# the pivot blocks of the 2D solve may take this many doubles per node of
+# NODE_CAP: 512 MiB
 _DOUBLES_PER_NODE = 16
 
 
-class Grid2D(Checked, namedtuple("Grid2D", "x_lo x_hi x_nodes y_half n_y memory_cap")):
-    """Tensor grid: arbitrary interior x-nodes, uniform interior y-nodes."""
+class Grid2D(Checked, namedtuple("Grid2D", "x_lo x_hi x_nodes y_half n_y")):
+    """Tensor grid: arbitrary interior x-nodes, uniform interior y-nodes, at
+    most NODE_CAP of them."""
 
     __slots__ = ()
 
     def __new__(cls, x_lo: float, x_hi: float, x_nodes: np.ndarray, y_half: float,
-                n_y: int, memory_cap: int = NODE_CAP):
+                n_y: int):
         x = np.asarray(x_nodes, dtype=float)
         if not 1.0 < y_half < math.inf:
             raise ConfigurationError(f"y-truncation must satisfy 1 < Y < inf, got {y_half!r}")
@@ -66,10 +67,10 @@ class Grid2D(Checked, namedtuple("Grid2D", "x_lo x_hi x_nodes y_half n_y memory_
             raise ConfigurationError("need at least 3 interior nodes per direction")
         if np.any(np.diff(x) <= 0) or x[0] <= x_lo or x[-1] >= x_hi:
             raise ConfigurationError("x-nodes must be increasing and interior")
-        if len(x) * n_y > memory_cap:
+        if len(x) * n_y > NODE_CAP:
             raise ConfigurationError(
                 f"grid size {len(x)}x{n_y} exceeds the memory cap")
-        return super().__new__(cls, x_lo, x_hi, x, y_half, n_y, memory_cap)
+        return super().__new__(cls, x_lo, x_hi, x, y_half, n_y)
 
     @property
     def n_x(self) -> int:
@@ -91,7 +92,7 @@ class Grid2D(Checked, namedtuple("Grid2D", "x_lo x_hi x_nodes y_half n_y memory_
 
 
 def graded_x_nodes(x_lo: float, x_hi: float, centers: tuple[float, ...],
-                   h_min: float, h_max: float = 0.25) -> np.ndarray:
+                   h_min: float, h_max: float) -> np.ndarray:
     """Interior nodes graded toward the channel centers, built outward from
     the midpoint of (x_lo, x_hi), which is a node.
 
@@ -343,7 +344,7 @@ def assemble_h2d(config: ModelConfig, grid: Grid2D,
     # the order of the block's x-stencil
     n_bx = (grid.n_x + 1) // 2 if sector == "even-even" else grid.n_x
     n_by = grid.n_y if sector == "full" else (grid.n_y + 1) // 2
-    if n_bx**2 * n_by > _DOUBLES_PER_NODE * grid.memory_cap:
+    if n_bx**2 * n_by > _DOUBLES_PER_NODE * NODE_CAP:
         raise ConfigurationError(
             f"the {sector} block of the {grid.n_x}x{grid.n_y} grid needs "
             f"{n_bx**2 * n_by:.3g} doubles of pivot blocks, more than "
@@ -399,20 +400,27 @@ def lowest_eigenvalues(ham: SparseHamiltonian, k: int = 1, tol: float = 1e-7,
 # --- transition scan --------------------------------------------------------
 
 
-class ScanPolicy(Checked, namedtuple("ScanPolicy", "points_per_unit_y x_half_width h_max "
-                                       "stability_tol r2_min eig_tol memory_cap")):
-    """Resolution and verdict thresholds for the Y-ladder scan;
-    `stability_tol` is relative, on lambda0(Ymax) vs lambda0(Ymax/2)."""
+# the x-spacing of a scan grid never exceeds this
+_H_MAX = 0.25
+# a scan is subcritical when lambda0(Y_max) and lambda0(Y_max/2) agree to
+# this, relative to max(1, |lambda0(Y_max)|)
+_STABILITY_TOL = 0.01
+# and supercritical when the -cY^2 fit has c > 0 and R^2 at least this
+_R2_MIN = 0.95
+# the residual the scan asks of each eigensolve
+_EIG_TOL = 1e-7
+
+
+class ScanPolicy(Checked, namedtuple("ScanPolicy", "points_per_unit_y x_half_width")):
+    """Resolution of the Y-ladder scan: y-rows per unit of Y, and the
+    half-width of the x-range on the line."""
 
     __slots__ = ()
 
-    def __new__(cls, points_per_unit_y: int = 12, x_half_width: float = 6.0,
-                h_max: float = 0.25, stability_tol: float = 0.01, r2_min: float = 0.95,
-                eig_tol: float = 1e-7, memory_cap: int = NODE_CAP):
+    def __new__(cls, points_per_unit_y: int = 12, x_half_width: float = 6.0):
         if points_per_unit_y < 4 or x_half_width <= 0:
             raise ConfigurationError("bad scan resolution policy")
-        return super().__new__(cls, points_per_unit_y, x_half_width, h_max,
-                               stability_tol, r2_min, eig_tol, memory_cap)
+        return super().__new__(cls, points_per_unit_y, x_half_width)
 
 
 class ScanRow(NamedTuple):
@@ -439,9 +447,9 @@ def scan_grid(config: ModelConfig, policy: ScanPolicy, y_half: float,
     the top of the ladder, so the same x-grid serves every Y (exact
     Dirichlet domain nesting).  The x-range is centred at 0, so the nodes
     are mirror-symmetric about 0 when the centers (images included) are.
-    The spacing never exceeds h_max, so the grid has at least
+    The spacing never exceeds h_max = 0.25, so the grid has at least
     (x_hi - x_lo)/h_max - 2 x-nodes per y-row; a range where that many pass
-    the memory cap is refused before the walk.
+    NODE_CAP is refused before the walk.
     """
     if not (math.isfinite(y_half) and math.isfinite(y_max)):
         raise ConfigurationError(f"need a finite truncation, got Y = {y_half!r}, "
@@ -451,19 +459,19 @@ def scan_grid(config: ModelConfig, policy: ScanPolicy, y_half: float,
     else:
         x_lo, x_hi = -policy.x_half_width, policy.x_half_width
     n_y = int(round(2.0 * y_half * policy.points_per_unit_y)) - 1
-    n_x = (x_hi - x_lo) / policy.h_max - 2.0
-    if n_x * n_y > policy.memory_cap:
+    n_x = (x_hi - x_lo) / _H_MAX - 2.0
+    if n_x * n_y > NODE_CAP:
         raise ConfigurationError(
             f"the x-range ({x_lo}, {x_hi}) needs at least {n_x:.6g} x-nodes at "
-            f"spacing h_max = {policy.h_max}, {n_x * n_y:.6g} nodes with {n_y} "
-            f"y-rows, more than the memory cap of {policy.memory_cap}")
+            f"spacing h_max = {_H_MAX}, {n_x * n_y:.6g} nodes with {n_y} "
+            f"y-rows, more than the memory cap of {NODE_CAP}")
     centers = tuple(ch.center for ch in config.channels)
     if config.x_domain.kind == "interval" and config.x_domain.bc == "periodic":
         period = x_hi - x_lo
         centers += tuple(b + s for b in centers for s in (-period, period))
     a_min = min((ch.profile.a for ch in config.channels), default=1.0)
-    x = graded_x_nodes(x_lo, x_hi, centers, a_min / (4.0 * y_max), policy.h_max)
-    return Grid2D(x_lo, x_hi, x, y_half, n_y, memory_cap=policy.memory_cap)
+    x = graded_x_nodes(x_lo, x_hi, centers, a_min / (4.0 * y_max), _H_MAX)
+    return Grid2D(x_lo, x_hi, x, y_half, n_y)
 
 
 def transition_scan(config: ModelConfig, y_ladder: list[float],
@@ -487,9 +495,9 @@ def transition_scan(config: ModelConfig, y_ladder: list[float],
     Airy layer at the truncation), so a later rung first tries
     t_V Y^2 + (lambda0(Y') - t_V Y'^2)(Y/Y')^(2/3), Y' the previous rung,
     then t_V Y^2, and the first rung tries t_V Y^2, each before the floor.
-    Verdicts: subcritical when lambda0 stabilizes between Y_max/2 and Y_max,
-    supercritical when the fitted c is positive with R^2 at least the policy
-    threshold, inconclusive otherwise (never a guess).
+    Verdicts: subcritical when lambda0 at Y_max/2 and Y_max agree to 1 %
+    (relative to max(1, |lambda0(Y_max)|)), supercritical when the fitted c
+    is positive with R^2 >= 0.95, inconclusive otherwise (never a guess).
 
     Each rung is solved on the block of H on vectors even under every
     reflection that commutes with H (`assemble_h2d`): the even-even quarter
@@ -519,8 +527,9 @@ def transition_scan(config: ModelConfig, y_ladder: list[float],
     residuals = []
     # t_V only places shifts, and each shift is certified by its own block
     # factor, so the unextrapolated threshold of each channel is enough
-    t_v = min((channel_threshold(config, ch, coarse=True) for ch in config.channels),
-              default=0.0)
+    t_v = min((coarse_threshold(ComparisonSpec(config.omega, ch.lam, ch.profile,
+                                               config.x_domain))
+               for ch in config.channels), default=0.0)
 
     def guesses(y: float) -> list[float]:
         if t_v >= 0.0:
@@ -536,7 +545,7 @@ def transition_scan(config: ModelConfig, y_ladder: list[float],
     for y in y_ladder:
         grid = scan_grid(config, policy, float(y), y_max)
         ham = assemble_h2d(config, grid, sector)
-        (lam0, res), = lowest_eigenvalues(ham, 1, tol=policy.eig_tol, guess=guesses(y))
+        (lam0, res), = lowest_eigenvalues(ham, 1, tol=_EIG_TOL, guess=guesses(y))
         _debug(__name__, "scan rung Y=%g: %s sector of order %d, lambda0 %.12g, "
                "residual %.3g", y, sector, ham.n, lam0, res)
         if not res <= 1e-6 * max(1.0, abs(lam0)):
@@ -568,9 +577,9 @@ def transition_scan(config: ModelConfig, y_ladder: list[float],
     if half in list(ys):
         lam_half = vals[list(ys).index(half)]
         drift = abs(vals[-1] - lam_half) / max(1.0, abs(vals[-1]))
-        if drift <= policy.stability_tol:
+        if drift <= _STABILITY_TOL:
             verdict = "subcritical"
-    if verdict == "inconclusive" and c_fit > 0 and r2 >= policy.r2_min:
+    if verdict == "inconclusive" and c_fit > 0 and r2 >= _R2_MIN:
         verdict = "supercritical"
 
     rows = tuple(ScanRow(float(y), float(v), c_fit, verdict, r)

@@ -31,7 +31,6 @@ __all__ = [
     "ModelConfig",
     "profile_values",
     "load_config",
-    "config_to_dict",
 ]
 
 _FAMILIES = ("cos2", "quartic", "table")
@@ -302,29 +301,3 @@ def load_config(path: str) -> ModelConfig:
         raise ConfigurationError(f"cannot read config {path}: {exc}") from exc
     return config_from_dict(data)
 
-
-def config_to_dict(config: ModelConfig) -> dict:
-    out = {
-        "omega": config.omega,
-        "channels": [
-            {
-                "lambda": ch.lam,
-                "center": ch.center,
-                "profile": {
-                    "family": ch.profile.family,
-                    "a": ch.profile.a,
-                    "amplitude": ch.profile.amplitude,
-                    **({"table": [list(p) for p in ch.profile.table]}
-                       if ch.profile.table else {}),
-                },
-            }
-            for ch in config.channels
-        ],
-        "x_domain": (
-            {"type": "line"} if config.x_domain.kind == "line"
-            else {"type": "interval", "c": config.x_domain.c, "bc": config.x_domain.bc}
-        ),
-    }
-    if config.y_cutoff is not None:
-        out["y_cutoff"] = config.y_cutoff
-    return out

@@ -297,13 +297,12 @@ def threshold(spec: ComparisonSpec, policy: ResolutionPolicy = ResolutionPolicy(
                        [run[0] for run in runs], [run[1] for run in runs], policy)
 
 
-def coarse_threshold(spec: ComparisonSpec,
-                     policy: ResolutionPolicy = ResolutionPolicy()) -> float:
-    """The discrete threshold at the coarsest resolution of `threshold` alone:
-    one Sturm bisection, neither extrapolated nor gated, so it carries the
-    O(h^2) error of that resolution.  An estimate, for callers that certify
-    what they do with it by other means."""
-    level = _levels(spec, policy)[0][0]
+def coarse_threshold(spec: ComparisonSpec) -> float:
+    """The discrete threshold at the coarsest resolution of `threshold` alone
+    (at the default policy): one Sturm bisection, neither extrapolated nor
+    gated, so it carries the O(h^2) error of that resolution.  An estimate,
+    for callers that certify what they do with it by other means."""
+    level = _levels(spec, ResolutionPolicy())[0][0]
     return _chain_threshold(spec.omega, spec.lam, spec.profile, *level)[0]
 
 
@@ -445,10 +444,12 @@ def _fd4_derivative(u: Sequence[float], h: float) -> list[float]:
     return d
 
 
-def _coupling(omega: float, profile: PotentialProfile, target: float,
-              tol: float, policy: ResolutionPolicy) -> float:
-    """Richardson-extrapolated coupling with threshold `target` on the line,
-    certified by one threshold at that coupling within tol of the target."""
+def tune_lambda_to_threshold(omega: float, profile: PotentialProfile, target: float,
+                             tol: float = 1e-6,
+                             policy: ResolutionPolicy = ResolutionPolicy()) -> float:
+    """Richardson-extrapolated coupling that places the threshold of L on
+    the line at the requested energy (e.g. -1), certified by one threshold
+    at that coupling within tol of the target."""
     # a NaN target or omega passes the comparisons below and never ends the
     # doubling of the coupling bracket
     if not all(map(math.isfinite, (omega, target, tol))):
@@ -474,14 +475,6 @@ def _coupling(omega: float, profile: PotentialProfile, target: float,
 
 def critical_coupling(omega: float, profile: PotentialProfile, tol: float = 1e-6,
                       policy: ResolutionPolicy = ResolutionPolicy()) -> float:
-    """The coupling at which the threshold of L on the line changes sign;
-    the threshold there is checked to lie within tol of 0."""
-    return _coupling(omega, profile, 0.0, tol, policy)
-
-
-def tune_lambda_to_threshold(omega: float, profile: PotentialProfile, target: float,
-                             tol: float = 1e-6,
-                             policy: ResolutionPolicy = ResolutionPolicy()) -> float:
-    """Coupling that places the threshold of L on the line at the requested
-    energy (e.g. -1); the threshold there is checked to lie within tol."""
-    return _coupling(omega, profile, target, tol, policy)
+    """The coupling at which the threshold of L on the line changes sign:
+    `tune_lambda_to_threshold` at the target 0."""
+    return tune_lambda_to_threshold(omega, profile, 0.0, tol, policy)

@@ -57,8 +57,8 @@ __all__ = [
 # --- logarithmic cutoff -----------------------------------------------------
 #
 # In u = ln z the rise and the descent are polynomials: chi = R(v), v = u - u0,
-# with R = 8 s (u/L)^3 (u0 = 0) on the rise and R = -2 s v / L (u0 = L, so
-# v = u - L) on the descent, s the prescale and L = ln k.  Then
+# with R = 8 (u/L)^3 (u0 = 0) on the rise and R = -2 v / L (u0 = L, so
+# v = u - L) on the descent, L = ln k, before normalization.  Then
 # chi' = R'(v)/z and chi'' = (R''(v) - R'(v))/z^2, and every moment is an
 # integral of a polynomial times e^{cu}: int chi^2/z dz = int R^2 du,
 # int z chi'^2 dz = int R'^2 du, int chi^2 dz = int R^2 e^u du,
@@ -112,7 +112,7 @@ def _log_jet(r: tuple, v: float, z: float) -> tuple[float, float, float]:
 
 
 def _log_moments(r: tuple, va: float, vb: float, za: float, zb: float) -> list[float]:
-    """The six raw moments (see `_MOMENT_NAMES`) of the piece chi = R(v) on
+    """The six raw moments (see `CutoffFunction`) of the piece chi = R(v) on
     [za, zb], whose ends have the shifted coordinates va, vb."""
     sq = _poly_mul(r[0], r[0])
     sq1 = _poly_mul(r[1], r[1])
@@ -150,84 +150,65 @@ def _bridge_moments(bridge: tuple, z0: float) -> list[float]:
     return [math.fsum(col) for col in zip(*terms)]
 
 
-_MOMENT_NAMES = ("mass_over_z", "j_weighted", "m_chi2", "m_dchi2", "m_ddchi2", "m_z5")
-
-
-class CutoffFunction(namedtuple("CutoffFunction", "k c prescale premass mass_over_z "
-                                              "j_weighted m_chi2 m_dchi2 m_ddchi2 m_z5")):
+class CutoffFunction:
     """C^2 cutoff on [1, k]: cubic-log rise, logarithmic descent, and quintic
     Hermite interpolants bridging (sqrt(k), sqrt(k)+1) and (k-1, k].
 
-    `c` is the normalization making the weighted mass int_1^k chi^2/z dz = 1,
-    and `prescale` the pre-normalization scaling that c compensates exactly;
-    `premass` = int_1^sqrt(k) chi_tilde^2 / z dz.  The moments are
+    Every attribute follows from k; `build_cutoff` builds one per k and
+    shares it, and copy and pickle return that one.  `c` is the
+    normalization making the weighted mass int_1^k chi^2/z dz = 1, and
+    `premass` = int_1^sqrt(k) chi_tilde^2 / z dz before it.  The moments are
     `mass_over_z` = int chi^2 / z dz (= 1 by construction), `j_weighted` =
     int z chi'^2 dz, `m_chi2` = int chi^2 dz, `m_dchi2` = int chi'^2 dz,
-    `m_ddchi2` = int chi''^2 dz and `m_z5` = int chi^2 / z^5 dz, computed at
-    construction: closed forms on the rise and the descent, a fixed Gauss
-    rule on the bridges.  The residual's z-rule evaluates the pieces in
-    place (`_residual_z_rule`).
+    `m_ddchi2` = int chi''^2 dz and `m_z5` = int chi^2 / z^5 dz: closed forms
+    on the rise and the descent, a fixed Gauss rule on the bridges.
+    `pieces` holds the coefficient lists (R, R', R'') of the rise and the
+    descent and the two bridges as (base, left jet, right jet), their values
+    offsets from base; the residual's z-rule evaluates them in place
+    (`_residual_z_rule`).  The descent's end k - 1 enters only through
+    ln(k - 1) - ln k = log1p(-1/k) and the bridge's local coordinate, so
+    k - 1 == k in float64 (k >= 2^53) is harmless.
     """
 
-    # no __slots__: `_pieces`, the coefficient lists (R, R', R'') of the rise
-    # and the descent and the two bridges as (base, left jet, right jet),
-    # their values offsets from base, lives in the instance dict, outside
-    # equality, hashing and repr
-    def __new__(cls, k: float, c: float, prescale: float, premass: float,
-                mass_over_z: float, j_weighted: float, m_chi2: float, m_dchi2: float,
-                m_ddchi2: float, m_z5: float, _pieces: tuple):
-        self = super().__new__(cls, k, c, prescale, premass, mass_over_z, j_weighted,
-                               m_chi2, m_dchi2, m_ddchi2, m_z5)
-        self._pieces = _pieces
-        return self
+    def __init__(self, k: float):
+        if not 16.0 <= k < math.inf:
+            raise ConfigurationError(f"cutoff requires a finite k >= 16, got {k!r}")
+        k = float(k)
+        L = math.log(k)
+        z1, z2, z3 = math.sqrt(k), math.sqrt(k) + 1.0, k - 1.0
+        rise = [[0.0, 0.0, 0.0, 8.0 / L**3]]
+        descent = [[0.0, -2.0 / L]]
+        for r in (rise, descent):
+            r += [_poly_der(r[0]), _poly_der(_poly_der(r[0]))]
+        v2 = math.log1p(1.0 / z1) - 0.5 * L      # ln(sqrt(k) + 1) - ln k
+        v3 = math.log1p(-1.0 / k)                # ln(k - 1) - ln k
+        # the rise ends at exactly 1, so the first bridge runs from an offset
+        # of 0 to the descent's -2 log1p(1/sqrt(k)) / L, exact where a
+        # difference of two values near 1 would carry its rounding (1e-16
+        # over a unit width, a spurious slope that z chi'^2 weighs with
+        # z ~ sqrt(k))
+        first = (1.0, (0.0,) + _log_jet(rise, 0.5 * L, z1)[1:],
+                 (-2.0 * math.log1p(1.0 / z1) / L,) + _log_jet(descent, v2, z2)[1:])
+        last = (0.0, _log_jet(descent, v3, z3), (0.0, 0.0, 0.0))
+        rise_m = _log_moments(rise, 0.0, 0.5 * L, 1.0, z1)
+        raw = [math.fsum(parts) for parts in zip(
+            rise_m, _bridge_moments(first, z1), _log_moments(descent, v2, v3, z2, z3),
+            _bridge_moments(last, z3))]
+        self.k, self.c, self.premass = k, raw[0] ** -0.5, rise_m[0]
+        (self.mass_over_z, self.j_weighted, self.m_chi2, self.m_dchi2, self.m_ddchi2,
+         self.m_z5) = (self.c * self.c * m for m in raw)
+        self.pieces = (rise, descent, first, last)
 
-    def __getnewargs__(self):
-        # copy and pickle rebuild through __new__
-        return (*self, self._pieces)
+    def __reduce__(self):
+        return build_cutoff, (self.k,)
+
+    def __repr__(self) -> str:
+        return f"build_cutoff({self.k!r})"
 
     @property
     def breaks(self) -> tuple[float, float, float]:
         rk = math.sqrt(self.k)
         return rk, rk + 1.0, self.k - 1.0
-
-
-def build_cutoff(k: float, prescale: float = 1.0) -> CutoffFunction:
-    """Construct and normalize the cutoff for a finite ladder parameter k >= 16.
-
-    `prescale` multiplies the pre-normalization pieces; the normalization
-    constant compensates exactly, so the returned cutoff is independent of it
-    (exposed to make that invariance testable).  The descent's end k - 1
-    enters only through ln(k - 1) - ln k = log1p(-1/k) and the bridge's
-    local coordinate, so k - 1 == k in float64 (k >= 2^53) is harmless.
-    """
-    if not 16.0 <= k < math.inf:
-        raise ConfigurationError(f"cutoff requires a finite k >= 16, got {k!r}")
-    if not 0.0 < prescale < math.inf:
-        raise ConfigurationError("prescale must be positive and finite")
-    k = float(k)
-    L = math.log(k)
-    z1, z2, z3 = math.sqrt(k), math.sqrt(k) + 1.0, k - 1.0
-    rise = [[0.0, 0.0, 0.0, 8.0 * prescale / L**3]]
-    descent = [[0.0, -2.0 * prescale / L]]
-    for r in (rise, descent):
-        r += [_poly_der(r[0]), _poly_der(_poly_der(r[0]))]
-    v2 = math.log1p(1.0 / z1) - 0.5 * L      # ln(sqrt(k) + 1) - ln k
-    v3 = math.log1p(-1.0 / k)                # ln(k - 1) - ln k
-    # the rise ends at exactly `prescale`, so the first bridge runs from an
-    # offset of 0 to the descent's -2 s log1p(1/sqrt(k)) / L, exact where a
-    # difference of two values near s would carry its rounding (1e-16 over
-    # a unit width, a spurious slope that z chi'^2 weighs with z ~ sqrt(k))
-    first = (prescale, (0.0,) + _log_jet(rise, 0.5 * L, z1)[1:],
-             (-2.0 * prescale * math.log1p(1.0 / z1) / L,) + _log_jet(descent, v2, z2)[1:])
-    last = (0.0, _log_jet(descent, v3, z3), (0.0, 0.0, 0.0))
-    rise_m = _log_moments(rise, 0.0, 0.5 * L, 1.0, z1)
-    raw = [math.fsum(parts) for parts in zip(
-        rise_m, _bridge_moments(first, z1), _log_moments(descent, v2, v3, z2, z3),
-        _bridge_moments(last, z3))]
-    c = raw[0] ** -0.5
-    moments = dict(zip(_MOMENT_NAMES, (c * c * m for m in raw)))
-    return CutoffFunction(k=k, c=c, prescale=prescale, premass=rise_m[0],
-                          _pieces=(rise, descent, first, last), **moments)
 
 
 _CUTOFF_CACHE: dict[float, CutoffFunction] = {}
@@ -260,9 +241,11 @@ def _first_ladder_pow(eps: float) -> int:
     return math.floor(x) + 1
 
 
-def cutoff_cached(k: float) -> CutoffFunction:
+def build_cutoff(k: float) -> CutoffFunction:
+    """The cutoff for a finite ladder parameter k >= 16, built on the first
+    call for that k and shared by every later one."""
     if k not in _CUTOFF_CACHE:
-        _CUTOFF_CACHE[k] = build_cutoff(k)
+        _CUTOFF_CACHE[k] = CutoffFunction(k)
     return _CUTOFF_CACHE[k]
 
 
@@ -353,16 +336,20 @@ def _qform(g: Sequence[Sequence[float]], v: Sequence[float]) -> float:
     return math.fsum(a * gij * b for a, row in zip(v, g) for gij, b in zip(row, v))
 
 
-def _t_rule(gs: GroundState, spacing: float = 0.2, order: int = 10):
-    """Gauss panels, at most `spacing` wide, on the ground state's nodes
-    [-T, T], beyond which its tails are exponentials; the profile's
-    breakpoints are panel edges, so each panel holds a smooth V."""
+# the t-rule's order-10 Gauss panels are at most this wide
+_T_SPACING = 0.2
+
+
+def _t_rule(gs: GroundState):
+    """Order-10 Gauss panels, at most `_T_SPACING` wide, on the ground
+    state's nodes [-T, T], beyond which its tails are exponentials; the
+    profile's breakpoints are panel edges, so each panel holds a smooth V."""
     lo, hi = gs.nodes[0], gs.nodes[-1]
     cuts = sorted({lo, hi, *gs.profile.breakpoints})
     edges = [lo]
     for a, b in zip(cuts, cuts[1:]):
-        edges += linspace(a, b, math.ceil((b - a) / spacing) + 1)[1:]
-    return gauss_panels(edges, order)
+        edges += linspace(a, b, math.ceil((b - a) / _T_SPACING) + 1)[1:]
+    return gauss_panels(edges, 10)
 
 
 def _residual_basis(gs: GroundState, t: Sequence[float]) -> list[list[float]]:
@@ -488,7 +475,8 @@ def choose_parameters(eps: float, gs: GroundState, mu: float = 0.0,
     max(16, 2^(p0 + 1)) and usually builds one cutoff; an eps that needs
     k > 2^126 (eps <= 588/25 / (126 ln 2)^2 = 0.003083) fails before any is
     built.  n_k doubles from 4k (and past `min_n`, which enforces disjoint
-    supports along a ladder and the interval plateau of `residual_norm`)
+    supports along a ladder, the interval plateau of `residual_norm` and
+    the y_cutoff gate)
     until the correction-term norm bound is below 1/16, the suppressed
     residual bounds sum below eps and theta' is real on the support
     (E n_k^2 + mu > 0); it fails once k n_k would pass 2^255.
@@ -502,7 +490,7 @@ def choose_parameters(eps: float, gs: GroundState, mu: float = 0.0,
     # p = 100 or so on the excess is below rounding, and the computed J(2^p)
     # could pass an eps on the bound that the true J does not
     for p in range(max(4, _first_ladder_pow(eps)), _MAX_K_POW + 1):
-        cand = cutoff_cached(2.0**p)
+        cand = build_cutoff(2.0**p)
         if cand.j_weighted < eps:
             cut = cand
             break
@@ -520,7 +508,7 @@ def choose_parameters(eps: float, gs: GroundState, mu: float = 0.0,
             raise ComputationError(
                 f"n_k search reached n_k = {n:.3g} at k = {cut.k:.3g}, past "
                 f"k n_k = 2^255 where y^4 leaves the float64 range")
-        corr = float(n) ** -4.0 * cut.m_z5 * mom["f2"]
+        corr = _correction_term(cut, n, mom)
         bounds = suppressed_term_bounds(cut, n, mom, mu, e_mag)
         total = sum(bounds.values())
         if corr < 1.0 / 16.0 and total < eps and phase.is_real_from(n):
@@ -541,6 +529,12 @@ class QuasiModeNorm(NamedTuple):
     norm: float
 
 
+def _correction_term(cut: CutoffFunction, n_k: int, mom: dict) -> float:
+    """Squared norm of the f/y^2 part of psi: n_k^-4 int chi^2/z^5 dz
+    int |f|^2 dt."""
+    return float(n_k) ** -4.0 * cut.m_z5 * mom["f2"]
+
+
 def quasimode_norm(qm: QuasiMode) -> QuasiModeNorm:
     """||psi|| via the t = xy change of variables.
 
@@ -549,7 +543,7 @@ def quasimode_norm(qm: QuasiMode) -> QuasiModeNorm:
     """
     mom = _ground_moments(qm.gs).mom
     main = qm.cutoff.mass_over_z * mom["h2"]
-    corr = float(qm.n_k) ** -4.0 * qm.cutoff.m_z5 * mom["f2"]
+    corr = _correction_term(qm.cutoff, qm.n_k, mom)
     return QuasiModeNorm(main, corr, math.sqrt(main + corr))
 
 
@@ -565,7 +559,7 @@ def _residual_z_rule(cut: CutoffFunction):
     bridge, laid out in the bridge's local coordinate, where its jet is
     evaluated."""
     z1, z2, z3 = cut.breaks
-    rise, descent, first, last = cut._pieces
+    rise, descent, first, last = cut.pieces
     z, w, jets = [], [], []
     for r, u0, lo, hi in ((rise, 0.0, 1.0, z1), (descent, math.log(cut.k), z2, z3)):
         nodes, weights = gauss_panels(log_panels(lo, hi, _Z_PANELS_PER_UNIT), 10)
@@ -653,27 +647,31 @@ def weyl_certificate(config, gs: GroundState, mu: float,
                      eps_ladder: list[float]) -> list[CertificateRow]:
     """One quasi-mode per ladder entry, supports pairwise disjoint, each with
     its norm, residual, and the bound it is certified against, on the
-    x-domain of `config` (`QuasiMode`)."""
+    x-domain of `config` (`QuasiMode`).  Every support lies above the
+    configuration's `y_cutoff`, where its gate keeps the channel term on."""
     if gs.e0 >= 0:
         raise ConfigurationError("certificate needs a supercritical channel")
+    if not eps_ladder:
+        raise ConfigurationError("eps ladder is empty")
     if any(not 0.0 < e < 1.0 for e in eps_ladder):
         raise ConfigurationError("eps ladder entries must lie in (0, 1)")
     if sorted(eps_ladder, reverse=True) != list(eps_ladder):
         raise ConfigurationError("eps ladder must be decreasing")
-    if eps_ladder:
-        _first_ladder_pow(eps_ladder[-1])  # fail before building any cutoff
+    _first_ladder_pow(eps_ladder[-1])  # fail before building any cutoff
     dom = config.x_domain
 
     rows = []
-    min_n = 1
+    # the first support [n_k, k n_k] starts past min_n: past a y_cutoff,
+    # below which the gate switches the channel off, and on an interval
+    # where phi(t/y) = 1 for |t| <= t_max, as residual_norm requires; a need
+    # past the float range fails in the n_k search
+    need = 1.0 if config.y_cutoff is None else config.y_cutoff
     if dom.kind == "interval":
-        # keeps phi(t/y) = 1 for |t| <= t_max, as residual_norm requires;
-        # a need past the float range fails in the n_k search
-        need = 2.0 * _ground_moments(gs).t_max / dom.c
-        min_n = math.ceil(min(need, _MAX_KN))
+        need = max(need, 2.0 * _ground_moments(gs).t_max / dom.c)
+    min_n = math.ceil(min(need, _MAX_KN))
     for eps in eps_ladder:
         k, n_k = choose_parameters(eps, gs, mu, min_n=min_n)
-        qm = QuasiMode(mu=mu, cutoff=cutoff_cached(k), n_k=n_k, gs=gs, x_domain=dom)
+        qm = QuasiMode(mu=mu, cutoff=build_cutoff(k), n_k=n_k, gs=gs, x_domain=dom)
         nr = quasimode_norm(qm)
         res = residual_norm(qm)
         rows.append(CertificateRow(

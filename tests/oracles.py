@@ -142,7 +142,7 @@ def cutoff_jet(cut: CutoffFunction, z: float) -> tuple[float, float, float]:
     """(chi, chi', chi'') at z, 0 off [1, k]; a bridge is evaluated at its
     local coordinate z - sqrt(k) or z - (k - 1)."""
     z1, z2, z3 = cut.breaks
-    rise, descent, first, last = cut._pieces
+    rise, descent, first, last = cut.pieces
     if not 1.0 <= z <= cut.k:
         return 0.0, 0.0, 0.0
     if z <= z1:

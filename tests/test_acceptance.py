@@ -54,7 +54,7 @@ def scans(lam_crit, cos2_profile):
 
 def test_criterion_1_cutoff_conditions():
     t0 = time.perf_counter()
-    cuts = [weyl.cutoff_cached(k) for k in K_LADDER]
+    cuts = [weyl.build_cutoff(k) for k in K_LADDER]
     mass_ok = all(abs(c.mass_over_z - 1.0) <= 1e-10 for c in cuts)
     js = [c.j_weighted for c in cuts]
     dec_ok = all(a > b for a, b in zip(js, js[1:]))
@@ -66,7 +66,7 @@ def test_criterion_1_cutoff_conditions():
 
 def test_criterion_2_prenormalization_mass():
     t0 = time.perf_counter()
-    masses = {c.k: c.premass for c in (weyl.cutoff_cached(k) for k in K_LADDER)}
+    masses = {c.k: c.premass for c in (weyl.build_cutoff(k) for k in K_LADDER)}
     ok = all(m >= 0.25 for m in masses.values())
     worst = min(masses.items(), key=lambda kv: kv[1])
     _report(2, "pre-normalization mass >= 1/4 on the whole ladder", ok,

@@ -72,7 +72,7 @@ class TestStrips:
     def test_net_bound_identity(self, prof, lam_crit):
         cfg = ModelConfig(omega=1.0,
                           channels=(ChannelSpec(0.5 * lam_crit, 0.0, prof),))
-        for s in br.strip_bounds(cfg, 8, n_min=2):
+        for s in br.strip_bounds(cfg, 8)[1:]:
             assert abs(s.net_bound - (s.separated_bound - s.correction)) < 1e-12
 
     def test_zero_coupling_strips(self):
@@ -156,9 +156,9 @@ def test_one_threshold_per_channel(monkeypatch, tmp_path, command, config):
     path = str(Path(__file__).parents[1] / "configs" / config)
     calls = []
 
-    def counting(spec, policy):
+    def counting(spec, *args):
         calls.append(spec)
-        return threshold(spec, policy)
+        return threshold(spec, *args)
 
     monkeypatch.setattr(br, "threshold", counting)
     assert run(RunRequest(command, path, output=str(tmp_path / "out.json"))) == 0

@@ -91,6 +91,10 @@ class TestRequests:
             RunRequest("critical", single_cfg, params={"tol": -1.0})
         with pytest.raises(ConfigurationError):
             RunRequest("critical", single_cfg)._replace(params={"tol": -1.0})
+        # `run` indexed p["target"], p["ladder"] and p["eps"] into a KeyError
+        for command in ("tune", "scan", "weyl"):
+            with pytest.raises(ConfigurationError, match="needs the parameter"):
+                RunRequest(command, single_cfg)
 
     def test_params_default_is_not_shared(self, single_cfg):
         a, b = RunRequest("eig1d", single_cfg), RunRequest("eig1d", single_cfg)
@@ -225,6 +229,21 @@ class TestCommands:
         assert "# all_pass=false" in lines
         assert len([ln for ln in lines if not ln.startswith("#")]) == 2
 
+    def test_weyl_supports_start_past_y_cutoff(self, tmp_path, capsys):
+        # below y_cutoff the gate switches the channel off, so a quasi-mode
+        # there belongs to another operator: every n_k lies past it
+        cfg = tmp_path / "gated.json"
+        cfg.write_text(json.dumps({**SUPER, "y_cutoff": 1e12}))
+        assert main(["weyl", "--config", str(cfg), "--eps", "0.1,0.05",
+                     "--format", "json"]) == 0
+        out = json.loads(capsys.readouterr().out)
+        assert out["all_pass"] and len(out["rows"]) == 2
+        assert all(r["n_k"] > 1e12 for r in out["rows"])
+        # a y_cutoff past k n_k = 2^255 fails in the n_k search
+        cfg.write_text(json.dumps({**SUPER, "y_cutoff": 1e300}))
+        assert main(["weyl", "--config", str(cfg), "--eps", "0.1"]) == 1
+        assert "n_k search reached" in capsys.readouterr().err
+
     def test_scan_json_rows_carry_gated_residual(self, super_cfg, tmp_path):
         out = tmp_path / "s.json"
         assert run(RunRequest("scan", super_cfg, params={"ladder": [2.0, 3.0, 4.0]},
@@ -262,11 +281,37 @@ class TestExitCodes:
         def no_cutoff(k):
             raise AssertionError(f"cutoff built for k={k}")
 
-        monkeypatch.setattr(weyl, "cutoff_cached", no_cutoff)
+        monkeypatch.setattr(weyl, "build_cutoff", no_cutoff)
         assert main(["weyl", "--config", super_cfg,
                      "--eps", "0.1,0.05,0.003"]) == 1
         err = capsys.readouterr().err
         assert "computation failed:" in err and "k >= 2^128 > 2^126" in err
+
+    @pytest.mark.parametrize("args", [["weyl", "--eps", ""], ["weyl", "--eps", ","],
+                                      ["scan", "--ladder", ""]],
+                             ids=lambda args: " ".join(args))
+    def test_empty_list_is_2(self, super_cfg, args):
+        # a fresh process: the empty lists ended in a KeyError traceback,
+        # and `--eps ,` in a certificate without rows and all_pass=true
+        proc = subprocess.run(
+            [sys.executable, "-m", "smilansky_lab.cli", args[0], "--config", super_cfg,
+             *args[1:]], env=env_with_src(), capture_output=True, text=True, timeout=60)
+        assert proc.returncode == 2, proc.stderr
+        assert proc.stderr.startswith("configuration error: ")
+        assert len(proc.stderr.splitlines()) == 1 and proc.stdout == ""
+
+    def test_scan_and_eig2d_leave_out_bracketing(self, single_cfg, tmp_path):
+        # a fresh process: the scan estimates t_V with oned alone
+        out = str(tmp_path / "out")
+        runs = [["scan", "--ladder", "2,3,4"], ["eig2d", "--y-half", "2"]]
+        code = ("import sys\n"
+                "from smilansky_lab.cli import main\n"
+                f"for args in {runs!r}:\n"
+                f"    assert main(args + ['--config', {single_cfg!r}, '--output', {out!r}]) == 0\n"
+                "assert 'smilansky_lab.bracketing' not in sys.modules\n")
+        proc = subprocess.run([sys.executable, "-c", code], env=env_with_src(),
+                              capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
 
     def test_weyl_eps_0015_passes(self, super_cfg, capsys):
         # k = 2^58, where k - 1 == k in float64

@@ -11,8 +11,8 @@ from oracles import profile_slopes
 from smilansky_lab.errors import ConfigurationError
 from smilansky_lab.grid2d import _potential
 from smilansky_lab.model import (ChannelSpec, ModelConfig, PotentialProfile,
-                                 XDomain, config_from_dict, config_to_dict,
-                                 load_config, profile_values)
+                                 XDomain, config_from_dict, load_config,
+                                 profile_values)
 
 
 def values(profile, t):
@@ -256,7 +256,10 @@ class TestSerialization:
         prof = PotentialProfile("quartic", 1.2, 0.8)
         cfg = ModelConfig(omega=2.0, channels=(ChannelSpec(3.0, -2.0, prof),),
                           x_domain=XDomain("interval", 4.0, "neumann"))
-        d = config_to_dict(cfg)
+        d = {"omega": 2.0,
+             "channels": [{"lambda": 3.0, "center": -2.0,
+                           "profile": {"family": "quartic", "a": 1.2, "amplitude": 0.8}}],
+             "x_domain": {"type": "interval", "c": 4.0, "bc": "neumann"}}
         path = tmp_path / "m.json"
         path.write_text(json.dumps(d))
         back = load_config(str(path))

@@ -77,11 +77,11 @@ def brute_force_residual(qm: weyl.QuasiMode) -> float:
 class TestCutoff:
     def test_weighted_mass_normalized(self):
         for k in K_LADDER:
-            cut = weyl.cutoff_cached(k)
+            cut = weyl.build_cutoff(k)
             assert abs(cut.mass_over_z - 1.0) <= 1e-10
 
     def test_mass_against_scipy_quad(self):
-        cut = weyl.cutoff_cached(2.0**8)
+        cut = weyl.build_cutoff(2.0**8)
         z1, z2, z3 = cut.breaks
         mass = sum(quad(lambda z: cutoff_jet(cut, z)[0] ** 2 / z,
                         a, b, limit=200)[0]
@@ -89,21 +89,22 @@ class TestCutoff:
         assert abs(mass - 1.0) < 1e-9
 
     def test_copy_and_pickle_keep_the_pieces(self):
-        # the pieces sit outside the record's fields, in the instance dict
+        # every attribute follows from k: a copy or an unpickled cutoff is
+        # rebuilt through build_cutoff, which returns the one cached per k
         cut = weyl.build_cutoff(2.0**8)
-        for twin in (copy.deepcopy(cut), pickle.loads(pickle.dumps(cut))):
-            assert twin == cut and twin._pieces == cut._pieces
-            assert repr(twin) == repr(cut) and "_pieces" not in repr(cut)
+        for twin in (copy.copy(cut), copy.deepcopy(cut), pickle.loads(pickle.dumps(cut))):
+            assert twin is cut and twin.pieces is cut.pieces
+        assert repr(cut) == "build_cutoff(256.0)"
 
     def test_junction_continuity(self):
-        cut = weyl.cutoff_cached(2.0**8)
+        cut = weyl.build_cutoff(2.0**8)
         eps = 1e-7
         for z in cut.breaks:
             for left, right in zip(cutoff_jet(cut, z - eps), cutoff_jet(cut, z + eps)):
                 assert abs(left - right) <= 1e-4 * max(1.0, abs(left)) + 1e-8
 
     def test_support_and_endpoint_zeros(self):
-        cut = weyl.cutoff_cached(2.0**8)
+        cut = weyl.build_cutoff(2.0**8)
         v = [cutoff_jet(cut, z)[0] for z in (0.5, 0.999, 1.0, cut.k, cut.k + 1.0)]
         assert v[0] == 0.0 and v[1] == 0.0 and v[4] == 0.0
         assert abs(v[2]) < 1e-12 and abs(v[3]) < 1e-12
@@ -112,16 +113,8 @@ class TestCutoff:
         assert abs(d2) < 1e-12
 
     def test_j_decreasing_on_ladder(self):
-        js = [weyl.cutoff_cached(k).j_weighted for k in K_LADDER]
+        js = [weyl.build_cutoff(k).j_weighted for k in K_LADDER]
         assert all(a > b for a, b in zip(js, js[1:]))
-
-    def test_normalization_invariance_under_prescale(self):
-        base = weyl.build_cutoff(2.0**6)
-        scaled = weyl.build_cutoff(2.0**6, prescale=7.0)
-        z = np.linspace(1.0, 2.0**6, 513)
-        jets = [(cutoff_jet(base, x), cutoff_jet(scaled, x)) for x in z]
-        assert max(abs(a[0] - b[0]) for a, b in jets) < 1e-13
-        assert max(abs(a[2] - b[2]) for a, b in jets) < 1e-12
 
     def test_small_k_rejected(self):
         with pytest.raises(ConfigurationError):
@@ -129,7 +122,7 @@ class TestCutoff:
 
     def test_moments_match_pinned_values(self):
         for p, pinned in CUTOFF_MOMENTS.items():
-            cut = weyl.cutoff_cached(2.0 ** int(p))
+            cut = weyl.build_cutoff(2.0 ** int(p))
             for name, want in pinned.items():
                 got = getattr(cut, name)
                 assert abs(got - want) <= 1e-12 * abs(want), (p, name, got, want)
@@ -191,7 +184,7 @@ class TestParameterSelection:
         def no_cutoff(k):
             raise AssertionError(f"cutoff built for k={k}")
 
-        monkeypatch.setattr(weyl, "cutoff_cached", no_cutoff)
+        monkeypatch.setattr(weyl, "build_cutoff", no_cutoff)
         # 588/25 / (127 ln 2)^2 = 0.003035 > 0.003, so k = 2^128 is the first
         # candidate, past 2^126, where 4 k^2 = 2^254 is the last k n_k whose
         # fourth power is finite
@@ -268,7 +261,7 @@ class TestResidualIdentity:
 class TestQuasiMode:
     def test_norm_terms(self, gs_minus1):
         k, n_k = weyl.choose_parameters(0.1, gs_minus1)
-        qm = weyl.QuasiMode(mu=0.0, cutoff=weyl.cutoff_cached(k), n_k=n_k,
+        qm = weyl.QuasiMode(mu=0.0, cutoff=weyl.build_cutoff(k), n_k=n_k,
                             gs=gs_minus1)
         nr = weyl.quasimode_norm(qm)
         assert abs(nr.main_term - 1.0) < 1e-6
@@ -276,20 +269,20 @@ class TestQuasiMode:
         assert nr.norm >= 0.5
 
     def test_transformed_norm_matches_direct(self, gs_minus1):
-        qm = weyl.QuasiMode(mu=0.0, cutoff=weyl.cutoff_cached(16.0), n_k=64,
+        qm = weyl.QuasiMode(mu=0.0, cutoff=weyl.build_cutoff(16.0), n_k=64,
                             gs=gs_minus1)
         a = weyl.quasimode_norm(qm).norm
         b = quasimode_norm_direct(qm, n_y=600)
         assert abs(a - b) < 1e-6
 
     def test_support(self, gs_minus1):
-        qm = weyl.QuasiMode(mu=0.0, cutoff=weyl.cutoff_cached(16.0), n_k=64,
+        qm = weyl.QuasiMode(mu=0.0, cutoff=weyl.build_cutoff(16.0), n_k=64,
                             gs=gs_minus1)
         assert qm.support == (64.0, 1024.0)
 
     def test_residual_bound(self, gs_minus1):
         k, n_k = weyl.choose_parameters(0.1, gs_minus1)
-        qm = weyl.QuasiMode(mu=0.0, cutoff=weyl.cutoff_cached(k), n_k=n_k,
+        qm = weyl.QuasiMode(mu=0.0, cutoff=weyl.build_cutoff(k), n_k=n_k,
                             gs=gs_minus1)
         r = weyl.residual_norm(qm)
         assert r**2 <= 0.9 * (1.0 + 1e-6)
@@ -301,7 +294,7 @@ class TestQuasiMode:
         k, n_k = (16.0, 64) if pair == "16,64" else PARAMS_REGRESSION[0.1]
         # a plateau of half-width 2 is 1 for |t| <= t_max ~ 22 at n_k = 64
         dom = XDomain("interval", 2.0) if mode == "interval" else XDomain()
-        qm = weyl.QuasiMode(mu=mu, cutoff=weyl.cutoff_cached(k), n_k=n_k,
+        qm = weyl.QuasiMode(mu=mu, cutoff=weyl.build_cutoff(k), n_k=n_k,
                             gs=gs_minus1, x_domain=dom)
         want = brute_force_residual(qm)
         assert abs(weyl.residual_norm(qm) - want) <= 1e-12 * want
@@ -309,12 +302,12 @@ class TestQuasiMode:
     def test_phase_must_be_real_on_the_support(self, gs_minus1):
         # theta' = sqrt(E y^2 + mu) at y = n_k = 64, E = 1
         with pytest.raises(ConfigurationError, match="not real"):
-            weyl.QuasiMode(mu=-4096.5, cutoff=weyl.cutoff_cached(16.0), n_k=64, gs=gs_minus1)
-        weyl.QuasiMode(mu=-4095.0, cutoff=weyl.cutoff_cached(16.0), n_k=64, gs=gs_minus1)
+            weyl.QuasiMode(mu=-4096.5, cutoff=weyl.build_cutoff(16.0), n_k=64, gs=gs_minus1)
+        weyl.QuasiMode(mu=-4095.0, cutoff=weyl.build_cutoff(16.0), n_k=64, gs=gs_minus1)
 
     def test_interval_plateau_precondition(self, gs_minus1):
         # t_max is about 22 > n_k c / 2 = 16
-        qm = weyl.QuasiMode(mu=0.0, cutoff=weyl.cutoff_cached(16.0), n_k=32,
+        qm = weyl.QuasiMode(mu=0.0, cutoff=weyl.build_cutoff(16.0), n_k=32,
                             gs=gs_minus1, x_domain=XDomain("interval", 1.0))
         with pytest.raises(ConfigurationError, match="plateau"):
             weyl.residual_norm(qm)
@@ -323,14 +316,14 @@ class TestQuasiMode:
         # the surviving term is 2 theta' chi'/n_k; its square integrates to
         # 4 E J(k) up to n_k-suppressed corrections
         k, n_k = weyl.choose_parameters(0.1, gs_minus1)
-        cut = weyl.cutoff_cached(k)
+        cut = weyl.build_cutoff(k)
         qm = weyl.QuasiMode(mu=0.0, cutoff=cut, n_k=n_k, gs=gs_minus1)
         r = weyl.residual_norm(qm)
         assert abs(r**2 - 4.0 * (-gs_minus1.e0) * cut.j_weighted) < 1e-4
 
     def test_mu_pair_symmetry(self, gs_minus1):
         k, n_k = weyl.choose_parameters(0.1, gs_minus1)
-        cut = weyl.cutoff_cached(k)
+        cut = weyl.build_cutoff(k)
         rp = weyl.residual_norm(weyl.QuasiMode(mu=0.8, cutoff=cut, n_k=n_k,
                                                gs=gs_minus1))
         rm = weyl.residual_norm(weyl.QuasiMode(mu=-0.8, cutoff=cut, n_k=n_k,
@@ -346,7 +339,7 @@ class TestZRule:
         # times e^{cu}: order-10 panels 1 per unit of ln z agree with 4 per
         # unit to rounding, down to eps = 0.005 (k = 2^99)
         k, n_k = weyl.choose_parameters(eps, gs_shipped, mu)
-        qm = weyl.QuasiMode(mu=mu, cutoff=weyl.cutoff_cached(k), n_k=n_k, gs=gs_shipped)
+        qm = weyl.QuasiMode(mu=mu, cutoff=weyl.build_cutoff(k), n_k=n_k, gs=gs_shipped)
         got = weyl.residual_norm(qm)
         monkeypatch.setattr(weyl, "_Z_PANELS_PER_UNIT", 4.0)
         want = weyl.residual_norm(qm)
@@ -356,7 +349,7 @@ class TestZRule:
         # k = 2^50: ln sqrt(k) = 17.3 on the rise and on the descent, so
         # 18 panels each, plus 6 on each bridge, of 10 nodes; 70 + 70 + 12
         # panels at 4 per unit
-        cut = weyl.cutoff_cached(2.0**50)
+        cut = weyl.build_cutoff(2.0**50)
         z = weyl._residual_z_rule(cut)[0]
         assert len(z) == 10 * (18 + 18 + 12)
         monkeypatch.setattr(weyl, "_Z_PANELS_PER_UNIT", 4.0)
