@@ -5,10 +5,10 @@ images) with Neumann cuts bounds the operator from below by a direct sum.  On
 G_n the frozen-coefficient comparison operator is unitarily equivalent to
 ln^2(n) L, and the freezing error admits an explicit bound assembled from
 sup V, sup |V'|, and the support half-width.  The classification rule takes
-t_V, the minimum over channels of the 1D threshold inf sigma(L_j); its sign
-decides bounded-below versus unbounded-below.  Each L_j lives on the
-configuration's x-domain (`model.XDomain`): the line, or the interval
-(-c, c) with the configuration's boundary conditions.
+t_V, the minimum over channels of the 1D threshold inf sigma(L_j) on the
+line; its sign decides bounded-below versus unbounded-below on every
+x-domain (`classify`).  On an interval the strip bounds hold under
+Dirichlet ends only.
 """
 
 from __future__ import annotations
@@ -51,14 +51,19 @@ _TOL = 1e-6
 
 
 def channel_threshold(config: ModelConfig, ch: ChannelSpec) -> float:
-    """inf sigma(L_j) for one channel, on the configuration's own x-domain:
-    on an interval the comparison operator carries the same boundary
-    conditions on (-c, c)."""
-    return threshold(ComparisonSpec(config.omega, ch.lam, ch.profile, config.x_domain))
+    """inf sigma(L_j) for one channel on the line, whatever the
+    configuration's x-domain (see `classify`)."""
+    return threshold(ComparisonSpec(config.omega, ch.lam, ch.profile))
 
 
 def classify(config: ModelConfig, tol: float = _TOL) -> Classification:
-    """t_V = min_j inf sigma(L_j); sign against tol gives the verdict."""
+    """t_V = min_j inf sigma(L_j), each L_j on the line; sign against tol
+    gives the verdict.  On an interval (-c, c), under t = xy the fibre of H
+    at height y is y^2 L on (-c|y|, c|y|), whose threshold tends to t_line
+    as |y| grows: from above with Dirichlet ends (a restriction of the
+    line's form), from below with Neumann or periodic ends.  So the sign of
+    min_j t_line,j is the verdict for every end condition; (-c, c) itself
+    is only the fibre at |y| = 1."""
     if not config.channels:
         raise ConfigurationError("classification needs at least one channel")
     if not 0 < tol < math.inf:
@@ -96,10 +101,12 @@ def _correction(ch: ChannelSpec, n: int) -> float:
 
 def strip_bounds(config: ModelConfig, n_max: int) -> list[StripBound]:
     """Per-strip lower bounds for a single-channel configuration, for the
-    strips n = 1, ..., n_max.
+    strips n = 1, ..., n_max, from the channel's threshold on the line.
 
     The n = 1 strip (0, ln 2] has ln n = 0, so freezing carries no
-    information there; it is bounded by the potential minimum instead.
+    information there; it is bounded by the potential minimum instead.  With
+    Dirichlet ends on an interval each strip's operator is a restriction of
+    the line's form; Neumann or periodic ends refuse a channel's strips.
     """
     if len(config.channels) > 1:
         raise ConfigurationError("strip bounds are defined for a single channel")
@@ -114,6 +121,9 @@ def _strips(config: ModelConfig, e_l: float, n_max: int) -> list[StripBound]:
     """strip_bounds for a configuration of at most one channel whose
     comparison threshold e_l is already known."""
     ch = config.channels[0] if config.channels else None
+    if ch is not None and config.x_domain.bc != "dirichlet":
+        raise ConfigurationError(f"no lower bound with {config.x_domain.bc} ends: "
+                                 "the fibre thresholds lie below the line's")
     out = []
     for n in range(1, n_max + 1):
         lo, hi = math.log(n), math.log(n + 1)
@@ -132,12 +142,13 @@ def _strips(config: ModelConfig, e_l: float, n_max: int) -> list[StripBound]:
 def global_lower_bound(config: ModelConfig):
     """Lower bound on the whole operator, or the string "unbounded below".
 
-    Supercritical configurations are routed straight to "unbounded below".
-    Otherwise the bound is the minimum of the central term
-    -lambda sup V ln^2 2 (the potential minimum on |y| <= ln 2) and every
-    net strip bound net(n) = ln^2(n) e_l - corr(n), e_l the channel's 1D
-    threshold and corr = `_correction` for n >= 2; net(1) is the central
-    term itself.
+    Supercritical configurations are routed straight to "unbounded below" on
+    every x-domain; under Neumann or periodic ends any other configuration
+    with a channel is refused (`strip_bounds`).  Otherwise the bound is the
+    minimum of the central term -lambda sup V ln^2 2 (the potential minimum
+    on |y| <= ln 2) and every net strip bound net(n) = ln^2(n) e_l - corr(n),
+    e_l the channel's 1D threshold and corr = `_correction` for n >= 2;
+    net(1) is the central term itself.
 
     Lemma: for e_l >= 0 that minimum is min(central, net(2)).  For n >= 2,
     g(n) = ln(n+1) ln(1 + 1/n) decreases, since
@@ -186,6 +197,7 @@ def classification_json_dict(config: ModelConfig, cls: Classification) -> dict:
     # omitted where the strip bounds give none
     routed = _classification(cls.per_channel)
     if routed.verdict == "supercritical" or (len(config.channels) <= 1
-                                             and routed.t_v >= 0.0):
+                                             and routed.t_v >= 0.0
+                                             and config.x_domain.bc == "dirichlet"):
         out["global_lower_bound"] = _lower_bound(config, routed)
     return out

@@ -9,8 +9,9 @@ written), 2 configuration error.
 The 1D commands (`critical`, `tune`, `eig1d`, `classify`, `bound`) and
 `weyl` run on the standard library alone, for every profile family;
 `eig2d` and `scan` import `grid2d`, and with it numpy, in their own branch,
-`weyl` imports `weyl` in its own, and `eig1d`, `classify` and `bound` import
-`bracketing` in theirs.
+`weyl` imports `weyl` in its own, and `classify` and `bound` import
+`bracketing` in theirs.  `eig1d` prints each channel's threshold on the
+configuration's own x-domain; `classify` and `bound` take the line's.
 """
 
 from __future__ import annotations
@@ -25,7 +26,8 @@ from typing import Optional
 
 from .errors import ComputationError, ConfigurationError, SmilanskyError
 from .model import Checked, ModelConfig, load_config
-from .oned import ComparisonSpec, critical_coupling, ground_state, tune_lambda_to_threshold
+from .oned import (ComparisonSpec, critical_coupling, ground_state, threshold,
+                   tune_lambda_to_threshold)
 
 __all__ = ["RunRequest", "run", "main"]
 
@@ -143,10 +145,9 @@ def run(request: RunRequest) -> int:
             _emit(request, _json_payload(request, {"lambda": lam,
                                                    "target": p["target"]}))
         elif request.command == "eig1d":
-            from . import bracketing
-
             rows = [{"lambda": ch.lam, "center": ch.center,
-                     "threshold": bracketing.channel_threshold(config, ch)}
+                     "threshold": threshold(ComparisonSpec(
+                         config.omega, ch.lam, ch.profile, config.x_domain))}
                     for ch in config.channels]
             _emit(request, _json_payload(request, {"channels": rows}))
         elif request.command == "eig2d":

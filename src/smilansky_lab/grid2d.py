@@ -15,9 +15,9 @@ the 1D channel energy |E0|.  With even channel profiles the operator
 commutes with y -> -y, and when x -> -x also maps the channels onto each
 other it commutes with that reflection too; the graded x-mesh is built from
 x = 0 outward, so it keeps that symmetry.  A scan solves only the block of H
-on vectors even under each such reflection (one fold per axis,
-`_mirror_fold`), which holds the ground state: on both shipped scan configs
-that is the even-even quarter block.
+on vectors even under each such reflection (one closed-form fold of the 1D
+stencil per axis, `_mirror_fold`), which holds the ground state: on both
+shipped scan configs that is the even-even quarter block.
 """
 
 from __future__ import annotations
@@ -177,36 +177,9 @@ class SparseHamiltonian(NamedTuple):
                              vals[order].tolist())) + "\n"
 
 
-class TridiagonalSym(Checked, namedtuple("TridiagonalSym", "d e corner")):
-    """Symmetric tridiagonal matrix, the 1D stencils of the 2D operator;
-    `corner` adds the periodic wrap entry."""
-
-    __slots__ = ()
-
-    def __new__(cls, d: np.ndarray, e: np.ndarray, corner: Optional[float] = None):
-        d = np.asarray(d, dtype=float)
-        e = np.asarray(e, dtype=float)
-        if len(e) != len(d) - 1:
-            raise ComputationError("off-diagonal must have length n-1")
-        if not (np.all(np.isfinite(d)) and np.all(np.isfinite(e))):
-            raise ComputationError("non-finite matrix entries")
-        if corner is not None and len(d) < 3:
-            raise ComputationError("the periodic wrap needs at least 3 nodes")
-        return super().__new__(cls, d, e, corner)
-
-    @property
-    def n(self) -> int:
-        return len(self.d)
-
-    def toarray(self) -> np.ndarray:
-        out = np.diag(self.d) + np.diag(self.e, 1) + np.diag(self.e, -1)
-        if self.corner is not None:
-            out[0, -1] = out[-1, 0] = self.corner
-        return out
-
-
-def _second_diff_1d(nodes: np.ndarray, lo: float, hi: float, bc: str) -> TridiagonalSym:
-    """Symmetric -d2/dx2 on the nodes of (lo, hi), in finite-volume form.
+def _second_diff_1d(nodes: np.ndarray, lo: float, hi: float, bc: str) -> tuple:
+    """Symmetric -d2/dx2 on the nodes of (lo, hi), in finite-volume form:
+    (diagonal, off-diagonal, periodic corner entry or None).
 
     Node i owns the cell between the midpoints to its neighbours, of width
     w_i = (hl_i + hr_i)/2 for the spacings hl_i and hr_i to them, and the
@@ -237,44 +210,34 @@ def _second_diff_1d(nodes: np.ndarray, lo: float, hi: float, bc: str) -> Tridiag
     corner = None
     if bc == "periodic":
         corner = -1.0 / (hl[0] * np.sqrt(w[0] * w[-1]))
-    return TridiagonalSym(flux / w, -1.0 / (d * np.sqrt(w[:-1] * w[1:])), corner)
+    diag, off = flux / w, -1.0 / (d * np.sqrt(w[:-1] * w[1:]))
+    if not (np.all(np.isfinite(diag)) and np.all(np.isfinite(off))):
+        raise ComputationError("non-finite matrix entries")
+    return diag, off, corner
 
 
-def _mirror_fold(t: TridiagonalSym) -> TridiagonalSym:
-    """U^T t U for the isometry U onto the vectors even under the mirror
-    i -> n - 1 - i of the nodes: its columns are e_i on a node that is its
-    own image (the middle one, n odd) and (e_i + e_{n-1-i})/sqrt(2) on the
-    others, for i = n // 2, ..., n - 1 in that order.
+def _mirror_fold(d: np.ndarray, e: np.ndarray, corner: Optional[float]) -> tuple:
+    """U^T t U as (diagonal, off-diagonal), for the symmetric tridiagonal
+    t = (d, e, corner) that commutes with the mirror i -> n - 1 - i, and U
+    the isometry onto its even vectors: column i = m, ..., n - 1 (m = n // 2)
+    is e_i on the middle node (n odd), else (e_i + e_{n-1-i})/sqrt(2).  Then
+    t U = U (U^T t U), so U^T t U is the block of t on the even vectors.
 
-    When t commutes with the mirror, t U = U (U^T t U): U^T t U is the
-    block of t on the mirror-even vectors, and U carries its eigenvectors
-    to those of t.  It is tridiagonal again; the couplings across the middle
-    and the periodic corner land on its diagonal, or next to it, so one
-    product handles every boundary condition and both parities of n.
+    It is the upper half d[m:], e[m:] of t but where a coupling crosses the
+    mirror (the middle node's, n odd; the diagonal of the straddling pair,
+    n even) or the corner lands (the last diagonal); each of those is the
+    weighted t[i, j] + t[i, j'] + t[i', j] + t[i', j'] (i', j' the images),
+    the float expression of the product U^T t U.
     """
-    n = t.n
-    k = np.arange(n // 2, n)
-    image = n - 1 - k
-    own = k == image
-
-    def entry(i: np.ndarray, j: np.ndarray) -> np.ndarray:
-        """t[i, j], elementwise."""
-        out = np.where(i == j, t.d[i], 0.0)
-        out = np.where(np.abs(i - j) == 1, t.e[np.minimum(np.minimum(i, j), n - 2)], out)
-        if t.corner is not None:
-            out = np.where(np.abs(i - j) == n - 1, t.corner, out)
-        return out
-
-    def block(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-        """(U^T t U)[a, b]; the weights are products of the two columns'
-        1/2 (own image) or 1/sqrt(2), written exactly."""
-        w = np.where(own[a] & own[b], 0.25,
-                     np.where(own[a] | own[b], 0.5 * math.sqrt(0.5), 0.5))
-        return w * (entry(k[a], k[b]) + entry(k[a], image[b])
-                    + entry(image[a], k[b]) + entry(image[a], image[b]))
-
-    i = np.arange(len(k))
-    return TridiagonalSym(block(i, i), block(i[:-1], i[1:]))
+    n, m = len(d), len(d) // 2
+    diag, off = d[m:].copy(), e[m:].copy()
+    if n % 2:
+        off[0] = 0.5 * math.sqrt(0.5) * (e[m] + e[m - 1] + e[m] + e[m - 1])
+    else:
+        diag[0] = 0.5 * (d[m] + e[m - 1] + e[m - 1] + d[m - 1])
+    if corner is not None:
+        diag[-1] = 0.5 * (d[-1] + corner + corner + d[0])
+    return diag, off
 
 
 def _check_resolution(config: ModelConfig, grid: Grid2D) -> None:
@@ -310,8 +273,8 @@ def _potential(config: ModelConfig, x: np.ndarray, y: np.ndarray) -> np.ndarray:
 def assemble_h2d(config: ModelConfig, grid: Grid2D,
                  sector: str = "full") -> SparseHamiltonian:
     """Kronecker-sum assembly, x fastest: I (x) Bx + By (x) I + diag(potential),
-    held as Bx, the diagonal of By plus the potential row by row, and the
-    off-diagonal of By (`eigs.BlockTridiagonal`).
+    held as the dense Bx (`_second_diff_1d`), the diagonal of By plus the
+    potential row by row, and the off-diagonal of By (`eigs.BlockTridiagonal`).
 
     sector="full" takes every node of `grid`.  The folded sectors assemble
     U^T H U for an isometry U onto the vectors even under a reflection that
@@ -355,19 +318,23 @@ def assemble_h2d(config: ModelConfig, grid: Grid2D,
         raise ConfigurationError("grid x-range does not match the interval domain")
     _check_resolution(config, grid)
 
-    bx = _second_diff_1d(grid.x_nodes, grid.x_lo, grid.x_hi, config.x_domain.bc)
+    dx, ex, corner = _second_diff_1d(grid.x_nodes, grid.x_lo, grid.x_hi,
+                                     config.x_domain.bc)
     h2 = grid.h_y ** 2
-    by = TridiagonalSym(np.full(grid.n_y, 2.0 / h2), np.full(grid.n_y - 1, -1.0 / h2))
+    dy, ey = np.full(grid.n_y, 2.0 / h2), np.full(grid.n_y - 1, -1.0 / h2)
     x, y = grid.x_nodes, grid.y_nodes
     if sector != "full":
-        by = _mirror_fold(by)
-        by = TridiagonalSym(by.d[::-1], by.e[::-1])
+        dy, ey = (v[::-1] for v in _mirror_fold(dy, ey, None))
         y = y[grid.n_y // 2:][::-1]
     if sector == "even-even":
-        bx = _mirror_fold(bx)
+        dx, ex = _mirror_fold(dx, ex, corner)
+        corner = None
         x = x[grid.n_x // 2:]
+    bx = np.diag(dx) + np.diag(ex, 1) + np.diag(ex, -1)
+    if corner is not None:
+        bx[0, -1] = bx[-1, 0] = corner
     pot = _potential(config, x, y)
-    return SparseHamiltonian(op=BlockTridiagonal(bx.toarray(), pot + by.d[:, None], by.e),
+    return SparseHamiltonian(op=BlockTridiagonal(bx, pot + dy[:, None], ey),
                              grid=grid, potential_min=float(np.min(pot)), sector=sector)
 
 

@@ -99,15 +99,21 @@ class ResolutionPolicy(NamedTuple):
         return max(64, math.ceil(self.points_per_unit * (c + c)))
 
     def m_for(self, a: float) -> int:
-        """Steps m of the support half-width a on the line (h = a/m).  The
-        finest chain, 8m - 1 nodes at h = a/4m, may not pass NODE_CAP; an
-        interval's finest chain, at about the same spacing, is as long."""
-        m = self.points_per_unit * a
+        """Steps m of the support half-width a on the line (h = a/m), as
+        many for a narrow support as for a unit one.  The finest chain, 8m - 1
+        nodes at h = a/4m, may not pass NODE_CAP (an interval's finest chain
+        is as long), and 1/h^4 must be a float64: h > 2^-256."""
+        m = self.points_per_unit * max(a, 1.0)
         if not m <= NODE_CAP // 8:
             raise ConfigurationError(
                 f"the channel support [-{a}, {a}] is too wide: its finest "
                 f"chain would pass {NODE_CAP} nodes")
-        return math.ceil(m)
+        m = math.ceil(m)
+        if not a / (4 * m) > 2.0**-256:
+            raise ConfigurationError(
+                f"the channel support [-{a}, {a}] is too narrow: its finest "
+                f"spacing a/(4m) = {a / (4 * m):.3g} puts 1/h^4 past float64")
+        return m
 
 
 def _richardson(what: str, values: list[float], steps, policy: ResolutionPolicy) -> float:

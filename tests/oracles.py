@@ -1,11 +1,12 @@
 """Reference implementations that only the tests read.
 
 Each is an independent route to a number the package computes another way:
-the slope V' of a channel profile; the scipy sparse matrix of an assembled
-2D operator, and its coordinate text; uniform 2D grids; the comparison
-operator assembled on a whole interval, its lowest eigenvalue, and the
-ground state on the line truncated with Dirichlet ends; the cutoff's jet at a point; a t-rule
-that integrates the ground state's tails by quadrature; the quasi-mode norm
+the slope V' of a channel profile; the dense matrix of a symmetric
+tridiagonal; the scipy sparse matrix of an assembled 2D operator, and its
+coordinate text; uniform 2D grids; the comparison operator assembled on a
+whole interval, its lowest eigenvalue, and the ground state on the line
+truncated with Dirichlet ends; the cutoff's jet at a point; a t-rule that
+integrates the ground state's tails by quadrature; the quasi-mode norm
 by direct 2D quadrature; and the defect of the identity behind the Weyl
 residual, from finite differences.  They need numpy and scipy, which the
 package itself does not load.
@@ -21,7 +22,7 @@ import numpy as np
 import scipy.sparse as sp
 from scipy.linalg import eigh_tridiagonal
 
-from smilansky_lab.grid2d import Grid2D, SparseHamiltonian, TridiagonalSym
+from smilansky_lab.grid2d import Grid2D, SparseHamiltonian
 from smilansky_lab.model import PotentialProfile, XDomain, profile_values
 from smilansky_lab.oned import ComparisonSpec, GroundState, _fd4_derivative, _ode_factors
 from smilansky_lab.quadrature import gauss_panels, linspace, quintic_hermite
@@ -79,6 +80,15 @@ def coo_text(a: sp.csr_matrix) -> str:
                      for i, j, v in zip(coo.row, coo.col, coo.data)) + "\n"
 
 
+def dense_tridiagonal(d, e, corner: Optional[float] = None) -> np.ndarray:
+    """The dense symmetric tridiagonal matrix of diagonal d and off-diagonal
+    e, with the periodic corner entry when one is given."""
+    out = np.diag(np.asarray(d, dtype=float)) + np.diag(e, 1) + np.diag(e, -1)
+    if corner is not None:
+        out[0, -1] = out[-1, 0] = corner
+    return out
+
+
 def interval_chain(spec: ComparisonSpec, n: int):
     """The comparison operator assembled by central differences on the whole
     interval (-c, c) of `spec.domain`, with n nodes, as lists: (nodes,
@@ -113,7 +123,7 @@ def interval_min_eig(spec: ComparisonSpec, n: int) -> float:
     if corner is None:
         return float(eigh_tridiagonal(d, e, eigvals_only=True, select="i",
                                       select_range=(0, 0))[0])
-    return float(np.linalg.eigvalsh(TridiagonalSym(d, e, corner).toarray())[0])
+    return float(np.linalg.eigvalsh(dense_tridiagonal(d, e, corner))[0])
 
 
 def truncated_line_ground_state(spec: ComparisonSpec, c: float, n: int) -> GroundState:

@@ -1,13 +1,16 @@
+import json
 import math
 from pathlib import Path
 
 import pytest
 
 from smilansky_lab import bracketing as br
+from smilansky_lab import grid2d
 from smilansky_lab.cli import RunRequest, run
 from smilansky_lab.errors import ComputationError, ConfigurationError
-from smilansky_lab.model import ChannelSpec, ModelConfig, PotentialProfile, load_config
-from smilansky_lab.oned import threshold, tune_lambda_to_threshold
+from smilansky_lab.model import (ChannelSpec, ModelConfig, PotentialProfile, XDomain,
+                                 load_config)
+from smilansky_lab.oned import ComparisonSpec, threshold, tune_lambda_to_threshold
 
 
 @pytest.fixture(scope="module")
@@ -147,6 +150,53 @@ class TestGlobalBound:
         cls = br.classify(cfg, tol=1e-9)
         assert cls.verdict == "supercritical"
         assert "global_lower_bound" not in br.classification_json_dict(cfg, cls)
+
+
+class TestIntervalDomains:
+    # the fibre at height y is y^2 L on (-c|y|, c|y|), so the line's
+    # threshold decides every end condition; cos2 with omega = 1 on (-1, 1)
+    @staticmethod
+    def config(lam, prof, bc):
+        return ModelConfig(omega=1.0, channels=(ChannelSpec(lam, 0.0, prof),),
+                           x_domain=XDomain("interval", 1.0, bc))
+
+    @pytest.mark.parametrize("lam, bc", [(3.2, "dirichlet"), (2.0, "neumann"),
+                                         (2.0, "periodic")])
+    def test_verdict_is_the_scans(self, prof, lam, bc):
+        # the threshold on (-1, 1) itself called these subcritical (t =
+        # +1.036) and supercritical (t = -0.0504)
+        cfg = self.config(lam, prof, bc)
+        cls = br.classify(cfg)
+        assert cls.t_v == threshold(ComparisonSpec(1.0, lam, prof))
+        assert cls.verdict == grid2d.transition_scan(cfg, [4.0, 8.0, 16.0]).verdict
+
+    def test_dirichlet_bound_is_the_lines(self, prof):
+        cfg = self.config(2.0, prof, "dirichlet")
+        bound = br.global_lower_bound(cfg)
+        assert bound == br.global_lower_bound(cfg._replace(x_domain=XDomain()))
+        assert abs(bound - -3.7934) < 1e-4
+        scan = grid2d.transition_scan(cfg, [4.0, 8.0, 16.0])
+        assert all(bound <= r.lambda0 for r in scan.rows)
+
+    @pytest.mark.parametrize("bc", ["neumann", "periodic"])
+    def test_neumann_and_periodic_ends_have_no_bound(self, prof, tmp_path, capsys, bc):
+        # the fibre thresholds approach the line's from below there, so the
+        # line's strip bounds do not hold; a supercritical channel is still
+        # unbounded below
+        cfg = self.config(2.0, prof, bc)
+        with pytest.raises(ConfigurationError, match=f"no lower bound with {bc} ends"):
+            br.global_lower_bound(cfg)
+        cls = br.classify(cfg)
+        assert cls.verdict == "subcritical"
+        assert "global_lower_bound" not in br.classification_json_dict(cfg, cls)
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({"omega": 1.0, "channels": [{
+            "lambda": 2.0, "profile": {"family": "cos2", "a": 1.0, "amplitude": 1.0}}],
+            "x_domain": {"type": "interval", "c": 1.0, "bc": bc}}))
+        assert run(RunRequest("bound", str(path))) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("configuration error: no lower bound") and err.count("\n") == 1
+        assert br.global_lower_bound(self.config(3.2, prof, bc)) == "unbounded below"
 
 
 @pytest.mark.parametrize("command, config", [("classify", "two_channel.json"),

@@ -190,12 +190,32 @@ class TestCommands:
         assert run(RunRequest("eig1d", str(cfg), output=str(e1))) == 0
         assert run(RunRequest("classify", str(cfg), output=str(c))) == 0
         got = json.loads(e1.read_text())["channels"][0]["threshold"]
-        assert json.loads(c.read_text())["t_V"] == got
-        # dense Richardson reference on the default grids n = 240, 480, 960
+        # eig1d takes the threshold on (-1, 1), classify the line's, which
+        # decides the phase on every x-domain
         spec = ComparisonSpec(1.0, 4.0, PotentialProfile("cos2", 1.0, 1.0),
                               XDomain("interval", 1.0, "periodic"))
+        assert json.loads(c.read_text())["t_V"] == threshold(spec._replace(domain=XDomain()))
+        # dense Richardson reference on the default grids n = 240, 480, 960
         e = [interval_min_eig(spec, n) for n in (240, 480, 960)]
         assert abs(got - (4.0 * e[2] - e[1]) / 3.0) <= ResolutionPolicy().rich_tol
+
+    def test_narrow_channel_is_resolved_like_a_unit_one(self, tmp_path):
+        # a = 0.1 takes the 120 steps of a = 1: x = a s maps the chain at
+        # lambda = 2 / a^2 onto the unit one, so the threshold is
+        # omega^2 + (t(1) - omega^2) / a^2 to rounding; at ceil(120 a) = 12
+        # steps both commands fail the Richardson gate
+        cfg = tmp_path / "narrow.json"
+        cfg.write_text(json.dumps({**SINGLE, "channels": [{
+            "lambda": 200.0, "center": 0.0,
+            "profile": {"family": "cos2", "a": 0.1, "amplitude": 1.0}}]}))
+        e1, c = tmp_path / "e.json", tmp_path / "c.json"
+        assert run(RunRequest("eig1d", str(cfg), output=str(e1))) == 0
+        assert run(RunRequest("critical", str(cfg), params={"tol": 1e-2},
+                              output=str(c))) == 0
+        got = json.loads(e1.read_text())["channels"][0]["threshold"]
+        unit = threshold(ComparisonSpec(1.0, 2.0, PotentialProfile("cos2", 1.0, 1.0)))
+        assert abs(got - (1.0 + (unit - 1.0) / 0.01)) <= 1e-9 * abs(got)
+        assert json.loads(c.read_text())["lambda_crit"] > 0.0
 
     def test_weyl_csv(self, super_cfg, tmp_path):
         out = tmp_path / "w.csv"
@@ -371,7 +391,8 @@ class TestExitCodes:
         runs += [["eig1d", "--config", two], ["classify", "--config", two]]
         runs += [[command, "--config", str(cfg)]
                  for cfg in (dirichlet, neumann, periodic, long_periodic)
-                 for command in ("eig1d", "classify", "bound")]
+                 for command in ("eig1d", "classify")]
+        runs += [["bound", "--config", str(dirichlet)]]
         supercritical = tmp_path / "super.json"
         supercritical.write_text(json.dumps(SUPER))
         table_super = tmp_path / "table_super.json"
@@ -607,13 +628,16 @@ class TestExitCodes:
         periodic = tmp_path / "periodic.json"
         periodic.write_text(json.dumps({**SINGLE, "x_domain": {
             "type": "interval", "c": 1.5, "bc": "periodic"}}))
+        dirichlet = tmp_path / "dirichlet.json"
+        dirichlet.write_text(json.dumps({**SINGLE, "x_domain": {
+            "type": "interval", "c": 1.5, "bc": "dirichlet"}}))
         run_with_scipy_blocked([["scan", "--config", single_cfg, "--ladder", "2,3,4"],
                                 ["eig2d", "--config", super_cfg, "--y-half", "3", "--k", "2"],
                                 ["scan", "--config", str(periodic), "--ladder", "2,3,4"],
                                 ["eig2d", "--config", str(periodic), "--y-half", "3"],
                                 ["eig1d", "--config", str(periodic)],
                                 ["classify", "--config", str(periodic)],
-                                ["bound", "--config", str(periodic)]], tmp_path)
+                                ["bound", "--config", str(dirichlet)]], tmp_path)
 
     @pytest.mark.parametrize("flag", ["--output", "--export-matrix"])
     def test_unwritable_path_is_2(self, single_cfg, tmp_path, flag):
@@ -690,12 +714,13 @@ class TestExitCodes:
     @pytest.mark.parametrize("c", [1e306, 1.7e308])
     def test_interval_beyond_float_node_counts_is_2(self, tmp_path, c):
         # 4 x 240 c grid nodes overflow float64: a fresh process exits 2 with
-        # one line for each command that takes a 1D threshold, and no
-        # traceback (it was a raw OverflowError)
+        # one line for each command that takes a 1D threshold on the
+        # interval, and no traceback (it was a raw OverflowError); classify
+        # and bound take the line's, which c does not enter
         p = tmp_path / "huge.json"
         p.write_text(json.dumps({**SINGLE, "x_domain": {"type": "interval", "c": c,
                                                         "bc": "periodic"}}))
-        for args in (["eig1d"], ["classify"], ["bound"], ["scan", "--ladder", "4,8,16"]):
+        for args in (["eig1d"], ["scan", "--ladder", "4,8,16"]):
             proc = subprocess.run(
                 [sys.executable, "-m", "smilansky_lab.cli", args[0], "--config", str(p),
                  *args[1:]], env=env_with_src(), capture_output=True, text=True)
@@ -703,13 +728,14 @@ class TestExitCodes:
             assert proc.stderr.startswith("configuration error: the interval "), proc.stderr
             assert "Traceback" not in proc.stderr and proc.stderr.count("\n") == 1
 
-    @pytest.mark.parametrize("a", [1e7, 1e307])
+    @pytest.mark.parametrize("a", [1e7, 1e307, 1e-100, 1e-300])
     def test_huge_channel_half_width_is_2(self, tmp_path, a):
         # the finest support chain would pass NODE_CAP: about 1e10 nodes at
         # a = 1e7, and at 1e307 the step count overflowed (a raw
-        # OverflowError).  A fresh process, whose support chains raise if
-        # built, exits 2 with one line for each command that takes the 1D
-        # chain
+        # OverflowError); at a = 1e-100 and 1e-300 its 1/h^4 overflowed (a
+        # raw OverflowError too).  A fresh process, whose support chains
+        # raise if built, exits 2 with one line for each command that takes
+        # the 1D chain
         cfg = json.loads(json.dumps(SUPER))
         cfg["channels"][0]["profile"]["a"] = a
         p = tmp_path / "wide.json"

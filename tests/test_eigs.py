@@ -6,25 +6,28 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from oracles import dense_tridiagonal
 from smilansky_lab.eigs import BlockTridiagonal, _spd_inverse, _splitmix64, shift_invert_lanczos
 from smilansky_lab.errors import ComputationError
-from smilansky_lab.grid2d import TridiagonalSym
 from smilansky_lab.sturm import bisect_count, cyclic_sturm_count, lowest_eigenvector, sturm_count
 
 
 def dirichlet_laplacian(n):
-    return TridiagonalSym(np.full(n, 2.0), np.full(n - 1, -1.0))
+    """The diagonal and off-diagonal of the Dirichlet Laplacian on n nodes."""
+    return np.full(n, 2.0), np.full(n - 1, -1.0)
 
 
-def smallest_by_count(T, m, tol):
-    """The m smallest eigenvalues of a non-periodic T: the j-th is where the
-    Sturm count passes j, bisected to width tol."""
-    d, e2 = T.d.tolist(), (T.e**2).tolist()
+def smallest_by_count(d, e, m, tol):
+    """The m smallest eigenvalues of the symmetric tridiagonal T with
+    diagonal d and off-diagonal e: the j-th is where the Sturm count passes
+    j, bisected to width tol."""
+    e2 = (e**2).tolist()
     # the spectrum lies in [-||T||_inf, ||T||_inf], ||T||_inf the largest
     # absolute row sum (Gershgorin)
-    ae = np.abs(T.e)
-    hi = float(np.max(np.abs(T.d) + np.append(ae, 0.0) + np.append(0.0, ae))) + 1.0
+    ae = np.abs(e)
+    hi = float(np.max(np.abs(d) + np.append(ae, 0.0) + np.append(0.0, ae))) + 1.0
     lo = -hi
+    d = d.tolist()
     return np.array([0.5 * sum(bisect_count(lambda x: sturm_count(d, e2, x) > j,
                                             lo, hi, tol)[:2]) for j in range(m)])
 
@@ -32,22 +35,19 @@ def smallest_by_count(T, m, tol):
 class TestSturm:
     # eigenvalues by bisection of the Sturm count
     def test_laplacian_spectrum(self):
-        T = dirichlet_laplacian(10)
-        got = smallest_by_count(T, 10, tol=1e-14)
+        got = smallest_by_count(*dirichlet_laplacian(10), 10, tol=1e-14)
         want = 2.0 - 2.0 * np.cos(np.arange(1, 11) * np.pi / 11.0)
         assert np.max(np.abs(got - np.sort(want))) < 1e-12
 
     def test_diagonal_matrix(self):
         d = np.array([3.0, -1.0, 7.0, 0.5])
-        T = TridiagonalSym(d, np.zeros(3))
-        assert np.allclose(smallest_by_count(T, 4, tol=1e-14), np.sort(d),
+        assert np.allclose(smallest_by_count(d, np.zeros(3), 4, tol=1e-14), np.sort(d),
                            atol=1e-12)
 
     def test_shift_covariance(self):
-        T = dirichlet_laplacian(12)
-        shifted = TridiagonalSym(T.d + 3.25, T.e)
-        a = smallest_by_count(T, 3, tol=1e-13)
-        b = smallest_by_count(shifted, 3, tol=1e-13)
+        d, e = dirichlet_laplacian(12)
+        a = smallest_by_count(d, e, 3, tol=1e-13)
+        b = smallest_by_count(d + 3.25, e, 3, tol=1e-13)
         assert np.max(np.abs((a + 3.25) - b)) < 1e-11
 
     @settings(max_examples=25, deadline=None)
@@ -56,18 +56,11 @@ class TestSturm:
         rng = np.random.default_rng(seed)
         d = rng.standard_normal(n)
         e = rng.standard_normal(n - 1)
-        full = smallest_by_count(TridiagonalSym(d, e), n, tol=1e-12)
-        sub = smallest_by_count(TridiagonalSym(d[:-1], e[:-1]), n - 1, tol=1e-12)
+        full = smallest_by_count(d, e, n, tol=1e-12)
+        sub = smallest_by_count(d[:-1], e[:-1], n - 1, tol=1e-12)
         for j in range(n - 1):
             assert full[j] <= sub[j] + 1e-9
             assert sub[j] <= full[j + 1] + 1e-9
-
-    def test_rejects_periodic_wrap_and_bad_count(self):
-        # a wrap needs three nodes, and the off-diagonal n - 1 entries
-        with pytest.raises(ComputationError):
-            TridiagonalSym([2.0, 2.0], [-1.0], corner=-1.0)
-        with pytest.raises(ComputationError):
-            TridiagonalSym(np.full(6, 2.0), np.full(6, -1.0))
 
 
 class TestSturmCount:
@@ -91,9 +84,9 @@ class TestSturmCount:
         assert sturm_count([0.0, 0.0], [1.0], 0.0) == 1
 
     def test_bisect_count_brackets_the_first_eigenvalue(self):
-        T = dirichlet_laplacian(20)
-        e2 = (T.e**2).tolist()
-        lo, hi, steps = bisect_count(lambda x: sturm_count(T.d.tolist(), e2, x),
+        d, e = dirichlet_laplacian(20)
+        e2 = (e**2).tolist()
+        lo, hi, steps = bisect_count(lambda x: sturm_count(d.tolist(), e2, x),
                                      -1.0, 1.0, 1e-13)
         want = 2.0 - 2.0 * np.cos(np.pi / 21.0)
         assert lo <= want <= hi and hi - lo <= 1e-13 and steps >= 40
@@ -102,14 +95,14 @@ class TestSturmCount:
         from scipy.linalg import eigh_tridiagonal
         rng = np.random.default_rng(11)
         n = 500
-        T = TridiagonalSym(2.0 + rng.uniform(-1.0, 1.0, n), np.full(n - 1, -1.0))
-        (want,), vecs = eigh_tridiagonal(T.d, T.e, select="i", select_range=(0, 0))
+        d, e = 2.0 + rng.uniform(-1.0, 1.0, n), np.full(n - 1, -1.0)
+        (want,), vecs = eigh_tridiagonal(d, e, select="i", select_range=(0, 0))
         # the shift: the lower end of the Sturm bracket of the lowest
         # eigenvalue, 1e-15 ||T||_inf wide
-        d, e2 = T.d.tolist(), (T.e**2).tolist()
-        sigma, _, _ = bisect_count(lambda x: sturm_count(d, e2, x), -1.0, 4.0, 4e-15)
-        v = np.array(lowest_eigenvector(d, T.e.tolist(), sigma))
-        assert abs(v @ T.toarray() @ v - want) < 1e-13
+        dl, e2 = d.tolist(), (e**2).tolist()
+        sigma, _, _ = bisect_count(lambda x: sturm_count(dl, e2, x), -1.0, 4.0, 4e-15)
+        v = np.array(lowest_eigenvector(dl, e.tolist(), sigma))
+        assert abs(v @ dense_tridiagonal(d, e) @ v - want) < 1e-13
         assert abs(np.linalg.norm(v) - 1.0) < 1e-14
         assert np.max(np.abs(v * np.sign(v @ vecs[:, 0]) - vecs[:, 0])) < 1e-12
 
@@ -119,14 +112,14 @@ class TestSturmCount:
         rng = np.random.default_rng(7)
         for _ in range(300):
             n = int(rng.integers(3, 15))
-            T = TridiagonalSym(rng.standard_normal(n), rng.standard_normal(n - 1),
-                               corner=float(rng.standard_normal()))
-            vals = np.linalg.eigvalsh(T.toarray())
+            d, e = rng.standard_normal(n), rng.standard_normal(n - 1)
+            corner = float(rng.standard_normal())
+            vals = np.linalg.eigvalsh(dense_tridiagonal(d, e, corner))
             points = np.concatenate(([vals[0] - 1.0], 0.5 * (vals[1:] + vals[:-1]),
                                      [vals[-1] + 1.0]))[:11]
             for x in points:
                 if np.min(np.abs(vals - x)) > 1e-9:
-                    assert cyclic_sturm_count(T.d.tolist(), T.e.tolist(), T.corner,
+                    assert cyclic_sturm_count(d.tolist(), e.tolist(), corner,
                                               float(x)) == int(np.sum(vals < x))
 
     def test_shift_must_lie_below_the_spectrum(self):
@@ -205,7 +198,7 @@ class TestShiftInvert:
         # 5-point Laplacian on a 12 x 12 grid plus a random diagonal:
         # symmetric, 12 blocks of 12, indefinite
         rng = np.random.default_rng(5)
-        lap = dirichlet_laplacian(12).toarray()
+        lap = dense_tridiagonal(*dirichlet_laplacian(12))
         return BlockTridiagonal(lap, 2.0 + rng.uniform(-1.0, 1.0, (12, 12)),
                                 np.full(11, -1.0))
 
@@ -243,7 +236,7 @@ class TestShiftInvert:
     def test_singular_psd(self):
         # the Neumann Laplacian (plus its kernel, the constant vector) is
         # positive semidefinite with lowest eigenvalue exactly 0
-        lap = dirichlet_laplacian(30).toarray()
+        lap = dense_tridiagonal(*dirichlet_laplacian(30))
         lap[0, 0] = lap[-1, -1] = 1.0
         h = BlockTridiagonal(lap, np.zeros((1, 30)), np.zeros(0))
         (val,), vec, _ = shift_invert_lanczos(h, 1, floor=-1.0, tol=1e-12)
@@ -291,7 +284,7 @@ class TestShiftInvert:
         # converge in one cycle; the restart moves the shift just below the
         # lowest Ritz value, where its block factor certifies it
         rng = np.random.default_rng(5)
-        h = BlockTridiagonal(100.0 * dirichlet_laplacian(30).toarray(),
+        h = BlockTridiagonal(100.0 * dense_tridiagonal(*dirichlet_laplacian(30)),
                              200.0 + rng.uniform(-50.0, 50.0, (30, 30)),
                              np.full(29, -100.0))
         want = np.linalg.eigvalsh(dense(h))[:4]

@@ -7,7 +7,7 @@ import pytest
 import scipy.sparse as sp
 from scipy.linalg import eigh_tridiagonal
 
-from oracles import coo_text, sparse_matrix, uniform_grid
+from oracles import coo_text, dense_tridiagonal, sparse_matrix, uniform_grid
 from smilansky_lab import grid2d
 from smilansky_lab.eigs import BlockTridiagonal
 from smilansky_lab.errors import ComputationError, ConfigurationError, RefinementError
@@ -128,7 +128,7 @@ class TestAssembly:
             want[0, 0] = want[-1, -1] = 1.0 / h**2
         elif bc == "periodic":
             want[0, -1] = want[-1, 0] = -1.0 / h**2
-        got = grid2d._second_diff_1d(x, lo, hi, bc).toarray()
+        got = dense_tridiagonal(*grid2d._second_diff_1d(x, lo, hi, bc))
         assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
 
     def test_periodic_and_neumann_agree_on_an_even_profile(self):
@@ -407,6 +407,28 @@ def _mirror_isometry(n):
     u[k, cols] = w
     u[n - 1 - k, cols] = w
     return u
+
+
+@pytest.mark.parametrize("n", range(3, 13))
+def test_mirror_fold_is_the_block_of_the_isometry(n):
+    # random mirror-symmetric tridiagonals, with and without a periodic
+    # corner: the closed form is U^T T U to rounding, tridiagonal
+    rng = np.random.default_rng(n)
+    for corner in (None, float(rng.standard_normal())):
+        for _ in range(20):
+            d, e = rng.standard_normal((n + 1) // 2), rng.standard_normal(n // 2)
+            d = np.concatenate((d, d[:n // 2][::-1]))
+            e = np.concatenate((e, e[:(n - 1) // 2][::-1]))
+            t = dense_tridiagonal(d, e, corner)
+            u = _mirror_isometry(n)
+            want = u.T @ t @ u
+            got = grid2d._mirror_fold(d, e, corner)
+            tol = 4 * np.finfo(float).eps * np.max(np.abs(t))
+            assert np.max(np.abs(np.diag(want) - got[0])) <= tol
+            assert np.max(np.abs(np.diag(want, 1) - got[1])) <= tol
+            assert np.max(np.abs(want - dense_tridiagonal(*got))) <= tol
+            # and leaves its input as it was
+            assert np.array_equal(dense_tridiagonal(d, e, corner), t)
 
 
 def _unfold(grid, sector):
