@@ -3,14 +3,15 @@
 Block-tridiagonal matrices I (x) Bx + diag(d) + C (x) I (`BlockTridiagonal`,
 the 2D Hamiltonian) go to `shift_invert_lanczos`: Lanczos with full
 reorthogonalization on (H - sigma)^-1, applied through a block LDL^T factor
-whose existence certifies that sigma lies below the spectrum.  Nothing here
-imports scipy.
+whose existence certifies that sigma lies below the spectrum.  Each pivot
+block of the factor takes one Cholesky factor, its certificate, and one
+LAPACK inverse (`_block_ldlt`).  Nothing here imports scipy.
 """
 
 from __future__ import annotations
 
 import itertools
-from typing import Callable, Iterable, NamedTuple
+from typing import Callable, NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -74,54 +75,28 @@ class BlockTridiagonal(NamedTuple):
         return float(rows.max())
 
 
-def _spd_inverse(s: np.ndarray, out: np.ndarray) -> bool:
-    """Write the inverse of the symmetric matrix s into `out` and return
-    True, or return False when s is not positive definite.
-
-    2 x 2 block elimination: s is positive definite exactly when its leading
-    half a and the Schur complement d - b^T a^-1 b both have Cholesky
-    factors, and the inverse is assembled from the two half-size inverses
-    by four products.  Best of 7 x 200 calls on 2 vCPUs: at n = 69 (the
-    x-stencil of a shipped scan grid, in the full and even-in-y sectors)
-    it takes 107 us against 188 to 212 us for a Cholesky factor plus a
-    LAPACK inverse of s; at n = 35 (the same grid folded in x, the shipped
-    scans' even-even blocks) the two cost the same, 50 to 55 against 47 to
-    48 us.
-    """
-    m = len(s) // 2
-    a, b, d = s[:m, :m], s[:m, m:], s[m:, m:]
-    try:
-        np.linalg.cholesky(a)
-        ai = np.linalg.inv(a)
-        aib = ai @ b
-        schur = d - b.T @ aib
-        np.linalg.cholesky(schur)
-    except np.linalg.LinAlgError:
-        return False
-    si = np.linalg.inv(schur)
-    x = aib @ si
-    out[:m, :m] = ai + x @ aib.T
-    out[:m, m:] = -x
-    out[m:, :m] = -x.T
-    out[m:, m:] = si
-    return True
-
-
-def _block_ldlt(h: BlockTridiagonal, sigma: float, inv: np.ndarray) -> bool:
-    """Write into `inv` the inverses of the pivot blocks of the block LDL^T
-    factor of h - sigma: S_0 = B_0 - sigma and
-    S_j = B_j - sigma - c_{j-1}^2 S_{j-1}^-1.  Every S_j is positive
-    definite exactly when h - sigma is (Sylvester's law of inertia);
-    returns whether they all are, stopping at the first that is not."""
+def _block_ldlt(h: BlockTridiagonal, sigma: float) -> Optional[list[np.ndarray]]:
+    """The inverses of the pivot blocks of the block LDL^T factor of
+    h - sigma, S_0 = B_0 - sigma and S_j = B_j - sigma - c_{j-1}^2 S_{j-1}^-1,
+    or None at the first S_j that is not positive definite.  Every S_j is
+    positive definite exactly when h - sigma is (Sylvester's law of
+    inertia).  One Cholesky factor certifies each S_j, and one LAPACK
+    inverse inverts it: best of 7 x 300 on 2 vCPUs, 42-50 us per pivot of
+    order 35 (the shipped scans' even-even blocks) and 142-173 us at order
+    69 (full-sector `eig2d`)."""
     n_x = h.bx.shape[0]
     base = h.bx - sigma * np.eye(n_x)
     diag = np.diag_indices(n_x)
+    inv = []
     for j, dj in enumerate(h.d):
-        s = base - h.c[j - 1] ** 2 * inv[j - 1] if j else base.copy()
+        s = base - h.c[j - 1] ** 2 * inv[-1] if j else base.copy()
         s[diag] += dj
-        if not _spd_inverse(s, inv[j]):
-            return False
-    return True
+        try:
+            np.linalg.cholesky(s)
+        except np.linalg.LinAlgError:
+            return None
+        inv.append(np.linalg.inv(s))
+    return inv
 
 
 def _block_solve(inv: list[np.ndarray], c: list[float], b: np.ndarray) -> np.ndarray:
@@ -154,14 +129,6 @@ def _orthogonalize(q: np.ndarray, w: np.ndarray) -> float:
 def _near(guess: float) -> float:
     """The shift tried just below a guess of the lowest eigenvalue."""
     return guess - _NEAR_MARGIN * max(1.0, abs(guess))
-
-
-def _shifts(guess: Iterable[float], floor: float):
-    """The shift just below each guess, then the floor; the guesses are read
-    only as far as the shifts are tried."""
-    for g in guess:
-        yield _near(g)
-    yield floor
 
 
 def _splitmix64(seed: int, start: int, n: int) -> np.ndarray:
@@ -219,7 +186,7 @@ def _lanczos(inv: list[np.ndarray], c: list[float], w: np.ndarray, k: int,
 
 
 def shift_invert_lanczos(h: BlockTridiagonal, k: int, floor: float,
-                         guess: Iterable[float] = (),
+                         guess: Sequence[float] = (),
                          tol: float = 1e-7, seed: int = 1234):
     """k lowest eigenpairs of the block-tridiagonal matrix h.
 
@@ -256,13 +223,13 @@ def shift_invert_lanczos(h: BlockTridiagonal, k: int, floor: float,
     if not 1 <= k < min(n, _CYCLE):
         raise ComputationError(f"cannot take {k} eigenpairs of an order-{n} matrix "
                                f"in cycles of {_CYCLE} Lanczos steps")
-    inv = np.empty(h.d.shape + h.d.shape[1:])
     tried = []
-    for sigma in _shifts(guess, floor):
+    for sigma in [_near(g) for g in guess] + [floor]:
         if sigma < floor or (tried and sigma >= tried[-1][0]):
             continue
-        tried.append((sigma, _block_ldlt(h, sigma, inv)))
-        if tried[-1][1]:
+        inv = _block_ldlt(h, sigma)
+        tried.append((sigma, inv is not None))
+        if inv is not None:
             break
     else:
         raise ComputationError(f"h - sigma is not positive definite at the floor "
@@ -278,7 +245,7 @@ def shift_invert_lanczos(h: BlockTridiagonal, k: int, floor: float,
     try:
         for _ in range(_CYCLES):
             rtol = tol / (h.norm_inf() + abs(sigma))
-            converged, basis, mus, s = _lanczos(list(inv), h.c.tolist(), w, k,
+            converged, basis, mus, s = _lanczos(inv, h.c.tolist(), w, k,
                                                 rtol, _CYCLE, direction)
             solves += len(basis)
             if converged:
@@ -286,9 +253,9 @@ def shift_invert_lanczos(h: BlockTridiagonal, k: int, floor: float,
             w = basis.T @ s[:, -k:].sum(axis=1)
             near = _near(sigma + 1.0 / mus[-1])
             if near > sigma:
-                trial = np.empty_like(inv)
-                tried.append((near, _block_ldlt(h, near, trial)))
-                if tried[-1][1]:
+                trial = _block_ldlt(h, near)
+                tried.append((near, trial is not None))
+                if trial is not None:
                     inv, sigma = trial, near
         else:
             raise ConvergenceError(f"shift-invert Lanczos did not converge in "

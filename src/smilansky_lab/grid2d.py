@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import math
 from collections import namedtuple
-from typing import Iterable, NamedTuple, Optional
+from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -339,7 +339,7 @@ def assemble_h2d(config: ModelConfig, grid: Grid2D,
 
 
 def lowest_eigenvalues(ham: SparseHamiltonian, k: int = 1, tol: float = 1e-7,
-                       seed: int = 1234, guess: Iterable[float] = ()
+                       seed: int = 1234, guess: Sequence[float] = ()
                        ) -> list[tuple[float, float]]:
     """k smallest eigenvalues of `ham` (of its sector: on a folded block,
     those of the eigenvectors of H even under its reflections) with
@@ -350,8 +350,10 @@ def lowest_eigenvalues(ham: SparseHamiltonian, k: int = 1, tol: float = 1e-7,
     (`eigs.shift_invert_lanczos`).  A guess near lambda0 in `guess`, such
     as lambda0 of the previous rung of a scan, puts the shift just below
     it, certified by its own factor; the guesses are tried in order, and
-    without one, or when no such factor exists, the shift is
-    potential_min - 1, so that H - sigma >= I.
+    without one, or when no such factor exists, the shift is the floor
+    potential_min - max(1, 2^-20 |potential_min|), so that H - sigma >= I
+    and the margin survives the rounding of a deep potential_min.  A residual
+    norm that float64 cannot hold raises ComputationError.
     """
     if not 1 <= k <= 20:
         raise ConfigurationError("eigenvalue count must be between 1 and 20")
@@ -359,8 +361,11 @@ def lowest_eigenvalues(ham: SparseHamiltonian, k: int = 1, tol: float = 1e-7,
     if k >= n - 1:
         raise ConfigurationError(
             f"{k} eigenvalues need more than {k + 1} unknowns; the grid has {n}")
-    vals, _, res = shift_invert_lanczos(ham.op, k, ham.potential_min - 1.0,
-                                        guess=guess, tol=tol, seed=seed)
+    floor = ham.potential_min - max(1.0, 2.0**-20 * abs(ham.potential_min))
+    vals, _, res = shift_invert_lanczos(ham.op, k, floor, guess=guess, tol=tol, seed=seed)
+    if not np.all(np.isfinite(res)):
+        raise ComputationError(f"residual norms {res.tolist()} are not finite: float64 "
+                               "cannot hold the eigenpairs of this operator")
     return [(float(v), float(r)) for v, r in zip(vals, res)]
 
 

@@ -213,6 +213,14 @@ class ModelConfig(Checked, namedtuple("ModelConfig", "omega channels x_domain y_
                 f"omega must be positive with omega^2 finite, got {omega!r}")
         if y_cutoff is not None and not math.isfinite(y_cutoff):
             raise ConfigurationError(f"y_cutoff must be finite, got {y_cutoff!r}")
+        # the 1D chains add 4/h^2 to omega^2 + lambda sup V in their norm,
+        # so keep 16x headroom below float64's largest power of two
+        for ch in channels:
+            depth = omega * omega + ch.lam * ch.profile.sup_value
+            if not depth < 2.0**1020:
+                raise ConfigurationError(
+                    f"channel centered at {ch.center}: omega^2 + lambda sup V = "
+                    f"{depth:.3g} is not below 2^1020, past what float64 holds")
         sups = sorted(ch.support for ch in channels)
         for (lo1, hi1), (lo2, hi2) in zip(sups, sups[1:]):
             if hi1 > lo2:

@@ -141,6 +141,18 @@ def _richardson(what: str, values: list[float], steps, policy: ResolutionPolicy)
     return r2
 
 
+def _check_bracket(value: float, lo: float, h: float, policy: ResolutionPolicy) -> None:
+    """Refuse a threshold whose bisection ended on a bracket [lo, 2 value -
+    lo] wider than the Richardson gate's tolerance: at a small h the
+    rounding level eps ||A|| of the count may pass the whole bracket, and
+    equal midpoints would then pass the gate.  A NaN fails too."""
+    width = 2.0 * (value - lo)
+    gate = max(policy.rich_tol, _FLOAT_RESOLUTION * abs(value))
+    if not width <= gate:
+        raise RefinementError(f"the chain resolves the threshold only to {width:.3g} "
+                              f"> {gate:.3g} at h = {h:.3g}")
+
+
 def _line_level(profile: PotentialProfile, m: int) -> tuple:
     """The 2m - 1 support nodes of spacing a/m on the line."""
     return profile.a / m, 2 * m - 2, None
@@ -299,6 +311,8 @@ def threshold(spec: ComparisonSpec, policy: ResolutionPolicy = ResolutionPolicy(
     levels, where = _levels(spec, policy)
     runs = [_chain_threshold(spec.omega, spec.lam, spec.profile, *level)
             for level in levels]
+    for level, (value, _, lo, _, _) in zip(levels, runs):
+        _check_bracket(value, lo, level[0], policy)
     return _richardson(f"threshold at lambda={spec.lam!r} {where}",
                        [run[0] for run in runs], [run[1] for run in runs], policy)
 
@@ -400,6 +414,7 @@ def ground_state(spec: ComparisonSpec,
     m = 2 * policy.m_for(profile.a)
     h, half_width, _ = _line_level(profile, m)
     e0, _, lo, matrix, v = _chain_threshold(omega, lam, profile, h, half_width)
+    _check_bracket(e0, lo, h, policy)
     kappa2 = omega**2 - e0
     end = _transparent_end(kappa2, h)
     r = end * h * h

@@ -756,6 +756,66 @@ class TestExitCodes:
                 proc.stderr
             assert "Traceback" not in proc.stderr and proc.stderr.count("\n") == 1
 
+    def test_depth_float64_cannot_hold_is_2(self, tmp_path):
+        # omega^2 + lambda sup V >= 2^1020: classify printed t_V = NaN with
+        # the verdict "critical", eig1d NaN, bound -Infinity, scan a raw
+        # LinAlgError traceback, and the table profile classified
+        # "subcritical"; a fresh process exits 2 with one line for each
+        def channel(lam, profile):
+            return {**SINGLE, "channels": [{"lambda": lam, "center": 0.0,
+                                            "profile": profile}]}
+        cos2 = {"family": "cos2", "a": 1.0}
+        runs = [(channel(2.0, {**cos2, "amplitude": 1e308}), args)
+                for args in (["eig1d"], ["classify"], ["bound"],
+                             ["scan", "--ladder", "4,8,16"])]
+        runs += [(channel(1e154, {**cos2, "amplitude": 1e154}), ["classify"]),
+                 (channel(2.0, {"family": "table", "a": 1.0, "amplitude": 1.0,
+                                "table": [[-1, 0], [0, 1e308], [1, 0]]}), ["classify"])]
+        p = tmp_path / "deep.json"
+        for cfg, args in runs:
+            p.write_text(json.dumps(cfg))
+            proc = subprocess.run(
+                [sys.executable, "-m", "smilansky_lab.cli", args[0], "--config", str(p),
+                 *args[1:]], env=env_with_src(), capture_output=True, text=True)
+            assert proc.returncode == 2, (args, proc.stderr)
+            assert proc.stderr.startswith("configuration error: channel centered at 0.0: "
+                                          "omega^2 + lambda sup V = "), proc.stderr
+            assert "Traceback" not in proc.stderr and proc.stderr.count("\n") == 1
+
+    def test_deepest_channels_classify_and_scan(self, tmp_path, capsys):
+        # lambda sup V = 1e300 still fits float64 in 1D; at lambda = 1e20
+        # the floor potential_min - 1 rounded to potential_min, and scan
+        # exited 1 with "the floor is not below the spectrum"
+        p = tmp_path / "deep.json"
+        p.write_text(json.dumps({**SINGLE, "channels": [{
+            "lambda": 1e150, "center": 0.0,
+            "profile": {"family": "cos2", "a": 1.0, "amplitude": 1e150}}]}))
+        assert main(["classify", "--config", str(p)]) == 0
+        cls = json.loads(capsys.readouterr().out)
+        assert cls["verdict"] == "supercritical"
+        assert abs(cls["t_V"] + 1e300) <= 1e-9 * 1e300
+        # but the 2D residual's squares overflow: exit 1, not "residuals": [Infinity]
+        assert main(["eig2d", "--config", str(p)]) == 1
+        assert "are not finite" in capsys.readouterr().err
+        p.write_text(json.dumps({**SINGLE, "channels": [{
+            "lambda": 1e20, "center": 0.0,
+            "profile": {"family": "cos2", "a": 1.0, "amplitude": 1.0}}]}))
+        assert main(["scan", "--config", str(p), "--ladder", "4,8,16"]) == 0
+        assert capsys.readouterr().out.rstrip().endswith(",supercritical")
+
+    @pytest.mark.parametrize("a, lam", [(1e-8, 2.0), (5e-75, 2.0), (0.01, 2e4)])
+    def test_unresolved_threshold_bisection_is_1(self, tmp_path, capsys, a, lam):
+        # eig1d printed -0.5 at a = 1e-8 and 5e-75, and exited 0 at
+        # a = 0.01, lambda = 2e4, where the finest bracket is 1.16e-6 wide
+        p = tmp_path / "narrow.json"
+        p.write_text(json.dumps({**SINGLE, "channels": [{
+            "lambda": lam, "center": 0.0,
+            "profile": {"family": "cos2", "a": a, "amplitude": 1.0}}]}))
+        assert main(["eig1d", "--config", str(p)]) == 1
+        out, err = capsys.readouterr()
+        assert not out and err.startswith("computation failed: the chain resolves the "
+                                          "threshold only to ")
+
     def test_weak_coupling_classify_and_bound_are_0(self, tmp_path, capsys):
         p = tmp_path / "weak.json"
         p.write_text(json.dumps({**SINGLE, "channels": [{

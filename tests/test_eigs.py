@@ -7,7 +7,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oracles import dense_tridiagonal
-from smilansky_lab.eigs import BlockTridiagonal, _spd_inverse, _splitmix64, shift_invert_lanczos
+from smilansky_lab.eigs import (BlockTridiagonal, _block_ldlt, _block_solve, _splitmix64,
+                                shift_invert_lanczos)
 from smilansky_lab.errors import ComputationError
 from smilansky_lab.sturm import bisect_count, cyclic_sturm_count, lowest_eigenvector, sturm_count
 
@@ -209,20 +210,29 @@ class TestShiftInvert:
         assert np.max(np.abs(matrix.matvec(v) - a @ v)) < 1e-13
         assert matrix.norm_inf() == np.max(np.sum(np.abs(a), axis=1))
 
-    @pytest.mark.parametrize("n", [1, 2, 7, 69])
-    def test_pivot_inverse_and_its_certificate(self, n):
-        rng = np.random.default_rng(n)
-        q, _ = np.linalg.qr(rng.standard_normal((n, n)))
-        out = np.empty((n, n))
-        spd = q @ np.diag(rng.uniform(0.5, 2.0, n)) @ q.T
-        assert _spd_inverse(spd, out)
-        assert np.max(np.abs(out @ spd - np.eye(n))) < 1e-13
-        # one negative eigenvalue: caught by the leading half or by its
-        # Schur complement, wherever it shows
-        for lead in (0, n - 1):
-            bad = spd.copy()
-            bad[lead, lead] -= 10.0
-            assert not _spd_inverse(bad, out)
+    @pytest.fixture(scope="class")
+    def wide(self):
+        # 6 blocks of 69, the order of a full-sector x-stencil of a scan grid
+        rng = np.random.default_rng(69)
+        return BlockTridiagonal(100.0 * dense_tridiagonal(*dirichlet_laplacian(69)),
+                                200.0 + rng.uniform(-50.0, 50.0, (6, 69)),
+                                np.full(5, -100.0))
+
+    @pytest.mark.parametrize("name", ["matrix", "wide"])
+    def test_block_factor_exists_exactly_below_lambda0(self, name, request):
+        h = request.getfixturevalue(name)
+        a = dense(h)
+        lam = np.linalg.eigvalsh(a)
+        assert lam[1] - lam[0] > 2e-3
+        for sigma in (lam[0] + 1e-3, 0.5 * (lam[0] + lam[1])):
+            assert _block_ldlt(h, sigma) is None
+        sigma = lam[0] - 1e-3
+        inv = _block_ldlt(h, sigma)
+        assert len(inv) == len(h.d)
+        b = np.random.default_rng(1).standard_normal(h.n)
+        want = np.linalg.solve(a - sigma * np.eye(h.n), b)
+        got = _block_solve(inv, h.c.tolist(), b)
+        assert np.max(np.abs(got - want)) <= 1e-10 * np.max(np.abs(want))
 
     def test_matches_dense(self, matrix):
         vals, vecs, res = shift_invert_lanczos(matrix, 3, floor=-2.0, tol=1e-10)
@@ -263,18 +273,12 @@ class TestShiftInvert:
         assert abs(got - lam0) < 1e-10
         assert caplog.text.count("factored") == 1 and "not definite" not in caplog.text
 
-    def test_guesses_are_tried_in_order_and_read_lazily(self, matrix, caplog):
+    def test_guesses_are_tried_in_order(self, matrix, caplog):
         lam0 = np.linalg.eigvalsh(dense(matrix))[0]
-        read = []
-
-        def guesses():
-            for g in (lam0 + 1.0, lam0 + 2.0, lam0, "never read"):
-                read.append(g)
-                yield g
-
         with caplog.at_level(logging.DEBUG, logger="smilansky_lab.eigs"):
-            (got,), _, _ = shift_invert_lanczos(matrix, 1, floor=-2.0, guess=guesses())
-        assert abs(got - lam0) < 1e-10 and read == [lam0 + 1.0, lam0 + 2.0, lam0]
+            (got,), _, _ = shift_invert_lanczos(matrix, 1, floor=-2.0,
+                                                guess=[lam0 + 1.0, lam0 + 2.0, lam0])
+        assert abs(got - lam0) < 1e-10
         # lam0 + 2 lies above the shift that failed, so it is not factored
         assert caplog.text.count("(not definite)") == 1
         assert caplog.text.count("(factored)") == 1

@@ -185,6 +185,18 @@ class TestConfig:
             ModelConfig(omega=1.0, channels=(ChannelSpec(1.0, 0.0, prof),
                                              ChannelSpec(1.0, 1.5, prof)))
 
+    @pytest.mark.parametrize("lam, profile", [
+        (2.0, PotentialProfile("cos2", 1.0, 1e308)),
+        (1e154, PotentialProfile("cos2", 1.0, 1e154)),
+        (2.0, PotentialProfile("table", 1.0, 1.0, table=((-1, 0), (0, 1e308), (1, 0))))])
+    def test_depth_float64_cannot_hold_rejected(self, lam, profile):
+        # omega^2 + lambda sup V must leave 16x headroom below float64's
+        # largest power of two for the chain norm 4/h^2 + omega^2 + lambda sup V
+        with pytest.raises(ConfigurationError, match=r"is not below 2\^1020"):
+            ModelConfig(omega=1.0, channels=(ChannelSpec(lam, 0.0, profile),))
+        ModelConfig(omega=1.0, channels=(
+            ChannelSpec(1e150, 0.0, PotentialProfile("cos2", 1.0, 1e150)),))
+
     def test_channel_outside_interval_rejected(self):
         prof = PotentialProfile("cos2", 1.0, 1.0)
         with pytest.raises(ConfigurationError):

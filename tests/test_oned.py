@@ -133,6 +133,25 @@ class TestThreshold:
         with pytest.raises(RefinementError, match="float64 resolves"):
             oned._richardson("t", [1e14, 1e14, 1e14 + 1.5], "-", pol)
 
+    @pytest.mark.parametrize("a", [1e-8, 1e-20, 1e-60, 5e-75])
+    def test_bisection_wider_than_the_gate_is_refused(self, a):
+        # at h = a/120 the rounding level eps ||A|| of the count passes the
+        # whole bracket [omega^2 - lambda - 1, omega^2] of width 3, and three
+        # levels agreed on its midpoint -0.5; the true value is about 1 - a^2
+        spec = line(2.0, PotentialProfile("cos2", a, 1.0))
+        with pytest.raises(RefinementError, match="resolves the threshold only to 3 > 1e-06"):
+            threshold(spec)
+        with pytest.raises(RefinementError, match="resolves the threshold only to 3 > 1e-06"):
+            ground_state(spec)
+
+    def test_bisection_gate_boundary(self):
+        # the finest level's bracket is 1.43e-6 wide at a = 0.01 and just
+        # under 1e-6 at a = 0.014, where the value is 1 - a^2 to the gate
+        with pytest.raises(RefinementError, match="only to 1.43e-06 > 1e-06 at h = 2.08e-05"):
+            threshold(line(2.0, PotentialProfile("cos2", 0.01, 1.0)))
+        got = threshold(line(2.0, PotentialProfile("cos2", 0.014, 1.0)))
+        assert abs(got - (1.0 - 0.014**2)) <= ResolutionPolicy().rich_tol
+
     @pytest.mark.parametrize("domain", [XDomain(),
                                         XDomain("interval", 3.0, "neumann")])
     def test_coarse_threshold_is_the_first_resolution(self, cos2_profile, domain, caplog):
