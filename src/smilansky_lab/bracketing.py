@@ -44,7 +44,6 @@ class Classification(NamedTuple):
     t_v: float
     verdict: str                # "subcritical" | "supercritical" | "critical"
     per_channel: tuple[float, ...]
-    tol: float
 
 
 _TOL = 1e-6
@@ -81,7 +80,7 @@ def _classification(per: tuple[float, ...], tol: float = _TOL) -> Classification
         verdict = "supercritical"
     else:
         verdict = "critical"
-    return Classification(t_v=float(t_v), verdict=verdict, per_channel=per, tol=tol)
+    return Classification(t_v=float(t_v), verdict=verdict, per_channel=per)
 
 
 def _correction(ch: ChannelSpec, n: int) -> float:
@@ -194,10 +193,9 @@ def classification_json_dict(config: ModelConfig, cls: Classification) -> dict:
         "per_channel": list(cls.per_channel),
     }
     # routed, like global_lower_bound, by the verdict at the default tol;
-    # omitted where the strip bounds give none
-    routed = _classification(cls.per_channel)
-    if routed.verdict == "supercritical" or (len(config.channels) <= 1
-                                             and routed.t_v >= 0.0
-                                             and config.x_domain.bc == "dirichlet"):
-        out["global_lower_bound"] = _lower_bound(config, routed)
+    # omitted where `_lower_bound` refuses one
+    try:
+        out["global_lower_bound"] = _lower_bound(config, _classification(cls.per_channel))
+    except (ConfigurationError, ComputationError):
+        pass
     return out

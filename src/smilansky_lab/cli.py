@@ -154,7 +154,7 @@ def run(request: RunRequest) -> int:
             from . import grid2d
 
             y_half = p.get("y_half", 8.0)
-            grid = grid2d.scan_grid(config, grid2d.ScanPolicy(), y_half, y_half)
+            grid = grid2d.scan_grid(config, y_half, y_half)
             ham = grid2d.assemble_h2d(config, grid)
             # an unwritable path fails before the solve, not after it
             if p.get("export_matrix"):

@@ -36,7 +36,6 @@ from .oned import ComparisonSpec, coarse_threshold
 __all__ = [
     "Grid2D",
     "SparseHamiltonian",
-    "ScanPolicy",
     "ScanRow",
     "TransitionScan",
     "graded_x_nodes",
@@ -50,6 +49,13 @@ __all__ = [
 # the pivot blocks of the 2D solve may take this many doubles per node of
 # NODE_CAP: 512 MiB
 _DOUBLES_PER_NODE = 16
+
+# the scan mesh: the x-spacing of a graded x-mesh never exceeds _H_MAX, a
+# scan grid has _Y_ROWS_PER_UNIT y-rows per unit of Y, and on the line it
+# spans |x| < _X_HALF_WIDTH
+_H_MAX = 0.25
+_Y_ROWS_PER_UNIT = 12
+_X_HALF_WIDTH = 6.0
 
 
 class Grid2D(Checked, namedtuple("Grid2D", "x_lo x_hi x_nodes y_half n_y")):
@@ -92,12 +98,12 @@ class Grid2D(Checked, namedtuple("Grid2D", "x_lo x_hi x_nodes y_half n_y")):
 
 
 def graded_x_nodes(x_lo: float, x_hi: float, centers: tuple[float, ...],
-                   h_min: float, h_max: float) -> np.ndarray:
+                   h_min: float) -> np.ndarray:
     """Interior nodes graded toward the channel centers, built outward from
     the midpoint of (x_lo, x_hi), which is a node.
 
     Local spacing max(h_min, |x - b|/4) near the nearest center, capped at
-    h_max; the |x|/4 law matches the a/y width of the channel at the height
+    _H_MAX; the |x|/4 law matches the a/y width of the channel at the height
     y = a/|x| where the point (x, y) last touches the support.  Each step
     takes the spacing at its own midpoint, as estimated from its start.  The
     nodes left of the midpoint are the negated walk to the right for the
@@ -108,7 +114,7 @@ def graded_x_nodes(x_lo: float, x_hi: float, centers: tuple[float, ...],
     # a NaN or infinite wall never ends the walk
     if not -math.inf < x_lo < x_hi < math.inf:
         raise ConfigurationError(f"need a finite x-range, got ({x_lo!r}, {x_hi!r})")
-    if not 0 < h_min <= h_max:
+    if not 0 < h_min <= _H_MAX:
         raise ConfigurationError("need 0 < h_min <= h_max")
     mid = 0.5 * (x_lo + x_hi)
     offsets = [b - mid for b in centers] or [0.0]
@@ -118,7 +124,7 @@ def graded_x_nodes(x_lo: float, x_hi: float, centers: tuple[float, ...],
         at t = end, for centers at `offsets`."""
         def spacing(t: float) -> float:
             d = min(abs(t - c) for c in offsets)
-            return min(h_max, max(h_min, d / 4.0))
+            return min(_H_MAX, max(h_min, d / 4.0))
 
         nodes, t = [], 0.0
         while True:
@@ -357,10 +363,9 @@ def lowest_eigenvalues(ham: SparseHamiltonian, k: int = 1, tol: float = 1e-7,
     """
     if not 1 <= k <= 20:
         raise ConfigurationError("eigenvalue count must be between 1 and 20")
-    n = ham.n
-    if k >= n - 1:
+    if k >= ham.n:
         raise ConfigurationError(
-            f"{k} eigenvalues need more than {k + 1} unknowns; the grid has {n}")
+            f"{k} eigenvalues need more than {k} unknowns; the grid has {ham.n}")
     floor = ham.potential_min - max(1.0, 2.0**-20 * abs(ham.potential_min))
     vals, _, res = shift_invert_lanczos(ham.op, k, floor, guess=guess, tol=tol, seed=seed)
     if not np.all(np.isfinite(res)):
@@ -372,8 +377,6 @@ def lowest_eigenvalues(ham: SparseHamiltonian, k: int = 1, tol: float = 1e-7,
 # --- transition scan --------------------------------------------------------
 
 
-# the x-spacing of a scan grid never exceeds this
-_H_MAX = 0.25
 # a scan is subcritical when lambda0(Y_max) and lambda0(Y_max/2) agree to
 # this, relative to max(1, |lambda0(Y_max)|)
 _STABILITY_TOL = 0.01
@@ -383,23 +386,9 @@ _R2_MIN = 0.95
 _EIG_TOL = 1e-7
 
 
-class ScanPolicy(Checked, namedtuple("ScanPolicy", "points_per_unit_y x_half_width")):
-    """Resolution of the Y-ladder scan: y-rows per unit of Y, and the
-    half-width of the x-range on the line."""
-
-    __slots__ = ()
-
-    def __new__(cls, points_per_unit_y: int = 12, x_half_width: float = 6.0):
-        if points_per_unit_y < 4 or x_half_width <= 0:
-            raise ConfigurationError("bad scan resolution policy")
-        return super().__new__(cls, points_per_unit_y, x_half_width)
-
-
 class ScanRow(NamedTuple):
     y_half: float
     lambda0: float
-    c_fit: float
-    verdict: str
     residual: float
 
 
@@ -410,8 +399,7 @@ class TransitionScan(NamedTuple):
     verdict: str
 
 
-def scan_grid(config: ModelConfig, policy: ScanPolicy, y_half: float,
-              y_max: float) -> Grid2D:
+def scan_grid(config: ModelConfig, y_half: float, y_max: float) -> Grid2D:
     """The grid for truncation y_half on a ladder that ends at y_max.
 
     The x-nodes are graded toward the channel centers (on a periodic
@@ -419,9 +407,10 @@ def scan_grid(config: ModelConfig, policy: ScanPolicy, y_half: float,
     the top of the ladder, so the same x-grid serves every Y (exact
     Dirichlet domain nesting).  The x-range is centred at 0, so the nodes
     are mirror-symmetric about 0 when the centers (images included) are.
-    The spacing never exceeds h_max = 0.25, so the grid has at least
-    (x_hi - x_lo)/h_max - 2 x-nodes per y-row; a range where that many pass
-    NODE_CAP is refused before the walk.
+    The y-rows have spacing 1/_Y_ROWS_PER_UNIT, and on the line the x-range
+    is (-_X_HALF_WIDTH, _X_HALF_WIDTH).  The x-spacing never exceeds _H_MAX,
+    so the grid has at least (x_hi - x_lo)/_H_MAX - 2 x-nodes per y-row; a
+    range where that many pass NODE_CAP is refused before the walk.
     """
     if not (math.isfinite(y_half) and math.isfinite(y_max)):
         raise ConfigurationError(f"need a finite truncation, got Y = {y_half!r}, "
@@ -429,8 +418,8 @@ def scan_grid(config: ModelConfig, policy: ScanPolicy, y_half: float,
     if config.x_domain.kind == "interval":
         x_lo, x_hi = -config.x_domain.c, config.x_domain.c
     else:
-        x_lo, x_hi = -policy.x_half_width, policy.x_half_width
-    n_y = int(round(2.0 * y_half * policy.points_per_unit_y)) - 1
+        x_lo, x_hi = -_X_HALF_WIDTH, _X_HALF_WIDTH
+    n_y = int(round(2.0 * y_half * _Y_ROWS_PER_UNIT)) - 1
     n_x = (x_hi - x_lo) / _H_MAX - 2.0
     if n_x * n_y > NODE_CAP:
         raise ConfigurationError(
@@ -442,12 +431,11 @@ def scan_grid(config: ModelConfig, policy: ScanPolicy, y_half: float,
         period = x_hi - x_lo
         centers += tuple(b + s for b in centers for s in (-period, period))
     a_min = min((ch.profile.a for ch in config.channels), default=1.0)
-    x = graded_x_nodes(x_lo, x_hi, centers, a_min / (4.0 * y_max), _H_MAX)
+    x = graded_x_nodes(x_lo, x_hi, centers, a_min / (4.0 * y_max))
     return Grid2D(x_lo, x_hi, x, y_half, n_y)
 
 
-def transition_scan(config: ModelConfig, y_ladder: list[float],
-                    policy: ScanPolicy = ScanPolicy()) -> TransitionScan:
+def transition_scan(config: ModelConfig, y_ladder: list[float]) -> TransitionScan:
     """Lowest eigenvalue along an increasing Y ladder, the -cY^2 fit on the
     last half, and the verdict.
 
@@ -469,7 +457,12 @@ def transition_scan(config: ModelConfig, y_ladder: list[float],
     then t_V Y^2, and the first rung tries t_V Y^2, each before the floor.
     Verdicts: subcritical when lambda0 at Y_max/2 and Y_max agree to 1 %
     (relative to max(1, |lambda0(Y_max)|)), supercritical when the fitted c
-    is positive with R^2 >= 0.95, inconclusive otherwise (never a guess).
+    is positive with R^2 >= 0.95, inconclusive otherwise.  The fit takes
+    the rungs from index len(y_ladder) // 2 on, so a ladder of 3 or 4 rungs
+    fits two points and R^2 = 1 by construction: the supercritical verdict
+    then rests on c > 0 alone, and a subcritical ladder whose lambda0 still
+    drifts by more than 1 % is called supercritical: 2, 3, 4 on
+    `configs/single_channel.json` (t_V = 0.4296) gives c = 0.00108.
 
     Each rung is solved on the block of H on vectors even under every
     reflection that commutes with H (`assemble_h2d`): the even-even quarter
@@ -515,7 +508,7 @@ def transition_scan(config: ModelConfig, y_ladder: list[float],
                 plunge]
 
     for y in y_ladder:
-        grid = scan_grid(config, policy, float(y), y_max)
+        grid = scan_grid(config, float(y), y_max)
         ham = assemble_h2d(config, grid, sector)
         (lam0, res), = lowest_eigenvalues(ham, 1, tol=_EIG_TOL, guess=guesses(y))
         _debug(__name__, "scan rung Y=%g: %s sector of order %d, lambda0 %.12g, "
@@ -554,13 +547,12 @@ def transition_scan(config: ModelConfig, y_ladder: list[float],
     if verdict == "inconclusive" and c_fit > 0 and r2 >= _R2_MIN:
         verdict = "supercritical"
 
-    rows = tuple(ScanRow(float(y), float(v), c_fit, verdict, r)
-                 for y, v, r in zip(ys, vals, residuals))
+    rows = tuple(ScanRow(float(y), float(v), r) for y, v, r in zip(ys, vals, residuals))
     return TransitionScan(rows=rows, c_fit=c_fit, r_squared=r2, verdict=verdict)
 
 
 def scan_csv(scan: TransitionScan) -> str:
+    fit = f"{scan.c_fit:.12g},{scan.verdict}"
     lines = ["Y,lambda0,c_fit,verdict"]
-    for r in scan.rows:
-        lines.append(f"{r.y_half:.6g},{r.lambda0:.12g},{r.c_fit:.12g},{r.verdict}")
+    lines += [f"{r.y_half:.6g},{r.lambda0:.12g},{fit}" for r in scan.rows]
     return "\n".join(lines) + "\n"

@@ -116,25 +116,30 @@ class ResolutionPolicy(NamedTuple):
         return m
 
 
+def _rich_gate(value: float, policy: ResolutionPolicy) -> float:
+    """The tolerance of the Richardson gate at the size of `value`: rich_tol,
+    or 64 eps |value| (_FLOAT_RESOLUTION) where float64 cannot resolve it."""
+    return max(policy.rich_tol, _FLOAT_RESOLUTION * abs(value))
+
+
 def _richardson(what: str, values: list[float], steps, policy: ResolutionPolicy) -> float:
     """Extrapolate values at resolutions (k, 2k, 4k) of an O(h^2) scheme.
 
-    The (k, 2k) and (2k, 4k) extrapolants must agree to rich_tol, or to
-    64 eps |r2| (_FLOAT_RESOLUTION) where float64 cannot resolve rich_tol
-    at the size of the result; the second is returned, so three equal
-    values give that value exactly.
+    The (k, 2k) and (2k, 4k) extrapolants must agree to `_rich_gate` at the
+    size of the second, which is returned, so three equal values give that
+    value exactly.
     """
     r1 = values[1] + (values[1] - values[0]) / 3.0
     r2 = values[2] + (values[2] - values[1]) / 3.0
     gap = abs(r1 - r2)
     _debug(__name__, "%s: values %r, Richardson gap %.3g, bisection steps %s",
            what, values, gap, steps)
-    resolved = _FLOAT_RESOLUTION * abs(r2)
-    if gap > max(policy.rich_tol, resolved):
+    gate = _rich_gate(r2, policy)
+    if gap > gate:
         why = (f"disagree beyond rich_tol = {policy.rich_tol:g}"
-               if resolved <= policy.rich_tol else
+               if gate == policy.rich_tol else
                f"disagree beyond what float64 resolves at this size, "
-               f"64 eps |value| = {resolved:.3g}")
+               f"64 eps |value| = {gate:.3g}")
         raise RefinementError(
             f"Richardson extrapolants {why}: {r1!r} vs {r2!r} for the {what}; "
             f"raw values {values!r}")
@@ -147,7 +152,7 @@ def _check_bracket(value: float, lo: float, h: float, policy: ResolutionPolicy) 
     rounding level eps ||A|| of the count may pass the whole bracket, and
     equal midpoints would then pass the gate.  A NaN fails too."""
     width = 2.0 * (value - lo)
-    gate = max(policy.rich_tol, _FLOAT_RESOLUTION * abs(value))
+    gate = _rich_gate(value, policy)
     if not width <= gate:
         raise RefinementError(f"the chain resolves the threshold only to {width:.3g} "
                               f"> {gate:.3g} at h = {h:.3g}")

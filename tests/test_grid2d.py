@@ -78,17 +78,22 @@ class TestAssembly:
             grid2d.assemble_h2d(cfg, g)
 
     def test_eigenvalue_count_needs_unknowns(self):
+        # the Lanczos solve takes all but one of the 9 eigenvalues of the
+        # 3x3 grid, as dense eigvalsh does; the ninth is refused
         ham = grid2d.assemble_h2d(ModelConfig(omega=1.0),
                                   uniform_grid(-2.0, 2.0, 3, 2.0, 3))
-        assert len(grid2d.lowest_eigenvalues(ham, 7)) == 7
+        want = np.linalg.eigvalsh(sparse_matrix(ham).toarray())
+        got = grid2d.lowest_eigenvalues(ham, 8)
+        assert len(got) == 8
+        assert np.max(np.abs(np.array([v for v, _ in got]) - want[:8])) <= 1e-10
         with pytest.raises(ConfigurationError):
-            grid2d.lowest_eigenvalues(ham, 8)
+            grid2d.lowest_eigenvalues(ham, 9)
 
     def test_half_bandwidth_is_n_x(self, oscillator, small_grid):
         # x runs fastest; a graded scan grid keeps the same band
         cfg = ModelConfig(omega=1.0, channels=(
             ChannelSpec(2.0, 0.0, PotentialProfile("cos2", 1.0, 1.0)),))
-        graded = grid2d.scan_grid(cfg, grid2d.ScanPolicy(), 3.0, 6.0)
+        graded = grid2d.scan_grid(cfg, 3.0, 6.0)
         for ham, g in ((oscillator, small_grid),
                        (grid2d.assemble_h2d(cfg, graded), graded)):
             coo = sparse_matrix(ham).tocoo()
@@ -96,13 +101,14 @@ class TestAssembly:
             assert np.max(coo.col - coo.row) == g.n_x
 
     @pytest.mark.parametrize("bc", ["dirichlet", "neumann", "periodic"])
-    def test_matches_dense_on_interval(self, bc):
+    def test_matches_dense_on_interval(self, bc, monkeypatch):
         # the block solver against dense eigvalsh, k = 1 ... 4, on the
-        # graded scan grid, in both sectors
+        # graded scan grid at 6 y-rows per unit, in both sectors
+        monkeypatch.setattr(grid2d, "_Y_ROWS_PER_UNIT", 6)
         cfg = ModelConfig(omega=1.0, x_domain=XDomain("interval", 2.0, bc),
                           channels=(ChannelSpec(
                               3.0, 0.5, PotentialProfile("cos2", 1.0, 1.0)),))
-        g = grid2d.scan_grid(cfg, grid2d.ScanPolicy(points_per_unit_y=6), 2.5, 2.5)
+        g = grid2d.scan_grid(cfg, 2.5, 2.5)
         for sector in ("full", "even"):
             ham = grid2d.assemble_h2d(cfg, g, sector)
             want = np.linalg.eigvalsh(sparse_matrix(ham).toarray())
@@ -140,7 +146,7 @@ class TestAssembly:
         for bc in ("neumann", "periodic"):
             cfg = ModelConfig(omega=1.0, x_domain=XDomain("interval", 2.0, bc),
                               channels=(ChannelSpec(2.0, 0.0, COS2),))
-            g = grid2d.scan_grid(cfg, grid2d.ScanPolicy(), 4.0, 4.0)
+            g = grid2d.scan_grid(cfg, 4.0, 4.0)
             (lam[bc], _), = grid2d.lowest_eigenvalues(grid2d.assemble_h2d(cfg, g, "even"))
         assert abs(lam["periodic"] - lam["neumann"]) <= 1e-5 * abs(lam["neumann"])
 
@@ -198,7 +204,7 @@ class TestAssembly:
         for bc in ("dirichlet", "neumann", "periodic"):
             configs[bc] = single._replace(x_domain=XDomain("interval", 3.0, bc))
         for name, cfg in configs.items():
-            grid = grid2d.scan_grid(cfg, grid2d.ScanPolicy(), 3.0, 3.0)
+            grid = grid2d.scan_grid(cfg, 3.0, 3.0)
             ham = grid2d.assemble_h2d(cfg, grid)
             assert ham.export_coo() == coo_text(sparse_matrix(ham)), name
         # entries that come to exactly 0 (here a diagonal 2 - 2 and the
@@ -216,7 +222,7 @@ class TestAssembly:
 
 class TestGradedMesh:
     def test_spacing_law(self):
-        x = grid2d.graded_x_nodes(-6.0, 6.0, (0.0,), 1.0 / 64.0, 0.25)
+        x = grid2d.graded_x_nodes(-6.0, 6.0, (0.0,), 1.0 / 64.0)
         d = np.diff(x)
         assert np.min(d) >= 1.0 / 64.0 - 1e-12
         assert np.max(d) <= 0.25 + 1e-12
@@ -229,17 +235,17 @@ class TestGradedMesh:
         # the walk to the left is the negated walk to the right, from the
         # midpoint node, bitwise; the last two sets are periodic images
         # (b +- 12 on (-6, 6))
-        x = grid2d.graded_x_nodes(-6.0, 6.0, centers, 1.0 / 64.0, 0.25)
+        x = grid2d.graded_x_nodes(-6.0, 6.0, centers, 1.0 / 64.0)
         assert len(x) % 2 == 1 and x[len(x) // 2] == 0.0
         assert np.array_equal(x, -x[::-1])
 
     @pytest.mark.parametrize("x_lo, x_hi", [(-np.inf, np.inf), (-np.nan, np.nan), (2.0, -2.0)])
     def test_bad_x_range_rejected(self, x_lo, x_hi):
         with pytest.raises(ConfigurationError, match="x-range"):
-            grid2d.graded_x_nodes(x_lo, x_hi, (0.0,), 1.0 / 64.0, 0.25)
+            grid2d.graded_x_nodes(x_lo, x_hi, (0.0,), 1.0 / 64.0)
 
     def test_asymmetric_centers_keep_the_midpoint_node(self):
-        x = grid2d.graded_x_nodes(1.0, 5.0, (3.5,), 1.0 / 64.0, 0.25)
+        x = grid2d.graded_x_nodes(1.0, 5.0, (3.5,), 1.0 / 64.0)
         assert 3.0 in x and not np.allclose(x - 3.0, (3.0 - x)[::-1])
         d = np.diff(x)
         assert np.min(d) >= 1.0 / 64.0 - 1e-12 and np.max(d) <= 0.25 + 1e-12
@@ -247,13 +253,15 @@ class TestGradedMesh:
     def test_shipped_scan_grid_is_mirrored(self):
         root = Path(__file__).parents[1] / "configs"
         cfg = load_config(str(root / "single_channel.json"))
-        g = grid2d.scan_grid(cfg, grid2d.ScanPolicy(), 4.0, 16.0)
+        g = grid2d.scan_grid(cfg, 4.0, 16.0)
         assert g.n_x == 69 and g.is_even_in_x
 
-    def test_graded_matches_uniform_on_oscillator(self):
-        # graded assembly of a smooth problem agrees with the uniform answer
+    def test_graded_matches_uniform_on_oscillator(self, monkeypatch):
+        # graded assembly of a smooth problem agrees with the uniform
+        # answer, with the spacing capped at 0.1
+        monkeypatch.setattr(grid2d, "_H_MAX", 0.1)
         cfg = ModelConfig(omega=1.0)
-        x = grid2d.graded_x_nodes(-5.0, 5.0, (0.0,), 1.0 / 32.0, 0.1)
+        x = grid2d.graded_x_nodes(-5.0, 5.0, (0.0,), 1.0 / 32.0)
         g = grid2d.Grid2D(-5.0, 5.0, x, 4.0, 160)
         (v_graded, _), = grid2d.lowest_eigenvalues(grid2d.assemble_h2d(cfg, g), 1)
         gu = uniform_grid(-5.0, 5.0, 220, 4.0, 160)
@@ -297,26 +305,25 @@ class TestScan:
             with pytest.raises(ConfigurationError, match="finite truncation"):
                 grid2d.transition_scan(ModelConfig(omega=1.0), bad)
 
-    def test_zero_channel_scan_subcritical(self):
+    def test_zero_channel_scan_subcritical(self, monkeypatch):
         # start the ladder at Y = 3 so the y-truncation error of the
         # oscillator mode is already below the stability tolerance
-        pol = grid2d.ScanPolicy(points_per_unit_y=12, x_half_width=4.0)
-        scan = grid2d.transition_scan(ModelConfig(omega=1.0),
-                                      [3.0, 4.5, 6.0], pol)
+        monkeypatch.setattr(grid2d, "_X_HALF_WIDTH", 4.0)
+        scan = grid2d.transition_scan(ModelConfig(omega=1.0), [3.0, 4.5, 6.0])
         assert scan.verdict == "subcritical"
         assert abs(scan.rows[-1].lambda0 - (1.0 + (np.pi / 8.0) ** 2)) < 0.02
         vals = [r.lambda0 for r in scan.rows]
         assert all(b <= a + 1e-9 for a, b in zip(vals, vals[1:]))
 
     def test_residual_gate(self, monkeypatch):
-        pol = grid2d.ScanPolicy(points_per_unit_y=12, x_half_width=4.0)
-        scan = grid2d.transition_scan(ModelConfig(omega=1.0), [2.0, 3.0, 4.0], pol)
+        monkeypatch.setattr(grid2d, "_X_HALF_WIDTH", 4.0)
+        scan = grid2d.transition_scan(ModelConfig(omega=1.0), [2.0, 3.0, 4.0])
         assert all(0.0 <= r.residual <= 1e-6 * max(1.0, abs(r.lambda0))
                    for r in scan.rows)
         monkeypatch.setattr(grid2d, "lowest_eigenvalues",
                             lambda ham, k, tol, guess=(): [(1.0, 2e-6)])
         with pytest.raises(ComputationError, match="Y=2.0"):
-            grid2d.transition_scan(ModelConfig(omega=1.0), [2.0, 3.0, 4.0], pol)
+            grid2d.transition_scan(ModelConfig(omega=1.0), [2.0, 3.0, 4.0])
 
     def test_ladder_rungs_take_one_factorization_and_few_solves(self, caplog):
         # Dirichlet nesting makes each previous lambda0 a certified guess on
@@ -342,10 +349,9 @@ class TestScan:
             assert first_max is None or rungs[0][1] <= first_max
             assert all(solves <= later_max for _, solves in rungs[1:])
 
-    def test_csv_header(self):
-        pol = grid2d.ScanPolicy(points_per_unit_y=12, x_half_width=4.0)
-        scan = grid2d.transition_scan(ModelConfig(omega=1.0),
-                                      [2.0, 3.0, 4.0], pol)
+    def test_csv_header(self, monkeypatch):
+        monkeypatch.setattr(grid2d, "_X_HALF_WIDTH", 4.0)
+        scan = grid2d.transition_scan(ModelConfig(omega=1.0), [2.0, 3.0, 4.0])
         lines = grid2d.scan_csv(scan).strip().split("\n")
         assert lines[0] == "Y,lambda0,c_fit,verdict"
         assert len(lines) == 4
@@ -374,7 +380,6 @@ def _even_cases():
             for n_y in (31, 30):
                 cases.append((f"{bc}-centred-nx{n_x}-ny{n_y}", centred,
                               uniform_grid(-2.0, 2.0, n_x, 2.5, n_y)))
-    pol = grid2d.ScanPolicy(points_per_unit_y=8, x_half_width=5.0)
     line = {
         "graded": ModelConfig(omega=1.0, channels=(ChannelSpec(4.0, 0.0, COS2),)),
         "two-channels": ModelConfig(omega=1.0, channels=(
@@ -386,7 +391,10 @@ def _even_cases():
                                       channels=(ChannelSpec(4.0, 0.0, MIRRORED_TABLE),)),
     }
     for name, cfg in line.items():
-        g = grid2d.scan_grid(cfg, pol, 3.0, 3.0)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(grid2d, "_Y_ROWS_PER_UNIT", 8)
+            mp.setattr(grid2d, "_X_HALF_WIDTH", 5.0)
+            g = grid2d.scan_grid(cfg, 3.0, 3.0)
         assert g.n_y == 47
         cases.append((f"{name}-ny47", cfg, g))
         cases.append((f"{name}-ny46", cfg, g._replace(n_y=46)))
@@ -483,18 +491,19 @@ class TestEvenSector:
 
     def test_fold_needs_mirrored_nodes(self):
         cfg = ModelConfig(omega=1.0, channels=(ChannelSpec(4.0, 0.0, COS2),))
-        x = grid2d.graded_x_nodes(-5.0, 5.0, (0.0,), 1.0 / 16.0, 0.25)
+        x = grid2d.graded_x_nodes(-5.0, 5.0, (0.0,), 1.0 / 16.0)
         shifted = grid2d.Grid2D(-5.0, 5.0, x + 1e-3, 3.0, 47)
         assert cfg.is_even_in_x and not shifted.is_even_in_x
         with pytest.raises(ConfigurationError, match="mirror-symmetric"):
             grid2d.assemble_h2d(cfg, shifted, "even-even")
 
-    def test_scans_fold_x_only_for_a_potential_even_in_x(self, caplog):
+    def test_scans_fold_x_only_for_a_potential_even_in_x(self, caplog, monkeypatch):
         # the sector is read off the input, and each rung's debug record
         # names it with the order of its block (the skewed table, solved on
         # the full operator, is the next test)
         root = Path(__file__).parents[1] / "configs"
-        pol = grid2d.ScanPolicy(points_per_unit_y=8, x_half_width=4.0)
+        monkeypatch.setattr(grid2d, "_Y_ROWS_PER_UNIT", 8)
+        monkeypatch.setattr(grid2d, "_X_HALF_WIDTH", 4.0)
         ladder = [2.0, 3.0, 4.0]
         cases = [
             ("even-even", ModelConfig(omega=1.0, channels=(
@@ -507,21 +516,22 @@ class TestEvenSector:
         for sector, cfg in cases:
             caplog.clear()
             with caplog.at_level(logging.DEBUG, logger="smilansky_lab.grid2d"):
-                grid2d.transition_scan(cfg, ladder, pol)
-            grids = [grid2d.scan_grid(cfg, pol, y, 4.0) for y in ladder]
+                grid2d.transition_scan(cfg, ladder)
+            grids = [grid2d.scan_grid(cfg, y, 4.0) for y in ladder]
             orders = [(g.n_x + 1) // 2 * ((g.n_y + 1) // 2) if sector == "even-even"
                       else g.n_x * ((g.n_y + 1) // 2) for g in grids]
             assert [r.getMessage().split(": ")[1].split(",")[0]
                     for r in caplog.records] == [
                 f"{sector} sector of order {n}" for n in orders]
 
-    def test_asymmetric_table_scans_on_the_full_operator(self, caplog):
+    def test_asymmetric_table_scans_on_the_full_operator(self, caplog, monkeypatch):
         cfg = ModelConfig(omega=1.0, channels=(ChannelSpec(3.0, 0.0, SKEWED_TABLE),))
-        pol = grid2d.ScanPolicy(points_per_unit_y=8, x_half_width=4.0)
+        monkeypatch.setattr(grid2d, "_Y_ROWS_PER_UNIT", 8)
+        monkeypatch.setattr(grid2d, "_X_HALF_WIDTH", 4.0)
         ladder = [2.0, 3.0, 4.0]
         with caplog.at_level(logging.DEBUG, logger="smilansky_lab.grid2d"):
-            scan = grid2d.transition_scan(cfg, ladder, pol)
-        grids = [grid2d.scan_grid(cfg, pol, y, 4.0) for y in ladder]
+            scan = grid2d.transition_scan(cfg, ladder)
+        grids = [grid2d.scan_grid(cfg, y, 4.0) for y in ladder]
         assert [r.getMessage().split(": ")[1].split(",")[0] for r in caplog.records] == [
             f"full sector of order {g.n_x * g.n_y}" for g in grids]
         want = [grid2d.lowest_eigenvalues(grid2d.assemble_h2d(cfg, g), 1)[0][0]
@@ -548,18 +558,18 @@ class TestEvenSector:
             assert np.allclose(want, pinned[earlier][name], rtol=1e-3, atol=0.0)
 
     @pytest.mark.parametrize("name", ["single_channel", "supercritical"])
-    def test_y_density_error_is_a_tenth_of_the_x_error(self, name):
+    def test_y_density_error_is_a_tenth_of_the_x_error(self, name, monkeypatch):
         # lambda0 on the shipped y-density, at twice it, and at twice it
         # with every x-cell halved by inserting its midpoint: on every rung
         # the y-density moves lambda0 by at most a tenth of what the x-cells
         # do, so the y-rows are not where the mesh error lies
         cfg = load_config(str(Path(__file__).parents[1] / "configs" / f"{name}.json"))
         ladder = [4.0, 8.0, 16.0]
-        fine_y = grid2d.ScanPolicy()._replace(points_per_unit_y=24)
         shipped = grid2d.transition_scan(cfg, ladder).rows
-        ref = grid2d.transition_scan(cfg, ladder, fine_y).rows
+        monkeypatch.setattr(grid2d, "_Y_ROWS_PER_UNIT", 24)
+        ref = grid2d.transition_scan(cfg, ladder).rows
         for r_y, r_ref in zip(shipped, ref):
-            g = grid2d.scan_grid(cfg, fine_y, r_ref.y_half, ladder[-1])
+            g = grid2d.scan_grid(cfg, r_ref.y_half, ladder[-1])
             ends = np.concatenate(([g.x_lo], g.x_nodes, [g.x_hi]))
             x = np.sort(np.concatenate((g.x_nodes, 0.5 * (ends[:-1] + ends[1:]))))
             fine_x = grid2d.assemble_h2d(cfg, g._replace(x_nodes=x), "even-even")
