@@ -2,9 +2,12 @@
 
 Every command loads a JSON model configuration, dispatches to one library
 operation, and writes CSV or JSON with a reproducibility header (config
-hash, tolerances, seed).  Exit codes: 0 success, 1 computation failure
-(including a `weyl` certificate whose checks fail, after its rows are
-written), 2 configuration error.
+hash, parameters with their defaults filled in, seed).  Exit codes: 0
+success, 1 computation failure (including a `weyl` certificate whose checks
+fail, after its rows are written), 2 configuration error.
+
+`_COMMANDS` declares each command's parameters once, for the flags of
+`main` and the checks and defaults of `RunRequest`.
 
 The 1D commands (`critical`, `tune`, `eig1d`, `classify`, `bound`) and
 `weyl` run on the standard library alone, for every profile family;
@@ -32,15 +35,34 @@ from .oned import (ComparisonSpec, critical_coupling, ground_state, threshold,
 __all__ = ["RunRequest", "run", "main"]
 
 _SEED = 1234
-_COMMANDS = ("critical", "tune", "eig1d", "eig2d", "scan", "weyl", "classify", "bound")
-# the parameter each command cannot run without
-_REQUIRED = {"tune": "target", "scan": "ladder", "weyl": "eps"}
+# the default of a parameter that a command cannot run without
+_NEEDED = object()
+_COUPLING_TOL = ("the 1D threshold at the returned coupling must lie within "
+                 "tol of the target (default 1e-6)")
+# Each command's help line, its parameters in flag order, and for `eig1d` a
+# description.  A parameter is (name, type, default[, help]); a default of
+# None is left out unless given, and a `list` is comma-separated floats.
+_COMMANDS = {
+    "critical": ("critical coupling of the first channel",
+                 [("tol", float, 1e-6, _COUPLING_TOL)]),
+    "tune": ("tune lambda to a target 1D threshold",
+             [("target", float, _NEEDED), ("tol", float, 1e-6, _COUPLING_TOL)]),
+    "eig1d": ("per-channel comparison thresholds", [],
+              "Each channel's 1D threshold on the configuration's own x-domain; "
+              "classify and bound take the threshold on the line."),
+    "eig2d": ("lowest 2D eigenvalues at one truncation",
+              [("y_half", float, 8.0), ("k", int, 1), ("tol", float, 1e-7),
+               ("export_matrix", str, None)]),
+    "scan": ("transition scan over a Y ladder", [("ladder", list, _NEEDED)]),
+    "weyl": ("quasi-mode certificate", [("mu", float, 0.0), ("eps", list, _NEEDED)]),
+    "classify": ("t_V classification", [("tol", float, 1e-6)]),
+    "bound": ("global lower bound", []),
+}
 
 
 class RunRequest(Checked, namedtuple("RunRequest", "command config_path params output fmt")):
-    """One command on one configuration; `params` defaults to a new empty
-    dict, and must hold `target` for `tune`, `ladder` for `scan` and `eps`
-    for `weyl`."""
+    """One command on one configuration; `params` becomes a new dict of the
+    command's parameters in `_COMMANDS`, with their defaults filled in."""
 
     __slots__ = ()
 
@@ -50,25 +72,27 @@ class RunRequest(Checked, namedtuple("RunRequest", "command config_path params o
             raise ConfigurationError(f"unknown command {command!r}")
         if fmt not in ("csv", "json"):
             raise ConfigurationError(f"unknown output format {fmt!r}")
-        p = {} if params is None else params
-        need = _REQUIRED.get(command)
-        if need is not None and need not in p:
-            raise ConfigurationError(f"{command} needs the parameter {need!r}")
-        # NaN passes every comparison below, and an infinite value reaches
-        # a bisection or an integer grid size
-        for key in ("tol", "target", "y_half", "mu", "ladder", "eps"):
-            values = p.get(key, [])
-            if not all(map(math.isfinite, values if isinstance(values, list) else [values])):
-                raise ConfigurationError(f"{key} must be finite, got {values!r}")
+        spec = _COMMANDS[command][1]
+        given = {} if params is None else params
+        if unknown := set(given) - {name for name, *_ in spec}:
+            raise ConfigurationError(f"{command} takes no parameter {min(unknown)!r}")
+        p = {}
+        for name, kind, default, *_ in spec:
+            value = given.get(name, default)
+            if value is _NEEDED:
+                raise ConfigurationError(f"{command} needs the parameter {name!r}")
+            # NaN passes every comparison below; inf reaches a bisection or a grid size
+            if kind in (float, list) and not all(
+                    map(math.isfinite, value if kind is list else [value])):
+                raise ConfigurationError(f"{name} must be finite, got {value!r}")
+            if value is not None:
+                p[name] = value
         if p.get("tol", 1.0) <= 0:
             raise ConfigurationError("tol must be positive")
-        if "ladder" in p:
-            lad = p["ladder"]
-            if sorted(lad) != list(lad):
-                raise ConfigurationError("ladder must be sorted increasing")
-        if "eps" in p:
-            if any(not 0.0 < e < 1.0 for e in p["eps"]):
-                raise ConfigurationError("eps values must lie in (0, 1)")
+        if "ladder" in p and sorted(p["ladder"]) != list(p["ladder"]):
+            raise ConfigurationError("ladder must be sorted increasing")
+        if any(not 0.0 < e < 1.0 for e in p.get("eps", [])):
+            raise ConfigurationError("eps values must lie in (0, 1)")
         return super().__new__(cls, command, config_path, p, output, fmt)
 
 
@@ -77,40 +101,13 @@ def _config_hash(path: str) -> str:
         return hashlib.sha256(fh.read()).hexdigest()[:16]
 
 
-def _meta(req: RunRequest) -> dict:
-    return {
-        "command": req.command,
-        "config_sha256": _config_hash(req.config_path),
-        "seed": _SEED,
-        "params": {k: v for k, v in sorted(req.params.items())},
-    }
-
-
 def _write(path: str, text: str) -> None:
-    """Write a file; a path that cannot be written is a configuration error,
-    as a config that cannot be read is."""
+    """Write a file; an unwritable path is a configuration error, like a bad config."""
     try:
         with open(path, "w") as fh:
             fh.write(text)
     except OSError as exc:
         raise ConfigurationError(f"cannot write {path}: {exc.strerror or exc}") from exc
-
-
-def _emit(req: RunRequest, text: str) -> None:
-    if req.output:
-        _write(req.output, text)
-    else:
-        sys.stdout.write(text)
-
-
-def _csv_with_header(req: RunRequest, body: str) -> str:
-    meta = _meta(req)
-    head = "".join(f"# {k}={json.dumps(v, sort_keys=True)}\n" for k, v in meta.items())
-    return head + body
-
-
-def _json_payload(req: RunRequest, payload: dict) -> str:
-    return json.dumps({"meta": _meta(req), **payload}, sort_keys=True) + "\n"
 
 
 def _single_channel(config: ModelConfig):
@@ -133,53 +130,44 @@ def run(request: RunRequest) -> int:
     """Dispatch a request; returns the process exit code."""
     try:
         config = load_config(request.config_path)
-        p = request.params
-        if request.command == "critical":
-            ch = _line_channel(config, "critical")
-            lc = critical_coupling(config.omega, ch.profile, tol=p.get("tol", 1e-6))
-            _emit(request, _json_payload(request, {"lambda_crit": lc}))
-        elif request.command == "tune":
-            ch = _line_channel(config, "tune")
-            lam = tune_lambda_to_threshold(config.omega, ch.profile,
-                                           p["target"], tol=p.get("tol", 1e-6))
-            _emit(request, _json_payload(request, {"lambda": lam,
-                                                   "target": p["target"]}))
-        elif request.command == "eig1d":
-            rows = [{"lambda": ch.lam, "center": ch.center,
-                     "threshold": threshold(ComparisonSpec(
-                         config.omega, ch.lam, ch.profile, config.x_domain))}
-                    for ch in config.channels]
-            _emit(request, _json_payload(request, {"channels": rows}))
-        elif request.command == "eig2d":
+        command, p = request.command, request.params
+        body = None  # the CSV rows, for the commands that have them
+        if command == "critical":
+            ch = _line_channel(config, command)
+            payload = {"lambda_crit": critical_coupling(config.omega, ch.profile,
+                                                        tol=p["tol"])}
+        elif command == "tune":
+            ch = _line_channel(config, command)
+            payload = {"lambda": tune_lambda_to_threshold(config.omega, ch.profile,
+                                                          p["target"], tol=p["tol"]),
+                       "target": p["target"]}
+        elif command == "eig1d":
+            payload = {"channels": [
+                {"lambda": ch.lam, "center": ch.center,
+                 "threshold": threshold(ComparisonSpec(
+                     config.omega, ch.lam, ch.profile, config.x_domain))}
+                for ch in config.channels]}
+        elif command == "eig2d":
             from . import grid2d
 
-            y_half = p.get("y_half", 8.0)
-            grid = grid2d.scan_grid(config, y_half, y_half)
+            grid = grid2d.scan_grid(config, p["y_half"], p["y_half"])
             ham = grid2d.assemble_h2d(config, grid)
             # an unwritable path fails before the solve, not after it
-            if p.get("export_matrix"):
+            if "export_matrix" in p:
                 _write(p["export_matrix"], ham.export_coo())
-            pairs = grid2d.lowest_eigenvalues(ham, p.get("k", 1),
-                                              tol=p.get("tol", 1e-7), seed=_SEED)
-            _emit(request, _json_payload(request, {
-                "y_half": y_half,
-                "eigenvalues": [v for v, _ in pairs],
-                "residuals": [r for _, r in pairs],
-            }))
-        elif request.command == "scan":
+            pairs = grid2d.lowest_eigenvalues(ham, p["k"], tol=p["tol"], seed=_SEED)
+            payload = {"y_half": p["y_half"], "eigenvalues": [v for v, _ in pairs],
+                       "residuals": [r for _, r in pairs]}
+        elif command == "scan":
             from . import grid2d
 
             scan = grid2d.transition_scan(config, p["ladder"])
-            if request.fmt == "csv":
-                _emit(request, _csv_with_header(request, grid2d.scan_csv(scan)))
-            else:
-                _emit(request, _json_payload(request, {
-                    "rows": [{"Y": r.y_half, "lambda0": r.lambda0, "residual": r.residual}
-                             for r in scan.rows],
-                    "c_fit": scan.c_fit, "r_squared": scan.r_squared,
-                    "verdict": scan.verdict,
-                }))
-        elif request.command == "weyl":
+            body = grid2d.scan_csv(scan)
+            payload = {"rows": [{"Y": r.y_half, "lambda0": r.lambda0,
+                                 "residual": r.residual} for r in scan.rows],
+                       "c_fit": scan.c_fit, "r_squared": scan.r_squared,
+                       "verdict": scan.verdict}
+        elif command == "weyl":
             from . import weyl
 
             ch = _single_channel(config)
@@ -190,28 +178,34 @@ def run(request: RunRequest) -> int:
                 raise ConfigurationError("certificate needs a supercritical channel")
             # the channel's ground state on the line, on its support chain
             gs = ground_state(ComparisonSpec(config.omega, ch.lam, ch.profile))
-            rows = weyl.weyl_certificate(config, gs, p.get("mu", 0.0), p["eps"])
-            summary = weyl.certificate_summary(rows)
-            if request.fmt == "csv":
-                verdict = f"# all_pass={json.dumps(summary['all_pass'])}\n"
-                _emit(request, _csv_with_header(request, verdict + weyl.certificate_csv(rows)))
-            else:
-                _emit(request, _json_payload(request, summary))
-            failed = [name for name, ok in summary["checks"].items() if not ok]
+            rows = weyl.weyl_certificate(config, gs, p["mu"], p["eps"])
+            payload = weyl.certificate_summary(rows)
+            body = (f"# all_pass={json.dumps(payload['all_pass'])}\n"
+                    + weyl.certificate_csv(rows))
+        elif command == "classify":
+            from . import bracketing
+
+            payload = bracketing.classification_json_dict(
+                config, bracketing.classify(config, tol=p["tol"]))
+        else:
+            from . import bracketing
+
+            payload = {"global_lower_bound": bracketing.global_lower_bound(config)}
+        meta = {"command": command, "config_sha256": _config_hash(request.config_path),
+                "seed": _SEED, "params": dict(sorted(p.items()))}
+        if request.fmt == "csv" and body is not None:
+            text = "".join(f"# {k}={json.dumps(v, sort_keys=True)}\n"
+                           for k, v in meta.items()) + body
+        else:
+            text = json.dumps({"meta": meta, **payload}, sort_keys=True) + "\n"
+        if request.output:
+            _write(request.output, text)
+        else:
+            sys.stdout.write(text)
+        if command == "weyl":
+            failed = [name for name, ok in payload["checks"].items() if not ok]
             if failed:
-                raise ComputationError(
-                    f"certificate checks failed: {', '.join(failed)}")
-        elif request.command == "classify":
-            from . import bracketing
-
-            cls = bracketing.classify(config, tol=p.get("tol", 1e-6))
-            _emit(request, _json_payload(
-                request, bracketing.classification_json_dict(config, cls)))
-        elif request.command == "bound":
-            from . import bracketing
-
-            bound = bracketing.global_lower_bound(config)
-            _emit(request, _json_payload(request, {"global_lower_bound": bound}))
+                raise ComputationError(f"certificate checks failed: {', '.join(failed)}")
         return 0
     except ConfigurationError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
@@ -233,56 +227,20 @@ def main(argv: Optional[list[str]] = None) -> int:
         prog="smilansky-lab",
         description="Spectral analysis of the regularized Smilansky model")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def common(sp):
+    for command, (help_line, spec, *about) in _COMMANDS.items():
+        sp = sub.add_parser(command, help=help_line, description=next(iter(about), None))
         sp.add_argument("--config", required=True)
-        sp.add_argument("--output", default=None)
-        sp.add_argument("--format", dest="fmt", choices=("csv", "json"),
-                        default=None)
-
-    coupling_tol = ("the 1D threshold at the returned coupling must lie within "
-                    "tol of the target (default 1e-6)")
-    sp = sub.add_parser("critical", help="critical coupling of the first channel")
-    common(sp)
-    sp.add_argument("--tol", type=float, default=1e-6, help=coupling_tol)
-    sp = sub.add_parser("tune", help="tune lambda to a target 1D threshold")
-    common(sp)
-    sp.add_argument("--target", type=float, required=True)
-    sp.add_argument("--tol", type=float, default=1e-6, help=coupling_tol)
-    sp = sub.add_parser("eig1d", help="per-channel comparison thresholds")
-    common(sp)
-    sp = sub.add_parser("eig2d", help="lowest 2D eigenvalues at one truncation")
-    common(sp)
-    sp.add_argument("--y-half", type=float, default=8.0)
-    sp.add_argument("--k", type=int, default=1)
-    sp.add_argument("--tol", type=float, default=1e-7)
-    sp.add_argument("--export-matrix", default=None)
-    sp = sub.add_parser("scan", help="transition scan over a Y ladder")
-    common(sp)
-    sp.add_argument("--ladder", required=True)
-    sp = sub.add_parser("weyl", help="quasi-mode certificate")
-    common(sp)
-    sp.add_argument("--mu", type=float, default=0.0)
-    sp.add_argument("--eps", required=True)
-    sp = sub.add_parser("classify", help="t_V classification")
-    common(sp)
-    sp.add_argument("--tol", type=float, default=1e-6)
-    sp = sub.add_parser("bound", help="global lower bound")
-    common(sp)
+        sp.add_argument("--output")
+        sp.add_argument("--format", dest="fmt", choices=("csv", "json"))
+        for name, kind, default, *help_text in spec:
+            sp.add_argument("--" + name.replace("_", "-"), type=None if kind is list else kind,
+                            required=default is _NEEDED, help=next(iter(help_text), None))
 
     args = parser.parse_args(argv)
-
-    params = {}
-    for key in ("tol", "target", "y_half", "k", "mu"):
-        if getattr(args, key, None) is not None:
-            params[key] = getattr(args, key)
-    if getattr(args, "export_matrix", None):
-        params["export_matrix"] = args.export_matrix
     try:
-        if getattr(args, "ladder", None) is not None:
-            params["ladder"] = _parse_floats(args.ladder)
-        if getattr(args, "eps", None) is not None:
-            params["eps"] = _parse_floats(args.eps)
+        params = {name: _parse_floats(value) if kind is list else value
+                  for name, kind, *_ in _COMMANDS[args.command][1]
+                  if (value := getattr(args, name)) is not None}
         fmt = args.fmt or ("csv" if args.command in ("scan", "weyl") else "json")
         request = RunRequest(command=args.command, config_path=args.config,
                              params=params, output=args.output, fmt=fmt)

@@ -114,8 +114,8 @@ def graded_x_nodes(x_lo: float, x_hi: float, centers: tuple[float, ...],
     # a NaN or infinite wall never ends the walk
     if not -math.inf < x_lo < x_hi < math.inf:
         raise ConfigurationError(f"need a finite x-range, got ({x_lo!r}, {x_hi!r})")
-    if not 0 < h_min <= _H_MAX:
-        raise ConfigurationError("need 0 < h_min <= h_max")
+    if not h_min > 0:
+        raise ConfigurationError(f"need h_min > 0, got {h_min!r}")
     mid = 0.5 * (x_lo + x_hi)
     offsets = [b - mid for b in centers] or [0.0]
 
@@ -358,14 +358,21 @@ def lowest_eigenvalues(ham: SparseHamiltonian, k: int = 1, tol: float = 1e-7,
     it, certified by its own factor; the guesses are tried in order, and
     without one, or when no such factor exists, the shift is the floor
     potential_min - max(1, 2^-20 |potential_min|), so that H - sigma >= I
-    and the margin survives the rounding of a deep potential_min.  A residual
-    norm that float64 cannot hold raises ComputationError.
+    and the margin survives the rounding of a deep potential_min.  The solve
+    is refused before it starts when ||H||_inf >= 2^512, the 2D depth limit:
+    past it the squares of iterate entries of size 1/||H|| leave the normal
+    float range.  A residual norm that float64 cannot hold raises
+    ComputationError.
     """
     if not 1 <= k <= 20:
         raise ConfigurationError("eigenvalue count must be between 1 and 20")
     if k >= ham.n:
         raise ConfigurationError(
             f"{k} eigenvalues need more than {k} unknowns; the grid has {ham.n}")
+    norm = ham.op.norm_inf()
+    if not norm < 2.0**512:
+        raise ConfigurationError(f"||H||_inf = {norm:.6g} is not below the 2D depth limit "
+                                 f"2^512 = {2.0**512:.6g}")
     floor = ham.potential_min - max(1.0, 2.0**-20 * abs(ham.potential_min))
     vals, _, res = shift_invert_lanczos(ham.op, k, floor, guess=guess, tol=tol, seed=seed)
     if not np.all(np.isfinite(res)):

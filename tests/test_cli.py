@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import pytest
@@ -95,6 +96,35 @@ class TestRequests:
         for command in ("tune", "scan", "weyl"):
             with pytest.raises(ConfigurationError, match="needs the parameter"):
                 RunRequest(command, single_cfg)
+
+    def test_unknown_parameter_rejected(self, single_cfg):
+        with pytest.raises(ConfigurationError, match="eig1d takes no parameter 'tol'"):
+            RunRequest("eig1d", single_cfg, params={"tol": 1e-6})
+        with pytest.raises(ConfigurationError, match="takes no parameter 'ladders'"):
+            RunRequest("scan", single_cfg, params={"ladder": [4.0], "ladders": [4.0]})
+
+    @pytest.mark.parametrize("command, flags, required", [
+        ("critical", [], {}), ("tune", ["--target", "-1"], {"target": -1.0}),
+        ("eig1d", [], {}), ("eig2d", [], {}),
+        ("scan", ["--ladder", "2,3,4"], {"ladder": [2.0, 3.0, 4.0]}),
+        ("weyl", ["--eps", "0.1"], {"eps": [0.1]}), ("classify", [], {}), ("bound", [], {})])
+    def test_cli_and_library_defaults_agree(self, single_cfg, super_cfg, tmp_path,
+                                            command, flags, required):
+        # `meta.params` records the defaults that ran for a library caller
+        # as for the command line: `run(RunRequest("critical", cfg))` wrote
+        # "params": {} where `smilansky-lab critical` wrote {"tol": 1e-06}
+        cfg = super_cfg if command == "weyl" else single_cfg
+        fmt = "csv" if command in ("scan", "weyl") else "json"
+        by_cli, by_lib = tmp_path / "cli.out", tmp_path / "lib.out"
+        assert main([command, "--config", cfg, *flags, "--output", str(by_cli)]) == 0
+        assert run(RunRequest(command, cfg, params=dict(required), output=str(by_lib),
+                              fmt=fmt)) == 0
+        assert by_cli.read_text() == by_lib.read_text()
+
+    def test_eig1d_help_names_its_operator(self, capsys):
+        with pytest.raises(SystemExit):
+            main(["eig1d", "--help"])
+        assert "configuration's own x-domain" in capsys.readouterr().out
 
     def test_params_default_is_not_shared(self, single_cfg):
         a, b = RunRequest("eig1d", single_cfg), RunRequest("eig1d", single_cfg)
@@ -654,6 +684,13 @@ class TestExitCodes:
             assert proc.stderr.startswith(f"configuration error: cannot write {path}: ")
             assert "Traceback" not in proc.stderr
 
+    def test_empty_export_path_is_2(self, single_cfg, capsys):
+        # it exported nothing, exit 0; now the path is written as given
+        assert main(["eig2d", "--config", single_cfg, "--y-half", "2",
+                     "--export-matrix", ""]) == 2
+        out, err = capsys.readouterr()
+        assert not out and err.startswith("configuration error: cannot write : ")
+
     def test_unwritable_export_fails_before_the_solve(self, single_cfg, tmp_path,
                                                       monkeypatch, capsys):
         # the matrix is exported right after assembly, so an unwritable path
@@ -794,14 +831,51 @@ class TestExitCodes:
         cls = json.loads(capsys.readouterr().out)
         assert cls["verdict"] == "supercritical"
         assert abs(cls["t_V"] + 1e300) <= 1e-9 * 1e300
-        # but the 2D residual's squares overflow: exit 1, not "residuals": [Infinity]
-        assert main(["eig2d", "--config", str(p)]) == 1
-        assert "are not finite" in capsys.readouterr().err
+        # but past the 2D depth limit: exit 2 before the solve, not
+        # "residuals": [Infinity]
+        assert main(["eig2d", "--config", str(p)]) == 2
+        assert "2D depth limit" in capsys.readouterr().err
         p.write_text(json.dumps({**SINGLE, "channels": [{
             "lambda": 1e20, "center": 0.0,
             "profile": {"family": "cos2", "a": 1.0, "amplitude": 1.0}}]}))
         assert main(["scan", "--config", str(p), "--ladder", "4,8,16"]) == 0
         assert capsys.readouterr().out.rstrip().endswith(",supercritical")
+
+    @pytest.mark.parametrize("depth, code", [(1e75, 0), (1e80, 2)])
+    def test_two_d_depth_limit(self, tmp_path, capsys, depth, code):
+        # ||H||_inf >= 2^512 is refused before the solve; at 1e80 eig2d
+        # printed an overflow RuntimeWarning and exited 1 with "residual
+        # norms [inf]", and scan exited 1 with a false Rayleigh-bound failure
+        p = tmp_path / "deep.json"
+        p.write_text(json.dumps({**SINGLE, "channels": [{
+            "lambda": depth, "center": 0.0,
+            "profile": {"family": "cos2", "a": 1.0, "amplitude": depth}}]}))
+        for args in (["eig2d"], ["scan", "--ladder", "4,8,16"]):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                assert main([args[0], "--config", str(p), *args[1:]]) == code, args
+            out, err = capsys.readouterr()
+            if code == 2:
+                assert not out and err.count("\n") == 1
+                assert err.startswith("configuration error: ||H||_inf = ")
+                assert "not below the 2D depth limit 2^512" in err
+            else:
+                assert out and not err
+
+    def test_eig2d_on_a_channel_wider_than_the_truncation(self, tmp_path, capsys):
+        # the x-spacing floor a/(4Y) = 0.3125 passes the cap 0.25, which
+        # graded_x_nodes refused; eig2d now meshes at the cap, and agrees
+        # with the scan's Y = 8 rung (floor 10/64) to its mesh error
+        p = tmp_path / "wide.json"
+        p.write_text(json.dumps({**SINGLE, "channels": [{
+            "lambda": 0.02, "center": 0.0,
+            "profile": {"family": "cos2", "a": 10.0, "amplitude": 1.0}}]}))
+        assert main(["eig2d", "--config", str(p)]) == 0
+        (lam0,) = json.loads(capsys.readouterr().out)["eigenvalues"]
+        assert main(["scan", "--config", str(p), "--ladder", "4,8,16",
+                     "--format", "json"]) == 0
+        rung = json.loads(capsys.readouterr().out)["rows"][1]
+        assert rung["Y"] == 8.0 and abs(lam0 - rung["lambda0"]) < 5e-6
 
     @pytest.mark.parametrize("a, lam", [(1e-8, 2.0), (5e-75, 2.0), (0.01, 2e4)])
     def test_unresolved_threshold_bisection_is_1(self, tmp_path, capsys, a, lam):

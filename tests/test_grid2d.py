@@ -244,6 +244,14 @@ class TestGradedMesh:
         with pytest.raises(ConfigurationError, match="x-range"):
             grid2d.graded_x_nodes(x_lo, x_hi, (0.0,), 1.0 / 64.0)
 
+    def test_floor_above_the_cap_meshes_at_the_cap(self):
+        # a floor past _H_MAX, as a channel wider than the truncation gives,
+        # was refused; the spacing law caps it
+        x = grid2d.graded_x_nodes(-6.0, 6.0, (0.0,), 0.5)
+        assert x[0] == -5.75 and np.all(np.diff(x) == 0.25)
+        with pytest.raises(ConfigurationError, match="h_min > 0"):
+            grid2d.graded_x_nodes(-6.0, 6.0, (0.0,), 0.0)
+
     def test_asymmetric_centers_keep_the_midpoint_node(self):
         x = grid2d.graded_x_nodes(1.0, 5.0, (3.5,), 1.0 / 64.0)
         assert 3.0 in x and not np.allclose(x - 3.0, (3.0 - x)[::-1])
