@@ -20,12 +20,21 @@ configuration's own x-domain; `classify` and `bound` take the line's.
 from __future__ import annotations
 
 import argparse
-import hashlib
 import json
 import math
 import sys
 from collections import namedtuple
 from typing import Optional
+
+# CPython's builtin SHA-256, as `random` takes its SHA-512: hashlib would load
+# OpenSSL's _hashlib, about 2 ms per process, for the same digest
+try:
+    from _sha2 import sha256  # Python 3.12+
+except ImportError:
+    try:
+        from _sha256 import sha256  # Python 3.10 and 3.11
+    except ImportError:
+        from hashlib import sha256
 
 from .errors import ComputationError, ConfigurationError, SmilanskyError
 from .model import Checked, ModelConfig, load_config
@@ -98,7 +107,7 @@ class RunRequest(Checked, namedtuple("RunRequest", "command config_path params o
 
 def _config_hash(path: str) -> str:
     with open(path, "rb") as fh:
-        return hashlib.sha256(fh.read()).hexdigest()[:16]
+        return sha256(fh.read()).hexdigest()[:16]
 
 
 def _write(path: str, text: str) -> None:
@@ -198,7 +207,7 @@ def run(request: RunRequest) -> int:
                            for k, v in meta.items()) + body
         else:
             text = json.dumps({"meta": meta, **payload}, sort_keys=True) + "\n"
-        if request.output:
+        if request.output is not None:
             _write(request.output, text)
         else:
             sys.stdout.write(text)
@@ -223,12 +232,18 @@ def _parse_floats(text: str) -> list[float]:
 
 
 def main(argv: Optional[list[str]] = None) -> int:
+    argv = sys.argv[1:] if argv is None else argv
     parser = argparse.ArgumentParser(
         prog="smilansky-lab",
         description="Spectral analysis of the regularized Smilansky model")
     sub = parser.add_subparsers(dest="command", required=True)
+    # every command is listed, but only the one requested, the first
+    # non-option argument, is parsed, so only it needs its flags
+    requested = next((arg for arg in argv if not arg.startswith("-")), None)
     for command, (help_line, spec, *about) in _COMMANDS.items():
         sp = sub.add_parser(command, help=help_line, description=next(iter(about), None))
+        if command != requested:
+            continue
         sp.add_argument("--config", required=True)
         sp.add_argument("--output")
         sp.add_argument("--format", dest="fmt", choices=("csv", "json"))

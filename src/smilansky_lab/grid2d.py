@@ -369,16 +369,21 @@ def lowest_eigenvalues(ham: SparseHamiltonian, k: int = 1, tol: float = 1e-7,
     if k >= ham.n:
         raise ConfigurationError(
             f"{k} eigenvalues need more than {k} unknowns; the grid has {ham.n}")
-    norm = ham.op.norm_inf()
-    if not norm < 2.0**512:
-        raise ConfigurationError(f"||H||_inf = {norm:.6g} is not below the 2D depth limit "
-                                 f"2^512 = {2.0**512:.6g}")
+    _check_depth(ham)
     floor = ham.potential_min - max(1.0, 2.0**-20 * abs(ham.potential_min))
     vals, _, res = shift_invert_lanczos(ham.op, k, floor, guess=guess, tol=tol, seed=seed)
     if not np.all(np.isfinite(res)):
         raise ComputationError(f"residual norms {res.tolist()} are not finite: float64 "
                                "cannot hold the eigenpairs of this operator")
     return [(float(v), float(r)) for v, r in zip(vals, res)]
+
+
+def _check_depth(ham: SparseHamiltonian) -> None:
+    """Refuse an operator with ||H||_inf >= 2^512, the 2D depth limit."""
+    norm = ham.op.norm_inf()
+    if not norm < 2.0**512:
+        raise ConfigurationError(f"||H||_inf = {norm:.6g} is not below the 2D depth limit "
+                                 f"2^512 = {2.0**512:.6g}")
 
 
 # --- transition scan --------------------------------------------------------
@@ -514,9 +519,13 @@ def transition_scan(config: ModelConfig, y_ladder: list[float]) -> TransitionSca
         return [plunge + (vals[-1] - t_v * y_prev**2) * (y / y_prev) ** (2.0 / 3.0),
                 plunge]
 
+    # ||H||_inf grows with Y on the shared x-grid, so the top rung meets the
+    # depth limit before any rung is solved
+    top = assemble_h2d(config, scan_grid(config, y_max, y_max), sector)
+    _check_depth(top)
     for y in y_ladder:
-        grid = scan_grid(config, float(y), y_max)
-        ham = assemble_h2d(config, grid, sector)
+        ham = (top if y == y_ladder[-1]
+               else assemble_h2d(config, scan_grid(config, float(y), y_max), sector))
         (lam0, res), = lowest_eigenvalues(ham, 1, tol=_EIG_TOL, guess=guesses(y))
         _debug(__name__, "scan rung Y=%g: %s sector of order %d, lambda0 %.12g, "
                "residual %.3g", y, sector, ham.n, lam0, res)

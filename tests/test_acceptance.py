@@ -201,12 +201,12 @@ def test_criterion_10_eigensolver_oracles():
     want = np.sort(2.0 - 2.0 * np.cos(np.arange(1, n + 1) * np.pi / (n + 1)))
     # the Sturm counts of the chain and of its periodic wrap (kernel 0),
     # bisected from below the Gershgorin bound 0
-    lo, hi, _ = bisect_count(lambda x: sturm_count(d, [1.0] * (n - 1), x), -1.0, 4.0, 1e-14)
-    wrap_lo, wrap_hi, _ = bisect_count(lambda x: cyclic_sturm_count(d, e, -1.0, x),
+    lo, hi, _ = bisect_count(lambda x: sturm_count(d, 1.0, x), -1.0, 4.0, 1e-14)
+    wrap_lo, wrap_hi, _ = bisect_count(lambda x: cyclic_sturm_count(d, -1.0, -1.0, x),
                                        -1.0, 4.0, 1e-14)
     # the lowest pair: inverse iteration from the bracket's lower end, and
     # the vector's Rayleigh quotient
-    v = np.array(lowest_eigenvector(d, e, lo))
+    v = np.array(lowest_eigenvector(d, -1.0, lo))
     v *= np.sign(v @ vecs[:, 0])
     e0 = float(v @ (np.diag(d) + np.diag(e, 1) + np.diag(e, -1)) @ v)
     tri_ok = (np.max(np.abs(oracle - want)) < 1e-12 and lo <= want[0] <= hi

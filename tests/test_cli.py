@@ -691,6 +691,12 @@ class TestExitCodes:
         out, err = capsys.readouterr()
         assert not out and err.startswith("configuration error: cannot write : ")
 
+    def test_empty_output_path_is_2(self, single_cfg, capsys):
+        # `--output ""` wrote to stdout with exit 0
+        assert main(["bound", "--config", single_cfg, "--output", ""]) == 2
+        out, err = capsys.readouterr()
+        assert not out and err.startswith("configuration error: cannot write : ")
+
     def test_unwritable_export_fails_before_the_solve(self, single_cfg, tmp_path,
                                                       monkeypatch, capsys):
         # the matrix is exported right after assembly, so an unwritable path
@@ -862,6 +868,31 @@ class TestExitCodes:
             else:
                 assert out and not err
 
+    def test_scan_meets_the_depth_limit_before_any_solve(self, tmp_path, capsys,
+                                                         monkeypatch):
+        # ||H||_inf grows with Y on the shared x-grid: at 1.4e76 the scan
+        # solved Y = 4 and 8 and then refused Y = 16 (||H||_inf = 4.97e154);
+        # it now refuses before any block factor, while eig2d at Y = 8 solves
+        from smilansky_lab import eigs
+
+        p = tmp_path / "deep.json"
+        p.write_text(json.dumps({**SINGLE, "channels": [{
+            "lambda": 1.4e76, "center": 0.0,
+            "profile": {"family": "cos2", "a": 1.0, "amplitude": 1.4e76}}]}))
+        factors = []
+        real = eigs._block_ldlt
+        monkeypatch.setattr(eigs, "_block_ldlt",
+                            lambda *args: factors.append(args) or real(*args))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["scan", "--config", str(p), "--ladder", "4,8,16"]) == 2
+            out, err = capsys.readouterr()
+            assert not out and err.count("\n") == 1 and not factors
+            assert err.startswith("configuration error: ||H||_inf = 4.96547e+154 ")
+            assert "not below the 2D depth limit 2^512" in err
+            assert main(["eig2d", "--config", str(p), "--y-half", "8"]) == 0
+        assert factors and capsys.readouterr().out
+
     def test_eig2d_on_a_channel_wider_than_the_truncation(self, tmp_path, capsys):
         # the x-spacing floor a/(4Y) = 0.3125 passes the cap 0.25, which
         # graded_x_nodes refused; eig2d now meshes at the cap, and agrees
@@ -920,3 +951,30 @@ class TestExitCodes:
         payload = json.loads(capsys.readouterr().out)
         assert payload["meta"]["params"] == {"tol": 0.01}
         assert abs(payload["lambda_crit"] - 2.8663043554) < 1e-9
+
+
+class TestStartup:
+    def test_config_hash_is_sha256(self):
+        # the builtin SHA-256 digest that replaced hashlib's
+        import hashlib
+
+        for path in sorted((Path(__file__).parents[1] / "configs").glob("*.json")):
+            assert cli._config_hash(str(path)) == \
+                hashlib.sha256(path.read_bytes()).hexdigest()[:16]
+
+    def test_help_and_usage_errors_are_unchanged(self, monkeypatch, capsys):
+        # `main` adds flags to the requested command only; the top-level and
+        # every command's --help, and the usage errors, match the snapshot
+        # of `data/cli_help.json`, taken when it added every command's flags
+        # (at 80 columns: argparse wraps to the terminal, and its layout
+        # differs between Python versions)
+        snapshot = json.loads((Path(__file__).parent / "data" / "cli_help.json").read_text())
+        if sys.version_info[:2] != tuple(map(int, snapshot["python"].split("."))):
+            pytest.skip(f"the snapshot is of Python {snapshot['python']}'s argparse")
+        monkeypatch.setenv("COLUMNS", str(snapshot["columns"]))
+        for case in snapshot["cases"]:
+            with pytest.raises(SystemExit) as exc:
+                main(case["args"])
+            out, err = capsys.readouterr()
+            assert (exc.value.code, out, err) == (case["code"], case["stdout"],
+                                                  case["stderr"]), case["args"]

@@ -20,35 +20,34 @@ def dirichlet_laplacian(n):
 
 def smallest_by_count(d, e, m, tol):
     """The m smallest eigenvalues of the symmetric tridiagonal T with
-    diagonal d and off-diagonal e: the j-th is where the Sturm count passes
-    j, bisected to width tol."""
-    e2 = (e**2).tolist()
+    diagonal d and every off-diagonal entry e: the j-th is where the Sturm
+    count passes j, bisected to width tol (without a last pivot, which
+    steers only toward the lowest)."""
     # the spectrum lies in [-||T||_inf, ||T||_inf], ||T||_inf the largest
     # absolute row sum (Gershgorin)
-    ae = np.abs(e)
-    hi = float(np.max(np.abs(d) + np.append(ae, 0.0) + np.append(0.0, ae))) + 1.0
+    hi = float(np.max(np.abs(d))) + 2.0 * abs(e) + 1.0
     lo = -hi
     d = d.tolist()
-    return np.array([0.5 * sum(bisect_count(lambda x: sturm_count(d, e2, x) > j,
+    return np.array([0.5 * sum(bisect_count(lambda x: (sturm_count(d, e * e, x)[0] > j, None),
                                             lo, hi, tol)[:2]) for j in range(m)])
 
 
 class TestSturm:
     # eigenvalues by bisection of the Sturm count
     def test_laplacian_spectrum(self):
-        got = smallest_by_count(*dirichlet_laplacian(10), 10, tol=1e-14)
+        got = smallest_by_count(np.full(10, 2.0), -1.0, 10, tol=1e-14)
         want = 2.0 - 2.0 * np.cos(np.arange(1, 11) * np.pi / 11.0)
         assert np.max(np.abs(got - np.sort(want))) < 1e-12
 
     def test_diagonal_matrix(self):
         d = np.array([3.0, -1.0, 7.0, 0.5])
-        assert np.allclose(smallest_by_count(d, np.zeros(3), 4, tol=1e-14), np.sort(d),
+        assert np.allclose(smallest_by_count(d, 0.0, 4, tol=1e-14), np.sort(d),
                            atol=1e-12)
 
     def test_shift_covariance(self):
-        d, e = dirichlet_laplacian(12)
-        a = smallest_by_count(d, e, 3, tol=1e-13)
-        b = smallest_by_count(d + 3.25, e, 3, tol=1e-13)
+        d = np.full(12, 2.0)
+        a = smallest_by_count(d, -1.0, 3, tol=1e-13)
+        b = smallest_by_count(d + 3.25, -1.0, 3, tol=1e-13)
         assert np.max(np.abs((a + 3.25) - b)) < 1e-11
 
     @settings(max_examples=25, deadline=None)
@@ -56,38 +55,54 @@ class TestSturm:
     def test_interlacing_under_deletion(self, n, seed):
         rng = np.random.default_rng(seed)
         d = rng.standard_normal(n)
-        e = rng.standard_normal(n - 1)
+        e = float(rng.standard_normal())
         full = smallest_by_count(d, e, n, tol=1e-12)
-        sub = smallest_by_count(d[:-1], e[:-1], n - 1, tol=1e-12)
+        sub = smallest_by_count(d[:-1], e, n - 1, tol=1e-12)
         for j in range(n - 1):
             assert full[j] <= sub[j] + 1e-9
             assert sub[j] <= full[j + 1] + 1e-9
 
 
+def between_eigenvalues(vals):
+    """Points between and around sorted eigenvalues vals."""
+    return np.concatenate(([vals[0] - 1.0], 0.5 * (vals[1:] + vals[:-1]), [vals[-1] + 1.0]))
+
+
+def pivot_from_eigenvalues(vals, lead, x):
+    """det(T - x) / det(T' - x) from the eigenvalues of T and of its leading
+    block T': the last pivot of T - x, or its Schur complement."""
+    return float(np.prod(vals - x) / np.prod(lead - x))
+
+
 class TestSturmCount:
+    # chains with one off-diagonal entry, as every chain of the package has
     @settings(max_examples=25, deadline=None)
     @given(st.integers(1, 12), st.integers(0, 10**6))
     def test_counts_eigenvalues_below(self, n, seed):
+        # the count against eigvalsh at points away from the eigenvalues, and
+        # the last pivot against det(T - x) / det(T' - x) where x is also
+        # away from the eigenvalues of the leading block T'
         rng = np.random.default_rng(seed)
         d = rng.standard_normal(n)
-        e = rng.standard_normal(n - 1)
-        vals = np.linalg.eigvalsh(np.diag(d) + np.diag(e, 1) + np.diag(e, -1))
-        # points between and around the eigenvalues, away from them
-        for x in np.concatenate(([vals[0] - 1.0], 0.5 * (vals[1:] + vals[:-1]),
-                                 [vals[-1] + 1.0])):
+        e = float(rng.standard_normal())
+        vals = np.linalg.eigvalsh(dense_tridiagonal(d, np.full(n - 1, e)))
+        lead = np.linalg.eigvalsh(dense_tridiagonal(d[:-1], np.full(n - 2, e))) if n > 1 \
+            else np.zeros(0)
+        for x in between_eigenvalues(vals):
             if np.min(np.abs(vals - x)) > 1e-9:
-                want = int(np.sum(vals < x))
-                assert sturm_count(d.tolist(), (e**2).tolist(), float(x)) == want
+                count, q = sturm_count(d.tolist(), e * e, float(x))
+                assert count == int(np.sum(vals < x))
+                if np.min(np.abs(np.append(vals, lead) - x)) > 1e-3:
+                    want = pivot_from_eigenvalues(vals, lead, x)
+                    assert abs(q - want) <= 1e-9 * max(1.0, abs(want)), (x, q, want)
 
     def test_zero_pivot_counts_as_negative(self):
         # [[0, 1], [1, 0]] has eigenvalues -1 and 1; the first pivot at x = 0
         # is exactly zero
-        assert sturm_count([0.0, 0.0], [1.0], 0.0) == 1
+        assert sturm_count([0.0, 0.0], 1.0, 0.0)[0] == 1
 
     def test_bisect_count_brackets_the_first_eigenvalue(self):
-        d, e = dirichlet_laplacian(20)
-        e2 = (e**2).tolist()
-        lo, hi, steps = bisect_count(lambda x: sturm_count(d.tolist(), e2, x),
+        lo, hi, steps = bisect_count(lambda x: sturm_count([2.0] * 20, 1.0, x),
                                      -1.0, 1.0, 1e-13)
         want = 2.0 - 2.0 * np.cos(np.pi / 21.0)
         assert lo <= want <= hi and hi - lo <= 1e-13 and steps >= 40
@@ -96,50 +111,54 @@ class TestSturmCount:
         from scipy.linalg import eigh_tridiagonal
         rng = np.random.default_rng(11)
         n = 500
-        d, e = 2.0 + rng.uniform(-1.0, 1.0, n), np.full(n - 1, -1.0)
-        (want,), vecs = eigh_tridiagonal(d, e, select="i", select_range=(0, 0))
+        d, e = 2.0 + rng.uniform(-1.0, 1.0, n), -1.0
+        (want,), vecs = eigh_tridiagonal(d, np.full(n - 1, e), select="i",
+                                         select_range=(0, 0))
         # the shift: the lower end of the Sturm bracket of the lowest
         # eigenvalue, 1e-15 ||T||_inf wide
-        dl, e2 = d.tolist(), (e**2).tolist()
-        sigma, _, _ = bisect_count(lambda x: sturm_count(dl, e2, x), -1.0, 4.0, 4e-15)
-        v = np.array(lowest_eigenvector(dl, e.tolist(), sigma))
-        assert abs(v @ dense_tridiagonal(d, e) @ v - want) < 1e-13
+        dl = d.tolist()
+        sigma, _, _ = bisect_count(lambda x: sturm_count(dl, e * e, x), -1.0, 4.0, 4e-15)
+        v = np.array(lowest_eigenvector(dl, e, sigma))
+        assert abs(v @ dense_tridiagonal(d, np.full(n - 1, e)) @ v - want) < 1e-13
         assert abs(np.linalg.norm(v) - 1.0) < 1e-14
         assert np.max(np.abs(v * np.sign(v @ vecs[:, 0]) - vecs[:, 0])) < 1e-12
 
     def test_cyclic_count_matches_dense(self):
         # 300 random periodic wraps, at points between and around their
-        # eigenvalues
+        # eigenvalues: the count, and the Schur complement s against
+        # det(T - x) / det(T' - x), T' the chain of the first n - 1 nodes
         rng = np.random.default_rng(7)
         for _ in range(300):
             n = int(rng.integers(3, 15))
-            d, e = rng.standard_normal(n), rng.standard_normal(n - 1)
+            d, e = rng.standard_normal(n), float(rng.standard_normal())
             corner = float(rng.standard_normal())
-            vals = np.linalg.eigvalsh(dense_tridiagonal(d, e, corner))
-            points = np.concatenate(([vals[0] - 1.0], 0.5 * (vals[1:] + vals[:-1]),
-                                     [vals[-1] + 1.0]))[:11]
-            for x in points:
+            vals = np.linalg.eigvalsh(dense_tridiagonal(d, np.full(n - 1, e), corner))
+            lead = np.linalg.eigvalsh(dense_tridiagonal(d[:-1], np.full(n - 2, e)))
+            for x in between_eigenvalues(vals)[:11]:
                 if np.min(np.abs(vals - x)) > 1e-9:
-                    assert cyclic_sturm_count(d.tolist(), e.tolist(), corner,
-                                              float(x)) == int(np.sum(vals < x))
+                    count, s = cyclic_sturm_count(d.tolist(), e, corner, float(x))
+                    assert count == int(np.sum(vals < x))
+                    if np.min(np.abs(np.append(vals, lead) - x)) > 1e-3:
+                        want = pivot_from_eigenvalues(vals, lead, x)
+                        assert abs(s - want) <= 1e-9 * max(1.0, abs(want)), (x, s, want)
 
     def test_shift_must_lie_below_the_spectrum(self):
         # a 1e300 diagonal: the lower end of the Sturm bracket of the lowest
         # eigenvalue, 1e-15 ||T||_inf wide, is certified, and the vector is
         # a unit one with Rayleigh quotient 1e300; a shift above the lowest
         # eigenvalue is refused, not iterated
-        d, e = [1e300] * 8, [-1.0] * 7
-        sigma, hi, _ = bisect_count(lambda x: sturm_count(d, [1.0] * 7, x),
+        d = [1e300] * 8
+        sigma, hi, _ = bisect_count(lambda x: sturm_count(d, 1.0, x),
                                     0.5e300, 2e300, 1e-15 * 1e300)
         assert sigma <= 1e300 <= hi
-        v = lowest_eigenvector(d, e, sigma)
+        v = lowest_eigenvector(d, -1.0, sigma)
         assert abs(math.fsum(x * x for x in v) - 1.0) < 1e-14
         rayleigh = math.fsum(di * x * x for di, x in zip(d, v))
         assert abs(rayleigh - 1e300) <= 1e-15 * 1e300
         with pytest.raises(ComputationError, match="not positive definite"):
-            lowest_eigenvector([2.0] * 8, e, 1.0)
+            lowest_eigenvector([2.0] * 8, -1.0, 1.0)
         with pytest.raises(ComputationError, match="non-finite"):
-            lowest_eigenvector([2.0] * 8, e, math.nan)
+            lowest_eigenvector([2.0] * 8, -1.0, math.nan)
 
 
 class TestLanczos:

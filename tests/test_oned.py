@@ -4,12 +4,16 @@ import math
 import struct
 import weakref
 
+from pathlib import Path
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.linalg import eigh, eigh_tridiagonal
 
 from oracles import interval_chain, interval_min_eig, truncated_line_ground_state
-from smilansky_lab import oned, sturm, weyl
+from smilansky_lab import cli, oned, sturm, weyl
 from smilansky_lab.errors import (ComputationError, ConfigurationError,
                                   RefinementError)
 from smilansky_lab.model import PotentialProfile, XDomain, profile_values
@@ -210,9 +214,9 @@ class TestIntervalThreshold:
             energies = [want - 1e-7, want + 1e-7] + [want + (top - want) * f
                                                       for f in (0.25, 0.5, 0.75)]
             for x in filter(lambda x: x < top - 1e-7, energies):
-                whole = (sturm_count(d, [b * b for b in e], x) if corner is None
-                         else cyclic_sturm_count(d, e, corner, x))
-                assert count(x) == whole, (k, x)
+                whole = (sturm_count(d, e[0] * e[0], x) if corner is None
+                         else cyclic_sturm_count(d, e[0], corner, x))
+                assert count(x)[0] == whole[0], (k, x)
         if case == "above-omega2":
             assert got > 1.0
         if case.startswith("vanishing"):
@@ -523,3 +527,77 @@ class TestAssembly:
             assert {name for name, _ in seen[0]} == {kind}
             # at most 2 a/h + 4 nodes on the finest grid, h about a/480 there
             assert max(n for _, n in seen[0]) <= 2 * 480 + 4
+
+
+def plain_bisection(count, lo, hi, tol):
+    """The bisection that counts every midpoint: the reference (lo, hi,
+    steps) of `sturm.bisect_count`."""
+    steps = 0
+    while hi - lo > tol:
+        mid = 0.5 * (lo + hi)
+        if not lo < mid < hi:
+            break
+        steps += 1
+        if count(mid)[0]:
+            hi = mid
+        else:
+            lo = mid
+    return lo, hi, steps
+
+
+CONFIGS = Path(__file__).parents[1] / "configs"
+
+
+class TestBisection:
+    @settings(max_examples=60, deadline=None)
+    @given(family=st.sampled_from(["cos2", "quartic", "table"]),
+           a=st.floats(0.25, 3.0), lam=st.floats(0.05, 200.0), omega=st.floats(0.3, 3.0),
+           bc=st.sampled_from(["line", "dirichlet", "neumann", "periodic"]),
+           c_over_a=st.floats(1.0, 4.0), level=st.integers(0, 2),
+           target=st.one_of(st.none(), st.floats(-2.0, 0.95)))
+    def test_replays_the_plain_bisection(self, family, a, lam, omega, bc, c_over_a, level,
+                                         target):
+        # a threshold at one resolution (target None), or a coupling on the
+        # line's chain that places the threshold at target omega^2: the
+        # bisection returns exactly the plain loop's (lo, hi, steps), and
+        # counts at most steps + 2 points
+        table = tuple((a * t, v) for t, v in SKEWED_TABLE.table) if family == "table" else None
+        profile = PotentialProfile(family, a, 1.0, table=table)
+        domain = XDomain() if bc == "line" else XDomain("interval", c_over_a * a, bc)
+        runs = []
+
+        def checked(count, lo, hi, tol):
+            passes = []
+            got = sturm.bisect_count(lambda x: passes.append(x) or count(x), lo, hi, tol)
+            want = plain_bisection(count, lo, hi, tol)
+            assert got == want, (got, want)
+            assert len(passes) <= want[2] + 2, (len(passes), want[2])
+            runs.append(len(passes))
+            return got
+
+        policy = ResolutionPolicy(points_per_unit=30.0)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(oned, "bisect_count", checked)
+            if target is None:
+                spec = ComparisonSpec(omega, lam, profile, domain)
+                oned._chain_threshold(omega, lam, profile, *oned._levels(spec, policy)[0][level])
+            else:
+                oned._chain_coupling(omega, profile, target * omega**2,
+                                     2**level * policy.m_for(a))
+        assert len(runs) == 1
+
+    @pytest.mark.parametrize("args, most", [
+        (["critical", "--config", str(CONFIGS / "single_channel.json"), "--tol", "1e-2"], 90),
+        (["classify", "--config", str(CONFIGS / "two_channel.json")], 90),
+        (["bound", "--config", str(CONFIGS / "single_channel.json")], 40),
+    ], ids=["critical", "classify", "bound"])
+    def test_sturm_passes_of_the_shipped_configs(self, args, most, monkeypatch, capsys):
+        # 228, 219 and 108 passes when the bisection counted every midpoint
+        counts = []
+        for name in ("sturm_count", "cyclic_sturm_count"):
+            real = getattr(oned, name)
+            monkeypatch.setattr(oned, name, lambda *args, real=real: (
+                counts.append(args[-1]) or real(*args)))
+        assert cli.main(args) == 0
+        assert capsys.readouterr().out
+        assert len(counts) <= most, len(counts)
