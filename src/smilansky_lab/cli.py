@@ -15,6 +15,21 @@ The 1D commands (`critical`, `tune`, `eig1d`, `classify`, `bound`) and
 `weyl` imports `weyl` in its own, and `classify` and `bound` import
 `bracketing` in theirs.  `eig1d` prints each channel's threshold on the
 configuration's own x-domain; `classify` and `bound` take the line's.
+
+Output goes through `_write`, which flushes it: an unwritable `--output`
+and a stdout that fails (a full disk, a closed pipe) both exit 2 with one
+line.  The process itself (the `smilansky-lab` script and `python -m
+smilansky_lab.cli`) runs `process_main`, which ends through `os._exit`
+once `main` has returned: it flushes stdout and stderr and runs the atexit
+handlers, so a wrapper's coverage, logging or temp-file cleanup still
+happens, but skips the interpreter's teardown of every imported module and
+its final garbage collections.  That teardown is most of what a command
+costs after its output: `python -c "import numpy"` takes 103 ms, 90 ms
+ending through `os._exit`, and `critical --tol 1e-2` 62 ms, 55 ms
+(medians of 21 alternating runs, 2 vCPUs, Python 3.11).  An exception or
+SystemExit out of `main` (`--help`, a usage error, a bug) takes Python's
+normal exit, and `main` itself, the library and test entry, returns its
+exit code and never exits.
 """
 
 from __future__ import annotations
@@ -41,7 +56,7 @@ from .model import Checked, ModelConfig, load_config
 from .oned import (ComparisonSpec, critical_coupling, ground_state, threshold,
                    tune_lambda_to_threshold)
 
-__all__ = ["RunRequest", "run", "main"]
+__all__ = ["RunRequest", "run", "main", "process_main"]
 
 _SEED = 1234
 # the default of a parameter that a command cannot run without
@@ -110,13 +125,19 @@ def _config_hash(path: str) -> str:
         return sha256(fh.read()).hexdigest()[:16]
 
 
-def _write(path: str, text: str) -> None:
-    """Write a file; an unwritable path is a configuration error, like a bad config."""
+def _write(path: Optional[str], text: str) -> None:
+    """Write and flush a file, or stdout when `path` is None; an unwritable
+    path or a full stdout is a configuration error, like a bad config."""
     try:
-        with open(path, "w") as fh:
-            fh.write(text)
+        if path is None:
+            sys.stdout.write(text)
+            sys.stdout.flush()
+        else:
+            with open(path, "w") as fh:
+                fh.write(text)
     except OSError as exc:
-        raise ConfigurationError(f"cannot write {path}: {exc.strerror or exc}") from exc
+        name = "<stdout>" if path is None else path
+        raise ConfigurationError(f"cannot write {name}: {exc.strerror or exc}") from exc
 
 
 def _single_channel(config: ModelConfig):
@@ -207,10 +228,7 @@ def run(request: RunRequest) -> int:
                            for k, v in meta.items()) + body
         else:
             text = json.dumps({"meta": meta, **payload}, sort_keys=True) + "\n"
-        if request.output is not None:
-            _write(request.output, text)
-        else:
-            sys.stdout.write(text)
+        _write(request.output, text)
         if command == "weyl":
             failed = [name for name, ok in payload["checks"].items() if not ok]
             if failed:
@@ -265,5 +283,31 @@ def main(argv: Optional[list[str]] = None) -> int:
     return run(request)
 
 
+def _flush(code: int) -> None:
+    """Flush stdout and stderr.  A failed stdout write keeps its bytes
+    buffered, so the flush fails again; `_write` has reported it, and the
+    exit code is not 0, so that error is dropped."""
+    for stream in (sys.stdout, sys.stderr):
+        try:
+            stream.flush()
+        except OSError:
+            if not code:
+                raise
+
+
+def process_main() -> None:
+    """Run `main` as the whole process and end it through `os._exit`, after
+    the flushes and the atexit handlers (module docstring)."""
+    import atexit
+    import os
+
+    code = main()
+    _flush(code)
+    atexit._run_exitfuncs()
+    # what the handlers wrote
+    _flush(code)
+    os._exit(code)
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    process_main()

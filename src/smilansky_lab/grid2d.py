@@ -88,7 +88,10 @@ class Grid2D(Checked, namedtuple("Grid2D", "x_lo x_hi x_nodes y_half n_y")):
 
     @property
     def y_nodes(self) -> np.ndarray:
-        return np.linspace(-self.y_half, self.y_half, self.n_y + 2)[1:-1]
+        """The interior nodes j h_y, j integer (n_y odd, y = 0 a node) or half
+        an odd integer (n_y even), so grids of one h_y share their nodes
+        exactly."""
+        return (np.arange(self.n_y) - 0.5 * (self.n_y - 1)) * self.h_y
 
     @property
     def is_even_in_x(self) -> bool:
@@ -419,7 +422,9 @@ def scan_grid(config: ModelConfig, y_half: float, y_max: float) -> Grid2D:
     the top of the ladder, so the same x-grid serves every Y (exact
     Dirichlet domain nesting).  The x-range is centred at 0, so the nodes
     are mirror-symmetric about 0 when the centers (images included) are.
-    The y-rows have spacing 1/_Y_ROWS_PER_UNIT, and on the line the x-range
+    The y-rows have spacing 1/_Y_ROWS_PER_UNIT when y_half is a multiple of
+    1/(2 _Y_ROWS_PER_UNIT), the y-lattice (otherwise, as `eig2d` allows, the
+    spacing 2 y_half/round(2 y_half _Y_ROWS_PER_UNIT)), and on the line the x-range
     is (-_X_HALF_WIDTH, _X_HALF_WIDTH).  The x-spacing never exceeds _H_MAX,
     so the grid has at least (x_hi - x_lo)/_H_MAX - 2 x-nodes per y-row; a
     range where that many pass NODE_CAP is refused before the walk.
@@ -454,8 +459,12 @@ def transition_scan(config: ModelConfig, y_ladder: list[float]) -> TransitionSca
     Each lambda0 carries its residual ||H x - lambda0 x||, which must be at
     most 1e-6 max(1, |lambda0|); by Weyl's bound an eigenvalue of the
     truncated operator lies that close.  The x-grid and the y spacing are
-    shared across the ladder, and the y-node sets nest, so Dirichlet domain
-    monotonicity of lambda0 is exact and is checked; it also makes each
+    shared across the ladder, whose rungs must lie on the y-lattice of
+    `scan_grid` (refused before any solve otherwise).  The y-node sets of
+    rungs whose 2 Y _Y_ROWS_PER_UNIT have one parity nest bit for bit
+    (`Grid2D.y_nodes`; across parities they are offset by h_y/2), so there
+    Dirichlet domain monotonicity of lambda0 is exact.  It is checked on
+    every ladder, and it also makes each
     previous lambda0 the eigensolver's guess, so a stabilizing ladder solves
     every later rung with a near shift.  Its first rung tries the shift
     just below sqrt(t_V) (t_V >= 0 the lowest channel threshold, estimated
@@ -497,6 +506,14 @@ def transition_scan(config: ModelConfig, y_ladder: list[float]) -> TransitionSca
     """
     if len(y_ladder) < 3 or any(b <= a for a, b in zip(y_ladder, y_ladder[1:])):
         raise ConfigurationError("Y ladder must be increasing with >= 3 entries")
+    lattice = 2 * _Y_ROWS_PER_UNIT
+    # `scan_grid` refuses a non-finite rung
+    if off := [y for y in y_ladder
+               if math.isfinite(y) and not float(lattice * y).is_integer()]:
+        raise ConfigurationError(
+            f"ladder rung Y = {off[0]!r} is off the y-lattice: each rung must be a "
+            f"multiple of 1/{lattice}, so that the rungs share the y-spacing "
+            f"1/{_Y_ROWS_PER_UNIT}")
     y_max = float(y_ladder[-1])
     sector = ("even-even" if config.is_even_in_x
               else "even" if config.is_even_in_y else "full")

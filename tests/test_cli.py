@@ -978,3 +978,104 @@ class TestStartup:
             out, err = capsys.readouterr()
             assert (exc.value.code, out, err) == (case["code"], case["stdout"],
                                                   case["stderr"]), case["args"]
+
+
+CONFIGS = Path(__file__).parents[1] / "configs"
+# the commands of perfbench/run.py's workloads, on the shipped configs
+BENCHMARK_COMMANDS = [
+    ["critical", "--config", str(CONFIGS / "single_channel.json"), "--tol", "1e-2"],
+    ["classify", "--config", str(CONFIGS / "two_channel.json")],
+    ["bound", "--config", str(CONFIGS / "single_channel.json")],
+    ["scan", "--config", str(CONFIGS / "single_channel.json"), "--ladder", "4,8,16",
+     "--format", "json"],
+    ["scan", "--config", str(CONFIGS / "supercritical.json"), "--ladder", "4,8,16",
+     "--format", "json"],
+    ["weyl", "--config", str(CONFIGS / "supercritical.json"), "--eps", "0.1,0.05,0.02",
+     "--format", "json"],
+]
+
+
+def run_process(args, env=None, **kwargs):
+    return subprocess.run([sys.executable, "-m", "smilansky_lab.cli", *args],
+                          env=env or env_with_src(), capture_output=True, timeout=120,
+                          **kwargs)
+
+
+class TestProcessExit:
+    """`process_main` ends the process through os._exit after `main`."""
+
+    @pytest.mark.parametrize("args", BENCHMARK_COMMANDS, ids=lambda a: a[0])
+    def test_stdout_is_the_in_process_output(self, args, capsys):
+        assert main(args) == 0
+        proc = run_process(args)
+        assert (proc.returncode, proc.stderr) == (0, b"")
+        assert proc.stdout == capsys.readouterr().out.encode()
+
+    def test_failed_certificate_writes_its_rows_and_exits_1(self, tmp_path, capsys):
+        cfg = json.loads((CONFIGS / "supercritical.json").read_text())
+        cfg["channels"][0]["lambda"] = 10.0
+        path = tmp_path / "lambda10.json"
+        path.write_text(json.dumps(cfg))
+        args = ["weyl", "--config", str(path), "--eps", "0.1,0.05,0.02"]
+        assert main(args) == 1
+        out, err = capsys.readouterr()
+        assert out.count("\n0.") == 3 and "# all_pass=false" in out
+        proc = run_process(args, text=True)
+        assert (proc.returncode, proc.stdout, proc.stderr) == (1, out, err)
+
+    def test_configuration_error_exits_2_with_one_line(self, tmp_path):
+        proc = run_process(["bound", "--config", str(tmp_path / "missing.json")], text=True)
+        assert proc.returncode == 2 and not proc.stdout
+        assert proc.stderr.startswith("configuration error: ")
+        assert proc.stderr.count("\n") == 1
+
+    @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+    @pytest.mark.parametrize("unbuffered", [True, False])
+    def test_full_stdout_exits_2_with_one_line(self, unbuffered):
+        # a raw OSError traceback and exit 1 unbuffered, and "Exception
+        # ignored" at the interpreter's final flush with exit 120 buffered
+        env = {k: v for k, v in env_with_src().items() if k != "PYTHONUNBUFFERED"}
+        if unbuffered:
+            env["PYTHONUNBUFFERED"] = "1"
+        with open("/dev/full", "w") as full:
+            proc = subprocess.run(
+                [sys.executable, "-m", "smilansky_lab.cli", "bound", "--config",
+                 str(CONFIGS / "single_channel.json")],
+                env=env, stdout=full, stderr=subprocess.PIPE, text=True, timeout=60)
+        assert proc.returncode == 2
+        assert proc.stderr == ("configuration error: cannot write <stdout>: "
+                               "No space left on device\n")
+
+    def test_atexit_handlers_run_and_teardown_is_skipped(self, tmp_path):
+        # a handler registered before the module runs as __main__ still runs,
+        # and what it prints unflushed still reaches stdout; a __main__ global
+        # that the interpreter's teardown would collect is never collected
+        code = ("import atexit, runpy, sys\n"
+                "class Teardown:\n"
+                "    def __del__(self):\n"
+                "        print('teardown', flush=True)\n"
+                "kept = Teardown()\n"
+                "atexit.register(print, 'handler')\n"
+                f"sys.argv = ['smilansky-lab', 'bound', '--config', "
+                f"{str(CONFIGS / 'single_channel.json')!r}]\n"
+                "runpy.run_module('smilansky_lab.cli', run_name='__main__')\n")
+        env = {k: v for k, v in env_with_src().items() if k != "PYTHONUNBUFFERED"}
+        proc = subprocess.run([sys.executable, "-c", code], env=env,
+                              capture_output=True, text=True, timeout=60)
+        assert (proc.returncode, proc.stderr) == (0, "")
+        payload, handler = proc.stdout.splitlines()
+        assert "global_lower_bound" in json.loads(payload) and handler == "handler"
+
+    def test_script_target_is_the_main_block(self):
+        tomllib = pytest.importorskip("tomllib")
+        import ast
+
+        root = Path(__file__).parents[1]
+        scripts = tomllib.loads((root / "pyproject.toml").read_text())["project"]["scripts"]
+        tree = ast.parse(Path(cli.__file__).read_text())
+        block, = [node for node in tree.body if isinstance(node, ast.If)
+                  and ast.unparse(node.test) == "__name__ == '__main__'"]
+        call, = [node.value for node in block.body]
+        assert ast.unparse(call) == "process_main()"
+        assert scripts["smilansky-lab"] == "smilansky_lab.cli:process_main"
+        assert callable(cli.process_main)

@@ -313,6 +313,25 @@ class TestScan:
             with pytest.raises(ConfigurationError, match="finite truncation"):
                 grid2d.transition_scan(ModelConfig(omega=1.0), bad)
 
+    @pytest.mark.parametrize("ladder", ["4,8.02,16", "4,7.96,8"])
+    def test_rungs_off_the_y_lattice_are_refused_before_any_solve(self, ladder, monkeypatch,
+                                                                  capsys):
+        # each of these rungs took its own y-spacing 2Y/round(24 Y), so the
+        # y-nodes did not nest and the scan exited 1: "lambda0 increased"
+        from smilansky_lab.cli import main
+
+        def no_solve(*args, **kwargs):
+            raise AssertionError("a 2D grid was assembled or solved")
+
+        monkeypatch.setattr(grid2d, "assemble_h2d", no_solve)
+        monkeypatch.setattr(grid2d, "lowest_eigenvalues", no_solve)
+        cfg = Path(__file__).parents[1] / "configs" / "single_channel.json"
+        assert main(["scan", "--config", str(cfg), "--ladder", ladder]) == 2
+        out, err = capsys.readouterr()
+        assert not out and err.count("\n") == 1
+        assert err.startswith(f"configuration error: ladder rung Y = {ladder.split(',')[1]} "
+                              "is off the y-lattice: each rung must be a multiple of 1/24")
+
     def test_zero_channel_scan_subcritical(self, monkeypatch):
         # start the ladder at Y = 3 so the y-truncation error of the
         # oscillator mode is already below the stability tolerance
@@ -547,6 +566,24 @@ class TestEvenSector:
         assert np.allclose([r.lambda0 for r in scan.rows], want, rtol=1e-12, atol=0.0)
         with pytest.raises(ConfigurationError, match="even"):
             grid2d.assemble_h2d(cfg, grids[0], "even")
+
+    @pytest.mark.parametrize("name", ["single_channel", "supercritical"])
+    def test_rungs_are_the_trailing_rows_of_the_top_rung(self, name):
+        # the y-nodes are multiples of the shared h_y, so the folded blocks
+        # of Y = 4 and 8 are bit for bit the rows nearest y = 0 of Y = 16's
+        # (linspace placed the shared nodes up to 1.8e-15 apart)
+        cfg = load_config(str(Path(__file__).parents[1] / "configs" / f"{name}.json"))
+        top_grid = grid2d.scan_grid(cfg, 16.0, 16.0)
+        top = grid2d.assemble_h2d(cfg, top_grid, "even-even").op
+        for y in (4.0, 8.0):
+            grid = grid2d.scan_grid(cfg, y, 16.0)
+            op = grid2d.assemble_h2d(cfg, grid, "even-even").op
+            rows = len(op.d)
+            skip = (top_grid.n_y - grid.n_y) // 2
+            assert np.array_equal(grid.y_nodes, top_grid.y_nodes[skip:-skip])
+            assert np.array_equal(op.bx, top.bx)
+            assert np.array_equal(op.d, top.d[-rows:])
+            assert np.array_equal(op.c, top.c[-(rows - 1):])
 
     @pytest.mark.parametrize("name", ["single_channel", "supercritical"])
     def test_shipped_scans_keep_the_full_operator_lambda0(self, name, caplog):
