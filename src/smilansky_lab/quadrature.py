@@ -52,7 +52,7 @@ def gauss_rule(order: int) -> tuple[tuple[float, ...], tuple[float, ...]]:
     return nodes, weights
 
 
-def gauss_panels(edges: Sequence[float], order: int = 16) -> tuple[list[float], list[float]]:
+def gauss_panels(edges: Sequence[float], order: int) -> tuple[list[float], list[float]]:
     """Nodes and weights of a composite Gauss-Legendre rule on the given panel edges."""
     x, w = gauss_rule(order)
     nodes: list[float] = []
@@ -72,7 +72,7 @@ def linspace(lo: float, hi: float, num: int) -> list[float]:
     return [i * step + lo for i in range(num - 1)] + [hi]
 
 
-def log_panels(lo: float, hi: float, per_unit: float = 4.0) -> list[float]:
+def log_panels(lo: float, hi: float, per_unit: float) -> list[float]:
     """Panel edges geometric in z, i.e. uniform in ln z, for integrands
     smooth in ln z; the first edge is lo and the last hi, exactly."""
     if not (0.0 < lo < hi):

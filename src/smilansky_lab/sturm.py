@@ -80,13 +80,13 @@ def cyclic_sturm_count(d: Sequence[float], e: float, corner: float,
     return count + (s < pivmin), s
 
 
-def bisect_count(count: Callable[[float], tuple[int, Optional[float]]], lo: float,
+def bisect_count(count: Callable[[float], tuple[int, float]], lo: float,
                  hi: float, tol: float) -> tuple[float, float, int]:
     """Bracket the point where a nondecreasing integer function n leaves 0.
 
     count(x) returns (n(x), g(x)): g a last pivot, which changes sign where
-    n leaves 0, or None.  n need only be monotone beyond tol, the rounding
-    level of the count: n(x) <= n(y) where y - x > tol.  On entry
+    n leaves 0.  n need only be monotone beyond tol, the rounding level of
+    the count: n(x) <= n(y) where y - x > tol.  On entry
     n(lo) == 0 < n(hi); on exit hi - lo <= tol, or lo and hi are adjacent
     floats.  Returns (lo, hi, steps), exactly those of the plain bisection
     that counts every midpoint, after counting at most steps + 2 points.
@@ -120,11 +120,11 @@ def bisect_count(count: Callable[[float], tuple[int, Optional[float]]], lo: floa
             if n:
                 if gb is not None:
                     last = b, gb
-                b, gb = x, g if n == 1 and g is not None and g < 0.0 else None
+                b, gb = x, g if n == 1 and g < 0.0 else None
             else:
                 if ga is not None:
                     last = a, ga
-                a, ga = x, g if g is not None and g > 0.0 else None
+                a, ga = x, g if g > 0.0 else None
         return n
 
     while hi - lo > tol:

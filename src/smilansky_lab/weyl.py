@@ -150,12 +150,12 @@ def _bridge_moments(bridge: tuple, z0: float) -> list[float]:
     return [math.fsum(col) for col in zip(*terms)]
 
 
-class CutoffFunction:
+class CutoffFunction(namedtuple("CutoffFunction", "k c premass mass_over_z j_weighted "
+                                "m_chi2 m_dchi2 m_ddchi2 m_z5 pieces")):
     """C^2 cutoff on [1, k]: cubic-log rise, logarithmic descent, and quintic
     Hermite interpolants bridging (sqrt(k), sqrt(k)+1) and (k-1, k].
 
-    Every attribute follows from k; `build_cutoff` builds one per k and
-    shares it, and copy and pickle return that one.  `c` is the
+    Every field follows from k, and `build_cutoff` computes them.  `c` is the
     normalization making the weighted mass int_1^k chi^2/z dz = 1, and
     `premass` = int_1^sqrt(k) chi_tilde^2 / z dz before it.  The moments are
     `mass_over_z` = int chi^2 / z dz (= 1 by construction), `j_weighted` =
@@ -170,40 +170,7 @@ class CutoffFunction:
     k - 1 == k in float64 (k >= 2^53) is harmless.
     """
 
-    def __init__(self, k: float):
-        if not 16.0 <= k < math.inf:
-            raise ConfigurationError(f"cutoff requires a finite k >= 16, got {k!r}")
-        k = float(k)
-        L = math.log(k)
-        z1, z2, z3 = math.sqrt(k), math.sqrt(k) + 1.0, k - 1.0
-        rise = [[0.0, 0.0, 0.0, 8.0 / L**3]]
-        descent = [[0.0, -2.0 / L]]
-        for r in (rise, descent):
-            r += [_poly_der(r[0]), _poly_der(_poly_der(r[0]))]
-        v2 = math.log1p(1.0 / z1) - 0.5 * L      # ln(sqrt(k) + 1) - ln k
-        v3 = math.log1p(-1.0 / k)                # ln(k - 1) - ln k
-        # the rise ends at exactly 1, so the first bridge runs from an offset
-        # of 0 to the descent's -2 log1p(1/sqrt(k)) / L, exact where a
-        # difference of two values near 1 would carry its rounding (1e-16
-        # over a unit width, a spurious slope that z chi'^2 weighs with
-        # z ~ sqrt(k))
-        first = (1.0, (0.0,) + _log_jet(rise, 0.5 * L, z1)[1:],
-                 (-2.0 * math.log1p(1.0 / z1) / L,) + _log_jet(descent, v2, z2)[1:])
-        last = (0.0, _log_jet(descent, v3, z3), (0.0, 0.0, 0.0))
-        rise_m = _log_moments(rise, 0.0, 0.5 * L, 1.0, z1)
-        raw = [math.fsum(parts) for parts in zip(
-            rise_m, _bridge_moments(first, z1), _log_moments(descent, v2, v3, z2, z3),
-            _bridge_moments(last, z3))]
-        self.k, self.c, self.premass = k, raw[0] ** -0.5, rise_m[0]
-        (self.mass_over_z, self.j_weighted, self.m_chi2, self.m_dchi2, self.m_ddchi2,
-         self.m_z5) = (self.c * self.c * m for m in raw)
-        self.pieces = (rise, descent, first, last)
-
-    def __reduce__(self):
-        return build_cutoff, (self.k,)
-
-    def __repr__(self) -> str:
-        return f"build_cutoff({self.k!r})"
+    __slots__ = ()
 
     @property
     def breaks(self) -> tuple[float, float, float]:
@@ -211,7 +178,36 @@ class CutoffFunction:
         return rk, rk + 1.0, self.k - 1.0
 
 
-_CUTOFF_CACHE: dict[float, CutoffFunction] = {}
+def build_cutoff(k: float) -> CutoffFunction:
+    """The cutoff for a finite ladder parameter k >= 16."""
+    if not 16.0 <= k < math.inf:
+        raise ConfigurationError(f"cutoff requires a finite k >= 16, got {k!r}")
+    k = float(k)
+    L = math.log(k)
+    z1, z2, z3 = math.sqrt(k), math.sqrt(k) + 1.0, k - 1.0
+    rise = [[0.0, 0.0, 0.0, 8.0 / L**3]]
+    descent = [[0.0, -2.0 / L]]
+    for r in (rise, descent):
+        r += [_poly_der(r[0]), _poly_der(_poly_der(r[0]))]
+    v2 = math.log1p(1.0 / z1) - 0.5 * L      # ln(sqrt(k) + 1) - ln k
+    v3 = math.log1p(-1.0 / k)                # ln(k - 1) - ln k
+    # the rise ends at exactly 1, so the first bridge runs from an offset
+    # of 0 to the descent's -2 log1p(1/sqrt(k)) / L, exact where a
+    # difference of two values near 1 would carry its rounding (1e-16
+    # over a unit width, a spurious slope that z chi'^2 weighs with
+    # z ~ sqrt(k))
+    first = (1.0, (0.0,) + _log_jet(rise, 0.5 * L, z1)[1:],
+             (-2.0 * math.log1p(1.0 / z1) / L,) + _log_jet(descent, v2, z2)[1:])
+    last = (0.0, _log_jet(descent, v3, z3), (0.0, 0.0, 0.0))
+    rise_m = _log_moments(rise, 0.0, 0.5 * L, 1.0, z1)
+    raw = [math.fsum(parts) for parts in zip(
+        rise_m, _bridge_moments(first, z1), _log_moments(descent, v2, v3, z2, z3),
+        _bridge_moments(last, z3))]
+    c = raw[0] ** -0.5
+    return CutoffFunction(k, c, rise_m[0], *(c * c * m for m in raw),
+                          (rise, descent, first, last))
+
+
 # y = n_k z runs up to k n_k, and the residual takes y^4: it stays finite in
 # float64 while k n_k <= 2^255
 _MAX_KN = 2.0**255
@@ -239,14 +235,6 @@ def _first_ladder_pow(eps: float) -> int:
             f"J(k) < {eps} needs k >= {need} > 2^{_MAX_K_POW}, the largest "
             f"ladder k with (k n_k)^4 finite in float64")
     return math.floor(x) + 1
-
-
-def build_cutoff(k: float) -> CutoffFunction:
-    """The cutoff for a finite ladder parameter k >= 16, built on the first
-    call for that k and shared by every later one."""
-    if k not in _CUTOFF_CACHE:
-        _CUTOFF_CACHE[k] = CutoffFunction(k)
-    return _CUTOFF_CACHE[k]
 
 
 # --- phase rule -------------------------------------------------------------
@@ -464,8 +452,8 @@ def suppressed_term_bounds(cut: CutoffFunction, n_k: int, mom: dict,
 
 
 def choose_parameters(eps: float, gs: GroundState, mu: float = 0.0,
-                      min_n: int = 1) -> tuple[float, int]:
-    """Deterministic (k, n_k) selection.
+                      min_n: int = 1) -> tuple[CutoffFunction, int]:
+    """Deterministic (k, n_k) selection; returns the cutoff for k and n_k.
 
     k is the smallest power of two from 16 to 2^126 with weighted derivative
     mass J(k) < eps; 2^126 is the largest k whose smallest n_k = 4k keeps
@@ -512,7 +500,7 @@ def choose_parameters(eps: float, gs: GroundState, mu: float = 0.0,
         bounds = suppressed_term_bounds(cut, n, mom, mu, e_mag)
         total = sum(bounds.values())
         if corr < 1.0 / 16.0 and total < eps and phase.is_real_from(n):
-            return cut.k, n
+            return cut, n
         n *= 2
     worst = max(bounds, key=bounds.get)
     raise ComputationError(
@@ -639,7 +627,6 @@ class CertificateRow(NamedTuple):
     normalized_residual: float
     bound_9eps: float
     support: tuple[float, float]
-    main_term: float
     correction_term: float
 
 
@@ -655,8 +642,8 @@ def weyl_certificate(config, gs: GroundState, mu: float,
         raise ConfigurationError("eps ladder is empty")
     if any(not 0.0 < e < 1.0 for e in eps_ladder):
         raise ConfigurationError("eps ladder entries must lie in (0, 1)")
-    if sorted(eps_ladder, reverse=True) != list(eps_ladder):
-        raise ConfigurationError("eps ladder must be decreasing")
+    if any(a <= b for a, b in zip(eps_ladder, eps_ladder[1:])):
+        raise ConfigurationError("eps ladder must be strictly decreasing")
     _first_ladder_pow(eps_ladder[-1])  # fail before building any cutoff
     dom = config.x_domain
 
@@ -670,19 +657,18 @@ def weyl_certificate(config, gs: GroundState, mu: float,
         need = max(need, 2.0 * _ground_moments(gs).t_max / dom.c)
     min_n = math.ceil(min(need, _MAX_KN))
     for eps in eps_ladder:
-        k, n_k = choose_parameters(eps, gs, mu, min_n=min_n)
-        qm = QuasiMode(mu=mu, cutoff=build_cutoff(k), n_k=n_k, gs=gs, x_domain=dom)
+        cut, n_k = choose_parameters(eps, gs, mu, min_n=min_n)
+        qm = QuasiMode(mu=mu, cutoff=cut, n_k=n_k, gs=gs, x_domain=dom)
         nr = quasimode_norm(qm)
         res = residual_norm(qm)
         rows.append(CertificateRow(
-            eps=eps, k=k, n_k=n_k, norm=nr.norm, residual=res,
+            eps=eps, k=cut.k, n_k=n_k, norm=nr.norm, residual=res,
             normalized_residual=res / nr.norm,
             # 9 sup(phi)^2 eps, with sup phi = 1 on an interval too
             bound_9eps=9.0 * eps,
-            support=qm.support, main_term=nr.main_term,
-            correction_term=nr.correction_term,
+            support=qm.support, correction_term=nr.correction_term,
         ))
-        min_n = int(k * n_k)
+        min_n = int(cut.k * n_k)
     return rows
 
 

@@ -337,6 +337,31 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert "computation failed:" in err and "k >= 2^128 > 2^126" in err
 
+    @pytest.mark.parametrize("eps", ["0.1,0.1", "0.1,0.05,0.05"])
+    def test_weyl_repeated_eps_is_2(self, capsys, monkeypatch, eps):
+        # a repeated eps computed every row and then failed the
+        # normalized_residual_decreasing check with exit 1; like a repeated
+        # `scan` rung, it is refused before any cutoff is built
+        def no_cutoff(k):
+            raise AssertionError(f"cutoff built for k={k}")
+
+        monkeypatch.setattr(weyl, "build_cutoff", no_cutoff)
+        assert main(["weyl", "--config", str(CONFIGS / "supercritical.json"),
+                     "--eps", eps]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == "configuration error: eps ladder must be strictly decreasing\n"
+
+    def test_weyl_builds_one_cutoff_per_row(self, capsys, monkeypatch):
+        # choose_parameters hands the cutoff it selected to the quasi-mode,
+        # so nothing is built twice or looked up again by k
+        built = []
+        real = weyl.build_cutoff
+        monkeypatch.setattr(weyl, "build_cutoff", lambda k: built.append(k) or real(k))
+        assert main(["weyl", "--config", str(CONFIGS / "supercritical.json"),
+                     "--eps", "0.1,0.05,0.02"]) == 0
+        assert len(built) == len(set(built)) == 3
+
     @pytest.mark.parametrize("args", [["weyl", "--eps", ""], ["weyl", "--eps", ","],
                                       ["scan", "--ladder", ""]],
                              ids=lambda args: " ".join(args))

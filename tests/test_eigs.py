@@ -21,14 +21,14 @@ def dirichlet_laplacian(n):
 def smallest_by_count(d, e, m, tol):
     """The m smallest eigenvalues of the symmetric tridiagonal T with
     diagonal d and every off-diagonal entry e: the j-th is where the Sturm
-    count passes j, bisected to width tol (without a last pivot, which
-    steers only toward the lowest)."""
+    count passes j, bisected to width tol (with the last pivot 0.0, which
+    never steers: the true one steers only toward the lowest)."""
     # the spectrum lies in [-||T||_inf, ||T||_inf], ||T||_inf the largest
     # absolute row sum (Gershgorin)
     hi = float(np.max(np.abs(d))) + 2.0 * abs(e) + 1.0
     lo = -hi
     d = d.tolist()
-    return np.array([0.5 * sum(bisect_count(lambda x: (sturm_count(d, e * e, x)[0] > j, None),
+    return np.array([0.5 * sum(bisect_count(lambda x: (sturm_count(d, e * e, x)[0] > j, 0.0),
                                             lo, hi, tol)[:2]) for j in range(m)])
 
 

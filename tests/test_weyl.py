@@ -89,12 +89,11 @@ class TestCutoff:
         assert abs(mass - 1.0) < 1e-9
 
     def test_copy_and_pickle_keep_the_pieces(self):
-        # every attribute follows from k: a copy or an unpickled cutoff is
-        # rebuilt through build_cutoff, which returns the one cached per k
+        # a plain record: a copy or an unpickled cutoff equals the original,
+        # field by field, pieces included
         cut = weyl.build_cutoff(2.0**8)
         for twin in (copy.copy(cut), copy.deepcopy(cut), pickle.loads(pickle.dumps(cut))):
-            assert twin is cut and twin.pieces is cut.pieces
-        assert repr(cut) == "build_cutoff(256.0)"
+            assert type(twin) is weyl.CutoffFunction and twin == cut
 
     def test_junction_continuity(self):
         cut = weyl.build_cutoff(2.0**8)
@@ -164,9 +163,9 @@ class TestCutoff:
 
 class TestParameterSelection:
     def test_regression_pairs(self, gs_minus1):
-        for eps, (k, n_k) in PARAMS_REGRESSION.items():
-            got = weyl.choose_parameters(eps, gs_minus1)
-            assert got == (k, n_k)
+        for eps, want in PARAMS_REGRESSION.items():
+            cut, n_k = weyl.choose_parameters(eps, gs_minus1)
+            assert (cut.k, n_k) == want
 
     def test_search_start_matches_exhaustive_scan(self, gs_minus1, monkeypatch):
         eps_values = list(np.geomspace(0.0175, 0.99, 22)[1:-1])
@@ -174,10 +173,15 @@ class TestParameterSelection:
         for p in (8, 23, 40, 52):
             edge = 588.0 / 25.0 / (p * np.log(2.0)) ** 2
             eps_values += [np.nextafter(edge, 0.0), edge, np.nextafter(edge, 1.0)]
-        direct = [weyl.choose_parameters(eps, gs_minus1) for eps in eps_values]
+
+        def select(eps):
+            cut, n_k = weyl.choose_parameters(eps, gs_minus1)
+            return cut.k, n_k
+
+        direct = [select(eps) for eps in eps_values]
         # scanning every p from 4, as with no lower bound on k
         monkeypatch.setattr(weyl, "_first_ladder_pow", lambda eps: 4)
-        exhaustive = [weyl.choose_parameters(eps, gs_minus1) for eps in eps_values]
+        exhaustive = [select(eps) for eps in eps_values]
         assert direct == exhaustive
 
     def test_eps_past_the_ladder_fails_before_any_cutoff(self, gs_minus1, monkeypatch):
@@ -196,8 +200,8 @@ class TestParameterSelection:
 
     def test_eps_below_the_old_float64_resolution_limit(self, gs_minus1):
         # eps = 0.015 needs k = 2^58, where k - 1 == k in float64
-        k, n_k = weyl.choose_parameters(0.015, gs_minus1)
-        assert k == 2.0**58 and n_k >= 4 * k
+        cut, n_k = weyl.choose_parameters(0.015, gs_minus1)
+        assert cut.k == 2.0**58 and n_k >= 4 * cut.k
 
     @pytest.mark.parametrize("mu", [1e300, -1e300, 1e150, -1e150])
     def test_huge_mu_exhausts_the_n_k_search(self, gs_minus1, mu):
@@ -216,14 +220,14 @@ class TestParameterSelection:
             assert abs(mom[name] - want) <= 1e-12 * want, (name, mom[name], want)
 
     def test_k_monotone_in_eps(self, gs_minus1):
-        k1, _ = weyl.choose_parameters(0.1, gs_minus1)
-        k2, _ = weyl.choose_parameters(0.05, gs_minus1)
-        assert k2 >= k1
+        cut1, _ = weyl.choose_parameters(0.1, gs_minus1)
+        cut2, _ = weyl.choose_parameters(0.05, gs_minus1)
+        assert cut2.k >= cut1.k
 
     def test_disjointness_rule(self, gs_minus1):
-        k1, n1 = weyl.choose_parameters(0.1, gs_minus1)
-        k2, n2 = weyl.choose_parameters(0.05, gs_minus1, min_n=int(k1 * n1))
-        assert n2 > k1 * n1
+        cut1, n1 = weyl.choose_parameters(0.1, gs_minus1)
+        _, n2 = weyl.choose_parameters(0.05, gs_minus1, min_n=int(cut1.k * n1))
+        assert n2 > cut1.k * n1
 
     def test_bad_eps_rejected(self, gs_minus1):
         for eps in (0.0, 1.0, -0.2):
@@ -260,9 +264,8 @@ class TestResidualIdentity:
 
 class TestQuasiMode:
     def test_norm_terms(self, gs_minus1):
-        k, n_k = weyl.choose_parameters(0.1, gs_minus1)
-        qm = weyl.QuasiMode(mu=0.0, cutoff=weyl.build_cutoff(k), n_k=n_k,
-                            gs=gs_minus1)
+        cut, n_k = weyl.choose_parameters(0.1, gs_minus1)
+        qm = weyl.QuasiMode(mu=0.0, cutoff=cut, n_k=n_k, gs=gs_minus1)
         nr = weyl.quasimode_norm(qm)
         assert abs(nr.main_term - 1.0) < 1e-6
         assert nr.correction_term < 1.0 / 16.0
@@ -281,9 +284,8 @@ class TestQuasiMode:
         assert qm.support == (64.0, 1024.0)
 
     def test_residual_bound(self, gs_minus1):
-        k, n_k = weyl.choose_parameters(0.1, gs_minus1)
-        qm = weyl.QuasiMode(mu=0.0, cutoff=weyl.build_cutoff(k), n_k=n_k,
-                            gs=gs_minus1)
+        cut, n_k = weyl.choose_parameters(0.1, gs_minus1)
+        qm = weyl.QuasiMode(mu=0.0, cutoff=cut, n_k=n_k, gs=gs_minus1)
         r = weyl.residual_norm(qm)
         assert r**2 <= 0.9 * (1.0 + 1e-6)
 
@@ -315,15 +317,13 @@ class TestQuasiMode:
     def test_residual_tracks_4ej(self, gs_minus1):
         # the surviving term is 2 theta' chi'/n_k; its square integrates to
         # 4 E J(k) up to n_k-suppressed corrections
-        k, n_k = weyl.choose_parameters(0.1, gs_minus1)
-        cut = weyl.build_cutoff(k)
+        cut, n_k = weyl.choose_parameters(0.1, gs_minus1)
         qm = weyl.QuasiMode(mu=0.0, cutoff=cut, n_k=n_k, gs=gs_minus1)
         r = weyl.residual_norm(qm)
         assert abs(r**2 - 4.0 * (-gs_minus1.e0) * cut.j_weighted) < 1e-4
 
     def test_mu_pair_symmetry(self, gs_minus1):
-        k, n_k = weyl.choose_parameters(0.1, gs_minus1)
-        cut = weyl.build_cutoff(k)
+        cut, n_k = weyl.choose_parameters(0.1, gs_minus1)
         rp = weyl.residual_norm(weyl.QuasiMode(mu=0.8, cutoff=cut, n_k=n_k,
                                                gs=gs_minus1))
         rm = weyl.residual_norm(weyl.QuasiMode(mu=-0.8, cutoff=cut, n_k=n_k,
@@ -338,8 +338,8 @@ class TestZRule:
         # on the rise and the descent the integrand is a polynomial in ln z
         # times e^{cu}: order-10 panels 1 per unit of ln z agree with 4 per
         # unit to rounding, down to eps = 0.005 (k = 2^99)
-        k, n_k = weyl.choose_parameters(eps, gs_shipped, mu)
-        qm = weyl.QuasiMode(mu=mu, cutoff=weyl.build_cutoff(k), n_k=n_k, gs=gs_shipped)
+        cut, n_k = weyl.choose_parameters(eps, gs_shipped, mu)
+        qm = weyl.QuasiMode(mu=mu, cutoff=cut, n_k=n_k, gs=gs_shipped)
         got = weyl.residual_norm(qm)
         monkeypatch.setattr(weyl, "_Z_PANELS_PER_UNIT", 4.0)
         want = weyl.residual_norm(qm)
