@@ -23,13 +23,10 @@ smilansky_lab.cli`) runs `process_main`, which ends through `os._exit`
 once `main` has returned: it flushes stdout and stderr and runs the atexit
 handlers, so a wrapper's coverage, logging or temp-file cleanup still
 happens, but skips the interpreter's teardown of every imported module and
-its final garbage collections.  That teardown is most of what a command
-costs after its output: `python -c "import numpy"` takes 103 ms, 90 ms
-ending through `os._exit`, and `critical --tol 1e-2` 62 ms, 55 ms
-(medians of 21 alternating runs, 2 vCPUs, Python 3.11).  An exception or
-SystemExit out of `main` (`--help`, a usage error, a bug) takes Python's
-normal exit, and `main` itself, the library and test entry, returns its
-exit code and never exits.
+its final garbage collections, most of what a command costs after its
+output.  An exception or SystemExit out of `main` (`--help`, a usage
+error, a bug) takes Python's normal exit, and `main` itself, the library
+and test entry, returns its exit code and never exits.
 """
 
 from __future__ import annotations

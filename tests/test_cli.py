@@ -1,5 +1,7 @@
 import json
 import os
+import re
+import shlex
 import subprocess
 import sys
 import warnings
@@ -1018,6 +1020,44 @@ BENCHMARK_COMMANDS = [
     ["weyl", "--config", str(CONFIGS / "supercritical.json"), "--eps", "0.1,0.05,0.02",
      "--format", "json"],
 ]
+
+
+README = CONFIGS.parent / "README.md"
+
+
+def readme_commands():
+    """The `smilansky-lab` lines of the README's sh blocks."""
+    blocks = re.findall(r"^```sh\n(.*?)^```", README.read_text(), re.M | re.S)
+    return [line for block in blocks for line in block.splitlines()
+            if line.startswith("smilansky-lab ")]
+
+
+def documented_run(line):
+    """A README line's arguments, and the exit code of its `# exit N`
+    comment, 0 without one."""
+    command, _, comment = line.partition("#")
+    code = re.fullmatch(r"\s*exit ([012])\s*", comment)
+    assert code or not comment, f"unknown comment in {line!r}"
+    return shlex.split(command)[1:], int(code.group(1)) if code else 0
+
+
+class TestReadme:
+    """The README's command lines run as written, from the repository root."""
+
+    @pytest.mark.parametrize("line", readme_commands())
+    def test_line_exits_as_documented(self, line, monkeypatch, capsys):
+        args, code = documented_run(line)
+        monkeypatch.chdir(README.parent)
+        assert main(args) == code, capsys.readouterr().err
+
+    def test_lines_cover_every_command_and_both_failures(self):
+        runs = [documented_run(line) for line in readme_commands()]
+        shipped = {f"configs/{path.name}" for path in CONFIGS.glob("*.json")}
+        for args, _ in runs:
+            assert args.count("--config") == 1, args
+            assert args[args.index("--config") + 1] in shipped, args
+        assert {args[0] for args, _ in runs} == set(cli._COMMANDS)
+        assert {1, 2} <= {code for _, code in runs}
 
 
 def run_process(args, env=None, **kwargs):
