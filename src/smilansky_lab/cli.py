@@ -1,10 +1,11 @@
 """Command-line surface.
 
 Every command loads a JSON model configuration, dispatches to one library
-operation, and writes CSV or JSON with a reproducibility header (config
-hash, parameters with their defaults filled in, seed).  Exit codes: 0
-success, 1 computation failure (including a `weyl` certificate whose checks
-fail, after its rows are written), 2 configuration error.
+operation, and writes JSON, or CSV for `scan` and `weyl`, with a
+reproducibility header (config hash, parameters with their defaults filled
+in, seed).  Exit codes: 0 success, 1 computation failure (including a
+`weyl` certificate whose checks fail, after its rows are written), 2
+configuration error.
 
 `_COMMANDS` declares each command's parameters once, for the flags of
 `main` and the checks and defaults of `RunRequest`.
@@ -79,6 +80,8 @@ _COMMANDS = {
     "classify": ("t_V classification", [("tol", float, 1e-6)]),
     "bound": ("global lower bound", []),
 }
+# the commands that write CSV (their default) as well as JSON
+_CSV_COMMANDS = ("scan", "weyl")
 
 
 class RunRequest(Checked, namedtuple("RunRequest", "command config_path params output fmt")):
@@ -93,6 +96,9 @@ class RunRequest(Checked, namedtuple("RunRequest", "command config_path params o
             raise ConfigurationError(f"unknown command {command!r}")
         if fmt not in ("csv", "json"):
             raise ConfigurationError(f"unknown output format {fmt!r}")
+        if fmt == "csv" and command not in _CSV_COMMANDS:
+            raise ConfigurationError(f"{command} writes JSON only; CSV is for "
+                                     f"{' and '.join(_CSV_COMMANDS)}")
         spec = _COMMANDS[command][1]
         given = {} if params is None else params
         if unknown := set(given) - {name for name, *_ in spec}:
@@ -158,7 +164,6 @@ def run(request: RunRequest) -> int:
     try:
         config = load_config(request.config_path)
         command, p = request.command, request.params
-        body = None  # the CSV rows, for the commands that have them
         if command == "critical":
             ch = _line_channel(config, command)
             payload = {"lambda_crit": critical_coupling(config.omega, ch.profile,
@@ -220,7 +225,7 @@ def run(request: RunRequest) -> int:
             payload = {"global_lower_bound": bracketing.global_lower_bound(config)}
         meta = {"command": command, "config_sha256": _config_hash(request.config_path),
                 "seed": _SEED, "params": dict(sorted(p.items()))}
-        if request.fmt == "csv" and body is not None:
+        if request.fmt == "csv":
             text = "".join(f"# {k}={json.dumps(v, sort_keys=True)}\n"
                            for k, v in meta.items()) + body
         else:
@@ -271,7 +276,7 @@ def main(argv: Optional[list[str]] = None) -> int:
         params = {name: _parse_floats(value) if kind is list else value
                   for name, kind, *_ in _COMMANDS[args.command][1]
                   if (value := getattr(args, name)) is not None}
-        fmt = args.fmt or ("csv" if args.command in ("scan", "weyl") else "json")
+        fmt = args.fmt or ("csv" if args.command in _CSV_COMMANDS else "json")
         request = RunRequest(command=args.command, config_path=args.config,
                              params=params, output=args.output, fmt=fmt)
     except ConfigurationError as exc:

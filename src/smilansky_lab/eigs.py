@@ -81,9 +81,7 @@ def _block_ldlt(h: BlockTridiagonal, sigma: float) -> Optional[list[np.ndarray]]
     or None at the first S_j that is not positive definite.  Every S_j is
     positive definite exactly when h - sigma is (Sylvester's law of
     inertia).  One Cholesky factor certifies each S_j, and one LAPACK
-    inverse inverts it: best of 7 x 300 on 2 vCPUs, 42-50 us per pivot of
-    order 35 (the shipped scans' even-even blocks) and 142-173 us at order
-    69 (full-sector `eig2d`)."""
+    inverse inverts it."""
     n_x = h.bx.shape[0]
     base = h.bx - sigma * np.eye(n_x)
     diag = np.diag_indices(n_x)
@@ -167,9 +165,8 @@ def _lanczos(inv: list[np.ndarray], c: list[float], w: np.ndarray, k: int,
         b = _orthogonalize(done, w)
         last = m == min(n, steps)
         # past 25 rows LAPACK's eigh switches to divide and conquer, and
-        # with threaded BLAS one call costs about a solve of a scan rung
-        # (~1.4 ms at m = 47 on 2 threads), so from m = 24 on the test runs
-        # on every (m // 12)-th step only
+        # with threaded BLAS one call costs about a solve of a scan rung, so
+        # from m = 24 on the test runs on every (m // 12)-th step only
         if m >= k and (m < 24 or m % (m // 12) == 0 or last):
             mus, s = np.linalg.eigh(np.diag(alpha) + np.diag(beta, 1)
                                     + np.diag(beta, -1))

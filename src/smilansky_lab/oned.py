@@ -53,11 +53,10 @@ from __future__ import annotations
 import math
 import sys
 from collections import namedtuple
-from functools import partial
 from typing import Callable, NamedTuple, Optional, Sequence
 
 from .errors import ComputationError, ConfigurationError, RefinementError, _debug
-from .model import NODE_CAP, Checked, PotentialProfile, XDomain, profile_values
+from .model import NODE_CAP, Checked, PotentialProfile, XDomain, _check_depth, profile_values
 from .sturm import bisect_count, cyclic_sturm_count, lowest_eigenvector, sturm_count
 
 __all__ = [
@@ -336,32 +335,21 @@ def coarse_threshold(spec: ComparisonSpec) -> float:
     return _chain_threshold(spec.omega, spec.lam, spec.profile, *level)[0]
 
 
-class GroundState:
+class GroundState(namedtuple("GroundState",
+                             "e0 samples nodes spacing lam omega profile interpolant")):
     """Minimal eigenpair of the discretized comparison operator on the line.
 
     `samples` u_j live on the uniform `nodes` of spacing h (the support chain
     and a few exterior nodes on each side), normalized so that
-    sum(u_j^2) h = 1 over the whole chain, and positive.  The C^2 quintic Hermite
-    interpolant matches the sampled values, fourth-order finite difference
-    first derivatives, and ODE-exact second derivatives at the nodes; beyond
+    sum(u_j^2) h = 1 over the whole chain, and positive.  `interpolant` holds
+    the nodes, values, slopes and second derivatives of the C^2 quintic
+    Hermite interpolant: the samples, fourth-order finite difference first
+    derivatives, and ODE-exact second derivatives (`_ode_factors`); beyond
     the last node the analytic exponential tail takes over.  `jet` takes and
-    returns floats.  Equality and hashing are by identity, so derived
-    quantities can be cached per ground state (weakly: it is
-    weak-referenceable).
+    returns floats.
     """
 
-    def __init__(self, e0: float, samples: list[float], nodes: list[float],
-                 spacing: float, lam: float, omega: float, profile: PotentialProfile,
-                 _interpolant: Callable[[float], tuple[float, float, float]]):
-        self.e0 = e0
-        self.samples = samples
-        self.nodes = nodes
-        self.spacing = spacing
-        self.lam = lam
-        self.omega = omega
-        self.profile = profile
-        # t -> (h, h', h'') of the quintic Hermite interpolant on [lo, hi]
-        self._interpolant = _interpolant
+    __slots__ = ()
 
     @property
     def kappa(self) -> float:
@@ -370,6 +358,8 @@ class GroundState:
 
     def jet(self, t: float) -> tuple[float, float]:
         """(h(t), h'(t))."""
+        from .quadrature import quintic_hermite
+
         lo, hi = self.nodes[0], self.nodes[-1]
         if t > hi:
             v = self.samples[-1] * math.exp(-self.kappa * (t - hi))
@@ -377,16 +367,12 @@ class GroundState:
         if t < lo:
             v = self.samples[0] * math.exp(-self.kappa * (lo - t))
             return v, self.kappa * v
-        return self._interpolant(t)[:2]
-
-    def ode_factors(self, ts: Sequence[float]) -> list[float]:
-        """h''/h = omega^2 - lambda V(t) - E0 at the points ts, from the
-        eigenvalue ODE."""
-        return _ode_factors(self.omega, self.lam, self.e0, profile_values(self.profile, ts))
+        return quintic_hermite(*self.interpolant, t)[:2]
 
 
 def _ode_factors(omega: float, lam: float, e0: float, v: Sequence[float]) -> list[float]:
-    """h''/h = omega^2 - lambda V - E0 from the values v of V."""
+    """h''/h = omega^2 - lambda V - E0 from the values v of V, by the
+    eigenvalue ODE."""
     w2 = omega**2 - e0
     return [w2 - lam * vi for vi in v]
 
@@ -416,8 +402,6 @@ def ground_state(spec: ComparisonSpec,
     bound state below omega^2 (r = 1), or a decay that float64 cannot hold
     (r = 0).
     """
-    from .quadrature import quintic_hermite
-
     if spec.domain.kind != "line":
         raise ConfigurationError("ground_state solves on the line only")
     omega, lam, profile = spec.omega, spec.lam, spec.profile
@@ -457,10 +441,8 @@ def ground_state(spec: ComparisonSpec,
     # product, so only the exterior nodes need the profile
     v = profile_values(profile, x[:p]) + v + profile_values(profile, x[-p:])
     d2 = [f * y for f, y in zip(_ode_factors(omega, lam, e0, v), u)]
-    return GroundState(
-        e0=e0, samples=u, nodes=x, spacing=h, lam=lam, omega=omega,
-        profile=profile, _interpolant=partial(quintic_hermite, x, u, d1, d2),
-    )
+    return GroundState(e0=e0, samples=u, nodes=x, spacing=h, lam=lam, omega=omega,
+                       profile=profile, interpolant=(x, u, d1, d2))
 
 
 def _fd4_derivative(u: Sequence[float], h: float) -> list[float]:
@@ -480,7 +462,9 @@ def tune_lambda_to_threshold(omega: float, profile: PotentialProfile, target: fl
                              policy: ResolutionPolicy = ResolutionPolicy()) -> float:
     """Richardson-extrapolated coupling that places the threshold of L on
     the line at the requested energy (e.g. -1), certified by one threshold
-    at that coupling within tol of the target."""
+    at that coupling within tol of the target.  A target so deep that its
+    couplings put omega^2 + lambda sup V past 2^1020, the limit of
+    `ModelConfig`, is a ConfigurationError."""
     # a NaN target or omega passes the comparisons below and never ends the
     # doubling of the coupling bracket
     if not all(map(math.isfinite, (omega, target, tol))):
@@ -494,6 +478,8 @@ def tune_lambda_to_threshold(omega: float, profile: PotentialProfile, target: fl
         return 0.0
     m = policy.m_for(profile.a)
     runs = [_chain_coupling(omega, profile, target, k) for k in (m, 2 * m, 4 * m)]
+    _check_depth(omega, max(lam for lam, _ in runs), profile,
+                 f"the coupling that places the threshold at {target!r}")
     lam = _richardson(f"coupling at target {target!r} on the line, m={m}",
                       [lam for lam, _ in runs], [s for _, s in runs], policy)
     e = threshold(ComparisonSpec(omega, lam, profile), policy)

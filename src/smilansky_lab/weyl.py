@@ -17,7 +17,9 @@ before evaluation.  Everything that remains is O(1) or n_k-suppressed, and
 is a rank-6 sum of products of functions of z and of t, so the residual
 costs O(n_z + n_t).  The t-rule covers only the ground state's nodes, the
 channel support and a few exterior nodes: beyond them h is an exponential,
-and the tail integrals out to the truncation t_max are closed forms.  On an
+and the tail integrals out to the truncation t_max are closed forms.
+`weyl_certificate` builds these ground-state moments once, and every
+`QuasiMode` of its ladder carries them with the ground state.  On an
 interval x-domain (-c, c) psi also carries a plateau phi(x) of half-width c
 (`QuasiMode`), which n_k keeps equal to 1 wherever |t| <= t_max, so the
 residual is the line's.  All of it runs on floats and lists with `math`;
@@ -27,15 +29,14 @@ nothing here imports numpy.
 from __future__ import annotations
 
 import math
-import weakref
 from collections import namedtuple
 from itertools import zip_longest
 from operator import mul
 from typing import NamedTuple, Sequence
 
 from .errors import ComputationError, ConfigurationError
-from .model import Checked, XDomain
-from .oned import GroundState
+from .model import Checked, XDomain, profile_values
+from .oned import GroundState, _ode_factors
 from .quadrature import gauss_panels, gauss_rule, linspace, log_panels, quintic_local
 
 __all__ = [
@@ -265,19 +266,20 @@ class PhaseRule(NamedTuple):
 # --- quasi-mode -------------------------------------------------------------
 
 
-class QuasiMode(Checked, namedtuple("QuasiMode", "mu cutoff n_k gs x_domain")):
+class QuasiMode(Checked, namedtuple("QuasiMode", "mu cutoff n_k moments x_domain")):
     """Concrete Weyl test function, determined by (mu, k, n_k, ground state)
-    on the x-domain of its configuration.  On an interval (-c, c) psi has
+    on the x-domain of its configuration; `moments` holds the ground state
+    with its moments (`_ground_moments`).  On an interval (-c, c) psi has
     the factor phi(x), a C^2 quintic-smoothstep plateau: 1 for |x| <= c/2, 0
     from |x| = c on.  No number depends on phi beyond its half-width c and
     sup phi = 1: `residual_norm` needs phi(t/y) = 1 for |t| <= t_max."""
 
     __slots__ = ()
 
-    def __new__(cls, mu: float, cutoff: CutoffFunction, n_k: int, gs: GroundState,
+    def __new__(cls, mu: float, cutoff: CutoffFunction, n_k: int, moments: _GroundMoments,
                 x_domain: XDomain = XDomain()):
-        self = super().__new__(cls, mu, cutoff, n_k, gs, x_domain)
-        if gs.e0 >= 0:
+        self = super().__new__(cls, mu, cutoff, n_k, moments, x_domain)
+        if moments.gs.e0 >= 0:
             raise ConfigurationError("quasi-modes need a negative 1D threshold")
         if not self.phase.is_real_from(n_k):
             raise ConfigurationError(
@@ -291,7 +293,7 @@ class QuasiMode(Checked, namedtuple("QuasiMode", "mu cutoff n_k gs x_domain")):
 
     @property
     def e_mag(self) -> float:
-        return -self.gs.e0
+        return -self.moments.gs.e0
 
     @property
     def support(self) -> tuple[float, float]:
@@ -344,7 +346,8 @@ def _residual_basis(gs: GroundState, t: Sequence[float]) -> list[list[float]]:
     """The real t-factors B_0..B_5 of the rank-6 residual amplitude:
     h, t h', t^2 h'', t^4 h'', t^3 h', t^2 h (h'' = p h by the ODE)."""
     h, h1 = zip(*map(gs.jet, t))
-    hpp = list(map(mul, gs.ode_factors(t), h))
+    p = _ode_factors(gs.omega, gs.lam, gs.e0, profile_values(gs.profile, t))
+    hpp = list(map(mul, p, h))
     t2 = [x * x for x in t]
     return [h, list(map(mul, t, h1)), list(map(mul, t2, hpp)),
             [x * x * y for x, y in zip(t2, hpp)], [x * y * z for x, y, z in zip(t, t2, h1)],
@@ -364,20 +367,19 @@ def _tail_polys(kappa: float) -> list[list[float]]:
 class _GroundMoments(NamedTuple):
     """What every quasi-mode on one ground state needs from the t-rule."""
 
+    gs: GroundState     # the ground state they are moments of
     t_max: float        # the truncation in |t|: the tails are cut at e^-30
     gram: list          # G = int B B^T dt over the basis B of _residual_basis
     mom: dict           # weighted moments behind the suppressed-term bounds
 
 
-# Per ground state (hashed by identity, immutable): an entry lives exactly as
-# long as its ground state and is a pure function of it.
-_MOMENTS: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
 # the tails are cut where h has decayed by e^-_TAIL_DECAY from the last node
 _TAIL_DECAY = 30.0
 
 
 def _ground_moments(gs: GroundState) -> _GroundMoments:
-    """Build the t-rule and its Gram matrix once per ground state.
+    """Build the t-rule and its Gram matrix; `weyl_certificate` builds them
+    once and hands them to every quasi-mode of its ladder.
 
     The t-rule covers the nodes [-T, T]; from T to t_max = T + 30/kappa each
     tail integral is int P(|t|) e^{-2 kappa (|t| - T)} dt in closed form
@@ -386,38 +388,36 @@ def _ground_moments(gs: GroundState) -> _GroundMoments:
     t^2 |f'|^2 = (E/4) (B_4 + 2 B_5)^2 and t^4 |f''|^2 = (E/4) (B_3 + 4 B_4
     + 2 B_5)^2, so every moment but `mix` is a quadratic form in G.
     """
-    if gs not in _MOMENTS:
-        t, w = _t_rule(gs)
-        basis = _residual_basis(gs, t)
-        gram = _gram(w, basis)
-        mix = _gram(w, [[abs(a) + 2.0 * abs(b) for a, b in zip(basis[0], basis[1])]])[0][0]
-        kap = gs.kappa
-        edge = gs.nodes[-1]
-        t_max = edge + _TAIL_DECAY / kap
-        weight = gs.samples[0] ** 2 + gs.samples[-1] ** 2
-        decay = math.exp(-2.0 * _TAIL_DECAY)
+    t, w = _t_rule(gs)
+    basis = _residual_basis(gs, t)
+    gram = _gram(w, basis)
+    mix = _gram(w, [[abs(a) + 2.0 * abs(b) for a, b in zip(basis[0], basis[1])]])[0][0]
+    kap = gs.kappa
+    edge = gs.nodes[-1]
+    t_max = edge + _TAIL_DECAY / kap
+    weight = gs.samples[0] ** 2 + gs.samples[-1] ** 2
+    decay = math.exp(-2.0 * _TAIL_DECAY)
 
-        def tail(p: Sequence[float], q: Sequence[float]) -> float:
-            return weight * _exp_poly_integral(_poly_mul(p, q), -2.0 * kap, edge, t_max,
-                                               1.0, decay)
+    def tail(p: Sequence[float], q: Sequence[float]) -> float:
+        return weight * _exp_poly_integral(_poly_mul(p, q), -2.0 * kap, edge, t_max,
+                                           1.0, decay)
 
-        *polys, mix_poly = _tail_polys(kap)
-        for i, p in enumerate(polys):
-            for j in range(i, len(polys)):
-                gram[i][j] += tail(p, polys[j])
-                gram[j][i] = gram[i][j]
-        quarter_e = -gs.e0 / 4.0
-        mom = {
-            "h2": gram[0][0],
-            "t2h1": gram[1][1],
-            "t4hpp": gram[2][2],
-            "f2": quarter_e * gram[5][5],
-            "t2f1": quarter_e * _qform(gram, (0.0, 0.0, 0.0, 0.0, 1.0, 2.0)),
-            "t4fpp": quarter_e * _qform(gram, (0.0, 0.0, 0.0, 1.0, 4.0, 2.0)),
-            "mix": mix + tail(mix_poly, mix_poly),
-        }
-        _MOMENTS[gs] = _GroundMoments(t_max, gram, mom)
-    return _MOMENTS[gs]
+    *polys, mix_poly = _tail_polys(kap)
+    for i, p in enumerate(polys):
+        for j in range(i, len(polys)):
+            gram[i][j] += tail(p, polys[j])
+            gram[j][i] = gram[i][j]
+    quarter_e = -gs.e0 / 4.0
+    mom = {
+        "h2": gram[0][0],
+        "t2h1": gram[1][1],
+        "t4hpp": gram[2][2],
+        "f2": quarter_e * gram[5][5],
+        "t2f1": quarter_e * _qform(gram, (0.0, 0.0, 0.0, 0.0, 1.0, 2.0)),
+        "t4fpp": quarter_e * _qform(gram, (0.0, 0.0, 0.0, 1.0, 4.0, 2.0)),
+        "mix": mix + tail(mix_poly, mix_poly),
+    }
+    return _GroundMoments(gs, t_max, gram, mom)
 
 
 # --- parameter selection ----------------------------------------------------
@@ -451,9 +451,10 @@ def suppressed_term_bounds(cut: CutoffFunction, n_k: int, mom: dict,
     return bounds
 
 
-def choose_parameters(eps: float, gs: GroundState, mu: float = 0.0,
+def choose_parameters(eps: float, moments: _GroundMoments, mu: float = 0.0,
                       min_n: int = 1) -> tuple[CutoffFunction, int]:
-    """Deterministic (k, n_k) selection; returns the cutoff for k and n_k.
+    """Deterministic (k, n_k) selection for the ground state of `moments`
+    (`_ground_moments`); returns the cutoff for k and n_k.
 
     k is the smallest power of two from 16 to 2^126 with weighted derivative
     mass J(k) < eps; 2^126 is the largest k whose smallest n_k = 4k keeps
@@ -471,7 +472,7 @@ def choose_parameters(eps: float, gs: GroundState, mu: float = 0.0,
     """
     if not (0.0 < eps < 1.0):
         raise ConfigurationError("eps must lie in (0, 1)")
-    if gs.e0 >= 0:
+    if moments.gs.e0 >= 0:
         raise ConfigurationError("parameter selection needs a negative threshold")
     cut = None
     # J(2^p) exceeds 588/25 / (p ln 2)^2, so no candidate is skipped; from
@@ -485,8 +486,8 @@ def choose_parameters(eps: float, gs: GroundState, mu: float = 0.0,
     if cut is None:
         raise ComputationError(f"no ladder k up to 2^{_MAX_K_POW} with J(k) < {eps}")
 
-    mom = _ground_moments(gs).mom
-    e_mag = -gs.e0
+    mom = moments.mom
+    e_mag = -moments.gs.e0
     phase = PhaseRule(mu, e_mag)
     n = int(4 * cut.k)
     while n <= min_n:
@@ -529,7 +530,7 @@ def quasimode_norm(qm: QuasiMode) -> QuasiModeNorm:
     The leading and correction parts are orthogonal pointwise (h is real, f
     imaginary), so the squared norm splits exactly.
     """
-    mom = _ground_moments(qm.gs).mom
+    mom = qm.moments.mom
     main = qm.cutoff.mass_over_z * mom["h2"]
     corr = _correction_term(qm.cutoff, qm.n_k, mom)
     return QuasiModeNorm(main, corr, math.sqrt(main + corr))
@@ -579,7 +580,7 @@ def residual_norm(qm: QuasiMode) -> float:
     phi' = phi'' = 0 for |t| <= t_max, the truncation of the t-integrals,
     i.e. t_max <= n_k c/2; its residual is then the line residual.
     """
-    gm = _ground_moments(qm.gs)
+    gm = qm.moments
     c = qm.x_domain.c
     if qm.x_domain.kind == "interval" and gm.t_max > 0.5 * c * qm.n_k:
         raise ConfigurationError(
@@ -646,6 +647,7 @@ def weyl_certificate(config, gs: GroundState, mu: float,
         raise ConfigurationError("eps ladder must be strictly decreasing")
     _first_ladder_pow(eps_ladder[-1])  # fail before building any cutoff
     dom = config.x_domain
+    moments = _ground_moments(gs)
 
     rows = []
     # the first support [n_k, k n_k] starts past min_n: past a y_cutoff,
@@ -654,11 +656,11 @@ def weyl_certificate(config, gs: GroundState, mu: float,
     # past the float range fails in the n_k search
     need = 1.0 if config.y_cutoff is None else config.y_cutoff
     if dom.kind == "interval":
-        need = max(need, 2.0 * _ground_moments(gs).t_max / dom.c)
+        need = max(need, 2.0 * moments.t_max / dom.c)
     min_n = math.ceil(min(need, _MAX_KN))
     for eps in eps_ladder:
-        cut, n_k = choose_parameters(eps, gs, mu, min_n=min_n)
-        qm = QuasiMode(mu=mu, cutoff=cut, n_k=n_k, gs=gs, x_domain=dom)
+        cut, n_k = choose_parameters(eps, moments, mu, min_n=min_n)
+        qm = QuasiMode(mu=mu, cutoff=cut, n_k=n_k, moments=moments, x_domain=dom)
         nr = quasimode_norm(qm)
         res = residual_norm(qm)
         rows.append(CertificateRow(

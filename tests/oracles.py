@@ -15,7 +15,6 @@ package itself does not load.
 from __future__ import annotations
 
 import math
-from functools import partial
 from typing import Optional
 
 import numpy as np
@@ -25,7 +24,7 @@ from scipy.linalg import eigh_tridiagonal
 from smilansky_lab.grid2d import Grid2D, SparseHamiltonian
 from smilansky_lab.model import PotentialProfile, XDomain, profile_values
 from smilansky_lab.oned import ComparisonSpec, GroundState, _fd4_derivative, _ode_factors
-from smilansky_lab.quadrature import gauss_panels, linspace, quintic_hermite
+from smilansky_lab.quadrature import gauss_panels, linspace
 from smilansky_lab.weyl import (CutoffFunction, QuasiMode, _bridge_jet, _ground_moments,
                                 _log_jet, _t_rule)
 
@@ -144,8 +143,7 @@ def truncated_line_ground_state(spec: ComparisonSpec, c: float, n: int) -> Groun
     d2 = [f * hv for f, hv in
           zip(_ode_factors(spec.omega, spec.lam, e0, profile_values(spec.profile, xa)), ha)]
     return GroundState(e0=e0, samples=v, nodes=x, spacing=h, lam=spec.lam,
-                       omega=spec.omega, profile=spec.profile,
-                       _interpolant=partial(quintic_hermite, xa, ha, d1, d2))
+                       omega=spec.omega, profile=spec.profile, interpolant=(xa, ha, d1, d2))
 
 
 def cutoff_jet(cut: CutoffFunction, z: float) -> tuple[float, float, float]:
@@ -183,8 +181,8 @@ def quasimode_norm_direct(qm: QuasiMode, n_y: int = 400) -> float:
     for the transformed route.  Only usable at medium n_k (x-spacing ~ 1/y)."""
     ylo, yhi = qm.support
     ynodes, yw = gauss_panels(linspace(ylo, yhi, n_y + 1), 8)
-    t, tw = line_t_rule(qm.gs)
-    h = np.array([qm.gs.jet(x)[0] for x in t])
+    t, tw = line_t_rule(qm.moments.gs)
+    h = np.array([qm.moments.gs.jet(x)[0] for x in t])
     acc = 0.0
     for yv, wv in zip(ynodes, yw):
         g2 = h**2 + (0.5 * math.sqrt(qm.e_mag) * t**2 * h / yv**2) ** 2

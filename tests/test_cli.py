@@ -132,6 +132,18 @@ class TestRequests:
         a, b = RunRequest("eig1d", single_cfg), RunRequest("eig1d", single_cfg)
         assert a == b and a.params == {} and a.params is not b.params
 
+    @pytest.mark.parametrize("command", ["critical", "tune", "eig1d", "eig2d", "classify",
+                                         "bound"])
+    def test_csv_is_refused_by_the_json_commands(self, single_cfg, capsys, command):
+        # these commands wrote JSON and exited 0 under --format csv
+        params = {"target": -1.0} if command == "tune" else None
+        with pytest.raises(ConfigurationError, match=f"^{command} writes JSON only"):
+            RunRequest(command, single_cfg, params=params, fmt="csv")
+        flags = ["--target", "-1"] if command == "tune" else []
+        assert main([command, "--config", single_cfg, *flags, "--format", "csv"]) == 2
+        assert capsys.readouterr() == (
+            "", f"configuration error: {command} writes JSON only; CSV is for scan and weyl\n")
+
     @pytest.mark.parametrize("args", [
         ["tune", "--target", "nan"], ["tune", "--target", "-1", "--tol", "inf"],
         ["critical", "--tol", "nan"], ["classify", "--tol", "nan"],
@@ -313,6 +325,26 @@ class TestCommands:
 
 
 class TestExitCodes:
+    @pytest.mark.parametrize("target, tol, code, out, err", [
+        ("-1e308", "1e-6", 2, "",
+         "configuration error: the coupling that places the threshold at -1e+308: "
+         "omega^2 + lambda sup V = inf is not below 2^1020, past what float64 holds\n"),
+        ("-1e306", "1e-6", 1, "",
+         "computation failed: the threshold -9.999999999999999e+305 at the coupling "
+         "1e+306 misses the target -1e+306 by more than tol = 1e-06\n"),
+        ("-1e300", "1e295", 0,
+         '{"lambda": 9.999999999999999e+299, "meta": {"command": "tune", '
+         '"config_sha256": "e2d0d693d9bddb14", "params": {"target": -1e+300, '
+         '"tol": 1e+295}, "seed": 1234}, "target": -1e+300}\n', "")],
+        ids=["-1e308", "-1e306", "-1e300"])
+    def test_tune_at_the_depth_limit(self, capsys, target, tol, code, out, err):
+        # a coupling past ModelConfig's 2^1020 limit is refused: -1e308
+        # overflowed the coupling to inf and failed with "the chain resolves
+        # the threshold only to nan"
+        assert main(["tune", "--config", str(CONFIGS / "single_channel.json"),
+                     f"--target={target}", "--tol", tol]) == code
+        assert capsys.readouterr() == (out, err)
+
     def test_missing_config_is_2(self, tmp_path):
         assert run(RunRequest("critical", str(tmp_path / "nope.json"))) == 2
 
@@ -363,6 +395,23 @@ class TestExitCodes:
         assert main(["weyl", "--config", str(CONFIGS / "supercritical.json"),
                      "--eps", "0.1,0.05,0.02"]) == 0
         assert len(built) == len(set(built)) == 3
+
+    @pytest.mark.parametrize("x_domain", [{"type": "line"},
+                                          {"type": "interval", "c": 1.0, "bc": "dirichlet"}],
+                             ids=["line", "interval"])
+    def test_weyl_builds_the_ground_moments_once(self, tmp_path, capsys, monkeypatch,
+                                                 x_domain):
+        # weyl_certificate builds them and hands them to every quasi-mode; a
+        # per-ground-state cache was asked 9 times on the line and 10 on the
+        # interval, where the first support also needs t_max
+        built = []
+        real = weyl._ground_moments
+        monkeypatch.setattr(weyl, "_ground_moments", lambda gs: built.append(gs) or real(gs))
+        path = tmp_path / "cfg.json"
+        shipped = json.loads((CONFIGS / "supercritical.json").read_text())
+        path.write_text(json.dumps({**shipped, "x_domain": x_domain}))
+        assert main(["weyl", "--config", str(path), "--eps", "0.1,0.05,0.02"]) == 0
+        assert len(built) == 1
 
     @pytest.mark.parametrize("args", [["weyl", "--eps", ""], ["weyl", "--eps", ","],
                                       ["scan", "--ladder", ""]],

@@ -1,8 +1,9 @@
+import copy
 import hashlib
 import logging
 import math
+import pickle
 import struct
-import weakref
 
 from pathlib import Path
 
@@ -383,25 +384,21 @@ class TestGroundState:
         assert abs(num / den - gs.e0) < 1e-4
 
     def test_ode_second_derivative(self, gs_minus1):
+        # the interpolant's second derivatives at its nodes are ODE-exact
         gs = gs_minus1
-        t = np.linspace(-2.0, 2.0, 17)
-        v = np.array(profile_values(gs.profile, t.tolist()))
-        h = np.array([gs.jet(x)[0] for x in t])
-        assert np.allclose(np.array(gs.ode_factors(t.tolist())) * h,
-                           (gs.omega**2 - gs.lam * v - gs.e0) * h)
+        x, h, _, d2 = map(np.array, gs.interpolant)
+        v = np.array(profile_values(gs.profile, x.tolist()))
+        assert np.allclose(d2, (gs.omega**2 - gs.lam * v - gs.e0) * h)
 
-    def test_identity_semantics(self, gs_minus1):
-        # derived quantities are cached per ground state in a
-        # WeakKeyDictionary: it hashes and compares by identity, and is
-        # weak-referenceable
-        gs = gs_minus1
-        twin = oned.GroundState(gs.e0, gs.samples, gs.nodes, gs.spacing, gs.lam,
-                                gs.omega, gs.profile, _interpolant=gs._interpolant)
-        assert gs == gs and twin != gs and len({gs, twin}) == 2
-        assert weakref.ref(gs)() is gs
-        cache = weakref.WeakKeyDictionary({twin: 1})
-        del twin
-        assert len(cache) == 0
+    def test_copy_and_pickle_give_an_equal_record(self, gs_minus1):
+        # a plain record, equal by value: a copy or an unpickled ground state
+        # equals the original, interpolates the same and has equal moments
+        moments = weyl._ground_moments(gs_minus1)
+        for twin in (copy.copy(gs_minus1), copy.deepcopy(gs_minus1),
+                     pickle.loads(pickle.dumps(gs_minus1))):
+            assert type(twin) is oned.GroundState and twin == gs_minus1
+            assert twin.jet(0.3) == gs_minus1.jet(0.3)
+            assert weyl._ground_moments(twin) == moments
 
     def test_v_is_evaluated_once_per_node(self, cos2_profile, monkeypatch):
         # V on the support chain serves A(E) and the ODE-exact h'' alike;

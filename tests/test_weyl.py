@@ -41,7 +41,7 @@ def brute_force_residual(qm: weyl.QuasiMode) -> float:
     t-rule by quadrature (reference for the rank-6 sum and the closed-form
     tails).  On an interval the plateau is 1 on that grid, with zero
     derivatives, so this is the interval residual too."""
-    gs = qm.gs
+    gs = qm.moments.gs
     e = qm.e_mag
     s = np.sqrt(e)
     n = float(qm.n_k)
@@ -72,6 +72,16 @@ def brute_force_residual(qm: weyl.QuasiMode) -> float:
              + cz1 * (-2.0 * g_y - 2.0j * theta1 * g) / n - cz2 * g / n**2)
         total += float(np.sum((wz / z[:, 0]) * (np.abs(r) ** 2 @ tw)))
     return float(np.sqrt(total))
+
+
+@pytest.fixture(scope="module")
+def gm_minus1(gs_minus1):
+    return weyl._ground_moments(gs_minus1)
+
+
+@pytest.fixture(scope="module")
+def gm_shipped(gs_shipped):
+    return weyl._ground_moments(gs_shipped)
 
 
 class TestCutoff:
@@ -162,12 +172,12 @@ class TestCutoff:
 
 
 class TestParameterSelection:
-    def test_regression_pairs(self, gs_minus1):
+    def test_regression_pairs(self, gm_minus1):
         for eps, want in PARAMS_REGRESSION.items():
-            cut, n_k = weyl.choose_parameters(eps, gs_minus1)
+            cut, n_k = weyl.choose_parameters(eps, gm_minus1)
             assert (cut.k, n_k) == want
 
-    def test_search_start_matches_exhaustive_scan(self, gs_minus1, monkeypatch):
+    def test_search_start_matches_exhaustive_scan(self, gm_minus1, monkeypatch):
         eps_values = list(np.geomspace(0.0175, 0.99, 22)[1:-1])
         # eps on the bound 588/25 / (p ln 2)^2 and one ulp to either side
         for p in (8, 23, 40, 52):
@@ -175,7 +185,7 @@ class TestParameterSelection:
             eps_values += [np.nextafter(edge, 0.0), edge, np.nextafter(edge, 1.0)]
 
         def select(eps):
-            cut, n_k = weyl.choose_parameters(eps, gs_minus1)
+            cut, n_k = weyl.choose_parameters(eps, gm_minus1)
             return cut.k, n_k
 
         direct = [select(eps) for eps in eps_values]
@@ -184,7 +194,7 @@ class TestParameterSelection:
         exhaustive = [select(eps) for eps in eps_values]
         assert direct == exhaustive
 
-    def test_eps_past_the_ladder_fails_before_any_cutoff(self, gs_minus1, monkeypatch):
+    def test_eps_past_the_ladder_fails_before_any_cutoff(self, gm_minus1, monkeypatch):
         def no_cutoff(k):
             raise AssertionError(f"cutoff built for k={k}")
 
@@ -193,46 +203,46 @@ class TestParameterSelection:
         # candidate, past 2^126, where 4 k^2 = 2^254 is the last k n_k whose
         # fourth power is finite
         with pytest.raises(ComputationError, match=r"k >= 2\^128 > 2\^126"):
-            weyl.choose_parameters(0.003, gs_minus1)
+            weyl.choose_parameters(0.003, gm_minus1)
         # an eps whose 588/25 / eps overflows still names the limit
         with pytest.raises(ComputationError, match=r"> 2\^126"):
-            weyl.choose_parameters(5e-324, gs_minus1)
+            weyl.choose_parameters(5e-324, gm_minus1)
 
-    def test_eps_below_the_old_float64_resolution_limit(self, gs_minus1):
+    def test_eps_below_the_old_float64_resolution_limit(self, gm_minus1):
         # eps = 0.015 needs k = 2^58, where k - 1 == k in float64
-        cut, n_k = weyl.choose_parameters(0.015, gs_minus1)
+        cut, n_k = weyl.choose_parameters(0.015, gm_minus1)
         assert cut.k == 2.0**58 and n_k >= 4 * cut.k
 
     @pytest.mark.parametrize("mu", [1e300, -1e300, 1e150, -1e150])
-    def test_huge_mu_exhausts_the_n_k_search(self, gs_minus1, mu):
+    def test_huge_mu_exhausts_the_n_k_search(self, gm_minus1, mu):
         # (mu / n_k^2)^2 is inf where mu**2 overflowed; for mu < 0 theta' must
         # also stay real on the support
         with pytest.raises(ComputationError, match="n_k search"):
-            weyl.choose_parameters(0.1, gs_minus1, mu)
+            weyl.choose_parameters(0.1, gm_minus1, mu)
 
-    def test_n_k_stops_at_the_float_range(self, gs_minus1):
+    def test_n_k_stops_at_the_float_range(self, gm_minus1):
         with pytest.raises(ComputationError, match=r"past k n_k = 2\^255"):
-            weyl.choose_parameters(0.1, gs_minus1, min_n=2**240)
+            weyl.choose_parameters(0.1, gm_minus1, min_n=2**240)
 
     def test_moments_match_pinned_values(self, gs_shipped):
         mom = weyl._ground_moments(gs_shipped).mom
         for name, want in H_MOMENTS.items():
             assert abs(mom[name] - want) <= 1e-12 * want, (name, mom[name], want)
 
-    def test_k_monotone_in_eps(self, gs_minus1):
-        cut1, _ = weyl.choose_parameters(0.1, gs_minus1)
-        cut2, _ = weyl.choose_parameters(0.05, gs_minus1)
+    def test_k_monotone_in_eps(self, gm_minus1):
+        cut1, _ = weyl.choose_parameters(0.1, gm_minus1)
+        cut2, _ = weyl.choose_parameters(0.05, gm_minus1)
         assert cut2.k >= cut1.k
 
-    def test_disjointness_rule(self, gs_minus1):
-        cut1, n1 = weyl.choose_parameters(0.1, gs_minus1)
-        _, n2 = weyl.choose_parameters(0.05, gs_minus1, min_n=int(cut1.k * n1))
+    def test_disjointness_rule(self, gm_minus1):
+        cut1, n1 = weyl.choose_parameters(0.1, gm_minus1)
+        _, n2 = weyl.choose_parameters(0.05, gm_minus1, min_n=int(cut1.k * n1))
         assert n2 > cut1.k * n1
 
-    def test_bad_eps_rejected(self, gs_minus1):
+    def test_bad_eps_rejected(self, gm_minus1):
         for eps in (0.0, 1.0, -0.2):
             with pytest.raises(ConfigurationError):
-                weyl.choose_parameters(eps, gs_minus1)
+                weyl.choose_parameters(eps, gm_minus1)
 
 
 class TestResidualIdentity:
@@ -263,83 +273,84 @@ class TestResidualIdentity:
 
 
 class TestQuasiMode:
-    def test_norm_terms(self, gs_minus1):
-        cut, n_k = weyl.choose_parameters(0.1, gs_minus1)
-        qm = weyl.QuasiMode(mu=0.0, cutoff=cut, n_k=n_k, gs=gs_minus1)
+    def test_norm_terms(self, gm_minus1):
+        cut, n_k = weyl.choose_parameters(0.1, gm_minus1)
+        qm = weyl.QuasiMode(mu=0.0, cutoff=cut, n_k=n_k, moments=gm_minus1)
         nr = weyl.quasimode_norm(qm)
         assert abs(nr.main_term - 1.0) < 1e-6
         assert nr.correction_term < 1.0 / 16.0
         assert nr.norm >= 0.5
 
-    def test_transformed_norm_matches_direct(self, gs_minus1):
+    def test_transformed_norm_matches_direct(self, gm_minus1):
         qm = weyl.QuasiMode(mu=0.0, cutoff=weyl.build_cutoff(16.0), n_k=64,
-                            gs=gs_minus1)
+                            moments=gm_minus1)
         a = weyl.quasimode_norm(qm).norm
         b = quasimode_norm_direct(qm, n_y=600)
         assert abs(a - b) < 1e-6
 
-    def test_support(self, gs_minus1):
+    def test_support(self, gm_minus1):
         qm = weyl.QuasiMode(mu=0.0, cutoff=weyl.build_cutoff(16.0), n_k=64,
-                            gs=gs_minus1)
+                            moments=gm_minus1)
         assert qm.support == (64.0, 1024.0)
 
-    def test_residual_bound(self, gs_minus1):
-        cut, n_k = weyl.choose_parameters(0.1, gs_minus1)
-        qm = weyl.QuasiMode(mu=0.0, cutoff=cut, n_k=n_k, gs=gs_minus1)
+    def test_residual_bound(self, gm_minus1):
+        cut, n_k = weyl.choose_parameters(0.1, gm_minus1)
+        qm = weyl.QuasiMode(mu=0.0, cutoff=cut, n_k=n_k, moments=gm_minus1)
         r = weyl.residual_norm(qm)
         assert r**2 <= 0.9 * (1.0 + 1e-6)
 
     @pytest.mark.parametrize("mode", ["line", "interval"])
     @pytest.mark.parametrize("mu", [0.0, 0.8, -0.5])
     @pytest.mark.parametrize("pair", ["16,64", "eps=0.1"])
-    def test_residual_matches_brute_force(self, gs_minus1, mode, mu, pair):
+    def test_residual_matches_brute_force(self, gm_minus1, mode, mu, pair):
         k, n_k = (16.0, 64) if pair == "16,64" else PARAMS_REGRESSION[0.1]
         # a plateau of half-width 2 is 1 for |t| <= t_max ~ 22 at n_k = 64
         dom = XDomain("interval", 2.0) if mode == "interval" else XDomain()
         qm = weyl.QuasiMode(mu=mu, cutoff=weyl.build_cutoff(k), n_k=n_k,
-                            gs=gs_minus1, x_domain=dom)
+                            moments=gm_minus1, x_domain=dom)
         want = brute_force_residual(qm)
         assert abs(weyl.residual_norm(qm) - want) <= 1e-12 * want
 
-    def test_phase_must_be_real_on_the_support(self, gs_minus1):
+    def test_phase_must_be_real_on_the_support(self, gm_minus1):
         # theta' = sqrt(E y^2 + mu) at y = n_k = 64, E = 1
         with pytest.raises(ConfigurationError, match="not real"):
-            weyl.QuasiMode(mu=-4096.5, cutoff=weyl.build_cutoff(16.0), n_k=64, gs=gs_minus1)
-        weyl.QuasiMode(mu=-4095.0, cutoff=weyl.build_cutoff(16.0), n_k=64, gs=gs_minus1)
+            weyl.QuasiMode(mu=-4096.5, cutoff=weyl.build_cutoff(16.0), n_k=64,
+                           moments=gm_minus1)
+        weyl.QuasiMode(mu=-4095.0, cutoff=weyl.build_cutoff(16.0), n_k=64, moments=gm_minus1)
 
-    def test_interval_plateau_precondition(self, gs_minus1):
+    def test_interval_plateau_precondition(self, gm_minus1):
         # t_max is about 22 > n_k c / 2 = 16
         qm = weyl.QuasiMode(mu=0.0, cutoff=weyl.build_cutoff(16.0), n_k=32,
-                            gs=gs_minus1, x_domain=XDomain("interval", 1.0))
+                            moments=gm_minus1, x_domain=XDomain("interval", 1.0))
         with pytest.raises(ConfigurationError, match="plateau"):
             weyl.residual_norm(qm)
 
-    def test_residual_tracks_4ej(self, gs_minus1):
+    def test_residual_tracks_4ej(self, gs_minus1, gm_minus1):
         # the surviving term is 2 theta' chi'/n_k; its square integrates to
         # 4 E J(k) up to n_k-suppressed corrections
-        cut, n_k = weyl.choose_parameters(0.1, gs_minus1)
-        qm = weyl.QuasiMode(mu=0.0, cutoff=cut, n_k=n_k, gs=gs_minus1)
+        cut, n_k = weyl.choose_parameters(0.1, gm_minus1)
+        qm = weyl.QuasiMode(mu=0.0, cutoff=cut, n_k=n_k, moments=gm_minus1)
         r = weyl.residual_norm(qm)
         assert abs(r**2 - 4.0 * (-gs_minus1.e0) * cut.j_weighted) < 1e-4
 
-    def test_mu_pair_symmetry(self, gs_minus1):
-        cut, n_k = weyl.choose_parameters(0.1, gs_minus1)
+    def test_mu_pair_symmetry(self, gm_minus1):
+        cut, n_k = weyl.choose_parameters(0.1, gm_minus1)
         rp = weyl.residual_norm(weyl.QuasiMode(mu=0.8, cutoff=cut, n_k=n_k,
-                                               gs=gs_minus1))
+                                               moments=gm_minus1))
         rm = weyl.residual_norm(weyl.QuasiMode(mu=-0.8, cutoff=cut, n_k=n_k,
-                                               gs=gs_minus1))
+                                               moments=gm_minus1))
         assert abs(rp - rm) < 1e-9
 
 
 class TestZRule:
     @pytest.mark.parametrize("eps", [0.1, 0.02, 0.005])
     @pytest.mark.parametrize("mu", [0.0, 2.5, -0.5])
-    def test_one_panel_per_unit_is_resolved(self, gs_shipped, monkeypatch, eps, mu):
+    def test_one_panel_per_unit_is_resolved(self, gm_shipped, monkeypatch, eps, mu):
         # on the rise and the descent the integrand is a polynomial in ln z
         # times e^{cu}: order-10 panels 1 per unit of ln z agree with 4 per
         # unit to rounding, down to eps = 0.005 (k = 2^99)
-        cut, n_k = weyl.choose_parameters(eps, gs_shipped, mu)
-        qm = weyl.QuasiMode(mu=mu, cutoff=cut, n_k=n_k, gs=gs_shipped)
+        cut, n_k = weyl.choose_parameters(eps, gm_shipped, mu)
+        qm = weyl.QuasiMode(mu=mu, cutoff=cut, n_k=n_k, moments=gm_shipped)
         got = weyl.residual_norm(qm)
         monkeypatch.setattr(weyl, "_Z_PANELS_PER_UNIT", 4.0)
         want = weyl.residual_norm(qm)
