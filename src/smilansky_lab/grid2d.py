@@ -50,10 +50,11 @@ __all__ = [
 # NODE_CAP: 512 MiB
 _DOUBLES_PER_NODE = 16
 
-# the scan mesh: the x-spacing of a graded x-mesh never exceeds _H_MAX, a
-# scan grid has _Y_ROWS_PER_UNIT y-rows per unit of Y, and on the line it
-# spans |x| < _X_HALF_WIDTH
+# the scan mesh: a graded x-mesh has spacing |x - b|/_GRADING near a channel
+# center b, at most _H_MAX; a scan grid has _Y_ROWS_PER_UNIT y-rows per unit
+# of Y, and on the line it spans |x| < _X_HALF_WIDTH
 _H_MAX = 0.25
+_GRADING = 4.0
 _Y_ROWS_PER_UNIT = 12
 _X_HALF_WIDTH = 6.0
 
@@ -105,11 +106,11 @@ def graded_x_nodes(x_lo: float, x_hi: float, centers: tuple[float, ...],
     """Interior nodes graded toward the channel centers, built outward from
     the midpoint of (x_lo, x_hi), which is a node.
 
-    Local spacing max(h_min, |x - b|/4) near the nearest center, capped at
-    _H_MAX; the |x|/4 law matches the a/y width of the channel at the height
-    y = a/|x| where the point (x, y) last touches the support.  Each step
-    takes the spacing at its own midpoint, as estimated from its start.  The
-    nodes left of the midpoint are the negated walk to the right for the
+    Local spacing max(h_min, |x - b|/_GRADING) near the nearest center,
+    capped at _H_MAX; the law matches the a/y width of the channel at the
+    height y = a/|x| where the point (x, y) last touches the support.  Each
+    step takes the spacing at its own midpoint, as estimated from its start.
+    The nodes left of the midpoint are the negated walk to the right for the
     mirrored centers; so when the centers are mirror-symmetric about the
     midpoint (and it is 0, as on every scan domain) the nodes are exactly
     mirror-symmetric, and the x-fold of `assemble_h2d` is exact.
@@ -127,7 +128,7 @@ def graded_x_nodes(x_lo: float, x_hi: float, centers: tuple[float, ...],
         at t = end, for centers at `offsets`."""
         def spacing(t: float) -> float:
             d = min(abs(t - c) for c in offsets)
-            return min(_H_MAX, max(h_min, d / 4.0))
+            return min(_H_MAX, max(h_min, d / _GRADING))
 
         nodes, t = [], 0.0
         while True:
@@ -448,7 +449,7 @@ def scan_grid(config: ModelConfig, y_half: float, y_max: float) -> Grid2D:
         period = x_hi - x_lo
         centers += tuple(b + s for b in centers for s in (-period, period))
     a_min = min((ch.profile.a for ch in config.channels), default=1.0)
-    x = graded_x_nodes(x_lo, x_hi, centers, a_min / (4.0 * y_max))
+    x = graded_x_nodes(x_lo, x_hi, centers, a_min / (_GRADING * y_max))
     return Grid2D(x_lo, x_hi, x, y_half, n_y)
 
 

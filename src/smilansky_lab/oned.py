@@ -25,23 +25,28 @@ threshold when lambda V vanishes on every support node.  A coupling that
 places the line's threshold at a target E is where the same count, at that
 fixed E, leaves 0 as lambda grows.
 
-Both are bisections of the pure-Python Sturm count of `sturm` (cyclic for
-periodic ends) on the support chain, whose off-diagonal is the one entry
--1/h^2.  Each count returns the last pivot of the chain too, which changes
-sign at the threshold (or the coupling) and steers `bisect_count` to the
-plain bisection's bracket in about a third of its counts.  They are
-Richardson-extrapolated over three resolutions and gated
-at `rich_tol`: m, 2m and 4m steps of the support on the line, and on an
-interval (-c, c) the grids of n, 2n and 4n nodes (interior vertices with
-Dirichlet ends, cell centres otherwise), whose support nodes and exterior
-counts are integer arithmetic: c does not enter the cost.  `ground_state`,
-the eigenpair behind the Weyl quasi-modes, is solved on the line's support
-chain at 2m by one bisection: E0 is its threshold, and the eigenvector comes
-by inverse iteration on A(E0) from the bracket's lower end, shifted by the
-change of the end terms, with a few exterior nodes u_edge r^j and the
-geometric sum of the rest.  All of it runs
-on floats and lists: the 1D commands and the Weyl path import only the
-standard library.
+Thresholds and couplings are bisections of the pure-Python Sturm count of
+`sturm` (cyclic for periodic ends) on the support chain, whose
+off-diagonal is the one entry -1/h^2.  Each count returns the last pivot
+of the chain too, which changes sign at the threshold (or the coupling)
+and steers `bisect_count` to the plain bisection's bracket in about a third
+of its counts.  They are Richardson-extrapolated over three resolutions
+and gated at `rich_tol`: m, 2m and 4m steps of the support on the line,
+and on an interval (-c, c) the grids of n, 2n and 4n nodes (interior
+vertices with Dirichlet ends, cell centres otherwise), whose support nodes
+and exterior counts are integer arithmetic: c does not enter the cost.
+
+Each resolution's chain is one `_Chain` record, built once: its spacing,
+V on its nodes and its exterior.  One function writes the diagonal of
+A(E) at a coupling (`_diagonal`) and one its end terms (`_end_terms`), for
+thresholds, couplings and the ground state alike, and a tuned coupling is
+certified by the threshold on the three chains it was bisected on.
+`ground_state`, the eigenpair behind the Weyl quasi-modes, is solved on the
+line's chain at 2m by one bisection: E0 is its threshold, and the
+eigenvector comes by inverse iteration on A(E0) from the bracket's lower
+end, shifted by the change of the end terms, with a few exterior nodes
+u_edge r^j and the geometric sum of the rest.  All of it runs on floats and
+lists: the 1D commands and the Weyl path import only the standard library.
 
 Each threshold and coupling logs one `smilansky_lab.oned` debug record: the
 resolution, the three values, their Richardson gap and the bisection steps
@@ -53,7 +58,7 @@ from __future__ import annotations
 import math
 import sys
 from collections import namedtuple
-from typing import Callable, NamedTuple, Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 from .errors import ComputationError, ConfigurationError, RefinementError, _debug
 from .model import NODE_CAP, Checked, PotentialProfile, XDomain, _check_depth, profile_values
@@ -161,44 +166,42 @@ def _check_bracket(value: float, lo: float, h: float, policy: ResolutionPolicy) 
                               f"> {gate:.3g} at h = {h:.3g}")
 
 
-def _line_level(profile: PotentialProfile, m: int) -> tuple:
-    """The 2m - 1 support nodes of spacing a/m on the line."""
-    return profile.a / m, 2 * m - 2, None
+class _Chain(NamedTuple):
+    """One resolution's support chain: the spacing h, V on its nodes
+    x = (h/2) j, |j| <= len(v) - 1, j = len(v) - 1 mod 2, and the exterior:
+    None on the line, else the ends and the nodes N beyond each end."""
+
+    h: float
+    v: list
+    exterior: Optional[tuple[str, int]]
 
 
-def _interval_level(profile: PotentialProfile, domain: XDomain, n: int) -> tuple:
-    """The grid of n nodes on (-c, c), x = (h/2) j, |j| <= n - 1, j = n + 1
-    mod 2: interior vertices of h = 2c/(n + 1) with Dirichlet ends, cell
-    centres of h = 2c/n otherwise.  The support chain takes a node with
-    |x| >= a at each end (or stops at the ends), so V vanishes beyond it
-    whatever the rounding of x."""
-    h = (domain.c + domain.c) / (n + 1 if domain.bc == "dirichlet" else n)
-    half_width = min(n - 1, 2 * math.ceil(profile.a / h) + 1 - n % 2)
-    return h, half_width, (domain.bc, (n - 1 - half_width) // 2)
-
-
-def _support_chain(omega: float, profile: PotentialProfile, h: float, half_width: int):
-    """V on the support nodes x = (h/2) j, |j| <= half_width, the diagonal
-    2/h^2 + omega^2 without the end terms, and the squared off-diagonal
-    entry 1/h^4."""
+def _chain(profile: PotentialProfile, domain: XDomain, k: int) -> _Chain:
+    """The support chain at resolution k: on the line the 2k - 1 nodes of
+    spacing a/k; on (-c, c) the grid of k nodes, x = (h/2) j, |j| <= k - 1,
+    j = k + 1 mod 2 (interior vertices of h = 2c/(k + 1) with Dirichlet
+    ends, cell centres of h = 2c/k otherwise), cut to a node with |x| >= a
+    at each end (or to the ends), so V vanishes beyond it whatever the
+    rounding of x."""
+    if domain.kind == "line":
+        h, half_width, exterior = profile.a / k, 2 * k - 2, None
+    else:
+        h = (domain.c + domain.c) / (k + 1 if domain.bc == "dirichlet" else k)
+        half_width = min(k - 1, 2 * math.ceil(profile.a / h) + 1 - k % 2)
+        exterior = domain.bc, (k - 1 - half_width) // 2
     v = profile_values(profile, [0.5 * h * j for j in range(-half_width, half_width + 1, 2)])
-    return v, [2.0 / h**2 + omega**2] * len(v), h**-4
+    return _Chain(h, v, exterior)
 
 
-def _transparent_end(kappa2: float, h: float) -> float:
-    """r/h^2, with r < 1 the decaying root of r + 1/r = 2 + kappa^2 h^2."""
-    s = kappa2 * h * h
-    return 1.0 / (1.0 + 0.5 * s + math.sqrt(s * (1.0 + 0.25 * s))) / (h * h)
-
-
-def _end_terms(exterior: Optional[tuple[str, int]], w2: float, h: float,
-               e: float) -> tuple[float, Optional[float]]:
-    """At the energy e: the drop g/h^2 of each end diagonal of the support
-    chain, and the corner entry between its ends (None but for periodic
-    ends)."""
-    if exterior is None:
-        return _transparent_end(w2 - e, h), None
-    bc, n = exterior
+def _end_terms(chain: _Chain, w2: float, e: float) -> tuple[float, Optional[float]]:
+    """At the energy e: the drop g/h^2 of each end diagonal of the chain,
+    and the corner entry between its ends (None but for periodic ends).  On
+    the line g = r < 1, the decaying root of r + 1/r = 2 + (omega^2 - e) h^2."""
+    h = chain.h
+    if chain.exterior is None:
+        s = (w2 - e) * h * h
+        return 1.0 / (1.0 + 0.5 * s + math.sqrt(s * (1.0 + 0.25 * s))) / (h * h), None
+    bc, n = chain.exterior
     if e >= w2:
         # a Dirichlet box at or above omega^2: U_{n-1}/U_n at cos(phi)
         phi = 2.0 * math.asin(0.5 * h * math.sqrt(e - w2))
@@ -218,73 +221,60 @@ def _end_terms(exterior: Optional[tuple[str, int]], w2: float, h: float,
     return g, -math.exp(-k * theta) * math.expm1(-2.0 * theta) / den
 
 
-def _chain_count(omega: float, lam: float, profile: PotentialProfile, h: float,
-                 half_width: int, exterior: Optional[tuple[str, int]]):
-    """E -> the number of eigenvalues of A(E) below E, for E below omega^2
-    or below a Dirichlet box's floor, and the last pivot of A(E) - E; E ->
-    the diagonal of A(E) and its corner entry; and V on the support
-    nodes."""
-    v, d0, b2 = _support_chain(omega, profile, h, half_width)
-    w2 = omega**2
-    base = [di - lam * vi for di, vi in zip(d0, v)]
-    off = -1.0 / h**2
-
-    def matrix(e: float) -> tuple[list[float], Optional[float]]:
-        d = base.copy()
-        end, corner = _end_terms(exterior, w2, h, e)
-        d[0] -= end
-        d[-1] -= end
-        return d, corner
-
-    def count(e: float) -> tuple[int, float]:
-        d, corner = matrix(e)
-        return (sturm_count(d, b2, e) if corner is None
-                else cyclic_sturm_count(d, off, corner, e))
-    return count, matrix, v
+def _diagonal(chain: _Chain, omega: float, lam: float, end: float) -> list[float]:
+    """The diagonal of A(E) at the coupling lam: 2/h^2 + omega^2 - lam V,
+    less the end term `end` (`_end_terms` at E) at both ends."""
+    d0 = 2.0 / chain.h**2 + omega**2
+    d = [d0 - lam * vi for vi in chain.v]
+    d[0] -= end
+    d[-1] -= end
+    return d
 
 
-def _chain_threshold(omega: float, lam: float, profile: PotentialProfile, h: float,
-                     half_width: int, exterior: Optional[tuple[str, int]] = None
-                     ) -> tuple[float, int, float, Callable, list[float]]:
-    """Discrete threshold at one resolution, its bisection steps, the lower
-    end lo of its bracket (count(lo) == 0; the threshold itself where
-    nothing binds), E -> the diagonal of A(E) and its corner entry, and V on
-    the support nodes: the spacing h, the support chain x = (h/2) j,
-    |j| <= half_width in steps of 2, and the exterior, None on the line,
-    else the ends and the nodes N beyond each end of the chain."""
-    count, matrix, v = _chain_count(omega, lam, profile, h, half_width, exterior)
+def _chain_threshold(spec: ComparisonSpec, chain: _Chain) -> tuple[float, int, float]:
+    """Discrete threshold of spec's operator on the chain, its bisection
+    steps, and the lower end lo of its bracket (count(lo) == 0; the
+    threshold itself where nothing binds)."""
+    omega, lam, h = spec.omega, spec.lam, chain.h
     top = w2 = omega**2
-    if exterior is not None and exterior[0] == "dirichlet":
-        top += (2.0 / h * math.sin(0.5 * math.pi / (half_width + 2 + 2 * exterior[1]))) ** 2
+    if chain.exterior is not None and chain.exterior[0] == "dirichlet":
+        n = len(chain.v) + 2 * chain.exterior[1]
+        top += (2.0 / h * math.sin(0.5 * math.pi / (n + 1))) ** 2
     # A(top) - top is the potential-free chain minus lambda V, with a
     # positive lowest eigenvector: a state binds below top iff lambda V != 0
-    if lam == 0.0 or max(v) <= 0.0:
-        return top, 0, top, matrix, v
+    if lam == 0.0 or max(chain.v) <= 0.0:
+        return top, 0, top
+    b2, off = h**-4, -1.0 / h**2
+
+    def count(e: float) -> tuple[int, float]:
+        """The number of eigenvalues of A(e) below e, for e below omega^2 or
+        below a Dirichlet box's floor, and the last pivot of A(e) - e."""
+        end, corner = _end_terms(chain, w2, e)
+        d = _diagonal(chain, omega, lam, end)
+        return (sturm_count(d, b2, e) if corner is None
+                else cyclic_sturm_count(d, off, corner, e))
+
     # Rayleigh: the chain operator is >= omega^2 - lambda sup V, so no
     # eigenvalue of A(E) lies below E there; the bisection stops at the
     # rounding level eps ||A|| of the count
-    lo = w2 - lam * profile.sup_value - 1.0
-    tol = _EPS * (4.0 / h**2 + w2 + lam * profile.sup_value)
-    lo, hi, steps = bisect_count(count, lo, top, tol)
-    return 0.5 * (lo + hi), steps, lo, matrix, v
+    sup = spec.profile.sup_value
+    lo, hi, steps = bisect_count(count, w2 - lam * sup - 1.0, top,
+                                 _EPS * (4.0 / h**2 + w2 + lam * sup))
+    return 0.5 * (lo + hi), steps, lo
 
 
-def _chain_coupling(omega: float, profile: PotentialProfile, target: float,
-                   m: int) -> tuple[float, int]:
-    """Coupling whose discrete threshold on the line's chain of spacing a/m
-    is the target, and the doubling and bisection steps that found it."""
-    h, half_width, _ = _line_level(profile, m)
-    v, d0, b2 = _support_chain(omega, profile, h, half_width)
-    if max(v) <= 0.0:
+def _chain_coupling(chain: _Chain, omega: float, target: float) -> tuple[float, int]:
+    """Coupling whose discrete threshold on the line's chain is the target,
+    and the doubling and bisection steps that found it."""
+    h, vmax = chain.h, max(chain.v)
+    if vmax <= 0.0:
         raise ComputationError(
             f"the profile vanishes on every support node at h = {h:.3g}: "
             "no coupling binds a state")
-    end = _transparent_end(omega**2 - target, h)
-    d0[0] -= end
-    d0[-1] -= end
+    end, b2 = _end_terms(chain, omega**2, target)[0], h**-4
 
     def count(lam: float) -> tuple[int, float]:
-        return sturm_count([di - lam * vi for di, vi in zip(d0, v)], b2, target)
+        return sturm_count(_diagonal(chain, omega, lam, end), b2, target)
 
     # count(0) == 0 since target < omega^2; the doubling ends, because the
     # unit vector at a node with V_j > 0 has a negative Rayleigh quotient
@@ -293,35 +283,38 @@ def _chain_coupling(omega: float, profile: PotentialProfile, target: float,
     while not count(hi)[0]:
         lo, hi, doublings = hi, 2.0 * hi, doublings + 1
     # rounding level: a change of lambda by eps ||A|| / max V is within it
-    vmax = max(v)
     tol = _EPS * (4.0 / h**2 + omega**2 + hi * vmax) / vmax
     lo, hi, steps = bisect_count(count, lo, hi, tol)
     return 0.5 * (lo + hi), doublings + steps
 
 
-def _levels(spec: ComparisonSpec, policy: ResolutionPolicy) -> tuple[list[tuple], str]:
-    """The three resolutions of spec's threshold, coarsest first, as
-    arguments of `_chain_threshold`, and where they lie.  `policy.m_for`
-    refuses a support too wide for the finest chain, on an interval too."""
-    m = policy.m_for(spec.profile.a)
-    if spec.domain.kind == "line":
-        return ([_line_level(spec.profile, k) for k in (m, 2 * m, 4 * m)],
-                f"on the line, m={m}")
-    c = spec.domain.c
-    n = policy.n_for(c)
-    return ([_interval_level(spec.profile, spec.domain, k) for k in (n, 2 * n, 4 * n)],
-            f"on (-{c}, {c}) with {spec.domain.bc} ends, n={n}")
+def _levels(profile: PotentialProfile, domain: XDomain,
+            policy: ResolutionPolicy) -> tuple[int, str]:
+    """The coarsest of the resolutions k, 2k and 4k of a threshold
+    (`_chain`), and where they lie.  `policy.m_for` refuses a support too
+    wide for the finest chain, on an interval too."""
+    m = policy.m_for(profile.a)
+    if domain.kind == "line":
+        return m, f"on the line, m={m}"
+    n = policy.n_for(domain.c)
+    return n, f"on (-{domain.c}, {domain.c}) with {domain.bc} ends, n={n}"
 
 
 def threshold(spec: ComparisonSpec, policy: ResolutionPolicy = ResolutionPolicy()) -> float:
     """Richardson-extrapolated threshold inf sigma(L), at m, 2m and 4m steps
     of the support on the line (`policy.m_for`), on the grids of n, 2n and
     4n nodes on an interval (`policy.n_for`)."""
-    levels, where = _levels(spec, policy)
-    runs = [_chain_threshold(spec.omega, spec.lam, spec.profile, *level)
-            for level in levels]
-    for level, (value, _, lo, _, _) in zip(levels, runs):
-        _check_bracket(value, lo, level[0], policy)
+    k, where = _levels(spec.profile, spec.domain, policy)
+    chains = [_chain(spec.profile, spec.domain, j) for j in (k, 2 * k, 4 * k)]
+    return _threshold_on(spec, chains, where, policy)
+
+
+def _threshold_on(spec: ComparisonSpec, chains: list[_Chain], where: str,
+                  policy: ResolutionPolicy) -> float:
+    """`threshold` on its three chains, coarsest first."""
+    runs = [_chain_threshold(spec, chain) for chain in chains]
+    for chain, (value, _, lo) in zip(chains, runs):
+        _check_bracket(value, lo, chain.h, policy)
     return _richardson(f"threshold at lambda={spec.lam!r} {where}",
                        [run[0] for run in runs], [run[1] for run in runs], policy)
 
@@ -331,8 +324,9 @@ def coarse_threshold(spec: ComparisonSpec) -> float:
     (at the default policy): one Sturm bisection, neither extrapolated nor
     gated, so it carries the O(h^2) error of that resolution.  An estimate,
     for callers that certify what they do with it by other means."""
-    level = _levels(spec, ResolutionPolicy())[0][0]
-    return _chain_threshold(spec.omega, spec.lam, spec.profile, *level)[0]
+    k = _levels(spec.profile, spec.domain, ResolutionPolicy())[0]
+    chain = _chain(spec.profile, spec.domain, k)
+    return _chain_threshold(spec, chain)[0]
 
 
 class GroundState(namedtuple("GroundState",
@@ -345,8 +339,7 @@ class GroundState(namedtuple("GroundState",
     the nodes, values, slopes and second derivatives of the C^2 quintic
     Hermite interpolant: the samples, fourth-order finite difference first
     derivatives, and ODE-exact second derivatives (`_ode_factors`); beyond
-    the last node the analytic exponential tail takes over.  `jet` takes and
-    returns floats.
+    the last node the exponential tail of rate `kappa` takes over.
     """
 
     __slots__ = ()
@@ -355,19 +348,6 @@ class GroundState(namedtuple("GroundState",
     def kappa(self) -> float:
         """Tail decay rate sqrt(omega^2 - E0) outside the channel support."""
         return math.sqrt(max(self.omega**2 - self.e0, 0.0))
-
-    def jet(self, t: float) -> tuple[float, float]:
-        """(h(t), h'(t))."""
-        from .quadrature import quintic_hermite
-
-        lo, hi = self.nodes[0], self.nodes[-1]
-        if t > hi:
-            v = self.samples[-1] * math.exp(-self.kappa * (t - hi))
-            return v, -self.kappa * v
-        if t < lo:
-            v = self.samples[0] * math.exp(-self.kappa * (lo - t))
-            return v, self.kappa * v
-        return quintic_hermite(*self.interpolant, t)[:2]
 
 
 def _ode_factors(omega: float, lam: float, e0: float, v: Sequence[float]) -> list[float]:
@@ -406,11 +386,12 @@ def ground_state(spec: ComparisonSpec,
         raise ConfigurationError("ground_state solves on the line only")
     omega, lam, profile = spec.omega, spec.lam, spec.profile
     m = 2 * policy.m_for(profile.a)
-    h, half_width, _ = _line_level(profile, m)
-    e0, _, lo, matrix, v = _chain_threshold(omega, lam, profile, h, half_width)
+    chain = _chain(profile, spec.domain, m)
+    h = chain.h
+    e0, _, lo = _chain_threshold(spec, chain)
     _check_bracket(e0, lo, h, policy)
     kappa2 = omega**2 - e0
-    end = _transparent_end(kappa2, h)
+    end = _end_terms(chain, omega**2, e0)[0]
     r = end * h * h
     if not (kappa2 > 0.0 and r < 1.0):
         raise ConfigurationError(
@@ -422,9 +403,8 @@ def ground_state(spec: ComparisonSpec,
             f"{math.sqrt(kappa2) * h:.3g}: float64 cannot hold its decay")
     # A(E0) = A(lo) - delta (e_0 e_0^T + e_n e_n^T), delta = end(E0) - end(lo)
     # >= 0, and count(lo) == 0 makes A(lo) - lo positive definite
-    d, _ = matrix(e0)
-    sigma = lo - (end - _transparent_end(omega**2 - lo, h))
-    u = lowest_eigenvector(d, -1.0 / h**2, sigma)
+    sigma = lo - (end - _end_terms(chain, omega**2, lo)[0])
+    u = lowest_eigenvector(_diagonal(chain, omega, lam, end), -1.0 / h**2, sigma)
     if math.fsum(u) < 0.0:
         u = [-x for x in u]
 
@@ -439,7 +419,7 @@ def ground_state(spec: ComparisonSpec,
     d1 = _fd4_derivative(u, h)
     # V on the support nodes is the chain's: h j and (h/2)(2j) round the same
     # product, so only the exterior nodes need the profile
-    v = profile_values(profile, x[:p]) + v + profile_values(profile, x[-p:])
+    v = profile_values(profile, x[:p]) + chain.v + profile_values(profile, x[-p:])
     d2 = [f * y for f, y in zip(_ode_factors(omega, lam, e0, v), u)]
     return GroundState(e0=e0, samples=u, nodes=x, spacing=h, lam=lam, omega=omega,
                        profile=profile, interpolant=(x, u, d1, d2))
@@ -476,13 +456,15 @@ def tune_lambda_to_threshold(omega: float, profile: PotentialProfile, target: fl
         if target > omega**2:
             raise ConfigurationError("target threshold must be below omega^2")
         return 0.0
-    m = policy.m_for(profile.a)
-    runs = [_chain_coupling(omega, profile, target, k) for k in (m, 2 * m, 4 * m)]
+    m, where = _levels(profile, XDomain(), policy)
+    chains = [_chain(profile, XDomain(), k) for k in (m, 2 * m, 4 * m)]
+    runs = [_chain_coupling(chain, omega, target) for chain in chains]
     _check_depth(omega, max(lam for lam, _ in runs), profile,
                  f"the coupling that places the threshold at {target!r}")
-    lam = _richardson(f"coupling at target {target!r} on the line, m={m}",
+    lam = _richardson(f"coupling at target {target!r} {where}",
                       [lam for lam, _ in runs], [s for _, s in runs], policy)
-    e = threshold(ComparisonSpec(omega, lam, profile), policy)
+    # the threshold at that coupling, on the chains of the bisections
+    e = _threshold_on(ComparisonSpec(omega, lam, profile), chains, where, policy)
     if not abs(e - target) <= tol:
         raise RefinementError(
             f"the threshold {e!r} at the coupling {lam!r} misses the target "

@@ -37,7 +37,8 @@ from typing import NamedTuple, Sequence
 from .errors import ComputationError, ConfigurationError
 from .model import Checked, XDomain, profile_values
 from .oned import GroundState, _ode_factors
-from .quadrature import gauss_panels, gauss_rule, linspace, log_panels, quintic_local
+from .quadrature import (gauss_panels, gauss_rule, linspace, log_panels, quintic_hermite,
+                         quintic_local)
 
 __all__ = [
     "CutoffFunction",
@@ -45,8 +46,10 @@ __all__ = [
     "QuasiMode",
     "QuasiModeNorm",
     "CertificateRow",
+    "GroundMoments",
     "build_cutoff",
     "choose_parameters",
+    "ground_moments",
     "quasimode_norm",
     "residual_norm",
     "weyl_certificate",
@@ -269,14 +272,14 @@ class PhaseRule(NamedTuple):
 class QuasiMode(Checked, namedtuple("QuasiMode", "mu cutoff n_k moments x_domain")):
     """Concrete Weyl test function, determined by (mu, k, n_k, ground state)
     on the x-domain of its configuration; `moments` holds the ground state
-    with its moments (`_ground_moments`).  On an interval (-c, c) psi has
+    with its moments (`ground_moments`).  On an interval (-c, c) psi has
     the factor phi(x), a C^2 quintic-smoothstep plateau: 1 for |x| <= c/2, 0
     from |x| = c on.  No number depends on phi beyond its half-width c and
     sup phi = 1: `residual_norm` needs phi(t/y) = 1 for |t| <= t_max."""
 
     __slots__ = ()
 
-    def __new__(cls, mu: float, cutoff: CutoffFunction, n_k: int, moments: _GroundMoments,
+    def __new__(cls, mu: float, cutoff: CutoffFunction, n_k: int, moments: GroundMoments,
                 x_domain: XDomain = XDomain()):
         self = super().__new__(cls, mu, cutoff, n_k, moments, x_domain)
         if moments.gs.e0 >= 0:
@@ -342,10 +345,23 @@ def _t_rule(gs: GroundState):
     return gauss_panels(edges, 10)
 
 
+def _ground_jet(gs: GroundState, t: float) -> tuple[float, float]:
+    """(h(t), h'(t)) of the ground state: its quintic Hermite interpolant on
+    the nodes, and the exponential tail of rate kappa beyond them."""
+    lo, hi = gs.nodes[0], gs.nodes[-1]
+    if t > hi:
+        v = gs.samples[-1] * math.exp(-gs.kappa * (t - hi))
+        return v, -gs.kappa * v
+    if t < lo:
+        v = gs.samples[0] * math.exp(-gs.kappa * (lo - t))
+        return v, gs.kappa * v
+    return quintic_hermite(*gs.interpolant, t)[:2]
+
+
 def _residual_basis(gs: GroundState, t: Sequence[float]) -> list[list[float]]:
     """The real t-factors B_0..B_5 of the rank-6 residual amplitude:
     h, t h', t^2 h'', t^4 h'', t^3 h', t^2 h (h'' = p h by the ODE)."""
-    h, h1 = zip(*map(gs.jet, t))
+    h, h1 = zip(*[_ground_jet(gs, x) for x in t])
     p = _ode_factors(gs.omega, gs.lam, gs.e0, profile_values(gs.profile, t))
     hpp = list(map(mul, p, h))
     t2 = [x * x for x in t]
@@ -364,7 +380,7 @@ def _tail_polys(kappa: float) -> list[list[float]]:
             [0.0, 0.0, 0.0, -kappa], [0.0, 0.0, 1.0], [1.0, 2.0 * kappa]]
 
 
-class _GroundMoments(NamedTuple):
+class GroundMoments(NamedTuple):
     """What every quasi-mode on one ground state needs from the t-rule."""
 
     gs: GroundState     # the ground state they are moments of
@@ -377,7 +393,7 @@ class _GroundMoments(NamedTuple):
 _TAIL_DECAY = 30.0
 
 
-def _ground_moments(gs: GroundState) -> _GroundMoments:
+def ground_moments(gs: GroundState) -> GroundMoments:
     """Build the t-rule and its Gram matrix; `weyl_certificate` builds them
     once and hands them to every quasi-mode of its ladder.
 
@@ -417,7 +433,7 @@ def _ground_moments(gs: GroundState) -> _GroundMoments:
         "t4fpp": quarter_e * _qform(gram, (0.0, 0.0, 0.0, 1.0, 4.0, 2.0)),
         "mix": mix + tail(mix_poly, mix_poly),
     }
-    return _GroundMoments(gs, t_max, gram, mom)
+    return GroundMoments(gs, t_max, gram, mom)
 
 
 # --- parameter selection ----------------------------------------------------
@@ -451,10 +467,10 @@ def suppressed_term_bounds(cut: CutoffFunction, n_k: int, mom: dict,
     return bounds
 
 
-def choose_parameters(eps: float, moments: _GroundMoments, mu: float = 0.0,
+def choose_parameters(eps: float, moments: GroundMoments, mu: float = 0.0,
                       min_n: int = 1) -> tuple[CutoffFunction, int]:
     """Deterministic (k, n_k) selection for the ground state of `moments`
-    (`_ground_moments`); returns the cutoff for k and n_k.
+    (`ground_moments`); returns the cutoff for k and n_k.
 
     k is the smallest power of two from 16 to 2^126 with weighted derivative
     mass J(k) < eps; 2^126 is the largest k whose smallest n_k = 4k keeps
@@ -647,7 +663,7 @@ def weyl_certificate(config, gs: GroundState, mu: float,
         raise ConfigurationError("eps ladder must be strictly decreasing")
     _first_ladder_pow(eps_ladder[-1])  # fail before building any cutoff
     dom = config.x_domain
-    moments = _ground_moments(gs)
+    moments = ground_moments(gs)
 
     rows = []
     # the first support [n_k, k n_k] starts past min_n: past a y_cutoff,

@@ -25,8 +25,8 @@ from smilansky_lab.grid2d import Grid2D, SparseHamiltonian
 from smilansky_lab.model import PotentialProfile, XDomain, profile_values
 from smilansky_lab.oned import ComparisonSpec, GroundState, _fd4_derivative, _ode_factors
 from smilansky_lab.quadrature import gauss_panels, linspace
-from smilansky_lab.weyl import (CutoffFunction, QuasiMode, _bridge_jet, _ground_moments,
-                                _log_jet, _t_rule)
+from smilansky_lab.weyl import (CutoffFunction, QuasiMode, _bridge_jet, _ground_jet, _log_jet,
+                                _t_rule, ground_moments)
 
 
 def profile_slopes(profile: PotentialProfile, t) -> np.ndarray:
@@ -165,11 +165,11 @@ def cutoff_jet(cut: CutoffFunction, z: float) -> tuple[float, float, float]:
 
 
 def line_t_rule(gs: GroundState, spacing: float = 0.2) -> tuple[np.ndarray, np.ndarray]:
-    """The t-rule of `weyl._ground_moments` on the nodes, and order-10 Gauss
+    """The t-rule of `weyl.ground_moments` on the nodes, and order-10 Gauss
     panels at most `spacing` wide over the two tails out to t_max, where the
     package integrates in closed form."""
     t, w = _t_rule(gs)
-    edge, t_max = gs.nodes[-1], _ground_moments(gs).t_max
+    edge, t_max = gs.nodes[-1], ground_moments(gs).t_max
     n_panels = math.ceil((t_max - edge) / spacing)
     tail, tw = gauss_panels(linspace(edge, t_max, n_panels + 1), 10)
     return (np.array([-x for x in reversed(tail)] + t + tail),
@@ -182,7 +182,7 @@ def quasimode_norm_direct(qm: QuasiMode, n_y: int = 400) -> float:
     ylo, yhi = qm.support
     ynodes, yw = gauss_panels(linspace(ylo, yhi, n_y + 1), 8)
     t, tw = line_t_rule(qm.moments.gs)
-    h = np.array([qm.moments.gs.jet(x)[0] for x in t])
+    h = np.array([_ground_jet(qm.moments.gs, x)[0] for x in t])
     acc = 0.0
     for yv, wv in zip(ynodes, yw):
         g2 = h**2 + (0.5 * math.sqrt(qm.e_mag) * t**2 * h / yv**2) ** 2

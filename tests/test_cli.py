@@ -405,8 +405,8 @@ class TestExitCodes:
         # per-ground-state cache was asked 9 times on the line and 10 on the
         # interval, where the first support also needs t_max
         built = []
-        real = weyl._ground_moments
-        monkeypatch.setattr(weyl, "_ground_moments", lambda gs: built.append(gs) or real(gs))
+        real = weyl.ground_moments
+        monkeypatch.setattr(weyl, "ground_moments", lambda gs: built.append(gs) or real(gs))
         path = tmp_path / "cfg.json"
         shipped = json.loads((CONFIGS / "supercritical.json").read_text())
         path.write_text(json.dumps({**shipped, "x_domain": x_domain}))
@@ -863,7 +863,8 @@ class TestExitCodes:
                   "from smilansky_lab import cli, oned\n"
                   "def built(*args):\n"
                   "    raise AssertionError('a support chain was built')\n"
-                  "oned._support_chain = built\n"
+                  "assert callable(oned._chain)\n"
+                  "oned._chain = built\n"
                   "sys.exit(cli.main(sys.argv[1:]))\n")
         for args in (["eig1d"], ["classify"], ["bound"], ["critical"],
                      ["weyl", "--eps", "0.1"]):

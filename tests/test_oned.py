@@ -115,8 +115,7 @@ class TestThreshold:
         # the cyclic Sturm count of the periodic wrap, at odd and even orders
         spec = ComparisonSpec(1.0, 4.0, cos2_profile,
                               XDomain("interval", 1.0, "periodic"))
-        level = oned._interval_level(cos2_profile, spec.domain, n)
-        got = oned._chain_threshold(1.0, 4.0, cos2_profile, *level)[0]
+        got = oned._chain_threshold(spec, oned._chain(cos2_profile, spec.domain, n))[0]
         assert abs(got - interval_min_eig(spec, n)) < 1e-9
 
     def test_interval_periodic_threshold_matches_dense(self, cos2_profile):
@@ -201,12 +200,11 @@ class TestIntervalThreshold:
         spec = ComparisonSpec(1.0, lam, profile, XDomain("interval", c, bc))
         n = ResolutionPolicy().n_for(c)
         for k in (n, 2 * n, 4 * n):
-            level = oned._interval_level(profile, spec.domain, k)
-            got = oned._chain_threshold(1.0, lam, profile, *level)[0]
+            chain = oned._chain(profile, spec.domain, k)
+            got = oned._chain_threshold(spec, chain)[0]
             want = interval_min_eig(spec, k)
             _, h, d, e, corner = interval_chain(spec, k)
             assert abs(got - want) <= 2e-15 * (4.0 / h**2 + 1.0 + lam), (k, got, want)
-            count, _, _ = oned._chain_count(1.0, lam, profile, *level)
             # the end terms hold below the exterior's spectrum: omega^2, or
             # for a Dirichlet box its floor
             top = 1.0
@@ -217,7 +215,11 @@ class TestIntervalThreshold:
             for x in filter(lambda x: x < top - 1e-7, energies):
                 whole = (sturm_count(d, e[0] * e[0], x) if corner is None
                          else cyclic_sturm_count(d, e[0], corner, x))
-                assert count(x)[0] == whole[0], (k, x)
+                end, chain_corner = oned._end_terms(chain, 1.0, x)
+                chain_d = oned._diagonal(chain, 1.0, lam, end)
+                count = (sturm_count(chain_d, chain.h**-4, x) if chain_corner is None
+                         else cyclic_sturm_count(chain_d, -1.0 / chain.h**2, chain_corner, x))
+                assert count[0] == whole[0], (k, x)
         if case == "above-omega2":
             assert got > 1.0
         if case.startswith("vanishing"):
@@ -282,7 +284,7 @@ class TestLineThreshold:
         # bit for bit the pinned support values of the earlier numpy evaluator
         profile = PROFILES[name]
         for m, want in zip((120, 240, 480), SUPPORT_VALUE_DIGESTS[name], strict=True):
-            v = oned._support_chain(1.0, profile, *oned._line_level(profile, m)[:2])[0]
+            v = oned._chain(profile, XDomain(), m).v
             assert hashlib.sha256(struct.pack(f"<{len(v)}d", *v)).hexdigest()[:16] == want
 
     @pytest.mark.parametrize("name", sorted(ARRAY_PATH_VALUES))
@@ -304,8 +306,8 @@ class TestLineThreshold:
             critical_coupling(1.0, narrow)
 
     def test_coupling_certificate_uses_tol(self, cos2_profile, monkeypatch):
-        real = oned.threshold
-        monkeypatch.setattr(oned, "threshold", lambda *args: real(*args) + 2e-3)
+        real = oned._threshold_on
+        monkeypatch.setattr(oned, "_threshold_on", lambda *args: real(*args) + 2e-3)
         assert abs(critical_coupling(1.0, cos2_profile, tol=1e-2) - LAM_CRIT_COS2) < 1e-8
         with pytest.raises(RefinementError, match="misses the target"):
             critical_coupling(1.0, cos2_profile, tol=1e-3)
@@ -370,14 +372,14 @@ class TestGroundState:
         tail = (u[0] ** 2 + u[-1] ** 2) * r**2 / (1.0 - r**2)
         assert abs((np.sum(u**2) + tail) * gs.spacing - 1.0) < 1e-12
         # even potential: even ground state, zero derivative at the origin
-        h0, h1 = gs.jet(0.0)
+        h0, h1 = weyl._ground_jet(gs, 0.0)
         assert abs(h1) < 1e-8
         assert h0 > 0
 
     def test_quadrature_rayleigh_identity(self, gs_minus1):
         gs = gs_minus1
         t, w = map(np.array, gauss_panels(np.linspace(-11.0, 11.0, 441).tolist(), 8))
-        h, h1 = np.array([gs.jet(x) for x in t]).T
+        h, h1 = np.array([weyl._ground_jet(gs, x) for x in t]).T
         v = np.array(profile_values(gs.profile, t.tolist()))
         num = w @ (h1**2 + (gs.omega**2 - gs.lam * v) * h**2)
         den = w @ h**2
@@ -393,12 +395,12 @@ class TestGroundState:
     def test_copy_and_pickle_give_an_equal_record(self, gs_minus1):
         # a plain record, equal by value: a copy or an unpickled ground state
         # equals the original, interpolates the same and has equal moments
-        moments = weyl._ground_moments(gs_minus1)
+        moments = weyl.ground_moments(gs_minus1)
         for twin in (copy.copy(gs_minus1), copy.deepcopy(gs_minus1),
                      pickle.loads(pickle.dumps(gs_minus1))):
             assert type(twin) is oned.GroundState and twin == gs_minus1
-            assert twin.jet(0.3) == gs_minus1.jet(0.3)
-            assert weyl._ground_moments(twin) == moments
+            assert weyl._ground_jet(twin, 0.3) == weyl._ground_jet(gs_minus1, 0.3)
+            assert weyl.ground_moments(twin) == moments
 
     def test_v_is_evaluated_once_per_node(self, cos2_profile, monkeypatch):
         # V on the support chain serves A(E) and the ODE-exact h'' alike;
@@ -429,9 +431,9 @@ class TestGroundState:
         ref = truncated_line_ground_state(spec, 12.0, 4001)
         assert abs(gs.e0 - ref.e0) <= 1e-5 * abs(ref.e0)
         for t in np.linspace(-3.0, 3.0, 61):
-            (h, h1), (want, want1) = gs.jet(t), ref.jet(t)
+            (h, h1), (want, want1) = weyl._ground_jet(gs, t), weyl._ground_jet(ref, t)
             assert abs(h - want) <= 1e-5 and abs(h1 - want1) <= 3e-5, t
-        mom, want = (weyl._ground_moments(g).mom for g in (gs, ref))
+        mom, want = (weyl.ground_moments(g).mom for g in (gs, ref))
         for name in want:
             assert abs(mom[name] - want[name]) <= 5e-5 * want[name], name
 
@@ -443,8 +445,8 @@ class TestGroundState:
         # bisection gives the eigenpair: its Sturm counts, and one more that
         # certifies the shift of the inverse iteration
         m = 2 * ResolutionPolicy().m_for(1.0)
-        level = oned._line_level(cos2_profile, m)[:2]
-        steps = oned._chain_threshold(1.0, lam, cos2_profile, *level)[1]
+        chain = oned._chain(cos2_profile, XDomain(), m)
+        steps = oned._chain_threshold(ComparisonSpec(1.0, lam, cos2_profile), chain)[1]
         counts = []
 
         def counted(*args):
@@ -465,8 +467,9 @@ class TestGroundState:
         # the support chain with transparent ends at E0, whose lowest
         # eigenvalue is E0 to the bisection's rounding level
         gs = ground_state(ComparisonSpec(1.0, lam, profile))
-        h, half_width, _ = oned._line_level(profile, 2 * ResolutionPolicy().m_for(1.0))
-        d, _ = oned._chain_count(1.0, lam, profile, h, half_width, None)[1](gs.e0)
+        chain = oned._chain(profile, XDomain(), 2 * ResolutionPolicy().m_for(1.0))
+        h = chain.h
+        d = oned._diagonal(chain, 1.0, lam, oned._end_terms(chain, 1.0, gs.e0)[0])
         (e0,), vec = eigh_tridiagonal(d, [-1.0 / h**2] * (len(d) - 1), select="i",
                                       select_range=(0, 0))
         assert abs(e0 - gs.e0) <= 4 * np.finfo(float).eps * (4.0 / h**2 + 1.0 + lam)
@@ -490,7 +493,7 @@ class TestGroundState:
     def test_exponential_tail(self, gs_minus1):
         gs = gs_minus1
         t = np.linspace(4.0, 8.0, 9)
-        slopes = np.diff(np.log([gs.jet(x)[0] for x in t])) / np.diff(t)
+        slopes = np.diff(np.log([weyl._ground_jet(gs, x)[0] for x in t])) / np.diff(t)
         assert np.max(np.abs(slopes + gs.kappa)) < 0.02 * gs.kappa
 
 
@@ -577,10 +580,11 @@ class TestBisection:
             mp.setattr(oned, "bisect_count", checked)
             if target is None:
                 spec = ComparisonSpec(omega, lam, profile, domain)
-                oned._chain_threshold(omega, lam, profile, *oned._levels(spec, policy)[0][level])
+                k = 2**level * oned._levels(profile, domain, policy)[0]
+                oned._chain_threshold(spec, oned._chain(profile, domain, k))
             else:
-                oned._chain_coupling(omega, profile, target * omega**2,
-                                     2**level * policy.m_for(a))
+                chain = oned._chain(profile, XDomain(), 2**level * policy.m_for(a))
+                oned._chain_coupling(chain, omega, target * omega**2)
         assert len(runs) == 1
 
     @pytest.mark.parametrize("args, most", [
@@ -598,3 +602,30 @@ class TestBisection:
         assert cli.main(args) == 0
         assert capsys.readouterr().out
         assert len(counts) <= most, len(counts)
+
+
+class TestChains:
+    @staticmethod
+    def _sizes(monkeypatch) -> list:
+        """The node counts of every profile evaluation of `oned`."""
+        sizes = []
+        real = oned.profile_values
+        monkeypatch.setattr(oned, "profile_values",
+                            lambda p, ts: sizes.append(len(ts)) or real(p, ts))
+        return sizes
+
+    @pytest.mark.parametrize("args", [["critical", "--tol", "1e-2"], ["tune", "--target", "-1"]],
+                             ids=["critical", "tune"])
+    def test_couplings_are_certified_on_their_own_chains(self, args, monkeypatch, capsys):
+        # the three coupling bisections and the threshold that certifies
+        # their extrapolant run on the same chains, each built once
+        sizes = self._sizes(monkeypatch)
+        config = str(CONFIGS / "single_channel.json")
+        assert cli.main([args[0], "--config", config, *args[1:]]) == 0
+        assert capsys.readouterr().out
+        assert sorted(sizes) == [239, 479, 959]
+
+    def test_coarse_threshold_builds_only_the_coarsest_chain(self, cos2_profile, monkeypatch):
+        sizes = self._sizes(monkeypatch)
+        coarse_threshold(ComparisonSpec(1.0, 2.0, cos2_profile))
+        assert sizes == [239]

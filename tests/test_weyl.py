@@ -47,7 +47,7 @@ def brute_force_residual(qm: weyl.QuasiMode) -> float:
     n = float(qm.n_k)
     phase = qm.phase
     t, tw = line_t_rule(gs)
-    h, h1 = np.array([gs.jet(x) for x in t]).T
+    h, h1 = np.array([weyl._ground_jet(gs, x) for x in t]).T
     v = np.array(profile_values(gs.profile, t.tolist()))
     p = gs.omega**2 - gs.lam * v + e          # h'' = p h
     fh = -0.5j * s * t**2 * h
@@ -76,12 +76,12 @@ def brute_force_residual(qm: weyl.QuasiMode) -> float:
 
 @pytest.fixture(scope="module")
 def gm_minus1(gs_minus1):
-    return weyl._ground_moments(gs_minus1)
+    return weyl.ground_moments(gs_minus1)
 
 
 @pytest.fixture(scope="module")
 def gm_shipped(gs_shipped):
-    return weyl._ground_moments(gs_shipped)
+    return weyl.ground_moments(gs_shipped)
 
 
 class TestCutoff:
@@ -225,7 +225,7 @@ class TestParameterSelection:
             weyl.choose_parameters(0.1, gm_minus1, min_n=2**240)
 
     def test_moments_match_pinned_values(self, gs_shipped):
-        mom = weyl._ground_moments(gs_shipped).mom
+        mom = weyl.ground_moments(gs_shipped).mom
         for name, want in H_MOMENTS.items():
             assert abs(mom[name] - want) <= 1e-12 * want, (name, mom[name], want)
 
