@@ -8,7 +8,9 @@ sup V, sup |V'|, and the support half-width.  The classification rule takes
 t_V, the minimum over channels of the 1D threshold inf sigma(L_j) on the
 line; its sign decides bounded-below versus unbounded-below on every
 x-domain (`classify`).  On an interval the strip bounds hold under
-Dirichlet ends only.
+Dirichlet ends only.  `classify` returns a `Classification` record and
+`global_lower_bound` a float or "unbounded below"; the `classify` and
+`bound` commands write them.
 """
 
 from __future__ import annotations
@@ -26,7 +28,6 @@ __all__ = [
     "classify",
     "strip_bounds",
     "global_lower_bound",
-    "classification_json_dict",
 ]
 
 
@@ -49,7 +50,7 @@ class Classification(NamedTuple):
 _TOL = 1e-6
 
 
-def channel_threshold(config: ModelConfig, ch: ChannelSpec) -> float:
+def _channel_threshold(config: ModelConfig, ch: ChannelSpec) -> float:
     """inf sigma(L_j) for one channel on the line, whatever the
     configuration's x-domain (see `classify`)."""
     return threshold(ComparisonSpec(config.omega, ch.lam, ch.profile))
@@ -69,7 +70,7 @@ def classify(config: ModelConfig, tol: float = _TOL) -> Classification:
         raise ConfigurationError(
             f"classification tolerance must be positive and finite, got {tol!r}")
     return _classification(
-        tuple(channel_threshold(config, ch) for ch in config.channels), tol)
+        tuple(_channel_threshold(config, ch) for ch in config.channels), tol)
 
 
 def _classification(per: tuple[float, ...], tol: float = _TOL) -> Classification:
@@ -111,7 +112,7 @@ def strip_bounds(config: ModelConfig, n_max: int) -> list[StripBound]:
         raise ConfigurationError("strip bounds are defined for a single channel")
     if n_max < 1:
         raise ConfigurationError("need n_max >= 1")
-    e_l = (channel_threshold(config, config.channels[0])
+    e_l = (_channel_threshold(config, config.channels[0])
            if config.channels else config.omega**2)
     return _strips(config, e_l, n_max)
 
@@ -138,8 +139,12 @@ def _strips(config: ModelConfig, e_l: float, n_max: int) -> list[StripBound]:
     return out
 
 
-def global_lower_bound(config: ModelConfig):
+def global_lower_bound(config: ModelConfig, per_channel: tuple[float, ...] | None = None):
     """Lower bound on the whole operator, or the string "unbounded below".
+
+    `per_channel`, the channels' line thresholds where known, saves their
+    computation; whatever tol classified them, the verdict at the default
+    tol routes the bound, so passing them never changes it.
 
     Supercritical configurations are routed straight to "unbounded below" on
     every x-domain; under Neumann or periodic ends any other configuration
@@ -162,16 +167,10 @@ def global_lower_bound(config: ModelConfig):
     strip bounds tend to -inf and there is no finite bound:
     `ComputationError` names t_V.
     """
-    cls = classify(config) if config.channels else None
-    return _lower_bound(config, cls)
-
-
-def _lower_bound(config: ModelConfig, cls: Classification | None):
-    """global_lower_bound from the classification of the configuration's
-    channels (None when it has none), so no threshold is computed twice."""
-    if cls is None:
+    if not config.channels:
         e_l = config.omega**2
     else:
+        cls = classify(config) if per_channel is None else _classification(per_channel)
         if cls.verdict == "supercritical":
             return "unbounded below"
         if len(config.channels) > 1:
@@ -184,18 +183,3 @@ def _lower_bound(config: ModelConfig, cls: Classification | None):
                 "tend to -inf, so the operator has no finite lower bound from "
                 "them")
     return min(s.net_bound for s in _strips(config, e_l, 2))
-
-
-def classification_json_dict(config: ModelConfig, cls: Classification) -> dict:
-    out = {
-        "t_V": cls.t_v,
-        "verdict": cls.verdict,
-        "per_channel": list(cls.per_channel),
-    }
-    # routed, like global_lower_bound, by the verdict at the default tol;
-    # omitted where `_lower_bound` refuses one
-    try:
-        out["global_lower_bound"] = _lower_bound(config, _classification(cls.per_channel))
-    except (ConfigurationError, ComputationError):
-        pass
-    return out

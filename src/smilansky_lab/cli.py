@@ -8,7 +8,10 @@ in, seed).  Exit codes: 0 success, 1 computation failure (including a
 configuration error.
 
 `_COMMANDS` declares each command's parameters once, for the flags of
-`main` and the checks and defaults of `RunRequest`.
+`main` and the checks and defaults of `RunRequest`.  Only this module
+names an output key, a CSV column or a number format: the library returns
+records (a `TransitionScan`, `CertificateRow`s and their checks, a
+`Classification`), and `run` writes them.
 
 The 1D commands (`critical`, `tune`, `eig1d`, `classify`, `bound`) and
 `weyl` run on the standard library alone, for every profile family;
@@ -82,6 +85,11 @@ _COMMANDS = {
 }
 # the commands that write CSV (their default) as well as JSON
 _CSV_COMMANDS = ("scan", "weyl")
+# `weyl`'s columns, the first seven fields of each `weyl.CertificateRow`:
+# (name in the JSON rows and the CSV header, CSV number format)
+_WEYL_COLUMNS = (("epsilon", ".6g"), ("k", ".6g"), ("n_k", ""), ("norm", ".12g"),
+                 ("residual", ".12g"), ("normalized_residual", ".12g"),
+                 ("bound_9eps", ".6g"))
 
 
 class RunRequest(Checked, namedtuple("RunRequest", "command config_path params output fmt")):
@@ -194,7 +202,9 @@ def run(request: RunRequest) -> int:
             from . import grid2d
 
             scan = grid2d.transition_scan(config, p["ladder"])
-            body = grid2d.scan_csv(scan)
+            fit = f"{scan.c_fit:.12g},{scan.verdict}"
+            body = "Y,lambda0,c_fit,verdict\n" + "".join(
+                f"{r.y_half:.6g},{r.lambda0:.12g},{fit}\n" for r in scan.rows)
             payload = {"rows": [{"Y": r.y_half, "lambda0": r.lambda0,
                                  "residual": r.residual} for r in scan.rows],
                        "c_fit": scan.c_fit, "r_squared": scan.r_squared,
@@ -211,14 +221,27 @@ def run(request: RunRequest) -> int:
             # the channel's ground state on the line, on its support chain
             gs = ground_state(ComparisonSpec(config.omega, ch.lam, ch.profile))
             rows = weyl.weyl_certificate(config, gs, p["mu"], p["eps"])
-            payload = weyl.certificate_summary(rows)
-            body = (f"# all_pass={json.dumps(payload['all_pass'])}\n"
-                    + weyl.certificate_csv(rows))
+            checks = weyl.certificate_checks(rows)
+            # zip and map stop at the seventh field of a row
+            names, formats = zip(*_WEYL_COLUMNS)
+            payload = {"rows": [dict(zip(names, r)) for r in rows], "checks": checks,
+                       "all_pass": all(checks.values())}
+            body = "".join([f"# all_pass={json.dumps(payload['all_pass'])}\n",
+                            ",".join(names) + "\n"]
+                           + [",".join(map(format, r, formats)) + "\n" for r in rows])
         elif command == "classify":
             from . import bracketing
 
-            payload = bracketing.classification_json_dict(
-                config, bracketing.classify(config, tol=p["tol"]))
+            cls = bracketing.classify(config, tol=p["tol"])
+            payload = {"t_V": cls.t_v, "verdict": cls.verdict,
+                       "per_channel": list(cls.per_channel)}
+            # routed, like `bound`, by the verdict at the default tol; left
+            # out where the bound is refused
+            try:
+                payload["global_lower_bound"] = bracketing.global_lower_bound(
+                    config, cls.per_channel)
+            except (ConfigurationError, ComputationError):
+                pass
         else:
             from . import bracketing
 

@@ -11,10 +11,12 @@ couplings between them; the 2D solve and the matrix export work on that
 form with numpy alone.  The transition itself
 is read off the Y-dependence of the lowest eigenvalue: subcritical
 configurations stabilize, supercritical ones plunge like -cY^2 with c near
-the 1D channel energy |E0|.  With even channel profiles the operator
-commutes with y -> -y, and when x -> -x also maps the channels onto each
-other it commutes with that reflection too; the graded x-mesh is built from
-x = 0 outward, so it keeps that symmetry.  A scan solves only the block of H
+the 1D channel energy |E0|; `transition_scan` returns the rungs, the fit
+and the verdict as a `TransitionScan` record, which the `scan` command
+writes.  With even channel profiles the operator commutes with y -> -y,
+and when x -> -x also maps the channels onto each other it commutes with
+that reflection too; the graded x-mesh is built from x = 0 outward, so it
+keeps that symmetry.  A scan solves only the block of H
 on vectors even under each such reflection (one closed-form fold of the 1D
 stencil per axis, `_mirror_fold`), which holds the ground state: on both
 shipped scan configs that is the even-even quarter block.
@@ -43,7 +45,6 @@ __all__ = [
     "lowest_eigenvalues",
     "scan_grid",
     "transition_scan",
-    "scan_csv",
 ]
 
 # the pivot blocks of the 2D solve may take this many doubles per node of
@@ -584,9 +585,3 @@ def transition_scan(config: ModelConfig, y_ladder: list[float]) -> TransitionSca
     rows = tuple(ScanRow(float(y), float(v), r) for y, v, r in zip(ys, vals, residuals))
     return TransitionScan(rows=rows, c_fit=c_fit, r_squared=r2, verdict=verdict)
 
-
-def scan_csv(scan: TransitionScan) -> str:
-    fit = f"{scan.c_fit:.12g},{scan.verdict}"
-    lines = ["Y,lambda0,c_fit,verdict"]
-    lines += [f"{r.y_half:.6g},{r.lambda0:.12g},{fit}" for r in scan.rows]
-    return "\n".join(lines) + "\n"

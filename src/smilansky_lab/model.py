@@ -25,11 +25,13 @@ from typing import Optional, Sequence
 from .errors import ConfigurationError
 
 __all__ = [
+    "Checked",
     "PotentialProfile",
     "ChannelSpec",
     "XDomain",
     "ModelConfig",
     "profile_values",
+    "config_from_dict",
     "load_config",
 ]
 
@@ -61,10 +63,7 @@ class PotentialProfile(Checked, namedtuple("PotentialProfile", "family a amplitu
                    zero outside the tabulated range
     """
 
-    # no __slots__: a table profile keeps its PCHIP nodes, amplitude-scaled
-    # values and node slopes in `_hermite`, in the instance dict, outside
-    # equality, hashing and repr (the fields determine it)
-    _hermite = None
+    __slots__ = ()
 
     def __new__(cls, family: str = "cos2", a: float = 1.0, amplitude: float = 1.0,
                 table: Optional[tuple[tuple[float, float], ...]] = None):
@@ -77,8 +76,6 @@ class PotentialProfile(Checked, namedtuple("PotentialProfile", "family a amplitu
                 f"profile half-width and amplitude must be positive and finite, "
                 f"got {self.a!r}, {self.amplitude!r}")
         if self.family == "table":
-            from .quadrature import pchip_slopes
-
             if not self.table or len(self.table) < 3:
                 raise ConfigurationError("tabulated profile needs at least 3 points")
             ts, vs = (tuple(map(float, c)) for c in zip(*self.table))
@@ -94,9 +91,17 @@ class PotentialProfile(Checked, namedtuple("PotentialProfile", "family a amplitu
                 raise ConfigurationError(
                     f"tabulated abscissae [{ts[0]}, {ts[-1]}] must lie in "
                     f"[-{self.a}, {self.a}]")
-            ys = tuple(self.amplitude * v for v in vs)
-            self._hermite = (ts, ys, tuple(pchip_slopes(ts, ys)))
         return self
+
+    @property
+    def _hermite(self) -> tuple[tuple[float, ...], tuple[float, ...], tuple[float, ...]]:
+        """A table profile's PCHIP interpolant: its nodes, amplitude-scaled
+        values and node slopes."""
+        from .quadrature import pchip_slopes
+
+        ts, vs = (tuple(map(float, c)) for c in zip(*self.table))
+        ys = tuple(self.amplitude * v for v in vs)
+        return ts, ys, tuple(pchip_slopes(ts, ys))
 
     @property
     def derivative_bound(self) -> float:

@@ -22,8 +22,10 @@ and the tail integrals out to the truncation t_max are closed forms.
 `QuasiMode` of its ladder carries them with the ground state.  On an
 interval x-domain (-c, c) psi also carries a plateau phi(x) of half-width c
 (`QuasiMode`), which n_k keeps equal to 1 wherever |t| <= t_max, so the
-residual is the line's.  All of it runs on floats and lists with `math`;
-nothing here imports numpy.
+residual is the line's.  `weyl_certificate` returns one `CertificateRow`
+per ladder entry, and `certificate_checks` the six checks they must pass;
+the `weyl` command writes both.  All of it runs on floats and lists with
+`math`; nothing here imports numpy.
 """
 
 from __future__ import annotations
@@ -53,8 +55,7 @@ __all__ = [
     "quasimode_norm",
     "residual_norm",
     "weyl_certificate",
-    "certificate_csv",
-    "certificate_summary",
+    "certificate_checks",
 ]
 
 
@@ -178,8 +179,13 @@ class CutoffFunction(namedtuple("CutoffFunction", "k c premass mass_over_z j_wei
 
     @property
     def breaks(self) -> tuple[float, float, float]:
-        rk = math.sqrt(self.k)
-        return rk, rk + 1.0, self.k - 1.0
+        return _breaks(self.k)
+
+
+def _breaks(k: float) -> tuple[float, float, float]:
+    """The cutoff's break points sqrt(k), sqrt(k) + 1 and k - 1."""
+    rk = math.sqrt(k)
+    return rk, rk + 1.0, k - 1.0
 
 
 def build_cutoff(k: float) -> CutoffFunction:
@@ -188,7 +194,7 @@ def build_cutoff(k: float) -> CutoffFunction:
         raise ConfigurationError(f"cutoff requires a finite k >= 16, got {k!r}")
     k = float(k)
     L = math.log(k)
-    z1, z2, z3 = math.sqrt(k), math.sqrt(k) + 1.0, k - 1.0
+    z1, z2, z3 = _breaks(k)
     rise = [[0.0, 0.0, 0.0, 8.0 / L**3]]
     descent = [[0.0, -2.0 / L]]
     for r in (rise, descent):
@@ -289,10 +295,6 @@ class QuasiMode(Checked, namedtuple("QuasiMode", "mu cutoff n_k moments x_domain
                 f"theta' = sqrt(E y^2 + mu) is not real on the support y >= n_k = "
                 f"{n_k} at mu = {mu!r}")
         return self
-
-    @property
-    def k(self) -> float:
-        return self.cutoff.k
 
     @property
     def e_mag(self) -> float:
@@ -439,8 +441,8 @@ def ground_moments(gs: GroundState) -> GroundMoments:
 # --- parameter selection ----------------------------------------------------
 
 
-def suppressed_term_bounds(cut: CutoffFunction, n_k: int, mom: dict,
-                           mu: float, e_mag: float) -> dict:
+def _suppressed_term_bounds(cut: CutoffFunction, n_k: int, mom: dict,
+                            mu: float, e_mag: float) -> dict:
     """The explicit n_k-suppressed bounds on the residual terms, one entry per
     inequality, plus the extra phase term present when mu != 0.  A bound past
     the float64 range is inf."""
@@ -514,7 +516,7 @@ def choose_parameters(eps: float, moments: GroundMoments, mu: float = 0.0,
                 f"n_k search reached n_k = {n:.3g} at k = {cut.k:.3g}, past "
                 f"k n_k = 2^255 where y^4 leaves the float64 range")
         corr = _correction_term(cut, n, mom)
-        bounds = suppressed_term_bounds(cut, n, mom, mu, e_mag)
+        bounds = _suppressed_term_bounds(cut, n, mom, mu, e_mag)
         total = sum(bounds.values())
         if corr < 1.0 / 16.0 and total < eps and phase.is_real_from(n):
             return cut, n
@@ -636,6 +638,9 @@ def residual_norm(qm: QuasiMode) -> float:
 
 
 class CertificateRow(NamedTuple):
+    """One quasi-mode of a certificate; the `weyl` command prints the first
+    seven fields, in this order."""
+
     eps: float
     k: float
     n_k: int
@@ -690,16 +695,9 @@ def weyl_certificate(config, gs: GroundState, mu: float,
     return rows
 
 
-def certificate_csv(rows: list[CertificateRow]) -> str:
-    lines = ["epsilon,k,n_k,norm,residual,normalized_residual,bound_9eps"]
-    for r in rows:
-        lines.append(f"{r.eps:.6g},{r.k:.6g},{r.n_k},{r.norm:.12g},"
-                     f"{r.residual:.12g},{r.normalized_residual:.12g},{r.bound_9eps:.6g}")
-    return "\n".join(lines) + "\n"
-
-
-def certificate_summary(rows: list[CertificateRow]) -> dict:
-    checks = {
+def certificate_checks(rows: list[CertificateRow]) -> dict[str, bool]:
+    """The six checks of a certificate, by name; it holds when all pass."""
+    return {
         "norm_ge_half": all(r.norm >= 0.5 for r in rows),
         "correction_lt_sixteenth": all(r.correction_term < 1.0 / 16.0 for r in rows),
         "residual_sq_le_bound": all(r.residual**2 <= r.bound_9eps * (1.0 + 1e-6)
@@ -712,15 +710,4 @@ def certificate_summary(rows: list[CertificateRow]) -> dict:
             for a, b in zip(rows, rows[1:])),
         "supports_disjoint": all(a.support[1] < b.support[0]
                                  for a, b in zip(rows, rows[1:])),
-    }
-    return {
-        "rows": [
-            {"epsilon": r.eps, "k": r.k, "n_k": r.n_k, "norm": r.norm,
-             "residual": r.residual,
-             "normalized_residual": r.normalized_residual,
-             "bound_9eps": r.bound_9eps}
-            for r in rows
-        ],
-        "checks": checks,
-        "all_pass": all(checks.values()),
     }

@@ -6,11 +6,23 @@ import pytest
 
 from smilansky_lab import bracketing as br
 from smilansky_lab import grid2d
-from smilansky_lab.cli import RunRequest, run
+from smilansky_lab.cli import RunRequest, main, run
 from smilansky_lab.errors import ComputationError, ConfigurationError
 from smilansky_lab.model import (ChannelSpec, ModelConfig, PotentialProfile, XDomain,
                                  load_config)
 from smilansky_lab.oned import ComparisonSpec, threshold, tune_lambda_to_threshold
+
+
+def classify_payload(cfg: ModelConfig, tol: float, tmp_path, capsys) -> dict:
+    """The JSON that the `classify` command writes for `cfg` at `tol`."""
+    path = tmp_path / "classify.json"
+    path.write_text(json.dumps({
+        "omega": cfg.omega,
+        "channels": [{"lambda": ch.lam, "center": ch.center, "profile": ch.profile._asdict()}
+                     for ch in cfg.channels],
+        "x_domain": {"type": cfg.x_domain.kind, "c": cfg.x_domain.c, "bc": cfg.x_domain.bc}}))
+    assert main(["classify", "--config", str(path), "--tol", repr(tol)]) == 0
+    return json.loads(capsys.readouterr().out)
 
 
 @pytest.fixture(scope="module")
@@ -130,7 +142,8 @@ class TestGlobalBound:
         assert all(b >= a for a, b in zip(nets[1:], nets[2:]))
         assert br.global_lower_bound(cfg) == min([central] + nets)
 
-    def test_negative_threshold_in_critical_band_has_no_bound(self, prof, lam_crit):
+    def test_negative_threshold_in_critical_band_has_no_bound(self, prof, lam_crit,
+                                                               tmp_path, capsys):
         # t_V ~ -1.5e-7: "critical" at tol 1e-6, but the strip bounds
         # ln^2(n) t_V - corr(n) tend to -inf
         cfg = ModelConfig(omega=1.0,
@@ -139,9 +152,11 @@ class TestGlobalBound:
         assert cls.verdict == "critical" and -1e-6 < cls.t_v < 0.0
         with pytest.raises(ComputationError, match="t_V = -1.5"):
             br.global_lower_bound(cfg)
-        assert "global_lower_bound" not in br.classification_json_dict(cfg, cls)
+        payload = classify_payload(cfg, 1e-6, tmp_path, capsys)
+        assert payload["verdict"] == "critical"
+        assert "global_lower_bound" not in payload
 
-    def test_two_channels_routed_by_the_default_tol(self, prof, lam_crit):
+    def test_two_channels_routed_by_the_default_tol(self, prof, lam_crit, tmp_path, capsys):
         # supercritical at tol 1e-9 but critical at the default tol, which
         # routes the bound: two channels give none, and no error
         cfg = ModelConfig(omega=1.0, channels=(
@@ -149,7 +164,18 @@ class TestGlobalBound:
             ChannelSpec(1.0, 3.0, PotentialProfile("quartic", 1.0, 1.0))))
         cls = br.classify(cfg, tol=1e-9)
         assert cls.verdict == "supercritical"
-        assert "global_lower_bound" not in br.classification_json_dict(cfg, cls)
+        payload = classify_payload(cfg, 1e-9, tmp_path, capsys)
+        assert payload["verdict"] == "supercritical"
+        assert "global_lower_bound" not in payload
+
+    @pytest.mark.parametrize("scale", [0.5, 1.0 - 1e-7, 2.0])
+    def test_known_thresholds_leave_the_bound_unchanged(self, prof, lam_crit, scale):
+        # classified at any tol, the thresholds route the bound by the
+        # verdict at the default tol
+        cfg = ModelConfig(omega=1.0, channels=(ChannelSpec(scale * lam_crit, 0.0, prof),))
+        want = br.global_lower_bound(cfg)
+        for tol in (1e-9, 1e-6, 0.5):
+            assert br.global_lower_bound(cfg, br.classify(cfg, tol).per_channel) == want
 
 
 class TestIntervalDomains:
@@ -188,7 +214,9 @@ class TestIntervalDomains:
             br.global_lower_bound(cfg)
         cls = br.classify(cfg)
         assert cls.verdict == "subcritical"
-        assert "global_lower_bound" not in br.classification_json_dict(cfg, cls)
+        payload = classify_payload(cfg, 1e-6, tmp_path, capsys)
+        assert payload["verdict"] == "subcritical"
+        assert "global_lower_bound" not in payload
         path = tmp_path / "cfg.json"
         path.write_text(json.dumps({"omega": 1.0, "channels": [{
             "lambda": 2.0, "profile": {"family": "cos2", "a": 1.0, "amplitude": 1.0}}],

@@ -275,15 +275,12 @@ class TestCommands:
         assert len(data) == 2
 
     def test_weyl_failed_certificate_is_1(self, super_cfg, tmp_path, capsys, monkeypatch):
-        real = weyl.certificate_summary
+        real = weyl.certificate_checks
 
         def failing(rows):
-            out = real(rows)
-            out["checks"]["norm_ge_half"] = False
-            out["all_pass"] = False
-            return out
+            return {**real(rows), "norm_ge_half": False}
 
-        monkeypatch.setattr(weyl, "certificate_summary", failing)
+        monkeypatch.setattr(weyl, "certificate_checks", failing)
         out = tmp_path / "w.csv"
         assert run(RunRequest("weyl", super_cfg, params={"eps": [0.1]},
                               output=str(out), fmt="csv")) == 1

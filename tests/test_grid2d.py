@@ -9,6 +9,7 @@ from scipy.linalg import eigh_tridiagonal
 
 from oracles import coo_text, dense_tridiagonal, sparse_matrix, uniform_grid
 from smilansky_lab import grid2d
+from smilansky_lab.cli import main
 from smilansky_lab.eigs import BlockTridiagonal
 from smilansky_lab.errors import ComputationError, ConfigurationError, RefinementError
 from smilansky_lab.model import (ChannelSpec, ModelConfig, PotentialProfile, XDomain,
@@ -376,10 +377,13 @@ class TestScan:
             assert first_max is None or rungs[0][1] <= first_max
             assert all(solves <= later_max for _, solves in rungs[1:])
 
-    def test_csv_header(self, monkeypatch):
+    def test_csv_header(self, monkeypatch, tmp_path, capsys):
         monkeypatch.setattr(grid2d, "_X_HALF_WIDTH", 4.0)
-        scan = grid2d.transition_scan(ModelConfig(omega=1.0), [2.0, 3.0, 4.0])
-        lines = grid2d.scan_csv(scan).strip().split("\n")
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({"omega": 1.0}))
+        assert main(["scan", "--config", str(path), "--ladder", "2,3,4"]) == 0
+        lines = [ln for ln in capsys.readouterr().out.strip().split("\n")
+                 if not ln.startswith("#")]
         assert lines[0] == "Y,lambda0,c_fit,verdict"
         assert len(lines) == 4
 

@@ -255,7 +255,7 @@ class TestRecords:
         table = ((-1.0, 0.0), (0.0, 1.0), (1.0, 0.0))
         a = PotentialProfile("table", 1.0, 1.0, table)
         b = PotentialProfile("table", 1.0, 1.0, tuple(map(tuple, table)))
-        assert a == b and hash(a) == hash(b) and a._hermite is not b._hermite
+        assert a == b and hash(a) == hash(b) and not hasattr(a, "__dict__")
         assert repr(a) == f"PotentialProfile(family='table', a=1.0, amplitude=1.0, table={table!r})"
         cfg = ModelConfig(1.0, (ChannelSpec(2.0, 0.0, a),))
         assert cfg == ModelConfig(1.0, (ChannelSpec(2.0, 0.0, b),), XDomain(), None)

@@ -11,6 +11,7 @@ from scipy.integrate import quad
 from oracles import (cutoff_jet, line_t_rule, quasimode_norm_direct,
                      residual_identity_check)
 from smilansky_lab import weyl
+from smilansky_lab.cli import main
 from smilansky_lab.errors import ComputationError, ConfigurationError, SmilanskyError
 from smilansky_lab.model import ChannelSpec, ModelConfig, XDomain, profile_values
 from smilansky_lab.oned import ComparisonSpec, ResolutionPolicy, ground_state
@@ -371,8 +372,7 @@ class TestCertificate:
     def test_full_line_ladder(self, supercritical_config, gs_minus1):
         rows = weyl.weyl_certificate(supercritical_config, gs_minus1, 0.0,
                                      [0.1, 0.05])
-        summary = weyl.certificate_summary(rows)
-        assert summary["all_pass"]
+        assert all(weyl.certificate_checks(rows).values())
         assert rows[0].support[1] < rows[1].support[0]
 
     def test_interval_mode(self, cos2_profile, lam_e0_minus1, gs_minus1):
@@ -393,10 +393,15 @@ class TestCertificate:
         with pytest.raises(ConfigurationError, match="supercritical"):
             weyl.weyl_certificate(supercritical_config, gs, 0.0, [0.1])
 
-    def test_csv_shape(self, supercritical_config, gs_minus1):
-        rows = weyl.weyl_certificate(supercritical_config, gs_minus1, 0.0,
-                                     [0.1])
-        text = weyl.certificate_csv(rows)
-        lines = text.strip().split("\n")
+    def test_csv_shape(self, supercritical_config, tmp_path, capsys):
+        # the `weyl` command's CSV on the same configuration, less its
+        # `#` header lines
+        ch, = supercritical_config.channels
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({"omega": supercritical_config.omega, "channels": [
+            {"lambda": ch.lam, "center": ch.center, "profile": ch.profile._asdict()}]}))
+        assert main(["weyl", "--config", str(path), "--eps", "0.1", "--mu", "0"]) == 0
+        lines = [ln for ln in capsys.readouterr().out.strip().split("\n")
+                 if not ln.startswith("#")]
         assert lines[0] == "epsilon,k,n_k,norm,residual,normalized_residual,bound_9eps"
         assert len(lines) == 2
