@@ -59,7 +59,7 @@ from .oned import (ComparisonSpec, critical_coupling, ground_state, threshold,
 
 __all__ = ["RunRequest", "run", "main", "process_main"]
 
-_SEED = 1234
+_SEED = 1234  # the start vector's seed of every 2D solve (`eigs.shift_invert_lanczos`)
 # the default of a parameter that a command cannot run without
 _NEEDED = object()
 _COUPLING_TOL = ("the 1D threshold at the returned coupling must lie within "
@@ -192,10 +192,10 @@ def run(request: RunRequest) -> int:
 
             grid = grid2d.scan_grid(config, p["y_half"], p["y_half"])
             ham = grid2d.assemble_h2d(config, grid)
-            # an unwritable path fails before the solve, not after it
-            if "export_matrix" in p:
+            grid2d.check_solve(ham, p["k"])  # a refused solve writes nothing,
+            if "export_matrix" in p:  # and an unwritable path fails before the solve
                 _write(p["export_matrix"], ham.export_coo())
-            pairs = grid2d.lowest_eigenvalues(ham, p["k"], tol=p["tol"], seed=_SEED)
+            pairs = grid2d.lowest_eigenvalues(ham, p["k"], tol=p["tol"])
             payload = {"y_half": p["y_half"], "eigenvalues": [v for v, _ in pairs],
                        "residuals": [r for _, r in pairs]}
         elif command == "scan":

@@ -42,6 +42,7 @@ __all__ = [
     "TransitionScan",
     "graded_x_nodes",
     "assemble_h2d",
+    "check_solve",
     "lowest_eigenvalues",
     "scan_grid",
     "transition_scan",
@@ -350,8 +351,7 @@ def assemble_h2d(config: ModelConfig, grid: Grid2D,
 
 
 def lowest_eigenvalues(ham: SparseHamiltonian, k: int = 1, tol: float = 1e-7,
-                       seed: int = 1234, guess: Sequence[float] = ()
-                       ) -> list[tuple[float, float]]:
+                       guess: Sequence[float] = ()) -> list[tuple[float, float]]:
     """k smallest eigenvalues of `ham` (of its sector: on a folded block,
     those of the eigenvectors of H even under its reflections) with
     independently recomputed residual norms, each ||H x - lambda x|| <= tol
@@ -363,28 +363,28 @@ def lowest_eigenvalues(ham: SparseHamiltonian, k: int = 1, tol: float = 1e-7,
     it, certified by its own factor; the guesses are tried in order, and
     without one, or when no such factor exists, the shift is the floor
     potential_min - max(1, 2^-20 |potential_min|), so that H - sigma >= I
-    and the margin survives the rounding of a deep potential_min.  The solve
-    is refused before it starts when ||H||_inf >= 2^512, the 2D depth limit:
-    past it the squares of iterate entries of size 1/||H|| leave the normal
-    float range.  A residual norm that float64 cannot hold raises
-    ComputationError.
+    and the margin survives the rounding of a deep potential_min.
+    `check_solve` refuses the solve before it starts, and a residual norm
+    that float64 cannot hold raises ComputationError.
     """
-    if not 1 <= k <= 20:
-        raise ConfigurationError("eigenvalue count must be between 1 and 20")
-    if k >= ham.n:
-        raise ConfigurationError(
-            f"{k} eigenvalues need more than {k} unknowns; the grid has {ham.n}")
-    _check_depth(ham)
+    check_solve(ham, k)
     floor = ham.potential_min - max(1.0, 2.0**-20 * abs(ham.potential_min))
-    vals, _, res = shift_invert_lanczos(ham.op, k, floor, guess=guess, tol=tol, seed=seed)
+    vals, _, res = shift_invert_lanczos(ham.op, k, floor, guess=guess, tol=tol)
     if not np.all(np.isfinite(res)):
         raise ComputationError(f"residual norms {res.tolist()} are not finite: float64 "
                                "cannot hold the eigenpairs of this operator")
     return [(float(v), float(r)) for v, r in zip(vals, res)]
 
 
-def _check_depth(ham: SparseHamiltonian) -> None:
-    """Refuse an operator with ||H||_inf >= 2^512, the 2D depth limit."""
+def check_solve(ham: SparseHamiltonian, k: int) -> None:
+    """Refuse a solve for k eigenvalues before it, or a matrix export, starts:
+    k outside 1..20 or not below ham.n, or ||H||_inf >= 2^512, the 2D depth
+    limit, past which squares of iterate entries of size 1/||H|| underflow."""
+    if not 1 <= k <= 20:
+        raise ConfigurationError("eigenvalue count must be between 1 and 20")
+    if k >= ham.n:
+        raise ConfigurationError(
+            f"{k} eigenvalues need more than {k} unknowns; the grid has {ham.n}")
     norm = ham.op.norm_inf()
     if not norm < 2.0**512:
         raise ConfigurationError(f"||H||_inf = {norm:.6g} is not below the 2D depth limit "
@@ -541,7 +541,7 @@ def transition_scan(config: ModelConfig, y_ladder: list[float]) -> TransitionSca
     # ||H||_inf grows with Y on the shared x-grid, so the top rung meets the
     # depth limit before any rung is solved
     top = assemble_h2d(config, scan_grid(config, y_max, y_max), sector)
-    _check_depth(top)
+    check_solve(top, 1)
     for y in y_ladder:
         ham = (top if y == y_ladder[-1]
                else assemble_h2d(config, scan_grid(config, float(y), y_max), sector))

@@ -31,8 +31,9 @@ off-diagonal is the one entry -1/h^2.  Each count returns the last pivot
 of the chain too, which changes sign at the threshold (or the coupling)
 and steers `bisect_count` to the plain bisection's bracket in about a third
 of its counts.  They are Richardson-extrapolated over three resolutions
-and gated at `rich_tol`: m, 2m and 4m steps of the support on the line,
-and on an interval (-c, c) the grids of n, 2n and 4n nodes (interior
+and gated at `rich_tol`, by the one rule `_RESOLUTION` of every 1D solve:
+m, 2m and 4m steps of the support on the line (m = ceil(120 max(a, 1))), and
+on an interval (-c, c) the grids of n, 2n and 4n nodes (interior
 vertices with Dirichlet ends, cell centres otherwise), whose support nodes
 and exterior counts are integer arithmetic: c does not enter the cost.
 
@@ -93,7 +94,7 @@ class ComparisonSpec(Checked, namedtuple("ComparisonSpec", "omega lam profile do
 
 
 class ResolutionPolicy(NamedTuple):
-    """Discretization policy: grid density and the Richardson gate."""
+    """Grid density and Richardson gate: the rule of every 1D solve, `_RESOLUTION`."""
 
     points_per_unit: float = 120.0
     rich_tol: float = 1e-6
@@ -124,13 +125,16 @@ class ResolutionPolicy(NamedTuple):
         return m
 
 
-def _rich_gate(value: float, policy: ResolutionPolicy) -> float:
+_RESOLUTION = ResolutionPolicy()
+
+
+def _rich_gate(value: float) -> float:
     """The tolerance of the Richardson gate at the size of `value`: rich_tol,
     or 64 eps |value| (_FLOAT_RESOLUTION) where float64 cannot resolve it."""
-    return max(policy.rich_tol, _FLOAT_RESOLUTION * abs(value))
+    return max(_RESOLUTION.rich_tol, _FLOAT_RESOLUTION * abs(value))
 
 
-def _richardson(what: str, values: list[float], steps, policy: ResolutionPolicy) -> float:
+def _richardson(what: str, values: list[float], steps) -> float:
     """Extrapolate values at resolutions (k, 2k, 4k) of an O(h^2) scheme.
 
     The (k, 2k) and (2k, 4k) extrapolants must agree to `_rich_gate` at the
@@ -142,10 +146,10 @@ def _richardson(what: str, values: list[float], steps, policy: ResolutionPolicy)
     gap = abs(r1 - r2)
     _debug(__name__, "%s: values %r, Richardson gap %.3g, bisection steps %s",
            what, values, gap, steps)
-    gate = _rich_gate(r2, policy)
+    gate = _rich_gate(r2)
     if gap > gate:
-        why = (f"disagree beyond rich_tol = {policy.rich_tol:g}"
-               if gate == policy.rich_tol else
+        why = (f"disagree beyond rich_tol = {_RESOLUTION.rich_tol:g}"
+               if gate == _RESOLUTION.rich_tol else
                f"disagree beyond what float64 resolves at this size, "
                f"64 eps |value| = {gate:.3g}")
         raise RefinementError(
@@ -154,13 +158,13 @@ def _richardson(what: str, values: list[float], steps, policy: ResolutionPolicy)
     return r2
 
 
-def _check_bracket(value: float, lo: float, h: float, policy: ResolutionPolicy) -> None:
+def _check_bracket(value: float, lo: float, h: float) -> None:
     """Refuse a threshold whose bisection ended on a bracket [lo, 2 value -
     lo] wider than the Richardson gate's tolerance: at a small h the
     rounding level eps ||A|| of the count may pass the whole bracket, and
     equal midpoints would then pass the gate.  A NaN fails too."""
     width = 2.0 * (value - lo)
-    gate = _rich_gate(value, policy)
+    gate = _rich_gate(value)
     if not width <= gate:
         raise RefinementError(f"the chain resolves the threshold only to {width:.3g} "
                               f"> {gate:.3g} at h = {h:.3g}")
@@ -288,43 +292,40 @@ def _chain_coupling(chain: _Chain, omega: float, target: float) -> tuple[float, 
     return 0.5 * (lo + hi), doublings + steps
 
 
-def _levels(profile: PotentialProfile, domain: XDomain,
-            policy: ResolutionPolicy) -> tuple[int, str]:
+def _levels(profile: PotentialProfile, domain: XDomain) -> tuple[int, str]:
     """The coarsest of the resolutions k, 2k and 4k of a threshold
-    (`_chain`), and where they lie.  `policy.m_for` refuses a support too
-    wide for the finest chain, on an interval too."""
-    m = policy.m_for(profile.a)
+    (`_chain`), and where they lie.  `m_for` refuses a support too wide for
+    the finest chain, on an interval too."""
+    m = _RESOLUTION.m_for(profile.a)
     if domain.kind == "line":
         return m, f"on the line, m={m}"
-    n = policy.n_for(domain.c)
+    n = _RESOLUTION.n_for(domain.c)
     return n, f"on (-{domain.c}, {domain.c}) with {domain.bc} ends, n={n}"
 
 
-def threshold(spec: ComparisonSpec, policy: ResolutionPolicy = ResolutionPolicy()) -> float:
+def threshold(spec: ComparisonSpec) -> float:
     """Richardson-extrapolated threshold inf sigma(L), at m, 2m and 4m steps
-    of the support on the line (`policy.m_for`), on the grids of n, 2n and
-    4n nodes on an interval (`policy.n_for`)."""
-    k, where = _levels(spec.profile, spec.domain, policy)
+    of the support on the line (`m_for`), on the grids of n, 2n and 4n nodes
+    on an interval (`n_for`)."""
+    k, where = _levels(spec.profile, spec.domain)
     chains = [_chain(spec.profile, spec.domain, j) for j in (k, 2 * k, 4 * k)]
-    return _threshold_on(spec, chains, where, policy)
+    return _threshold_on(spec, chains, where)
 
 
-def _threshold_on(spec: ComparisonSpec, chains: list[_Chain], where: str,
-                  policy: ResolutionPolicy) -> float:
+def _threshold_on(spec: ComparisonSpec, chains: list[_Chain], where: str) -> float:
     """`threshold` on its three chains, coarsest first."""
     runs = [_chain_threshold(spec, chain) for chain in chains]
     for chain, (value, _, lo) in zip(chains, runs):
-        _check_bracket(value, lo, chain.h, policy)
+        _check_bracket(value, lo, chain.h)
     return _richardson(f"threshold at lambda={spec.lam!r} {where}",
-                       [run[0] for run in runs], [run[1] for run in runs], policy)
+                       [run[0] for run in runs], [run[1] for run in runs])
 
 
 def coarse_threshold(spec: ComparisonSpec) -> float:
-    """The discrete threshold at the coarsest resolution of `threshold` alone
-    (at the default policy): one Sturm bisection, neither extrapolated nor
-    gated, so it carries the O(h^2) error of that resolution.  An estimate,
-    for callers that certify what they do with it by other means."""
-    k = _levels(spec.profile, spec.domain, ResolutionPolicy())[0]
+    """The discrete threshold at the coarsest resolution of `threshold`: one
+    Sturm bisection, neither extrapolated nor gated, with that resolution's
+    O(h^2) error.  An estimate, for callers that certify its use otherwise."""
+    k = _levels(spec.profile, spec.domain)[0]
     chain = _chain(spec.profile, spec.domain, k)
     return _chain_threshold(spec, chain)[0]
 
@@ -363,10 +364,9 @@ def _ode_factors(omega: float, lam: float, e0: float, v: Sequence[float]) -> lis
 _EXTERIOR_NODES = 4
 
 
-def ground_state(spec: ComparisonSpec,
-                 policy: ResolutionPolicy = ResolutionPolicy()) -> GroundState:
+def ground_state(spec: ComparisonSpec) -> GroundState:
     """Minimal eigenpair on the line, on the support chain of spacing
-    h = a/(2m), m = `policy.m_for(a)`, all on lists.
+    h = a/(2m), m = `m_for(a)`, all on lists.
 
     E0 is the chain's threshold (`_chain_threshold`): the E that is the
     lowest eigenvalue of A(E), the support chain with transparent ends.  The
@@ -385,11 +385,11 @@ def ground_state(spec: ComparisonSpec,
     if spec.domain.kind != "line":
         raise ConfigurationError("ground_state solves on the line only")
     omega, lam, profile = spec.omega, spec.lam, spec.profile
-    m = 2 * policy.m_for(profile.a)
+    m = 2 * _RESOLUTION.m_for(profile.a)
     chain = _chain(profile, spec.domain, m)
     h = chain.h
     e0, _, lo = _chain_threshold(spec, chain)
-    _check_bracket(e0, lo, h, policy)
+    _check_bracket(e0, lo, h)
     kappa2 = omega**2 - e0
     end = _end_terms(chain, omega**2, e0)[0]
     r = end * h * h
@@ -438,8 +438,7 @@ def _fd4_derivative(u: Sequence[float], h: float) -> list[float]:
 
 
 def tune_lambda_to_threshold(omega: float, profile: PotentialProfile, target: float,
-                             tol: float = 1e-6,
-                             policy: ResolutionPolicy = ResolutionPolicy()) -> float:
+                             tol: float = 1e-6) -> float:
     """Richardson-extrapolated coupling that places the threshold of L on
     the line at the requested energy (e.g. -1), certified by one threshold
     at that coupling within tol of the target.  A target so deep that its
@@ -456,15 +455,15 @@ def tune_lambda_to_threshold(omega: float, profile: PotentialProfile, target: fl
         if target > omega**2:
             raise ConfigurationError("target threshold must be below omega^2")
         return 0.0
-    m, where = _levels(profile, XDomain(), policy)
+    m, where = _levels(profile, XDomain())
     chains = [_chain(profile, XDomain(), k) for k in (m, 2 * m, 4 * m)]
     runs = [_chain_coupling(chain, omega, target) for chain in chains]
     _check_depth(omega, max(lam for lam, _ in runs), profile,
                  f"the coupling that places the threshold at {target!r}")
     lam = _richardson(f"coupling at target {target!r} {where}",
-                      [lam for lam, _ in runs], [s for _, s in runs], policy)
+                      [lam for lam, _ in runs], [s for _, s in runs])
     # the threshold at that coupling, on the chains of the bisections
-    e = _threshold_on(ComparisonSpec(omega, lam, profile), chains, where, policy)
+    e = _threshold_on(ComparisonSpec(omega, lam, profile), chains, where)
     if not abs(e - target) <= tol:
         raise RefinementError(
             f"the threshold {e!r} at the coupling {lam!r} misses the target "
@@ -472,8 +471,7 @@ def tune_lambda_to_threshold(omega: float, profile: PotentialProfile, target: fl
     return lam
 
 
-def critical_coupling(omega: float, profile: PotentialProfile, tol: float = 1e-6,
-                      policy: ResolutionPolicy = ResolutionPolicy()) -> float:
+def critical_coupling(omega: float, profile: PotentialProfile, tol: float = 1e-6) -> float:
     """The coupling at which the threshold of L on the line changes sign:
     `tune_lambda_to_threshold` at the target 0."""
-    return tune_lambda_to_threshold(omega, profile, 0.0, tol, policy)
+    return tune_lambda_to_threshold(omega, profile, 0.0, tol)

@@ -7,11 +7,12 @@ which changes sign where the count leaves 0 at the lowest eigenvalue.  The
 1D thresholds and couplings are bisections of these counts (`bisect_count`),
 which the last pivot steers but never decides.  The ground state behind the
 Weyl quasi-modes adds its eigenvector by inverse iteration
-(`lowest_eigenvector`), at a shift below the spectrum that one more count
-certifies; they need nothing else.  This module, like the whole 1D and Weyl
-path (`model`, `oned`, `bracketing`, `quadrature`, `weyl`, `cli`), imports
-only the standard library, and of it neither `logging` nor any module that
-builds record classes: the records are namedtuples.
+(`lowest_eigenvector`), at a shift below the spectrum that its own
+factorization certifies; they need nothing else.  This module, like the
+whole 1D and Weyl path (`model`, `oned`, `bracketing`, `quadrature`,
+`weyl`, `cli`), imports only the standard library, and of it neither
+`logging` nor any module that builds record classes: the records are
+namedtuples.
 """
 
 from __future__ import annotations
@@ -182,22 +183,23 @@ def lowest_eigenvector(d: Sequence[float], e: float, sigma: float) -> list[float
     matrix T with diagonal d and every off-diagonal entry e (no periodic
     wrap), from a shift sigma below its spectrum.
 
-    sturm_count(d, e^2, sigma) == 0 certifies the shift: the pivots of the
-    LDL^T factorization of T - sigma, the ones that count finds, are all
-    positive, so the factor needs no pivoting.  Three solves with it from
-    the constant vector give the eigenvector, its error shrinking by
-    (e0 - sigma) / (e1 - sigma) per solve.
+    The LDL^T factor of T - sigma certifies the shift where each pivot, as
+    in `sturm_count`, passes pivmin; it then needs no pivoting.  Three
+    solves with it from the constant vector give the eigenvector, its
+    error shrinking by (e0 - sigma) / (e1 - sigma) per solve.
     """
     if not all(map(math.isfinite, (*d, e, sigma))):
         raise ComputationError("non-finite matrix entries")
     n = len(d)
     e2 = e * e
-    if sturm_count(d, e2, sigma)[0]:
-        raise ComputationError(
-            f"T - sigma is not positive definite at the shift sigma = {sigma!r}")
-    piv = [d[0] - sigma]
-    for i in range(1, n):
-        piv.append(d[i] - sigma - e2 / piv[i - 1])
+    pivmin = sys.float_info.min * max(1.0, e2)
+    piv, q = [], math.inf
+    for di in d:
+        q = di - sigma - e2 / q
+        if q < pivmin:
+            raise ComputationError(
+                f"T - sigma is not positive definite at the shift sigma = {sigma!r}")
+        piv.append(q)
     v = [1.0] * n
     for _ in range(3):
         # forward, then back substitution through L D L^T, L_i = e/piv_{i-1}

@@ -12,7 +12,7 @@ import time
 import numpy as np
 import pytest
 
-from smilansky_lab import bracketing, grid2d, weyl
+from smilansky_lab import bracketing, grid2d, oned, weyl
 from scipy.linalg import eigh_tridiagonal
 
 from oracles import residual_identity_check, uniform_grid
@@ -77,13 +77,14 @@ def test_criterion_2_prenormalization_mass():
         f"= {masses[16.0]:.4f} < 0.25; it holds only for k >= exp(3.5)")
 
 
-def test_criterion_3_residual_identity(cos2_profile, lam_e0_minus1):
+def test_criterion_3_residual_identity(cos2_profile, lam_e0_minus1, monkeypatch):
     t0 = time.perf_counter()
     spec = ComparisonSpec(1.0, lam_e0_minus1, cos2_profile)
     defects = []
     # the support chain at m, 2m, 4m and 8m steps of the half-width
     for ppu in (120.0, 240.0, 480.0, 960.0):
-        gs = ground_state(spec, ResolutionPolicy(points_per_unit=ppu))
+        monkeypatch.setattr(oned, "_RESOLUTION", ResolutionPolicy(points_per_unit=ppu))
+        gs = ground_state(spec)
         defects.append(residual_identity_check(gs))
     ratios = [a / b for a, b in zip(defects, defects[1:])]
     order_ok = all(3.0 <= r <= 5.0 for r in ratios)
@@ -121,11 +122,12 @@ def test_criterion_5_interval_variant(cos2_profile, lam_e0_minus1, gs_minus1):
     assert ok
 
 
-def test_criterion_6_critical_coupling(cos2_profile, lam_crit):
+def test_criterion_6_critical_coupling(cos2_profile, lam_crit, monkeypatch):
     t0 = time.perf_counter()
     from smilansky_lab.model import PotentialProfile
-    other = critical_coupling(1.0, cos2_profile,
-                              policy=ResolutionPolicy(points_per_unit=84.0))
+    with monkeypatch.context() as mp:
+        mp.setattr(oned, "_RESOLUTION", ResolutionPolicy(points_per_unit=84.0))
+        other = critical_coupling(1.0, cos2_profile)
     repro_ok = abs(other - lam_crit) <= 1e-3 * lam_crit
     lam_doubled = critical_coupling(1.0, PotentialProfile("cos2", 1.0, 2.0))
     halving_ok = abs(2.0 * lam_doubled - lam_crit) <= 1e-3 * lam_crit

@@ -1,3 +1,4 @@
+import inspect
 import json
 import os
 import re
@@ -784,6 +785,23 @@ class TestExitCodes:
                      "--export-matrix", str(tmp_path)]) == 2
         assert capsys.readouterr().err.startswith(
             f"configuration error: cannot write {tmp_path}: ")
+
+    @pytest.mark.parametrize("k", ["0", "21"])
+    def test_refused_eigenvalue_count_writes_no_export(self, single_cfg, tmp_path, capsys, k):
+        # the 1.16 MB matrix was written, and then the count refused
+        export = tmp_path / "h.coo"
+        assert main(["eig2d", "--config", single_cfg, "--k", k,
+                     "--export-matrix", str(export)]) == 2
+        out, err = capsys.readouterr()
+        assert not out and err == ("configuration error: eigenvalue count must be "
+                                   "between 1 and 20\n")
+        assert not export.exists()
+
+    def test_header_seed_is_the_solver_default(self):
+        # `eig2d` and `scan` pass no seed: the header's is the start vector's
+        from smilansky_lab.eigs import shift_invert_lanczos
+
+        assert cli._SEED == inspect.signature(shift_invert_lanczos).parameters["seed"].default
 
     @pytest.mark.parametrize("command", ["critical", "tune"])
     def test_coupling_on_interval_domain_is_2(self, tmp_path, capsys, command):

@@ -161,6 +161,21 @@ class TestSturmCount:
             lowest_eigenvector([2.0] * 8, -1.0, math.nan)
 
 
+    def test_eigenvector_factors_once(self, monkeypatch):
+        # the factor's own pivots certify the shift: no separate Sturm count
+        # runs the same recurrence first
+        from smilansky_lab import sturm
+
+        def no_count(*args):
+            raise AssertionError("a separate Sturm count ran")
+
+        monkeypatch.setattr(sturm, "sturm_count", no_count)
+        e0 = 2.0 - 2.0 * math.cos(math.pi / 9.0)
+        v = np.array(lowest_eigenvector([2.0] * 8, -1.0, e0 - 1e-9))
+        want = np.sin(np.pi * np.arange(1, 9) / 9.0)
+        assert np.max(np.abs(v - want / np.linalg.norm(want))) < 1e-12
+
+
 class TestLanczos:
     # shift_invert_lanczos is Lanczos on (h - sigma)^-1
     def test_start_vectors_are_splitmix64_outputs(self):

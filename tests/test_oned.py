@@ -118,24 +118,24 @@ class TestThreshold:
         got = oned._chain_threshold(spec, oned._chain(cos2_profile, spec.domain, n))[0]
         assert abs(got - interval_min_eig(spec, n)) < 1e-9
 
-    def test_interval_periodic_threshold_matches_dense(self, cos2_profile):
+    def test_interval_periodic_threshold_matches_dense(self, cos2_profile, monkeypatch):
         spec = ComparisonSpec(1.0, 4.0, cos2_profile,
                               XDomain("interval", 1.0, "periodic"))
-        policy = ResolutionPolicy(points_per_unit=16.0, rich_tol=1e-3)
+        monkeypatch.setattr(oned, "_RESOLUTION",
+                            ResolutionPolicy(points_per_unit=16.0, rich_tol=1e-3))
         e = [interval_min_eig(spec, m) for m in (64, 128, 256)]
-        assert abs(threshold(spec, policy) - (4.0 * e[2] - e[1]) / 3.0) < 1e-9
+        assert abs(threshold(spec) - (4.0 * e[2] - e[1]) / 3.0) < 1e-9
 
     def test_richardson_gate_is_never_finer_than_float64(self):
         # extrapolants (1 + 4/3 delta apart at the top) of three values
         # delta apart: at size 1 the gate is rich_tol = 1e-6 exactly, at
         # 1e14 it is 64 eps 1e14 = 1.42, and each failure names its gate
-        pol = ResolutionPolicy()
-        assert oned._richardson("t", [1.0, 1.0, 1.0 + 0.74e-6], "-", pol) > 1.0
+        assert oned._richardson("t", [1.0, 1.0, 1.0 + 0.74e-6], "-") > 1.0
         with pytest.raises(RefinementError, match="beyond rich_tol = 1e-06"):
-            oned._richardson("t", [1.0, 1.0, 1.0 + 0.76e-6], "-", pol)
-        assert oned._richardson("t", [1e14, 1e14, 1e14 + 1.0], "-", pol) > 1e14
+            oned._richardson("t", [1.0, 1.0, 1.0 + 0.76e-6], "-")
+        assert oned._richardson("t", [1e14, 1e14, 1e14 + 1.0], "-") > 1e14
         with pytest.raises(RefinementError, match="float64 resolves"):
-            oned._richardson("t", [1e14, 1e14, 1e14 + 1.5], "-", pol)
+            oned._richardson("t", [1e14, 1e14, 1e14 + 1.5], "-")
 
     @pytest.mark.parametrize("a", [1e-8, 1e-20, 1e-60, 5e-75])
     def test_bisection_wider_than_the_gate_is_refused(self, a):
@@ -342,9 +342,9 @@ class TestCriticalCoupling:
         spec = ComparisonSpec(1.0, lam_crit, cos2_profile)
         assert abs(threshold(spec)) <= 1e-6
 
-    def test_resolution_independence(self, cos2_profile, lam_crit):
-        other = critical_coupling(1.0, cos2_profile,
-                                  policy=ResolutionPolicy(points_per_unit=84.0))
+    def test_resolution_independence(self, cos2_profile, lam_crit, monkeypatch):
+        monkeypatch.setattr(oned, "_RESOLUTION", ResolutionPolicy(points_per_unit=84.0))
+        other = critical_coupling(1.0, cos2_profile)
         assert abs(other - lam_crit) <= 1e-3 * lam_crit
 
     def test_amplitude_covariance(self, cos2_profile, lam_crit):
@@ -575,15 +575,16 @@ class TestBisection:
             runs.append(len(passes))
             return got
 
-        policy = ResolutionPolicy(points_per_unit=30.0)
         with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(oned, "_RESOLUTION", ResolutionPolicy(points_per_unit=30.0))
             mp.setattr(oned, "bisect_count", checked)
             if target is None:
                 spec = ComparisonSpec(omega, lam, profile, domain)
-                k = 2**level * oned._levels(profile, domain, policy)[0]
+                k = 2**level * oned._levels(profile, domain)[0]
                 oned._chain_threshold(spec, oned._chain(profile, domain, k))
             else:
-                chain = oned._chain(profile, XDomain(), 2**level * policy.m_for(a))
+                chain = oned._chain(profile, XDomain(),
+                                    2**level * oned._RESOLUTION.m_for(a))
                 oned._chain_coupling(chain, omega, target * omega**2)
         assert len(runs) == 1
 
@@ -629,3 +630,24 @@ class TestChains:
         sizes = self._sizes(monkeypatch)
         coarse_threshold(ComparisonSpec(1.0, 2.0, cos2_profile))
         assert sizes == [239]
+
+    def test_one_rule_sets_every_resolution(self, cos2_profile, monkeypatch):
+        # a patched `_RESOLUTION` reaches every 1D entry point: m = 30 steps
+        # of the unit support on the line, n = 180 nodes on (-3, 3)
+        monkeypatch.setattr(oned, "_RESOLUTION",
+                            ResolutionPolicy(points_per_unit=30.0, rich_tol=1e-3))
+        asked = []
+        real = oned._chain
+        monkeypatch.setattr(oned, "_chain", lambda profile, domain, k: (
+            asked.append(k) or real(profile, domain, k)))
+        line_spec = ComparisonSpec(1.0, 2.0, cos2_profile)
+        box_spec = ComparisonSpec(1.0, 2.0, cos2_profile, XDomain("interval", 3.0, "neumann"))
+        runs = [(lambda: threshold(line_spec), [30, 60, 120]),
+                (lambda: threshold(box_spec), [180, 360, 720]),
+                (lambda: coarse_threshold(line_spec), [30]),
+                (lambda: ground_state(line_spec), [60]),
+                (lambda: critical_coupling(1.0, cos2_profile), [30, 60, 120])]
+        for solve, want in runs:
+            asked.clear()
+            solve()
+            assert asked == want

@@ -10,7 +10,7 @@ from scipy.integrate import quad
 
 from oracles import (cutoff_jet, line_t_rule, quasimode_norm_direct,
                      residual_identity_check)
-from smilansky_lab import weyl
+from smilansky_lab import oned, weyl
 from smilansky_lab.cli import main
 from smilansky_lab.errors import ComputationError, ConfigurationError, SmilanskyError
 from smilansky_lab.model import ChannelSpec, ModelConfig, XDomain, profile_values
@@ -247,11 +247,12 @@ class TestParameterSelection:
 
 
 class TestResidualIdentity:
-    def test_second_order_convergence(self, cos2_profile, lam_e0_minus1):
+    def test_second_order_convergence(self, cos2_profile, lam_e0_minus1, monkeypatch):
         spec = ComparisonSpec(1.0, lam_e0_minus1, cos2_profile)
         defects = []
         for ppu in (30.0, 60.0, 120.0):
-            gs = ground_state(spec, ResolutionPolicy(points_per_unit=ppu))
+            monkeypatch.setattr(oned, "_RESOLUTION", ResolutionPolicy(points_per_unit=ppu))
+            gs = ground_state(spec)
             defects.append(residual_identity_check(gs))
         for a, b in zip(defects, defects[1:]):
             assert 3.0 <= a / b <= 5.0
